@@ -3,7 +3,7 @@ structures given in adapted coordinates."""
 
 __version__ = "0.1.0"
 
-from .expr import Jet, ScalarField, evaluate_jet, parse  # noqa: F401
+from .expr import Jet, ScalarField, parse  # noqa: F401
 from .chart import (  # noqa: F401
     AdaptedChart,
     AdaptedTransition,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import ScalarField
+from .expr import ScalarField, field_jets
 
 AVOID_EPS = 1e-6  # sample points must keep every 'avoid' field at least this far from zero
 MAX_REDRAWS = 1000
@@ -136,22 +136,26 @@ def frame_apply(chart: AdaptedChart, a: int, f: ScalarField, p: np.ndarray) -> f
     return float(jet.grad[a] - chart.gamma[a].value(p) * jet.grad[chart.n - 1])
 
 
-def _gamma_jets(chart: AdaptedChart, p: np.ndarray):
-    """Stacked value/gradient/Hessian arrays of the gamma fields."""
-    m, n = chart.m, chart.n
-    g0 = np.empty(m)
-    g1 = np.empty((m, n))
-    g2 = np.empty((m, n, n))
-    for a, f in enumerate(chart.gamma):
-        jet = f.jet(p)
-        g0[a], g1[a], g2[a] = jet.value, jet.grad, jet.hess
-    return g0, g1, g2
+def gamma_jets(chart: AdaptedChart, p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Value, gradient and Hessian arrays of the gamma fields at p."""
+    return field_jets(np.array(chart.gamma, dtype=object), p)
+
+
+def adapted_frame(gam0: np.ndarray, gam1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate components E0[i, q] of the adapted frame (e_a, xi) and
+    their gradients E1[i, q, j] = d_j E0[i, q], from the gamma jets."""
+    m, n = gam1.shape
+    E0 = np.eye(n)
+    E0[:m, -1] = -gam0
+    E1 = np.zeros((n, n, n))
+    E1[:m, -1, :] = -gam1
+    return E0, E1
 
 
 def omega_frame(chart: AdaptedChart, p: np.ndarray) -> TensorGrid:
     """omega_{ab} = (e_a gamma_b - e_b gamma_a)/2; skew by construction."""
     m, n = chart.m, chart.n
-    g0, g1, _ = _gamma_jets(chart, p)
+    g0, g1, _ = gamma_jets(chart, p)
     # e_a gamma_b = d_a gamma_b - gamma_a d_n gamma_b
     eg = g1[:, :m].T - np.outer(g0, g1[:, n - 1])  # eg[a, b] = e_a gamma_b
     return TensorGrid(0.5 * (eg - eg.T), (FRAME_LOWER, FRAME_LOWER))
@@ -159,45 +163,26 @@ def omega_frame(chart: AdaptedChart, p: np.ndarray) -> TensorGrid:
 
 def d_eta_xi(chart: AdaptedChart, p: np.ndarray) -> np.ndarray:
     """The vector d_n gamma_a, equal to 2 d(eta)(xi, e_a)."""
-    _, g1, _ = _gamma_jets(chart, p)
+    _, g1, _ = gamma_jets(chart, p)
     return g1[:, chart.n - 1].copy()
 
 
-def rank_at(chart: AdaptedChart, p: np.ndarray, tol: float = 1e-9) -> int:
-    """Pointwise rank: 2p from the rank of omega, 2p+1 when additionally
-    d(eta)(xi, .) vanishes."""
-    omega = omega_frame(chart, p).components
+def rank_of(omega: np.ndarray, vertical: np.ndarray, tol: float = 1e-9) -> int:
+    """Rank from omega and d(eta)(xi, .): 2p from the rank of omega, 2p+1
+    when additionally the vertical part vanishes."""
     sv = np.linalg.svd(omega, compute_uv=False)
     if sv.size and sv[0] > 0.0:
         two_p = int(np.count_nonzero(sv > tol * sv[0]))
     else:
         two_p = 0
-    vertical = d_eta_xi(chart, p)
     if np.abs(vertical).max(initial=0.0) <= tol * (1.0 + np.abs(omega).max(initial=0.0)):
         return two_p + 1
     return two_p
 
 
-def frame_matrix(chart: AdaptedChart, p: np.ndarray) -> np.ndarray:
-    """E[i, q]: coordinate components of the adapted frame (e_a, xi)."""
-    n, m = chart.n, chart.m
-    g0, _, _ = _gamma_jets(chart, p)
-    E = np.zeros((n, n))
-    E[:m, :m] = np.eye(m)
-    E[:m, n - 1] = -g0
-    E[n - 1, n - 1] = 1.0
-    return E
-
-
-def coframe_matrix(chart: AdaptedChart, p: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`frame_matrix`: rows are (dx^a, eta)."""
-    n, m = chart.n, chart.m
-    g0, _, _ = _gamma_jets(chart, p)
-    C = np.zeros((n, n))
-    C[:m, :m] = np.eye(m)
-    C[n - 1, :m] = g0
-    C[n - 1, n - 1] = 1.0
-    return C
+def rank_at(chart: AdaptedChart, p: np.ndarray, tol: float = 1e-9) -> int:
+    """Pointwise rank of the structure at p (see :func:`rank_of`)."""
+    return rank_of(omega_frame(chart, p).components, d_eta_xi(chart, p), tol)
 
 
 def frame_bracket(chart: AdaptedChart, a: int, b: int, p: np.ndarray) -> np.ndarray:
@@ -206,19 +191,9 @@ def frame_bracket(chart: AdaptedChart, a: int, b: int, p: np.ndarray) -> np.ndar
     [V, W]^i = V^j d_j W^i - W^j d_j V^i with V = e_a, W = e_b.  Serves as
     the independent oracle for :func:`omega_frame`.
     """
-    n, last = chart.n, chart.n - 1
-    g0, g1, _ = _gamma_jets(chart, p)
-    V = np.zeros(n)
-    V[a] = 1.0
-    V[last] = -g0[a]
-    W = np.zeros(n)
-    W[b] = 1.0
-    W[last] = -g0[b]
-    dV = np.zeros((n, n))  # dV[i, j] = d_j V^i
-    dV[last] = -g1[a]
-    dW = np.zeros((n, n))
-    dW[last] = -g1[b]
-    return dW @ V - dV @ W
+    g0, g1, _ = gamma_jets(chart, p)
+    E0, E1 = adapted_frame(g0, g1)
+    return E1[b] @ E0[a] - E1[a] @ E0[b]
 
 
 # ---------------------------------------------------------------------------

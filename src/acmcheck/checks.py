@@ -9,19 +9,22 @@ definition.  Classification negatives never affect the gate.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .chart import rank_at
+from .chart import rank_of
 from .classify import (
-    reeb_split_identity_residual,
+    ClassificationReport,
+    aqs_characterization_residual,
+    canonical_nabla_phi_residual,
+    classification_report,
+    criterion_residuals,
     projection_identity_residual,
     qs_characterization_residual,
-    canonical_nabla_phi_residual,
-    aqs_characterization_residual,
-    classify,
+    reeb_split_identity_residual,
 )
 from .connection import (
     Endomorphism,
@@ -34,8 +37,9 @@ from .connection import (
     nabla_psi,
     torsion,
 )
-from .curvature import einstein_check
-from .manifest import Manifest
+from .curvature import EinsteinReport, einstein_report, einstein_sample
+from .manifest import OMEGA_SOURCES, Manifest
+from .residuals import WorstResidual
 from .structure import StructureEval, metric_definiteness, validate_axioms
 
 HARD_IDENTITIES = ("lc_oracle", "projection_identity", "reeb_split_identity", "torsion_direct")
@@ -75,6 +79,30 @@ def _rounded(obj):
     raise TypeError(f"unexpected report value {obj!r}")
 
 
+def identity_residuals(ev: StructureEval) -> dict[str, float]:
+    """Residual of every reported identity at the evaluation point, plus the
+    metricity defect of the canonical connection."""
+    canonical = Endomorphism.canonical()
+    tors = torsion(ev, canonical)
+    defect = metricity_defect(ev, canonical)
+    converted = coordinate_to_adapted(ev, lc_coordinate(ev))
+    return {
+        "lc_oracle": np.abs(lc_adapted(ev).full - converted).max(),
+        "projection_identity": projection_identity_residual(ev),
+        "reeb_split_identity": reeb_split_identity_residual(ev),
+        "torsion_direct": tors.direct_residual,
+        "torsion_skew": tors.skew_residual,
+        "n_connection_formula": n_connection_formula_residual(ev, canonical),
+        "aqs_characterization": aqs_characterization_residual(ev),
+        "qs_characterization": qs_characterization_residual(ev),
+        "canonical_nabla_phi": canonical_nabla_phi_residual(ev),
+        "nabla_omega": np.abs(nabla_omega(ev)).max(),
+        "nabla_psi": np.abs(nabla_psi(ev)).max(),
+        "metricity_defect": np.abs(defect).max(),
+        "metricity_defect_reeb_row": np.abs(defect[-1, -1, :]).max(),
+    }
+
+
 def run_full_check(
     manifest: Manifest,
     samples: int | None = None,
@@ -82,6 +110,8 @@ def run_full_check(
     tol: float | None = None,
     omega_source: str | None = None,
 ) -> RunReport:
+    """Every identity, criterion and Einstein residual, from one evaluation
+    per sampled point."""
     samples = manifest.samples if samples is None else samples
     seed = manifest.seed if seed is None else seed
     tol = manifest.tolerance if tol is None else tol
@@ -89,63 +119,42 @@ def run_full_check(
 
     s = manifest.structure()
     points = s.chart.sample_points(samples, seed)
-    canonical = Endomorphism.canonical()
 
-    worst: dict[str, float] = {}
-
-    def track(name: str, value: float):
-        worst[name] = max(worst.get(name, 0.0), float(value))
-
-    axioms: dict[str, float] = {}
+    axioms: dict[str, WorstResidual] = defaultdict(WorstResidual)
+    worst: dict[str, WorstResidual] = defaultdict(WorstResidual)
+    criteria: dict[str, WorstResidual] = defaultdict(WorstResidual)
+    einstein_samples: dict[str, list] = {source: [] for source in OMEGA_SOURCES}
     ranks: set[int] = set()
     for p in points:
-        metric_definiteness(s, p)
-        for key, value in validate_axioms(s, p).items():
-            axioms[key] = max(axioms.get(key, 0.0), value)
-
-        adapted = lc_adapted(s, p).full
-        converted = coordinate_to_adapted(s, p, lc_coordinate(s, p))
-        track("lc_oracle", np.abs(adapted - converted).max())
-
-        track("projection_identity", projection_identity_residual(s, p))
-        track("reeb_split_identity", reeb_split_identity_residual(s, p))
-
-        tors = torsion(s, canonical, p)
-        track("torsion_direct", tors.direct_residual)
-        track("torsion_skew", tors.skew_residual)
-
-        track("n_connection_formula", n_connection_formula_residual(s, canonical, p))
-        track("aqs_characterization", aqs_characterization_residual(s, p))
-        track("qs_characterization", qs_characterization_residual(s, p))
-        track("canonical_nabla_phi", canonical_nabla_phi_residual(s, p))
-
         ev = StructureEval(s, p)
-        track("nabla_omega", np.abs(nabla_omega(ev)).max())
-        track("nabla_psi", np.abs(nabla_psi(ev)).max())
-
-        defect = metricity_defect(s, canonical, p)
-        track("metricity_defect", np.abs(defect).max())
-        track("metricity_defect_reeb_row", np.abs(defect[-1, -1, :]).max())
-
-        ranks.add(rank_at(s.chart, p))
+        metric_definiteness(ev)
+        for name, value in validate_axioms(ev).items():
+            axioms[name].add(value)
+        for name, value in identity_residuals(ev).items():
+            worst[name].add(value)
+        for name, (residual, scale) in criterion_residuals(ev).items():
+            criteria[name].add(residual, scale)
+        for source, records in einstein_samples.items():
+            records.append(einstein_sample(ev, source))
+        ranks.add(rank_of(ev.omega0, ev.d_eta_xi))
 
     identities = {}
-    for name in ("lc_oracle", "projection_identity", "reeb_split_identity", "torsion_direct",
-                 "n_connection_formula"):
+    for name, tolerance in HARD_TOLERANCES.items():
         identities[name] = {
-            "max_residual": worst[name],
+            "max_residual": worst[name].residual,
             "samples": samples,
-            "tolerance": HARD_TOLERANCES[name],
-            "holds": bool(worst[name] < HARD_TOLERANCES[name]),
+            "tolerance": tolerance,
+            "holds": worst[name].holds(tolerance),
         }
     for name in ("torsion_skew", "aqs_characterization", "qs_characterization",
                  "canonical_nabla_phi", "nabla_omega", "nabla_psi"):
-        identities[name] = {"max_residual": worst[name], "samples": samples}
+        identities[name] = {"max_residual": worst[name].residual, "samples": samples}
 
-    classification = classify(s, tol=tol, points=points)
+    classification = classification_report(criteria, tol, len(points))
+    parallel_torsion = worst["nabla_omega"].residual
     einstein = {
-        source: _einstein_summary(s, points, tol, source)
-        for source in ("d_eta", "fundamental_form")
+        source: einstein_summary(einstein_report(records, parallel_torsion, source, tol))
+        for source, records in einstein_samples.items()
     }
 
     data = {
@@ -156,28 +165,31 @@ def run_full_check(
         "seed": seed,
         "tolerance": tol,
         "omega_source": omega_source,
-        "axiom_residuals": axioms,
+        "axiom_residuals": {name: w.residual for name, w in axioms.items()},
         "identities": identities,
-        "classification": {
-            name: {"holds": v.holds, "max_residual": v.max_residual, "samples": v.samples}
-            for name, v in classification.verdicts.items()
-        },
+        "classification": classification_summary(classification),
         "quasi_sasakian_conditions": {
             name: {"holds": v.holds, "max_residual": v.max_residual}
             for name, v in classification.qs_conditions.items()
         },
         "rank": sorted(ranks),
         "metricity": {
-            "max_abs": worst["metricity_defect"],
-            "reeb_row_max": worst["metricity_defect_reeb_row"],
+            "max_abs": worst["metricity_defect"].residual,
+            "reeb_row_max": worst["metricity_defect_reeb_row"].residual,
         },
         "einstein": einstein,
     }
     return RunReport(data=data)
 
 
-def _einstein_summary(s, points, tol, source) -> dict:
-    report = einstein_check(s, tol=tol, omega_source=source, points=points)
+def classification_summary(report: ClassificationReport) -> dict:
+    return {
+        name: {"holds": v.holds, "max_residual": v.max_residual, "samples": v.samples}
+        for name, v in report.verdicts.items()
+    }
+
+
+def einstein_summary(report: EinsteinReport) -> dict:
     return {
         "verdict": report.verdict,
         "max_residual": report.max_residual,

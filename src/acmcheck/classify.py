@@ -9,11 +9,13 @@ criterion compares).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import basis_fields, bracket, cov_phi, to_frame_components
+from .connection import bracket, cov_phi, to_frame_components
+from .residuals import WorstResidual, nanmax
 from .structure import AdaptedStructure, StructureEval, d_fundamental_form
 
 DEFAULT_TOL = 1e-7
@@ -28,6 +30,9 @@ CRITERIA = (
     "d_eta_xi_zero",
     "d_Omega_zero",
 )
+
+# the criteria that are not conjunctions of others
+BASE_CRITERIA = ("contact_metric", "normal", "almost_normal", "d_eta_xi_zero", "d_Omega_zero")
 
 QS_CONDITIONS = ("d_eta_phi_invariant", "phi_psi_commute", "A_g_symmetric")
 
@@ -81,14 +86,9 @@ def _d_eta_pairs(ev: StructureEval) -> np.ndarray:
     return out
 
 
-def nijenhuis_tensors(s: AdaptedStructure, p: np.ndarray) -> NijenhuisBundle:
-    ev = StructureEval(s, p)
-    return _nijenhuis(ev)
-
-
-def _nijenhuis(ev: StructureEval) -> NijenhuisBundle:
+def nijenhuis_tensors(ev: StructureEval) -> NijenhuisBundle:
     n, m = ev.n, ev.m
-    B0, B1 = basis_fields(ev)
+    B0, B1 = ev.frame
     P0, P1 = _phi_basis_fields(ev)
 
     n_phi = np.empty((n, n, n))
@@ -116,28 +116,27 @@ def _nijenhuis(ev: StructureEval) -> NijenhuisBundle:
 # ---------------------------------------------------------------------------
 
 
-def projection_identity_residual(s: AdaptedStructure, p: np.ndarray) -> float:
+def projection_identity_residual(ev: StructureEval) -> float:
     """Residual of P(N1(X, Y)) = N~(X, Y) over all basis pairs."""
-    bundle = nijenhuis_tensors(s, p)
+    bundle = nijenhuis_tensors(ev)
     projected = bundle.n1.copy()
     projected[:, :, -1] = 0.0
     return float(np.abs(projected - bundle.n_tilde).max())
 
 
-def reeb_split_identity_residual(s: AdaptedStructure, p: np.ndarray) -> float:
+def reeb_split_identity_residual(ev: StructureEval) -> float:
     """Residual of N1 = N~ + 2 (d(eta)(X,Y) - d(eta)(phi X, phi Y)) xi."""
-    bundle = nijenhuis_tensors(s, p)
+    bundle = nijenhuis_tensors(ev)
     rhs = bundle.n_tilde.copy()
     rhs[:, :, -1] += 2.0 * (bundle.d_eta - bundle.d_eta_phi)
     return float(np.abs(bundle.n1 - rhs).max())
 
 
-def aqs_characterization_residual(s: AdaptedStructure, p: np.ndarray) -> float:
+def aqs_characterization_residual(ev: StructureEval) -> float:
     """Residual of the almost-quasi-Sasakian characterization
     (nabla~_X phi) Y = g((psi o phi) Y, X) xi - eta(Y) (phi o psi) X
     - eta(X) (phi o psi - psi o phi) Y over all basis pairs."""
-    ev = StructureEval(s, p)
-    lhs = cov_phi(s, "levi_civita", p)  # lhs[i, b, a]: (nabla_{E_i} phi)^b_a
+    lhs = cov_phi(ev, "levi_civita")  # lhs[i, b, a]: (nabla_{E_i} phi)^b_a
     n, m = ev.n, ev.m
     psiphi = ev.psi0 @ ev.phi0
     phipsi = ev.phi0 @ ev.psi0
@@ -149,11 +148,10 @@ def aqs_characterization_residual(s: AdaptedStructure, p: np.ndarray) -> float:
     return float(np.abs(lhs_pairs - rhs).max())
 
 
-def qs_characterization_residual(s: AdaptedStructure, p: np.ndarray) -> float:
+def qs_characterization_residual(ev: StructureEval) -> float:
     """Residual of the quasi-Sasakian characterization
     (nabla~_X phi) Y = g(A Y, X) xi - eta(Y) A X with A = phi o psi."""
-    ev = StructureEval(s, p)
-    lhs = np.einsum("ibj->ijb", cov_phi(s, "levi_civita", p))
+    lhs = np.einsum("ibj->ijb", cov_phi(ev, "levi_civita"))
     n, m = ev.n, ev.m
     A = ev.phi0 @ ev.psi0
     rhs = np.zeros((n, n, n))
@@ -162,9 +160,8 @@ def qs_characterization_residual(s: AdaptedStructure, p: np.ndarray) -> float:
     return float(np.abs(lhs - rhs).max())
 
 
-def qs_condition_residuals(s: AdaptedStructure, p: np.ndarray) -> dict[str, tuple[float, float]]:
+def qs_condition_residuals(ev: StructureEval) -> dict[str, tuple[float, float]]:
     """(residual, scale) of the three equivalent quasi-Sasakian conditions."""
-    ev = StructureEval(s, p)
     phi_star_omega = np.einsum("ca,db,cd->ab", ev.phi0, ev.phi0, ev.omega0)
     phipsi = ev.phi0 @ ev.psi0
     psiphi = ev.psi0 @ ev.phi0
@@ -172,19 +169,19 @@ def qs_condition_residuals(s: AdaptedStructure, p: np.ndarray) -> dict[str, tupl
     return {
         "d_eta_phi_invariant": (
             float(np.abs(ev.omega0 - phi_star_omega).max()),
-            max(_mag(ev.omega0), _mag(phi_star_omega)),
+            nanmax(_mag(ev.omega0), _mag(phi_star_omega)),
         ),
         "phi_psi_commute": (
             float(np.abs(phipsi - psiphi).max()),
-            max(_mag(phipsi), _mag(psiphi)),
+            nanmax(_mag(phipsi), _mag(psiphi)),
         ),
         "A_g_symmetric": (float(np.abs(gA - gA.T).max()), _mag(gA)),
     }
 
 
-def canonical_nabla_phi_residual(s: AdaptedStructure, p: np.ndarray) -> float:
+def canonical_nabla_phi_residual(ev: StructureEval) -> float:
     """Max component of nabla phi under the canonical connection."""
-    return float(np.abs(cov_phi(s, "canonical", p)).max())
+    return float(np.abs(cov_phi(ev, "canonical")).max())
 
 
 def _mag(arr: np.ndarray) -> float:
@@ -214,23 +211,63 @@ class ClassificationReport:
         return self.verdicts[name].holds
 
 
-class _Accumulator:
-    def __init__(self):
-        self.residual = 0.0
-        self.scale = 0.0
-        self.count = 0
+def criterion_residuals(ev: StructureEval) -> dict[str, tuple[float, float]]:
+    """(residual, scale) at the evaluation point of every criterion that is
+    not a conjunction of others, and of the three quasi-Sasakian conditions."""
+    bundle = nijenhuis_tensors(ev)
+    nij_scale = nanmax(_mag(bundle.n_phi), 2.0 * _mag(bundle.d_eta), 2.0 * _mag(bundle.d_eta_phi))
+    return {
+        "contact_metric": (
+            float(np.abs(ev.Omega0 - ev.omega0).max()),
+            nanmax(_mag(ev.Omega0), _mag(ev.omega0)),
+        ),
+        "normal": (_mag(bundle.n1), nij_scale),
+        "almost_normal": (_mag(bundle.n_tilde), nij_scale),
+        "d_eta_xi_zero": (_mag(ev.d_eta_xi), nanmax(_mag(ev.omega0), 0.5 * _mag(ev.d_eta_xi))),
+        "d_Omega_zero": (_mag(d_fundamental_form(ev)), nanmax(_mag(ev.Omega0), _mag(ev.Omega1))),
+        **qs_condition_residuals(ev),
+    }
 
-    def add(self, residual: float, scale: float):
-        self.residual = max(self.residual, residual)
-        self.scale = max(self.scale, scale)
-        self.count += 1
 
-    def verdict(self, tol: float) -> CriterionVerdict:
+def classification_report(
+    worst: dict[str, WorstResidual], tol: float, n_points: int
+) -> ClassificationReport:
+    """Verdicts from the worst :func:`criterion_residuals` over the samples.
+
+    Raises :class:`InternalConsistencyError` if the structure classifies as
+    almost quasi-Sasakian while the three equivalent quasi-Sasakian
+    conditions disagree (they are provably equivalent in that regime).
+    """
+
+    def verdict(*names: str) -> CriterionVerdict:
+        parts = [worst[name] for name in names]
         return CriterionVerdict(
-            holds=bool(self.residual < tol * (1.0 + self.scale)),
-            max_residual=self.residual,
-            samples=self.count,
+            holds=all(w.holds(tol) for w in parts),
+            max_residual=nanmax(*(w.residual for w in parts)),
+            samples=n_points,
         )
+
+    verdicts = {name: verdict(name) for name in BASE_CRITERIA}
+    qs_verdicts = {name: verdict(name) for name in QS_CONDITIONS}
+    verdicts["almost_contact_kahler"] = verdict("almost_normal", "d_Omega_zero")
+    verdicts["aqs"] = verdict("almost_normal", "d_Omega_zero", "d_eta_xi_zero")
+
+    qs_flags = [v.holds for v in qs_verdicts.values()]
+    if verdicts["aqs"].holds and len(set(qs_flags)) != 1:
+        detail = {name: (v.holds, v.max_residual) for name, v in qs_verdicts.items()}
+        raise InternalConsistencyError(
+            f"equivalent quasi-Sasakian conditions disagree on an AQS structure: {detail}"
+        )
+    verdicts["quasi_sasakian"] = CriterionVerdict(
+        holds=bool(verdicts["aqs"].holds and all(qs_flags)),
+        max_residual=nanmax(
+            verdicts["aqs"].max_residual, *(v.max_residual for v in qs_verdicts.values())
+        ),
+        samples=n_points,
+    )
+
+    ordered = {name: verdicts[name] for name in CRITERIA}
+    return ClassificationReport(verdicts=ordered, qs_conditions=qs_verdicts, tol=tol, samples=n_points)
 
 
 def classify(
@@ -242,65 +279,13 @@ def classify(
 ) -> ClassificationReport:
     """Evaluate every classification criterion at sampled points.
 
-    ``points`` overrides the deterministic sampling when given.  Raises
-    :class:`InternalConsistencyError` if the structure classifies as almost
-    quasi-Sasakian while the three equivalent quasi-Sasakian conditions
-    disagree (they are provably equivalent in that regime).
+    ``points`` overrides the deterministic sampling when given; see
+    :func:`classification_report` for the verdicts.
     """
     if points is None:
         points = s.chart.sample_points(samples, seed)
-    acc = {name: _Accumulator() for name in
-           ("contact_metric", "normal", "almost_normal", "d_eta_xi_zero", "d_Omega_zero")}
-    qs_acc = {name: _Accumulator() for name in QS_CONDITIONS}
-
+    worst: dict[str, WorstResidual] = defaultdict(WorstResidual)
     for p in points:
-        ev = StructureEval(s, p)
-        bundle = _nijenhuis(ev)
-
-        acc["contact_metric"].add(
-            float(np.abs(ev.Omega0 - ev.omega0).max()),
-            max(_mag(ev.Omega0), _mag(ev.omega0)),
-        )
-        nij_scale = max(_mag(bundle.n_phi), 2.0 * _mag(bundle.d_eta), 2.0 * _mag(bundle.d_eta_phi))
-        acc["normal"].add(_mag(bundle.n1), nij_scale)
-        acc["almost_normal"].add(_mag(bundle.n_tilde), nij_scale)
-        acc["d_eta_xi_zero"].add(
-            _mag(ev.d_eta_xi), max(_mag(ev.omega0), 0.5 * _mag(ev.d_eta_xi))
-        )
-        acc["d_Omega_zero"].add(
-            _mag(d_fundamental_form(ev)), max(_mag(ev.Omega0), _mag(ev.Omega1))
-        )
-        for name, (residual, scale) in qs_condition_residuals(s, p).items():
-            qs_acc[name].add(residual, scale)
-
-    n_points = len(points)
-    verdicts = {name: a.verdict(tol) for name, a in acc.items()}
-    qs_verdicts = {name: a.verdict(tol) for name, a in qs_acc.items()}
-
-    def conjunction(*names: str) -> CriterionVerdict:
-        parts = [verdicts[n] for n in names]
-        return CriterionVerdict(
-            holds=all(v.holds for v in parts),
-            max_residual=max(v.max_residual for v in parts),
-            samples=n_points,
-        )
-
-    verdicts["almost_contact_kahler"] = conjunction("almost_normal", "d_Omega_zero")
-    verdicts["aqs"] = conjunction("almost_normal", "d_Omega_zero", "d_eta_xi_zero")
-
-    qs_flags = [v.holds for v in qs_verdicts.values()]
-    if verdicts["aqs"].holds and len(set(qs_flags)) != 1:
-        detail = {name: (v.holds, v.max_residual) for name, v in qs_verdicts.items()}
-        raise InternalConsistencyError(
-            f"equivalent quasi-Sasakian conditions disagree on an AQS structure: {detail}"
-        )
-    verdicts["quasi_sasakian"] = CriterionVerdict(
-        holds=bool(verdicts["aqs"].holds and all(qs_flags)),
-        max_residual=max(
-            [verdicts["aqs"].max_residual] + [v.max_residual for v in qs_verdicts.values()]
-        ),
-        samples=n_points,
-    )
-
-    ordered = {name: verdicts[name] for name in CRITERIA}
-    return ClassificationReport(verdicts=ordered, qs_conditions=qs_verdicts, tol=tol, samples=n_points)
+        for name, (residual, scale) in criterion_residuals(StructureEval(s, p)).items():
+            worst[name].add(residual, scale)
+    return classification_report(worst, tol, len(points))

@@ -14,13 +14,13 @@ import sys
 import numpy as np
 
 from .chart import ChartError, rank_at
-from .checks import run_full_check
+from .checks import classification_summary, einstein_summary, run_full_check
 from .classify import InternalConsistencyError, classify
 from .connection import Endomorphism, canonical_connection, lc_adapted, torsion
 from .curvature import curvature_K, einstein_check, ricci_k, ricci_wagner, schouten
 from .expr import ExprError
-from .manifest import Manifest, ManifestError, load_manifest
-from .structure import StructureError, derived
+from .manifest import OMEGA_SOURCES, Manifest, ManifestError, load_manifest
+from .structure import StructureError, StructureEval, derived
 
 TENSOR_NAMES = (
     "omega", "psi", "C", "lc-adapted", "n-connection", "torsion",
@@ -49,17 +49,24 @@ def _parse_point(text: str, manifest: Manifest) -> np.ndarray:
     return p
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _grid(arr: np.ndarray) -> list:
     return np.asarray(arr).tolist()
 
 
 def _tensor_payload(name: str, manifest: Manifest, p: np.ndarray) -> dict:
-    s = manifest.structure()
+    ev = StructureEval(manifest.structure(), p)
     if name in ("omega", "psi", "C"):
-        d = derived(s, p)
+        d = derived(ev)
         return {name: _grid({"omega": d.omega, "psi": d.psi, "C": d.C}[name])}
     if name == "lc-adapted":
-        coeffs = lc_adapted(s, p)
+        coeffs = lc_adapted(ev)
         return {
             "frame": _grid(coeffs.frame),
             "n_ab": _grid(coeffs.n_ab),
@@ -68,23 +75,23 @@ def _tensor_payload(name: str, manifest: Manifest, p: np.ndarray) -> dict:
             "a_nn": _grid(coeffs.a_nn),
         }
     if name == "n-connection":
-        coeffs = canonical_connection(s, p)
+        coeffs = canonical_connection(ev)
         return {"frame": _grid(coeffs.frame), "mixed_na": _grid(coeffs.mixed_an),
                 "n_na": _grid(coeffs.n_na)}
     if name == "torsion":
-        result = torsion(s, Endomorphism.canonical(), p)
+        result = torsion(ev, Endomorphism.canonical())
         return {"components": _grid(result.components), "is_skew": result.is_skew,
                 "skew_residual": result.skew_residual,
                 "direct_residual": result.direct_residual}
     if name == "schouten":
-        return {"schouten": _grid(schouten(s, p))}
+        return {"schouten": _grid(schouten(ev))}
     if name == "K":
-        K = curvature_K(s, p)
+        K = curvature_K(ev)
         return {"frame": _grid(K.frame), "mixed": _grid(K.mixed)}
     if name == "ricci-wagner":
-        return {"ricci_wagner": _grid(ricci_wagner(s, p))}
+        return {"ricci_wagner": _grid(ricci_wagner(ev))}
     if name == "ricci-k":
-        return {"ricci_k": _grid(ricci_k(s, p))}
+        return {"ricci_k": _grid(ricci_k(ev))}
     raise InputError(f"unknown tensor '{name}'; known: {', '.join(TENSOR_NAMES)}")
 
 
@@ -123,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
 
     def add_common(p):
         p.add_argument("manifest", help="manifest path or bundled fixture name")
-        p.add_argument("--samples", type=int, default=None)
+        p.add_argument("--samples", type=_positive_int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--json", action="store_true", dest="as_json")
@@ -148,6 +155,11 @@ def main(argv: list[str] | None = None) -> int:
     p_rank.add_argument("manifest")
     p_rank.add_argument("--at", required=True, metavar="x1,...,xn")
 
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--at" in argv[:-1]:
+        # glue the point to the option, or argparse reads '-0.5,1,...' as an option
+        i = argv.index("--at")
+        argv[i : i + 2] = [f"--at={argv[i + 1]}"]
     args = parser.parse_args(argv)
 
     try:
@@ -172,11 +184,7 @@ def main(argv: list[str] | None = None) -> int:
                 seed=manifest.seed if args.seed is None else args.seed,
             )
             if args.as_json:
-                payload = {
-                    name: {"holds": v.holds, "max_residual": v.max_residual, "samples": v.samples}
-                    for name, v in report.verdicts.items()
-                }
-                print(json.dumps(payload, sort_keys=True, indent=2))
+                print(json.dumps(classification_summary(report), sort_keys=True, indent=2))
             else:
                 for name, v in report.verdicts.items():
                     print(f"{name:<24} {'yes' if v.holds else 'no':<4} max residual {v.max_residual:.3e}")
@@ -200,16 +208,11 @@ def main(argv: list[str] | None = None) -> int:
                 manifest.samples if args.samples is None else args.samples,
                 manifest.seed if args.seed is None else args.seed,
             )
-            payload = {}
-            for source in ("d_eta", "fundamental_form"):
-                rep = einstein_check(s, tol=manifest.tolerance if args.tol is None else args.tol,
-                                     omega_source=source, points=points)
-                payload[source] = {
-                    "verdict": rep.verdict,
-                    "max_residual": rep.max_residual,
-                    "parallel_torsion_residual": rep.parallel_torsion_residual,
-                    "residual_grid": rep.residual_grid.tolist(),
-                }
+            tol = manifest.tolerance if args.tol is None else args.tol
+            payload = {
+                source: einstein_summary(einstein_check(s, tol=tol, omega_source=source, points=points))
+                for source in OMEGA_SOURCES
+            }
             if args.as_json:
                 print(json.dumps(payload, sort_keys=True, indent=2))
             else:

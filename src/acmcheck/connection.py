@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import FRAME_LOWER, FRAME_UPPER, TensorGrid
-from .structure import AdaptedStructure, StructureEval
+from .expr import field_jets
+from .residuals import nanmax
+from .structure import StructureEval
 
 DEFAULT_TOL = 1e-9
 
@@ -77,14 +79,9 @@ class ConnectionCoeffs:
     full: np.ndarray
 
 
-def lc_adapted(s: AdaptedStructure, p: np.ndarray) -> ConnectionCoeffs:
+def lc_adapted(ev: StructureEval) -> ConnectionCoeffs:
     """Levi-Civita coefficients in adapted form: the horizontal block shared
     with the internal connection plus the four mixed blocks."""
-    ev = StructureEval(s, p)
-    return _lc_adapted(ev)
-
-
-def _lc_adapted(ev: StructureEval) -> ConnectionCoeffs:
     m, last = ev.m, ev.n - 1
     full = ev.lc_full
     return ConnectionCoeffs(
@@ -98,34 +95,9 @@ def _lc_adapted(ev: StructureEval) -> ConnectionCoeffs:
     )
 
 
-def internal(s: AdaptedStructure, p: np.ndarray) -> ConnectionCoeffs:
-    """The internal connection: the horizontal Levi-Civita block alone."""
-    ev = StructureEval(s, p)
-    full = np.zeros((ev.n, ev.n, ev.n))
-    full[: ev.m, : ev.m, : ev.m] = np.moveaxis(ev.Gamma0, 0, 2)
-    return ConnectionCoeffs(
-        which="internal",
-        frame=ev.Gamma0.copy(),
-        mixed_an=np.zeros((ev.m, ev.m)),
-        n_ab=None,
-        n_na=np.zeros(ev.m),
-        a_nn=None,
-        full=full,
-    )
-
-
-def n_connection(s: AdaptedStructure, N: Endomorphism, p: np.ndarray) -> ConnectionCoeffs:
-    ev = StructureEval(s, p)
-    return _n_connection(ev, N.value_at(ev))
-
-
-def canonical_connection(s: AdaptedStructure, p: np.ndarray) -> ConnectionCoeffs:
-    """The N-connection with N = 2 psi, the unique skew-torsion choice."""
-    return n_connection(s, Endomorphism.canonical(), p)
-
-
-def _n_connection(ev: StructureEval, N0: np.ndarray) -> ConnectionCoeffs:
+def n_connection(ev: StructureEval, N: Endomorphism) -> ConnectionCoeffs:
     m, last = ev.m, ev.n - 1
+    N0 = N.value_at(ev)
     full = ev.n_full(N0)
     return ConnectionCoeffs(
         which="n_connection",
@@ -138,23 +110,24 @@ def _n_connection(ev: StructureEval, N0: np.ndarray) -> ConnectionCoeffs:
     )
 
 
+def canonical_connection(ev: StructureEval) -> ConnectionCoeffs:
+    """The N-connection with N = 2 psi, the unique skew-torsion choice."""
+    return n_connection(ev, Endomorphism.canonical())
+
+
 # ---------------------------------------------------------------------------
 # Coordinate oracle
 # ---------------------------------------------------------------------------
 
 
-def lc_coordinate(s: AdaptedStructure, p: np.ndarray) -> np.ndarray:
+def lc_coordinate(ev: StructureEval) -> np.ndarray:
     """Coordinate Christoffel symbols of g = g_ab dx^a dx^b + eta (x) eta.
 
-    Standard formula on the full coordinate metric; independent of the
-    adapted-form decomposition, hence the oracle for :func:`lc_adapted`.
-    Returns coeff[i, j, k] with coordinate-frame indices.
+    Standard formula on the full coordinate metric, read from the input jets
+    alone; independent of the adapted-form decomposition, hence the oracle
+    for :func:`lc_adapted`.  Returns coeff[i, j, k] with coordinate-frame
+    indices.
     """
-    ev = StructureEval(s, p)
-    return _lc_coordinate(ev)
-
-
-def _lc_coordinate(ev: StructureEval) -> np.ndarray:
     n, m = ev.n, ev.m
     eta0 = np.zeros(n)
     eta0[:m] = ev.gam0
@@ -175,45 +148,16 @@ def _lc_coordinate(ev: StructureEval) -> np.ndarray:
     )
 
 
-def coordinate_to_adapted(s: AdaptedStructure, p: np.ndarray, coord_coeffs: np.ndarray) -> np.ndarray:
+def coordinate_to_adapted(ev: StructureEval, coord_coeffs: np.ndarray) -> np.ndarray:
     """Re-express coordinate connection coefficients on the adapted frame."""
-    ev = StructureEval(s, p)
-    return _coordinate_to_adapted(ev, coord_coeffs)
-
-
-def _coordinate_to_adapted(ev: StructureEval, coord_coeffs: np.ndarray) -> np.ndarray:
-    n, m = ev.n, ev.m
-    E = np.zeros((n, n))  # E[i, q]: coordinate components of frame vector i
-    E[:m, :m] = np.eye(m)
-    E[:m, -1] = -ev.gam0
-    E[-1, -1] = 1.0
-    dE = np.zeros((n, n, n))  # dE[j, q, p] = d_p E[j, q]
-    dE[:m, -1, :] = -ev.gam1
-    C = np.zeros((n, n))  # coframe rows (dx^a, eta); E @ C.T = id
-    C[:m, :m] = np.eye(m)
-    C[-1, :m] = ev.gam0
-    C[-1, -1] = 1.0
-
+    E, dE = ev.frame  # dE[j, q, p] = d_p E[j, q]
     W = np.einsum("ip,jqp->ijq", E, dE) + np.einsum("ip,jr,prq->ijq", E, E, coord_coeffs)
-    return np.einsum("ijq,kq->ijk", W, C)
+    return to_frame_components(ev, W)
 
 
 # ---------------------------------------------------------------------------
-# Basis vector fields and brackets (shared with the Nijenhuis machinery)
+# Brackets of the adapted basis (shared with the Nijenhuis machinery)
 # ---------------------------------------------------------------------------
-
-
-def basis_fields(ev: StructureEval) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate components B0[i, q] and gradients B1[i, q, j] of the
-    adapted basis (e_a, xi)."""
-    n, m = ev.n, ev.m
-    B0 = np.zeros((n, n))
-    B0[:m, :m] = np.eye(m)
-    B0[:m, -1] = -ev.gam0
-    B0[-1, -1] = 1.0
-    B1 = np.zeros((n, n, n))
-    B1[:m, -1, :] = -ev.gam1
-    return B0, B1
 
 
 def bracket(V0, V1, W0, W1) -> np.ndarray:
@@ -222,16 +166,15 @@ def bracket(V0, V1, W0, W1) -> np.ndarray:
 
 
 def to_frame_components(ev: StructureEval, V: np.ndarray) -> np.ndarray:
-    """Split a coordinate vector into (horizontal components, eta(V))."""
-    out = np.empty(ev.n)
-    out[: ev.m] = V[: ev.m]
-    out[-1] = float(np.dot(ev.gam0, V[: ev.m]) + V[-1])
+    """Split coordinate vectors (last axis) into (horizontal components, eta(V))."""
+    out = V.copy()
+    out[..., -1] = V[..., : ev.m] @ ev.gam0 + V[..., -1]
     return out
 
 
 def basis_brackets_frame(ev: StructureEval) -> np.ndarray:
     """Frame components of [E_i, E_j] for all basis pairs: out[i, j, k]."""
-    B0, B1 = basis_fields(ev)
+    B0, B1 = ev.frame
     out = np.empty((ev.n, ev.n, ev.n))
     for i in range(ev.n):
         for j in range(ev.n):
@@ -252,13 +195,9 @@ class TorsionResult:
     direct_residual: float  # table vs nabla^N_X Y - nabla^N_Y X - [X, Y], lowered
 
 
-def torsion(s: AdaptedStructure, N: Endomorphism, p: np.ndarray, tol: float = DEFAULT_TOL) -> TorsionResult:
-    ev = StructureEval(s, p)
-    return _torsion(ev, N.value_at(ev), tol)
-
-
-def _torsion(ev: StructureEval, N0: np.ndarray, tol: float = DEFAULT_TOL) -> TorsionResult:
+def torsion(ev: StructureEval, N: Endomorphism, tol: float = DEFAULT_TOL) -> TorsionResult:
     m, last = ev.m, ev.n - 1
+    N0 = N.value_at(ev)
     GN = N0.T @ ev.g0  # GN[a, b] = g(N e_a, e_b)
 
     table = np.zeros((ev.n, ev.n, ev.n))
@@ -272,7 +211,7 @@ def _torsion(ev: StructureEval, N0: np.ndarray, tol: float = DEFAULT_TOL) -> Tor
     direct = np.einsum("ijl,lk->ijk", S_upper, ev.g_full)
     direct_residual = float(np.abs(direct - table).max())
 
-    skew_residual = max(
+    skew_residual = nanmax(
         float(np.abs(table + np.swapaxes(table, 0, 1)).max()),
         float(np.abs(table + np.swapaxes(table, 1, 2)).max()),
         float(np.abs(table + np.moveaxis(table, (0, 1, 2), (2, 1, 0))).max()),
@@ -286,16 +225,11 @@ def _torsion(ev: StructureEval, N0: np.ndarray, tol: float = DEFAULT_TOL) -> Tor
     )
 
 
-def metricity_defect(s: AdaptedStructure, N: Endomorphism, p: np.ndarray) -> np.ndarray:
+def metricity_defect(ev: StructureEval, N: Endomorphism) -> np.ndarray:
     """Full covariant derivative of the metric under the N-connection:
     out[i, j, k] = (nabla^N_{E_i} g)(E_j, E_k)."""
-    ev = StructureEval(s, p)
-    return _metricity_defect(ev, N.value_at(ev))
-
-
-def _metricity_defect(ev: StructureEval, N0: np.ndarray) -> np.ndarray:
     n, m = ev.n, ev.m
-    coeff = ev.n_full(N0)
+    coeff = ev.n_full(N.value_at(ev))
     dG = np.zeros((n, n, n))  # dG[j, k, i] = E_i g~_jk
     dG[:m, :m, :] = ev.frame_d(ev.g1)
     out = np.einsum("jki->ijk", dG)
@@ -304,12 +238,11 @@ def _metricity_defect(ev: StructureEval, N0: np.ndarray) -> np.ndarray:
     return out
 
 
-def n_connection_formula_residual(s: AdaptedStructure, N: Endomorphism, p: np.ndarray) -> float:
+def n_connection_formula_residual(ev: StructureEval, N: Endomorphism) -> float:
     """Consistency of the N-connection coefficient table with its defining
     expression in terms of the Levi-Civita connection, evaluated on basis
     pairs: nabla^N_X Y = nabla~_X Y + (nabla~_X eta)(Y) xi - eta(Y) nabla~_X xi
     - eta(X) (nabla~_xi eta)(Y) xi - eta(X) (C + psi - N) Y."""
-    ev = StructureEval(s, p)
     N0 = N.value_at(ev)
     m, last = ev.m, ev.n - 1
     lc = ev.lc_full
@@ -350,7 +283,7 @@ def _cov_deriv_from_data(
 
 
 def internal_cov_deriv(
-    s: AdaptedStructure, t: TensorGrid | np.ndarray, p: np.ndarray, valence: tuple[str, ...] | None = None
+    ev: StructureEval, t: TensorGrid | np.ndarray, valence: tuple[str, ...] | None = None
 ) -> TensorGrid:
     """nabla of an admissible tensor field given as ScalarField components.
 
@@ -362,12 +295,7 @@ def internal_cov_deriv(
         fields = t
         if valence is None:
             raise ValueError("valence required when passing a bare component array")
-    ev = StructureEval(s, p)
-    T0 = np.empty(fields.shape)
-    T1 = np.empty(fields.shape + (ev.n,))
-    for idx in np.ndindex(fields.shape):
-        jet = fields[idx].jet(p)
-        T0[idx], T1[idx] = jet.value, jet.grad
+    T0, T1 = field_jets(fields, ev.p, order=1)
     out = _cov_deriv_from_data(ev, T0, T1, tuple(valence))
     return TensorGrid(out, (FRAME_LOWER,) + tuple(valence))
 
@@ -382,22 +310,17 @@ def nabla_psi(ev: StructureEval) -> np.ndarray:
     return _cov_deriv_from_data(ev, ev.psi0, ev.psi1, (FRAME_UPPER, FRAME_LOWER))
 
 
-def cov_phi(s: AdaptedStructure, which: str, p: np.ndarray) -> np.ndarray:
+def cov_phi(ev: StructureEval, which: str) -> np.ndarray:
     """Covariant derivative of phi (extended by phi xi = 0) under the chosen
     connection: out[i, b, a] = (nabla_{E_i} phi)^b_a over the full frame.
 
     ``which`` is 'levi_civita' or 'canonical'."""
-    ev = StructureEval(s, p)
     if which == "levi_civita":
         coeff = ev.lc_full
     elif which == "canonical":
         coeff = ev.canonical_full
     else:
         raise ValueError(f"unknown connection '{which}'")
-    return _cov_phi(ev, coeff)
-
-
-def _cov_phi(ev: StructureEval, coeff: np.ndarray) -> np.ndarray:
     ephi = ev.phi_frame_d()  # [b, a, i]
     phi = ev.phi_full
     out = np.einsum("bai->iba", ephi)

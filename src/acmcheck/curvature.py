@@ -16,17 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import basis_brackets_frame, nabla_omega, nabla_psi
+from .residuals import WorstResidual, nanmax
 from .structure import AdaptedStructure, StructureEval
 
 DEFAULT_TOL = 1e-7
 
 
-def schouten(s: AdaptedStructure, p: np.ndarray) -> np.ndarray:
-    ev = StructureEval(s, p)
-    return _schouten(ev)
-
-
-def _schouten(ev: StructureEval) -> np.ndarray:
+def schouten(ev: StructureEval) -> np.ndarray:
     eG = ev.frame_d(ev.Gamma1)[..., : ev.m]  # eG[d, b, c, a] = e_a Gamma^d_{bc}
     first = np.einsum("dbca->dabc", eG)
     quad = np.einsum("dae,ebc->dabc", ev.Gamma0, ev.Gamma0)
@@ -47,19 +43,14 @@ class CurvatureK:
     mixed: np.ndarray
 
 
-def curvature_K(s: AdaptedStructure, p: np.ndarray) -> CurvatureK:
-    ev = StructureEval(s, p)
-    return _curvature_K(ev)
-
-
-def _curvature_K(ev: StructureEval) -> CurvatureK:
-    R = _schouten(ev)
+def curvature_K(ev: StructureEval) -> CurvatureK:
+    R = schouten(ev)
     frame = R + 4.0 * np.einsum("ab,dc->dabc", ev.omega0, ev.psi0)
     mixed = 2.0 * np.moveaxis(nabla_psi(ev), 0, 1)  # [d, a, c] from [a, d, c]
     return CurvatureK(frame=frame, mixed=mixed)
 
 
-def curvature_canonical_direct(s: AdaptedStructure, p: np.ndarray) -> np.ndarray:
+def curvature_canonical_direct(ev: StructureEval) -> np.ndarray:
     """Curvature of the canonical connection computed directly from its
     coefficient table on the nonholonomic frame:
 
@@ -69,7 +60,6 @@ def curvature_canonical_direct(s: AdaptedStructure, p: np.ndarray) -> np.ndarray
     Returns K[i, j, k, q] over the full frame; the independent cross-check
     for :func:`curvature_K`.
     """
-    ev = StructureEval(s, p)
     n, m, last = ev.n, ev.m, ev.n - 1
     coeff = ev.canonical_full
 
@@ -88,23 +78,17 @@ def curvature_canonical_direct(s: AdaptedStructure, p: np.ndarray) -> np.ndarray
     return K
 
 
-def ricci_wagner(s: AdaptedStructure, p: np.ndarray) -> np.ndarray:
-    ev = StructureEval(s, p)
-    return _ricci_wagner(ev)
+def ricci_wagner(ev: StructureEval) -> np.ndarray:
+    return np.einsum("babc->ac", schouten(ev))
 
 
-def _ricci_wagner(ev: StructureEval) -> np.ndarray:
-    return np.einsum("babc->ac", _schouten(ev))
-
-
-def ricci_k(s: AdaptedStructure, p: np.ndarray) -> np.ndarray:
+def ricci_k(ev: StructureEval) -> np.ndarray:
     """Ricci tensor of the canonical connection on the full frame:
     k_ab = r_ab + 4 omega_{ad} psi^d_b, k_na = -nabla_d psi^d_a, Reeb
     column and corner zero."""
-    ev = StructureEval(s, p)
     n, m, last = ev.n, ev.m, ev.n - 1
     out = np.zeros((n, n))
-    out[:m, :m] = _ricci_wagner(ev) + 4.0 * np.einsum("ad,db->ab", ev.omega0, ev.psi0)
+    out[:m, :m] = ricci_wagner(ev) + 4.0 * np.einsum("ad,db->ab", ev.omega0, ev.psi0)
     out[last, :m] = -np.einsum("dda->a", nabla_psi(ev))
     return out
 
@@ -138,6 +122,41 @@ class EinsteinReport:
     samples: tuple[EinsteinSample, ...]
 
 
+def einstein_sample(ev: StructureEval, omega_source: str) -> EinsteinSample:
+    """r and 4 omega_{da} psi^d_b at the evaluation point, with omega taken
+    from d(eta) or from the fundamental form."""
+    if omega_source == "d_eta":
+        om, psi = ev.omega0, ev.psi0
+    elif omega_source == "fundamental_form":
+        om = ev.Omega0
+        psi = ev.ginv0 @ ev.Omega0.T
+    else:
+        raise ValueError(f"unknown omega_source '{omega_source}'")
+    rhs = 4.0 * np.einsum("da,db->ab", om, psi)
+    return EinsteinSample(point=ev.p.copy(), r=ricci_wagner(ev), rhs=rhs)
+
+
+def einstein_report(
+    records: list[EinsteinSample], parallel_torsion_residual: float, omega_source: str, tol: float
+) -> EinsteinReport:
+    """Verdict and per-component residual grid over the samples."""
+    grid = np.zeros_like(records[0].r)
+    worst = WorstResidual()
+    for rec in records:
+        diff = np.abs(rec.r - rec.rhs)
+        grid = np.maximum(grid, diff)
+        worst.add(diff.max(), nanmax(float(np.abs(rec.r).max()), float(np.abs(rec.rhs).max())))
+    return EinsteinReport(
+        omega_source=omega_source,
+        verdict=worst.holds(tol),
+        max_residual=worst.residual,
+        residual_grid=grid,
+        parallel_torsion_residual=parallel_torsion_residual,
+        tol=tol,
+        samples=tuple(records),
+    )
+
+
 def einstein_check(
     s: AdaptedStructure,
     samples: int = 32,
@@ -146,37 +165,12 @@ def einstein_check(
     seed: int = 42,
     points: np.ndarray | None = None,
 ) -> EinsteinReport:
-    if omega_source not in ("d_eta", "fundamental_form"):
-        raise ValueError(f"unknown omega_source '{omega_source}'")
     if points is None:
         points = s.chart.sample_points(samples, seed)
-    m = s.chart.m
     records = []
-    grid = np.zeros((m, m))
-    worst = 0.0
-    scale = 0.0
-    torsion_worst = 0.0
+    parallel_torsion = WorstResidual()
     for p in points:
         ev = StructureEval(s, p)
-        r = _ricci_wagner(ev)
-        if omega_source == "d_eta":
-            om, psi = ev.omega0, ev.psi0
-        else:
-            om = ev.Omega0
-            psi = ev.ginv0 @ ev.Omega0.T
-        rhs = 4.0 * np.einsum("da,db->ab", om, psi)
-        diff = np.abs(r - rhs)
-        grid = np.maximum(grid, diff)
-        worst = max(worst, float(diff.max()))
-        scale = max(scale, float(np.abs(r).max()), float(np.abs(rhs).max()))
-        torsion_worst = max(torsion_worst, float(np.abs(nabla_omega(ev)).max()))
-        records.append(EinsteinSample(point=p.copy(), r=r, rhs=rhs))
-    return EinsteinReport(
-        omega_source=omega_source,
-        verdict=bool(worst < tol * (1.0 + scale)),
-        max_residual=worst,
-        residual_grid=grid,
-        parallel_torsion_residual=torsion_worst,
-        tol=tol,
-        samples=tuple(records),
-    )
+        records.append(einstein_sample(ev, omega_source))
+        parallel_torsion.add(np.abs(nabla_omega(ev)).max())
+    return einstein_report(records, parallel_torsion.residual, omega_source, tol)

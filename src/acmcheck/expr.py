@@ -464,5 +464,16 @@ def parse(text: str, coords: tuple[str, ...] | list[str]) -> ScalarField:
     return ScalarField(_Parser(_tokenize(text), coords).parse(), coords)
 
 
-def evaluate_jet(field: ScalarField, point: np.ndarray) -> Jet:
-    return field.jet(point)
+def field_jets(fields: np.ndarray, point: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
+    """Jets of an object array of ScalarFields at ``point``, stacked: the
+    values, the gradients (one trailing axis) and, for ``order`` 2, the
+    Hessians (two trailing axes)."""
+    shape, n = fields.shape, len(point)
+    jets = [f.jet(point) for f in fields.flat]
+    out = (
+        np.array([j.value for j in jets], dtype=float).reshape(shape),
+        np.array([j.grad for j in jets], dtype=float).reshape(shape + (n,)),
+    )
+    if order == 2:
+        out += (np.array([j.hess for j in jets], dtype=float).reshape(shape + (n, n)),)
+    return out

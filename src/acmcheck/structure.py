@@ -26,8 +26,8 @@ from math import factorial
 
 import numpy as np
 
-from .chart import AdaptedChart, TensorGrid, FRAME_LOWER, FRAME_UPPER
-from .expr import Const, ScalarField
+from .chart import AdaptedChart, adapted_frame, gamma_jets
+from .expr import Const, ScalarField, field_jets
 
 
 class StructureError(Exception):
@@ -63,25 +63,16 @@ class AdaptedStructure:
         return eta
 
 
-def _field_jets(fields: np.ndarray, p: np.ndarray, n: int):
-    """Stack jets of an object array of ScalarFields into value/grad/hess arrays."""
-    shape = fields.shape
-    f0 = np.empty(shape)
-    f1 = np.empty(shape + (n,))
-    f2 = np.empty(shape + (n, n))
-    for idx in np.ndindex(shape):
-        jet = fields[idx].jet(p)
-        f0[idx], f1[idx], f2[idx] = jet.value, jet.grad, jet.hess
-    return f0, f1, f2
-
-
 class StructureEval:
     """Cached per-point evaluation of a structure and its derived tensors.
 
-    Everything downstream (connections, curvature, classification) reads the
-    first-order data assembled here: values plus coordinate gradients, which
-    second-order jets of the inputs make available for every derived tensor
-    that has to be differentiated once more along the frame.
+    Everything downstream (connections, curvature, classification) takes an
+    evaluation and reads the first-order data assembled here: values plus
+    coordinate gradients, which second-order jets of the inputs make
+    available for every derived tensor that has to be differentiated once
+    more along the frame.  Build one per point and pass it to every
+    per-point function; each input jet and derived tensor is then computed
+    once.
     """
 
     def __init__(self, structure: AdaptedStructure, point: np.ndarray):
@@ -97,7 +88,7 @@ class StructureEval:
 
     @cached_property
     def _gamma(self):
-        return _field_jets(np.array(list(self.chart.gamma), dtype=object), self.p, self.n)
+        return gamma_jets(self.chart, self.p)
 
     @property
     def gam0(self) -> np.ndarray:
@@ -113,7 +104,7 @@ class StructureEval:
 
     @cached_property
     def _g(self):
-        return _field_jets(self.structure.g, self.p, self.n)
+        return field_jets(self.structure.g, self.p)
 
     @property
     def g0(self) -> np.ndarray:
@@ -129,7 +120,7 @@ class StructureEval:
 
     @cached_property
     def _phi(self):
-        return _field_jets(self.structure.phi, self.p, self.n)
+        return field_jets(self.structure.phi, self.p, order=1)
 
     @property
     def phi0(self) -> np.ndarray:
@@ -140,6 +131,11 @@ class StructureEval:
         return self._phi[1]
 
     # -- frame helpers ------------------------------------------------------
+
+    @cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """(E0, E1): the adapted frame in coordinates and its gradients."""
+        return adapted_frame(self.gam0, self.gam1)
 
     def frame_d(self, F1: np.ndarray) -> np.ndarray:
         """Frame derivatives from a coordinate gradient: D[..., i] = E_i F.
@@ -202,10 +198,6 @@ class StructureEval:
     @cached_property
     def C0(self) -> np.ndarray:
         return 0.5 * self.g1[:, :, -1]
-
-    @cached_property
-    def C1(self) -> np.ndarray:
-        return 0.5 * self.g2[:, :, -1, :]
 
     @cached_property
     def Cmix0(self) -> np.ndarray:
@@ -319,15 +311,14 @@ class DerivedTensors:
     trace_psi_sq: float
 
 
-def validate_axioms(s: AdaptedStructure, p: np.ndarray) -> dict[str, float]:
-    """Max-abs residual of each structure axiom at p.
+def validate_axioms(ev: StructureEval) -> dict[str, float]:
+    """Max-abs residual of each structure axiom at the evaluation point.
 
     In the adapted representation eta(xi) = 1, phi(xi) = 0, eta o phi = 0 and
     eta = g(., xi) hold identically, so those entries are exactly zero; the
     two substantive checks are phi^2 = -id on the distribution and metric
     compatibility g(phi X, phi Y) = g(X, Y) there.
     """
-    ev = StructureEval(s, p)
     eye = np.eye(ev.m)
     phi_square = float(np.abs(ev.phi0 @ ev.phi0 + eye).max())
     compatibility = float(np.abs(ev.phi0.T @ ev.g0 @ ev.phi0 - ev.g0).max())
@@ -341,23 +332,22 @@ def validate_axioms(s: AdaptedStructure, p: np.ndarray) -> dict[str, float]:
     }
 
 
-def metric_definiteness(s: AdaptedStructure, p: np.ndarray, floor: float = 1e-9) -> float:
+def metric_definiteness(ev: StructureEval, floor: float = 1e-9) -> float:
     """Smallest eigenvalue (absolute value if pseudo) of the frame metric.
 
     Raises :class:`SingularMetricError` when below ``floor``.
     """
-    ev = StructureEval(s, p)
+    pseudo = ev.structure.pseudo
     eigs = np.linalg.eigvalsh(0.5 * (ev.g0 + ev.g0.T))
-    smallest = float(np.abs(eigs).min()) if s.pseudo else float(eigs.min())
+    smallest = float(np.abs(eigs).min()) if pseudo else float(eigs.min())
     if smallest <= floor:
-        kind = "degenerate" if s.pseudo else "non-positive-definite"
-        raise SingularMetricError(f"frame metric {kind} at {p} (eigenvalue {smallest:.3e})")
+        kind = "degenerate" if pseudo else "non-positive-definite"
+        raise SingularMetricError(f"frame metric {kind} at {ev.p} (eigenvalue {smallest:.3e})")
     return smallest
 
 
-def derived(s: AdaptedStructure, p: np.ndarray) -> DerivedTensors:
-    """Fundamental form, omega, psi, C and tr(psi^2) at p."""
-    ev = StructureEval(s, p)
+def derived(ev: StructureEval) -> DerivedTensors:
+    """Fundamental form, omega, psi, C and tr(psi^2) at the evaluation point."""
     psi = ev.psi0
     return DerivedTensors(
         Omega=ev.Omega0,
@@ -383,21 +373,17 @@ def ext_d_from_grad(grads: np.ndarray, rank: int) -> np.ndarray:
     return out / (rank + 1)
 
 
-def exterior_derivative(s: AdaptedStructure, form: np.ndarray, p: np.ndarray) -> np.ndarray:
+def exterior_derivative(ev: StructureEval, form: np.ndarray) -> np.ndarray:
     """d of a coordinate p-form given as an object array of ScalarFields.
 
     Components must be skew in their coordinate indices; the result is the
-    (p+1)-form's coordinate components at p.
+    (p+1)-form's coordinate components at the evaluation point.
     """
-    n = s.chart.n
+    n = ev.n
     rank = form.ndim
     if form.shape != (n,) * rank:
         raise ValueError(f"form components must have shape {(n,) * rank}, got {form.shape}")
-    f0 = np.empty(form.shape)
-    f1 = np.empty(form.shape + (n,))
-    for idx in np.ndindex(form.shape):
-        jet = form[idx].jet(p)
-        f0[idx], f1[idx] = jet.value, jet.grad
+    f0, f1 = field_jets(form, ev.p, order=1)
     if rank >= 2:
         skew = _antisymmetrize(f0)
         if np.abs(f0 - skew).max() > 1e-9 * (1.0 + np.abs(f0).max()):
@@ -422,16 +408,6 @@ def _perm_sign(perm: tuple[int, ...]) -> float:
     return sign
 
 
-def admissible_to_coordinate(s: AdaptedStructure, grid: np.ndarray) -> np.ndarray:
-    """Zero-pad frame components of an admissible covariant tensor into the
-    coordinate picture (valid because the dual coframe is (dx^a, eta))."""
-    n, m = s.chart.n, s.chart.m
-    rank = grid.ndim
-    out = np.zeros((n,) * rank)
-    out[(slice(0, m),) * rank] = grid
-    return out
-
-
 def fundamental_form_coordinate(ev: StructureEval) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate components of Omega with their gradients (zero-padded)."""
     n, m = ev.n, ev.m
@@ -447,8 +423,3 @@ def d_fundamental_form(ev: StructureEval) -> np.ndarray:
     _, F1 = fundamental_form_coordinate(ev)
     return ext_d_from_grad(F1, 2)
 
-
-def admissible_grid(components: np.ndarray, valence: tuple[str, ...]) -> TensorGrid:
-    if any(v not in (FRAME_LOWER, FRAME_UPPER) for v in valence):
-        raise ValueError("admissible grids carry frame indices only")
-    return TensorGrid(components, valence)

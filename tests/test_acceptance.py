@@ -52,8 +52,9 @@ def test_criterion_1_lc_oracle(structures, sample_sets, acceptance_log):
     for name in ALL:
         s = structures[name]
         for p in sample_sets[name]:
-            adapted = lc_adapted(s, p).full
-            converted = coordinate_to_adapted(s, p, lc_coordinate(s, p))
+            ev = StructureEval(s, p)
+            adapted = lc_adapted(ev).full
+            converted = coordinate_to_adapted(ev, lc_coordinate(ev))
             worst = max(worst, float(np.abs(adapted - converted).max()))
     _record(acceptance_log, "criterion 1", worst < 1e-8,
             f"adapted vs coordinate Levi-Civita, max residual {worst:.3e} (tol 1e-8)")
@@ -72,9 +73,9 @@ def test_criterion_2_skew_torsion(structures, sample_sets, acceptance_log):
     for name in ALL:
         s = structures[name]
         for p in sample_sets[name]:
-            canonical = torsion(s, Endomorphism.canonical(), p)
+            canonical = torsion(StructureEval(s, p), Endomorphism.canonical())
             worst_canonical = max(worst_canonical, canonical.skew_residual)
-            off = torsion(s, perturbed, p)
+            off = torsion(StructureEval(s, p), perturbed)
             if off.is_skew or off.skew_residual < eps:
                 ok_perturbed = False
     ok = worst_canonical < 1e-9 and ok_perturbed
@@ -92,12 +93,14 @@ def test_criterion_3_universal_identities(structures, sample_sets, acceptance_lo
     worst = 0.0
     for name in ALL:
         for p in sample_sets[name]:
-            worst = max(worst, projection_identity_residual(structures[name], p), reeb_split_identity_residual(structures[name], p))
+            ev = StructureEval(structures[name], p)
+            worst = max(worst, projection_identity_residual(ev), reeb_split_identity_residual(ev))
     rng = np.random.default_rng(321)
     for _ in range(10):
         s = perturbed_flat(structures["flat"], rng)
         for p in s.chart.sample_points(4, seed=int(rng.integers(0, 10_000))):
-            worst = max(worst, projection_identity_residual(s, p), reeb_split_identity_residual(s, p))
+            ev = StructureEval(s, p)
+            worst = max(worst, projection_identity_residual(ev), reeb_split_identity_residual(ev))
     _record(acceptance_log, "criterion 3", worst < 1e-9,
             f"projection/split identities, max residual {worst:.3e} over fixtures "
             f"+ 10 random perturbations (tol 1e-9)")
@@ -111,14 +114,14 @@ def test_criterion_3_universal_identities(structures, sample_sets, acceptance_lo
 def test_criterion_4_example1(structures, sample_sets, acceptance_log):
     s = structures["example1"]
     points = sample_sets["example1"]
-    bundle = nijenhuis_tensors(s, points[0])
+    bundle = nijenhuis_tensors(StructureEval(s, points[0]))
     n1_ok = abs(bundle.n1[0, 1, 4] + 1.0) < 1e-9 and np.abs(bundle.n1[0, 1, :4]).max() < 1e-9
     ntilde_ok = np.abs(bundle.n_tilde[0, 1]).max() < 1e-9
     report = classify(s, points=points)
     verdicts_ok = (report.holds("almost_normal") and not report.holds("normal")
                    and report.holds("aqs"))
     nabla_ok = all(np.abs(nabla_omega(StructureEval(s, p))).max() < 1e-12 for p in points)
-    traces = [derived(s, p).trace_psi_sq for p in points]
+    traces = [derived(StructureEval(s, p)).trace_psi_sq for p in points]
     trace_ok = max(traces) - min(traces) < 1e-12
     ok = n1_ok and ntilde_ok and verdicts_ok and nabla_ok and trace_ok
     _record(acceptance_log, "criterion 4", ok,
@@ -144,7 +147,7 @@ def test_criterion_5_example2(structures, sample_sets, acceptance_log):
         value = 0.5 * ev.d_eta_xi[0]
         if abs(value - y / 2) > 1e-9 * abs(y / 2):
             deta_ok = False
-        defect = metricity_defect(s, Endomorphism.canonical(), p)
+        defect = metricity_defect(StructureEval(s, p), Endomorphism.canonical())
         if abs(defect[4, 4, 0] - y) > 1e-9:
             defect_ok = False
         if rank_at(s.chart, p) % 2 != 0:
@@ -173,9 +176,9 @@ def test_criterion_6_example3_ricci_wagner(structures, sample_sets, acceptance_l
     worst_K = 0.0
     for p in sample_sets["example3-qs"]:
         ev = StructureEval(s, p)
-        r = ricci_wagner(s, p)
+        r = ricci_wagner(StructureEval(s, p))
         worst_r = max(worst_r, float(np.abs(r[:2, :2] + 4.0 * ev.g0[:2, :2]).max()))
-        R = schouten(s, p)
+        R = schouten(StructureEval(s, p))
         sectional = float(
             np.einsum("d,d->", R[:, 0, 1, 1], ev.g0[:, 0])
             / (ev.g0[0, 0] * ev.g0[1, 1] - ev.g0[0, 1] ** 2)
@@ -242,10 +245,10 @@ def test_criterion_7_fundamental_form_full_verdict(structures, sample_sets, acce
 
 def test_criterion_8_canonical_nabla_phi(structures, sample_sets, acceptance_log):
     qs = structures["example3-qs"]
-    worst_qs = max(canonical_nabla_phi_residual(qs, p) for p in sample_sets["example3-qs"])
+    worst_qs = max(canonical_nabla_phi_residual(StructureEval(qs, p)) for p in sample_sets["example3-qs"])
     report_qs = classify(qs, points=sample_sets["example3-qs"])
     aqs = structures["example3-aqs"]
-    worst_aqs = max(canonical_nabla_phi_residual(aqs, p) for p in sample_sets["example3-aqs"])
+    worst_aqs = max(canonical_nabla_phi_residual(StructureEval(aqs, p)) for p in sample_sets["example3-aqs"])
     report_aqs = classify(aqs, points=sample_sets["example3-aqs"])
     ok = (worst_qs < 1e-8 and report_qs.holds("quasi_sasakian")
           and worst_aqs > 1e-3 and not report_aqs.holds("quasi_sasakian"))
@@ -283,10 +286,10 @@ def test_criterion_9_characterization_biconditional(structures, sample_sets, acc
         report = classify(structures[name], points=sample_sets[name])
         if report.holds("aqs"):
             classified_aqs.add(name)
-        worst = max(aqs_characterization_residual(structures[name], p) for p in sample_sets[name])
+        worst = max(aqs_characterization_residual(StructureEval(structures[name], p)) for p in sample_sets[name])
         if worst < 1e-7:
             below_tol.add(name)
-    ex2 = [aqs_characterization_residual(structures["example2"], p) for p in sample_sets["example2"]]
+    ex2 = [aqs_characterization_residual(StructureEval(structures["example2"], p)) for p in sample_sets["example2"]]
     generic = sum(1 for r in ex2 if r > 1e-3)
     ok = classified_aqs == below_tol and max(ex2) > 1e-3 and generic >= 30
     _record(acceptance_log, "criterion 9", ok,

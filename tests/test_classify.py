@@ -16,6 +16,7 @@ from acmcheck.classify import (
     nijenhuis_tensors,
     qs_condition_residuals,
 )
+from acmcheck.structure import StructureEval
 from _helpers import perturbed_flat
 
 ALL = ("flat", "example1", "example2", "example3-qs", "example3-aqs")
@@ -29,7 +30,7 @@ P1 = np.array([0.4, 1.3, -0.6, 0.2, 0.8])
 
 
 def test_nijenhuis_example1_values(structures):
-    bundle = nijenhuis_tensors(structures["example1"], P1)
+    bundle = nijenhuis_tensors(StructureEval(structures["example1"], P1))
     # N1(e_1, e_2) = -xi: Reeb component -1, horizontal components 0
     assert bundle.n1[0, 1, 4] == pytest.approx(-1.0, abs=1e-12)
     assert np.abs(bundle.n1[0, 1, :4]).max() < 1e-12
@@ -38,7 +39,7 @@ def test_nijenhuis_example1_values(structures):
 
 
 def test_nijenhuis_flat_all_vanish(structures):
-    bundle = nijenhuis_tensors(structures["flat"], ORIGIN)
+    bundle = nijenhuis_tensors(StructureEval(structures["flat"], ORIGIN))
     for grid in (bundle.n_phi, bundle.n1, bundle.n_tilde):
         assert np.abs(grid).max() == 0.0
 
@@ -46,7 +47,7 @@ def test_nijenhuis_flat_all_vanish(structures):
 def test_nijenhuis_antisymmetric_in_arguments(structures, sample_sets):
     for name in ALL:
         for p in sample_sets[name][:4]:
-            bundle = nijenhuis_tensors(structures[name], p)
+            bundle = nijenhuis_tensors(StructureEval(structures[name], p))
             assert np.abs(bundle.n_phi + np.swapaxes(bundle.n_phi, 0, 1)).max() < 1e-12
 
 
@@ -58,13 +59,13 @@ def test_nijenhuis_antisymmetric_in_arguments(structures, sample_sets):
 @pytest.mark.parametrize("name", ALL)
 def test_projection_identity_on_fixtures(name, structures, sample_sets):
     for p in sample_sets[name][:8]:
-        assert projection_identity_residual(structures[name], p) < 1e-9, name
+        assert projection_identity_residual(StructureEval(structures[name], p)) < 1e-9, name
 
 
 @pytest.mark.parametrize("name", ALL)
 def test_reeb_split_identity_on_fixtures(name, structures, sample_sets):
     for p in sample_sets[name][:8]:
-        assert reeb_split_identity_residual(structures[name], p) < 1e-9, name
+        assert reeb_split_identity_residual(StructureEval(structures[name], p)) < 1e-9, name
 
 
 def test_identities_survive_random_perturbations(structures):
@@ -74,8 +75,8 @@ def test_identities_survive_random_perturbations(structures):
     for _ in range(10):
         s = perturbed_flat(structures["flat"], rng)
         for p in s.chart.sample_points(4, seed=int(rng.integers(0, 10_000))):
-            assert projection_identity_residual(s, p) < 1e-9
-            assert reeb_split_identity_residual(s, p) < 1e-9
+            assert projection_identity_residual(StructureEval(s, p)) < 1e-9
+            assert reeb_split_identity_residual(StructureEval(s, p)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -85,16 +86,16 @@ def test_identities_survive_random_perturbations(structures):
 
 def test_aqs_characterization_example1(structures, sample_sets):
     for p in sample_sets["example1"]:
-        assert aqs_characterization_residual(structures["example1"], p) < 1e-8
+        assert aqs_characterization_residual(StructureEval(structures["example1"], p)) < 1e-8
 
 
 def test_aqs_characterization_example2_violated(structures):
     p = np.array([1.0, 3.0, 0.0, 0.0, 2.0])
-    assert aqs_characterization_residual(structures["example2"], p) > 0.1
+    assert aqs_characterization_residual(StructureEval(structures["example2"], p)) > 0.1
 
 
 def test_aqs_characterization_flat_trivial(structures):
-    assert aqs_characterization_residual(structures["flat"], ORIGIN) == 0.0
+    assert aqs_characterization_residual(StructureEval(structures["flat"], ORIGIN)) == 0.0
 
 
 def test_aqs_characterization_biconditional(structures, manifests, sample_sets):
@@ -103,7 +104,7 @@ def test_aqs_characterization_biconditional(structures, manifests, sample_sets):
         mf = manifests[name]
         points = sample_sets[name]
         report = classify(structures[name], tol=mf.tolerance, points=points)
-        worst = max(aqs_characterization_residual(structures[name], p) for p in points)
+        worst = max(aqs_characterization_residual(StructureEval(structures[name], p)) for p in points)
         assert report.holds("aqs") == (worst < mf.tolerance), (name, worst)
 
 
@@ -114,25 +115,27 @@ def test_aqs_characterization_biconditional(structures, manifests, sample_sets):
 
 def test_qs_characterization_example3_qs_holds(structures, sample_sets):
     for p in sample_sets["example3-qs"][:8]:
-        assert qs_characterization_residual(structures["example3-qs"], p) < 1e-8
+        assert qs_characterization_residual(StructureEval(structures["example3-qs"], p)) < 1e-8
 
 
 def test_qs_characterization_example1_fails(structures):
-    assert qs_characterization_residual(structures["example1"], P1) > 0.1
+    assert qs_characterization_residual(StructureEval(structures["example1"], P1)) > 0.1
 
 
 def test_qs_conditions_agree_on_aqs_fixtures(structures, sample_sets):
     for name in ("flat", "example1", "example3-qs"):
         for p in sample_sets[name][:8]:
-            residuals = qs_condition_residuals(structures[name], p)
+            residuals = qs_condition_residuals(StructureEval(structures[name], p))
             flags = {cond: r < 1e-7 * (1 + s) for cond, (r, s) in residuals.items()}
             assert len(set(flags.values())) == 1, (name, residuals)
 
 
 def test_canonical_nabla_phi_matches_quasi_sasakian(structures, sample_sets):
-    worst_qs = max(canonical_nabla_phi_residual(structures["example3-qs"], p) for p in sample_sets["example3-qs"])
+    worst_qs = max(canonical_nabla_phi_residual(StructureEval(structures["example3-qs"], p))
+                for p in sample_sets["example3-qs"])
     assert worst_qs < 1e-8
-    worst_aqs = max(canonical_nabla_phi_residual(structures["example3-aqs"], p) for p in sample_sets["example3-aqs"])
+    worst_aqs = max(canonical_nabla_phi_residual(StructureEval(structures["example3-aqs"], p))
+                 for p in sample_sets["example3-aqs"])
     assert worst_aqs > 1e-3
 
 
@@ -229,7 +232,7 @@ def test_disagreeing_qs_conditions_raise(structures, sample_sets, monkeypatch):
     # structures; a disagreement there is an internal error, not a verdict
     import sys
 
-    def doctored(s, p):
+    def doctored(ev):
         return {
             "d_eta_phi_invariant": (0.0, 1.0),
             "phi_psi_commute": (1.0, 1.0),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -209,6 +210,50 @@ def test_cli_rank_example2_even(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.strip() == "2"
+
+
+def test_cli_tensor_point_with_leading_minus(capsys):
+    assert main(["tensor", "example1", "--name", "omega", "--at", "-0.5,1,0.1,0,0", "--json"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["tensor", "example1", "--name", "omega", "--at=-0.5,1,0.1,0,0", "--json"]) == 0
+    assert spaced == capsys.readouterr().out
+    assert json.loads(spaced)["omega"][0][1] == pytest.approx(-0.5, abs=1e-15)
+
+
+def test_cli_rank_point_with_leading_minus(capsys):
+    assert main(["rank", "example2", "--at", "-1,3,0,0,2"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+
+
+def test_cli_samples_must_be_positive(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "flat", "--samples", "0"])
+    assert exit_info.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_check_fails_on_non_finite_residual(tmp_path, capsys):
+    # exp(x)^400 overflows to inf for x > 1.78, so 0*exp(x)^400 is NaN there:
+    # phi, and every residual that reads it, is NaN at those samples
+    data = json.loads(fixture_path("example1").read_text())
+    data["phi_frame"][0][2] = "-1 + 0*exp(x)^400"
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    code = main(["check", str(path), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    for name in ("projection_identity", "reeb_split_identity"):
+        entry = report["identities"][name]
+        assert not math.isfinite(entry["max_residual"]) and entry["holds"] is False
+    for name in ("aqs_characterization", "qs_characterization", "canonical_nabla_phi"):
+        assert not math.isfinite(report["identities"][name]["max_residual"])
+    for name in ("phi_square", "compatibility"):
+        assert not math.isfinite(report["axiom_residuals"][name])
+    for name in ("normal", "almost_normal", "aqs", "d_Omega_zero"):
+        entry = report["classification"][name]
+        assert not math.isfinite(entry["max_residual"]) and entry["holds"] is False
+    assert not math.isfinite(report["einstein"]["fundamental_form"]["max_residual"])
 
 
 def test_cli_einstein_reports_both_sources(capsys):

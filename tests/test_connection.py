@@ -36,13 +36,13 @@ Y3 = np.array([1.0, 3.0, 0.5, -0.5, 2.0])
 
 
 def test_lc_adapted_flat_all_zero(structures):
-    coeffs = lc_adapted(structures["flat"], ORIGIN)
+    coeffs = lc_adapted(StructureEval(structures["flat"], ORIGIN))
     assert np.array_equal(coeffs.full, np.zeros((5, 5, 5)))
 
 
 def test_lc_adapted_example1_blocks(structures, sample_sets):
     for p in sample_sets["example1"][:8]:
-        coeffs = lc_adapted(structures["example1"], p)
+        coeffs = lc_adapted(StructureEval(structures["example1"], p))
         assert coeffs.n_ab[0, 1] == pytest.approx(0.5, abs=1e-15)  # omega_{21} - C_12
         assert coeffs.mixed_an[1, 0] == pytest.approx(-0.5, abs=1e-15)  # psi^2_1, C = 0
         assert np.array_equal(coeffs.n_na, np.zeros(4))
@@ -50,13 +50,13 @@ def test_lc_adapted_example1_blocks(structures, sample_sets):
 
 
 def test_lc_adapted_example2_reeb_block(structures):
-    coeffs = lc_adapted(structures["example2"], Y3)
+    coeffs = lc_adapted(StructureEval(structures["example2"], Y3))
     assert coeffs.n_na[0] == pytest.approx(-3.0, abs=1e-15)  # -d_n gamma_1 = -y
     assert coeffs.a_nn[0] == pytest.approx(3.0, abs=1e-15)  # g^{ab} d_n gamma_b
 
 
 def test_lc_coordinate_flat_zero(structures):
-    assert np.array_equal(lc_coordinate(structures["flat"], ORIGIN), np.zeros((5, 5, 5)))
+    assert np.array_equal(lc_coordinate(StructureEval(structures["flat"], ORIGIN)), np.zeros((5, 5, 5)))
 
 
 def test_lc_coordinate_example3_frame_block_conformal(structures):
@@ -67,7 +67,7 @@ def test_lc_coordinate_example3_frame_block_conformal(structures):
     x, y = p[0], p[1]
     denom = 1 + x * x + y * y
     lx, ly = -2 * x / denom, -2 * y / denom
-    frame = lc_adapted(s, p).frame
+    frame = lc_adapted(StructureEval(s, p)).frame
     assert frame[0, 0, 0] == pytest.approx(lx, rel=1e-12)
     assert frame[0, 0, 1] == pytest.approx(ly, rel=1e-12)
     assert frame[0, 1, 1] == pytest.approx(-lx, rel=1e-12)
@@ -75,7 +75,7 @@ def test_lc_coordinate_example3_frame_block_conformal(structures):
     assert frame[1, 0, 1] == pytest.approx(lx, rel=1e-12)
     assert frame[1, 1, 1] == pytest.approx(ly, rel=1e-12)
     # at the origin all horizontal symbols vanish (critical point of f)
-    assert np.abs(lc_adapted(s, ORIGIN).frame).max() == 0.0
+    assert np.abs(lc_adapted(StructureEval(s, ORIGIN)).frame).max() == 0.0
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -83,15 +83,16 @@ def test_oracle_equivalence(name, structures, sample_sets):
     # adapted-form blocks vs frame-converted coordinate Christoffel symbols
     s = structures[name]
     for p in sample_sets[name]:
-        adapted = lc_adapted(s, p).full
-        converted = coordinate_to_adapted(s, p, lc_coordinate(s, p))
+        ev = StructureEval(s, p)
+        adapted = lc_adapted(ev).full
+        converted = coordinate_to_adapted(ev, lc_coordinate(ev))
         assert np.abs(adapted - converted).max() < 1e-8, name
 
 
 def test_lc_frame_block_symmetric(structures, sample_sets):
     for name in ALL:
         for p in sample_sets[name][:8]:
-            frame = lc_adapted(structures[name], p).frame
+            frame = lc_adapted(StructureEval(structures[name], p)).frame
             assert np.abs(frame - np.swapaxes(frame, 1, 2)).max() < 1e-12, name
 
 
@@ -102,19 +103,19 @@ def test_lc_frame_block_symmetric(structures, sample_sets):
 
 def test_n_connection_flat_constant_N(structures):
     N = Endomorphism.constant(np.diag([1.0, 2.0, 3.0, 4.0]))
-    coeffs = n_connection(structures["flat"], N, ORIGIN)
+    coeffs = n_connection(StructureEval(structures["flat"], ORIGIN), N)
     assert np.array_equal(coeffs.frame, np.zeros((4, 4, 4)))
     assert np.array_equal(coeffs.mixed_an, np.diag([1.0, 2.0, 3.0, 4.0]))
     assert coeffs.full[4, 0, 0] == 1.0  # G^b_{na} = N^b_a
 
 
 def test_n_connection_example1_canonical(structures):
-    coeffs = canonical_connection(structures["example1"], np.array([0.2, 1.5, 0.0, 0.0, 0.3]))
+    coeffs = canonical_connection(StructureEval(structures["example1"], np.array([0.2, 1.5, 0.0, 0.0, 0.3])))
     assert coeffs.full[4, 0, 1] == pytest.approx(-1.0, abs=1e-15)  # G^2_{n1} = 2 psi^2_1
 
 
 def test_n_connection_example2_reeb_row(structures):
-    coeffs = n_connection(structures["example2"], Endomorphism.zero(), Y3)
+    coeffs = n_connection(StructureEval(structures["example2"], Y3), Endomorphism.zero())
     assert coeffs.full[4, 0, 4] == pytest.approx(-3.0, abs=1e-15)  # G^n_{n1} = -y
 
 
@@ -126,7 +127,7 @@ def test_endomorphism_scalar_fields(structures):
         fields[idx] = zero
     fields[0, 1] = parse("x*y", s.chart.coords)
     p = np.array([2.0, 3.0, 0.0, 0.0, 0.0])
-    coeffs = n_connection(s, Endomorphism(fields=fields), p)
+    coeffs = n_connection(StructureEval(s, p), Endomorphism(fields=fields))
     assert coeffs.mixed_an[0, 1] == 6.0
     assert coeffs.full[4, 1, 0] == 6.0  # G^1_{n2} = N^1_2
 
@@ -138,7 +139,7 @@ def test_n_connection_matches_defining_formula(name, endo, structures, sample_se
     # basis pairs, for odd and even rank alike
     s = structures[name]
     for p in sample_sets[name][:8]:
-        assert n_connection_formula_residual(s, endo, p) < 1e-9, name
+        assert n_connection_formula_residual(StructureEval(s, p), endo) < 1e-9, name
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +149,7 @@ def test_n_connection_matches_defining_formula(name, endo, structures, sample_se
 
 def test_torsion_example1_canonical_components(structures):
     p = np.array([0.4, 1.1, -0.2, 0.0, 0.9])
-    result = torsion(structures["example1"], Endomorphism.canonical(), p)
+    result = torsion(StructureEval(structures["example1"], p), Endomorphism.canonical())
     assert result.components[0, 1, 4] == pytest.approx(-1.0, abs=1e-15)  # 2 omega_12
     assert result.components[0, 4, 1] == pytest.approx(1.0, abs=1e-15)  # -g(2 psi e_1, e_2)
     assert result.components[4, 0, 1] == pytest.approx(-1.0, abs=1e-15)
@@ -158,13 +159,13 @@ def test_torsion_example1_canonical_components(structures):
 
 def test_torsion_example1_N_zero_not_skew(structures):
     p = np.array([0.4, 1.1, -0.2, 0.0, 0.9])
-    result = torsion(structures["example1"], Endomorphism.zero(), p)
+    result = torsion(StructureEval(structures["example1"], p), Endomorphism.zero())
     assert not result.is_skew
     assert result.skew_residual == pytest.approx(1.0, abs=1e-12)  # mixed parts vanish, 2 omega stays
 
 
 def test_torsion_flat_canonical_zero(structures):
-    result = torsion(structures["flat"], Endomorphism.canonical(), ORIGIN)
+    result = torsion(StructureEval(structures["flat"], ORIGIN), Endomorphism.canonical())
     assert np.array_equal(result.components, np.zeros((5, 5, 5)))
     assert result.is_skew
 
@@ -176,7 +177,7 @@ def test_torsion_direct_cross_check(name, structures, sample_sets):
              Endomorphism.constant(0.05 * np.eye(4), psi_multiple=2.0)]
     for p in sample_sets[name][:8]:
         for endo in endos:
-            assert torsion(s, endo, p).direct_residual < 1e-9, name
+            assert torsion(StructureEval(s, p), endo).direct_residual < 1e-9, name
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -189,7 +190,7 @@ def test_skew_iff_N_is_2psi(name, structures, sample_sets):
                      Endomorphism.constant(0.05 * np.eye(4), psi_multiple=2.0)]:
             N0 = endo.value_at(ev)
             criterion = np.abs(2 * ev.omega0 - N0.T @ ev.g0).max()
-            result = torsion(s, endo, p)
+            result = torsion(StructureEval(s, p), endo)
             assert result.is_skew == bool(criterion < 1e-9 * (1 + np.abs(result.components).max())), name
 
 
@@ -200,24 +201,24 @@ def test_skew_iff_N_is_2psi(name, structures, sample_sets):
 
 def test_metricity_defect_example1_zero(structures, sample_sets):
     for p in sample_sets["example1"][:8]:
-        defect = metricity_defect(structures["example1"], Endomorphism.canonical(), p)
+        defect = metricity_defect(StructureEval(structures["example1"], p), Endomorphism.canonical())
         assert np.abs(defect).max() < 1e-15
 
 
 def test_metricity_defect_example2_reeb_component(structures):
-    defect = metricity_defect(structures["example2"], Endomorphism.canonical(), Y3)
+    defect = metricity_defect(StructureEval(structures["example2"], Y3), Endomorphism.canonical())
     assert defect[4, 4, 0] == pytest.approx(3.0, abs=1e-15)  # (n, n, 1) component = y
 
 
 def test_metricity_defect_flat_skew_N(structures):
     skew = np.zeros((4, 4))
     skew[0, 1], skew[1, 0] = 1.0, -1.0
-    defect = metricity_defect(structures["flat"], Endomorphism.constant(skew), ORIGIN)
+    defect = metricity_defect(StructureEval(structures["flat"], ORIGIN), Endomorphism.constant(skew))
     assert np.abs(defect).max() == 0.0
 
 
 def test_metricity_defect_flat_symmetric_N(structures):
-    defect = metricity_defect(structures["flat"], Endomorphism.constant(np.eye(4)), ORIGIN)
+    defect = metricity_defect(StructureEval(structures["flat"], ORIGIN), Endomorphism.constant(np.eye(4)))
     # (nabla_n g)_{ab} = -g(N e_a, e_b) - g(e_a, N e_b) = -2 delta_ab here
     assert np.allclose(defect[4, :4, :4], -2 * np.eye(4))
 
@@ -248,7 +249,7 @@ def test_internal_cov_deriv_constant_tensor_flat(structures):
     fields = np.empty((4, 4), dtype=object)
     for idx in np.ndindex(4, 4):
         fields[idx] = parse(repr(float(idx[0] - idx[1])), s.chart.coords)
-    out = internal_cov_deriv(s, TensorGrid(fields, (FRAME_UPPER, FRAME_LOWER)), ORIGIN)
+    out = internal_cov_deriv(StructureEval(s, ORIGIN), TensorGrid(fields, (FRAME_UPPER, FRAME_LOWER)))
     assert np.array_equal(out.components, np.zeros((4, 4, 4)))
     assert out.valence == (FRAME_LOWER, FRAME_UPPER, FRAME_LOWER)
 
@@ -267,7 +268,7 @@ def test_internal_cov_deriv_matches_derived_route(structures, sample_sets):
     fields[1, 0] = parse("v/2", coords)
     for p in sample_sets["example2"][:6]:
         ev = StructureEval(s, p)
-        via_fields = internal_cov_deriv(s, TensorGrid(fields, (FRAME_LOWER, FRAME_LOWER)), p)
+        via_fields = internal_cov_deriv(StructureEval(s, p), TensorGrid(fields, (FRAME_LOWER, FRAME_LOWER)))
         assert np.abs(via_fields.components - nabla_omega(ev)).max() < 1e-12
 
 
@@ -278,24 +279,24 @@ def test_internal_cov_deriv_matches_derived_route(structures, sample_sets):
 
 def test_cov_phi_flat_zero(structures):
     for which in ("levi_civita", "canonical"):
-        assert np.array_equal(cov_phi(structures["flat"], which, ORIGIN), np.zeros((5, 5, 5)))
+        assert np.array_equal(cov_phi(StructureEval(structures["flat"], ORIGIN), which), np.zeros((5, 5, 5)))
 
 
 def test_cov_phi_canonical_example3_qs_vanishes(structures, sample_sets):
     for p in sample_sets["example3-qs"]:
-        assert np.abs(cov_phi(structures["example3-qs"], "canonical", p)).max() < 1e-8
+        assert np.abs(cov_phi(StructureEval(structures["example3-qs"], p), "canonical")).max() < 1e-8
 
 
 def test_cov_phi_canonical_example3_aqs_nonzero(structures, sample_sets):
     worst = 0.0
     for p in sample_sets["example3-aqs"]:
-        worst = max(worst, float(np.abs(cov_phi(structures["example3-aqs"], "canonical", p)).max()))
+        worst = max(worst, float(np.abs(cov_phi(StructureEval(structures["example3-aqs"], p), "canonical")).max()))
     assert worst > 1e-3
 
 
 def test_cov_phi_rejects_unknown_connection(structures):
     with pytest.raises(ValueError):
-        cov_phi(structures["flat"], "weyl", ORIGIN)
+        cov_phi(StructureEval(structures["flat"], ORIGIN), "weyl")
 
 
 def test_reeb_eta_parallel_iff_odd_rank(structures, sample_sets):
@@ -303,7 +304,7 @@ def test_reeb_eta_parallel_iff_odd_rank(structures, sample_sets):
     for name in ALL:
         odd = name != "example2"
         for p in sample_sets[name][:8]:
-            n_na = lc_adapted(structures[name], p).n_na
+            n_na = lc_adapted(StructureEval(structures[name], p)).n_na
             assert (np.abs(n_na).max() < 1e-15) == odd, name
 
 
@@ -321,20 +322,21 @@ def test_twisted_C_nonzero(twisted):
 
 def test_twisted_oracle_equivalence(twisted):
     for p in twisted.chart.sample_points(16, seed=3):
-        adapted = lc_adapted(twisted, p).full
-        converted = coordinate_to_adapted(twisted, p, lc_coordinate(twisted, p))
+        ev = StructureEval(twisted, p)
+        adapted = lc_adapted(ev).full
+        converted = coordinate_to_adapted(ev, lc_coordinate(ev))
         assert np.abs(adapted - converted).max() < 1e-8
 
 
 def test_twisted_n_connection_formula(twisted):
     for p in twisted.chart.sample_points(8, seed=4):
         for endo in (Endomorphism.canonical(), Endomorphism.zero()):
-            assert n_connection_formula_residual(twisted, endo, p) < 1e-9
+            assert n_connection_formula_residual(StructureEval(twisted, p), endo) < 1e-9
 
 
 def test_twisted_torsion_cross_check(twisted):
     for p in twisted.chart.sample_points(8, seed=5):
-        assert torsion(twisted, Endomorphism.canonical(), p).direct_residual < 1e-9
+        assert torsion(StructureEval(twisted, p), Endomorphism.canonical()).direct_residual < 1e-9
 
 
 def test_twisted_metricity_reeb_direction_is_2C(twisted):
@@ -342,6 +344,6 @@ def test_twisted_metricity_reeb_direction_is_2C(twisted):
     # (nabla^N_n g)_ab = 2 C_ab
     for p in twisted.chart.sample_points(8, seed=6):
         ev = StructureEval(twisted, p)
-        defect = metricity_defect(twisted, Endomorphism.canonical(), p)
+        defect = metricity_defect(StructureEval(twisted, p), Endomorphism.canonical())
         assert np.abs(defect[4, :4, :4] - 2.0 * ev.C0).max() < 1e-12
         assert np.abs(defect[:4]).max() < 1e-12  # horizontal directions stay metric

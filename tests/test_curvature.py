@@ -50,12 +50,12 @@ def test_gauss_oracle_is_constant_4():
 
 
 def test_schouten_flat_zero(structures):
-    assert np.array_equal(schouten(structures["flat"], ORIGIN), np.zeros((4, 4, 4, 4)))
+    assert np.array_equal(schouten(StructureEval(structures["flat"], ORIGIN)), np.zeros((4, 4, 4, 4)))
 
 
 def test_schouten_example1_zero(structures, sample_sets):
     for p in sample_sets["example1"][:8]:
-        assert np.abs(schouten(structures["example1"], p)).max() < 1e-15
+        assert np.abs(schouten(StructureEval(structures["example1"], p))).max() < 1e-15
 
 
 def test_schouten_example3_block_constant_curvature(structures, sample_sets):
@@ -63,7 +63,7 @@ def test_schouten_example3_block_constant_curvature(structures, sample_sets):
     s = structures["example3-qs"]
     for p in sample_sets["example3-qs"]:
         ev = StructureEval(s, p)
-        R = schouten(s, p)
+        R = schouten(StructureEval(s, p))
         sectional = float(
             np.einsum("d,d->", R[:, 0, 1, 1], ev.g0[:, 0])
             / (ev.g0[0, 0] * ev.g0[1, 1] - ev.g0[0, 1] ** 2)
@@ -74,7 +74,7 @@ def test_schouten_example3_block_constant_curvature(structures, sample_sets):
 def test_schouten_antisymmetry(structures, sample_sets):
     for name in ALL:
         for p in sample_sets[name][:6]:
-            R = schouten(structures[name], p)
+            R = schouten(StructureEval(structures[name], p))
             assert np.abs(R + np.swapaxes(R, 1, 2)).max() < 1e-12, name
 
 
@@ -85,14 +85,14 @@ def test_schouten_antisymmetry(structures, sample_sets):
 
 def test_K_example1_frame_block(structures):
     p = np.array([0.2, 1.4, -0.1, 0.6, 0.0])
-    K = curvature_K(structures["example1"], p)
+    K = curvature_K(StructureEval(structures["example1"], p))
     # Schouten vanishes, so K^d_{abc} = 4 omega_ab psi^d_c
     assert K.frame[1, 0, 1, 0] == pytest.approx(1.0, abs=1e-14)
     assert np.abs(K.mixed).max() < 1e-15  # psi parallel
 
 
 def test_K_flat_zero(structures):
-    K = curvature_K(structures["flat"], ORIGIN)
+    K = curvature_K(StructureEval(structures["flat"], ORIGIN))
     assert np.array_equal(K.frame, np.zeros((4, 4, 4, 4)))
     assert np.array_equal(K.mixed, np.zeros((4, 4, 4)))
 
@@ -104,8 +104,8 @@ def test_K_minus_R_is_4_omega_psi(name, structures, sample_sets):
     s = structures[name]
     for p in sample_sets[name][:8]:
         ev = StructureEval(s, p)
-        direct = curvature_canonical_direct(s, p)
-        R = schouten(s, p)
+        direct = curvature_canonical_direct(StructureEval(s, p))
+        R = schouten(StructureEval(s, p))
         lhs = np.einsum("abcd->dabc", direct[:4, :4, :4, :4]) - R
         rhs = 4.0 * np.einsum("ab,dc->dabc", ev.omega0, ev.psi0)
         assert np.abs(lhs - rhs).max() < 1e-9, name
@@ -115,8 +115,8 @@ def test_K_minus_R_is_4_omega_psi(name, structures, sample_sets):
 def test_K_frame_block_matches_direct(name, structures, sample_sets):
     s = structures[name]
     for p in sample_sets[name][:8]:
-        K = curvature_K(s, p)
-        direct = curvature_canonical_direct(s, p)
+        K = curvature_K(StructureEval(s, p))
+        direct = curvature_canonical_direct(StructureEval(s, p))
         assert np.abs(np.einsum("abcd->dabc", direct[:4, :4, :4, :4]) - K.frame).max() < 1e-9, name
 
 
@@ -124,8 +124,8 @@ def test_K_frame_block_matches_direct(name, structures, sample_sets):
 def test_K_mixed_block_matches_direct_odd_rank(name, structures, sample_sets):
     s = structures[name]
     for p in sample_sets[name][:8]:
-        K = curvature_K(s, p)
-        direct = curvature_canonical_direct(s, p)
+        K = curvature_K(StructureEval(s, p))
+        direct = curvature_canonical_direct(StructureEval(s, p))
         mixed_direct = np.einsum("acd->dac", direct[:4, 4, :4, :4])
         assert np.abs(mixed_direct - K.mixed).max() < 1e-9, name
 
@@ -136,8 +136,8 @@ def test_K_mixed_block_even_rank_extra_term(structures, sample_sets):
     s = structures["example2"]
     for p in sample_sets["example2"][:8]:
         ev = StructureEval(s, p)
-        K = curvature_K(s, p)
-        direct = np.einsum("acd->dac", curvature_canonical_direct(s, p)[:4, 4, :4, :4])
+        K = curvature_K(StructureEval(s, p))
+        direct = np.einsum("acd->dac", curvature_canonical_direct(StructureEval(s, p))[:4, 4, :4, :4])
         extra = -2.0 * np.einsum("a,dc->dac", ev.d_eta_xi, ev.psi0)
         assert np.abs(direct - (K.mixed + extra)).max() < 1e-9
 
@@ -147,8 +147,8 @@ def test_K_mixed_block_reeb_dependent_metric_extra_term(twisted):
     # and the direct mixed block then differs from 2 nabla psi by -d_n Gamma
     for p in twisted.chart.sample_points(6, seed=8):
         ev = StructureEval(twisted, p)
-        K = curvature_K(twisted, p)
-        direct = np.einsum("acd->dac", curvature_canonical_direct(twisted, p)[:4, 4, :4, :4])
+        K = curvature_K(StructureEval(twisted, p))
+        direct = np.einsum("acd->dac", curvature_canonical_direct(StructureEval(twisted, p))[:4, 4, :4, :4])
         extra = -ev.Gamma1[:, :, :, -1]
         assert np.abs(ev.Gamma1[:, :, :, -1]).max() > 1e-3  # the term is active here
         assert np.abs(direct - (K.mixed + extra)).max() < 1e-9
@@ -156,8 +156,8 @@ def test_K_mixed_block_reeb_dependent_metric_extra_term(twisted):
 
 def test_twisted_K_frame_block_still_matches_direct(twisted):
     for p in twisted.chart.sample_points(6, seed=9):
-        K = curvature_K(twisted, p)
-        direct = curvature_canonical_direct(twisted, p)
+        K = curvature_K(StructureEval(twisted, p))
+        direct = curvature_canonical_direct(StructureEval(twisted, p))
         assert np.abs(np.einsum("abcd->dabc", direct[:4, :4, :4, :4]) - K.frame).max() < 1e-9
 
 
@@ -172,7 +172,7 @@ def test_ricci_wagner_example3_is_minus_4g_on_conformal_block(structures, sample
     s = structures["example3-qs"]
     for p in sample_sets["example3-qs"]:
         ev = StructureEval(s, p)
-        r = ricci_wagner(s, p)
+        r = ricci_wagner(StructureEval(s, p))
         assert np.abs(r[:2, :2] - (-4.0) * ev.g0[:2, :2]).max() < 1e-7
         assert np.abs(r[2:, :]).max() < 1e-12
         assert np.abs(r[:, 2:]).max() < 1e-12
@@ -180,18 +180,18 @@ def test_ricci_wagner_example3_is_minus_4g_on_conformal_block(structures, sample
 
 def test_ricci_wagner_trace_convention_lock(structures):
     # r_11 at the origin is -4, not +4; this pins the trace slot convention
-    r = ricci_wagner(structures["example3-qs"], ORIGIN)
+    r = ricci_wagner(StructureEval(structures["example3-qs"], ORIGIN))
     assert r[0, 0] == pytest.approx(-4.0, abs=1e-9)
 
 
 def test_ricci_wagner_example1_zero(structures, sample_sets):
     for p in sample_sets["example1"][:8]:
-        assert np.abs(ricci_wagner(structures["example1"], p)).max() < 1e-15
+        assert np.abs(ricci_wagner(StructureEval(structures["example1"], p))).max() < 1e-15
 
 
 def test_ricci_k_example1(structures):
     p = np.array([0.2, 1.4, -0.1, 0.6, 0.0])
-    k = ricci_k(structures["example1"], p)
+    k = ricci_k(StructureEval(structures["example1"], p))
     assert k[0, 0] == pytest.approx(1.0, abs=1e-14)  # 4 omega_{12} psi^2_1
     assert np.abs(k[4, :4]).max() < 1e-15  # psi parallel
     assert np.abs(k[:4, 4]).max() == 0.0  # zero by construction
@@ -199,11 +199,11 @@ def test_ricci_k_example1(structures):
 
 
 def test_ricci_k_flat_zero(structures):
-    assert np.array_equal(ricci_k(structures["flat"], ORIGIN), np.zeros((5, 5)))
+    assert np.array_equal(ricci_k(StructureEval(structures["flat"], ORIGIN)), np.zeros((5, 5)))
 
 
 def test_ricci_k_example3_origin(structures):
-    k = ricci_k(structures["example3-qs"], ORIGIN)
+    k = ricci_k(StructureEval(structures["example3-qs"], ORIGIN))
     assert k[0, 0] == pytest.approx(-3.0, abs=1e-9)  # r_11 + 4 omega_{12} psi^2_1 = -4 + 1
 
 
@@ -212,7 +212,7 @@ def test_ricci_k_reeb_row_zero_when_psi_parallel(structures, sample_sets):
         for p in sample_sets[name][:8]:
             ev = StructureEval(structures[name], p)
             assert np.abs(nabla_psi(ev)).max() < 1e-15
-            assert np.abs(ricci_k(structures[name], p)[4, :4]).max() < 1e-15
+            assert np.abs(ricci_k(StructureEval(structures[name], p))[4, :4]).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from acmcheck.chart import d_eta_xi, frame_matrix, omega_frame
+from acmcheck.chart import d_eta_xi, omega_frame
 from acmcheck.expr import Const, Mul, ScalarField, parse
 from acmcheck.structure import (
     AdaptedStructure,
@@ -37,25 +37,25 @@ def test_structure_shape_validation(structures):
 
 
 def test_axioms_flat_all_zero(structures):
-    report = validate_axioms(structures["flat"], ORIGIN)
+    report = validate_axioms(StructureEval(structures["flat"], ORIGIN))
     assert all(v == 0.0 for v in report.values())
 
 
 def test_axioms_example1_below_1e12(structures, sample_sets):
     for p in sample_sets["example1"]:
-        report = validate_axioms(structures["example1"], p)
+        report = validate_axioms(StructureEval(structures["example1"], p))
         assert max(report.values()) < 1e-12
 
 
 def test_axioms_hold_on_compatible_fixtures(structures, sample_sets):
     for name in COMPATIBLE:
         for p in sample_sets[name]:
-            report = validate_axioms(structures[name], p)
+            report = validate_axioms(StructureEval(structures[name], p))
             assert max(report.values()) < 1e-12, name
 
 
 def test_axioms_representation_identities_exact(structures):
-    report = validate_axioms(structures["example2"], np.array([1.0, 3.0, 0.0, 0.0, 2.0]))
+    report = validate_axioms(StructureEval(structures["example2"], np.array([1.0, 3.0, 0.0, 0.0, 2.0])))
     for key in ("eta_xi", "phi_xi", "eta_circ_phi", "eta_metric_dual"):
         assert report[key] == 0.0
 
@@ -66,7 +66,7 @@ def test_axiom1_residual_for_doubled_phi(structures):
     for idx in np.ndindex(s.phi.shape):
         doubled[idx] = ScalarField(Mul(Const(2.0), s.phi[idx].ast), s.phi[idx].coords)
     scaled = AdaptedStructure(chart=s.chart, g=s.g, phi=doubled)
-    report = validate_axioms(scaled, np.array([0.5, 1.0, 0.0, 0.0, 0.0]))
+    report = validate_axioms(StructureEval(scaled, np.array([0.5, 1.0, 0.0, 0.0, 0.0])))
     # (2 phi)^2 = -4 id, so the defect against -id has magnitude 3
     assert report["phi_square"] == pytest.approx(3.0, abs=1e-14)
 
@@ -75,10 +75,10 @@ def test_example3_aqs_phi_not_metric_compatible(structures, sample_sets):
     # the redefined endomorphism pairs the conformal block with the flat one,
     # so g(phi X, phi Y) = g(X, Y) fails wherever the conformal factor is not 1
     s = structures["example3-aqs"]
-    residuals = [validate_axioms(s, p)["compatibility"] for p in sample_sets["example3-aqs"]]
+    residuals = [validate_axioms(StructureEval(s, p))["compatibility"] for p in sample_sets["example3-aqs"]]
     assert max(residuals) > 0.5
     # while phi^2 = -id still holds exactly
-    assert all(validate_axioms(s, p)["phi_square"] < 1e-14 for p in sample_sets["example3-aqs"])
+    assert all(validate_axioms(StructureEval(s, p))["phi_square"] < 1e-14 for p in sample_sets["example3-aqs"])
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,7 @@ def test_example3_aqs_phi_not_metric_compatible(structures, sample_sets):
 def test_metric_positive_definite_everywhere(structures, sample_sets):
     for name in ALL:
         for p in sample_sets[name]:
-            assert metric_definiteness(structures[name], p) > 1e-9
+            assert metric_definiteness(StructureEval(structures[name], p)) > 1e-9
 
 
 def test_singular_metric_raises(structures):
@@ -98,7 +98,7 @@ def test_singular_metric_raises(structures):
     degenerate[0, 0] = parse("0", s.chart.coords)
     bad = AdaptedStructure(chart=s.chart, g=degenerate, phi=s.phi)
     with pytest.raises(SingularMetricError):
-        metric_definiteness(bad, ORIGIN)
+        metric_definiteness(StructureEval(bad, ORIGIN))
 
 
 def test_pseudo_flag_relaxes_definiteness(structures):
@@ -108,9 +108,9 @@ def test_pseudo_flag_relaxes_definiteness(structures):
     indefinite[0, 0] = parse("-1", s.chart.coords)
     strict = AdaptedStructure(chart=s.chart, g=indefinite, phi=s.phi)
     with pytest.raises(SingularMetricError):
-        metric_definiteness(strict, ORIGIN)
+        metric_definiteness(StructureEval(strict, ORIGIN))
     relaxed = AdaptedStructure(chart=s.chart, g=indefinite, phi=s.phi, pseudo=True)
-    assert metric_definiteness(relaxed, ORIGIN) == pytest.approx(1.0)
+    assert metric_definiteness(StructureEval(relaxed, ORIGIN)) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ def test_pseudo_flag_relaxes_definiteness(structures):
 
 
 def test_derived_flat(structures):
-    d = derived(structures["flat"], ORIGIN)
+    d = derived(StructureEval(structures["flat"], ORIGIN))
     expected_Omega = np.zeros((4, 4))
     expected_Omega[0, 2], expected_Omega[2, 0] = -1.0, 1.0
     expected_Omega[1, 3], expected_Omega[3, 1] = -1.0, 1.0
@@ -133,7 +133,7 @@ def test_derived_flat(structures):
 def test_derived_example1(structures, sample_sets):
     traces = []
     for p in sample_sets["example1"]:
-        d = derived(structures["example1"], p)
+        d = derived(StructureEval(structures["example1"], p))
         assert d.psi[1, 0] == pytest.approx(-0.5, abs=1e-15)
         assert d.psi[0, 1] == pytest.approx(0.5, abs=1e-15)
         assert np.array_equal(d.C, np.zeros((4, 4)))
@@ -143,7 +143,7 @@ def test_derived_example1(structures, sample_sets):
 
 
 def test_derived_example3_at_origin(structures):
-    d = derived(structures["example3-qs"], ORIGIN)
+    d = derived(StructureEval(structures["example3-qs"], ORIGIN))
     ev = StructureEval(structures["example3-qs"], ORIGIN)
     assert ev.g0[0, 0] == pytest.approx(1.0, abs=1e-15)
     assert d.psi[1, 0] == pytest.approx(-0.5, abs=1e-15)
@@ -162,7 +162,7 @@ def test_C_zero_on_shipped_fixtures(structures, sample_sets):
     # no shipped metric depends on the Reeb coordinate
     for name in ALL:
         for p in sample_sets[name][:8]:
-            assert np.array_equal(derived(structures[name], p).C, np.zeros((4, 4))), name
+            assert np.array_equal(derived(StructureEval(structures[name], p)).C, np.zeros((4, 4))), name
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +175,9 @@ def test_d_eta_matches_bracket_oracle(structures, sample_sets):
     for name in ALL:
         s = structures[name]
         for p in sample_sets[name]:
-            deta = exterior_derivative(s, s.eta_coordinate_form(), p)
-            E = frame_matrix(s.chart, p)
+            ev = StructureEval(s, p)
+            deta = exterior_derivative(ev, s.eta_coordinate_form())
+            E, _ = ev.frame
             on_frame = np.einsum("ij,ai,bj->ab", deta, E, E)
             omega = omega_frame(s.chart, p).components
             assert np.abs(on_frame[:4, :4] - omega).max() < 1e-10, name
@@ -192,7 +193,7 @@ def test_d_of_constant_two_form(structures):
     vals[2, 4], vals[4, 2] = -0.5, 0.5
     for idx in np.ndindex(5, 5):
         comps[idx] = ScalarField(Const(float(vals[idx])), coords)
-    d = exterior_derivative(s, comps, ORIGIN)
+    d = exterior_derivative(StructureEval(s, ORIGIN), comps)
     assert np.array_equal(d, np.zeros((5, 5, 5)))
 
 
@@ -224,12 +225,12 @@ def test_exterior_derivative_rejects_non_skew(structures):
     for idx in np.ndindex(5, 5):
         comps[idx] = ScalarField(Const(1.0), s.chart.coords)
     with pytest.raises(ValueError):
-        exterior_derivative(s, comps, ORIGIN)
+        exterior_derivative(StructureEval(s, ORIGIN), comps)
 
 
 def test_exterior_derivative_of_function(structures):
     s = structures["flat"]
     f = np.array(parse("x*y", s.chart.coords), dtype=object).reshape(())
     # 0-form: d f = gradient as a 1-form
-    out = exterior_derivative(s, f.reshape(()), np.array([2.0, 3.0, 0, 0, 0]))
+    out = exterior_derivative(StructureEval(s, np.array([2.0, 3.0, 0, 0, 0])), f.reshape(()))
     assert np.allclose(out, [3.0, 2.0, 0, 0, 0])
