@@ -46,7 +46,7 @@ class TensorGrid:
     Frame indices range over the horizontal distribution (n-1 values);
     coordinate indices over the full chart (n values).  Admissible tensors
     are stored on frame indices only, which encodes their vanishing on the
-    Reeb/eta slots.
+    Reeb/eta slots.  A grid holds the components at one point.
     """
 
     components: np.ndarray
@@ -136,53 +136,62 @@ def frame_apply(chart: AdaptedChart, a: int, f: ScalarField, p: np.ndarray) -> f
     return float(jet.grad[a] - chart.gamma[a].value(p) * jet.grad[chart.n - 1])
 
 
-def gamma_jets(chart: AdaptedChart, p: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Value, gradient and Hessian arrays of the gamma fields at p."""
-    return field_jets(np.array(chart.gamma, dtype=object), p)
+def gamma_jets(chart: AdaptedChart, p: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
+    """Value, gradient and (for ``order`` 2) Hessian arrays of the gamma
+    fields at a point or over a block of points."""
+    return field_jets(np.array(chart.gamma, dtype=object), p, order)
 
 
 def adapted_frame(gam0: np.ndarray, gam1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate components E0[i, q] of the adapted frame (e_a, xi) and
-    their gradients E1[i, q, j] = d_j E0[i, q], from the gamma jets."""
-    m, n = gam1.shape
-    E0 = np.eye(n)
-    E0[:m, -1] = -gam0
-    E1 = np.zeros((n, n, n))
-    E1[:m, -1, :] = -gam1
+    """Coordinate components E0[..., i, q] of the adapted frame (e_a, xi) and
+    their gradients E1[..., i, q, j] = d_j E0[..., i, q], from the gamma jets."""
+    m, n = gam1.shape[-2:]
+    batch = gam1.shape[:-2]
+    E0 = np.zeros(batch + (n, n))
+    E0[...] = np.eye(n)
+    E0[..., :m, -1] = -gam0
+    E1 = np.zeros(batch + (n, n, n))
+    E1[..., :m, -1, :] = -gam1
     return E0, E1
+
+
+def _omega(gam0: np.ndarray, gam1: np.ndarray) -> np.ndarray:
+    """omega_{ab} = (e_a gamma_b - e_b gamma_a)/2 from the gamma jets."""
+    m = gam1.shape[-2]
+    # e_a gamma_b = d_a gamma_b - gamma_a d_n gamma_b
+    eg = np.swapaxes(gam1[..., :m], -1, -2) - gam0[..., :, None] * gam1[..., None, :, -1]
+    return 0.5 * (eg - np.swapaxes(eg, -1, -2))
 
 
 def omega_frame(chart: AdaptedChart, p: np.ndarray) -> TensorGrid:
     """omega_{ab} = (e_a gamma_b - e_b gamma_a)/2; skew by construction."""
-    m, n = chart.m, chart.n
-    g0, g1, _ = gamma_jets(chart, p)
-    # e_a gamma_b = d_a gamma_b - gamma_a d_n gamma_b
-    eg = g1[:, :m].T - np.outer(g0, g1[:, n - 1])  # eg[a, b] = e_a gamma_b
-    return TensorGrid(0.5 * (eg - eg.T), (FRAME_LOWER, FRAME_LOWER))
+    gam0, gam1 = gamma_jets(chart, p, order=1)
+    return TensorGrid(_omega(gam0, gam1), (FRAME_LOWER, FRAME_LOWER))
 
 
 def d_eta_xi(chart: AdaptedChart, p: np.ndarray) -> np.ndarray:
     """The vector d_n gamma_a, equal to 2 d(eta)(xi, e_a)."""
-    _, g1, _ = gamma_jets(chart, p)
-    return g1[:, chart.n - 1].copy()
+    _, gam1 = gamma_jets(chart, p, order=1)
+    return gam1[..., -1].copy()
 
 
-def rank_of(omega: np.ndarray, vertical: np.ndarray, tol: float = 1e-9) -> int:
-    """Rank from omega and d(eta)(xi, .): 2p from the rank of omega, 2p+1
-    when additionally the vertical part vanishes."""
-    sv = np.linalg.svd(omega, compute_uv=False)
-    if sv.size and sv[0] > 0.0:
-        two_p = int(np.count_nonzero(sv > tol * sv[0]))
-    else:
-        two_p = 0
-    if np.abs(vertical).max(initial=0.0) <= tol * (1.0 + np.abs(omega).max(initial=0.0)):
-        return two_p + 1
-    return two_p
+def rank_of(omega: np.ndarray, vertical: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Rank from omega and d(eta)(xi, .) at each point: 2p from the rank of
+    omega, 2p+1 when additionally the vertical part vanishes, and -1 (no
+    rank) where either is not finite."""
+    finite = np.isfinite(omega).all(axis=(-2, -1)) & np.isfinite(vertical).all(axis=-1)
+    sv = np.linalg.svd(np.where(finite[..., None, None], omega, 0.0), compute_uv=False)
+    top = sv[..., :1]
+    two_p = np.where(top[..., 0] > 0.0, np.count_nonzero(sv > tol * top, axis=-1), 0)
+    scale = 1.0 + np.abs(omega).max(axis=(-2, -1))
+    rank = two_p + (np.abs(vertical).max(axis=-1) <= tol * scale)
+    return np.where(finite, rank, -1)
 
 
-def rank_at(chart: AdaptedChart, p: np.ndarray, tol: float = 1e-9) -> int:
+def rank_at(chart: AdaptedChart, p: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Pointwise rank of the structure at p (see :func:`rank_of`)."""
-    return rank_of(omega_frame(chart, p).components, d_eta_xi(chart, p), tol)
+    gam0, gam1 = gamma_jets(chart, p, order=1)
+    return rank_of(_omega(gam0, gam1), gam1[..., -1], tol)
 
 
 def frame_bracket(chart: AdaptedChart, a: int, b: int, p: np.ndarray) -> np.ndarray:
@@ -191,9 +200,8 @@ def frame_bracket(chart: AdaptedChart, a: int, b: int, p: np.ndarray) -> np.ndar
     [V, W]^i = V^j d_j W^i - W^j d_j V^i with V = e_a, W = e_b.  Serves as
     the independent oracle for :func:`omega_frame`.
     """
-    g0, g1, _ = gamma_jets(chart, p)
-    E0, E1 = adapted_frame(g0, g1)
-    return E1[b] @ E0[a] - E1[a] @ E0[b]
+    E0, E1 = adapted_frame(*gamma_jets(chart, p, order=1))
+    return (E1[..., b, :, :] @ E0[..., a, :, None] - E1[..., a, :, :] @ E0[..., b, :, None])[..., 0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 The hard gate (exit status) covers the identities that hold for every
 structure: the adapted-vs-coordinate Levi-Civita comparison, the projection
 and Reeb-split Nijenhuis identities, and the torsion table vs its direct
-definition.  Classification negatives never affect the gate.
+definition.  It also fails when any reported value is NaN or infinite, so a
+numerical failure never passes.  Classification negatives never affect the
+gate.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +61,23 @@ class RunReport:
 
     @property
     def passed(self) -> bool:
-        return all(self.data["identities"][name]["holds"] for name in HARD_IDENTITIES)
+        """Every hard identity holds and no reported value is NaN or infinite."""
+        hard = all(self.data["identities"][name]["holds"] for name in HARD_IDENTITIES)
+        return hard and all(math.isfinite(x) for x in _floats(self.data))
 
     def to_json(self) -> str:
         return json.dumps(_rounded(self.data), sort_keys=True, indent=2) + "\n"
+
+
+def _floats(obj):
+    """Every float in a report, depth first."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _floats(value)
+    elif isinstance(obj, float):
+        yield obj
 
 
 def _rounded(obj):
@@ -79,15 +94,15 @@ def _rounded(obj):
     raise TypeError(f"unexpected report value {obj!r}")
 
 
-def identity_residuals(ev: StructureEval) -> dict[str, float]:
-    """Residual of every reported identity at the evaluation point, plus the
+def identity_residuals(ev: StructureEval) -> dict[str, np.ndarray]:
+    """Residual of every reported identity at each evaluated point, plus the
     metricity defect of the canonical connection."""
     canonical = Endomorphism.canonical()
     tors = torsion(ev, canonical)
     defect = metricity_defect(ev, canonical)
     converted = coordinate_to_adapted(ev, lc_coordinate(ev))
     return {
-        "lc_oracle": np.abs(lc_adapted(ev).full - converted).max(),
+        "lc_oracle": ev.max_abs(lc_adapted(ev).full - converted),
         "projection_identity": projection_identity_residual(ev),
         "reeb_split_identity": reeb_split_identity_residual(ev),
         "torsion_direct": tors.direct_residual,
@@ -96,10 +111,10 @@ def identity_residuals(ev: StructureEval) -> dict[str, float]:
         "aqs_characterization": aqs_characterization_residual(ev),
         "qs_characterization": qs_characterization_residual(ev),
         "canonical_nabla_phi": canonical_nabla_phi_residual(ev),
-        "nabla_omega": np.abs(nabla_omega(ev)).max(),
-        "nabla_psi": np.abs(nabla_psi(ev)).max(),
-        "metricity_defect": np.abs(defect).max(),
-        "metricity_defect_reeb_row": np.abs(defect[-1, -1, :]).max(),
+        "nabla_omega": ev.max_abs(nabla_omega(ev)),
+        "nabla_psi": ev.max_abs(nabla_psi(ev)),
+        "metricity_defect": ev.max_abs(defect),
+        "metricity_defect_reeb_row": ev.max_abs(defect[..., -1, -1, :]),
     }
 
 
@@ -111,7 +126,7 @@ def run_full_check(
     omega_source: str | None = None,
 ) -> RunReport:
     """Every identity, criterion and Einstein residual, from one evaluation
-    per sampled point."""
+    over all sampled points."""
     samples = manifest.samples if samples is None else samples
     seed = manifest.seed if seed is None else seed
     tol = manifest.tolerance if tol is None else tol
@@ -119,24 +134,18 @@ def run_full_check(
 
     s = manifest.structure()
     points = s.chart.sample_points(samples, seed)
-
-    axioms: dict[str, WorstResidual] = defaultdict(WorstResidual)
-    worst: dict[str, WorstResidual] = defaultdict(WorstResidual)
-    criteria: dict[str, WorstResidual] = defaultdict(WorstResidual)
-    einstein_samples: dict[str, list] = {source: [] for source in OMEGA_SOURCES}
-    ranks: set[int] = set()
-    for p in points:
-        ev = StructureEval(s, p)
-        metric_definiteness(ev)
-        for name, value in validate_axioms(ev).items():
-            axioms[name].add(value)
-        for name, value in identity_residuals(ev).items():
-            worst[name].add(value)
-        for name, (residual, scale) in criterion_residuals(ev).items():
-            criteria[name].add(residual, scale)
-        for source, records in einstein_samples.items():
-            records.append(einstein_sample(ev, source))
-        ranks.add(rank_of(ev.omega0, ev.d_eta_xi))
+    ev = StructureEval(s, points)
+    metric_definiteness(ev)
+    # the curvature goes first: its second-order temporaries then coexist
+    # with the fewest cached tensors, which keeps the peak memory down
+    einstein_samples = {source: einstein_sample(ev, source) for source in OMEGA_SOURCES}
+    axioms = {name: WorstResidual(value) for name, value in validate_axioms(ev).items()}
+    worst = {name: WorstResidual(value) for name, value in identity_residuals(ev).items()}
+    criteria = {
+        name: WorstResidual(residual, scale)
+        for name, (residual, scale) in criterion_residuals(ev).items()
+    }
+    ranks = sorted(set(rank_of(ev.omega0, ev.d_eta_xi).ravel().tolist()))
 
     identities = {}
     for name, tolerance in HARD_TOLERANCES.items():
@@ -153,8 +162,8 @@ def run_full_check(
     classification = classification_report(criteria, tol, len(points))
     parallel_torsion = worst["nabla_omega"].residual
     einstein = {
-        source: einstein_summary(einstein_report(records, parallel_torsion, source, tol))
-        for source, records in einstein_samples.items()
+        source: einstein_summary(einstein_report(sample, parallel_torsion, source, tol))
+        for source, sample in einstein_samples.items()
     }
 
     data = {
@@ -172,7 +181,7 @@ def run_full_check(
             name: {"holds": v.holds, "max_residual": v.max_residual}
             for name, v in classification.qs_conditions.items()
         },
-        "rank": sorted(ranks),
+        "rank": ranks,
         "metricity": {
             "max_abs": worst["metricity_defect"].residual,
             "reeb_row_max": worst["metricity_defect_reeb_row"].residual,

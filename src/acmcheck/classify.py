@@ -9,14 +9,13 @@ criterion compares).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .connection import bracket, cov_phi, to_frame_components
 from .residuals import WorstResidual, nanmax
-from .structure import AdaptedStructure, StructureEval, d_fundamental_form
+from .structure import AdaptedStructure, StructureEval, d_fundamental_form, mat_t, memoised
 
 DEFAULT_TOL = 1e-7
 
@@ -43,72 +42,80 @@ class InternalConsistencyError(Exception):
 
 @dataclass(frozen=True)
 class NijenhuisBundle:
-    """The three Nijenhuis-type tensors on basis pairs: grid[i, j, k] is the
-    k-th frame component of T(E_i, E_j); index n-1 is the Reeb slot."""
+    """The three Nijenhuis-type tensors on basis pairs: grid[..., i, j, k] is
+    the k-th frame component of T(E_i, E_j); index n-1 is the Reeb slot.
+    N1 and N~ differ from N_phi only in the Reeb slot and are assembled on
+    access."""
 
     n_phi: np.ndarray
-    n1: np.ndarray
-    n_tilde: np.ndarray
     d_eta: np.ndarray  # d(eta)(E_i, E_j)
     d_eta_phi: np.ndarray  # d(eta)(phi E_i, phi E_j)
 
+    @property
+    def n1(self) -> np.ndarray:
+        """N1 = N_phi + 2 d(eta) xi."""
+        out = self.n_phi.copy()
+        out[..., -1] += 2.0 * self.d_eta
+        return out
+
+    @property
+    def n_tilde(self) -> np.ndarray:
+        """N~ = N_phi + 2 d(eta)(phi ., phi .) xi."""
+        out = self.n_phi.copy()
+        out[..., -1] += 2.0 * self.d_eta_phi
+        return out
+
 
 def _phi_apply(ev: StructureEval, V: np.ndarray) -> np.ndarray:
-    """phi of a coordinate vector: frame-split, apply, push back."""
-    u = ev.phi0 @ V[: ev.m]
-    out = np.zeros(ev.n)
-    out[: ev.m] = u
-    out[-1] = -float(np.dot(u, ev.gam0))
+    """phi of coordinate vectors (last axis): frame-split, apply, push back."""
+    u = V[..., : ev.m] @ ev.lift(mat_t(ev.phi0), V.ndim)  # u^b = phi^b_a V^a
+    out = np.zeros(V.shape)
+    out[..., : ev.m] = u
+    out[..., -1] = -np.einsum("...b,...b->...", u, ev.lift(ev.gam0, V.ndim))
     return out
 
 
 def _phi_basis_fields(ev: StructureEval) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate components and gradients of the fields phi(E_i)."""
     n, m = ev.n, ev.m
-    P0 = np.zeros((n, n))
-    P1 = np.zeros((n, n, n))
-    P0[:m, :m] = ev.phi0.T  # (phi e_i)^b = phi0[b, i]
-    P0[:m, -1] = -ev.phi0.T @ ev.gam0
-    P1[:m, :m, :] = np.einsum("bij->ibj", ev.phi1)
-    P1[:m, -1, :] = -np.einsum("bij,b->ij", ev.phi1, ev.gam0) - np.einsum(
-        "bi,bj->ij", ev.phi0, ev.gam1
+    P0 = ev.zeros(n, n)
+    P1 = ev.zeros(n, n, n)
+    P0[..., :m, :m] = mat_t(ev.phi0)  # (phi e_i)^b = phi0[b, i]
+    P0[..., :m, -1] = -np.einsum("...bi,...b->...i", ev.phi0, ev.gam0)
+    P1[..., :m, :m, :] = np.einsum("...bij->...ibj", ev.phi1)
+    P1[..., :m, -1, :] = -np.einsum("...bij,...b->...ij", ev.phi1, ev.gam0) - np.einsum(
+        "...bi,...bj->...ij", ev.phi0, ev.gam1
     )
     return P0, P1
 
 
 def _d_eta_pairs(ev: StructureEval) -> np.ndarray:
     """d(eta)(E_i, E_j) on basis pairs under the 1/2 convention."""
-    n, m = ev.n, ev.m
-    out = np.zeros((n, n))
-    out[:m, :m] = ev.omega0
-    out[-1, :m] = 0.5 * ev.d_eta_xi
-    out[:m, -1] = -0.5 * ev.d_eta_xi
+    m = ev.m
+    out = ev.zeros(ev.n, ev.n)
+    out[..., :m, :m] = ev.omega0
+    out[..., -1, :m] = 0.5 * ev.d_eta_xi
+    out[..., :m, -1] = -0.5 * ev.d_eta_xi
     return out
 
 
+@memoised
 def nijenhuis_tensors(ev: StructureEval) -> NijenhuisBundle:
-    n, m = ev.n, ev.m
+    """The bundle on all basis pairs at once: each bracket term is one
+    pairwise bracket of the frame fields E_i and the fields phi(E_i)."""
+    m = ev.m
     B0, B1 = ev.frame
     P0, P1 = _phi_basis_fields(ev)
 
-    n_phi = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            term = bracket(P0[i], P1[i], P0[j], P1[j])
-            term += _phi_apply(ev, _phi_apply(ev, bracket(B0[i], B1[i], B0[j], B1[j])))
-            term -= _phi_apply(ev, bracket(P0[i], P1[i], B0[j], B1[j]))
-            term -= _phi_apply(ev, bracket(B0[i], B1[i], P0[j], P1[j]))
-            n_phi[i, j] = to_frame_components(ev, term)
+    term = bracket(P0, P1, P0, P1)
+    term += _phi_apply(ev, _phi_apply(ev, bracket(B0, B1, B0, B1)))
+    term -= _phi_apply(ev, bracket(P0, P1, B0, B1))
+    term -= _phi_apply(ev, bracket(B0, B1, P0, P1))
+    n_phi = to_frame_components(ev, term)
 
-    d_eta = _d_eta_pairs(ev)
-    d_eta_phi = np.zeros((n, n))
-    d_eta_phi[:m, :m] = np.einsum("ci,dj,cd->ij", ev.phi0, ev.phi0, ev.omega0)
-
-    n1 = n_phi.copy()
-    n1[:, :, -1] += 2.0 * d_eta
-    n_tilde = n_phi.copy()
-    n_tilde[:, :, -1] += 2.0 * d_eta_phi
-    return NijenhuisBundle(n_phi=n_phi, n1=n1, n_tilde=n_tilde, d_eta=d_eta, d_eta_phi=d_eta_phi)
+    d_eta_phi = ev.zeros(ev.n, ev.n)
+    d_eta_phi[..., :m, :m] = np.einsum("...ci,...dj,...cd->...ij", ev.phi0, ev.phi0, ev.omega0)
+    return NijenhuisBundle(n_phi=n_phi, d_eta=_d_eta_pairs(ev), d_eta_phi=d_eta_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -116,23 +123,23 @@ def nijenhuis_tensors(ev: StructureEval) -> NijenhuisBundle:
 # ---------------------------------------------------------------------------
 
 
-def projection_identity_residual(ev: StructureEval) -> float:
+def projection_identity_residual(ev: StructureEval) -> np.ndarray:
     """Residual of P(N1(X, Y)) = N~(X, Y) over all basis pairs."""
     bundle = nijenhuis_tensors(ev)
-    projected = bundle.n1.copy()
-    projected[:, :, -1] = 0.0
-    return float(np.abs(projected - bundle.n_tilde).max())
+    projected = bundle.n1
+    projected[..., -1] = 0.0
+    return ev.max_abs(projected - bundle.n_tilde)
 
 
-def reeb_split_identity_residual(ev: StructureEval) -> float:
+def reeb_split_identity_residual(ev: StructureEval) -> np.ndarray:
     """Residual of N1 = N~ + 2 (d(eta)(X,Y) - d(eta)(phi X, phi Y)) xi."""
     bundle = nijenhuis_tensors(ev)
-    rhs = bundle.n_tilde.copy()
-    rhs[:, :, -1] += 2.0 * (bundle.d_eta - bundle.d_eta_phi)
-    return float(np.abs(bundle.n1 - rhs).max())
+    rhs = bundle.n_tilde
+    rhs[..., -1] += 2.0 * (bundle.d_eta - bundle.d_eta_phi)
+    return ev.max_abs(bundle.n1 - rhs)
 
 
-def aqs_characterization_residual(ev: StructureEval) -> float:
+def aqs_characterization_residual(ev: StructureEval) -> np.ndarray:
     """Residual of the almost-quasi-Sasakian characterization
     (nabla~_X phi) Y = g((psi o phi) Y, X) xi - eta(Y) (phi o psi) X
     - eta(X) (phi o psi - psi o phi) Y over all basis pairs."""
@@ -140,52 +147,46 @@ def aqs_characterization_residual(ev: StructureEval) -> float:
     n, m = ev.n, ev.m
     psiphi = ev.psi0 @ ev.phi0
     phipsi = ev.phi0 @ ev.psi0
-    rhs = np.zeros((n, n, n))  # rhs[i, j, k]: component k of the value on (E_i, E_j)
-    rhs[:m, :m, -1] = np.einsum("cj,ci->ij", psiphi, ev.g0)
-    rhs[:m, -1, :m] = -phipsi.T  # -(phi o psi) E_i, components indexed [i, k]
-    rhs[-1, :m, :m] = -(phipsi - psiphi).T  # [j, k] layout after transpose
-    lhs_pairs = np.einsum("ibj->ijb", lhs)
-    return float(np.abs(lhs_pairs - rhs).max())
+    rhs = ev.zeros(n, n, n)  # rhs[i, j, k]: component k of the value on (E_i, E_j)
+    rhs[..., :m, :m, -1] = np.einsum("...cj,...ci->...ij", psiphi, ev.g0)
+    rhs[..., :m, -1, :m] = -mat_t(phipsi)  # -(phi o psi) E_i, components indexed [i, k]
+    rhs[..., -1, :m, :m] = -mat_t(phipsi - psiphi)  # [j, k] layout after transpose
+    lhs_pairs = np.einsum("...ibj->...ijb", lhs)
+    return ev.max_abs(lhs_pairs - rhs)
 
 
-def qs_characterization_residual(ev: StructureEval) -> float:
+def qs_characterization_residual(ev: StructureEval) -> np.ndarray:
     """Residual of the quasi-Sasakian characterization
     (nabla~_X phi) Y = g(A Y, X) xi - eta(Y) A X with A = phi o psi."""
-    lhs = np.einsum("ibj->ijb", cov_phi(ev, "levi_civita"))
+    lhs = np.einsum("...ibj->...ijb", cov_phi(ev, "levi_civita"))
     n, m = ev.n, ev.m
     A = ev.phi0 @ ev.psi0
-    rhs = np.zeros((n, n, n))
-    rhs[:m, :m, -1] = np.einsum("cj,ci->ij", A, ev.g0)
-    rhs[:m, -1, :m] = -A.T
-    return float(np.abs(lhs - rhs).max())
+    rhs = ev.zeros(n, n, n)
+    rhs[..., :m, :m, -1] = np.einsum("...cj,...ci->...ij", A, ev.g0)
+    rhs[..., :m, -1, :m] = -mat_t(A)
+    return ev.max_abs(lhs - rhs)
 
 
-def qs_condition_residuals(ev: StructureEval) -> dict[str, tuple[float, float]]:
+def qs_condition_residuals(ev: StructureEval) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(residual, scale) of the three equivalent quasi-Sasakian conditions."""
-    phi_star_omega = np.einsum("ca,db,cd->ab", ev.phi0, ev.phi0, ev.omega0)
+    phi_star_omega = np.einsum("...ca,...db,...cd->...ab", ev.phi0, ev.phi0, ev.omega0)
     phipsi = ev.phi0 @ ev.psi0
     psiphi = ev.psi0 @ ev.phi0
     gA = ev.g0 @ phipsi  # gA[a, b] = g(e_a, A e_b)
+    mag = ev.max_abs
     return {
         "d_eta_phi_invariant": (
-            float(np.abs(ev.omega0 - phi_star_omega).max()),
-            nanmax(_mag(ev.omega0), _mag(phi_star_omega)),
+            mag(ev.omega0 - phi_star_omega),
+            nanmax(mag(ev.omega0), mag(phi_star_omega)),
         ),
-        "phi_psi_commute": (
-            float(np.abs(phipsi - psiphi).max()),
-            nanmax(_mag(phipsi), _mag(psiphi)),
-        ),
-        "A_g_symmetric": (float(np.abs(gA - gA.T).max()), _mag(gA)),
+        "phi_psi_commute": (mag(phipsi - psiphi), nanmax(mag(phipsi), mag(psiphi))),
+        "A_g_symmetric": (mag(gA - mat_t(gA)), mag(gA)),
     }
 
 
-def canonical_nabla_phi_residual(ev: StructureEval) -> float:
+def canonical_nabla_phi_residual(ev: StructureEval) -> np.ndarray:
     """Max component of nabla phi under the canonical connection."""
-    return float(np.abs(cov_phi(ev, "canonical")).max())
-
-
-def _mag(arr: np.ndarray) -> float:
-    return float(np.abs(arr).max(initial=0.0))
+    return ev.max_abs(cov_phi(ev, "canonical"))
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +212,21 @@ class ClassificationReport:
         return self.verdicts[name].holds
 
 
-def criterion_residuals(ev: StructureEval) -> dict[str, tuple[float, float]]:
-    """(residual, scale) at the evaluation point of every criterion that is
+def criterion_residuals(ev: StructureEval) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """(residual, scale) at each evaluated point of every criterion that is
     not a conjunction of others, and of the three quasi-Sasakian conditions."""
     bundle = nijenhuis_tensors(ev)
-    nij_scale = nanmax(_mag(bundle.n_phi), 2.0 * _mag(bundle.d_eta), 2.0 * _mag(bundle.d_eta_phi))
+    mag = ev.max_abs
+    nij_scale = nanmax(mag(bundle.n_phi), 2.0 * mag(bundle.d_eta), 2.0 * mag(bundle.d_eta_phi))
     return {
         "contact_metric": (
-            float(np.abs(ev.Omega0 - ev.omega0).max()),
-            nanmax(_mag(ev.Omega0), _mag(ev.omega0)),
+            mag(ev.Omega0 - ev.omega0),
+            nanmax(mag(ev.Omega0), mag(ev.omega0)),
         ),
-        "normal": (_mag(bundle.n1), nij_scale),
-        "almost_normal": (_mag(bundle.n_tilde), nij_scale),
-        "d_eta_xi_zero": (_mag(ev.d_eta_xi), nanmax(_mag(ev.omega0), 0.5 * _mag(ev.d_eta_xi))),
-        "d_Omega_zero": (_mag(d_fundamental_form(ev)), nanmax(_mag(ev.Omega0), _mag(ev.Omega1))),
+        "normal": (mag(bundle.n1), nij_scale),
+        "almost_normal": (mag(bundle.n_tilde), nij_scale),
+        "d_eta_xi_zero": (mag(ev.d_eta_xi), nanmax(mag(ev.omega0), 0.5 * mag(ev.d_eta_xi))),
+        "d_Omega_zero": (mag(d_fundamental_form(ev)), nanmax(mag(ev.Omega0), mag(ev.Omega1))),
         **qs_condition_residuals(ev),
     }
 
@@ -284,8 +286,8 @@ def classify(
     """
     if points is None:
         points = s.chart.sample_points(samples, seed)
-    worst: dict[str, WorstResidual] = defaultdict(WorstResidual)
-    for p in points:
-        for name, (residual, scale) in criterion_residuals(StructureEval(s, p)).items():
-            worst[name].add(residual, scale)
+    worst = {
+        name: WorstResidual(residual, scale)
+        for name, (residual, scale) in criterion_residuals(StructureEval(s, points)).items()
+    }
     return classification_report(worst, tol, len(points))

@@ -1,7 +1,8 @@
 """Command-line interface: manifest checks, classification, tensor printing.
 
 Exit codes: 0 all hard identities pass, 1 an identity failed (or the
-equivalent quasi-Sasakian conditions disagreed), 2 input error.
+equivalent quasi-Sasakian conditions disagreed, or a reported residual is
+NaN or infinite), 2 input error.
 Classification negatives (e.g. "not normal") never affect the exit code.
 """
 
@@ -80,9 +81,9 @@ def _tensor_payload(name: str, manifest: Manifest, p: np.ndarray) -> dict:
                 "n_na": _grid(coeffs.n_na)}
     if name == "torsion":
         result = torsion(ev, Endomorphism.canonical())
-        return {"components": _grid(result.components), "is_skew": result.is_skew,
-                "skew_residual": result.skew_residual,
-                "direct_residual": result.direct_residual}
+        return {"components": _grid(result.components), "is_skew": bool(result.is_skew),
+                "skew_residual": float(result.skew_residual),
+                "direct_residual": float(result.direct_residual)}
     if name == "schouten":
         return {"schouten": _grid(schouten(ev))}
     if name == "K":

@@ -15,7 +15,7 @@ import numpy as np
 from .chart import FRAME_LOWER, FRAME_UPPER, TensorGrid
 from .expr import field_jets
 from .residuals import nanmax
-from .structure import StructureEval
+from .structure import StructureEval, mat_t
 
 DEFAULT_TOL = 1e-9
 
@@ -48,20 +48,20 @@ class Endomorphism:
         return Endomorphism(psi_multiple=psi_multiple, offset=np.asarray(matrix, dtype=float))
 
     def value_at(self, ev: StructureEval) -> np.ndarray:
-        out = np.zeros((ev.m, ev.m))
+        out = ev.zeros(ev.m, ev.m)
         if self.psi_multiple:
             out += self.psi_multiple * ev.psi0
         if self.offset is not None:
             out += self.offset
         if self.fields is not None:
-            for idx in np.ndindex(self.fields.shape):
-                out[idx] += self.fields[idx].value(ev.p)
+            out += field_jets(self.fields, ev.p, order=0)[0]
         return out
 
 
 @dataclass(frozen=True)
 class ConnectionCoeffs:
-    """Connection coefficients at a point, split into the adapted blocks.
+    """Connection coefficients at the evaluated points, split into the
+    adapted blocks (each with the evaluation's batch axes in front).
 
     ``frame[a, b, c]`` is Gamma^a_{bc} (direction b).  ``mixed_an[b, a]``
     carries the horizontal-vertical block with the upper index first: for
@@ -88,9 +88,9 @@ def lc_adapted(ev: StructureEval) -> ConnectionCoeffs:
         which="levi_civita",
         frame=ev.Gamma0.copy(),
         mixed_an=(ev.Cmix0 + ev.psi0).copy(),
-        n_ab=full[:m, :m, last].copy(),
-        n_na=full[last, :m, last].copy(),
-        a_nn=full[last, last, :m].copy(),
+        n_ab=full[..., :m, :m, last].copy(),
+        n_na=full[..., last, :m, last].copy(),
+        a_nn=full[..., last, last, :m].copy(),
         full=full.copy(),
     )
 
@@ -104,7 +104,7 @@ def n_connection(ev: StructureEval, N: Endomorphism) -> ConnectionCoeffs:
         frame=ev.Gamma0.copy(),
         mixed_an=N0.copy(),
         n_ab=None,
-        n_na=full[last, :m, last].copy(),
+        n_na=full[..., last, :m, last].copy(),
         a_nn=None,
         full=full,
     )
@@ -126,32 +126,37 @@ def lc_coordinate(ev: StructureEval) -> np.ndarray:
     Standard formula on the full coordinate metric, read from the input jets
     alone; independent of the adapted-form decomposition, hence the oracle
     for :func:`lc_adapted`.  Returns coeff[i, j, k] with coordinate-frame
-    indices.
+    indices.  A singular coordinate metric is a :class:`SingularMetricError`
+    naming the first point where it is singular.
     """
     n, m = ev.n, ev.m
-    eta0 = np.zeros(n)
-    eta0[:m] = ev.gam0
-    eta0[-1] = 1.0
-    eta1 = np.zeros((n, n))
-    eta1[:m] = ev.gam1
+    eta0 = ev.zeros(n)
+    eta0[..., :m] = ev.gam0
+    eta0[..., -1] = 1.0
+    eta1 = ev.zeros(n, n)
+    eta1[..., :m, :] = ev.gam1
 
-    G0 = np.zeros((n, n))
-    G0[:m, :m] = ev.g0
-    G0 += np.outer(eta0, eta0)
-    G1 = np.zeros((n, n, n))
-    G1[:m, :m, :] = ev.g1
-    G1 += np.einsum("ik,j->ijk", eta1, eta0) + np.einsum("i,jk->ijk", eta0, eta1)
+    G0 = ev.zeros(n, n)
+    G0[..., :m, :m] = ev.g0
+    G0 += eta0[..., :, None] * eta0[..., None, :]
+    G1 = ev.zeros(n, n, n)
+    G1[..., :m, :m, :] = ev.g1
+    G1 += np.einsum("...ik,...j->...ijk", eta1, eta0) + np.einsum("...i,...jk->...ijk", eta0, eta1)
 
-    Ginv = np.linalg.inv(G0)
+    Ginv = ev.inverse(G0, "coordinate metric g + eta (x) eta")
     return 0.5 * np.einsum(
-        "km,ijm->ijk", Ginv, np.einsum("jmi->ijm", G1) + np.einsum("imj->ijm", G1) - G1
+        "...km,...ijm->...ijk",
+        Ginv,
+        np.einsum("...jmi->...ijm", G1) + np.einsum("...imj->...ijm", G1) - G1,
     )
 
 
 def coordinate_to_adapted(ev: StructureEval, coord_coeffs: np.ndarray) -> np.ndarray:
     """Re-express coordinate connection coefficients on the adapted frame."""
     E, dE = ev.frame  # dE[j, q, p] = d_p E[j, q]
-    W = np.einsum("ip,jqp->ijq", E, dE) + np.einsum("ip,jr,prq->ijq", E, E, coord_coeffs)
+    W = np.einsum("...ip,...jqp->...ijq", E, dE) + np.einsum(
+        "...ip,...jr,...prq->...ijq", E, E, coord_coeffs
+    )
     return to_frame_components(ev, W)
 
 
@@ -161,25 +166,24 @@ def coordinate_to_adapted(ev: StructureEval, coord_coeffs: np.ndarray) -> np.nda
 
 
 def bracket(V0, V1, W0, W1) -> np.ndarray:
-    """[V, W]^q = V^p d_p W^q - W^p d_p V^q from components and gradients."""
-    return np.einsum("p,qp->q", V0, W1) - np.einsum("p,qp->q", W0, V1)
+    """Pairwise brackets of two families of vector fields,
+    out[..., i, j, q] = [V_i, W_j]^q = V_i^p d_p W_j^q - W_j^p d_p V_i^q,
+    from components V0[..., i, q] and gradients V1[..., i, q, p]."""
+    return np.einsum("...ip,...jqp->...ijq", V0, W1) - np.einsum("...jp,...iqp->...ijq", W0, V1)
 
 
 def to_frame_components(ev: StructureEval, V: np.ndarray) -> np.ndarray:
     """Split coordinate vectors (last axis) into (horizontal components, eta(V))."""
     out = V.copy()
-    out[..., -1] = V[..., : ev.m] @ ev.gam0 + V[..., -1]
+    eta_h = np.einsum("...a,...a->...", V[..., : ev.m], ev.lift(ev.gam0, V.ndim))
+    out[..., -1] = eta_h + V[..., -1]
     return out
 
 
 def basis_brackets_frame(ev: StructureEval) -> np.ndarray:
-    """Frame components of [E_i, E_j] for all basis pairs: out[i, j, k]."""
+    """Frame components of [E_i, E_j] for all basis pairs: out[..., i, j, k]."""
     B0, B1 = ev.frame
-    out = np.empty((ev.n, ev.n, ev.n))
-    for i in range(ev.n):
-        for j in range(ev.n):
-            out[i, j] = to_frame_components(ev, bracket(B0[i], B1[i], B0[j], B1[j]))
-    return out
+    return to_frame_components(ev, bracket(B0, B1, B0, B1))
 
 
 # ---------------------------------------------------------------------------
@@ -189,37 +193,40 @@ def basis_brackets_frame(ev: StructureEval) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TorsionResult:
+    """Torsion at the evaluated points; the flags and residuals have the
+    evaluation's batch shape."""
+
     components: np.ndarray  # S~[i, j, k] = g(S(E_i, E_j), E_k), from the component table
-    is_skew: bool
-    skew_residual: float
-    direct_residual: float  # table vs nabla^N_X Y - nabla^N_Y X - [X, Y], lowered
+    is_skew: np.ndarray
+    skew_residual: np.ndarray
+    direct_residual: np.ndarray  # table vs nabla^N_X Y - nabla^N_Y X - [X, Y], lowered
 
 
 def torsion(ev: StructureEval, N: Endomorphism, tol: float = DEFAULT_TOL) -> TorsionResult:
     m, last = ev.m, ev.n - 1
     N0 = N.value_at(ev)
-    GN = N0.T @ ev.g0  # GN[a, b] = g(N e_a, e_b)
+    GN = mat_t(N0) @ ev.g0  # GN[a, b] = g(N e_a, e_b)
 
-    table = np.zeros((ev.n, ev.n, ev.n))
-    table[:m, :m, last] = 2.0 * ev.omega0
-    table[:m, last, :m] = -GN
-    table[last, :m, :m] = GN
+    table = ev.zeros(ev.n, ev.n, ev.n)
+    table[..., :m, :m, last] = 2.0 * ev.omega0
+    table[..., :m, last, :m] = -GN
+    table[..., last, :m, :m] = GN
 
     # direct definition from coefficients and honest coordinate brackets
     coeff = ev.n_full(N0)
-    S_upper = coeff - np.swapaxes(coeff, 0, 1) - basis_brackets_frame(ev)
-    direct = np.einsum("ijl,lk->ijk", S_upper, ev.g_full)
-    direct_residual = float(np.abs(direct - table).max())
+    S_upper = coeff - np.swapaxes(coeff, -3, -2) - basis_brackets_frame(ev)
+    direct = np.einsum("...ijl,...lk->...ijk", S_upper, ev.g_full)
+    direct_residual = ev.max_abs(direct - table)
 
     skew_residual = nanmax(
-        float(np.abs(table + np.swapaxes(table, 0, 1)).max()),
-        float(np.abs(table + np.swapaxes(table, 1, 2)).max()),
-        float(np.abs(table + np.moveaxis(table, (0, 1, 2), (2, 1, 0))).max()),
+        ev.max_abs(table + np.swapaxes(table, -3, -2)),
+        ev.max_abs(table + np.swapaxes(table, -2, -1)),
+        ev.max_abs(table + np.swapaxes(table, -3, -1)),
     )
-    scale = 1.0 + float(np.abs(table).max())
+    scale = 1.0 + ev.max_abs(table)
     return TorsionResult(
         components=table,
-        is_skew=bool(skew_residual < tol * scale),
+        is_skew=skew_residual < tol * scale,
         skew_residual=skew_residual,
         direct_residual=direct_residual,
     )
@@ -227,18 +234,18 @@ def torsion(ev: StructureEval, N: Endomorphism, tol: float = DEFAULT_TOL) -> Tor
 
 def metricity_defect(ev: StructureEval, N: Endomorphism) -> np.ndarray:
     """Full covariant derivative of the metric under the N-connection:
-    out[i, j, k] = (nabla^N_{E_i} g)(E_j, E_k)."""
+    out[..., i, j, k] = (nabla^N_{E_i} g)(E_j, E_k)."""
     n, m = ev.n, ev.m
     coeff = ev.n_full(N.value_at(ev))
-    dG = np.zeros((n, n, n))  # dG[j, k, i] = E_i g~_jk
-    dG[:m, :m, :] = ev.frame_d(ev.g1)
-    out = np.einsum("jki->ijk", dG)
-    out -= np.einsum("ijl,lk->ijk", coeff, ev.g_full)
-    out -= np.einsum("ikl,jl->ijk", coeff, ev.g_full)
+    dG = ev.zeros(n, n, n)  # dG[j, k, i] = E_i g~_jk
+    dG[..., :m, :m, :] = ev.frame_d(ev.g1)
+    out = np.einsum("...jki->...ijk", dG)
+    out -= np.einsum("...ijl,...lk->...ijk", coeff, ev.g_full)
+    out -= np.einsum("...ikl,...jl->...ijk", coeff, ev.g_full)
     return out
 
 
-def n_connection_formula_residual(ev: StructureEval, N: Endomorphism) -> float:
+def n_connection_formula_residual(ev: StructureEval, N: Endomorphism) -> np.ndarray:
     """Consistency of the N-connection coefficient table with its defining
     expression in terms of the Levi-Civita connection, evaluated on basis
     pairs: nabla^N_X Y = nabla~_X Y + (nabla~_X eta)(Y) xi - eta(Y) nabla~_X xi
@@ -249,15 +256,15 @@ def n_connection_formula_residual(ev: StructureEval, N: Endomorphism) -> float:
 
     formula = lc.copy()
     # + (nabla~_X eta)(E_j) xi, with (nabla~_{E_i} eta)(E_j) = -lc[i, j, last]
-    formula[:, :, last] -= lc[:, :, last]
+    formula[..., last] -= lc[..., last]
     # - eta(E_j) nabla~_{E_i} xi
-    formula[:, last, :] -= lc[:, last, :]
+    formula[..., last, :] -= lc[..., last, :]
     # - eta(E_i) (nabla~_xi eta)(E_j) xi, with (nabla~_xi eta)(E_j) = -lc[last, j, last]
-    formula[last, :, last] += lc[last, :, last]
+    formula[..., last, :, last] += lc[..., last, :, last]
     # - eta(E_i) (C + psi - N) E_j
-    formula[last, :m, :m] -= (ev.Cmix0 + ev.psi0 - N0).T
+    formula[..., last, :m, :m] -= mat_t(ev.Cmix0 + ev.psi0 - N0)
 
-    return float(np.abs(formula - ev.n_full(N0)).max())
+    return ev.max_abs(formula - ev.n_full(N0))
 
 
 # ---------------------------------------------------------------------------
@@ -269,23 +276,28 @@ def _cov_deriv_from_data(
     ev: StructureEval, T0: np.ndarray, T1: np.ndarray, valence: tuple[str, ...]
 ) -> np.ndarray:
     """Internal covariant derivative of an admissible tensor from its values
-    and coordinate gradients: out[c, ...] = (nabla_{e_c} t)_{...}."""
+    and coordinate gradients: out[..., c, ...] = (nabla_{e_c} t)_{...}."""
+    nb = len(ev.batch)
     eT = ev.frame_d(T1)[..., : ev.m]  # [..., c]
-    out = np.moveaxis(eT, -1, 0).copy()
+    out = np.moveaxis(eT, -1, nb).copy()
     for slot, v in enumerate(valence):
-        moved = np.moveaxis(T0, slot, -1)  # [rest..., d], rest in original order
+        moved = np.moveaxis(T0, nb + slot, -1)  # [rest..., d], rest in original order
+        rest = moved.shape[nb:-1]
+        flat = moved.reshape(ev.batch + (-1, ev.m))
         if v == FRAME_UPPER:
-            corr = np.einsum("acd,...d->ca...", ev.Gamma0, moved)  # +Gamma^a_{cd} t^{..d..}
+            corr = np.einsum("...acd,...rd->...car", ev.Gamma0, flat)  # +Gamma^a_{cd} t^{..d..}
         else:
-            corr = -np.einsum("dca,...d->ca...", ev.Gamma0, moved)  # -Gamma^d_{ca} t_{..d..}
-        out += np.moveaxis(corr, 1, slot + 1)
+            corr = -np.einsum("...dca,...rd->...car", ev.Gamma0, flat)  # -Gamma^d_{ca} t_{..d..}
+        corr = corr.reshape(ev.batch + (ev.m, ev.m) + rest)
+        out += np.moveaxis(corr, nb + 1, nb + slot + 1)
     return out
 
 
 def internal_cov_deriv(
     ev: StructureEval, t: TensorGrid | np.ndarray, valence: tuple[str, ...] | None = None
 ) -> TensorGrid:
-    """nabla of an admissible tensor field given as ScalarField components.
+    """nabla of an admissible tensor field given as ScalarField components,
+    at the single point of ``ev``.
 
     ``t`` is an object array (or a TensorGrid of one) in frame indices; the
     result gains a leading frame-lower direction index."""
@@ -301,18 +313,18 @@ def internal_cov_deriv(
 
 
 def nabla_omega(ev: StructureEval) -> np.ndarray:
-    """Internal covariant derivative of omega: out[c, a, b] = nabla_c omega_ab."""
+    """Internal covariant derivative of omega: out[..., c, a, b] = nabla_c omega_ab."""
     return _cov_deriv_from_data(ev, ev.omega0, ev.omega1, (FRAME_LOWER, FRAME_LOWER))
 
 
 def nabla_psi(ev: StructureEval) -> np.ndarray:
-    """Internal covariant derivative of psi: out[c, b, a] = nabla_c psi^b_a."""
+    """Internal covariant derivative of psi: out[..., c, b, a] = nabla_c psi^b_a."""
     return _cov_deriv_from_data(ev, ev.psi0, ev.psi1, (FRAME_UPPER, FRAME_LOWER))
 
 
 def cov_phi(ev: StructureEval, which: str) -> np.ndarray:
     """Covariant derivative of phi (extended by phi xi = 0) under the chosen
-    connection: out[i, b, a] = (nabla_{E_i} phi)^b_a over the full frame.
+    connection: out[..., i, b, a] = (nabla_{E_i} phi)^b_a over the full frame.
 
     ``which`` is 'levi_civita' or 'canonical'."""
     if which == "levi_civita":
@@ -323,7 +335,7 @@ def cov_phi(ev: StructureEval, which: str) -> np.ndarray:
         raise ValueError(f"unknown connection '{which}'")
     ephi = ev.phi_frame_d()  # [b, a, i]
     phi = ev.phi_full
-    out = np.einsum("bai->iba", ephi)
-    out += np.einsum("icb,ca->iba", coeff, phi)
-    out -= np.einsum("iac,bc->iba", coeff, phi)
+    out = np.einsum("...bai->...iba", ephi)
+    out += np.einsum("...icb,...ca->...iba", coeff, phi)
+    out -= np.einsum("...iac,...bc->...iba", coeff, phi)
     return out

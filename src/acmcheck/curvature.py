@@ -17,26 +17,25 @@ import numpy as np
 
 from .connection import basis_brackets_frame, nabla_omega, nabla_psi
 from .residuals import WorstResidual, nanmax
-from .structure import AdaptedStructure, StructureEval
+from .structure import AdaptedStructure, StructureEval, mat_t, memoised
 
 DEFAULT_TOL = 1e-7
 
 
 def schouten(ev: StructureEval) -> np.ndarray:
     eG = ev.frame_d(ev.Gamma1)[..., : ev.m]  # eG[d, b, c, a] = e_a Gamma^d_{bc}
-    first = np.einsum("dbca->dabc", eG)
-    quad = np.einsum("dae,ebc->dabc", ev.Gamma0, ev.Gamma0)
-    R = first + quad
-    return R - np.swapaxes(R, 1, 2)
+    R = np.einsum("...dae,...ebc->...dabc", ev.Gamma0, ev.Gamma0)
+    R += np.einsum("...dbca->...dabc", eG)  # + first
+    return R - np.swapaxes(R, -3, -2)
 
 
 @dataclass(frozen=True)
 class CurvatureK:
     """Canonical-connection curvature blocks.
 
-    ``frame[d, a, b, c]`` = K^d_{abc} (horizontal directions) and
-    ``mixed[d, a, c]`` = K^d_{anc} (second direction along the Reeb field),
-    which equals twice the internal derivative of psi.
+    ``frame[..., d, a, b, c]`` = K^d_{abc} (horizontal directions) and
+    ``mixed[..., d, a, c]`` = K^d_{anc} (second direction along the Reeb
+    field), which equals twice the internal derivative of psi.
     """
 
     frame: np.ndarray
@@ -45,8 +44,8 @@ class CurvatureK:
 
 def curvature_K(ev: StructureEval) -> CurvatureK:
     R = schouten(ev)
-    frame = R + 4.0 * np.einsum("ab,dc->dabc", ev.omega0, ev.psi0)
-    mixed = 2.0 * np.moveaxis(nabla_psi(ev), 0, 1)  # [d, a, c] from [a, d, c]
+    frame = R + 4.0 * np.einsum("...ab,...dc->...dabc", ev.omega0, ev.psi0)
+    mixed = 2.0 * np.swapaxes(nabla_psi(ev), -3, -2)  # [d, a, c] from [a, d, c]
     return CurvatureK(frame=frame, mixed=mixed)
 
 
@@ -57,29 +56,32 @@ def curvature_canonical_direct(ev: StructureEval) -> np.ndarray:
         K(E_i, E_j) E_k = nabla_i nabla_j E_k - nabla_j nabla_i E_k
                           - nabla_{[E_i, E_j]} E_k.
 
-    Returns K[i, j, k, q] over the full frame; the independent cross-check
-    for :func:`curvature_K`.
+    Returns K[..., i, j, k, q] over the full frame; the independent
+    cross-check for :func:`curvature_K`.
     """
     n, m, last = ev.n, ev.m, ev.n - 1
     coeff = ev.canonical_full
 
     # coordinate gradients of every nonzero coefficient block
-    grad = np.zeros((n, n, n, n))  # grad[j, k, q, r] = d_r coeff[j, k, q]
-    grad[:m, :m, :m, :] = np.moveaxis(ev.Gamma1, 0, 2)
-    grad[last, :m, :m, :] = 2.0 * np.einsum("bar->abr", ev.psi1)
-    grad[last, :m, last, :] = -ev.gam2[:, last, :]
+    grad = ev.zeros(n, n, n, n)  # grad[j, k, q, r] = d_r coeff[j, k, q]
+    grad[..., :m, :m, :m, :] = np.moveaxis(ev.Gamma1, -4, -2)
+    grad[..., last, :m, :m, :] = 2.0 * np.einsum("...bar->...abr", ev.psi1)
+    grad[..., last, :m, last, :] = -ev.gam2[..., :, last, :]
 
     Ecoeff = ev.frame_d(grad)  # [j, k, q, i] = E_i coeff[j, k, q]
     nonholonomy = basis_brackets_frame(ev)  # [i, j, m]
 
-    K = np.einsum("jkqi->ijkq", Ecoeff) - np.einsum("ikqj->ijkq", Ecoeff)
-    K += np.einsum("jkl,ilq->ijkq", coeff, coeff) - np.einsum("ikl,jlq->ijkq", coeff, coeff)
-    K -= np.einsum("ijm,mkq->ijkq", nonholonomy, coeff)
+    K = np.einsum("...jkqi->...ijkq", Ecoeff) - np.einsum("...ikqj->...ijkq", Ecoeff)
+    K += np.einsum("...jkl,...ilq->...ijkq", coeff, coeff) - np.einsum(
+        "...ikl,...jlq->...ijkq", coeff, coeff
+    )
+    K -= np.einsum("...ijm,...mkq->...ijkq", nonholonomy, coeff)
     return K
 
 
+@memoised
 def ricci_wagner(ev: StructureEval) -> np.ndarray:
-    return np.einsum("babc->ac", schouten(ev))
+    return np.einsum("...babc->...ac", schouten(ev))
 
 
 def ricci_k(ev: StructureEval) -> np.ndarray:
@@ -87,9 +89,9 @@ def ricci_k(ev: StructureEval) -> np.ndarray:
     k_ab = r_ab + 4 omega_{ad} psi^d_b, k_na = -nabla_d psi^d_a, Reeb
     column and corner zero."""
     n, m, last = ev.n, ev.m, ev.n - 1
-    out = np.zeros((n, n))
-    out[:m, :m] = ricci_wagner(ev) + 4.0 * np.einsum("ad,db->ab", ev.omega0, ev.psi0)
-    out[last, :m] = -np.einsum("dda->a", nabla_psi(ev))
+    out = ev.zeros(n, n)
+    out[..., :m, :m] = ricci_wagner(ev) + 4.0 * np.einsum("...ad,...db->...ab", ev.omega0, ev.psi0)
+    out[..., last, :m] = -np.einsum("...dda->...a", nabla_psi(ev))
     return out
 
 
@@ -123,37 +125,38 @@ class EinsteinReport:
 
 
 def einstein_sample(ev: StructureEval, omega_source: str) -> EinsteinSample:
-    """r and 4 omega_{da} psi^d_b at the evaluation point, with omega taken
-    from d(eta) or from the fundamental form."""
+    """r and 4 omega_{da} psi^d_b at the evaluated points (batch axes in
+    front), with omega taken from d(eta) or from the fundamental form."""
     if omega_source == "d_eta":
         om, psi = ev.omega0, ev.psi0
     elif omega_source == "fundamental_form":
         om = ev.Omega0
-        psi = ev.ginv0 @ ev.Omega0.T
+        psi = ev.ginv0 @ mat_t(ev.Omega0)
     else:
         raise ValueError(f"unknown omega_source '{omega_source}'")
-    rhs = 4.0 * np.einsum("da,db->ab", om, psi)
+    rhs = 4.0 * np.einsum("...da,...db->...ab", om, psi)
     return EinsteinSample(point=ev.p.copy(), r=ricci_wagner(ev), rhs=rhs)
 
 
 def einstein_report(
-    records: list[EinsteinSample], parallel_torsion_residual: float, omega_source: str, tol: float
+    batch: EinsteinSample, parallel_torsion_residual: float, omega_source: str, tol: float
 ) -> EinsteinReport:
-    """Verdict and per-component residual grid over the samples."""
-    grid = np.zeros_like(records[0].r)
-    worst = WorstResidual()
-    for rec in records:
-        diff = np.abs(rec.r - rec.rhs)
-        grid = np.maximum(grid, diff)
-        worst.add(diff.max(), nanmax(float(np.abs(rec.r).max()), float(np.abs(rec.rhs).max())))
+    """Verdict, per-component residual grid and per-point samples from an
+    :func:`einstein_sample` over the evaluated points."""
+    n, m = batch.point.shape[-1], batch.r.shape[-1]
+    points = batch.point.reshape(-1, n)
+    r = batch.r.reshape(-1, m, m)
+    rhs = batch.rhs.reshape(-1, m, m)
+    diff = np.abs(r - rhs)
+    worst = WorstResidual(diff, nanmax(np.abs(r).max(), np.abs(rhs).max()))
     return EinsteinReport(
         omega_source=omega_source,
         verdict=worst.holds(tol),
         max_residual=worst.residual,
-        residual_grid=grid,
+        residual_grid=diff.max(axis=0),
         parallel_torsion_residual=parallel_torsion_residual,
         tol=tol,
-        samples=tuple(records),
+        samples=tuple(EinsteinSample(point=p, r=a, rhs=b) for p, a, b in zip(points, r, rhs)),
     )
 
 
@@ -167,10 +170,6 @@ def einstein_check(
 ) -> EinsteinReport:
     if points is None:
         points = s.chart.sample_points(samples, seed)
-    records = []
-    parallel_torsion = WorstResidual()
-    for p in points:
-        ev = StructureEval(s, p)
-        records.append(einstein_sample(ev, omega_source))
-        parallel_torsion.add(np.abs(nabla_omega(ev)).max())
-    return einstein_report(records, parallel_torsion.residual, omega_source, tol)
+    ev = StructureEval(s, points)
+    parallel_torsion = WorstResidual(np.abs(nabla_omega(ev))).residual
+    return einstein_report(einstein_sample(ev, omega_source), parallel_torsion, omega_source, tol)

@@ -2,12 +2,13 @@
 
 Expressions are parsed over a fixed tuple of coordinate names and evaluated
 to second order: a :class:`Jet` carries value, gradient and (symmetric)
-Hessian, which is everything the downstream tensor computations need.
+Hessian, which is everything the downstream tensor computations need.  A
+field is evaluated once over a whole block of points; leading axes of every
+array are sample axes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,24 @@ class UnknownIdentifierError(ExprError):
 
 
 class ExprDomainError(ExprError):
-    """Evaluation left the function's domain (1/0, ln(x<=0), sqrt(x<0))."""
+    """Evaluation left the function's domain (1/0, ln(x<=0), sqrt(x<0)) or
+    exp overflowed.  ``where`` marks the offending points of the block until
+    :meth:`ScalarField.jet` names the expression and the first such point."""
+
+    def __init__(self, message: str, where: np.ndarray | None = None):
+        super().__init__(message)
+        self.where = where
+
+
+def describe_first(points: np.ndarray, mask) -> str:
+    """The first point of a block of points (..., n) at which ``mask`` (of
+    the batch shape, or broadcast to it) holds, with its sample index when
+    the block has sample axes."""
+    batch = points.shape[:-1]
+    at = np.unravel_index(np.argmax(np.broadcast_to(mask, batch)), batch)
+    if not at:
+        return f"point {points}"
+    return f"sample {', '.join(str(i) for i in at)}, point {points[at]}"
 
 
 # ---------------------------------------------------------------------------
@@ -41,29 +59,43 @@ class ExprDomainError(ExprError):
 # ---------------------------------------------------------------------------
 
 
-class Jet:
-    """Truncated second-order Taylor data: value, gradient, Hessian.
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., :, None] * v[..., None, :]
 
-    Arithmetic implements the usual forward-mode recurrences.  Products are
-    written so the Hessian stays exactly symmetric in floating point.
+
+def _sym(cross: np.ndarray) -> np.ndarray:
+    return cross + np.swapaxes(cross, -1, -2)
+
+
+class Jet:
+    """Truncated second-order Taylor data: value, gradient, Hessian, over a
+    block of points.
+
+    ``value`` has the block's batch shape; ``grad`` and ``hess`` add one and
+    two trailing coordinate axes.  Inside an evaluation a part that does not
+    vary over the block keeps a smaller batch shape and broadcasts (a
+    constant has batch shape ()); :meth:`ScalarField.jet` returns every part
+    at the full batch shape.  Arithmetic implements the usual forward-mode
+    recurrences, elementwise per point.  Products are written so the Hessian
+    stays exactly symmetric in floating point.
     """
 
     __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value: float, grad: np.ndarray, hess: np.ndarray):
+    def __init__(self, value, grad: np.ndarray, hess: np.ndarray):
         self.value = value
         self.grad = grad
         self.hess = hess
 
     @staticmethod
     def constant(value: float, n: int) -> "Jet":
-        return Jet(float(value), np.zeros(n), np.zeros((n, n)))
+        return Jet(np.float64(value), np.zeros(n), np.zeros((n, n)))
 
     @staticmethod
-    def variable(value: float, index: int, n: int) -> "Jet":
+    def variable(value, index: int, n: int) -> "Jet":
         g = np.zeros(n)
         g[index] = 1.0
-        return Jet(float(value), g, np.zeros((n, n)))
+        return Jet(np.asarray(value, dtype=float), g, np.zeros((n, n)))
 
     def __add__(self, other: "Jet") -> "Jet":
         return Jet(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
@@ -75,22 +107,26 @@ class Jet:
         return Jet(-self.value, -self.grad, -self.hess)
 
     def __mul__(self, other: "Jet") -> "Jet":
-        cross = np.outer(self.grad, other.grad)
+        cross = _outer(self.grad, other.grad)
         return Jet(
             self.value * other.value,
-            self.grad * other.value + self.value * other.grad,
-            self.hess * other.value + self.value * other.hess + cross + cross.T,
+            self.grad * other.value[..., None] + self.value[..., None] * other.grad,
+            self.hess * other.value[..., None, None]
+            + self.value[..., None, None] * other.hess
+            + cross
+            + np.swapaxes(cross, -1, -2),
         )
 
     def reciprocal(self) -> "Jet":
-        if self.value == 0.0:
-            raise ExprDomainError("division by zero")
+        zero = self.value == 0.0
+        if np.any(zero):
+            raise ExprDomainError("division by zero", zero)
         inv = 1.0 / self.value
-        cross = np.outer(self.grad, self.grad)
+        i1, i2 = inv[..., None], inv[..., None, None]
         return Jet(
             inv,
-            -self.grad * inv * inv,
-            -self.hess * inv * inv + (cross + cross.T) * inv * inv * inv,
+            -self.grad * i1 * i1,
+            -self.hess * i2 * i2 + _sym(_outer(self.grad, self.grad)) * i2 * i2 * i2,
         )
 
     def __truediv__(self, other: "Jet") -> "Jet":
@@ -100,40 +136,50 @@ class Jet:
         """Integer power by repeated multiplication (exact for polynomials)."""
         if k < 0:
             return self.ipow(-k).reciprocal()
-        n = self.grad.shape[0]
-        out = Jet.constant(1.0, n)
+        out = Jet.constant(1.0, self.grad.shape[-1])
         for _ in range(k):
             out = out * self
         return out
 
     def sin(self) -> "Jet":
-        s, c = math.sin(self.value), math.cos(self.value)
+        s, c = np.sin(self.value), np.cos(self.value)
         return self._unary(s, c, -s)
 
     def cos(self) -> "Jet":
-        s, c = math.sin(self.value), math.cos(self.value)
+        s, c = np.sin(self.value), np.cos(self.value)
         return self._unary(c, -s, -c)
 
     def exp(self) -> "Jet":
-        e = math.exp(self.value)
+        with np.errstate(over="ignore"):
+            e = np.exp(self.value)
+        overflow = np.isfinite(self.value) & ~np.isfinite(e)
+        if np.any(overflow):
+            raise ExprDomainError("exp overflows", overflow)
         return self._unary(e, e, e)
 
     def ln(self) -> "Jet":
-        if self.value <= 0.0:
-            raise ExprDomainError("ln of non-positive value")
-        return self._unary(math.log(self.value), 1.0 / self.value, -1.0 / (self.value * self.value))
+        bad = self.value <= 0.0
+        if np.any(bad):
+            raise ExprDomainError("ln of non-positive value", bad)
+        return self._unary(np.log(self.value), 1.0 / self.value, -1.0 / (self.value * self.value))
 
     def sqrt(self) -> "Jet":
-        if self.value < 0.0:
-            raise ExprDomainError("sqrt of negative value")
-        if self.value == 0.0:
-            raise ExprDomainError("sqrt not differentiable at zero")
-        r = math.sqrt(self.value)
+        negative = self.value < 0.0
+        if np.any(negative):
+            raise ExprDomainError("sqrt of negative value", negative)
+        zero = self.value == 0.0
+        if np.any(zero):
+            raise ExprDomainError("sqrt not differentiable at zero", zero)
+        r = np.sqrt(self.value)
         return self._unary(r, 0.5 / r, -0.25 / (r * self.value))
 
-    def _unary(self, f0: float, f1: float, f2: float) -> "Jet":
-        cross = np.outer(self.grad, self.grad)
-        return Jet(f0, f1 * self.grad, f1 * self.hess + f2 * 0.5 * (cross + cross.T))
+    def _unary(self, f0, f1, f2) -> "Jet":
+        return Jet(
+            f0,
+            f1[..., None] * self.grad,
+            f1[..., None, None] * self.hess
+            + (f2 * 0.5)[..., None, None] * _sym(_outer(self.grad, self.grad)),
+        )
 
     def __repr__(self) -> str:
         return f"Jet({self.value!r}, grad={self.grad!r})"
@@ -243,25 +289,27 @@ def _wrap(node: Node, minimum: int) -> str:
     return f"({text})" if _prec(node) < minimum else text
 
 
-def _eval_node(node: Node, jets: list[Jet], n: int) -> Jet:
+def _eval_node(node: Node, points: np.ndarray, n: int) -> Jet:
+    """Jet of ``node`` over a block of points; a subtree without a Var keeps
+    batch shape ()."""
     if isinstance(node, Const):
         return Jet.constant(node.value, n)
     if isinstance(node, Var):
-        return jets[node.index]
+        return Jet.variable(points[..., node.index], node.index, n)
     if isinstance(node, Neg):
-        return -_eval_node(node.arg, jets, n)
+        return -_eval_node(node.arg, points, n)
     if isinstance(node, Add):
-        return _eval_node(node.left, jets, n) + _eval_node(node.right, jets, n)
+        return _eval_node(node.left, points, n) + _eval_node(node.right, points, n)
     if isinstance(node, Sub):
-        return _eval_node(node.left, jets, n) - _eval_node(node.right, jets, n)
+        return _eval_node(node.left, points, n) - _eval_node(node.right, points, n)
     if isinstance(node, Mul):
-        return _eval_node(node.left, jets, n) * _eval_node(node.right, jets, n)
+        return _eval_node(node.left, points, n) * _eval_node(node.right, points, n)
     if isinstance(node, Div):
-        return _eval_node(node.left, jets, n) / _eval_node(node.right, jets, n)
+        return _eval_node(node.left, points, n) / _eval_node(node.right, points, n)
     if isinstance(node, Pow):
-        return _eval_node(node.base, jets, n).ipow(node.exponent)
+        return _eval_node(node.base, points, n).ipow(node.exponent)
     if isinstance(node, Call):
-        return getattr(_eval_node(node.arg, jets, n), node.func)()
+        return getattr(_eval_node(node.arg, points, n), node.func)()
     raise TypeError(f"unexpected node {node!r}")
 
 
@@ -436,14 +484,29 @@ class ScalarField:
     coords: tuple[str, ...]
 
     def jet(self, point: np.ndarray) -> Jet:
+        """Jet at a point of shape (n,) or over a block of shape (..., n).
+
+        A field without a Var is evaluated once and broadcast; an
+        :class:`ExprDomainError` names the expression and the first
+        offending point."""
         n = len(self.coords)
         p = np.asarray(point, dtype=float)
-        if p.shape != (n,):
-            raise ValueError(f"point has shape {p.shape}, expected ({n},)")
-        jets = [Jet.variable(p[i], i, n) for i in range(n)]
-        return _eval_node(self.ast, jets, n)
+        if p.ndim == 0 or p.shape[-1] != n:
+            raise ValueError(f"point has shape {p.shape}, expected (..., {n})")
+        try:
+            jet = _eval_node(self.ast, p, n)
+        except ExprDomainError as err:
+            if err.where is None:
+                raise
+            raise ExprDomainError(f"{err} in '{self}' at {describe_first(p, err.where)}") from None
+        batch = p.shape[:-1]
+        parts = (jet.value, jet.grad, jet.hess)
+        shapes = (batch, batch + (n,), batch + (n, n))
+        if any(np.shape(part) != shape for part, shape in zip(parts, shapes)):
+            jet = Jet(*(np.broadcast_to(part, shape) for part, shape in zip(parts, shapes)))
+        return jet
 
-    def value(self, point: np.ndarray) -> float:
+    def value(self, point: np.ndarray):
         return self.jet(point).value
 
     def __str__(self) -> str:
@@ -464,16 +527,16 @@ def parse(text: str, coords: tuple[str, ...] | list[str]) -> ScalarField:
     return ScalarField(_Parser(_tokenize(text), coords).parse(), coords)
 
 
-def field_jets(fields: np.ndarray, point: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
-    """Jets of an object array of ScalarFields at ``point``, stacked: the
-    values, the gradients (one trailing axis) and, for ``order`` 2, the
-    Hessians (two trailing axes)."""
-    shape, n = fields.shape, len(point)
-    jets = [f.jet(point) for f in fields.flat]
-    out = (
-        np.array([j.value for j in jets], dtype=float).reshape(shape),
-        np.array([j.grad for j in jets], dtype=float).reshape(shape + (n,)),
+def field_jets(fields: np.ndarray, points: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
+    """Jets of an object array of ScalarFields over a point or a block of
+    points of shape (..., n), each field evaluated once: the values (batch
+    shape + the fields' shape), then for ``order`` >= 1 the gradients (one
+    more trailing axis) and for ``order`` 2 the Hessians (two)."""
+    p = np.asarray(points, dtype=float)
+    batch, n = p.shape[:-1], p.shape[-1]
+    jets = [f.jet(p) for f in fields.flat]
+    parts = ([j.value for j in jets], [j.grad for j in jets], [j.hess for j in jets])
+    return tuple(
+        np.moveaxis(np.array(part), 0, len(batch)).reshape(batch + fields.shape + (n,) * k)
+        for k, part in enumerate(parts[: order + 1])
     )
-    if order == 2:
-        out += (np.array([j.hess for j in jets], dtype=float).reshape(shape + (n, n)),)
-    return out

@@ -11,23 +11,30 @@ fails its verdict instead of vanishing, as it would under Python's ``max``
 from __future__ import annotations
 
 import math
+from functools import reduce
+
+import numpy as np
 
 
-def nanmax(*values: float) -> float:
-    """The largest of ``values``; NaN when any of them is NaN."""
-    return math.nan if any(math.isnan(v) for v in values) else max(values)
+def nanmax(*values):
+    """Elementwise largest of ``values`` (scalars or arrays of one batch
+    shape); NaN wherever any of them is NaN."""
+    return reduce(np.maximum, values)
 
 
 class WorstResidual:
-    """Running maxima of a residual and its scale over sample points."""
+    """Maxima of a residual and its scale over sample points, from scalars
+    or arrays of per-point values."""
 
-    def __init__(self):
+    def __init__(self, residual=0.0, scale=0.0):
         self.residual = 0.0
         self.scale = 0.0
+        self.add(residual, scale)
 
-    def add(self, residual: float, scale: float = 0.0) -> None:
-        self.residual = nanmax(self.residual, float(residual))
-        self.scale = nanmax(self.scale, float(scale))
+    def add(self, residual, scale=0.0) -> None:
+        """Fold in the residuals and scales of one or more points."""
+        self.residual = float(nanmax(self.residual, np.max(residual)))
+        self.scale = float(nanmax(self.scale, np.max(scale)))
 
     def holds(self, tol: float) -> bool:
         return (

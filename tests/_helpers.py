@@ -79,3 +79,61 @@ def perturbed_flat(base: AdaptedStructure, rng: np.random.Generator) -> AdaptedS
         for b in range(a, base.chart.m):
             g[a, b] = g[b, a] = bump(base.g[a, b])
     return AdaptedStructure(chart=base.chart, g=g, phi=phi)
+
+
+# ---------------------------------------------------------------------------
+# Per-pair loop forms of the basis brackets and the Nijenhuis bundle, at a
+# single point: the reference for the library's pairwise bracket einsums
+# ---------------------------------------------------------------------------
+
+
+def _bracket(V0, V1, W0, W1) -> np.ndarray:
+    """[V, W]^q = V^p d_p W^q - W^p d_p V^q from components and gradients."""
+    return np.einsum("p,qp->q", V0, W1) - np.einsum("p,qp->q", W0, V1)
+
+
+def _to_frame(ev, V: np.ndarray) -> np.ndarray:
+    out = V.copy()
+    out[..., -1] = V[..., : ev.m] @ ev.gam0 + V[..., -1]
+    return out
+
+
+def _phi_apply(ev, V: np.ndarray) -> np.ndarray:
+    u = ev.phi0 @ V[: ev.m]
+    out = np.zeros(ev.n)
+    out[: ev.m] = u
+    out[-1] = -float(np.dot(u, ev.gam0))
+    return out
+
+
+def loop_basis_brackets_frame(ev) -> np.ndarray:
+    """Frame components of [E_i, E_j], one bracket per basis pair."""
+    B0, B1 = ev.frame
+    out = np.empty((ev.n, ev.n, ev.n))
+    for i in range(ev.n):
+        for j in range(ev.n):
+            out[i, j] = _to_frame(ev, _bracket(B0[i], B1[i], B0[j], B1[j]))
+    return out
+
+
+def loop_nijenhuis_phi(ev) -> np.ndarray:
+    """N_phi(E_i, E_j) in frame components, four brackets per basis pair."""
+    n, m = ev.n, ev.m
+    B0, B1 = ev.frame
+    P0 = np.zeros((n, n))
+    P1 = np.zeros((n, n, n))
+    P0[:m, :m] = ev.phi0.T
+    P0[:m, -1] = -ev.phi0.T @ ev.gam0
+    P1[:m, :m, :] = np.einsum("bij->ibj", ev.phi1)
+    P1[:m, -1, :] = -np.einsum("bij,b->ij", ev.phi1, ev.gam0) - np.einsum(
+        "bi,bj->ij", ev.phi0, ev.gam1
+    )
+    out = np.empty((n, n, n))
+    for i in range(n):
+        for j in range(n):
+            term = _bracket(P0[i], P1[i], P0[j], P1[j])
+            term += _phi_apply(ev, _phi_apply(ev, _bracket(B0[i], B1[i], B0[j], B1[j])))
+            term -= _phi_apply(ev, _bracket(P0[i], P1[i], B0[j], B1[j]))
+            term -= _phi_apply(ev, _bracket(B0[i], B1[i], P0[j], P1[j]))
+            out[i, j] = _to_frame(ev, term)
+    return out

@@ -1,0 +1,91 @@
+"""A block of points is evaluated as the stack of its points: the pairwise
+bracket einsums against their per-pair loop forms, and every CLI tensor and
+every identity, criterion, axiom and Einstein residual of one evaluation over
+all points against the stacked evaluations of batches of one."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from acmcheck.checks import identity_residuals
+from acmcheck.classify import criterion_residuals, nijenhuis_tensors
+from acmcheck.connection import (
+    Endomorphism,
+    basis_brackets_frame,
+    canonical_connection,
+    lc_adapted,
+    torsion,
+)
+from acmcheck.curvature import curvature_K, einstein_sample, ricci_k, ricci_wagner, schouten
+from acmcheck.manifest import OMEGA_SOURCES
+from acmcheck.structure import StructureEval, derived, validate_axioms
+
+from _helpers import loop_basis_brackets_frame, loop_nijenhuis_phi
+from conftest import FIXTURES
+
+RTOL = 1e-12
+ATOL = 1e-14
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_bracket_einsums_equal_per_pair_loops(name, structures, sample_sets):
+    s = structures[name]
+    points = sample_sets[name][:8]
+    ev = StructureEval(s, points)
+    brackets = basis_brackets_frame(ev)
+    n_phi = nijenhuis_tensors(ev).n_phi
+    for i, p in enumerate(points):
+        single = StructureEval(s, p)
+        assert np.array_equal(brackets[i], loop_basis_brackets_frame(single)), name
+        assert np.array_equal(n_phi[i], loop_nijenhuis_phi(single)), name
+
+
+def _quantities(ev: StructureEval) -> dict[str, np.ndarray]:
+    """Every CLI tensor and every per-point residual, keyed by name."""
+    d = derived(ev)
+    tors = torsion(ev, Endomorphism.canonical())
+    K = curvature_K(ev)
+    out = {
+        "omega": d.omega, "psi": d.psi, "C": d.C,
+        "lc-adapted": lc_adapted(ev).full,
+        "n-connection": canonical_connection(ev).full,
+        "torsion": tors.components,
+        "torsion.is_skew": tors.is_skew,
+        "schouten": schouten(ev),
+        "K.frame": K.frame, "K.mixed": K.mixed,
+        "ricci-wagner": ricci_wagner(ev),
+        "ricci-k": ricci_k(ev),
+    }
+    out.update({f"identity.{k}": v for k, v in identity_residuals(ev).items()})
+    out.update({f"axiom.{k}": v for k, v in validate_axioms(ev).items()})
+    for k, (residual, scale) in criterion_residuals(ev).items():
+        out[f"criterion.{k}"] = residual
+        out[f"criterion.{k}.scale"] = scale
+    for source in OMEGA_SOURCES:
+        sample = einstein_sample(ev, source)
+        out[f"einstein.{source}.r"] = sample.r
+        out[f"einstein.{source}.rhs"] = sample.rhs
+    return out
+
+
+@pytest.mark.parametrize("name", FIXTURES + ("twisted",))
+def test_batch_equals_stack_of_batches_of_one(name, structures, twisted):
+    s = twisted if name == "twisted" else structures[name]
+    points = s.chart.sample_points(8, seed=11)
+    whole = _quantities(StructureEval(s, points))
+    ones = [_quantities(StructureEval(s, points[i : i + 1])) for i in range(len(points))]
+    for key, value in whole.items():
+        stacked = np.concatenate([one[key] for one in ones])
+        assert np.shape(value) == np.shape(stacked) and len(value) == len(points), key
+        np.testing.assert_allclose(value, stacked, rtol=RTOL, atol=ATOL, err_msg=f"{name}: {key}")
+
+
+def test_single_point_is_batch_shape_empty(structures, sample_sets):
+    s = structures["example3-qs"]
+    points = sample_sets["example3-qs"][:3]
+    ev = StructureEval(s, points)
+    assert ev.batch == (3,) and ricci_wagner(ev).shape == (3, 4, 4)
+    single = StructureEval(s, points[1])
+    assert single.batch == () and ricci_wagner(single).shape == (4, 4)
+    np.testing.assert_allclose(ricci_wagner(ev)[1], ricci_wagner(single), rtol=RTOL, atol=ATOL)

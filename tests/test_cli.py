@@ -256,6 +256,65 @@ def test_cli_check_fails_on_non_finite_residual(tmp_path, capsys):
     assert not math.isfinite(report["einstein"]["fundamental_form"]["max_residual"])
 
 
+def _example1_variant(tmp_path, gamma0: str, **overrides) -> str:
+    data = json.loads(fixture_path("example1").read_text())
+    data["gamma"][0] = gamma0
+    data.update(overrides)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_cli_check_exp_overflow_is_input_error(tmp_path, capsys):
+    # exp(1000*x) leaves the doubles wherever x > 0.71: an input error that
+    # names the expression and the first offending sample point
+    code = main(["check", _example1_variant(tmp_path, "exp(1000*x)"), "--json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "exp overflows in 'exp(1000.0*x)' at sample" in err
+    assert "Traceback" not in err
+
+
+def test_cli_check_singular_oracle_metric_is_input_error(tmp_path, capsys):
+    # with |gamma| ~ e^120 the coordinate metric g + eta (x) eta is singular
+    # in floating point: an input error naming the first singular sample
+    code = main(["check", _example1_variant(tmp_path, "y*exp(x)^60"), "--json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "coordinate metric g + eta (x) eta singular at sample 3, point" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_check_overflowing_nonholonomy_form_has_no_rank(tmp_path, capsys):
+    # gamma * d_v gamma overflows near v = 2, so omega is not finite there:
+    # the rank is reported as -1 and the residuals fail visibly
+    domain = [[-2.0, 2.0]] * 4 + [[1.95, 2.0]]
+    path = _example1_variant(tmp_path, "y*exp(200*v)", domain=domain)
+    code = main(["check", path, "--json", "--samples", "4"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["rank"] == [-1]
+    assert not math.isfinite(report["identities"]["reeb_split_identity"]["max_residual"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_check_fails_on_non_finite_soft_residual(tmp_path, capsys):
+    # a metric factor exp(352*x) near x = 2 is finite, but its second
+    # derivative overflows: every hard identity holds, yet the Einstein
+    # residuals are not finite, so the run may not exit 0
+    data = json.loads(fixture_path("example1").read_text())
+    data["metric_frame"] = [["exp(352*x)" if i == j else "0" for j in range(4)] for i in range(4)]
+    data["domain"] = [[1.95, 2.0]] + [[-2.0, 2.0]] * 4
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    code = main(["check", str(path), "--json", "--samples", "4"])
+    report = json.loads(capsys.readouterr().out)
+    assert all(report["identities"][name]["holds"] for name in
+               ("lc_oracle", "projection_identity", "reeb_split_identity", "torsion_direct"))
+    assert not math.isfinite(report["einstein"]["d_eta"]["max_residual"])
+    assert code == 1
+
+
 def test_cli_einstein_reports_both_sources(capsys):
     code = main(["einstein", "example3-qs", "--json"])
     out = capsys.readouterr().out

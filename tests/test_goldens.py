@@ -63,13 +63,15 @@ def test_check_matches_golden(name):
 
 
 def test_one_evaluation_per_sampled_point(monkeypatch):
-    built = []
+    # one evaluation over the whole block of sampled points: each point is
+    # still evaluated exactly once
+    blocks = []
     original = structure.StructureEval.__init__
 
     def counting(self, *args, **kwargs):
-        built.append(1)
         original(self, *args, **kwargs)
+        blocks.append(self.p.shape)
 
     monkeypatch.setattr(structure.StructureEval, "__init__", counting)
     run_full_check(load_fixture("example3-qs"), samples=8)
-    assert len(built) == 8
+    assert blocks == [(8, 5)]
