@@ -9,16 +9,11 @@ from .chart import (  # noqa: F401
     AdaptedTransition,
     TensorGrid,
     change_chart,
-    d_eta_xi,
-    frame_apply,
-    omega_frame,
     rank_at,
 )
 from .structure import (  # noqa: F401
     AdaptedStructure,
-    DerivedTensors,
     StructureEval,
-    derived,
     exterior_derivative,
     validate_axioms,
 )

@@ -46,7 +46,9 @@ class TensorGrid:
     Frame indices range over the horizontal distribution (n-1 values);
     coordinate indices over the full chart (n values).  Admissible tensors
     are stored on frame indices only, which encodes their vanishing on the
-    Reeb/eta slots.  A grid holds the components at one point.
+    Reeb/eta slots.  Every axis carries a valence, so a grid holds the
+    components at one point; arrays over a block of points stay plain
+    arrays with the batch axes in front (see :mod:`acmcheck.structure`).
     """
 
     components: np.ndarray
@@ -128,14 +130,6 @@ class AdaptedChart:
 # ---------------------------------------------------------------------------
 
 
-def frame_apply(chart: AdaptedChart, a: int, f: ScalarField, p: np.ndarray) -> float:
-    """e_a f at p, with 0 <= a < n-1."""
-    if not 0 <= a < chart.m:
-        raise IndexError(f"frame index {a} out of range [0, {chart.m})")
-    jet = f.jet(p)
-    return float(jet.grad[a] - chart.gamma[a].value(p) * jet.grad[chart.n - 1])
-
-
 def gamma_jets(chart: AdaptedChart, p: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
     """Value, gradient and (for ``order`` 2) Hessian arrays of the gamma
     fields at a point or over a block of points."""
@@ -155,24 +149,14 @@ def adapted_frame(gam0: np.ndarray, gam1: np.ndarray) -> tuple[np.ndarray, np.nd
     return E0, E1
 
 
-def _omega(gam0: np.ndarray, gam1: np.ndarray) -> np.ndarray:
-    """omega_{ab} = (e_a gamma_b - e_b gamma_a)/2 from the gamma jets."""
+def nonholonomy(gam0: np.ndarray, gam1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, d_eta_xi) from the gamma jets: omega_{ab} = (e_a gamma_b -
+    e_b gamma_a)/2, skew by construction, and the vector d_n gamma_a, equal
+    to 2 d(eta)(xi, e_a)."""
     m = gam1.shape[-2]
     # e_a gamma_b = d_a gamma_b - gamma_a d_n gamma_b
     eg = np.swapaxes(gam1[..., :m], -1, -2) - gam0[..., :, None] * gam1[..., None, :, -1]
-    return 0.5 * (eg - np.swapaxes(eg, -1, -2))
-
-
-def omega_frame(chart: AdaptedChart, p: np.ndarray) -> TensorGrid:
-    """omega_{ab} = (e_a gamma_b - e_b gamma_a)/2; skew by construction."""
-    gam0, gam1 = gamma_jets(chart, p, order=1)
-    return TensorGrid(_omega(gam0, gam1), (FRAME_LOWER, FRAME_LOWER))
-
-
-def d_eta_xi(chart: AdaptedChart, p: np.ndarray) -> np.ndarray:
-    """The vector d_n gamma_a, equal to 2 d(eta)(xi, e_a)."""
-    _, gam1 = gamma_jets(chart, p, order=1)
-    return gam1[..., -1].copy()
+    return 0.5 * (eg - np.swapaxes(eg, -1, -2)), gam1[..., -1].copy()
 
 
 def rank_of(omega: np.ndarray, vertical: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -190,15 +174,14 @@ def rank_of(omega: np.ndarray, vertical: np.ndarray, tol: float = 1e-9) -> np.nd
 
 def rank_at(chart: AdaptedChart, p: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Pointwise rank of the structure at p (see :func:`rank_of`)."""
-    gam0, gam1 = gamma_jets(chart, p, order=1)
-    return rank_of(_omega(gam0, gam1), gam1[..., -1], tol)
+    return rank_of(*nonholonomy(*gamma_jets(chart, p, order=1)), tol)
 
 
 def frame_bracket(chart: AdaptedChart, a: int, b: int, p: np.ndarray) -> np.ndarray:
     """Coordinate components of [e_a, e_b], computed from jets of gamma.
 
     [V, W]^i = V^j d_j W^i - W^j d_j V^i with V = e_a, W = e_b.  Serves as
-    the independent oracle for :func:`omega_frame`.
+    the independent oracle for :func:`nonholonomy`.
     """
     E0, E1 = adapted_frame(*gamma_jets(chart, p, order=1))
     return (E1[..., b, :, :] @ E0[..., a, :, None] - E1[..., a, :, :] @ E0[..., b, :, None])[..., 0]

@@ -23,12 +23,12 @@ from .classify import (
     aqs_characterization_residual,
     canonical_nabla_phi_residual,
     classification_report,
-    criterion_residuals,
     projection_identity_residual,
     qs_characterization_residual,
     reeb_split_identity_residual,
 )
 from .connection import (
+    LC_ORACLE_TOL,
     Endomorphism,
     coordinate_to_adapted,
     lc_adapted,
@@ -39,15 +39,15 @@ from .connection import (
     nabla_psi,
     torsion,
 )
-from .curvature import EinsteinReport, einstein_report, einstein_sample
-from .manifest import OMEGA_SOURCES, Manifest
+from .curvature import EinsteinReport, einstein_reports
+from .manifest import Manifest
 from .residuals import WorstResidual
 from .structure import StructureEval, metric_definiteness, validate_axioms
 
 HARD_IDENTITIES = ("lc_oracle", "projection_identity", "reeb_split_identity", "torsion_direct")
 
 HARD_TOLERANCES = {
-    "lc_oracle": 1e-8,
+    "lc_oracle": LC_ORACLE_TOL,
     "projection_identity": 1e-9,
     "reeb_split_identity": 1e-9,
     "torsion_direct": 1e-9,
@@ -118,6 +118,21 @@ def identity_residuals(ev: StructureEval) -> dict[str, np.ndarray]:
     }
 
 
+def sampled_evaluation(
+    manifest: Manifest, samples: int | None = None, seed: int | None = None, tol: float | None = None
+) -> tuple[StructureEval, dict]:
+    """One evaluation over the manifest's sampled points, with the run
+    parameters ``samples``, ``seed`` and ``tolerance`` (the manifest's
+    defaults where not given)."""
+    run = {
+        "samples": manifest.samples if samples is None else samples,
+        "seed": manifest.seed if seed is None else seed,
+        "tolerance": manifest.tolerance if tol is None else tol,
+    }
+    s = manifest.structure()
+    return StructureEval(s, s.chart.sample_points(run["samples"], run["seed"])), run
+
+
 def run_full_check(
     manifest: Manifest,
     samples: int | None = None,
@@ -127,24 +142,15 @@ def run_full_check(
 ) -> RunReport:
     """Every identity, criterion and Einstein residual, from one evaluation
     over all sampled points."""
-    samples = manifest.samples if samples is None else samples
-    seed = manifest.seed if seed is None else seed
-    tol = manifest.tolerance if tol is None else tol
-    omega_source = manifest.omega_source if omega_source is None else omega_source
-
-    s = manifest.structure()
-    points = s.chart.sample_points(samples, seed)
-    ev = StructureEval(s, points)
+    ev, run = sampled_evaluation(manifest, samples, seed, tol)
+    samples, tol = run["samples"], run["tolerance"]
     metric_definiteness(ev)
     # the curvature goes first: its second-order temporaries then coexist
     # with the fewest cached tensors, which keeps the peak memory down
-    einstein_samples = {source: einstein_sample(ev, source) for source in OMEGA_SOURCES}
+    einstein = einstein_reports(ev, tol)
     axioms = {name: WorstResidual(value) for name, value in validate_axioms(ev).items()}
     worst = {name: WorstResidual(value) for name, value in identity_residuals(ev).items()}
-    criteria = {
-        name: WorstResidual(residual, scale)
-        for name, (residual, scale) in criterion_residuals(ev).items()
-    }
+    classification = classification_report(ev, tol)
     ranks = sorted(set(rank_of(ev.omega0, ev.d_eta_xi).ravel().tolist()))
 
     identities = {}
@@ -159,21 +165,12 @@ def run_full_check(
                  "canonical_nabla_phi", "nabla_omega", "nabla_psi"):
         identities[name] = {"max_residual": worst[name].residual, "samples": samples}
 
-    classification = classification_report(criteria, tol, len(points))
-    parallel_torsion = worst["nabla_omega"].residual
-    einstein = {
-        source: einstein_summary(einstein_report(sample, parallel_torsion, source, tol))
-        for source, sample in einstein_samples.items()
-    }
-
     data = {
         "tool_version": __version__,
         "manifest": manifest.source,
         "dimension": manifest.dimension,
-        "samples": samples,
-        "seed": seed,
-        "tolerance": tol,
-        "omega_source": omega_source,
+        **run,
+        "omega_source": manifest.omega_source if omega_source is None else omega_source,
         "axiom_residuals": {name: w.residual for name, w in axioms.items()},
         "identities": identities,
         "classification": classification_summary(classification),
@@ -186,7 +183,7 @@ def run_full_check(
             "max_abs": worst["metricity_defect"].residual,
             "reeb_row_max": worst["metricity_defect_reeb_row"].residual,
         },
-        "einstein": einstein,
+        "einstein": {source: einstein_summary(report) for source, report in einstein.items()},
     }
     return RunReport(data=data)
 

@@ -231,15 +231,19 @@ def criterion_residuals(ev: StructureEval) -> dict[str, tuple[np.ndarray, np.nda
     }
 
 
-def classification_report(
-    worst: dict[str, WorstResidual], tol: float, n_points: int
-) -> ClassificationReport:
-    """Verdicts from the worst :func:`criterion_residuals` over the samples.
+def classification_report(ev: StructureEval, tol: float) -> ClassificationReport:
+    """Verdicts from the worst :func:`criterion_residuals` over the
+    evaluated points.
 
     Raises :class:`InternalConsistencyError` if the structure classifies as
     almost quasi-Sasakian while the three equivalent quasi-Sasakian
     conditions disagree (they are provably equivalent in that regime).
     """
+    n_points = int(np.prod(ev.batch))
+    worst = {
+        name: WorstResidual(residual, scale)
+        for name, (residual, scale) in criterion_residuals(ev).items()
+    }
 
     def verdict(*names: str) -> CriterionVerdict:
         parts = [worst[name] for name in names]
@@ -286,8 +290,4 @@ def classify(
     """
     if points is None:
         points = s.chart.sample_points(samples, seed)
-    worst = {
-        name: WorstResidual(residual, scale)
-        for name, (residual, scale) in criterion_residuals(StructureEval(s, points)).items()
-    }
-    return classification_report(worst, tol, len(points))
+    return classification_report(StructureEval(s, points), tol)

@@ -15,13 +15,13 @@ import sys
 import numpy as np
 
 from .chart import ChartError, rank_at
-from .checks import classification_summary, einstein_summary, run_full_check
-from .classify import InternalConsistencyError, classify
+from .checks import classification_summary, einstein_summary, run_full_check, sampled_evaluation
+from .classify import InternalConsistencyError, classification_report
 from .connection import Endomorphism, canonical_connection, lc_adapted, torsion
-from .curvature import curvature_K, einstein_check, ricci_k, ricci_wagner, schouten
+from .curvature import curvature_K, einstein_reports, ricci_k, ricci_wagner, schouten
 from .expr import ExprError
-from .manifest import OMEGA_SOURCES, Manifest, ManifestError, load_manifest
-from .structure import StructureError, StructureEval, derived
+from .manifest import Manifest, ManifestError, load_manifest
+from .structure import StructureError, StructureEval
 
 TENSOR_NAMES = (
     "omega", "psi", "C", "lc-adapted", "n-connection", "torsion",
@@ -64,8 +64,7 @@ def _grid(arr: np.ndarray) -> list:
 def _tensor_payload(name: str, manifest: Manifest, p: np.ndarray) -> dict:
     ev = StructureEval(manifest.structure(), p)
     if name in ("omega", "psi", "C"):
-        d = derived(ev)
-        return {name: _grid({"omega": d.omega, "psi": d.psi, "C": d.C}[name])}
+        return {name: _grid(getattr(ev, f"{name}0"))}
     if name == "lc-adapted":
         coeffs = lc_adapted(ev)
         return {
@@ -113,7 +112,11 @@ def _print_check_human(report) -> None:
     print(f"rank values: {data['rank']}")
     met = data["metricity"]
     print(f"metricity defect: max {met['max_abs']:.3e} (reeb row {met['reeb_row_max']:.3e})")
-    for source, entry in data["einstein"].items():
+    _print_einstein_human(data["einstein"])
+
+
+def _print_einstein_human(einstein: dict) -> None:
+    for source, entry in einstein.items():
         mark = "yes" if entry["verdict"] else "no"
         print(
             f"einstein[{source}]: {mark} (max residual {entry['max_residual']:.3e},"
@@ -176,14 +179,11 @@ def main(argv: list[str] | None = None) -> int:
                 _print_check_human(report)
             return 0 if report.passed else 1
 
+        if args.command in ("classify", "einstein"):
+            ev, run = sampled_evaluation(manifest, args.samples, args.seed, args.tol)
+
         if args.command == "classify":
-            s = manifest.structure()
-            report = classify(
-                s,
-                samples=manifest.samples if args.samples is None else args.samples,
-                tol=manifest.tolerance if args.tol is None else args.tol,
-                seed=manifest.seed if args.seed is None else args.seed,
-            )
+            report = classification_report(ev, run["tolerance"])
             if args.as_json:
                 print(json.dumps(classification_summary(report), sort_keys=True, indent=2))
             else:
@@ -204,23 +204,12 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "einstein":
-            s = manifest.structure()
-            points = s.chart.sample_points(
-                manifest.samples if args.samples is None else args.samples,
-                manifest.seed if args.seed is None else args.seed,
-            )
-            tol = manifest.tolerance if args.tol is None else args.tol
-            payload = {
-                source: einstein_summary(einstein_check(s, tol=tol, omega_source=source, points=points))
-                for source in OMEGA_SOURCES
-            }
+            reports = einstein_reports(ev, run["tolerance"])
+            payload = {source: einstein_summary(report) for source, report in reports.items()}
             if args.as_json:
                 print(json.dumps(payload, sort_keys=True, indent=2))
             else:
-                for source, entry in payload.items():
-                    mark = "yes" if entry["verdict"] else "no"
-                    print(f"einstein[{source}]: {mark} (max residual {entry['max_residual']:.3e},"
-                          f" parallel torsion {entry['parallel_torsion_residual']:.3e})")
+                _print_einstein_human(payload)
             return 0
 
         if args.command == "rank":

@@ -13,11 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import FRAME_LOWER, FRAME_UPPER, TensorGrid
-from .expr import field_jets
+from .expr import describe_first, field_jets
 from .residuals import nanmax
-from .structure import StructureEval, mat_t
+from .structure import SingularMetricError, StructureEval, mat_t, memoised
 
 DEFAULT_TOL = 1e-9
+
+# absolute tolerance of the coordinate-oracle comparison; a coordinate
+# metric whose condition number (scaled to unit diagonal) reaches
+# LC_ORACLE_TOL / eps cannot be inverted to that accuracy, so the oracle
+# refuses it
+LC_ORACLE_TOL = 1e-8
+ORACLE_COND_LIMIT = LC_ORACLE_TOL / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -60,54 +67,55 @@ class Endomorphism:
 
 @dataclass(frozen=True)
 class ConnectionCoeffs:
-    """Connection coefficients at the evaluated points, split into the
-    adapted blocks (each with the evaluation's batch axes in front).
+    """Connection coefficients at the evaluated points: the assembled array
+    ``full[..., i, j, k]`` on the frame (e_a, xi) and its adapted blocks,
+    which are read-only views of it (each with the evaluation's batch axes
+    in front).
 
     ``frame[a, b, c]`` is Gamma^a_{bc} (direction b).  ``mixed_an[b, a]``
     carries the horizontal-vertical block with the upper index first: for
     the Levi-Civita form it is C^b_a + psi^b_a (the same in both mixed
-    slots), for an N-connection it is N^b_a (direction xi).  ``full[i, j,
-    k]`` is the assembled coefficient array on the frame (e_a, xi).
+    slots), for an N-connection it is N^b_a (direction xi).  ``n_ab`` and
+    ``a_nn`` exist for the Levi-Civita form only.
     """
 
     which: str
-    frame: np.ndarray
-    mixed_an: np.ndarray
-    n_ab: np.ndarray | None
-    n_na: np.ndarray
-    a_nn: np.ndarray | None
     full: np.ndarray
+
+    def __post_init__(self):
+        full = self.full.view()
+        full.flags.writeable = False
+        object.__setattr__(self, "full", full)
+
+    @property
+    def frame(self) -> np.ndarray:
+        return np.moveaxis(self.full[..., :-1, :-1, :-1], -1, -3)
+
+    @property
+    def mixed_an(self) -> np.ndarray:
+        return mat_t(self.full[..., -1, :-1, :-1])
+
+    @property
+    def n_na(self) -> np.ndarray:
+        return self.full[..., -1, :-1, -1]
+
+    @property
+    def n_ab(self) -> np.ndarray | None:
+        return self.full[..., :-1, :-1, -1] if self.which == "levi_civita" else None
+
+    @property
+    def a_nn(self) -> np.ndarray | None:
+        return self.full[..., -1, -1, :-1] if self.which == "levi_civita" else None
 
 
 def lc_adapted(ev: StructureEval) -> ConnectionCoeffs:
     """Levi-Civita coefficients in adapted form: the horizontal block shared
     with the internal connection plus the four mixed blocks."""
-    m, last = ev.m, ev.n - 1
-    full = ev.lc_full
-    return ConnectionCoeffs(
-        which="levi_civita",
-        frame=ev.Gamma0.copy(),
-        mixed_an=(ev.Cmix0 + ev.psi0).copy(),
-        n_ab=full[..., :m, :m, last].copy(),
-        n_na=full[..., last, :m, last].copy(),
-        a_nn=full[..., last, last, :m].copy(),
-        full=full.copy(),
-    )
+    return ConnectionCoeffs("levi_civita", ev.lc_full)
 
 
 def n_connection(ev: StructureEval, N: Endomorphism) -> ConnectionCoeffs:
-    m, last = ev.m, ev.n - 1
-    N0 = N.value_at(ev)
-    full = ev.n_full(N0)
-    return ConnectionCoeffs(
-        which="n_connection",
-        frame=ev.Gamma0.copy(),
-        mixed_an=N0.copy(),
-        n_ab=None,
-        n_na=full[..., last, :m, last].copy(),
-        a_nn=None,
-        full=full,
-    )
+    return ConnectionCoeffs("n_connection", ev.n_full(N.value_at(ev)))
 
 
 def canonical_connection(ev: StructureEval) -> ConnectionCoeffs:
@@ -126,8 +134,9 @@ def lc_coordinate(ev: StructureEval) -> np.ndarray:
     Standard formula on the full coordinate metric, read from the input jets
     alone; independent of the adapted-form decomposition, hence the oracle
     for :func:`lc_adapted`.  Returns coeff[i, j, k] with coordinate-frame
-    indices.  A singular coordinate metric is a :class:`SingularMetricError`
-    naming the first point where it is singular.
+    indices.  A singular coordinate metric, or one too ill-conditioned for
+    the oracle's tolerance, is a :class:`SingularMetricError` naming the
+    first point where it is so (a non-finite one is left to the residuals).
     """
     n, m = ev.n, ev.m
     eta0 = ev.zeros(n)
@@ -143,7 +152,21 @@ def lc_coordinate(ev: StructureEval) -> np.ndarray:
     G1[..., :m, :m, :] = ev.g1
     G1 += np.einsum("...ik,...j->...ijk", eta1, eta0) + np.einsum("...i,...jk->...ijk", eta0, eta1)
 
-    Ginv = ev.inverse(G0, "coordinate metric g + eta (x) eta")
+    what = "coordinate metric g + eta (x) eta"
+    Ginv = ev.inverse(G0, what)
+    # a diagonal scaling does not cost the inverse accuracy (exp(352*x) on
+    # the metric diagonal is harmless), so G is scaled to unit diagonal first
+    diag = np.abs(np.diagonal(G0, axis1=-2, axis2=-1))
+    with np.errstate(all="ignore"):
+        unit = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+        scaled = G0 * unit[..., :, None] * unit[..., None, :]
+    finite = np.isfinite(scaled).all(axis=(-2, -1))
+    cond = np.linalg.cond(np.where(finite[..., None, None], scaled, np.eye(n)))
+    ill = cond >= ORACLE_COND_LIMIT
+    if np.any(ill):
+        raise SingularMetricError(
+            f"{what} ill-conditioned at {describe_first(ev.p, ill)} (cond {cond[ill][0]:.3e})"
+        )
     return 0.5 * np.einsum(
         "...km,...ijm->...ijk",
         Ginv,
@@ -297,7 +320,8 @@ def internal_cov_deriv(
     ev: StructureEval, t: TensorGrid | np.ndarray, valence: tuple[str, ...] | None = None
 ) -> TensorGrid:
     """nabla of an admissible tensor field given as ScalarField components,
-    at the single point of ``ev``.
+    at the point of a single-point evaluation (batch shape (), since a
+    TensorGrid holds one point).
 
     ``t`` is an object array (or a TensorGrid of one) in frame indices; the
     result gains a leading frame-lower direction index."""
@@ -312,6 +336,7 @@ def internal_cov_deriv(
     return TensorGrid(out, (FRAME_LOWER,) + tuple(valence))
 
 
+@memoised
 def nabla_omega(ev: StructureEval) -> np.ndarray:
     """Internal covariant derivative of omega: out[..., c, a, b] = nabla_c omega_ab."""
     return _cov_deriv_from_data(ev, ev.omega0, ev.omega1, (FRAME_LOWER, FRAME_LOWER))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import basis_brackets_frame, nabla_omega, nabla_psi
+from .manifest import OMEGA_SOURCES
 from .residuals import WorstResidual, nanmax
 from .structure import AdaptedStructure, StructureEval, mat_t, memoised
 
@@ -102,6 +103,8 @@ def ricci_k(ev: StructureEval) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EinsteinSample:
+    """r and 4 omega_{da} psi^d_b at the evaluated points, batch axes in front."""
+
     point: np.ndarray
     r: np.ndarray
     rhs: np.ndarray
@@ -121,12 +124,12 @@ class EinsteinReport:
     residual_grid: np.ndarray
     parallel_torsion_residual: float
     tol: float
-    samples: tuple[EinsteinSample, ...]
+    samples: EinsteinSample
 
 
 def einstein_sample(ev: StructureEval, omega_source: str) -> EinsteinSample:
-    """r and 4 omega_{da} psi^d_b at the evaluated points (batch axes in
-    front), with omega taken from d(eta) or from the fundamental form."""
+    """r and 4 omega_{da} psi^d_b at the evaluated points, with omega taken
+    from d(eta) or from the fundamental form."""
     if omega_source == "d_eta":
         om, psi = ev.omega0, ev.psi0
     elif omega_source == "fundamental_form":
@@ -138,26 +141,29 @@ def einstein_sample(ev: StructureEval, omega_source: str) -> EinsteinSample:
     return EinsteinSample(point=ev.p.copy(), r=ricci_wagner(ev), rhs=rhs)
 
 
-def einstein_report(
-    batch: EinsteinSample, parallel_torsion_residual: float, omega_source: str, tol: float
-) -> EinsteinReport:
-    """Verdict, per-component residual grid and per-point samples from an
-    :func:`einstein_sample` over the evaluated points."""
-    n, m = batch.point.shape[-1], batch.r.shape[-1]
-    points = batch.point.reshape(-1, n)
-    r = batch.r.reshape(-1, m, m)
-    rhs = batch.rhs.reshape(-1, m, m)
-    diff = np.abs(r - rhs)
-    worst = WorstResidual(diff, nanmax(np.abs(r).max(), np.abs(rhs).max()))
-    return EinsteinReport(
-        omega_source=omega_source,
-        verdict=worst.holds(tol),
-        max_residual=worst.residual,
-        residual_grid=diff.max(axis=0),
-        parallel_torsion_residual=parallel_torsion_residual,
-        tol=tol,
-        samples=tuple(EinsteinSample(point=p, r=a, rhs=b) for p, a, b in zip(points, r, rhs)),
-    )
+def einstein_reports(
+    ev: StructureEval, tol: float, sources: tuple[str, ...] = OMEGA_SOURCES
+) -> dict[str, EinsteinReport]:
+    """Verdict, per-component residual grid and samples for each omega
+    source, from one evaluation over the sampled points."""
+    parallel_torsion = WorstResidual(ev.max_abs(nabla_omega(ev))).residual
+    reports = {}
+    for source in sources:
+        sample = einstein_sample(ev, source)
+        m = sample.r.shape[-1]
+        r, rhs = sample.r.reshape(-1, m, m), sample.rhs.reshape(-1, m, m)
+        diff = np.abs(r - rhs)
+        worst = WorstResidual(diff, nanmax(np.abs(r).max(), np.abs(rhs).max()))
+        reports[source] = EinsteinReport(
+            omega_source=source,
+            verdict=worst.holds(tol),
+            max_residual=worst.residual,
+            residual_grid=diff.max(axis=0),
+            parallel_torsion_residual=parallel_torsion,
+            tol=tol,
+            samples=sample,
+        )
+    return reports
 
 
 def einstein_check(
@@ -170,6 +176,4 @@ def einstein_check(
 ) -> EinsteinReport:
     if points is None:
         points = s.chart.sample_points(samples, seed)
-    ev = StructureEval(s, points)
-    parallel_torsion = WorstResidual(np.abs(nabla_omega(ev))).residual
-    return einstein_report(einstein_sample(ev, omega_source), parallel_torsion, omega_source, tol)
+    return einstein_reports(StructureEval(s, points), tol, (omega_source,))[omega_source]

@@ -27,14 +27,8 @@ class WorstResidual:
     or arrays of per-point values."""
 
     def __init__(self, residual=0.0, scale=0.0):
-        self.residual = 0.0
-        self.scale = 0.0
-        self.add(residual, scale)
-
-    def add(self, residual, scale=0.0) -> None:
-        """Fold in the residuals and scales of one or more points."""
-        self.residual = float(nanmax(self.residual, np.max(residual)))
-        self.scale = float(nanmax(self.scale, np.max(scale)))
+        self.residual = float(nanmax(0.0, np.max(residual)))
+        self.scale = float(nanmax(0.0, np.max(scale)))
 
     def holds(self, tol: float) -> bool:
         return (

@@ -28,7 +28,7 @@ from math import factorial
 
 import numpy as np
 
-from .chart import AdaptedChart, adapted_frame, gamma_jets
+from .chart import AdaptedChart, adapted_frame, gamma_jets, nonholonomy
 from .expr import Const, ScalarField, describe_first, field_jets
 
 
@@ -203,9 +203,17 @@ class StructureEval:
         return -np.einsum("...ac,...cdj,...db->...abj", self.ginv0, self.g1, self.ginv0)
 
     @cached_property
+    def _nonholonomy(self):
+        return nonholonomy(self.gam0, self.gam1)
+
+    @property
     def omega0(self) -> np.ndarray:
-        D = self.frame_d(self.gam1)[..., : self.m]  # D[b, a] = e_a gamma_b
-        return 0.5 * (mat_t(D) - D)
+        return self._nonholonomy[0]
+
+    @property
+    def d_eta_xi(self) -> np.ndarray:
+        """d_n gamma_a = 2 d(eta)(xi, e_a)."""
+        return self._nonholonomy[1]
 
     @cached_property
     def omega1(self) -> np.ndarray:
@@ -242,34 +250,33 @@ class StructureEval:
         )
 
     @cached_property
-    def Gamma0(self) -> np.ndarray:
-        """Internal connection Gamma^a_{bc} (also the horizontal Levi-Civita block)."""
+    def koszul0(self) -> np.ndarray:
+        """Koszul sums T[b, c, d] = e_b g_cd + e_c g_bd - e_d g_bc, so that
+        Gamma^a_{bc} = g^{ad} T_bcd / 2."""
         E = self.frame_d(self.g1)[..., : self.m]  # E[c, d, i] = e_i g_cd
-        T = (
+        return (
             np.einsum("...cdb->...bcd", E)
             + np.einsum("...bdc->...bcd", E)
             - np.einsum("...bcd->...bcd", E)
         )
-        return 0.5 * np.einsum("...ad,...bcd->...abc", self.ginv0, T)
+
+    @cached_property
+    def Gamma0(self) -> np.ndarray:
+        """Internal connection Gamma^a_{bc} (also the horizontal Levi-Civita block)."""
+        return 0.5 * np.einsum("...ad,...bcd->...abc", self.ginv0, self.koszul0)
 
     @property
     def Gamma1(self) -> np.ndarray:
         """Coordinate gradient of Gamma0, Gamma1[..., a, b, c, j]; only the
         curvature reads it, once per evaluation, so it is not kept."""
-        E = self.frame_d(self.g1)[..., : self.m]
         E1 = self.frame_d_grad(self.g1, self.g2)  # E1[c, d, i, j] = d_j e_i g_cd
-        T = np.einsum("...cdb->...bcd", E) + np.einsum("...bdc->...bcd", E) - E
         T1 = np.einsum("...cdbj->...bcdj", E1) + np.einsum("...bdcj->...bcdj", E1)
         T1 -= E1
         del E1
-        out = np.einsum("...adj,...bcd->...abcj", self.ginv1, T)
+        out = np.einsum("...adj,...bcd->...abcj", self.ginv1, self.koszul0)
         out += np.einsum("...ad,...bcdj->...abcj", self.ginv0, T1)
         out *= 0.5
         return out
-
-    @cached_property
-    def d_eta_xi(self) -> np.ndarray:
-        return self.gam1[..., -1].copy()
 
     # -- full-frame metric and connection coefficient arrays ------------------
 
@@ -345,16 +352,6 @@ def memoised(builder):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerivedTensors:
-    Omega: np.ndarray
-    omega: np.ndarray
-    psi: np.ndarray
-    C: np.ndarray
-    C_mixed: np.ndarray
-    trace_psi_sq: np.ndarray
-
-
 def validate_axioms(ev: StructureEval) -> dict[str, np.ndarray]:
     """Max-abs residual of each structure axiom at each evaluated point.
 
@@ -390,19 +387,6 @@ def metric_definiteness(ev: StructureEval, floor: float = 1e-9) -> np.ndarray:
         at, eigenvalue = describe_first(ev.p, low), smallest[low][0]
         raise SingularMetricError(f"frame metric {kind} at {at} (eigenvalue {eigenvalue:.3e})")
     return smallest
-
-
-def derived(ev: StructureEval) -> DerivedTensors:
-    """Fundamental form, omega, psi, C and tr(psi^2) at the evaluated points."""
-    psi = ev.psi0
-    return DerivedTensors(
-        Omega=ev.Omega0,
-        omega=ev.omega0,
-        psi=psi,
-        C=ev.C0,
-        C_mixed=ev.Cmix0,
-        trace_psi_sq=np.einsum("...ab,...ba->...", psi, psi),
-    )
 
 
 def ext_d_from_grad(grads: np.ndarray, rank: int) -> np.ndarray:
@@ -457,17 +441,9 @@ def _perm_sign(perm: tuple[int, ...]) -> float:
     return sign
 
 
-def fundamental_form_coordinate(ev: StructureEval) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate components of Omega with their gradients (zero-padded)."""
-    n, m = ev.n, ev.m
-    F0 = ev.zeros(n, n)
-    F0[..., :m, :m] = ev.Omega0
-    F1 = ev.zeros(n, n, n)
-    F1[..., :m, :m, :] = ev.Omega1
-    return F0, F1
-
-
 def d_fundamental_form(ev: StructureEval) -> np.ndarray:
-    """Coordinate components of d(Omega) at the evaluated points."""
-    _, F1 = fundamental_form_coordinate(ev)
+    """Coordinate components of d(Omega) at the evaluated points, from the
+    gradients of Omega zero-padded to the coordinate frame."""
+    F1 = ev.zeros(ev.n, ev.n, ev.n)
+    F1[..., : ev.m, : ev.m, :] = ev.Omega1
     return ext_d_from_grad(F1, 2)

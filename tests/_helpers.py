@@ -11,6 +11,11 @@ from acmcheck.structure import AdaptedStructure
 COORDS = ("x", "y", "z", "u", "v")
 
 
+def trace_psi_sq(ev) -> np.ndarray:
+    """tr(psi^2) at the evaluated points."""
+    return np.einsum("...ab,...ba->...", ev.psi0, ev.psi0)
+
+
 def fd_gradient(field: ScalarField, p: np.ndarray, h: float = 1e-4) -> np.ndarray:
     n = len(p)
     g = np.zeros(n)

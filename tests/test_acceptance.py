@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _helpers import fd_gradient, fd_hessian, perturbed_flat, random_poly_text
+from _helpers import fd_gradient, fd_hessian, perturbed_flat, random_poly_text, trace_psi_sq
 
 from acmcheck.chart import rank_at
 from acmcheck.classify import reeb_split_identity_residual, projection_identity_residual, canonical_nabla_phi_residual, aqs_characterization_residual, classify
@@ -31,7 +31,7 @@ from acmcheck.checks import run_full_check
 from acmcheck.curvature import einstein_check, ricci_wagner, schouten
 from acmcheck.expr import parse
 from acmcheck.classify import nijenhuis_tensors
-from acmcheck.structure import StructureEval, derived
+from acmcheck.structure import StructureEval
 
 ALL = ("flat", "example1", "example2", "example3-qs", "example3-aqs")
 
@@ -121,7 +121,7 @@ def test_criterion_4_example1(structures, sample_sets, acceptance_log):
     verdicts_ok = (report.holds("almost_normal") and not report.holds("normal")
                    and report.holds("aqs"))
     nabla_ok = all(np.abs(nabla_omega(StructureEval(s, p))).max() < 1e-12 for p in points)
-    traces = [derived(StructureEval(s, p)).trace_psi_sq for p in points]
+    traces = [trace_psi_sq(StructureEval(s, p)) for p in points]
     trace_ok = max(traces) - min(traces) < 1e-12
     ok = n1_ok and ntilde_ok and verdicts_ok and nabla_ok and trace_ok
     _record(acceptance_log, "criterion 4", ok,
@@ -202,15 +202,15 @@ def test_criterion_7_fundamental_form_block_and_profile(structures, sample_sets,
     block_ok = float(fund.residual_grid[:2, :2].max()) < 1e-7
     # the substitution makes the right-hand side equal -4g identically
     identity_ok = all(
-        np.abs(rec.rhs + 4.0 * StructureEval(s, rec.point).g0).max() < 1e-12
-        for rec in fund.samples
+        np.abs(rhs + 4.0 * StructureEval(s, point).g0).max() < 1e-12
+        for point, rhs in zip(fund.samples.point, fund.samples.rhs)
     )
     deta = einstein_check(s, omega_source="d_eta", points=points)
     profile_ok = True
-    for rec in deta.samples:
-        s_val = rec.point[0] ** 2 + rec.point[1] ** 2
+    for point, r, rhs in zip(deta.samples.point, deta.samples.r, deta.samples.rhs):
+        s_val = point[0] ** 2 + point[1] ** 2
         predicted = abs(-4.0 / (1 + s_val) ** 2 + (1 + s_val) ** 2)
-        if abs(abs(rec.r[0, 0] - rec.rhs[0, 0]) - predicted) > 1e-6:
+        if abs(abs(r[0, 0] - rhs[0, 0]) - predicted) > 1e-6:
             profile_ok = False
     ok = block_ok and identity_ok and profile_ok and not deta.verdict
     _record(acceptance_log, "criterion 7", ok,

@@ -19,7 +19,7 @@ from acmcheck.connection import (
 )
 from acmcheck.curvature import curvature_K, einstein_sample, ricci_k, ricci_wagner, schouten
 from acmcheck.manifest import OMEGA_SOURCES
-from acmcheck.structure import StructureEval, derived, validate_axioms
+from acmcheck.structure import StructureEval, validate_axioms
 
 from _helpers import loop_basis_brackets_frame, loop_nijenhuis_phi
 from conftest import FIXTURES
@@ -43,11 +43,10 @@ def test_bracket_einsums_equal_per_pair_loops(name, structures, sample_sets):
 
 def _quantities(ev: StructureEval) -> dict[str, np.ndarray]:
     """Every CLI tensor and every per-point residual, keyed by name."""
-    d = derived(ev)
     tors = torsion(ev, Endomorphism.canonical())
     K = curvature_K(ev)
     out = {
-        "omega": d.omega, "psi": d.psi, "C": d.C,
+        "omega": ev.omega0, "psi": ev.psi0, "C": ev.C0,
         "lc-adapted": lc_adapted(ev).full,
         "n-connection": canonical_connection(ev).full,
         "torsion": tors.components,

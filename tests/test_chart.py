@@ -14,13 +14,11 @@ from acmcheck.chart import (
     SingularJacobianError,
     TensorGrid,
     change_chart,
-    d_eta_xi,
-    frame_apply,
     frame_bracket,
-    omega_frame,
     rank_at,
 )
 from acmcheck.expr import parse
+from acmcheck.structure import AdaptedStructure, StructureEval
 
 COORDS = ("x", "y", "z", "u", "v")
 BOX = tuple((-2.0, 2.0) for _ in range(5))
@@ -38,6 +36,19 @@ def make_chart(gammas: list[str], domain=BOX, avoid: list[str] | None = None) ->
 FLAT = make_chart(["0", "0", "0", "0"])
 EX1 = make_chart(["y", "0", "0", "0"], avoid=["y"])
 EX2 = make_chart(["y*v", "0", "0", "0"], domain=tuple((-4.0, 4.0) for _ in range(5)), avoid=["y"])
+
+
+def evaluate(chart: AdaptedChart, p: np.ndarray) -> StructureEval:
+    """An evaluation on ``chart``; the frame quantities tested here read only
+    the gamma jets, so the metric and phi are placeholders."""
+    one, zero = parse("1", COORDS), parse("0", COORDS)
+    unit = np.array([[one if a == b else zero for b in range(4)] for a in range(4)], dtype=object)
+    return StructureEval(AdaptedStructure(chart=chart, g=unit, phi=unit), p)
+
+
+def frame_apply(chart: AdaptedChart, a: int, f, p: np.ndarray):
+    """e_a f at p for a horizontal frame index a, from StructureEval.frame_d."""
+    return evaluate(chart, p).frame_d(f.jet(p).grad)[: chart.m][a]
 
 
 def test_chart_validation():
@@ -82,13 +93,13 @@ def test_frame_apply_index_range():
 
 
 def test_omega_flat_vanishes():
-    assert np.array_equal(omega_frame(FLAT, np.zeros(5)).components, np.zeros((4, 4)))
+    assert np.array_equal(evaluate(FLAT, np.zeros(5)).omega0, np.zeros((4, 4)))
 
 
 def test_omega_example1_values():
     # from the bracket: [e_1, e_2] = d_5, so 2 omega_{21} = 1
     p = np.array([0.5, 1.2, -0.3, 0.0, 0.7])
-    omega = omega_frame(EX1, p).components
+    omega = evaluate(EX1, p).omega0
     expected = np.zeros((4, 4))
     expected[1, 0] = 0.5
     expected[0, 1] = -0.5
@@ -102,7 +113,7 @@ def test_omega_example2_against_bracket_oracle():
     rng = np.random.default_rng(7)
     for _ in range(8):
         p = rng.uniform(-4, 4, size=5)
-        omega = omega_frame(EX2, p).components
+        omega = evaluate(EX2, p).omega0
         assert omega[1, 0] == pytest.approx(p[4] / 2, rel=1e-12, abs=1e-12)
         bracket = frame_bracket(EX2, 0, 1, p)
         assert bracket[4] == pytest.approx(2 * omega[1, 0], rel=1e-12, abs=1e-12)
@@ -114,7 +125,7 @@ def test_bracket_consistency_at_samples(chart):
     points = chart.sample_points(32, seed=42)
     m, last = chart.m, chart.n - 1
     for p in points:
-        omega = omega_frame(chart, p).components
+        omega = evaluate(chart, p).omega0
         assert np.abs(omega + omega.T).max() == 0.0  # skew exactly
         for a in range(m):
             for b in range(m):
@@ -130,18 +141,18 @@ def test_bracket_consistency_at_samples(chart):
 
 def test_d_eta_xi_example1_zero_everywhere():
     for p in EX1.sample_points(8, seed=3):
-        assert np.array_equal(d_eta_xi(EX1, p), np.zeros(4))
+        assert np.array_equal(evaluate(EX1, p).d_eta_xi, np.zeros(4))
 
 
 def test_d_eta_xi_example2_first_entry_y():
     p = np.array([1.0, 3.0, 0.0, 0.0, 2.0])
-    vec = d_eta_xi(EX2, p)
+    vec = evaluate(EX2, p).d_eta_xi
     assert vec[0] == pytest.approx(3.0, abs=1e-15)
     assert np.array_equal(vec[1:], np.zeros(3))
 
 
 def test_d_eta_xi_flat_zero():
-    assert np.array_equal(d_eta_xi(FLAT, np.zeros(5)), np.zeros(4))
+    assert np.array_equal(evaluate(FLAT, np.zeros(5)).d_eta_xi, np.zeros(4))
 
 
 def test_rank_example1_is_3():
@@ -164,7 +175,7 @@ EX3 = make_chart(["y", "0", "0", "0"], avoid=["y"])  # chart shared by the confo
 @pytest.mark.parametrize("chart", [FLAT, EX1, EX2, EX3], ids=["flat", "ex1", "ex2", "ex3"])
 def test_rank_parity_matches_d_eta_xi(chart):
     points = chart.sample_points(16, seed=11)
-    vertical_zero = all(np.abs(d_eta_xi(chart, p)).max() < 1e-12 for p in points)
+    vertical_zero = all(np.abs(evaluate(chart, p).d_eta_xi).max() < 1e-12 for p in points)
     ranks = [rank_at(chart, p) for p in points]
     if vertical_zero:
         assert all(r % 2 == 1 for r in ranks)

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from acmcheck import structure
 from acmcheck.checks import RunReport, run_full_check
 from acmcheck.cli import main
 from acmcheck.manifest import (
@@ -284,6 +285,23 @@ def test_cli_check_singular_oracle_metric_is_input_error(tmp_path, capsys):
     assert "coordinate metric g + eta (x) eta singular at sample 3, point" in err
 
 
+def test_cli_check_ill_conditioned_oracle_metric_is_input_error(tmp_path, capsys):
+    # gamma_4 = exp(-9*y) reaches ~7e7 at y = -2, where g + eta (x) eta is
+    # too ill-conditioned for the oracle's 1e-8 tolerance: an input error
+    # naming the first such sample, not a failed lc_oracle
+    data = json.loads(fixture_path("example1").read_text())
+    data["gamma"] = ["1 - 2*y", "1 - 2*y", "u", "exp(-9*y)"]
+    data["metric_frame"] = [["1 + (v*u)^2" if i == j else "0" for j in range(4)] for i in range(4)]
+    data["domain"] = [[-2.0, 2.0]] * 5
+    path = tmp_path / "ill.json"
+    path.write_text(json.dumps(data))
+    code = main(["check", str(path), "--json", "--samples", "4"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "coordinate metric g + eta (x) eta ill-conditioned at sample 1, point" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_check_overflowing_nonholonomy_form_has_no_rank(tmp_path, capsys):
     # gamma * d_v gamma overflows near v = 2, so omega is not finite there:
@@ -322,6 +340,29 @@ def test_cli_einstein_reports_both_sources(capsys):
     payload = json.loads(out)
     assert set(payload) == {"d_eta", "fundamental_form"}
     assert payload["fundamental_form"]["residual_grid"][2][2] == pytest.approx(4.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["flat", "example1", "example2", "example3-qs", "example3-aqs"])
+def test_cli_commands_share_the_report_builders(name, capsys, monkeypatch):
+    # classify and einstein print the sections of check at equal samples,
+    # seed and tolerance; einstein evaluates both omega sources at once
+    run = ["--json", "--samples", "12", "--seed", "5", "--tol", "1e-6"]
+    assert main(["check", name, *run]) == 0
+    check = json.loads(capsys.readouterr().out)
+    assert main(["classify", name, *run]) == 0
+    assert json.loads(capsys.readouterr().out) == check["classification"]
+
+    blocks = []
+    original = structure.StructureEval.__init__
+
+    def counting(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        blocks.append(self.p.shape)
+
+    monkeypatch.setattr(structure.StructureEval, "__init__", counting)
+    assert main(["einstein", name, *run]) == 0
+    assert json.loads(capsys.readouterr().out) == check["einstein"]
+    assert blocks == [(12, 5)]
 
 
 def test_cli_missing_manifest_exit_two(capsys):

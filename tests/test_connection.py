@@ -55,6 +55,17 @@ def test_lc_adapted_example2_reeb_block(structures):
     assert coeffs.a_nn[0] == pytest.approx(3.0, abs=1e-15)  # g^{ab} d_n gamma_b
 
 
+def test_lc_adapted_blocks_are_read_only_views_of_the_cached_array(structures, sample_sets):
+    ev = StructureEval(structures["example2"], sample_sets["example2"][:4])
+    coeffs = lc_adapted(ev)
+    assert np.array_equal(coeffs.frame, ev.Gamma0)
+    assert np.array_equal(coeffs.mixed_an, ev.Cmix0 + ev.psi0)
+    for block in (coeffs.full, coeffs.frame, coeffs.mixed_an, coeffs.n_ab, coeffs.n_na, coeffs.a_nn):
+        assert np.shares_memory(block, ev.lc_full)
+        with pytest.raises(ValueError):
+            block[...] = 0.0
+
+
 def test_lc_coordinate_flat_zero(structures):
     assert np.array_equal(lc_coordinate(StructureEval(structures["flat"], ORIGIN)), np.zeros((5, 5, 5)))
 

@@ -239,10 +239,11 @@ def test_einstein_example3_d_eta_profile(structures, sample_sets):
     # closed-form residual (1,1)-component: |-4 (1+s)^-2 + (1+s)^2|, s = x^2+y^2
     report = einstein_check(structures["example3-qs"], points=sample_sets["example3-qs"])
     assert not report.verdict
-    for rec in report.samples:
-        s_val = rec.point[0] ** 2 + rec.point[1] ** 2
+    samples = report.samples
+    for point, r, rhs in zip(samples.point, samples.r, samples.rhs):
+        s_val = point[0] ** 2 + point[1] ** 2
         predicted = abs(-4.0 / (1 + s_val) ** 2 + (1 + s_val) ** 2)
-        assert abs(abs(rec.r[0, 0] - rec.rhs[0, 0]) - predicted) < 1e-6
+        assert abs(abs(r[0, 0] - rhs[0, 0]) - predicted) < 1e-6
 
 
 def test_einstein_example3_fundamental_form_block_structure(structures, sample_sets):
@@ -255,9 +256,9 @@ def test_einstein_example3_fundamental_form_block_structure(structures, sample_s
     assert report.residual_grid[2, 2] == pytest.approx(4.0, abs=1e-9)
     assert report.residual_grid[3, 3] == pytest.approx(4.0, abs=1e-9)
     assert not report.verdict
-    for rec in report.samples:
-        ev = StructureEval(s, rec.point)
-        assert np.abs(rec.rhs + 4.0 * ev.g0).max() < 1e-12
+    for point, rhs in zip(report.samples.point, report.samples.rhs):
+        ev = StructureEval(s, point)
+        assert np.abs(rhs + 4.0 * ev.g0).max() < 1e-12
 
 
 def test_einstein_example3_parallel_torsion_hypothesis_fails(structures, sample_sets):

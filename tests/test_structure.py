@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from acmcheck.chart import d_eta_xi, omega_frame
 from acmcheck.expr import Const, Mul, ScalarField, parse
 from acmcheck.structure import (
     AdaptedStructure,
@@ -13,11 +12,12 @@ from acmcheck.structure import (
     StructureError,
     StructureEval,
     d_fundamental_form,
-    derived,
     exterior_derivative,
     metric_definiteness,
     validate_axioms,
 )
+
+from _helpers import trace_psi_sq
 
 ALL = ("flat", "example1", "example2", "example3-qs", "example3-aqs")
 COMPATIBLE = ("flat", "example1", "example2", "example3-qs")
@@ -119,34 +119,33 @@ def test_pseudo_flag_relaxes_definiteness(structures):
 
 
 def test_derived_flat(structures):
-    d = derived(StructureEval(structures["flat"], ORIGIN))
+    ev = StructureEval(structures["flat"], ORIGIN)
     expected_Omega = np.zeros((4, 4))
     expected_Omega[0, 2], expected_Omega[2, 0] = -1.0, 1.0
     expected_Omega[1, 3], expected_Omega[3, 1] = -1.0, 1.0
-    assert np.array_equal(d.Omega, expected_Omega)
-    assert np.array_equal(d.omega, np.zeros((4, 4)))
-    assert np.array_equal(d.psi, np.zeros((4, 4)))
-    assert np.array_equal(d.C, np.zeros((4, 4)))
-    assert d.trace_psi_sq == 0.0
+    assert np.array_equal(ev.Omega0, expected_Omega)
+    assert np.array_equal(ev.omega0, np.zeros((4, 4)))
+    assert np.array_equal(ev.psi0, np.zeros((4, 4)))
+    assert np.array_equal(ev.C0, np.zeros((4, 4)))
+    assert trace_psi_sq(ev) == 0.0
 
 
 def test_derived_example1(structures, sample_sets):
     traces = []
     for p in sample_sets["example1"]:
-        d = derived(StructureEval(structures["example1"], p))
-        assert d.psi[1, 0] == pytest.approx(-0.5, abs=1e-15)
-        assert d.psi[0, 1] == pytest.approx(0.5, abs=1e-15)
-        assert np.array_equal(d.C, np.zeros((4, 4)))
-        traces.append(d.trace_psi_sq)
+        ev = StructureEval(structures["example1"], p)
+        assert ev.psi0[1, 0] == pytest.approx(-0.5, abs=1e-15)
+        assert ev.psi0[0, 1] == pytest.approx(0.5, abs=1e-15)
+        assert np.array_equal(ev.C0, np.zeros((4, 4)))
+        traces.append(trace_psi_sq(ev))
     assert traces[0] == pytest.approx(-0.5, abs=1e-15)
     assert max(traces) - min(traces) < 1e-12  # tr(psi^2) constant
 
 
 def test_derived_example3_at_origin(structures):
-    d = derived(StructureEval(structures["example3-qs"], ORIGIN))
     ev = StructureEval(structures["example3-qs"], ORIGIN)
     assert ev.g0[0, 0] == pytest.approx(1.0, abs=1e-15)
-    assert d.psi[1, 0] == pytest.approx(-0.5, abs=1e-15)
+    assert ev.psi0[1, 0] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_psi_lowering_consistency(structures, sample_sets):
@@ -162,7 +161,7 @@ def test_C_zero_on_shipped_fixtures(structures, sample_sets):
     # no shipped metric depends on the Reeb coordinate
     for name in ALL:
         for p in sample_sets[name][:8]:
-            assert np.array_equal(derived(StructureEval(structures[name], p)).C, np.zeros((4, 4))), name
+            assert np.array_equal(StructureEval(structures[name], p).C0, np.zeros((4, 4))), name
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +178,8 @@ def test_d_eta_matches_bracket_oracle(structures, sample_sets):
             deta = exterior_derivative(ev, s.eta_coordinate_form())
             E, _ = ev.frame
             on_frame = np.einsum("ij,ai,bj->ab", deta, E, E)
-            omega = omega_frame(s.chart, p).components
-            assert np.abs(on_frame[:4, :4] - omega).max() < 1e-10, name
-            assert np.abs(2 * on_frame[4, :4] - d_eta_xi(s.chart, p)).max() < 1e-10, name
+            assert np.abs(on_frame[:4, :4] - ev.omega0).max() < 1e-10, name
+            assert np.abs(2 * on_frame[4, :4] - ev.d_eta_xi).max() < 1e-10, name
 
 
 def test_d_of_constant_two_form(structures):
