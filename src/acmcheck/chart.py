@@ -109,19 +109,31 @@ class AdaptedChart:
 
     def sample_points(self, count: int, seed: int) -> np.ndarray:
         """Deterministic samples: point i depends only on (seed, i), never on
-        how many other points are drawn or in which order."""
+        how many other points are drawn or in which order.
+
+        Each index draws from its own generator until its candidate keeps
+        every 'avoid' field clear of zero; the fields are evaluated once per
+        round over the block of pending candidates, each one only where the
+        fields before it were clear."""
         lo = np.array([iv[0] for iv in self.domain])
         hi = np.array([iv[1] for iv in self.domain])
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            for i in range(count)
+        ]
         points = np.empty((count, self.n))
-        for i in range(count):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-            for _ in range(MAX_REDRAWS):
-                p = lo + (hi - lo) * rng.random(self.n)
-                if all(abs(f.value(p)) >= AVOID_EPS for f in self.avoid):
-                    points[i] = p
-                    break
-            else:
-                raise ChartError(f"could not sample point {i} clear of 'avoid' loci")
+        pending = np.arange(count)
+        for _ in range(MAX_REDRAWS):
+            if not pending.size:
+                break
+            points[pending] = lo + (hi - lo) * np.array([rngs[i].random(self.n) for i in pending])
+            clear = np.ones(pending.size, dtype=bool)
+            for f in self.avoid:
+                if clear.any():
+                    clear[clear] = np.abs(f.value(points[pending[clear]])) >= AVOID_EPS
+            pending = pending[~clear]
+        if pending.size:
+            raise ChartError(f"could not sample point {pending[0]} clear of 'avoid' loci")
         return points
 
 

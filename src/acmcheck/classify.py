@@ -15,7 +15,14 @@ import numpy as np
 
 from .connection import bracket, cov_phi, to_frame_components
 from .residuals import WorstResidual, nanmax
-from .structure import AdaptedStructure, StructureEval, d_fundamental_form, mat_t, memoised
+from .structure import (
+    AdaptedStructure,
+    StructureEval,
+    contract,
+    d_fundamental_form,
+    mat_t,
+    memoised,
+)
 
 DEFAULT_TOL = 1e-7
 
@@ -71,7 +78,7 @@ def _phi_apply(ev: StructureEval, V: np.ndarray) -> np.ndarray:
     u = V[..., : ev.m] @ ev.lift(mat_t(ev.phi0), V.ndim)  # u^b = phi^b_a V^a
     out = np.zeros(V.shape)
     out[..., : ev.m] = u
-    out[..., -1] = -np.einsum("...b,...b->...", u, ev.lift(ev.gam0, V.ndim))
+    out[..., -1] = -contract("...b,...b->...", u, ev.lift(ev.gam0, V.ndim))
     return out
 
 
@@ -81,9 +88,9 @@ def _phi_basis_fields(ev: StructureEval) -> tuple[np.ndarray, np.ndarray]:
     P0 = ev.zeros(n, n)
     P1 = ev.zeros(n, n, n)
     P0[..., :m, :m] = mat_t(ev.phi0)  # (phi e_i)^b = phi0[b, i]
-    P0[..., :m, -1] = -np.einsum("...bi,...b->...i", ev.phi0, ev.gam0)
+    P0[..., :m, -1] = -contract("...bi,...b->...i", ev.phi0, ev.gam0)
     P1[..., :m, :m, :] = np.einsum("...bij->...ibj", ev.phi1)
-    P1[..., :m, -1, :] = -np.einsum("...bij,...b->...ij", ev.phi1, ev.gam0) - np.einsum(
+    P1[..., :m, -1, :] = -contract("...bij,...b->...ij", ev.phi1, ev.gam0) - contract(
         "...bi,...bj->...ij", ev.phi0, ev.gam1
     )
     return P0, P1
@@ -114,7 +121,7 @@ def nijenhuis_tensors(ev: StructureEval) -> NijenhuisBundle:
     n_phi = to_frame_components(ev, term)
 
     d_eta_phi = ev.zeros(ev.n, ev.n)
-    d_eta_phi[..., :m, :m] = np.einsum("...ci,...dj,...cd->...ij", ev.phi0, ev.phi0, ev.omega0)
+    d_eta_phi[..., :m, :m] = contract("...ci,...dj,...cd->...ij", ev.phi0, ev.phi0, ev.omega0)
     return NijenhuisBundle(n_phi=n_phi, d_eta=_d_eta_pairs(ev), d_eta_phi=d_eta_phi)
 
 
@@ -148,7 +155,7 @@ def aqs_characterization_residual(ev: StructureEval) -> np.ndarray:
     psiphi = ev.psi0 @ ev.phi0
     phipsi = ev.phi0 @ ev.psi0
     rhs = ev.zeros(n, n, n)  # rhs[i, j, k]: component k of the value on (E_i, E_j)
-    rhs[..., :m, :m, -1] = np.einsum("...cj,...ci->...ij", psiphi, ev.g0)
+    rhs[..., :m, :m, -1] = contract("...cj,...ci->...ij", psiphi, ev.g0)
     rhs[..., :m, -1, :m] = -mat_t(phipsi)  # -(phi o psi) E_i, components indexed [i, k]
     rhs[..., -1, :m, :m] = -mat_t(phipsi - psiphi)  # [j, k] layout after transpose
     lhs_pairs = np.einsum("...ibj->...ijb", lhs)
@@ -162,14 +169,14 @@ def qs_characterization_residual(ev: StructureEval) -> np.ndarray:
     n, m = ev.n, ev.m
     A = ev.phi0 @ ev.psi0
     rhs = ev.zeros(n, n, n)
-    rhs[..., :m, :m, -1] = np.einsum("...cj,...ci->...ij", A, ev.g0)
+    rhs[..., :m, :m, -1] = contract("...cj,...ci->...ij", A, ev.g0)
     rhs[..., :m, -1, :m] = -mat_t(A)
     return ev.max_abs(lhs - rhs)
 
 
 def qs_condition_residuals(ev: StructureEval) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(residual, scale) of the three equivalent quasi-Sasakian conditions."""
-    phi_star_omega = np.einsum("...ca,...db,...cd->...ab", ev.phi0, ev.phi0, ev.omega0)
+    phi_star_omega = contract("...ca,...db,...cd->...ab", ev.phi0, ev.phi0, ev.omega0)
     phipsi = ev.phi0 @ ev.psi0
     psiphi = ev.psi0 @ ev.phi0
     gA = ev.g0 @ phipsi  # gA[a, b] = g(e_a, A e_b)

@@ -15,7 +15,7 @@ import numpy as np
 from .chart import FRAME_LOWER, FRAME_UPPER, TensorGrid
 from .expr import describe_first, field_jets
 from .residuals import nanmax
-from .structure import SingularMetricError, StructureEval, mat_t, memoised
+from .structure import SingularMetricError, StructureEval, contract, mat_t, memoised
 
 DEFAULT_TOL = 1e-9
 
@@ -192,13 +192,13 @@ def bracket(V0, V1, W0, W1) -> np.ndarray:
     """Pairwise brackets of two families of vector fields,
     out[..., i, j, q] = [V_i, W_j]^q = V_i^p d_p W_j^q - W_j^p d_p V_i^q,
     from components V0[..., i, q] and gradients V1[..., i, q, p]."""
-    return np.einsum("...ip,...jqp->...ijq", V0, W1) - np.einsum("...jp,...iqp->...ijq", W0, V1)
+    return contract("...ip,...jqp->...ijq", V0, W1) - contract("...jp,...iqp->...ijq", W0, V1)
 
 
 def to_frame_components(ev: StructureEval, V: np.ndarray) -> np.ndarray:
     """Split coordinate vectors (last axis) into (horizontal components, eta(V))."""
     out = V.copy()
-    eta_h = np.einsum("...a,...a->...", V[..., : ev.m], ev.lift(ev.gam0, V.ndim))
+    eta_h = contract("...a,...a->...", V[..., : ev.m], ev.lift(ev.gam0, V.ndim))
     out[..., -1] = eta_h + V[..., -1]
     return out
 
@@ -238,7 +238,7 @@ def torsion(ev: StructureEval, N: Endomorphism, tol: float = DEFAULT_TOL) -> Tor
     # direct definition from coefficients and honest coordinate brackets
     coeff = ev.n_full(N0)
     S_upper = coeff - np.swapaxes(coeff, -3, -2) - basis_brackets_frame(ev)
-    direct = np.einsum("...ijl,...lk->...ijk", S_upper, ev.g_full)
+    direct = contract("...ijl,...lk->...ijk", S_upper, ev.g_full)
     direct_residual = ev.max_abs(direct - table)
 
     skew_residual = nanmax(
@@ -263,8 +263,8 @@ def metricity_defect(ev: StructureEval, N: Endomorphism) -> np.ndarray:
     dG = ev.zeros(n, n, n)  # dG[j, k, i] = E_i g~_jk
     dG[..., :m, :m, :] = ev.frame_d(ev.g1)
     out = np.einsum("...jki->...ijk", dG)
-    out -= np.einsum("...ijl,...lk->...ijk", coeff, ev.g_full)
-    out -= np.einsum("...ikl,...jl->...ijk", coeff, ev.g_full)
+    out -= contract("...ijl,...lk->...ijk", coeff, ev.g_full)
+    out -= contract("...ikl,...jl->...ijk", coeff, ev.g_full)
     return out
 
 
@@ -308,9 +308,9 @@ def _cov_deriv_from_data(
         rest = moved.shape[nb:-1]
         flat = moved.reshape(ev.batch + (-1, ev.m))
         if v == FRAME_UPPER:
-            corr = np.einsum("...acd,...rd->...car", ev.Gamma0, flat)  # +Gamma^a_{cd} t^{..d..}
+            corr = contract("...acd,...rd->...car", ev.Gamma0, flat)  # +Gamma^a_{cd} t^{..d..}
         else:
-            corr = -np.einsum("...dca,...rd->...car", ev.Gamma0, flat)  # -Gamma^d_{ca} t_{..d..}
+            corr = -contract("...dca,...rd->...car", ev.Gamma0, flat)  # -Gamma^d_{ca} t_{..d..}
         corr = corr.reshape(ev.batch + (ev.m, ev.m) + rest)
         out += np.moveaxis(corr, nb + 1, nb + slot + 1)
     return out
@@ -318,13 +318,14 @@ def _cov_deriv_from_data(
 
 def internal_cov_deriv(
     ev: StructureEval, t: TensorGrid | np.ndarray, valence: tuple[str, ...] | None = None
-) -> TensorGrid:
-    """nabla of an admissible tensor field given as ScalarField components,
-    at the point of a single-point evaluation (batch shape (), since a
-    TensorGrid holds one point).
+) -> TensorGrid | np.ndarray:
+    """nabla of an admissible tensor field given as ScalarField components.
 
     ``t`` is an object array (or a TensorGrid of one) in frame indices; the
-    result gains a leading frame-lower direction index."""
+    result gains a leading frame-lower direction index.  At a single point
+    (batch shape ()) it is a TensorGrid; over a block of points it is the
+    plain array out[..., c, ...] with the batch axes in front, since a
+    TensorGrid holds one point."""
     if isinstance(t, TensorGrid):
         fields, valence = t.components, t.valence
     else:
@@ -333,6 +334,8 @@ def internal_cov_deriv(
             raise ValueError("valence required when passing a bare component array")
     T0, T1 = field_jets(fields, ev.p, order=1)
     out = _cov_deriv_from_data(ev, T0, T1, tuple(valence))
+    if ev.batch:
+        return out
     return TensorGrid(out, (FRAME_LOWER,) + tuple(valence))
 
 
@@ -361,6 +364,6 @@ def cov_phi(ev: StructureEval, which: str) -> np.ndarray:
     ephi = ev.phi_frame_d()  # [b, a, i]
     phi = ev.phi_full
     out = np.einsum("...bai->...iba", ephi)
-    out += np.einsum("...icb,...ca->...iba", coeff, phi)
-    out -= np.einsum("...iac,...bc->...iba", coeff, phi)
+    out += contract("...icb,...ca->...iba", coeff, phi)
+    out -= contract("...iac,...bc->...iba", coeff, phi)
     return out

@@ -18,14 +18,14 @@ import numpy as np
 from .connection import basis_brackets_frame, nabla_omega, nabla_psi
 from .manifest import OMEGA_SOURCES
 from .residuals import WorstResidual, nanmax
-from .structure import AdaptedStructure, StructureEval, mat_t, memoised
+from .structure import AdaptedStructure, StructureEval, contract, mat_t, memoised
 
 DEFAULT_TOL = 1e-7
 
 
 def schouten(ev: StructureEval) -> np.ndarray:
     eG = ev.frame_d(ev.Gamma1)[..., : ev.m]  # eG[d, b, c, a] = e_a Gamma^d_{bc}
-    R = np.einsum("...dae,...ebc->...dabc", ev.Gamma0, ev.Gamma0)
+    R = contract("...dae,...ebc->...dabc", ev.Gamma0, ev.Gamma0)
     R += np.einsum("...dbca->...dabc", eG)  # + first
     return R - np.swapaxes(R, -3, -2)
 
@@ -45,7 +45,7 @@ class CurvatureK:
 
 def curvature_K(ev: StructureEval) -> CurvatureK:
     R = schouten(ev)
-    frame = R + 4.0 * np.einsum("...ab,...dc->...dabc", ev.omega0, ev.psi0)
+    frame = R + 4.0 * contract("...ab,...dc->...dabc", ev.omega0, ev.psi0)
     mixed = 2.0 * np.swapaxes(nabla_psi(ev), -3, -2)  # [d, a, c] from [a, d, c]
     return CurvatureK(frame=frame, mixed=mixed)
 
@@ -73,10 +73,10 @@ def curvature_canonical_direct(ev: StructureEval) -> np.ndarray:
     nonholonomy = basis_brackets_frame(ev)  # [i, j, m]
 
     K = np.einsum("...jkqi->...ijkq", Ecoeff) - np.einsum("...ikqj->...ijkq", Ecoeff)
-    K += np.einsum("...jkl,...ilq->...ijkq", coeff, coeff) - np.einsum(
+    K += contract("...jkl,...ilq->...ijkq", coeff, coeff) - contract(
         "...ikl,...jlq->...ijkq", coeff, coeff
     )
-    K -= np.einsum("...ijm,...mkq->...ijkq", nonholonomy, coeff)
+    K -= contract("...ijm,...mkq->...ijkq", nonholonomy, coeff)
     return K
 
 
@@ -91,7 +91,7 @@ def ricci_k(ev: StructureEval) -> np.ndarray:
     column and corner zero."""
     n, m, last = ev.n, ev.m, ev.n - 1
     out = ev.zeros(n, n)
-    out[..., :m, :m] = ricci_wagner(ev) + 4.0 * np.einsum("...ad,...db->...ab", ev.omega0, ev.psi0)
+    out[..., :m, :m] = ricci_wagner(ev) + 4.0 * contract("...ad,...db->...ab", ev.omega0, ev.psi0)
     out[..., last, :m] = -np.einsum("...dda->...a", nabla_psi(ev))
     return out
 
@@ -137,7 +137,7 @@ def einstein_sample(ev: StructureEval, omega_source: str) -> EinsteinSample:
         psi = ev.ginv0 @ mat_t(ev.Omega0)
     else:
         raise ValueError(f"unknown omega_source '{omega_source}'")
-    rhs = 4.0 * np.einsum("...da,...db->...ab", om, psi)
+    rhs = 4.0 * contract("...da,...db->...ab", om, psi)
     return EinsteinSample(point=ev.p.copy(), r=ricci_wagner(ev), rhs=rhs)
 
 

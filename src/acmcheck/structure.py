@@ -22,9 +22,9 @@ Array layouts (fixed project-wide):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, wraps
-from itertools import permutations
-from math import factorial
+from functools import cached_property, lru_cache, wraps
+from itertools import combinations, permutations
+from math import factorial, prod
 
 import numpy as np
 
@@ -200,7 +200,7 @@ class StructureEval:
 
     @cached_property
     def ginv1(self) -> np.ndarray:
-        return -np.einsum("...ac,...cdj,...db->...abj", self.ginv0, self.g1, self.ginv0)
+        return -contract("...ac,...cdj,...db->...abj", self.ginv0, self.g1, self.ginv0)
 
     @cached_property
     def _nonholonomy(self):
@@ -226,7 +226,7 @@ class StructureEval:
 
     @cached_property
     def psi1(self) -> np.ndarray:
-        return np.einsum("...bcj,...ac->...baj", self.ginv1, self.omega0) + np.einsum(
+        return contract("...bcj,...ac->...baj", self.ginv1, self.omega0) + contract(
             "...bc,...acj->...baj", self.ginv0, self.omega1
         )
 
@@ -245,7 +245,7 @@ class StructureEval:
 
     @cached_property
     def Omega1(self) -> np.ndarray:
-        return np.einsum("...acj,...cb->...abj", self.g1, self.phi0) + np.einsum(
+        return contract("...acj,...cb->...abj", self.g1, self.phi0) + contract(
             "...ac,...cbj->...abj", self.g0, self.phi1
         )
 
@@ -263,7 +263,7 @@ class StructureEval:
     @cached_property
     def Gamma0(self) -> np.ndarray:
         """Internal connection Gamma^a_{bc} (also the horizontal Levi-Civita block)."""
-        return 0.5 * np.einsum("...ad,...bcd->...abc", self.ginv0, self.koszul0)
+        return 0.5 * contract("...ad,...bcd->...abc", self.ginv0, self.koszul0)
 
     @property
     def Gamma1(self) -> np.ndarray:
@@ -273,8 +273,8 @@ class StructureEval:
         T1 = np.einsum("...cdbj->...bcdj", E1) + np.einsum("...bdcj->...bcdj", E1)
         T1 -= E1
         del E1
-        out = np.einsum("...adj,...bcd->...abcj", self.ginv1, self.koszul0)
-        out += np.einsum("...ad,...bcdj->...abcj", self.ginv0, T1)
+        out = contract("...adj,...bcd->...abcj", self.ginv1, self.koszul0)
+        out += contract("...ad,...bcdj->...abcj", self.ginv0, T1)
         out *= 0.5
         return out
 
@@ -332,6 +332,116 @@ class StructureEval:
 def mat_t(a: np.ndarray) -> np.ndarray:
     """Transpose of the last two axes (the matrix layout after the batch axes)."""
     return np.swapaxes(a, -1, -2)
+
+
+def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, *operands)`` for an explicit ``->`` form in
+    which every label occurs at most once per operand and every summed label
+    in at least two operands.
+
+    Operands with batch axes (axes under the ellipsis) are contracted by a
+    plan of pairwise batched matrix products (:func:`contraction_plan`),
+    computed once per subscripts and shapes; without batch axes (a single
+    point) the call is ``np.einsum`` itself.  Planned results agree with
+    ``np.einsum`` up to the summation order.
+    """
+    plan = contraction_plan(subscripts, tuple(op.shape for op in operands))
+    if plan is None:
+        return np.einsum(subscripts, *operands)
+    arrays = list(operands)
+    for i, j, a_perm, a_shape, b_perm, b_shape, out_shape, out_perm in plan:
+        b = arrays.pop(j)
+        a = arrays.pop(i)
+        c = np.matmul(a.transpose(a_perm).reshape(a_shape), b.transpose(b_perm).reshape(b_shape))
+        arrays.append(c.reshape(out_shape).transpose(out_perm))
+    return arrays[0]
+
+
+@lru_cache(maxsize=256)
+def contraction_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tuple | None:
+    """The steps of :func:`contract` for operands of these shapes, or None
+    when no operand has batch axes.
+
+    Each step takes operands i < j off the list and appends
+    ``matmul(a.transpose(a_perm).reshape(a_shape), b.transpose(b_perm)
+    .reshape(b_shape)).reshape(out_shape).transpose(out_perm)``: the labels
+    that both operands carry and that are still needed lead as matmul batch
+    axes (which broadcast), then the labels of a alone, then those of b
+    alone; the labels both carry and nothing else needs are summed.  Of
+    three or more operands, the pair with the smallest result goes first.
+    """
+    inputs, output = subscripts.replace(" ", "").split("->")
+    terms = inputs.split(",")
+    if len(terms) != len(shapes) or len(terms) < 2:
+        raise ValueError(f"'{subscripts}' does not name {len(shapes)} operands (two or more)")
+    # batch axes get the labels -k..-1, aligned from the right as they broadcast
+    ops = []
+    nbatch = 0
+    for term, shape in zip(terms, shapes):
+        letters = term.replace("...", "")
+        k = len(shape) - len(letters)
+        if k < 0 or (k and "..." not in term) or len(set(letters)) != len(letters):
+            raise ValueError(f"'{subscripts}' does not fit operand shapes {shapes}")
+        ops.append((tuple(range(-k, 0)) + tuple(letters), shape))
+        nbatch = max(nbatch, k)
+    if not nbatch:
+        return None
+    if "..." not in output:
+        raise ValueError(f"'{subscripts}' drops the batch axes of its operands")
+    out_labels = tuple(range(-nbatch, 0)) + tuple(output.replace("...", ""))
+
+    def split(i: int, j: int):
+        """Output sizes, the labels of a pair (shared, summed, a's alone,
+        b's alone), and the unit axes of a and of b that the other fills."""
+        (a, a_shape), (b, b_shape) = ops[i], ops[j]
+        needed = set(out_labels).union(*(ops[k][0] for k in range(len(ops)) if k not in (i, j)))
+        a_size, b_size = dict(zip(a, a_shape)), dict(zip(b, b_shape))
+        size = {**b_size, **{label: max(n, b_size.get(label, 1)) for label, n in a_size.items()}}
+        both = [label for label in a if label in b]
+        summed = [label for label in both if label not in needed]
+        # a kept label along which one operand only broadcasts (size 1)
+        # belongs to the other alone, so it joins a matrix dimension
+        kept = [label for label in both if label in needed]
+        a_unit = [label for label in kept if a_size[label] == 1 < b_size[label]]
+        b_unit = [label for label in kept if b_size[label] == 1 < a_size[label]]
+        shared = [label for label in kept if label not in a_unit + b_unit]
+        left = [label for label in a if label not in b] + b_unit
+        right = [label for label in b if label not in a] + a_unit
+        if not needed.issuperset(left + right):
+            raise ValueError(f"'{subscripts}' sums a label that only one operand carries")
+        return size, shared, summed, left, right, a_unit, b_unit
+
+    def result_size(ij: tuple[int, int]) -> int:
+        size, shared, _, left, right, _, _ = split(*ij)
+        return prod(size[label] for label in shared + left + right)
+
+    steps = []
+    while len(ops) > 1:
+        i, j = min(combinations(range(len(ops)), 2), key=result_size)
+        size, shared, summed, left, right, a_unit, b_unit = split(i, j)
+        (a, a_shape), (b, b_shape) = ops[i], ops[j]
+        n_left, n_summed, n_right = (
+            prod(size[label] for label in part) for part in (left, summed, right)
+        )
+        labels = tuple(shared + left + right)
+        shape = tuple(size[label] for label in labels)
+        ops = [op for k, op in enumerate(ops) if k not in (i, j)] + [(labels, shape)]
+        order = out_labels if len(ops) == 1 else labels
+        a_left = [label for label in left if label not in b_unit]
+        b_right = [label for label in right if label not in a_unit]
+        steps.append(
+            (
+                i,
+                j,
+                tuple(a.index(label) for label in shared + a_left + b_unit + summed + a_unit),
+                tuple(a_shape[a.index(label)] for label in shared) + (n_left, n_summed),
+                tuple(b.index(label) for label in shared + b_unit + summed + b_right + a_unit),
+                tuple(b_shape[b.index(label)] for label in shared) + (n_summed, n_right),
+                shape,
+                tuple(labels.index(label) for label in order),
+            )
+        )
+    return tuple(steps)
 
 
 def memoised(builder):

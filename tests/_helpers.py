@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from acmcheck.chart import AVOID_EPS, MAX_REDRAWS, AdaptedChart, ChartError
 from acmcheck.expr import Add, Const, Mul, ScalarField, parse
 from acmcheck.structure import AdaptedStructure
 
@@ -142,3 +143,26 @@ def loop_nijenhuis_phi(ev) -> np.ndarray:
             term -= _phi_apply(ev, _bracket(B0[i], B1[i], P0[j], P1[j]))
             out[i, j] = _to_frame(ev, term)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-index loop form of the point sampler: the reference for
+# AdaptedChart.sample_points, which evaluates the avoid fields per block
+# ---------------------------------------------------------------------------
+
+
+def loop_sample_points(chart: AdaptedChart, count: int, seed: int) -> np.ndarray:
+    """One generator per index, one candidate and one avoid test at a time."""
+    lo = np.array([iv[0] for iv in chart.domain])
+    hi = np.array([iv[1] for iv in chart.domain])
+    points = np.empty((count, chart.n))
+    for i in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        for _ in range(MAX_REDRAWS):
+            p = lo + (hi - lo) * rng.random(chart.n)
+            if all(abs(f.value(p)) >= AVOID_EPS for f in chart.avoid):
+                points[i] = p
+                break
+        else:
+            raise ChartError(f"could not sample point {i} clear of 'avoid' loci")
+    return points

@@ -20,6 +20,8 @@ from acmcheck.chart import (
 from acmcheck.expr import parse
 from acmcheck.structure import AdaptedStructure, StructureEval
 
+from _helpers import loop_sample_points
+
 COORDS = ("x", "y", "z", "u", "v")
 BOX = tuple((-2.0, 2.0) for _ in range(5))
 
@@ -199,6 +201,40 @@ def test_sampling_deterministic_and_order_independent():
 def test_sampling_respects_avoid():
     for p in EX1.sample_points(64, seed=1):
         assert abs(p[1]) >= 1e-6
+
+
+# accepts about 1.6% of the box: |x| < 0.117 and |y| < 0.525 keep both
+# fields above the avoid threshold, so most indices need dozens of redraws
+NARROW = make_chart(["y", "0", "0", "0"], avoid=["y", "exp(-1000*x^2)", "exp(-50*y^2)"])
+
+
+@pytest.mark.parametrize("count, seed", [(32, 42), (128, 7)])
+def test_sampling_matches_per_index_loop_on_fixtures(structures, count, seed):
+    for s in structures.values():
+        assert np.array_equal(s.chart.sample_points(count, seed), loop_sample_points(s.chart, count, seed))
+
+
+def test_sampling_matches_per_index_loop_with_redraws():
+    count, seed = 24, 3
+    points = NARROW.sample_points(count, seed)
+    assert np.array_equal(points, loop_sample_points(NARROW, count, seed))
+    # most indices reject their first candidate
+    first = np.array([
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,))).random(5)
+        for i in range(count)
+    ])
+    redrawn = np.any(points != -2.0 + 4.0 * first, axis=1)
+    assert redrawn.sum() >= count // 2
+    # the prefix property holds with redraws too
+    assert np.array_equal(NARROW.sample_points(5, seed), points[:5])
+
+
+def test_sampling_reports_the_first_unsatisfiable_index():
+    never = make_chart(["0", "0", "0", "0"], avoid=["0*x"])
+    with pytest.raises(ChartError, match="could not sample point 0 "):
+        never.sample_points(3, seed=1)
+    with pytest.raises(ChartError, match="could not sample point 0 "):
+        loop_sample_points(never, 3, seed=1)
 
 
 def test_contains():

@@ -283,6 +283,22 @@ def test_internal_cov_deriv_matches_derived_route(structures, sample_sets):
         assert np.abs(via_fields.components - nabla_omega(ev)).max() < 1e-12
 
 
+def test_internal_cov_deriv_over_a_block_is_the_stack_of_points(structures, sample_sets):
+    s = structures["example2"]
+    coords = s.chart.coords
+    fields = np.empty((4, 4), dtype=object)
+    for a, b in np.ndindex(4, 4):
+        fields[a, b] = parse(f"{a + 1}*y*v - {b}*x^2 + sin(u)*{a - b}", coords)
+    points = sample_sets["example2"][:8]
+    for valence in [(FRAME_LOWER, FRAME_LOWER), (FRAME_UPPER, FRAME_LOWER)]:
+        block = internal_cov_deriv(StructureEval(s, points), TensorGrid(fields, valence))
+        singles = [internal_cov_deriv(StructureEval(s, p), fields, valence) for p in points]
+        assert all(isinstance(one, TensorGrid) and one.valence == (FRAME_LOWER,) + valence for one in singles)
+        assert isinstance(block, np.ndarray) and block.shape == (8, 4, 4, 4)
+        stacked = np.stack([one.components for one in singles])
+        assert np.allclose(block, stacked, rtol=1e-12, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # Covariant derivative of phi
 # ---------------------------------------------------------------------------
