@@ -211,7 +211,8 @@ NARROW = make_chart(["y", "0", "0", "0"], avoid=["y", "exp(-1000*x^2)", "exp(-50
 @pytest.mark.parametrize("count, seed", [(32, 42), (128, 7)])
 def test_sampling_matches_per_index_loop_on_fixtures(structures, count, seed):
     for s in structures.values():
-        assert np.array_equal(s.chart.sample_points(count, seed), loop_sample_points(s.chart, count, seed))
+        expected = loop_sample_points(s.chart, count, seed)
+        assert np.array_equal(s.chart.sample_points(count, seed), expected)
 
 
 def test_sampling_matches_per_index_loop_with_redraws():

@@ -293,7 +293,8 @@ def test_internal_cov_deriv_over_a_block_is_the_stack_of_points(structures, samp
     for valence in [(FRAME_LOWER, FRAME_LOWER), (FRAME_UPPER, FRAME_LOWER)]:
         block = internal_cov_deriv(StructureEval(s, points), TensorGrid(fields, valence))
         singles = [internal_cov_deriv(StructureEval(s, p), fields, valence) for p in points]
-        assert all(isinstance(one, TensorGrid) and one.valence == (FRAME_LOWER,) + valence for one in singles)
+        for one in singles:
+            assert isinstance(one, TensorGrid) and one.valence == (FRAME_LOWER,) + valence
         assert isinstance(block, np.ndarray) and block.shape == (8, 4, 4, 4)
         stacked = np.stack([one.components for one in singles])
         assert np.allclose(block, stacked, rtol=1e-12, atol=1e-14)
