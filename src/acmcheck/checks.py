@@ -40,7 +40,7 @@ from .connection import (
     torsion,
 )
 from .curvature import EinsteinReport, einstein_reports
-from .manifest import Manifest
+from .manifest import Manifest, run_parameters
 from .residuals import WorstResidual
 from .structure import StructureEval, metric_definiteness, validate_axioms
 
@@ -123,12 +123,12 @@ def sampled_evaluation(
 ) -> tuple[StructureEval, dict]:
     """One evaluation over the manifest's sampled points, with the run
     parameters ``samples``, ``seed`` and ``tolerance`` (the manifest's
-    defaults where not given)."""
-    run = {
-        "samples": manifest.samples if samples is None else samples,
-        "seed": manifest.seed if seed is None else seed,
-        "tolerance": manifest.tolerance if tol is None else tol,
-    }
+    defaults where not given), checked by :func:`run_parameters`."""
+    run = run_parameters(
+        manifest.samples if samples is None else samples,
+        manifest.seed if seed is None else seed,
+        manifest.tolerance if tol is None else tol,
+    )
     s = manifest.structure()
     return StructureEval(s, s.chart.sample_points(run["samples"], run["seed"])), run
 

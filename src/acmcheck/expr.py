@@ -5,10 +5,18 @@ to second order: a :class:`Jet` carries value, gradient and (symmetric)
 Hessian, which is everything the downstream tensor computations need.  A
 field is evaluated once over a whole block of points; leading axes of every
 array are sample axes.
+
+Expressions form a DAG, not a tree.  The fields parsed through one
+:class:`InternTable` (one per manifest) share a node object for every
+distinct subexpression, and each distinct string is parsed once.
+:func:`field_jets` differentiates each distinct node once per block of
+fields, so a subexpression repeated across a manifest's fields is parsed and
+differentiated once per block.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,27 +297,38 @@ def _wrap(node: Node, minimum: int) -> str:
     return f"({text})" if _prec(node) < minimum else text
 
 
-def _eval_node(node: Node, points: np.ndarray, n: int) -> Jet:
-    """Jet of ``node`` over a block of points; a subtree without a Var keeps
-    batch shape ()."""
+def _eval_node(node: Node, points: np.ndarray, n: int, memo: dict) -> Jet:
+    """Jet of ``node`` over a block of points.  ``memo`` maps the id of each
+    node evaluated so far in the block to its jet, so a node object shared by
+    several fields or subtrees is evaluated once; keying by identity keeps a
+    lookup from hashing the subtree below it."""
+    jet = memo.get(id(node))
+    if jet is None:
+        jet = memo[id(node)] = _node_jet(node, points, n, memo)
+    return jet
+
+
+def _node_jet(node: Node, points: np.ndarray, n: int, memo: dict) -> Jet:
+    """One forward-mode step: the jet of ``node`` from its children's; a
+    subtree without a Var keeps batch shape ()."""
     if isinstance(node, Const):
         return Jet.constant(node.value, n)
     if isinstance(node, Var):
         return Jet.variable(points[..., node.index], node.index, n)
     if isinstance(node, Neg):
-        return -_eval_node(node.arg, points, n)
+        return -_eval_node(node.arg, points, n, memo)
     if isinstance(node, Add):
-        return _eval_node(node.left, points, n) + _eval_node(node.right, points, n)
+        return _eval_node(node.left, points, n, memo) + _eval_node(node.right, points, n, memo)
     if isinstance(node, Sub):
-        return _eval_node(node.left, points, n) - _eval_node(node.right, points, n)
+        return _eval_node(node.left, points, n, memo) - _eval_node(node.right, points, n, memo)
     if isinstance(node, Mul):
-        return _eval_node(node.left, points, n) * _eval_node(node.right, points, n)
+        return _eval_node(node.left, points, n, memo) * _eval_node(node.right, points, n, memo)
     if isinstance(node, Div):
-        return _eval_node(node.left, points, n) / _eval_node(node.right, points, n)
+        return _eval_node(node.left, points, n, memo) / _eval_node(node.right, points, n, memo)
     if isinstance(node, Pow):
-        return _eval_node(node.base, points, n).ipow(node.exponent)
+        return _eval_node(node.base, points, n, memo).ipow(node.exponent)
     if isinstance(node, Call):
-        return getattr(_eval_node(node.arg, points, n), node.func)()
+        return getattr(_eval_node(node.arg, points, n, memo), node.func)()
     raise TypeError(f"unexpected node {node!r}")
 
 
@@ -374,11 +393,11 @@ class _Parser:
     """Recursive descent: ^ > unary minus > * / > + -, with ^ right-associative
     and restricted to constant integer exponents."""
 
-    def __init__(self, tokens: list[_Token], coords: tuple[str, ...]):
+    def __init__(self, tokens: list[_Token], table: "InternTable"):
         self.tokens = tokens
         self.pos = 0
-        self.coords = coords
-        self.index = {name: i for i, name in enumerate(coords)}
+        self.node = table.node
+        self.index = table.index
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -405,7 +424,7 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.next().text
             rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            node = self.node(Add if op == "+" else Sub, node, rhs)
         return node
 
     def term(self) -> Node:
@@ -413,14 +432,14 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.next().text
             rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+            node = self.node(Mul if op == "*" else Div, node, rhs)
         return node
 
     def unary(self) -> Node:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.next()
-            return Neg(self.unary())
+            return self.node(Neg, self.unary())
         return self.power()
 
     def power(self) -> Node:
@@ -430,7 +449,7 @@ class _Parser:
             self.next()
             exp_tok = self.peek()
             exponent = self.unary()  # right-associative, then folded to an int
-            return Pow(base, self._const_int(exponent, exp_tok.offset))
+            return self.node(Pow, base, self._const_int(exponent, exp_tok.offset))
         return base
 
     def _const_int(self, node: Node, offset: int) -> int:
@@ -451,15 +470,15 @@ class _Parser:
     def atom(self) -> Node:
         tok = self.next()
         if tok.kind == "num":
-            return Const(tok.value)
+            return self.node(Const, tok.value)
         if tok.kind == "ident":
             if tok.text in FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                return Call(tok.text, arg)
+                return self.node(Call, tok.text, arg)
             if tok.text in self.index:
-                return Var(self.index[tok.text], tok.text)
+                return self.node(Var, self.index[tok.text], tok.text)
             raise UnknownIdentifierError(tok.text, tok.offset)
         if tok.kind == "op" and tok.text == "(":
             node = self.expr()
@@ -489,12 +508,16 @@ class ScalarField:
         A field without a Var is evaluated once and broadcast; an
         :class:`ExprDomainError` names the expression and the first
         offending point."""
+        return self._jet(np.asarray(point, dtype=float), {})
+
+    def _jet(self, p: np.ndarray, memo: dict) -> Jet:
+        """:meth:`jet` over the block ``p``, with the node memo of the
+        block's other fields (see :func:`field_jets`)."""
         n = len(self.coords)
-        p = np.asarray(point, dtype=float)
         if p.ndim == 0 or p.shape[-1] != n:
             raise ValueError(f"point has shape {p.shape}, expected (..., {n})")
         try:
-            jet = _eval_node(self.ast, p, n)
+            jet = _eval_node(self.ast, p, n, memo)
         except ExprDomainError as err:
             if err.where is None:
                 raise
@@ -513,6 +536,47 @@ class ScalarField:
         return to_text(self.ast)
 
 
+class InternTable:
+    """Parses expressions over one coordinate tuple: each distinct string
+    once, and equal subtrees of all of them into one node object, so the
+    fields parsed through one table share their common subexpressions.
+
+    A node is keyed by its type, its scalar attributes and the identities of
+    its children, which are table nodes already; a ``Const`` is keyed by the
+    bits of its value, since ``Const(-0.0) == Const(0.0)``.  The table keeps
+    every node it made, so no keyed identity is reused while it lives.
+    """
+
+    def __init__(self, coords: tuple[str, ...] | list[str]):
+        coords = tuple(coords)
+        clash = sorted(set(coords) & set(FUNCTIONS))
+        if clash:
+            raise ValueError(f"coordinate names shadow built-in functions: {clash}")
+        self.coords = coords
+        self.index = {name: i for i, name in enumerate(coords)}
+        self.fields: dict[str, ScalarField] = {}
+        self.nodes: dict[tuple, Node] = {}
+
+    def parse(self, text: str) -> ScalarField:
+        """The field of ``text``; see :func:`parse` for the errors."""
+        field = self.fields.get(text)
+        if field is None:
+            ast = _Parser(_tokenize(text), self).parse()
+            field = self.fields[text] = ScalarField(ast, self.coords)
+        return field
+
+    def node(self, cls: type, *args) -> Node:
+        """The table's ``cls(*args)``."""
+        if cls is Const:
+            key = (Const, struct.pack("<d", *args))
+        else:
+            key = (cls, *[a if type(a) in (int, str) else id(a) for a in args])
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls(*args)
+        return node
+
+
 def parse(text: str, coords: tuple[str, ...] | list[str]) -> ScalarField:
     """Parse ``text`` over the given coordinate names.
 
@@ -520,21 +584,20 @@ def parse(text: str, coords: tuple[str, ...] | list[str]) -> ScalarField:
     :class:`UnknownIdentifierError` for identifiers that are neither
     coordinates nor built-in functions.
     """
-    coords = tuple(coords)
-    clash = sorted(set(coords) & set(FUNCTIONS))
-    if clash:
-        raise ValueError(f"coordinate names shadow built-in functions: {clash}")
-    return ScalarField(_Parser(_tokenize(text), coords).parse(), coords)
+    return InternTable(coords).parse(text)
 
 
 def field_jets(fields: np.ndarray, points: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
     """Jets of an object array of ScalarFields over a point or a block of
-    points of shape (..., n), each field evaluated once: the values (batch
-    shape + the fields' shape), then for ``order`` >= 1 the gradients (one
-    more trailing axis) and for ``order`` 2 the Hessians (two)."""
+    points of shape (..., n): the values (batch shape + the fields' shape),
+    then for ``order`` >= 1 the gradients (one more trailing axis) and for
+    ``order`` 2 the Hessians (two).  Each distinct node object is evaluated
+    once for the whole block, so fields from one :class:`InternTable` share
+    the jets of their common subexpressions."""
     p = np.asarray(points, dtype=float)
     batch, n = p.shape[:-1], p.shape[-1]
-    jets = [f.jet(p) for f in fields.flat]
+    memo: dict = {}
+    jets = [f._jet(p, memo) for f in fields.flat]
     parts = ([j.value for j in jets], [j.grad for j in jets], [j.hess for j in jets])
     return tuple(
         np.moveaxis(np.array(part), 0, len(batch)).reshape(batch + fields.shape + (n,) * k)

@@ -6,14 +6,19 @@ Schema (all expression values are strings in the scalar DSL):
   gamma         n-1 expressions (the adapted-frame coefficients)
   metric_frame  (n-1) x (n-1) expressions, metric_frame[i][j] = g(e_i, e_j)
   phi_frame     (n-1) x (n-1) expressions, phi_frame[i][j] = phi(e_j) along e_i
-  domain        n [lo, hi] pairs (sampling box)
+  domain        n [lo, hi] pairs of finite numbers (sampling box)
   avoid         expressions kept nonzero at sample points
   samples, seed, tolerance, pseudo, omega_source   run parameters
+
+Each distinct expression string is parsed once per manifest, through one
+intern table, so equal subexpressions of all fields are one node object.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -21,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .chart import AdaptedChart
-from .expr import ExprError, ScalarField, parse
+from .expr import ExprError, InternTable, ScalarField
 from .structure import AdaptedStructure
 
 OMEGA_SOURCES = ("d_eta", "fundamental_form")
@@ -64,16 +69,43 @@ class Manifest:
         )
 
 
-def _parse_field(text: object, coords: tuple[str, ...], where: str) -> ScalarField:
+def _finite(x: object) -> float | None:
+    """``x`` as a float if it is a finite real number (not a bool), else None."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return None
+    try:
+        value = float(x)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def run_parameters(samples: object, seed: object, tolerance: object) -> dict:
+    """The run parameters as ``Manifest`` holds them and reports print them:
+    a positive sample count, a non-negative integer seed (a NumPy seed
+    sequence takes no negative entropy) and a positive finite tolerance.
+    A manifest's values and a caller's overrides are both checked here; a
+    bad one is a :class:`ManifestError` naming it."""
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise ManifestError("samples", f"must be a positive integer, got {samples!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ManifestError("seed", f"must be a non-negative integer, got {seed!r}")
+    tol = _finite(tolerance)
+    if tol is None or tol <= 0:
+        raise ManifestError("tolerance", f"must be a positive finite number, got {tolerance!r}")
+    return {"samples": int(samples), "seed": int(seed), "tolerance": tol}
+
+
+def _parse_field(text: object, table: InternTable, where: str) -> ScalarField:
     if not isinstance(text, str):
         raise ManifestError(where, f"expected an expression string, got {type(text).__name__}")
     try:
-        return parse(text, coords)
+        return table.parse(text)
     except ExprError as err:
         raise ManifestError(where, str(err)) from err
 
 
-def _expr_matrix(rows: object, m: int, coords: tuple[str, ...], name: str) -> np.ndarray:
+def _expr_matrix(rows: object, m: int, table: InternTable, name: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != m:
         raise ManifestError(name, f"expected {m} rows")
     out = np.empty((m, m), dtype=object)
@@ -81,7 +113,7 @@ def _expr_matrix(rows: object, m: int, coords: tuple[str, ...], name: str) -> np
         if not isinstance(row, list) or len(row) != m:
             raise ManifestError(f"{name}[{i}]", f"expected {m} entries")
         for j, text in enumerate(row):
-            out[i, j] = _parse_field(text, coords, f"{name}[{i}][{j}]")
+            out[i, j] = _parse_field(text, table, f"{name}[{i}][{j}]")
     return out
 
 
@@ -103,17 +135,21 @@ def manifest_from_dict(data: dict, source: str = "<memory>") -> Manifest:
     m = n - 1
 
     coords = data.get("coordinates")
-    if not isinstance(coords, list) or len(coords) != n or len(set(coords)) != n:
+    if (not isinstance(coords, list) or len(coords) != n
+            or not all(isinstance(c, str) for c in coords) or len(set(coords)) != n):
         raise ManifestError("coordinates", f"expected {n} distinct names")
-    coords = tuple(str(c) for c in coords)
+    try:
+        table = InternTable(coords)
+    except ValueError as err:
+        raise ManifestError("coordinates", str(err)) from None
 
     gamma_raw = data.get("gamma")
     if not isinstance(gamma_raw, list) or len(gamma_raw) != m:
         raise ManifestError("gamma", f"expected {m} expressions, got {len(gamma_raw) if isinstance(gamma_raw, list) else type(gamma_raw).__name__}")
-    gamma = tuple(_parse_field(t, coords, f"gamma[{a}]") for a, t in enumerate(gamma_raw))
+    gamma = tuple(_parse_field(t, table, f"gamma[{a}]") for a, t in enumerate(gamma_raw))
 
-    metric = _expr_matrix(data.get("metric_frame"), m, coords, "metric_frame")
-    phi = _expr_matrix(data.get("phi_frame"), m, coords, "phi_frame")
+    metric = _expr_matrix(data.get("metric_frame"), m, table, "metric_frame")
+    phi = _expr_matrix(data.get("phi_frame"), m, table, "phi_frame")
 
     domain_raw = data.get("domain")
     if not isinstance(domain_raw, list) or len(domain_raw) != n:
@@ -122,25 +158,21 @@ def manifest_from_dict(data: dict, source: str = "<memory>") -> Manifest:
     for i, pair in enumerate(domain_raw):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ManifestError(f"domain[{i}]", "expected [lo, hi]")
-        lo, hi = float(pair[0]), float(pair[1])
+        lo, hi = _finite(pair[0]), _finite(pair[1])
+        if lo is None or hi is None:
+            raise ManifestError(f"domain[{i}]", f"bounds must be finite numbers, got {pair!r}")
         if not lo < hi:
             raise ManifestError(f"domain[{i}]", f"empty interval [{lo}, {hi}]")
+        if not math.isfinite(hi - lo):
+            raise ManifestError(f"domain[{i}]", f"interval [{lo}, {hi}] is too wide to sample")
         domain.append((lo, hi))
 
     avoid_raw = data.get("avoid", [])
     if not isinstance(avoid_raw, list):
         raise ManifestError("avoid", "expected a list of expressions")
-    avoid = tuple(_parse_field(t, coords, f"avoid[{i}]") for i, t in enumerate(avoid_raw))
+    avoid = tuple(_parse_field(t, table, f"avoid[{i}]") for i, t in enumerate(avoid_raw))
 
-    samples = data.get("samples", 32)
-    if not isinstance(samples, int) or samples < 1:
-        raise ManifestError("samples", f"must be a positive integer, got {samples!r}")
-    seed = data.get("seed", 42)
-    if not isinstance(seed, int):
-        raise ManifestError("seed", f"must be an integer, got {seed!r}")
-    tolerance = data.get("tolerance", 1e-7)
-    if not isinstance(tolerance, (int, float)) or tolerance <= 0:
-        raise ManifestError("tolerance", f"must be positive, got {tolerance!r}")
+    run = run_parameters(data.get("samples", 32), data.get("seed", 42), data.get("tolerance", 1e-7))
     pseudo = data.get("pseudo", False)
     if not isinstance(pseudo, bool):
         raise ManifestError("pseudo", f"must be a boolean, got {pseudo!r}")
@@ -150,15 +182,13 @@ def manifest_from_dict(data: dict, source: str = "<memory>") -> Manifest:
 
     return Manifest(
         dimension=n,
-        coordinates=coords,
+        coordinates=table.coords,
         gamma=gamma,
         metric_frame=metric,
         phi_frame=phi,
         domain=tuple(domain),
         avoid=avoid,
-        samples=samples,
-        seed=seed,
-        tolerance=float(tolerance),
+        **run,
         pseudo=pseudo,
         omega_source=omega_source,
         source=source,

@@ -6,7 +6,23 @@ from __future__ import annotations
 import numpy as np
 
 from acmcheck.chart import AVOID_EPS, MAX_REDRAWS, AdaptedChart, ChartError
-from acmcheck.expr import Add, Const, Mul, ScalarField, parse
+from acmcheck.expr import (
+    Add,
+    Call,
+    Const,
+    Div,
+    ExprDomainError,
+    Jet,
+    Mul,
+    Neg,
+    Node,
+    Pow,
+    ScalarField,
+    Sub,
+    Var,
+    describe_first,
+    parse,
+)
 from acmcheck.structure import AdaptedStructure
 
 COORDS = ("x", "y", "z", "u", "v")
@@ -166,3 +182,52 @@ def loop_sample_points(chart: AdaptedChart, count: int, seed: int) -> np.ndarray
         else:
             raise ChartError(f"could not sample point {i} clear of 'avoid' loci")
     return points
+
+
+# ---------------------------------------------------------------------------
+# Recursive, unshared jet evaluator: the reference for expr.field_jets, which
+# evaluates each distinct node object of a block once
+# ---------------------------------------------------------------------------
+
+
+def unshared_eval_node(node: Node, points: np.ndarray, n: int) -> Jet:
+    """Jet of ``node`` over a block of points, every subtree evaluated anew
+    wherever it occurs; a subtree without a Var keeps batch shape ()."""
+    if isinstance(node, Const):
+        return Jet.constant(node.value, n)
+    if isinstance(node, Var):
+        return Jet.variable(points[..., node.index], node.index, n)
+    if isinstance(node, Neg):
+        return -unshared_eval_node(node.arg, points, n)
+    if isinstance(node, Add):
+        return unshared_eval_node(node.left, points, n) + unshared_eval_node(node.right, points, n)
+    if isinstance(node, Sub):
+        return unshared_eval_node(node.left, points, n) - unshared_eval_node(node.right, points, n)
+    if isinstance(node, Mul):
+        return unshared_eval_node(node.left, points, n) * unshared_eval_node(node.right, points, n)
+    if isinstance(node, Div):
+        return unshared_eval_node(node.left, points, n) / unshared_eval_node(node.right, points, n)
+    if isinstance(node, Pow):
+        return unshared_eval_node(node.base, points, n).ipow(node.exponent)
+    if isinstance(node, Call):
+        return getattr(unshared_eval_node(node.arg, points, n), node.func)()
+    raise TypeError(f"unexpected node {node!r}")
+
+
+def unshared_field_jets(fields: np.ndarray, points, order: int = 2) -> tuple[np.ndarray, ...]:
+    """``field_jets`` with each field's tree evaluated on its own, a domain
+    error naming the field and its first offending point."""
+    p = np.asarray(points, dtype=float)
+    batch, n = p.shape[:-1], p.shape[-1]
+    parts = ([], [], [])
+    for f in fields.flat:
+        try:
+            jet = unshared_eval_node(f.ast, p, n)
+        except ExprDomainError as err:
+            raise ExprDomainError(f"{err} in '{f}' at {describe_first(p, err.where)}") from None
+        for k, part in enumerate((jet.value, jet.grad, jet.hess)):
+            parts[k].append(np.broadcast_to(part, batch + (n,) * k))
+    return tuple(
+        np.moveaxis(np.array(part), 0, len(batch)).reshape(batch + fields.shape + (n,) * k)
+        for k, part in enumerate(parts[: order + 1])
+    )

@@ -90,12 +90,28 @@ def test_unknown_identifier_in_metric():
         ({"omega_source": "volume"}, "omega_source"),
         ({"extra_key": 1}, "extra_key"),
         ({"pseudo": "no"}, "pseudo"),
+        ({"coordinates": ["x", "y", "sin", "u", "v"]}, "coordinates"),
+        ({"coordinates": ["x", ["y"], "z", "u", "v"]}, "coordinates"),
+        ({"coordinates": [1, "1", "z", "u", "v"]}, "coordinates"),
+        ({"seed": True}, "seed"),
     ],
 )
 def test_schema_violations(patch, field):
     bad = dict(BASE, **patch)
     with pytest.raises(ManifestError) as err:
         manifest_from_dict(bad)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("kwargs,field", [
+    ({"seed": -1}, "seed"),
+    ({"tol": float("nan")}, "tolerance"),
+    ({"tol": 0.0}, "tolerance"),
+    ({"samples": 0}, "samples"),
+])
+def test_run_parameter_overrides_checked(kwargs, field, manifests):
+    with pytest.raises(ManifestError) as err:
+        run_full_check(manifests["flat"], **kwargs)
     assert err.value.field == field
 
 
@@ -368,6 +384,33 @@ def test_cli_commands_share_the_report_builders(name, capsys, monkeypatch):
 def test_cli_missing_manifest_exit_two(capsys):
     assert main(["check", "definitely-not-here.json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["check", "example1", "--seed", "-1", "--samples", "4"], "seed"),
+    (["einstein", "example1", "--seed", "-1", "--samples", "4"], "seed"),
+    (["check", "example1", "--tol", "-1"], "tolerance"),
+    (["classify", "example1", "--tol", "nan"], "tolerance"),
+    (["check", "example1", "--tol", "inf"], "tolerance"),
+])
+def test_cli_bad_run_parameter_exit_two(argv, field, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize("patch,field", [
+    ({"seed": -3}, "seed"),
+    ({"tolerance": float("nan")}, "tolerance"),
+    ({"domain": [["a", 1.0]] + [[-2.0, 2.0]] * 4}, "domain[0]"),
+    ({"domain": [[-2.0, 2.0], [None, 1.0]] + [[-2.0, 2.0]] * 3}, "domain[1]"),
+    ({"domain": [[-2.0, 2.0]] * 2 + [[0.0, "inf"]] + [[-2.0, 2.0]] * 2}, "domain[2]"),
+    ({"domain": [[-2.0, 2.0]] * 4 + [[-1e308, 1e308]]}, "domain[4]"),
+])
+def test_cli_bad_manifest_value_exit_two(patch, field, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(BASE, **patch)))
+    assert main(["check", str(path), "--samples", "4"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 def test_cli_schema_error_exit_two(tmp_path, capsys):
