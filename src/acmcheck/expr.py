@@ -43,12 +43,14 @@ class UnknownIdentifierError(ExprError):
 
 class ExprDomainError(ExprError):
     """Evaluation left the function's domain (1/0, ln(x<=0), sqrt(x<0)) or
-    exp overflowed.  ``where`` marks the offending points of the block until
-    :meth:`ScalarField.jet` names the expression and the first such point."""
+    exp overflowed.  ``where`` marks the offending points of the block;
+    :meth:`ScalarField.jet` names the expression and the first such point,
+    and keeps the message without the point as ``reason``."""
 
-    def __init__(self, message: str, where: np.ndarray | None = None):
+    def __init__(self, message: str, where: np.ndarray | None = None, reason: str | None = None):
         super().__init__(message)
         self.where = where
+        self.reason = message if reason is None else reason
 
 
 def describe_first(points: np.ndarray, mask) -> str:
@@ -521,7 +523,8 @@ class ScalarField:
         except ExprDomainError as err:
             if err.where is None:
                 raise
-            raise ExprDomainError(f"{err} in '{self}' at {describe_first(p, err.where)}") from None
+            reason = f"{err} in '{self}'"
+            raise ExprDomainError(f"{reason} at {describe_first(p, err.where)}", err.where, reason) from None
         batch = p.shape[:-1]
         parts = (jet.value, jet.grad, jet.hess)
         shapes = (batch, batch + (n,), batch + (n, n))

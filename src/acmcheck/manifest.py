@@ -82,12 +82,13 @@ def _finite(x: object) -> float | None:
 
 def run_parameters(samples: object, seed: object, tolerance: object) -> dict:
     """The run parameters as ``Manifest`` holds them and reports print them:
-    a positive sample count, a non-negative integer seed (a NumPy seed
-    sequence takes no negative entropy) and a positive finite tolerance.
+    a positive sample count below 2**32 (the sampler's per-index spawn key is
+    one 32-bit word), a non-negative integer seed (a NumPy seed sequence
+    takes no negative entropy) and a positive finite tolerance.
     A manifest's values and a caller's overrides are both checked here; a
     bad one is a :class:`ManifestError` naming it."""
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
-        raise ManifestError("samples", f"must be a positive integer, got {samples!r}")
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or not 0 < samples < 2**32:
+        raise ManifestError("samples", f"must be a positive integer below 2**32, got {samples!r}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ManifestError("seed", f"must be a non-negative integer, got {seed!r}")
     tol = _finite(tolerance)

@@ -13,11 +13,15 @@ from acmcheck.chart import (
     FRAME_UPPER,
     SingularJacobianError,
     TensorGrid,
+    _pcg64_advance,
+    _pcg64_double,
+    _pcg64_jumps,
+    _pcg64_streams,
     change_chart,
     frame_bracket,
     rank_at,
 )
-from acmcheck.expr import parse
+from acmcheck.expr import ExprDomainError, parse
 from acmcheck.structure import AdaptedStructure, StructureEval
 
 from _helpers import loop_sample_points
@@ -236,6 +240,47 @@ def test_sampling_reports_the_first_unsatisfiable_index():
         never.sample_points(3, seed=1)
     with pytest.raises(ChartError, match="could not sample point 0 "):
         loop_sample_points(never, 3, seed=1)
+
+
+def numpy_stream(seed: int, i: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 2, 2**32 - 1, 2**32, 2**64 + 3, 2**128, 7**60])
+def test_streams_match_numpy_bit_for_bit(seed):
+    # indices past 2**31 go through an index array, so no 2**32 rows exist
+    index = np.array([*range(300), 2**31, 2**32 - 1])
+    state, inc = _pcg64_streams(seed, index)
+    rounds = []
+    for _ in range(3):
+        steps = _pcg64_advance(state[:, :, None], inc[:, :, None], _pcg64_jumps(5))
+        state = steps[..., -1]
+        rounds.append(_pcg64_double(steps))
+    # three rounds of 5 draws continue one generator's stream
+    want = np.array([numpy_stream(seed, int(i)).random(15) for i in index])
+    assert np.concatenate(rounds, axis=1).tobytes() == want.tobytes()
+
+
+def test_sampling_seed_and_count_checked():
+    with pytest.raises(ValueError, match="non-negative"):
+        EX1.sample_points(4, seed=-1)
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(entropy=-1)
+    with pytest.raises(ValueError, match="sample count"):
+        FLAT.sample_points(2**32, seed=1)
+
+
+def test_avoid_domain_error_names_the_sample_it_prints():
+    # 'y' clears every candidate; the second avoid field leaves its domain
+    # at sample 8's first candidate, which the sub-block of 'y'-clear
+    # candidates holds at another position
+    domain = (BOX[0], (-1e-6, 1e-5), *BOX[2:])
+    chart = make_chart(["0", "0", "0", "0"], domain=domain, avoid=["y", "ln(x + 1.9)"])
+    lo, hi = np.array(domain).T
+    candidate = lo + (hi - lo) * numpy_stream(1, 8).random(5)
+    with pytest.raises(ExprDomainError) as err:
+        chart.sample_points(64, seed=1)
+    assert str(err.value) == f"ln of non-positive value in 'ln(x + 1.9)' at sample 8, point {candidate}"
 
 
 def test_contains():

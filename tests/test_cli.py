@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import acmcheck
 from acmcheck import structure
 from acmcheck.checks import RunReport, run_full_check
 from acmcheck.cli import main
@@ -108,6 +113,7 @@ def test_schema_violations(patch, field):
     ({"tol": float("nan")}, "tolerance"),
     ({"tol": 0.0}, "tolerance"),
     ({"samples": 0}, "samples"),
+    ({"samples": 2**32}, "samples"),
 ])
 def test_run_parameter_overrides_checked(kwargs, field, manifests):
     with pytest.raises(ManifestError) as err:
@@ -392,6 +398,7 @@ def test_cli_missing_manifest_exit_two(capsys):
     (["check", "example1", "--tol", "-1"], "tolerance"),
     (["classify", "example1", "--tol", "nan"], "tolerance"),
     (["check", "example1", "--tol", "inf"], "tolerance"),
+    (["check", "example1", "--samples", str(2**32)], "samples"),
 ])
 def test_cli_bad_run_parameter_exit_two(argv, field, capsys):
     assert main(argv) == 2
@@ -453,3 +460,31 @@ def test_cli_custom_samples_and_seed(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["samples"] == 8 and payload["seed"] == 7
+
+
+def test_cli_avoid_domain_error_names_its_sample(tmp_path, capsys):
+    # every candidate clears 'y'; sample 8's first candidate has x + 1.9 < 0
+    domain = [[-2.0, 2.0], [-1e-6, 1e-5], [-2.0, 2.0], [-2.0, 2.0], [-2.0, 2.0]]
+    path = tmp_path / "avoid.json"
+    path.write_text(json.dumps(dict(BASE, domain=domain, avoid=["y", "ln(x + 1.9)"])))
+    code = main(["check", str(path), "--json", "--samples", "64", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "ln of non-positive value in 'ln(x + 1.9)' at sample 8, point" in err
+
+
+def test_cli_check_does_not_import_numpy_random():
+    # pytest and Hypothesis import numpy.random themselves, so a fresh
+    # interpreter runs the check
+    script = (
+        "import sys\n"
+        "from acmcheck.cli import main\n"
+        "assert main(['check', 'example1', '--json', '--samples', '8']) == 0\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    src = str(Path(acmcheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
