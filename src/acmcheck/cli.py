@@ -124,7 +124,7 @@ def _print_einstein_human(einstein: dict) -> None:
         )
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="acmcheck",
         description="Verify almost contact metric / sub-Riemannian structures "
@@ -158,13 +158,21 @@ def main(argv: list[str] | None = None) -> int:
     p_rank = sub.add_parser("rank", help="pointwise rank of the structure")
     p_rank.add_argument("manifest")
     p_rank.add_argument("--at", required=True, metavar="x1,...,xn")
+    return parser
 
+
+# Built once per process and never changed after import; every parse_args
+# call returns a fresh Namespace, so repeated main() calls share no state.
+_PARSER = _build_parser()
+
+
+def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--at" in argv[:-1]:
         # glue the point to the option, or argparse reads '-0.5,1,...' as an option
         i = argv.index("--at")
         argv[i : i + 2] = [f"--at={argv[i + 1]}"]
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         manifest = load_manifest(args.manifest)

@@ -350,11 +350,13 @@ def nabla_psi(ev: StructureEval) -> np.ndarray:
     return _cov_deriv_from_data(ev, ev.psi0, ev.psi1, (FRAME_UPPER, FRAME_LOWER))
 
 
+@memoised
 def cov_phi(ev: StructureEval, which: str) -> np.ndarray:
     """Covariant derivative of phi (extended by phi xi = 0) under the chosen
     connection: out[..., i, b, a] = (nabla_{E_i} phi)^b_a over the full frame.
 
-    ``which`` is 'levi_civita' or 'canonical'."""
+    ``which`` is 'levi_civita' or 'canonical'; each is built once per
+    evaluation."""
     if which == "levi_civita":
         coeff = ev.lc_full
     elif which == "canonical":

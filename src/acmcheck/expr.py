@@ -16,8 +16,11 @@ differentiated once per block.
 
 from __future__ import annotations
 
+import re
 import struct
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,12 +59,14 @@ class ExprDomainError(ExprError):
 def describe_first(points: np.ndarray, mask) -> str:
     """The first point of a block of points (..., n) at which ``mask`` (of
     the batch shape, or broadcast to it) holds, with its sample index when
-    the block has sample axes."""
+    the block has sample axes.  The point is printed on one line, however
+    many coordinates it has."""
     batch = points.shape[:-1]
     at = np.unravel_index(np.argmax(np.broadcast_to(mask, batch)), batch)
+    point = np.array2string(points[at], max_line_width=sys.maxsize)
     if not at:
-        return f"point {points}"
-    return f"sample {', '.join(str(i) for i in at)}, point {points[at]}"
+        return f"point {point}"
+    return f"sample {', '.join(str(i) for i in at)}, point {point}"
 
 
 # ---------------------------------------------------------------------------
@@ -339,55 +344,43 @@ def _node_jet(node: Node, points: np.ndarray, n: int, memo: dict) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'num' | 'ident' | 'op' | 'end'
     text: str
     offset: int
     value: float = 0.0
 
 
+# One match per token; the whitespace between matches is skipped.  \s, \w
+# and \d are str.isspace, str.isalnum-or-'_' and str.isdecimal.
+_TOKEN_PATTERN = re.compile(
+    r"(?P<num>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)|(?P<ident>[^\W\d]\w*)|(?P<op>[-+*/^()])|(?P<bad>\S)"
+)
+
+
 def _tokenize(text: str) -> list[_Token]:
+    # A digit is anything str.isdigit accepts, which includes non-decimal
+    # digits such as '²' that \d misses and float() rejects: scan a copy in
+    # which every digit is '0', so that a number takes them in and fails as
+    # a literal, while tokens keep the text's own characters.
+    scan = text if text.isascii() else "".join("0" if c.isdigit() else c for c in text)
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lit = text[i:j]
+    for m in _TOKEN_PATTERN.finditer(scan):
+        kind = m.lastgroup
+        i, j = m.span()
+        lit = text[i:j]
+        if kind == "num":
             try:
-                val = float(lit)
+                tokens.append(_Token(kind, lit, i, float(lit)))
             except ValueError:
                 raise ExprSyntaxError(f"bad numeric literal '{lit}'", i) from None
-            tokens.append(_Token("num", lit, i, val))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^()":
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character '{c}'", i)
-    tokens.append(_Token("end", "", n))
+        elif kind == "op" or (kind == "ident" and (lit[0].isalpha() or lit[0] == "_")):
+            tokens.append(_Token(kind, lit, i))
+        else:
+            # [^\W\d] also matches numeric characters such as '½', which
+            # cannot start an identifier
+            raise ExprSyntaxError(f"unexpected character '{lit[0]}'", i)
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 

@@ -445,14 +445,16 @@ def contraction_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tu
 
 
 def memoised(builder):
-    """Compute ``builder(ev)`` once per evaluation, like a cached property of
-    :class:`StructureEval` defined outside this module."""
+    """Compute ``builder(ev, ...)`` once per evaluation and argument list,
+    like a cached property of :class:`StructureEval` defined outside this
+    module.  Further arguments must be hashable."""
 
     @wraps(builder)
-    def cached(ev: StructureEval):
-        if builder not in ev.memo:
-            ev.memo[builder] = builder(ev)
-        return ev.memo[builder]
+    def cached(ev: StructureEval, *args, **kwargs):
+        key = (builder, *args, *kwargs.items())
+        if key not in ev.memo:
+            ev.memo[key] = builder(ev, *args, **kwargs)
+        return ev.memo[key]
 
     return cached
 

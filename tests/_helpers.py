@@ -12,6 +12,7 @@ from acmcheck.expr import (
     Const,
     Div,
     ExprDomainError,
+    ExprSyntaxError,
     Jet,
     Mul,
     Neg,
@@ -20,6 +21,7 @@ from acmcheck.expr import (
     ScalarField,
     Sub,
     Var,
+    _Token,
     describe_first,
     parse,
 )
@@ -231,3 +233,53 @@ def unshared_field_jets(fields: np.ndarray, points, order: int = 2) -> tuple[np.
         np.moveaxis(np.array(part), 0, len(batch)).reshape(batch + fields.shape + (n,) * k)
         for k, part in enumerate(parts[: order + 1])
     )
+
+
+# ---------------------------------------------------------------------------
+# Character-by-character scanner: the reference for expr._tokenize, whose
+# regex scan must give the same tokens, offsets and errors
+# ---------------------------------------------------------------------------
+
+
+def reference_tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+            j = i
+            while j < n and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    j = k
+                    while j < n and text[j].isdigit():
+                        j += 1
+            lit = text[i:j]
+            try:
+                val = float(lit)
+            except ValueError:
+                raise ExprSyntaxError(f"bad numeric literal '{lit}'", i) from None
+            tokens.append(_Token("num", lit, i, val))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("ident", text[i:j], i))
+            i = j
+            continue
+        if c in "+-*/^()":
+            tokens.append(_Token("op", c, i))
+            i += 1
+            continue
+        raise ExprSyntaxError(f"unexpected character '{c}'", i)
+    tokens.append(_Token("end", "", n))
+    return tokens

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -280,7 +282,9 @@ def test_avoid_domain_error_names_the_sample_it_prints():
     candidate = lo + (hi - lo) * numpy_stream(1, 8).random(5)
     with pytest.raises(ExprDomainError) as err:
         chart.sample_points(64, seed=1)
-    assert str(err.value) == f"ln of non-positive value in 'ln(x + 1.9)' at sample 8, point {candidate}"
+    point = np.array2string(candidate, max_line_width=sys.maxsize)  # one line, unlike str()
+    assert str(err.value) == f"ln of non-positive value in 'ln(x + 1.9)' at sample 8, point {point}"
+    assert "\n" not in str(err.value)
 
 
 def test_contains():

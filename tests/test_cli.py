@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -471,6 +472,65 @@ def test_cli_avoid_domain_error_names_its_sample(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "ln of non-positive value in 'ln(x + 1.9)' at sample 8, point" in err
+
+
+def test_cli_input_error_point_is_one_line(tmp_path, capsys):
+    # seven coordinates printed by str() wrap onto a second line
+    m = 6
+    manifest = {
+        "dimension": 7,
+        "coordinates": [f"x{i}" for i in range(7)],
+        "gamma": ["ln(x0)"] + ["0"] * (m - 1),
+        "metric_frame": [["1" if i == j else "0" for j in range(m)] for i in range(m)],
+        "phi_frame": [["-1" if j == i + 3 else "1" if i == j + 3 else "0" for j in range(m)]
+                      for i in range(m)],
+        "domain": [[-2.0, 2.0]] * 7,
+        "avoid": [],
+    }
+    path = tmp_path / "seven.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["check", str(path), "--json", "--samples", "16", "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ln of non-positive value in 'ln(x0)' at sample ")
+    assert err.count("\n") == 1 and err.endswith("]\n")
+
+
+# ---------------------------------------------------------------------------
+# Repeated calls in one process: one parser, no state carried between calls
+# ---------------------------------------------------------------------------
+
+
+def test_cli_builds_no_parser_per_call(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("argument parser built during a call")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert main(["check", "flat", "--samples", "2", "--json"]) == 0
+    assert main(["rank", "example2", "--at=0,0.5,0,0,0"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_options_do_not_carry_over_between_calls(capsys):
+    assert main(["check", "flat", "--samples", "2", "--json", "--omega-source", "fundamental_form"]) == 0
+    assert json.loads(capsys.readouterr().out)["omega_source"] == "fundamental_form"
+    assert main(["check", "flat", "--samples", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["omega_source"] == load_fixture("flat").omega_source
+
+    at = ["--name", "omega", "--at", "0.5,1,0,0,0"]
+    assert main(["tensor", "example1", *at, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["omega"]
+    assert main(["tensor", "example1", *at]) == 0
+    assert capsys.readouterr().out.startswith("omega:\n[[")
+
+
+def test_cli_usage_error_leaves_next_call_intact(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "flat", "--samples", "0"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    assert main(["rank", "example2", "--at", "1,3,0,0,2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "2\n" and captured.err == ""
 
 
 def test_cli_check_does_not_import_numpy_random():

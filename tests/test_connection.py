@@ -327,6 +327,16 @@ def test_cov_phi_rejects_unknown_connection(structures):
         cov_phi(StructureEval(structures["flat"], ORIGIN), "weyl")
 
 
+def test_cov_phi_built_once_per_connection(structures, sample_sets):
+    ev = StructureEval(structures["example2"], sample_sets["example2"])
+    lc, canonical = cov_phi(ev, "levi_civita"), cov_phi(ev, "canonical")
+    assert cov_phi(ev, "levi_civita") is lc and cov_phi(ev, "canonical") is canonical
+    assert np.array_equal(cov_phi(ev, which="canonical"), canonical)
+    assert not np.array_equal(lc, canonical)
+    fresh = StructureEval(structures["example2"], sample_sets["example2"])
+    assert cov_phi(fresh, "canonical").tobytes() == canonical.tobytes()
+
+
 def test_reeb_eta_parallel_iff_odd_rank(structures, sample_sets):
     # Gamma~^n_{na} = 0 exactly on the odd-rank fixtures
     for name in ALL:

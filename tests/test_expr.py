@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import random
+import runpy
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acmcheck import expr
@@ -29,9 +33,9 @@ from acmcheck.expr import (
     parse,
     to_text,
 )
-from acmcheck.manifest import load_fixture, manifest_from_dict
+from acmcheck.manifest import fixture_path, load_fixture, manifest_from_dict
 
-from _helpers import fd_gradient, fd_hessian, random_poly_text, unshared_field_jets
+from _helpers import fd_gradient, fd_hessian, random_poly_text, reference_tokenize, unshared_field_jets
 from conftest import FIXTURES
 
 COORDS = ("x", "y", "z", "u", "v")
@@ -89,6 +93,58 @@ def test_malformed_inputs_rejected(text):
 def test_function_name_not_a_variable():
     with pytest.raises(ValueError):
         parse("x", ("sin", "y"))
+
+
+def _scan(tokenize, text):
+    """The tokens, or the ExprSyntaxError's message and offset."""
+    try:
+        return tokenize(text)
+    except ExprSyntaxError as err:
+        return str(err), err.offset
+
+
+# the grammar's ASCII characters, plus non-ASCII ones that str.isdigit,
+# isdecimal, isnumeric, isalpha and isspace tell apart: decimal digits ('٣'),
+# digits that are not decimal ('²', '①'), numerics that are not digits ('½',
+# 'Ⅻ'), letters ('é', 'α'), spaces ('\xa0', '\u2003') and a symbol ('€')
+_TOKEN_ALPHABET = "0123456789.eE+-*/^() \t_xysin$" + "٣²①½Ⅻéα\xa0\u2003€"
+
+
+@given(st.text(alphabet=_TOKEN_ALPHABET, max_size=30) | st.text(max_size=12))
+@settings(max_examples=600, deadline=None)
+@example("²")
+@example("x + 1²3.5e2 * y")
+@example(".²")
+@example("1e²")
+@example("1e-5²")
+@example("½x")
+@example("1e½")
+@example("٣.٥e٢ + x²")
+def test_tokenize_equals_character_scanner(text):
+    assert _scan(expr._tokenize, text) == _scan(reference_tokenize, text)
+
+
+def _strings(value) -> list[str]:
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    return [s for item in value for s in _strings(item)] if isinstance(value, list) else []
+
+
+def _heavy_pool_manifests() -> list[dict]:
+    """The benchmark's generated heavy-expr pool, from its own generator."""
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+    return [workloads["heavy_manifest"](random.Random(f"heavy-expr:pool:{k}"))
+            for k in range(workloads["HEAVY_POOL"])]
+
+
+def test_tokenize_equals_character_scanner_on_manifest_strings():
+    manifests = [json.loads(fixture_path(name).read_text()) for name in FIXTURES]
+    strings = set(_strings(manifests + _heavy_pool_manifests()))
+    assert len(strings) > 150
+    for text in strings:
+        assert expr._tokenize(text) == reference_tokenize(text), text
 
 
 # ---------------------------------------------------------------------------
