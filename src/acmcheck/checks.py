@@ -5,14 +5,15 @@ structure: the adapted-vs-coordinate Levi-Civita comparison, the projection
 and Reeb-split Nijenhuis identities, and the torsion table vs its direct
 definition.  It also fails when any reported value is NaN or infinite, so a
 numerical failure never passes.  Classification negatives never affect the
-gate.
+gate.  Every ``--json`` payload of the CLI prints through :func:`report_json`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -63,10 +64,16 @@ class RunReport:
     def passed(self) -> bool:
         """Every hard identity holds and no reported value is NaN or infinite."""
         hard = all(self.data["identities"][name]["holds"] for name in HARD_IDENTITIES)
-        return hard and all(math.isfinite(x) for x in _floats(self.data))
+        return hard and all_finite(self.data)
 
     def to_json(self) -> str:
-        return json.dumps(_rounded(self.data), sort_keys=True, indent=2) + "\n"
+        return report_json(self.data)
+
+
+def all_finite(obj) -> bool:
+    """No float in a report payload is NaN or infinite: the finiteness half
+    of every exit status (``check``, ``classify``, ``einstein``)."""
+    return all(math.isfinite(x) for x in _floats(obj))
 
 
 def _floats(obj):
@@ -80,18 +87,95 @@ def _floats(obj):
         yield obj
 
 
-def _rounded(obj):
-    """Normalize floats through 17-significant-digit formatting (a lossless
-    round trip for doubles, pinned here so reports are byte-stable)."""
-    if isinstance(obj, dict):
-        return {k: _rounded(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_rounded(v) for v in obj]
-    if isinstance(obj, (float, np.floating)):
-        return float(format(float(obj), ".17g"))
-    if isinstance(obj, (int, np.integer, bool, str)) or obj is None:
-        return obj
-    raise TypeError(f"unexpected report value {obj!r}")
+# ---------------------------------------------------------------------------
+# Report text: ``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte,
+# without the standard library's pure-Python indenting encoder
+# ---------------------------------------------------------------------------
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def report_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte,
+    for a payload of dicts with string keys, lists, tuples, strings, ints,
+    bools, None, floats (``np.floating`` included, non-finite ones as
+    ``NaN``, ``Infinity`` and ``-Infinity``) and float ndarrays, which print
+    as their ``tolist()`` would.  Any other value raises ``TypeError``."""
+    parts: list[str] = []
+    _emit(obj, 0, parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _emit(obj, level: int, parts: list[str]) -> None:
+    if isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, (float, np.floating)):
+        parts.append(_float_text(float(obj)))
+    elif isinstance(obj, np.ndarray):
+        parts.append(_array_text(obj, level))
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = "\n" + "  " * (level + 1)
+        opening = "{" + inner
+        for key, value in sorted(obj.items()):
+            parts.append(opening)
+            parts.append(encode_basestring_ascii(key))
+            parts.append(": ")
+            _emit(value, level + 1, parts)
+            opening = "," + inner
+        parts.append("\n" + "  " * level + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        opening = "[" + inner
+        for value in obj:
+            parts.append(opening)
+            _emit(value, level + 1, parts)
+            opening = "," + inner
+        parts.append("\n" + "  " * level + "]")
+    else:
+        raise TypeError(f"unexpected report value {obj!r}")
+
+
+def _array_text(arr: np.ndarray, level: int) -> str:
+    """A float array as ``json.dumps(arr.tolist(), indent=2)`` prints it
+    ``level`` deep: one ``%s`` template per shape, filled with the leaves
+    (``float.__repr__`` raises ``TypeError`` on the leaves of other dtypes)."""
+    leaves = arr.ravel().tolist()
+    if np.isfinite(arr).all():
+        texts = tuple(map(float.__repr__, leaves))
+    else:
+        texts = tuple(map(_float_text, leaves))
+    return _array_template(arr.shape, level) % texts
+
+
+@lru_cache(maxsize=256)
+def _array_template(shape: tuple[int, ...], level: int) -> str:
+    if not shape:
+        return "%s"
+    if shape[0] == 0:
+        return "[]"
+    inner = "\n" + "  " * (level + 1)
+    item = _array_template(shape[1:], level + 1)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + "\n" + "  " * level + "]"
 
 
 def identity_residuals(ev: StructureEval) -> dict[str, np.ndarray]:

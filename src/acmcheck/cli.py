@@ -9,13 +9,19 @@ Classification negatives (e.g. "not normal") never affect the exit code.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from .chart import ChartError, rank_at
-from .checks import classification_summary, einstein_summary, run_full_check, sampled_evaluation
+from .checks import (
+    all_finite,
+    classification_summary,
+    einstein_summary,
+    report_json,
+    run_full_check,
+    sampled_evaluation,
+)
 from .classify import InternalConsistencyError, classification_report
 from .connection import Endomorphism, canonical_connection, lc_adapted, torsion
 from .curvature import curvature_K, einstein_reports, ricci_k, ricci_wagner, schouten
@@ -57,41 +63,36 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _grid(arr: np.ndarray) -> list:
-    return np.asarray(arr).tolist()
-
-
 def _tensor_payload(name: str, manifest: Manifest, p: np.ndarray) -> dict:
     ev = StructureEval(manifest.structure(), p)
     if name in ("omega", "psi", "C"):
-        return {name: _grid(getattr(ev, f"{name}0"))}
+        return {name: getattr(ev, f"{name}0")}
     if name == "lc-adapted":
         coeffs = lc_adapted(ev)
         return {
-            "frame": _grid(coeffs.frame),
-            "n_ab": _grid(coeffs.n_ab),
-            "mixed_an": _grid(coeffs.mixed_an),
-            "n_na": _grid(coeffs.n_na),
-            "a_nn": _grid(coeffs.a_nn),
+            "frame": coeffs.frame,
+            "n_ab": coeffs.n_ab,
+            "mixed_an": coeffs.mixed_an,
+            "n_na": coeffs.n_na,
+            "a_nn": coeffs.a_nn,
         }
     if name == "n-connection":
         coeffs = canonical_connection(ev)
-        return {"frame": _grid(coeffs.frame), "mixed_na": _grid(coeffs.mixed_an),
-                "n_na": _grid(coeffs.n_na)}
+        return {"frame": coeffs.frame, "mixed_na": coeffs.mixed_an, "n_na": coeffs.n_na}
     if name == "torsion":
         result = torsion(ev, Endomorphism.canonical())
-        return {"components": _grid(result.components), "is_skew": bool(result.is_skew),
+        return {"components": result.components, "is_skew": bool(result.is_skew),
                 "skew_residual": float(result.skew_residual),
                 "direct_residual": float(result.direct_residual)}
     if name == "schouten":
-        return {"schouten": _grid(schouten(ev))}
+        return {"schouten": schouten(ev)}
     if name == "K":
         K = curvature_K(ev)
-        return {"frame": _grid(K.frame), "mixed": _grid(K.mixed)}
+        return {"frame": K.frame, "mixed": K.mixed}
     if name == "ricci-wagner":
-        return {"ricci_wagner": _grid(ricci_wagner(ev))}
+        return {"ricci_wagner": ricci_wagner(ev)}
     if name == "ricci-k":
-        return {"ricci_k": _grid(ricci_k(ev))}
+        return {"ricci_k": ricci_k(ev)}
     raise InputError(f"unknown tensor '{name}'; known: {', '.join(TENSOR_NAMES)}")
 
 
@@ -192,33 +193,34 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "classify":
             report = classification_report(ev, run["tolerance"])
+            payload = classification_summary(report)
             if args.as_json:
-                print(json.dumps(classification_summary(report), sort_keys=True, indent=2))
+                sys.stdout.write(report_json(payload))
             else:
                 for name, v in report.verdicts.items():
                     print(f"{name:<24} {'yes' if v.holds else 'no':<4} max residual {v.max_residual:.3e}")
-            return 0
+            return 0 if all_finite(payload) else 1
 
         if args.command == "tensor":
             p = _parse_point(args.at, manifest)
             payload = _tensor_payload(args.name, manifest, p)
             if args.as_json:
-                print(json.dumps(payload, sort_keys=True, indent=2))
+                sys.stdout.write(report_json(payload))
             else:
                 for key, value in payload.items():
                     print(f"{key}:")
-                    print(np.array2string(np.asarray(value), precision=10, suppress_small=True)
-                          if isinstance(value, list) else f"  {value}")
+                    print(np.array2string(value, precision=10, suppress_small=True)
+                          if isinstance(value, np.ndarray) else f"  {value}")
             return 0
 
         if args.command == "einstein":
             reports = einstein_reports(ev, run["tolerance"])
             payload = {source: einstein_summary(report) for source, report in reports.items()}
             if args.as_json:
-                print(json.dumps(payload, sort_keys=True, indent=2))
+                sys.stdout.write(report_json(payload))
             else:
                 _print_einstein_human(payload)
-            return 0
+            return 0 if all_finite(payload) else 1
 
         if args.command == "rank":
             p = _parse_point(args.at, manifest)

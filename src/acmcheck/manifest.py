@@ -20,7 +20,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +31,11 @@ from .structure import AdaptedStructure
 OMEGA_SOURCES = ("d_eta", "fundamental_form")
 
 FIXTURE_NAMES = ("flat", "example1", "example2", "example3-qs", "example3-aqs")
+
+# the bundled fixtures, looked up once per process
+_FIXTURE_PATHS = {
+    stem: Path(__file__).with_name("fixtures") / f"{stem}.json" for stem in FIXTURE_NAMES
+}
 
 
 class ManifestError(Exception):
@@ -213,9 +217,9 @@ def load_manifest(path: str | Path) -> Manifest:
 def fixture_path(name: str) -> Path:
     """Path of a bundled fixture ('example1' or 'example1.json')."""
     stem = name[:-5] if name.endswith(".json") else name
-    if stem not in FIXTURE_NAMES:
+    if stem not in _FIXTURE_PATHS:
         raise ManifestError("<file>", f"unknown fixture '{name}'; bundled: {', '.join(FIXTURE_NAMES)}")
-    return Path(str(resources.files("acmcheck").joinpath("fixtures", f"{stem}.json")))
+    return _FIXTURE_PATHS[stem]
 
 
 def load_fixture(name: str) -> Manifest:
@@ -227,6 +231,6 @@ def _resolve(path: str | Path) -> Path:
     if p.exists():
         return p
     stem = p.name[:-5] if p.name.endswith(".json") else p.name
-    if str(p) in (p.name,) and stem in FIXTURE_NAMES:
-        return fixture_path(stem)
+    if str(p) == p.name and stem in _FIXTURE_PATHS:
+        return _FIXTURE_PATHS[stem]
     return p

@@ -3,6 +3,8 @@ differentiation paths wherever they serve as oracles)."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from acmcheck.chart import AVOID_EPS, MAX_REDRAWS, AdaptedChart, ChartError
@@ -283,3 +285,40 @@ def reference_tokenize(text: str) -> list[_Token]:
         raise ExprSyntaxError(f"unexpected character '{c}'", i)
     tokens.append(_Token("end", "", n))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Standard-library report text: the reference for checks.report_json, which
+# must print the same bytes without the pure-Python indenting encoder
+# ---------------------------------------------------------------------------
+
+
+def _rounded(obj):
+    """Normalize floats through 17-significant-digit formatting (a lossless
+    round trip for doubles); arrays become nested lists, as ``tolist`` makes
+    them."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(format(float(obj), ".17g"))
+    if isinstance(obj, (int, np.integer, bool, str)) or obj is None:
+        return obj
+    raise TypeError(f"unexpected report value {obj!r}")
+
+
+def reference_report_json(obj) -> str:
+    return json.dumps(_rounded(obj), sort_keys=True, indent=2) + "\n"
+
+
+def reference_tensor_text(payload: dict) -> str:
+    """The human ``tensor`` output, each array printed from its nested list."""
+    lines = []
+    for key, value in payload.items():
+        lines.append(f"{key}:")
+        lines.append(np.array2string(np.asarray(value.tolist()), precision=10, suppress_small=True)
+                     if isinstance(value, np.ndarray) else f"  {value}")
+    return "\n".join(lines) + "\n"

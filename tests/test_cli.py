@@ -61,6 +61,22 @@ def test_manifest_by_path_and_by_name_agree(tmp_path):
     assert [str(g) for g in by_path.gamma] == [str(g) for g in by_name.gamma]
 
 
+def test_fixture_lookup(tmp_path, monkeypatch):
+    bundled = Path(acmcheck.__file__).parent / "fixtures"
+    assert fixture_path("example3-qs.json") == fixture_path("example3-qs") == bundled / "example3-qs.json"
+    assert load_manifest("example2").source == str(bundled / "example2.json")
+    with pytest.raises(ManifestError) as err:
+        fixture_path("example4")
+    assert str(err.value) == (
+        "<file>: unknown fixture 'example4'; bundled: flat, example1, example2, example3-qs, example3-aqs"
+    )
+    # an existing path wins over the fixture of the same name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "example1").write_text(json.dumps(BASE))
+    assert load_manifest("example1").source == "example1"
+    assert [str(g) for g in load_manifest("example1").gamma] == ["0.0"] * 4
+
+
 def test_gamma_length_error():
     bad = dict(BASE, gamma=["0", "0", "0"])
     with pytest.raises(ManifestError) as err:
@@ -256,15 +272,19 @@ def test_cli_samples_must_be_positive(capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_cli_check_fails_on_non_finite_residual(tmp_path, capsys):
+def _nan_manifest(tmp_path) -> str:
     # exp(x)^400 overflows to inf for x > 1.78, so 0*exp(x)^400 is NaN there:
     # phi, and every residual that reads it, is NaN at those samples
     data = json.loads(fixture_path("example1").read_text())
     data["phi_frame"][0][2] = "-1 + 0*exp(x)^400"
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(data))
-    code = main(["check", str(path), "--json"])
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_check_fails_on_non_finite_residual(tmp_path, capsys):
+    code = main(["check", _nan_manifest(tmp_path), "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     for name in ("projection_identity", "reeb_split_identity"):
@@ -278,6 +298,19 @@ def test_cli_check_fails_on_non_finite_residual(tmp_path, capsys):
         entry = report["classification"][name]
         assert not math.isfinite(entry["max_residual"]) and entry["holds"] is False
     assert not math.isfinite(report["einstein"]["fundamental_form"]["max_residual"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["classify", "einstein"])
+def test_cli_classify_and_einstein_fail_on_non_finite_residual(command, tmp_path, capsys):
+    # the exit rule of check: a NaN or infinite reported residual exits 1,
+    # in the JSON and the human output alike
+    path = _nan_manifest(tmp_path)
+    assert main([command, path, "--json"]) == 1
+    out = capsys.readouterr().out
+    assert "NaN" in out
+    assert main([command, path]) == 1
+    assert "nan" in capsys.readouterr().out
 
 
 def _example1_variant(tmp_path, gamma0: str, **overrides) -> str:
