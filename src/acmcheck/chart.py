@@ -372,10 +372,7 @@ class AdaptedTransition:
     def jacobian(self, p_primed: np.ndarray) -> np.ndarray:
         """A[a, a'] = d x^a / d x^a' at the primed point."""
         m = len(self.frame_maps)
-        A = np.empty((m, m))
-        for a, f in enumerate(self.frame_maps):
-            A[a] = f.jet(p_primed).grad[:m]
-        return A
+        return field_jets(np.array(self.frame_maps, dtype=object), p_primed, order=1)[1][:, :m]
 
 
 def change_chart(

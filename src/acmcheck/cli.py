@@ -25,7 +25,7 @@ from .checks import (
 from .classify import InternalConsistencyError, classification_report
 from .connection import Endomorphism, canonical_connection, lc_adapted, torsion
 from .curvature import curvature_K, einstein_reports, ricci_k, ricci_wagner, schouten
-from .expr import ExprError
+from .expr import ExprError, describe_first
 from .manifest import Manifest, ManifestError, load_manifest
 from .structure import StructureError, StructureEval
 
@@ -203,7 +203,11 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "tensor":
             p = _parse_point(args.at, manifest)
-            payload = _tensor_payload(args.name, manifest, p)
+            # an overflow shows as a non-finite payload, reported below
+            with np.errstate(over="ignore", invalid="ignore"):
+                payload = _tensor_payload(args.name, manifest, p)
+            if not all(np.isfinite(value).all() for value in payload.values()):
+                raise InputError(f"tensor '{args.name}' is not finite at {describe_first(p, True)}")
             if args.as_json:
                 sys.stdout.write(report_json(payload))
             else:
@@ -224,7 +228,12 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "rank":
             p = _parse_point(args.at, manifest)
-            print(rank_at(manifest.chart(), p))
+            with np.errstate(over="ignore", invalid="ignore"):
+                rank = rank_at(manifest.chart(), p)
+            if rank < 0:
+                raise InputError(f"rank undefined at {describe_first(p, True)}: "
+                                 "omega or d(eta)(xi, .) is not finite")
+            print(rank)
             return 0
 
         raise AssertionError("unreachable")

@@ -1,10 +1,15 @@
-"""Scalar-expression DSL and second-order forward-mode jets.
+"""Scalar-expression DSL and truncated forward-mode jets.
 
 Expressions are parsed over a fixed tuple of coordinate names and evaluated
-to second order: a :class:`Jet` carries value, gradient and (symmetric)
+up to second order: a :class:`Jet` carries value, gradient and (symmetric)
 Hessian, which is everything the downstream tensor computations need.  A
-field is evaluated once over a whole block of points; leading axes of every
-array are sample axes.
+block of fields is evaluated once over a whole block of points, leading axes
+of every array being sample axes, and only up to the order the block is read
+at: the metric and gamma blocks of an evaluation to order 2; phi, the gamma
+jets of the rank and the fields of covariant and exterior derivatives to
+order 1; the 'avoid' tests and :meth:`ScalarField.value` to order 0.
+:func:`field_jets` is the one evaluator; it writes each field's jet straight
+into arrays allocated once per block.
 
 Expressions form a DAG, not a tree.  The fields parsed through one
 :class:`InternTable` (one per manifest) share a node object for every
@@ -47,8 +52,8 @@ class UnknownIdentifierError(ExprError):
 class ExprDomainError(ExprError):
     """Evaluation left the function's domain (1/0, ln(x<=0), sqrt(x<0)) or
     exp overflowed.  ``where`` marks the offending points of the block;
-    :meth:`ScalarField.jet` names the expression and the first such point,
-    and keeps the message without the point as ``reason``."""
+    :func:`field_jets` names the expression and the first such point, and
+    keeps the message without the point as ``reason``."""
 
     def __init__(self, message: str, where: np.ndarray | None = None, reason: str | None = None):
         super().__init__(message)
@@ -83,49 +88,75 @@ def _sym(cross: np.ndarray) -> np.ndarray:
 
 
 class Jet:
-    """Truncated second-order Taylor data: value, gradient, Hessian, over a
-    block of points.
+    """Truncated Taylor data: value, gradient, Hessian, over a block of points.
 
     ``value`` has the block's batch shape; ``grad`` and ``hess`` add one and
-    two trailing coordinate axes.  Inside an evaluation a part that does not
-    vary over the block keeps a smaller batch shape and broadcasts (a
-    constant has batch shape ()); :meth:`ScalarField.jet` returns every part
-    at the full batch shape.  Arithmetic implements the usual forward-mode
+    two trailing coordinate axes.  A jet truncated at order 1 has ``hess``
+    None, and at order 0 ``grad`` too; its arithmetic skips the missing
+    terms, so it costs only what its order reads (both operands of a binary
+    operation have the same order).  Inside an evaluation a part that does
+    not vary over the block keeps a smaller batch shape and broadcasts (a
+    constant has batch shape ()); :func:`field_jets` writes every part at
+    the full batch shape.  Arithmetic implements the usual forward-mode
     recurrences, elementwise per point.  Products are written so the Hessian
     stays exactly symmetric in floating point.
     """
 
     __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value, grad: np.ndarray, hess: np.ndarray):
+    def __init__(self, value, grad: np.ndarray | None, hess: np.ndarray | None):
         self.value = value
         self.grad = grad
         self.hess = hess
 
     @staticmethod
-    def constant(value: float, n: int) -> "Jet":
-        return Jet(np.float64(value), np.zeros(n), np.zeros((n, n)))
+    def constant(value: float, n: int, order: int = 2) -> "Jet":
+        return Jet(
+            np.float64(value),
+            np.zeros(n) if order >= 1 else None,
+            np.zeros((n, n)) if order == 2 else None,
+        )
 
     @staticmethod
-    def variable(value, index: int, n: int) -> "Jet":
-        g = np.zeros(n)
-        g[index] = 1.0
-        return Jet(np.asarray(value, dtype=float), g, np.zeros((n, n)))
+    def variable(value, index: int, n: int, order: int = 2) -> "Jet":
+        g = None
+        if order >= 1:
+            g = np.zeros(n)
+            g[index] = 1.0
+        return Jet(np.asarray(value, dtype=float), g, np.zeros((n, n)) if order == 2 else None)
 
     def __add__(self, other: "Jet") -> "Jet":
-        return Jet(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
+        return Jet(
+            self.value + other.value,
+            None if self.grad is None else self.grad + other.grad,
+            None if self.hess is None else self.hess + other.hess,
+        )
 
     def __sub__(self, other: "Jet") -> "Jet":
-        return Jet(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
+        return Jet(
+            self.value - other.value,
+            None if self.grad is None else self.grad - other.grad,
+            None if self.hess is None else self.hess - other.hess,
+        )
 
     def __neg__(self) -> "Jet":
-        return Jet(-self.value, -self.grad, -self.hess)
+        return Jet(
+            -self.value,
+            None if self.grad is None else -self.grad,
+            None if self.hess is None else -self.hess,
+        )
 
     def __mul__(self, other: "Jet") -> "Jet":
+        value = self.value * other.value
+        if self.grad is None:
+            return Jet(value, None, None)
+        grad = self.grad * other.value[..., None] + self.value[..., None] * other.grad
+        if self.hess is None:
+            return Jet(value, grad, None)
         cross = _outer(self.grad, other.grad)
         return Jet(
-            self.value * other.value,
-            self.grad * other.value[..., None] + self.value[..., None] * other.grad,
+            value,
+            grad,
             self.hess * other.value[..., None, None]
             + self.value[..., None, None] * other.hess
             + cross
@@ -137,12 +168,14 @@ class Jet:
         if np.any(zero):
             raise ExprDomainError("division by zero", zero)
         inv = 1.0 / self.value
-        i1, i2 = inv[..., None], inv[..., None, None]
-        return Jet(
-            inv,
-            -self.grad * i1 * i1,
-            -self.hess * i2 * i2 + _sym(_outer(self.grad, self.grad)) * i2 * i2 * i2,
-        )
+        if self.grad is None:
+            return Jet(inv, None, None)
+        i1 = inv[..., None]
+        grad = -self.grad * i1 * i1
+        if self.hess is None:
+            return Jet(inv, grad, None)
+        i2 = inv[..., None, None]
+        return Jet(inv, grad, -self.hess * i2 * i2 + _sym(_outer(self.grad, self.grad)) * i2 * i2 * i2)
 
     def __truediv__(self, other: "Jet") -> "Jet":
         return self * other.reciprocal()
@@ -151,7 +184,8 @@ class Jet:
         """Integer power by repeated multiplication (exact for polynomials)."""
         if k < 0:
             return self.ipow(-k).reciprocal()
-        out = Jet.constant(1.0, self.grad.shape[-1])
+        order = 0 if self.grad is None else 1 if self.hess is None else 2
+        out = Jet.constant(1.0, 0 if self.grad is None else self.grad.shape[-1], order)
         for _ in range(k):
             out = out * self
         return out
@@ -189,9 +223,14 @@ class Jet:
         return self._unary(r, 0.5 / r, -0.25 / (r * self.value))
 
     def _unary(self, f0, f1, f2) -> "Jet":
+        if self.grad is None:
+            return Jet(f0, None, None)
+        grad = f1[..., None] * self.grad
+        if self.hess is None:
+            return Jet(f0, grad, None)
         return Jet(
             f0,
-            f1[..., None] * self.grad,
+            grad,
             f1[..., None, None] * self.hess
             + (f2 * 0.5)[..., None, None] * _sym(_outer(self.grad, self.grad)),
         )
@@ -304,38 +343,38 @@ def _wrap(node: Node, minimum: int) -> str:
     return f"({text})" if _prec(node) < minimum else text
 
 
-def _eval_node(node: Node, points: np.ndarray, n: int, memo: dict) -> Jet:
-    """Jet of ``node`` over a block of points.  ``memo`` maps the id of each
-    node evaluated so far in the block to its jet, so a node object shared by
-    several fields or subtrees is evaluated once; keying by identity keeps a
-    lookup from hashing the subtree below it."""
+def _eval_node(node: Node, points: np.ndarray, n: int, order: int, memo: dict) -> Jet:
+    """Jet of ``node`` to ``order`` over a block of points.  ``memo`` maps the
+    id of each node evaluated so far in the block to its jet, so a node
+    object shared by several fields or subtrees is evaluated once; keying by
+    identity keeps a lookup from hashing the subtree below it."""
     jet = memo.get(id(node))
     if jet is None:
-        jet = memo[id(node)] = _node_jet(node, points, n, memo)
+        jet = memo[id(node)] = _node_jet(node, points, n, order, memo)
     return jet
 
 
-def _node_jet(node: Node, points: np.ndarray, n: int, memo: dict) -> Jet:
+def _node_jet(node: Node, points: np.ndarray, n: int, order: int, memo: dict) -> Jet:
     """One forward-mode step: the jet of ``node`` from its children's; a
     subtree without a Var keeps batch shape ()."""
     if isinstance(node, Const):
-        return Jet.constant(node.value, n)
+        return Jet.constant(node.value, n, order)
     if isinstance(node, Var):
-        return Jet.variable(points[..., node.index], node.index, n)
+        return Jet.variable(points[..., node.index], node.index, n, order)
     if isinstance(node, Neg):
-        return -_eval_node(node.arg, points, n, memo)
+        return -_eval_node(node.arg, points, n, order, memo)
     if isinstance(node, Add):
-        return _eval_node(node.left, points, n, memo) + _eval_node(node.right, points, n, memo)
+        return _eval_node(node.left, points, n, order, memo) + _eval_node(node.right, points, n, order, memo)
     if isinstance(node, Sub):
-        return _eval_node(node.left, points, n, memo) - _eval_node(node.right, points, n, memo)
+        return _eval_node(node.left, points, n, order, memo) - _eval_node(node.right, points, n, order, memo)
     if isinstance(node, Mul):
-        return _eval_node(node.left, points, n, memo) * _eval_node(node.right, points, n, memo)
+        return _eval_node(node.left, points, n, order, memo) * _eval_node(node.right, points, n, order, memo)
     if isinstance(node, Div):
-        return _eval_node(node.left, points, n, memo) / _eval_node(node.right, points, n, memo)
+        return _eval_node(node.left, points, n, order, memo) / _eval_node(node.right, points, n, order, memo)
     if isinstance(node, Pow):
-        return _eval_node(node.base, points, n, memo).ipow(node.exponent)
+        return _eval_node(node.base, points, n, order, memo).ipow(node.exponent)
     if isinstance(node, Call):
-        return getattr(_eval_node(node.arg, points, n, memo), node.func)()
+        return getattr(_eval_node(node.arg, points, n, order, memo), node.func)()
     raise TypeError(f"unexpected node {node!r}")
 
 
@@ -498,35 +537,14 @@ class ScalarField:
     coords: tuple[str, ...]
 
     def jet(self, point: np.ndarray) -> Jet:
-        """Jet at a point of shape (n,) or over a block of shape (..., n).
+        """Jet at a point of shape (n,) or over a block of shape (..., n),
+        every part at the full batch shape: :func:`field_jets` of this field
+        alone (a 0-d block)."""
+        return Jet(*field_jets(np.array(self, dtype=object), point))
 
-        A field without a Var is evaluated once and broadcast; an
-        :class:`ExprDomainError` names the expression and the first
-        offending point."""
-        return self._jet(np.asarray(point, dtype=float), {})
-
-    def _jet(self, p: np.ndarray, memo: dict) -> Jet:
-        """:meth:`jet` over the block ``p``, with the node memo of the
-        block's other fields (see :func:`field_jets`)."""
-        n = len(self.coords)
-        if p.ndim == 0 or p.shape[-1] != n:
-            raise ValueError(f"point has shape {p.shape}, expected (..., {n})")
-        try:
-            jet = _eval_node(self.ast, p, n, memo)
-        except ExprDomainError as err:
-            if err.where is None:
-                raise
-            reason = f"{err} in '{self}'"
-            raise ExprDomainError(f"{reason} at {describe_first(p, err.where)}", err.where, reason) from None
-        batch = p.shape[:-1]
-        parts = (jet.value, jet.grad, jet.hess)
-        shapes = (batch, batch + (n,), batch + (n, n))
-        if any(np.shape(part) != shape for part, shape in zip(parts, shapes)):
-            jet = Jet(*(np.broadcast_to(part, shape) for part, shape in zip(parts, shapes)))
-        return jet
-
-    def value(self, point: np.ndarray):
-        return self.jet(point).value
+    def value(self, point: np.ndarray) -> np.ndarray:
+        """Value at a point or over a block: :func:`field_jets` at order 0."""
+        return field_jets(np.array(self, dtype=object), point, order=0)[0]
 
     def __str__(self) -> str:
         return to_text(self.ast)
@@ -584,18 +602,44 @@ def parse(text: str, coords: tuple[str, ...] | list[str]) -> ScalarField:
 
 
 def field_jets(fields: np.ndarray, points: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
-    """Jets of an object array of ScalarFields over a point or a block of
-    points of shape (..., n): the values (batch shape + the fields' shape),
-    then for ``order`` >= 1 the gradients (one more trailing axis) and for
-    ``order`` 2 the Hessians (two).  Each distinct node object is evaluated
-    once for the whole block, so fields from one :class:`InternTable` share
-    the jets of their common subexpressions."""
+    """Jets to ``order`` of an object array of ScalarFields over a point or a
+    block of points of shape (..., n): the values (batch shape + the fields'
+    shape), then for ``order`` >= 1 the gradients (one more trailing axis)
+    and for ``order`` 2 the Hessians (two).
+
+    The result arrays are allocated once and each field's jet is written
+    into its slot, a part that does not vary over the block broadcast by
+    the assignment.  Only the parts up to ``order`` are computed: a block
+    read to order 0 or 1 runs no Hessian term (and at order 0 no gradient
+    term).  Fields are evaluated in ``fields.flat`` order and each distinct
+    node object once for the whole block, so fields from one
+    :class:`InternTable` share the jets of their common subexpressions.  An
+    :class:`ExprDomainError` names the first failing field and its first
+    offending point.  Overflow and invalid operations raise no warning: they
+    show as infinities and NaNs, which the callers' finiteness rules report."""
     p = np.asarray(points, dtype=float)
-    batch, n = p.shape[:-1], p.shape[-1]
+    n = p.shape[-1] if p.ndim else -1
+    for f in fields.flat:
+        if len(f.coords) != n:
+            raise ValueError(f"point has shape {p.shape}, expected (..., {len(f.coords)})")
+    batch = p.shape[:-1]
+    out = tuple(np.empty(batch + fields.shape + (n,) * k) for k in range(order + 1))
+    # one view per part with the field axis in front: slots[k][i] is field i's slot
+    b = len(batch)
+    slots = [
+        a.reshape(batch + (fields.size,) + (n,) * k).transpose(b, *range(b), *range(b + 1, b + 1 + k))
+        for k, a in enumerate(out)
+    ]
     memo: dict = {}
-    jets = [f._jet(p, memo) for f in fields.flat]
-    parts = ([j.value for j in jets], [j.grad for j in jets], [j.hess for j in jets])
-    return tuple(
-        np.moveaxis(np.array(part), 0, len(batch)).reshape(batch + fields.shape + (n,) * k)
-        for k, part in enumerate(parts[: order + 1])
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, f in enumerate(fields.flat):
+            try:
+                jet = _eval_node(f.ast, p, n, order, memo)
+            except ExprDomainError as err:
+                if err.where is None:
+                    raise
+                reason = f"{err} in '{f}'"
+                raise ExprDomainError(f"{reason} at {describe_first(p, err.where)}", err.where, reason) from None
+            for slot, part in zip(slots, (jet.value, jet.grad, jet.hess)):
+                slot[i] = part
+    return out

@@ -389,6 +389,65 @@ def test_cli_check_fails_on_non_finite_soft_residual(tmp_path, capsys):
     assert code == 1
 
 
+def _overflow_metric_manifest(tmp_path) -> str:
+    data = json.loads(fixture_path("example1").read_text())
+    data["metric_frame"] = [["exp(352*x)" if i == j else "0" for j in range(4)] for i in range(4)]
+    path = tmp_path / "overflow-metric.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _overflow_gamma_manifest(tmp_path) -> str:
+    # (1e200*y)*1e200*y overflows to infinity at y = 0.5, and its gradient
+    # to infinity and NaN
+    data = json.loads(fixture_path("flat").read_text())
+    data["gamma"][0] = "1e200*y*1e200*y"
+    path = tmp_path / "overflow-gamma.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("as_json", [True, False])
+def test_cli_tensor_non_finite_is_input_error(as_json, tmp_path, capsys):
+    argv = ["tensor", _overflow_gamma_manifest(tmp_path), "--name", "omega", "--at", "0.1,0.5,0,0,0"]
+    code = main(argv + ["--json"] * as_json)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: tensor 'omega' is not finite at point [0.1 0.5 0.  0.  0. ]\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_rank_non_finite_is_input_error(tmp_path, capsys):
+    code = main(["rank", _overflow_gamma_manifest(tmp_path), "--at", "0.1,0.5,0,0,0"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("error: rank undefined at point [0.1 0.5 0.  0.  0. ]: "
+                   "omega or d(eta)(xi, .) is not finite\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["schouten", "K", "ricci-wagner", "ricci-k"])
+def test_cli_tensor_overflowing_curvature_is_input_error(name, tmp_path, capsys):
+    # exp(352*x) is finite at x = 1.99, its second derivative is not
+    code = main(["tensor", _overflow_metric_manifest(tmp_path), "--name", name,
+                 "--at", "1.99,1.5,0,0,0", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: tensor '{name}' is not finite at point [1.99 1.5  0.   0.   0.  ]\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["omega", "psi", "C", "lc-adapted", "n-connection", "torsion"])
+def test_cli_tensor_finite_beside_overflowing_hessian(name, tmp_path, capsys):
+    # tensors of first-order data stay finite and are printed, exit 0
+    code = main(["tensor", _overflow_metric_manifest(tmp_path), "--name", name,
+                 "--at", "1.99,1.5,0,0,0", "--json"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert "NaN" not in out and "Infinity" not in out
+
+
 def test_cli_einstein_reports_both_sources(capsys):
     code = main(["einstein", "example3-qs", "--json"])
     out = capsys.readouterr().out

@@ -325,8 +325,43 @@ def test_field_jets_equal_unshared_reference_bitwise(name, structures, twisted):
     blocks, points = _blocks(name, structures, twisted)
     for fields in blocks:
         for p in (points, points[3]):
-            got, want = field_jets(fields, p), unshared_field_jets(fields, p)
-            assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True)), name
+            for order in (0, 1, 2):
+                got, want = field_jets(fields, p, order), unshared_field_jets(fields, p, order)
+                assert len(got) == order + 1
+                assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True)), (name, order)
+
+
+@pytest.mark.parametrize("name", FIXTURES + ("deep",))
+def test_scalar_field_jet_and_value_equal_unshared_reference_bitwise(name, structures):
+    blocks, points = _blocks(name, structures, None)
+    for fields in blocks:
+        for f in fields.flat:
+            cell = np.array(f, dtype=object)
+            for p in (points, points[3]):
+                jet, want = f.jet(p), unshared_field_jets(cell, p)
+                assert all(_same_bits(a, b) for a, b in zip((jet.value, jet.grad, jet.hess), want, strict=True))
+                assert _same_bits(f.value(p), want[0])
+
+
+def test_truncated_blocks_run_no_hessian_term(monkeypatch):
+    fields = _deep_fields()
+    points = np.random.default_rng(8).uniform(-1, 1, (8, 5))
+    blocks = (points, points[2])
+    want = {(i, order): unshared_field_jets(fields, p, order) for i, p in enumerate(blocks) for order in (0, 1)}
+
+    def refuse(u, v):
+        raise AssertionError("Hessian term computed")
+
+    monkeypatch.setattr(expr, "_outer", refuse)
+    for i, p in enumerate(blocks):
+        for order in (0, 1):
+            got = field_jets(fields, p, order)
+            assert all(_same_bits(a, b) for a, b in zip(got, want[i, order], strict=True))
+        values = want[i, 0][0].reshape(p.shape[:-1] + (fields.size,))
+        for k, f in enumerate(fields.flat):
+            assert _same_bits(f.value(p), values[..., k])
+        with pytest.raises(AssertionError, match="Hessian term computed"):
+            field_jets(fields, p, order=2)
 
 
 def test_intern_table_shares_equal_subtrees():
@@ -358,9 +393,10 @@ def test_each_distinct_node_evaluated_once_per_block(monkeypatch):
 
     monkeypatch.setattr(expr, "_node_jet", counting)
     points = np.random.default_rng(6).uniform(-1, 1, (8, 5))
-    for _ in range(2):  # the memo lives for one block: a second call evaluates anew
+    # the memo lives for one block: a second call evaluates anew, at any order
+    for order in (0, 1, 2, 2):
         counts.clear()
-        field_jets(fields, points)
+        field_jets(fields, points, order)
         assert counts.keys() == distinct.keys()
         assert set(counts.values()) == {1}
 
