@@ -137,6 +137,12 @@ def lc_coordinate(ev: StructureEval) -> np.ndarray:
     indices.  A singular coordinate metric, or one too ill-conditioned for
     the oracle's tolerance, is a :class:`SingularMetricError` naming the
     first point where it is so (a non-finite one is left to the residuals).
+
+    The products are plain NumPy broadcasting and one batched ``matmul``
+    written out here, never :func:`contract`, so the oracle does not share
+    the planner it checks.  The condition number is ``np.linalg.cond``, an
+    SVD of each point's G: ``metric_frame`` is not checked to be symmetric,
+    so a symmetric eigenvalue shortcut would measure something else.
     """
     n, m = ev.n, ev.m
     eta0 = ev.zeros(n)
@@ -148,9 +154,10 @@ def lc_coordinate(ev: StructureEval) -> np.ndarray:
     G0 = ev.zeros(n, n)
     G0[..., :m, :m] = ev.g0
     G0 += eta0[..., :, None] * eta0[..., None, :]
-    G1 = ev.zeros(n, n, n)
+    G1 = ev.zeros(n, n, n)  # G1[i, j, k] = d_k G[i, j]
     G1[..., :m, :m, :] = ev.g1
-    G1 += np.einsum("...ik,...j->...ijk", eta1, eta0) + np.einsum("...i,...jk->...ijk", eta0, eta1)
+    G1 += eta1[..., :, None, :] * eta0[..., None, :, None]
+    G1 += eta0[..., :, None, None] * eta1[..., None, :, :]
 
     what = "coordinate metric g + eta (x) eta"
     Ginv = ev.inverse(G0, what)
@@ -167,20 +174,27 @@ def lc_coordinate(ev: StructureEval) -> np.ndarray:
         raise SingularMetricError(
             f"{what} ill-conditioned at {describe_first(ev.p, ill)} (cond {cond[ill][0]:.3e})"
         )
-    return 0.5 * np.einsum(
-        "...km,...ijm->...ijk",
-        Ginv,
-        np.einsum("...jmi->...ijm", G1) + np.einsum("...imj->...ijm", G1) - G1,
-    )
+    # first kind[i, j, m] = d_i G_jm + d_j G_im - d_m G_ij; coeff[i, j, k] is
+    # half its product with G^km, one (n*n, n) @ (n, n) matmul per point
+    first = np.einsum("...jmi->...ijm", G1) + np.einsum("...imj->...ijm", G1) - G1
+    lowered = first.reshape(first.shape[:-3] + (n * n, n)) @ np.swapaxes(Ginv, -1, -2)
+    return 0.5 * lowered.reshape(first.shape)
 
 
 def coordinate_to_adapted(ev: StructureEval, coord_coeffs: np.ndarray) -> np.ndarray:
-    """Re-express coordinate connection coefficients on the adapted frame."""
-    E, dE = ev.frame  # dE[j, q, p] = d_p E[j, q]
-    W = np.einsum("...ip,...jqp->...ijq", E, dE) + np.einsum(
-        "...ip,...jr,...prq->...ijq", E, E, coord_coeffs
-    )
-    return to_frame_components(ev, W)
+    """Re-express coordinate connection coefficients on the adapted frame:
+    nabla_{E_i} E_j = E_i^p (d_p E_j^q + coeff[p, r, q] E_j^r) d_q, split
+    into frame components.
+
+    Two batched ``matmul`` products written out here, never
+    :func:`contract`, so the oracle does not share the planner it checks.
+    """
+    n = ev.n
+    E, dE = ev.frame  # E[i, p] = E_i^p, dE[j, q, p] = d_p E[j, q]
+    # D[p, j, q]: the coordinate covariant derivative along d_p of E_j
+    D = np.moveaxis(dE, -1, -3) + E[..., None, :, :] @ coord_coeffs
+    W = E @ D.reshape(D.shape[:-3] + (n, n * n))  # W[i, (j, q)] = E_i^p D[p, j, q]
+    return to_frame_components(ev, W.reshape(D.shape))
 
 
 # ---------------------------------------------------------------------------
