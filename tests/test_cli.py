@@ -427,6 +427,17 @@ def test_cli_rank_non_finite_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["check", "classify", "einstein"])
+def test_cli_sampled_commands_overflow_without_warnings(command, tmp_path, capsys):
+    # the overflow shows as non-finite residuals, which fail the run; numpy
+    # raises no RuntimeWarning on the way and nothing reaches stderr
+    code = main([command, _overflow_gamma_manifest(tmp_path), "--json"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert "NaN" in out or "Infinity" in out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", ["schouten", "K", "ricci-wagner", "ricci-k"])
 def test_cli_tensor_overflowing_curvature_is_input_error(name, tmp_path, capsys):
     # exp(352*x) is finite at x = 1.99, its second derivative is not
