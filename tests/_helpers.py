@@ -8,6 +8,7 @@ import json
 import numpy as np
 
 from acmcheck.chart import AVOID_EPS, MAX_REDRAWS, AdaptedChart, ChartError
+from acmcheck.connection import to_frame_components
 from acmcheck.expr import (
     Add,
     Call,
@@ -163,6 +164,43 @@ def loop_nijenhuis_phi(ev) -> np.ndarray:
             term -= _phi_apply(ev, _bracket(B0[i], B1[i], P0[j], P1[j]))
             out[i, j] = _to_frame(ev, term)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Unplanned np.einsum form of the coordinate oracle: the reference for the
+# broadcasting and matmul products of connection.lc_coordinate and
+# connection.coordinate_to_adapted (without the conditioning guard)
+# ---------------------------------------------------------------------------
+
+
+def einsum_lc_coordinate(ev) -> np.ndarray:
+    """Coordinate Christoffel symbols coeff[i, j, k] of g + eta (x) eta."""
+    n, m = ev.n, ev.m
+    eta0 = ev.zeros(n)
+    eta0[..., :m] = ev.gam0
+    eta0[..., -1] = 1.0
+    eta1 = ev.zeros(n, n)
+    eta1[..., :m, :] = ev.gam1
+    G0 = ev.zeros(n, n)
+    G0[..., :m, :m] = ev.g0
+    G0 += eta0[..., :, None] * eta0[..., None, :]
+    G1 = ev.zeros(n, n, n)
+    G1[..., :m, :m, :] = ev.g1
+    G1 += np.einsum("...ik,...j->...ijk", eta1, eta0) + np.einsum("...i,...jk->...ijk", eta0, eta1)
+    return 0.5 * np.einsum(
+        "...km,...ijm->...ijk",
+        np.linalg.inv(G0),
+        np.einsum("...jmi->...ijm", G1) + np.einsum("...imj->...ijm", G1) - G1,
+    )
+
+
+def einsum_coordinate_to_adapted(ev, coord_coeffs: np.ndarray) -> np.ndarray:
+    """Coordinate connection coefficients on the adapted frame."""
+    E, dE = ev.frame
+    W = np.einsum("...ip,...jqp->...ijq", E, dE) + np.einsum(
+        "...ip,...jr,...prq->...ijq", E, E, coord_coeffs
+    )
+    return to_frame_components(ev, W)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from acmcheck.connection import (
 from acmcheck.expr import parse
 from acmcheck.structure import StructureEval
 
+from _helpers import einsum_coordinate_to_adapted, einsum_lc_coordinate
+
 ALL = ("flat", "example1", "example2", "example3-qs", "example3-aqs")
 ORIGIN = np.zeros(5)
 Y3 = np.array([1.0, 3.0, 0.5, -0.5, 2.0])
@@ -98,6 +100,22 @@ def test_oracle_equivalence(name, structures, sample_sets):
         adapted = lc_adapted(ev).full
         converted = coordinate_to_adapted(ev, lc_coordinate(ev))
         assert np.abs(adapted - converted).max() < 1e-8, name
+
+
+@pytest.mark.parametrize("name", ALL)
+@pytest.mark.parametrize("batch", ["samples", "point"])
+def test_oracle_products_match_the_einsum_reference(name, batch, manifests, structures):
+    # the batched products only reorder the sums of the einsum form: both
+    # outputs agree with it to rounding, on the scale of the coordinate
+    # coefficients the oracle computes
+    points = structures[name].chart.sample_points(128, manifests[name].seed)
+    ev = StructureEval(structures[name], points if batch == "samples" else points[0])
+    coeffs, expected = lc_coordinate(ev), einsum_lc_coordinate(ev)
+    assert coeffs.shape == ev.batch + (5, 5, 5)
+    bound = 1e-13 * (1.0 + np.abs(expected).max())
+    assert np.abs(coeffs - expected).max() <= bound
+    adapted = coordinate_to_adapted(ev, coeffs)
+    assert np.abs(adapted - einsum_coordinate_to_adapted(ev, expected)).max() <= bound
 
 
 def test_lc_frame_block_symmetric(structures, sample_sets):

@@ -15,9 +15,11 @@ from acmcheck.structure import contract, contraction_plan
 
 SRC = Path(acmcheck.__file__).parent
 
-# the coordinate oracle keeps np.einsum, so that it stays an independent
-# check of the planned contractions (and keeps the rounding the goldens hold)
-EINSUM_ALLOWED_IN = {"contract", "lc_coordinate", "coordinate_to_adapted"}
+# the coordinate oracle is plain NumPy (broadcasting, matmul, np.einsum) and
+# never goes through the planner, so that it stays an independent check of
+# the planned contractions
+ORACLE = ("lc_coordinate", "coordinate_to_adapted")
+EINSUM_ALLOWED_IN = {"contract", *ORACLE}
 
 
 def _calls(tree: ast.AST):
@@ -149,3 +151,12 @@ def test_multi_operand_einsum_only_in_contract_and_the_oracle():
         if len(operands) >= 2 or any(isinstance(arg, ast.Starred) for arg in operands):
             offenders.append(f"{name}:{call.lineno} in {where}")
     assert not offenders, "multi-operand np.einsum outside contract: " + ", ".join(offenders)
+
+
+def test_the_oracle_does_not_contract_through_the_planner():
+    calls = [(where, _callee(call)) for _, where, call in _library_calls() if where in ORACLE]
+    # guards the collector: both oracle functions are found
+    assert {where for where, _ in calls} == set(ORACLE)
+    planner = [f"{callee} in {where}" for where, callee in calls
+               if callee in ("contract", "contraction_plan")]
+    assert not planner, "the coordinate oracle calls the planner: " + ", ".join(planner)
