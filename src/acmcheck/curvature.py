@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import basis_brackets_frame, nabla_omega, nabla_psi
+from .connection import nabla_omega, nabla_psi
 from .manifest import OMEGA_SOURCES
 from .residuals import WorstResidual, nanmax
 from .structure import AdaptedStructure, StructureEval, contract, mat_t, memoised
@@ -48,36 +48,6 @@ def curvature_K(ev: StructureEval) -> CurvatureK:
     frame = R + 4.0 * contract("...ab,...dc->...dabc", ev.omega0, ev.psi0)
     mixed = 2.0 * np.swapaxes(nabla_psi(ev), -3, -2)  # [d, a, c] from [a, d, c]
     return CurvatureK(frame=frame, mixed=mixed)
-
-
-def curvature_canonical_direct(ev: StructureEval) -> np.ndarray:
-    """Curvature of the canonical connection computed directly from its
-    coefficient table on the nonholonomic frame:
-
-        K(E_i, E_j) E_k = nabla_i nabla_j E_k - nabla_j nabla_i E_k
-                          - nabla_{[E_i, E_j]} E_k.
-
-    Returns K[..., i, j, k, q] over the full frame; the independent
-    cross-check for :func:`curvature_K`.
-    """
-    n, m, last = ev.n, ev.m, ev.n - 1
-    coeff = ev.canonical_full
-
-    # coordinate gradients of every nonzero coefficient block
-    grad = ev.zeros(n, n, n, n)  # grad[j, k, q, r] = d_r coeff[j, k, q]
-    grad[..., :m, :m, :m, :] = np.moveaxis(ev.Gamma1, -4, -2)
-    grad[..., last, :m, :m, :] = 2.0 * np.einsum("...bar->...abr", ev.psi1)
-    grad[..., last, :m, last, :] = -ev.gam2[..., :, last, :]
-
-    Ecoeff = ev.frame_d(grad)  # [j, k, q, i] = E_i coeff[j, k, q]
-    nonholonomy = basis_brackets_frame(ev)  # [i, j, m]
-
-    K = np.einsum("...jkqi->...ijkq", Ecoeff) - np.einsum("...ikqj->...ijkq", Ecoeff)
-    K += contract("...jkl,...ilq->...ijkq", coeff, coeff) - contract(
-        "...ikl,...jlq->...ijkq", coeff, coeff
-    )
-    K -= contract("...ijm,...mkq->...ijkq", nonholonomy, coeff)
-    return K
 
 
 @memoised

@@ -8,7 +8,7 @@ import json
 import numpy as np
 
 from acmcheck.chart import AVOID_EPS, MAX_REDRAWS, AdaptedChart, ChartError
-from acmcheck.connection import to_frame_components
+from acmcheck.connection import basis_brackets_frame, to_frame_components
 from acmcheck.expr import (
     Add,
     Call,
@@ -28,7 +28,7 @@ from acmcheck.expr import (
     describe_first,
     parse,
 )
-from acmcheck.structure import AdaptedStructure
+from acmcheck.structure import AdaptedStructure, contract
 
 COORDS = ("x", "y", "z", "u", "v")
 
@@ -201,6 +201,41 @@ def einsum_coordinate_to_adapted(ev, coord_coeffs: np.ndarray) -> np.ndarray:
         "...ip,...jr,...prq->...ijq", E, E, coord_coeffs
     )
     return to_frame_components(ev, W)
+
+
+# ---------------------------------------------------------------------------
+# Curvature of the canonical connection from its coefficient table: the
+# reference for curvature.curvature_K
+# ---------------------------------------------------------------------------
+
+
+def curvature_canonical_direct(ev) -> np.ndarray:
+    """Curvature of the canonical connection computed directly from its
+    coefficient table on the nonholonomic frame:
+
+        K(E_i, E_j) E_k = nabla_i nabla_j E_k - nabla_j nabla_i E_k
+                          - nabla_{[E_i, E_j]} E_k.
+
+    Returns K[..., i, j, k, q] over the full frame.
+    """
+    n, m, last = ev.n, ev.m, ev.n - 1
+    coeff = ev.canonical_full
+
+    # coordinate gradients of every nonzero coefficient block
+    grad = ev.zeros(n, n, n, n)  # grad[j, k, q, r] = d_r coeff[j, k, q]
+    grad[..., :m, :m, :m, :] = np.moveaxis(ev.Gamma1, -4, -2)
+    grad[..., last, :m, :m, :] = 2.0 * np.einsum("...bar->...abr", ev.psi1)
+    grad[..., last, :m, last, :] = -ev.gam2[..., :, last, :]
+
+    Ecoeff = ev.frame_d(grad)  # [j, k, q, i] = E_i coeff[j, k, q]
+    nonholonomy = basis_brackets_frame(ev)  # [i, j, m]
+
+    K = np.einsum("...jkqi->...ijkq", Ecoeff) - np.einsum("...ikqj->...ijkq", Ecoeff)
+    K += contract("...jkl,...ilq->...ijkq", coeff, coeff) - contract(
+        "...ikl,...jlq->...ijkq", coeff, coeff
+    )
+    K -= contract("...ijm,...mkq->...ijkq", nonholonomy, coeff)
+    return K
 
 
 # ---------------------------------------------------------------------------

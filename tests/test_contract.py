@@ -1,6 +1,7 @@
 """The contraction layer: `structure.contract` against `np.einsum` on every
-multi-operand subscript string of the library, and the rule that every
-other multi-operand einsum goes through it."""
+subscript string it is called with, the rule that every other
+multi-operand einsum of the library goes through it, and the rule that the
+coordinate oracle does not."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import acmcheck
 from acmcheck.structure import contract, contraction_plan
 
 SRC = Path(acmcheck.__file__).parent
+HELPERS = Path(__file__).parent / "_helpers.py"
 
 # the coordinate oracle is plain NumPy (broadcasting, matmul, np.einsum) and
 # never goes through the planner, so that it stays an independent check of
@@ -41,16 +43,22 @@ def _callee(call: ast.Call) -> str | None:
     return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
-def _library_calls():
-    for path in sorted(SRC.glob("*.py")):
+def _file_calls(paths):
+    for path in paths:
         for where, call in _calls(ast.parse(path.read_text())):
             yield path.name, where, call
 
 
+def _library_calls():
+    return _file_calls(sorted(SRC.glob("*.py")))
+
+
 def _contract_subscripts() -> list[str]:
+    # every subscript string contract is called with: by the library, and
+    # by the test cross-checks that moved out of it
     found = {
         call.args[0].value
-        for _, _, call in _library_calls()
+        for _, _, call in _file_calls([*sorted(SRC.glob("*.py")), HELPERS])
         if _callee(call) == "contract" and call.args and isinstance(call.args[0], ast.Constant)
     }
     return sorted(found)

@@ -10,7 +10,6 @@ import pytest
 from acmcheck.connection import nabla_psi
 from acmcheck.curvature import (
     curvature_K,
-    curvature_canonical_direct,
     einstein_check,
     ricci_k,
     ricci_wagner,
@@ -18,6 +17,8 @@ from acmcheck.curvature import (
 )
 from acmcheck.expr import parse
 from acmcheck.structure import StructureEval
+
+from _helpers import curvature_canonical_direct
 
 ORIGIN = np.zeros(5)
 ODD_RANK = ("flat", "example1", "example3-qs", "example3-aqs")
