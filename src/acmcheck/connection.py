@@ -142,7 +142,8 @@ def lc_coordinate(ev: StructureEval) -> np.ndarray:
     written out here, never :func:`contract`, so the oracle does not share
     the planner it checks.  The condition number is ``np.linalg.cond``, an
     SVD of each point's G: ``metric_frame`` is not checked to be symmetric,
-    so a symmetric eigenvalue shortcut would measure something else.
+    so a symmetric eigenvalue shortcut would change what the guard measures
+    and the condition number its error names.
     """
     n, m = ev.n, ev.m
     eta0 = ev.zeros(n)
