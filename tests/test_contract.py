@@ -14,7 +14,7 @@ import pytest
 import acmcheck
 from acmcheck.structure import contract, contraction_plan
 
-SRC = Path(acmcheck.__file__).parent
+LIBRARY = sorted(Path(acmcheck.__file__).parent.glob("*.py"))
 HELPERS = Path(__file__).parent / "_helpers.py"
 
 # the coordinate oracle is plain NumPy (broadcasting, matmul, np.einsum) and
@@ -50,7 +50,7 @@ def _file_calls(paths):
 
 
 def _library_calls():
-    return _file_calls(sorted(SRC.glob("*.py")))
+    return _file_calls(LIBRARY)
 
 
 def _contract_subscripts() -> list[str]:
@@ -58,7 +58,7 @@ def _contract_subscripts() -> list[str]:
     # by the test cross-checks that moved out of it
     found = {
         call.args[0].value
-        for _, _, call in _file_calls([*sorted(SRC.glob("*.py")), HELPERS])
+        for _, _, call in _file_calls([*LIBRARY, HELPERS])
         if _callee(call) == "contract" and call.args and isinstance(call.args[0], ast.Constant)
     }
     return sorted(found)
