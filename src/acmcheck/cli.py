@@ -167,6 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+# an overflow shows as a non-finite residual or payload, which each command
+# reports itself; numpy's warnings would only repeat it on stderr
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--at" in argv[:-1]:
@@ -175,79 +178,72 @@ def main(argv: list[str] | None = None) -> int:
         argv[i : i + 2] = [f"--at={argv[i + 1]}"]
     args = _PARSER.parse_args(argv)
 
-    # an overflow shows as a non-finite residual or payload, which each
-    # command reports itself; numpy's warnings would only repeat it on stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return _dispatch(args)
-        except (ManifestError, ChartError, ExprError, StructureError, InputError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        except InternalConsistencyError as err:
-            print(f"identity failure: {err}", file=sys.stderr)
-            return 1
+    try:
+        manifest = load_manifest(args.manifest)
+        if args.command == "check":
+            report = run_full_check(
+                manifest, samples=args.samples, seed=args.seed, tol=args.tol,
+                omega_source=args.omega_source,
+            )
+            if args.as_json:
+                sys.stdout.write(report.to_json())
+            else:
+                _print_check_human(report)
+            return 0 if report.passed else 1
 
+        if args.command in ("classify", "einstein"):
+            ev, run = sampled_evaluation(manifest, args.samples, args.seed, args.tol)
 
-def _dispatch(args: argparse.Namespace) -> int:
-    """Run one parsed command; its exit code is main's."""
-    manifest = load_manifest(args.manifest)
-    if args.command == "check":
-        report = run_full_check(
-            manifest, samples=args.samples, seed=args.seed, tol=args.tol,
-            omega_source=args.omega_source,
-        )
-        if args.as_json:
-            sys.stdout.write(report.to_json())
-        else:
-            _print_check_human(report)
-        return 0 if report.passed else 1
+        if args.command == "classify":
+            report = classification_report(ev, run["tolerance"])
+            payload = classification_summary(report)
+            if args.as_json:
+                sys.stdout.write(report_json(payload))
+            else:
+                for name, v in report.verdicts.items():
+                    print(f"{name:<24} {'yes' if v.holds else 'no':<4} max residual {v.max_residual:.3e}")
+            return 0 if all_finite(payload) else 1
 
-    if args.command in ("classify", "einstein"):
-        ev, run = sampled_evaluation(manifest, args.samples, args.seed, args.tol)
+        if args.command == "tensor":
+            p = _parse_point(args.at, manifest)
+            payload = _tensor_payload(args.name, manifest, p)
+            if not all(np.isfinite(value).all() for value in payload.values()):
+                raise InputError(f"tensor '{args.name}' is not finite at {describe_first(p, True)}")
+            if args.as_json:
+                sys.stdout.write(report_json(payload))
+            else:
+                for key, value in payload.items():
+                    print(f"{key}:")
+                    print(np.array2string(value, precision=10, suppress_small=True)
+                          if isinstance(value, np.ndarray) else f"  {value}")
+            return 0
 
-    if args.command == "classify":
-        report = classification_report(ev, run["tolerance"])
-        payload = classification_summary(report)
-        if args.as_json:
-            sys.stdout.write(report_json(payload))
-        else:
-            for name, v in report.verdicts.items():
-                print(f"{name:<24} {'yes' if v.holds else 'no':<4} max residual {v.max_residual:.3e}")
-        return 0 if all_finite(payload) else 1
+        if args.command == "einstein":
+            reports = einstein_reports(ev, run["tolerance"])
+            payload = {source: einstein_summary(report) for source, report in reports.items()}
+            if args.as_json:
+                sys.stdout.write(report_json(payload))
+            else:
+                _print_einstein_human(payload)
+            return 0 if all_finite(payload) else 1
 
-    if args.command == "tensor":
-        p = _parse_point(args.at, manifest)
-        payload = _tensor_payload(args.name, manifest, p)
-        if not all(np.isfinite(value).all() for value in payload.values()):
-            raise InputError(f"tensor '{args.name}' is not finite at {describe_first(p, True)}")
-        if args.as_json:
-            sys.stdout.write(report_json(payload))
-        else:
-            for key, value in payload.items():
-                print(f"{key}:")
-                print(np.array2string(value, precision=10, suppress_small=True)
-                      if isinstance(value, np.ndarray) else f"  {value}")
-        return 0
+        if args.command == "rank":
+            p = _parse_point(args.at, manifest)
+            rank = rank_at(manifest.chart(), p)
+            if rank < 0:
+                raise InputError(f"rank undefined at {describe_first(p, True)}: "
+                                 "omega or d(eta)(xi, .) is not finite")
+            print(rank)
+            return 0
 
-    if args.command == "einstein":
-        reports = einstein_reports(ev, run["tolerance"])
-        payload = {source: einstein_summary(report) for source, report in reports.items()}
-        if args.as_json:
-            sys.stdout.write(report_json(payload))
-        else:
-            _print_einstein_human(payload)
-        return 0 if all_finite(payload) else 1
+        raise AssertionError("unreachable")
 
-    if args.command == "rank":
-        p = _parse_point(args.at, manifest)
-        rank = rank_at(manifest.chart(), p)
-        if rank < 0:
-            raise InputError(f"rank undefined at {describe_first(p, True)}: "
-                             "omega or d(eta)(xi, .) is not finite")
-        print(rank)
-        return 0
-
-    raise AssertionError("unreachable")
+    except (ManifestError, ChartError, ExprError, StructureError, InputError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except InternalConsistencyError as err:
+        print(f"identity failure: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":
