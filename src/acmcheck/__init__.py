@@ -7,7 +7,6 @@ from .expr import Jet, ScalarField, parse  # noqa: F401
 from .chart import (  # noqa: F401
     AdaptedChart,
     AdaptedTransition,
-    TensorGrid,
     change_chart,
     rank_at,
 )
@@ -34,15 +33,15 @@ from .classify import (  # noqa: F401
     reeb_split_identity_residual,
     projection_identity_residual,
     aqs_characterization_residual,
-    classify,
+    classification_report,
     nijenhuis_tensors,
 )
 from .curvature import (  # noqa: F401
     curvature_K,
-    einstein_check,
+    einstein_reports,
     ricci_k,
     ricci_wagner,
     schouten,
 )
 from .manifest import Manifest, load_fixture, load_manifest  # noqa: F401
-from .checks import RunReport, run_full_check  # noqa: F401
+from .checks import RunReport, run_full_check, sampled_evaluation  # noqa: F401

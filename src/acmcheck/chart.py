@@ -34,33 +34,15 @@ class SingularJacobianError(ChartError):
     pass
 
 
-# index valence tags for TensorGrid
+# index valence tags of admissible tensors (frame indices only) and of
+# coordinate indices, which change_chart rejects
 FRAME_LOWER = "frame_lower"
 FRAME_UPPER = "frame_upper"
 COORD = "coord"
 
-
-@dataclass(frozen=True)
-class TensorGrid:
-    """Dense component array tagged with per-index valences.
-
-    Frame indices range over the horizontal distribution (n-1 values);
-    coordinate indices over the full chart (n values).  Admissible tensors
-    are stored on frame indices only, which encodes their vanishing on the
-    Reeb/eta slots.  Every axis carries a valence, so a grid holds the
-    components at one point; arrays over a block of points stay plain
-    arrays with the batch axes in front (see :mod:`acmcheck.structure`).
-    """
-
-    components: np.ndarray
-    valence: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.components.ndim != len(self.valence):
-            raise ValueError("valence length does not match component rank")
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.components, dtype=dtype)
+# relative singular-value cutoff of the rank of omega, and of the vertical
+# part's vanishing
+RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,15 +80,6 @@ class AdaptedChart:
     def m(self) -> int:
         """Dimension of the horizontal distribution."""
         return self.n - 1
-
-    def contains(self, p: np.ndarray) -> bool:
-        p = np.asarray(p, dtype=float)
-        if p.shape != (self.n,):
-            return False
-        for x, (lo, hi) in zip(p, self.domain):
-            if not lo <= x <= hi:
-                return False
-        return all(abs(f.value(p)) >= AVOID_EPS for f in self.avoid)
 
     def sample_points(self, count: int, seed: int) -> np.ndarray:
         """Deterministic samples: point i depends only on (seed, i), never on
@@ -317,22 +290,22 @@ def nonholonomy(gam0: np.ndarray, gam1: np.ndarray) -> tuple[np.ndarray, np.ndar
     return 0.5 * (eg - np.swapaxes(eg, -1, -2)), gam1[..., -1].copy()
 
 
-def rank_of(omega: np.ndarray, vertical: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def rank_of(omega: np.ndarray, vertical: np.ndarray) -> np.ndarray:
     """Rank from omega and d(eta)(xi, .) at each point: 2p from the rank of
     omega, 2p+1 when additionally the vertical part vanishes, and -1 (no
     rank) where either is not finite."""
     finite = np.isfinite(omega).all(axis=(-2, -1)) & np.isfinite(vertical).all(axis=-1)
     sv = np.linalg.svd(np.where(finite[..., None, None], omega, 0.0), compute_uv=False)
     top = sv[..., :1]
-    two_p = np.where(top[..., 0] > 0.0, np.count_nonzero(sv > tol * top, axis=-1), 0)
+    two_p = np.where(top[..., 0] > 0.0, np.count_nonzero(sv > RANK_TOL * top, axis=-1), 0)
     scale = 1.0 + np.abs(omega).max(axis=(-2, -1))
-    rank = two_p + (np.abs(vertical).max(axis=-1) <= tol * scale)
+    rank = two_p + (np.abs(vertical).max(axis=-1) <= RANK_TOL * scale)
     return np.where(finite, rank, -1)
 
 
-def rank_at(chart: AdaptedChart, p: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def rank_at(chart: AdaptedChart, p: np.ndarray) -> np.ndarray:
     """Pointwise rank of the structure at p (see :func:`rank_of`)."""
-    return rank_of(*nonholonomy(*gamma_jets(chart, p, order=1)), tol)
+    return rank_of(*nonholonomy(*gamma_jets(chart, p, order=1)))
 
 
 def frame_bracket(chart: AdaptedChart, a: int, b: int, p: np.ndarray) -> np.ndarray:
@@ -377,29 +350,33 @@ class AdaptedTransition:
 
 def change_chart(
     transition: AdaptedTransition,
-    t: TensorGrid,
+    components: np.ndarray,
+    valence: tuple[str, ...],
     p_primed: np.ndarray,
     cond_limit: float = 1e8,
-) -> tuple[TensorGrid, np.ndarray]:
-    """Push an admissible tensor through an adapted transition.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Push an admissible tensor, its components at one point with one
+    valence tag per axis, through an adapted transition.
 
     Components transform index-by-index: frame-upper indices contract with
     A[a, a'], frame-lower ones with the inverse Jacobian A[a', a].  Returns
     the components in the target chart together with the image point.
     """
-    if any(v not in (FRAME_LOWER, FRAME_UPPER) for v in t.valence):
+    if any(v not in (FRAME_LOWER, FRAME_UPPER) for v in valence):
         raise ValueError("change_chart handles admissible (frame-index) tensors only")
+    out = np.asarray(components)
+    if out.ndim != len(valence):
+        raise ValueError("valence length does not match component rank")
     A = transition.jacobian(p_primed)
     if not np.all(np.isfinite(A)) or np.linalg.cond(A) >= cond_limit:
         raise SingularJacobianError(f"transition Jacobian ill-conditioned at {p_primed}")
     A_inv = np.linalg.inv(A)
-    out = t.components
-    for axis, valence in enumerate(t.valence):
-        if valence == FRAME_UPPER:
+    for axis, v in enumerate(valence):
+        if v == FRAME_UPPER:
             # t^a = A^a_{a'} t^{a'}
             out = np.tensordot(A, out, axes=([1], [axis]))
         else:
             # t_b = A^{b'}_b t_{b'}
             out = np.tensordot(A_inv, out, axes=([0], [axis]))
         out = np.moveaxis(out, 0, axis)
-    return TensorGrid(out, t.valence), transition.image_point(p_primed)
+    return out, transition.image_point(p_primed)

@@ -16,15 +16,12 @@ import numpy as np
 from .connection import bracket, cov_phi, to_frame_components
 from .residuals import WorstResidual, nanmax
 from .structure import (
-    AdaptedStructure,
     StructureEval,
     contract,
     d_fundamental_form,
     mat_t,
     memoised,
 )
-
-DEFAULT_TOL = 1e-7
 
 CRITERIA = (
     "contact_metric",
@@ -212,8 +209,6 @@ class CriterionVerdict:
 class ClassificationReport:
     verdicts: dict[str, CriterionVerdict]
     qs_conditions: dict[str, CriterionVerdict]
-    tol: float
-    samples: int
 
     def holds(self, name: str) -> bool:
         return self.verdicts[name].holds
@@ -280,21 +275,4 @@ def classification_report(ev: StructureEval, tol: float) -> ClassificationReport
     )
 
     ordered = {name: verdicts[name] for name in CRITERIA}
-    return ClassificationReport(verdicts=ordered, qs_conditions=qs_verdicts, tol=tol, samples=n_points)
-
-
-def classify(
-    s: AdaptedStructure,
-    samples: int = 32,
-    tol: float = DEFAULT_TOL,
-    seed: int = 42,
-    points: np.ndarray | None = None,
-) -> ClassificationReport:
-    """Evaluate every classification criterion at sampled points.
-
-    ``points`` overrides the deterministic sampling when given; see
-    :func:`classification_report` for the verdicts.
-    """
-    if points is None:
-        points = s.chart.sample_points(samples, seed)
-    return classification_report(StructureEval(s, points), tol)
+    return ClassificationReport(verdicts=ordered, qs_conditions=qs_verdicts)

@@ -56,13 +56,6 @@ def _parse_point(text: str, manifest: Manifest) -> np.ndarray:
     return p
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
 def _tensor_payload(name: str, manifest: Manifest, p: np.ndarray) -> dict:
     ev = StructureEval(manifest.structure(), p)
     if name in ("omega", "psi", "C"):
@@ -135,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("manifest", help="manifest path or bundled fixture name")
-        p.add_argument("--samples", type=_positive_int, default=None)
+        p.add_argument("--samples", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--json", action="store_true", dest="as_json")

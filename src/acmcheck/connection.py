@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import FRAME_LOWER, FRAME_UPPER, TensorGrid
+from .chart import FRAME_LOWER, FRAME_UPPER
 from .expr import describe_first, field_jets
 from .residuals import nanmax
 from .structure import SingularMetricError, StructureEval, contract, mat_t, memoised
 
-DEFAULT_TOL = 1e-9
+# relative tolerance of the torsion table's skew-symmetry flag
+TORSION_SKEW_TOL = 1e-9
 
 # absolute tolerance of the coordinate-oracle comparison; a coordinate
 # metric whose condition number (scaled to unit diagonal) reaches
@@ -240,7 +241,7 @@ class TorsionResult:
     direct_residual: np.ndarray  # table vs nabla^N_X Y - nabla^N_Y X - [X, Y], lowered
 
 
-def torsion(ev: StructureEval, N: Endomorphism, tol: float = DEFAULT_TOL) -> TorsionResult:
+def torsion(ev: StructureEval, N: Endomorphism) -> TorsionResult:
     m, last = ev.m, ev.n - 1
     N0 = N.value_at(ev)
     GN = mat_t(N0) @ ev.g0  # GN[a, b] = g(N e_a, e_b)
@@ -264,7 +265,7 @@ def torsion(ev: StructureEval, N: Endomorphism, tol: float = DEFAULT_TOL) -> Tor
     scale = 1.0 + ev.max_abs(table)
     return TorsionResult(
         components=table,
-        is_skew=skew_residual < tol * scale,
+        is_skew=skew_residual < TORSION_SKEW_TOL * scale,
         skew_residual=skew_residual,
         direct_residual=direct_residual,
     )
@@ -331,27 +332,13 @@ def _cov_deriv_from_data(
     return out
 
 
-def internal_cov_deriv(
-    ev: StructureEval, t: TensorGrid | np.ndarray, valence: tuple[str, ...] | None = None
-) -> TensorGrid | np.ndarray:
-    """nabla of an admissible tensor field given as ScalarField components.
-
-    ``t`` is an object array (or a TensorGrid of one) in frame indices; the
-    result gains a leading frame-lower direction index.  At a single point
-    (batch shape ()) it is a TensorGrid; over a block of points it is the
-    plain array out[..., c, ...] with the batch axes in front, since a
-    TensorGrid holds one point."""
-    if isinstance(t, TensorGrid):
-        fields, valence = t.components, t.valence
-    else:
-        fields = t
-        if valence is None:
-            raise ValueError("valence required when passing a bare component array")
+def internal_cov_deriv(ev: StructureEval, fields: np.ndarray, valence: tuple[str, ...]) -> np.ndarray:
+    """nabla of an admissible tensor field given as ScalarField components:
+    ``fields`` is an object array in frame indices of the given valences,
+    and out[..., c, ...] = (nabla_{e_c} t)_{...} gains a frame-lower
+    direction index after the batch axes."""
     T0, T1 = field_jets(fields, ev.p, order=1)
-    out = _cov_deriv_from_data(ev, T0, T1, tuple(valence))
-    if ev.batch:
-        return out
-    return TensorGrid(out, (FRAME_LOWER,) + tuple(valence))
+    return _cov_deriv_from_data(ev, T0, T1, tuple(valence))
 
 
 @memoised

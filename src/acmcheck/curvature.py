@@ -18,9 +18,7 @@ import numpy as np
 from .connection import nabla_omega, nabla_psi
 from .manifest import OMEGA_SOURCES
 from .residuals import WorstResidual, nanmax
-from .structure import AdaptedStructure, StructureEval, contract, mat_t, memoised
-
-DEFAULT_TOL = 1e-7
+from .structure import StructureEval, contract, mat_t, memoised
 
 
 def schouten(ev: StructureEval) -> np.ndarray:
@@ -72,15 +70,6 @@ def ricci_k(ev: StructureEval) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EinsteinSample:
-    """r and 4 omega_{da} psi^d_b at the evaluated points, batch axes in front."""
-
-    point: np.ndarray
-    r: np.ndarray
-    rhs: np.ndarray
-
-
-@dataclass(frozen=True)
 class EinsteinReport:
     """Residuals of r_ab = 4 omega_{da} psi^d_b over the samples.
 
@@ -88,18 +77,15 @@ class EinsteinReport:
     behaviour stays visible; ``parallel_torsion_residual`` reports the
     hypothesis max |nabla omega| without gating the computation."""
 
-    omega_source: str
     verdict: bool
     max_residual: float
     residual_grid: np.ndarray
     parallel_torsion_residual: float
-    tol: float
-    samples: EinsteinSample
 
 
-def einstein_sample(ev: StructureEval, omega_source: str) -> EinsteinSample:
-    """r and 4 omega_{da} psi^d_b at the evaluated points, with omega taken
-    from d(eta) or from the fundamental form."""
+def einstein_rhs(ev: StructureEval, omega_source: str) -> np.ndarray:
+    """4 omega_{da} psi^d_b at the evaluated points, with omega taken from
+    d(eta) or from the fundamental form."""
     if omega_source == "d_eta":
         om, psi = ev.omega0, ev.psi0
     elif omega_source == "fundamental_form":
@@ -107,43 +93,24 @@ def einstein_sample(ev: StructureEval, omega_source: str) -> EinsteinSample:
         psi = ev.ginv0 @ mat_t(ev.Omega0)
     else:
         raise ValueError(f"unknown omega_source '{omega_source}'")
-    rhs = 4.0 * contract("...da,...db->...ab", om, psi)
-    return EinsteinSample(point=ev.p.copy(), r=ricci_wagner(ev), rhs=rhs)
+    return 4.0 * contract("...da,...db->...ab", om, psi)
 
 
-def einstein_reports(
-    ev: StructureEval, tol: float, sources: tuple[str, ...] = OMEGA_SOURCES
-) -> dict[str, EinsteinReport]:
-    """Verdict, per-component residual grid and samples for each omega
-    source, from one evaluation over the sampled points."""
+def einstein_reports(ev: StructureEval, tol: float) -> dict[str, EinsteinReport]:
+    """Verdict and per-component residual grid for each omega source, from
+    one evaluation over the sampled points."""
     parallel_torsion = WorstResidual(ev.max_abs(nabla_omega(ev))).residual
+    m = ev.m
+    r = ricci_wagner(ev).reshape(-1, m, m)
     reports = {}
-    for source in sources:
-        sample = einstein_sample(ev, source)
-        m = sample.r.shape[-1]
-        r, rhs = sample.r.reshape(-1, m, m), sample.rhs.reshape(-1, m, m)
+    for source in OMEGA_SOURCES:
+        rhs = einstein_rhs(ev, source).reshape(-1, m, m)
         diff = np.abs(r - rhs)
         worst = WorstResidual(diff, nanmax(np.abs(r).max(), np.abs(rhs).max()))
         reports[source] = EinsteinReport(
-            omega_source=source,
             verdict=worst.holds(tol),
             max_residual=worst.residual,
             residual_grid=diff.max(axis=0),
             parallel_torsion_residual=parallel_torsion,
-            tol=tol,
-            samples=sample,
         )
     return reports
-
-
-def einstein_check(
-    s: AdaptedStructure,
-    samples: int = 32,
-    tol: float = DEFAULT_TOL,
-    omega_source: str = "d_eta",
-    seed: int = 42,
-    points: np.ndarray | None = None,
-) -> EinsteinReport:
-    if points is None:
-        points = s.chart.sample_points(samples, seed)
-    return einstein_reports(StructureEval(s, points), tol, (omega_source,))[omega_source]

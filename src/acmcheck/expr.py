@@ -536,12 +536,6 @@ class ScalarField:
     ast: Node
     coords: tuple[str, ...]
 
-    def jet(self, point: np.ndarray) -> Jet:
-        """Jet at a point of shape (n,) or over a block of shape (..., n),
-        every part at the full batch shape: :func:`field_jets` of this field
-        alone (a 0-d block)."""
-        return Jet(*field_jets(np.array(self, dtype=object), point))
-
     def value(self, point: np.ndarray) -> np.ndarray:
         """Value at a point or over a block: :func:`field_jets` at order 0."""
         return field_jets(np.array(self, dtype=object), point, order=0)[0]

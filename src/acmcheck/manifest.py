@@ -48,6 +48,9 @@ class ManifestError(Exception):
 
 @dataclass(frozen=True)
 class Manifest:
+    """A validated manifest, built by :func:`manifest_from_dict`, which
+    names every run-parameter default."""
+
     dimension: int
     coordinates: tuple[str, ...]
     gamma: tuple[ScalarField, ...]
@@ -55,12 +58,12 @@ class Manifest:
     phi_frame: np.ndarray
     domain: tuple[tuple[float, float], ...]
     avoid: tuple[ScalarField, ...]
-    samples: int = 32
-    seed: int = 42
-    tolerance: float = 1e-7
-    pseudo: bool = False
-    omega_source: str = "d_eta"
-    source: str = field(default="<memory>", compare=False)
+    samples: int
+    seed: int
+    tolerance: float
+    pseudo: bool
+    omega_source: str
+    source: str = field(compare=False)
 
     def chart(self) -> AdaptedChart:
         return AdaptedChart(

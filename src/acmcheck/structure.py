@@ -31,6 +31,10 @@ import numpy as np
 from .chart import AdaptedChart, adapted_frame, gamma_jets, nonholonomy
 from .expr import Const, ScalarField, describe_first, field_jets
 
+# the frame metric's smallest eigenvalue (absolute value if pseudo) must
+# stay above this at every evaluated point
+METRIC_FLOOR = 1e-9
+
 
 class StructureError(Exception):
     pass
@@ -483,17 +487,17 @@ def validate_axioms(ev: StructureEval) -> dict[str, np.ndarray]:
     }
 
 
-def metric_definiteness(ev: StructureEval, floor: float = 1e-9) -> np.ndarray:
+def metric_definiteness(ev: StructureEval) -> np.ndarray:
     """Smallest eigenvalue (absolute value if pseudo) of the frame metric at
     each evaluated point.
 
     Raises :class:`SingularMetricError`, naming the first offending point,
-    when it is below ``floor`` anywhere.
+    when it is at most :data:`METRIC_FLOOR` anywhere.
     """
     pseudo = ev.structure.pseudo
     eigs = np.linalg.eigvalsh(0.5 * (ev.g0 + mat_t(ev.g0)))
     smallest = (np.abs(eigs) if pseudo else eigs).min(axis=-1)
-    low = smallest <= floor
+    low = smallest <= METRIC_FLOOR
     if np.any(low):
         kind = "degenerate" if pseudo else "non-positive-definite"
         at, eigenvalue = describe_first(ev.p, low), smallest[low][0]

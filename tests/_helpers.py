@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 
+from acmcheck import classification_report, einstein_reports, sampled_evaluation
 from acmcheck.chart import AVOID_EPS, MAX_REDRAWS, AdaptedChart, ChartError
 from acmcheck.connection import basis_brackets_frame, to_frame_components
 from acmcheck.expr import (
@@ -26,6 +27,7 @@ from acmcheck.expr import (
     Var,
     _Token,
     describe_first,
+    field_jets,
     parse,
 )
 from acmcheck.structure import AdaptedStructure, contract
@@ -36,6 +38,26 @@ COORDS = ("x", "y", "z", "u", "v")
 def trace_psi_sq(ev) -> np.ndarray:
     """tr(psi^2) at the evaluated points."""
     return np.einsum("...ab,...ba->...", ev.psi0, ev.psi0)
+
+
+def classify_run(manifest, **overrides):
+    """Classification verdicts over a manifest's sampled points, through the
+    run driver the CLI uses (``overrides``: ``samples``, ``seed``, ``tol``)."""
+    ev, run = sampled_evaluation(manifest, **overrides)
+    return classification_report(ev, run["tolerance"])
+
+
+def einstein_run(manifest, **overrides):
+    """The Einstein report of each omega source over a manifest's sampled
+    points, through the run driver the CLI uses."""
+    ev, run = sampled_evaluation(manifest, **overrides)
+    return einstein_reports(ev, run["tolerance"])
+
+
+def field_jet(field: ScalarField, p: np.ndarray) -> Jet:
+    """Second-order jet of one field at a point or over a block of points:
+    :func:`field_jets` of the field alone (a 0-d block)."""
+    return Jet(*field_jets(np.array(field, dtype=object), p))
 
 
 def fd_gradient(field: ScalarField, p: np.ndarray, h: float = 1e-4) -> np.ndarray:

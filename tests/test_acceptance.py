@@ -14,10 +14,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _helpers import fd_gradient, fd_hessian, perturbed_flat, random_poly_text, trace_psi_sq
+from _helpers import (
+    classify_run,
+    einstein_run,
+    fd_gradient,
+    fd_hessian,
+    field_jet,
+    perturbed_flat,
+    random_poly_text,
+    trace_psi_sq,
+)
 
 from acmcheck.chart import rank_at
-from acmcheck.classify import reeb_split_identity_residual, projection_identity_residual, canonical_nabla_phi_residual, aqs_characterization_residual, classify
+from acmcheck.classify import reeb_split_identity_residual, projection_identity_residual, canonical_nabla_phi_residual, aqs_characterization_residual
 from acmcheck.connection import (
     Endomorphism,
     coordinate_to_adapted,
@@ -27,8 +36,8 @@ from acmcheck.connection import (
     nabla_omega,
     torsion,
 )
-from acmcheck.checks import run_full_check
-from acmcheck.curvature import einstein_check, ricci_wagner, schouten
+from acmcheck.checks import run_full_check, sampled_evaluation
+from acmcheck.curvature import einstein_reports, einstein_rhs, ricci_wagner, schouten
 from acmcheck.expr import parse
 from acmcheck.classify import nijenhuis_tensors
 from acmcheck.structure import StructureEval
@@ -111,13 +120,13 @@ def test_criterion_3_universal_identities(structures, sample_sets, acceptance_lo
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_4_example1(structures, sample_sets, acceptance_log):
+def test_criterion_4_example1(manifests, structures, sample_sets, acceptance_log):
     s = structures["example1"]
     points = sample_sets["example1"]
     bundle = nijenhuis_tensors(StructureEval(s, points[0]))
     n1_ok = abs(bundle.n1[0, 1, 4] + 1.0) < 1e-9 and np.abs(bundle.n1[0, 1, :4]).max() < 1e-9
     ntilde_ok = np.abs(bundle.n_tilde[0, 1]).max() < 1e-9
-    report = classify(s, points=points)
+    report = classify_run(manifests["example1"])
     verdicts_ok = (report.holds("almost_normal") and not report.holds("normal")
                    and report.holds("aqs"))
     nabla_ok = all(np.abs(nabla_omega(StructureEval(s, p))).max() < 1e-12 for p in points)
@@ -134,7 +143,7 @@ def test_criterion_4_example1(structures, sample_sets, acceptance_log):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_5_example2(structures, sample_sets, acceptance_log):
+def test_criterion_5_example2(manifests, structures, sample_sets, acceptance_log):
     s = structures["example2"]
     points = sample_sets["example2"]
     deta_ok = True
@@ -152,7 +161,7 @@ def test_criterion_5_example2(structures, sample_sets, acceptance_log):
             defect_ok = False
         if rank_at(s.chart, p) % 2 != 0:
             rank_ok = False
-    report = classify(s, points=points)
+    report = classify_run(manifests["example2"])
     ok = deta_ok and defect_ok and rank_ok and not report.holds("aqs")
     _record(acceptance_log, "criterion 5", ok,
             "d(eta)(xi, e1) = y/2, not AQS, metricity defect (n,n,1) = y, rank even")
@@ -166,7 +175,7 @@ _U = parse("0 - ln(1 + x^2 + y^2)", ("x", "y", "z", "u", "v"))
 
 
 def _gauss_oracle(p: np.ndarray) -> float:
-    jet = _U.jet(p)
+    jet = field_jet(_U, p)
     return float(-np.exp(-2.0 * jet.value) * (jet.hess[0, 0] + jet.hess[1, 1]))
 
 
@@ -195,19 +204,18 @@ def test_criterion_6_example3_ricci_wagner(structures, sample_sets, acceptance_l
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_7_fundamental_form_block_and_profile(structures, sample_sets, acceptance_log):
-    s = structures["example3-qs"]
-    points = sample_sets["example3-qs"]
-    fund = einstein_check(s, omega_source="fundamental_form", points=points)
+def test_criterion_7_fundamental_form_block_and_profile(manifests, acceptance_log):
+    ev, run = sampled_evaluation(manifests["example3-qs"])
+    reports = einstein_reports(ev, run["tolerance"])
+    fund, deta = reports["fundamental_form"], reports["d_eta"]
     block_ok = float(fund.residual_grid[:2, :2].max()) < 1e-7
     # the substitution makes the right-hand side equal -4g identically
     identity_ok = all(
-        np.abs(rhs + 4.0 * StructureEval(s, point).g0).max() < 1e-12
-        for point, rhs in zip(fund.samples.point, fund.samples.rhs)
+        np.abs(rhs + 4.0 * StructureEval(ev.structure, point).g0).max() < 1e-12
+        for point, rhs in zip(ev.p, einstein_rhs(ev, "fundamental_form"))
     )
-    deta = einstein_check(s, omega_source="d_eta", points=points)
     profile_ok = True
-    for point, r, rhs in zip(deta.samples.point, deta.samples.r, deta.samples.rhs):
+    for point, r, rhs in zip(ev.p, ricci_wagner(ev), einstein_rhs(ev, "d_eta")):
         s_val = point[0] ** 2 + point[1] ** 2
         predicted = abs(-4.0 / (1 + s_val) ** 2 + (1 + s_val) ** 2)
         if abs(abs(r[0, 0] - rhs[0, 0]) - predicted) > 1e-6:
@@ -224,11 +232,8 @@ def test_criterion_7_fundamental_form_block_and_profile(structures, sample_sets,
     "substitution forces the right-hand side to -4g there, so the verdict "
     "over the whole distribution is genuinely negative (residual 4)",
 )
-def test_criterion_7_fundamental_form_full_verdict(structures, sample_sets, acceptance_log):
-    report = einstein_check(
-        structures["example3-qs"], omega_source="fundamental_form",
-        points=sample_sets["example3-qs"],
-    )
+def test_criterion_7_fundamental_form_full_verdict(manifests, acceptance_log):
+    report = einstein_run(manifests["example3-qs"])["fundamental_form"]
     if not report.verdict:
         acceptance_log.append(
             "[criterion 7, full-grid reading] FAIL (expected): fundamental-form "
@@ -243,13 +248,13 @@ def test_criterion_7_fundamental_form_full_verdict(structures, sample_sets, acce
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_8_canonical_nabla_phi(structures, sample_sets, acceptance_log):
+def test_criterion_8_canonical_nabla_phi(manifests, structures, sample_sets, acceptance_log):
     qs = structures["example3-qs"]
     worst_qs = max(canonical_nabla_phi_residual(StructureEval(qs, p)) for p in sample_sets["example3-qs"])
-    report_qs = classify(qs, points=sample_sets["example3-qs"])
+    report_qs = classify_run(manifests["example3-qs"])
     aqs = structures["example3-aqs"]
     worst_aqs = max(canonical_nabla_phi_residual(StructureEval(aqs, p)) for p in sample_sets["example3-aqs"])
-    report_aqs = classify(aqs, points=sample_sets["example3-aqs"])
+    report_aqs = classify_run(manifests["example3-aqs"])
     ok = (worst_qs < 1e-8 and report_qs.holds("quasi_sasakian")
           and worst_aqs > 1e-3 and not report_aqs.holds("quasi_sasakian"))
     _record(acceptance_log, "criterion 8", ok,
@@ -263,8 +268,8 @@ def test_criterion_8_canonical_nabla_phi(structures, sample_sets, acceptance_log
     "one, so the fundamental form is neither compatible with the metric nor "
     "closed; the AQS verdict for that variant is genuinely negative",
 )
-def test_criterion_8_redefined_variant_classified_aqs(structures, sample_sets, acceptance_log):
-    report = classify(structures["example3-aqs"], points=sample_sets["example3-aqs"])
+def test_criterion_8_redefined_variant_classified_aqs(manifests, acceptance_log):
+    report = classify_run(manifests["example3-aqs"])
     if not report.holds("aqs"):
         residual = report.verdicts["d_Omega_zero"].max_residual
         acceptance_log.append(
@@ -279,11 +284,11 @@ def test_criterion_8_redefined_variant_classified_aqs(structures, sample_sets, a
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_9_characterization_biconditional(structures, sample_sets, acceptance_log):
+def test_criterion_9_characterization_biconditional(manifests, structures, sample_sets, acceptance_log):
     classified_aqs = set()
     below_tol = set()
     for name in ALL:
-        report = classify(structures[name], points=sample_sets[name])
+        report = classify_run(manifests[name])
         if report.holds("aqs"):
             classified_aqs.add(name)
         worst = max(aqs_characterization_residual(StructureEval(structures[name], p)) for p in sample_sets[name])
@@ -309,7 +314,7 @@ def test_criterion_10_jets_vs_finite_differences(acceptance_log):
     for _ in range(100):
         f = parse(random_poly_text(rng), coords)
         p = rng.uniform(-1, 1, size=5)
-        jet = f.jet(p)
+        jet = field_jet(f, p)
         g, H = fd_gradient(f, p), fd_hessian(f, p)
         rel_g = np.abs(jet.grad - g).max() / (1.0 + np.abs(jet.grad).max())
         rel_h = np.abs(jet.hess - H).max() / (1.0 + np.abs(jet.hess).max())

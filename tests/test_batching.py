@@ -17,7 +17,7 @@ from acmcheck.connection import (
     lc_adapted,
     torsion,
 )
-from acmcheck.curvature import curvature_K, einstein_sample, ricci_k, ricci_wagner, schouten
+from acmcheck.curvature import curvature_K, einstein_rhs, ricci_k, ricci_wagner, schouten
 from acmcheck.manifest import OMEGA_SOURCES
 from acmcheck.structure import StructureEval, validate_axioms
 
@@ -61,10 +61,8 @@ def _quantities(ev: StructureEval) -> dict[str, np.ndarray]:
     for k, (residual, scale) in criterion_residuals(ev).items():
         out[f"criterion.{k}"] = residual
         out[f"criterion.{k}.scale"] = scale
-    for source in OMEGA_SOURCES:
-        sample = einstein_sample(ev, source)
-        out[f"einstein.{source}.r"] = sample.r
-        out[f"einstein.{source}.rhs"] = sample.rhs
+    for source in OMEGA_SOURCES:  # the Einstein left-hand side r is "ricci-wagner"
+        out[f"einstein.{source}.rhs"] = einstein_rhs(ev, source)
     return out
 
 

@@ -12,12 +12,11 @@ from acmcheck.classify import (
     qs_characterization_residual,
     canonical_nabla_phi_residual,
     aqs_characterization_residual,
-    classify,
     nijenhuis_tensors,
     qs_condition_residuals,
 )
 from acmcheck.structure import StructureEval
-from _helpers import perturbed_flat
+from _helpers import classify_run, perturbed_flat
 
 ALL = ("flat", "example1", "example2", "example3-qs", "example3-aqs")
 ORIGIN = np.zeros(5)
@@ -103,7 +102,7 @@ def test_aqs_characterization_biconditional(structures, manifests, sample_sets):
     for name in ALL:
         mf = manifests[name]
         points = sample_sets[name]
-        report = classify(structures[name], tol=mf.tolerance, points=points)
+        report = classify_run(mf)
         worst = max(aqs_characterization_residual(StructureEval(structures[name], p)) for p in points)
         assert report.holds("aqs") == (worst < mf.tolerance), (name, worst)
 
@@ -144,8 +143,8 @@ def test_canonical_nabla_phi_matches_quasi_sasakian(structures, sample_sets):
 # ---------------------------------------------------------------------------
 
 
-def test_classify_example1(structures, sample_sets):
-    report = classify(structures["example1"], points=sample_sets["example1"])
+def test_classify_example1(manifests):
+    report = classify_run(manifests["example1"])
     assert report.holds("almost_normal")
     assert not report.holds("normal")
     assert report.holds("aqs")
@@ -154,27 +153,27 @@ def test_classify_example1(structures, sample_sets):
     assert not report.holds("contact_metric")
 
 
-def test_classify_example2(structures, sample_sets):
-    report = classify(structures["example2"], points=sample_sets["example2"])
+def test_classify_example2(manifests):
+    report = classify_run(manifests["example2"])
     assert not report.holds("aqs")
     assert not report.holds("d_eta_xi_zero")
     assert report.holds("almost_normal")
     assert report.holds("almost_contact_kahler")
 
 
-def test_classify_example3_qs(structures, sample_sets):
-    report = classify(structures["example3-qs"], points=sample_sets["example3-qs"])
+def test_classify_example3_qs(manifests):
+    report = classify_run(manifests["example3-qs"])
     assert report.holds("quasi_sasakian")
     assert report.holds("aqs")
     # quasi-Sasakian forces normality: N1 = N~ + 2(d eta - phi* d eta) xi = 0
     assert report.holds("normal")
 
 
-def test_classify_ladder_implications(structures, sample_sets):
+def test_classify_ladder_implications(manifests):
     # normal => almost_normal; aqs => almost_normal, dOmega = 0, d eta(xi,.) = 0;
     # quasi_sasakian => aqs
     for name in ALL:
-        report = classify(structures[name], points=sample_sets[name])
+        report = classify_run(manifests[name])
         if report.holds("normal"):
             assert report.holds("almost_normal"), name
         if report.holds("aqs"):
@@ -185,8 +184,8 @@ def test_classify_ladder_implications(structures, sample_sets):
             assert report.holds("aqs"), name
 
 
-def test_classify_example3_aqs_not_quasi_sasakian(structures, sample_sets):
-    report = classify(structures["example3-aqs"], points=sample_sets["example3-aqs"])
+def test_classify_example3_aqs_not_quasi_sasakian(manifests):
+    report = classify_run(manifests["example3-aqs"])
     assert not report.holds("quasi_sasakian")
     assert report.holds("almost_normal")
     assert report.holds("d_eta_xi_zero")
@@ -196,38 +195,35 @@ def test_classify_example3_aqs_not_quasi_sasakian(structures, sample_sets):
     assert not report.holds("aqs")
 
 
-def test_classify_flat_quasi_sasakian(structures, sample_sets):
-    report = classify(structures["flat"], points=sample_sets["flat"])
+def test_classify_flat_quasi_sasakian(manifests):
+    report = classify_run(manifests["flat"])
     assert report.holds("quasi_sasakian")
     assert report.holds("normal")
     assert report.holds("contact_metric") is False  # Omega != 0 = d(eta)
 
 
-def test_classify_verdicts_stable_32_to_128(structures):
+def test_classify_verdicts_stable_32_to_128(manifests):
     for name in ALL:
-        s = structures[name]
-        small = classify(s, samples=32, seed=42)
-        large = classify(s, samples=128, seed=42)
+        small = classify_run(manifests[name], samples=32, seed=42)
+        large = classify_run(manifests[name], samples=128, seed=42)
         for criterion in small.verdicts:
             assert small.holds(criterion) == large.holds(criterion), (name, criterion)
 
 
-def test_classify_monotone_under_tolerance(structures, sample_sets):
-    points = sample_sets["example1"]
-    tight = classify(structures["example1"], tol=1e-9, points=points)
-    loose = classify(structures["example1"], tol=1e-5, points=points)
+def test_classify_monotone_under_tolerance(manifests):
+    tight = classify_run(manifests["example1"], tol=1e-9)
+    loose = classify_run(manifests["example1"], tol=1e-5)
     for criterion in tight.verdicts:
         if tight.holds(criterion):
             assert loose.holds(criterion)
 
 
-def test_classify_samples_recorded(structures, sample_sets):
-    report = classify(structures["flat"], points=sample_sets["flat"])
-    assert report.samples == 32
+def test_classify_samples_recorded(manifests):
+    report = classify_run(manifests["flat"])
     assert all(v.samples == 32 for v in report.verdicts.values())
 
 
-def test_disagreeing_qs_conditions_raise(structures, sample_sets, monkeypatch):
+def test_disagreeing_qs_conditions_raise(manifests, monkeypatch):
     # the three quasi-Sasakian conditions are provably equivalent on AQS
     # structures; a disagreement there is an internal error, not a verdict
     import sys
@@ -241,4 +237,4 @@ def test_disagreeing_qs_conditions_raise(structures, sample_sets, monkeypatch):
 
     monkeypatch.setattr(sys.modules["acmcheck.classify"], "qs_condition_residuals", doctored)
     with pytest.raises(InternalConsistencyError):
-        classify(structures["example1"], points=sample_sets["example1"][:2])
+        classify_run(manifests["example1"], samples=2)

@@ -265,13 +265,6 @@ def test_cli_rank_point_with_leading_minus(capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
-def test_cli_samples_must_be_positive(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["check", "flat", "--samples", "0"])
-    assert exit_info.value.code == 2
-    assert "positive integer" in capsys.readouterr().err
-
-
 def _nan_manifest(tmp_path) -> str:
     # exp(x)^400 overflows to inf for x > 1.78, so 0*exp(x)^400 is NaN there:
     # phi, and every residual that reads it, is NaN at those samples
@@ -503,6 +496,7 @@ def test_cli_missing_manifest_exit_two(capsys):
     (["classify", "example1", "--tol", "nan"], "tolerance"),
     (["check", "example1", "--tol", "inf"], "tolerance"),
     (["check", "example1", "--samples", str(2**32)], "samples"),
+    (["check", "flat", "--samples", "0"], "samples"),
 ])
 def test_cli_bad_run_parameter_exit_two(argv, field, capsys):
     assert main(argv) == 2
@@ -628,7 +622,7 @@ def test_cli_options_do_not_carry_over_between_calls(capsys):
 
 def test_cli_usage_error_leaves_next_call_intact(capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main(["check", "flat", "--samples", "0"])
+        main(["tensor", "example2", "--at", "1,3,0,0,2"])  # no --name
     assert exit_info.value.code == 2
     capsys.readouterr()
     assert main(["rank", "example2", "--at", "1,3,0,0,2"]) == 0

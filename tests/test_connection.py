@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from acmcheck.chart import FRAME_LOWER, FRAME_UPPER, TensorGrid
+from acmcheck.chart import FRAME_LOWER, FRAME_UPPER
 from acmcheck.connection import (
     Endomorphism,
     canonical_connection,
@@ -278,9 +278,9 @@ def test_internal_cov_deriv_constant_tensor_flat(structures):
     fields = np.empty((4, 4), dtype=object)
     for idx in np.ndindex(4, 4):
         fields[idx] = parse(repr(float(idx[0] - idx[1])), s.chart.coords)
-    out = internal_cov_deriv(StructureEval(s, ORIGIN), TensorGrid(fields, (FRAME_UPPER, FRAME_LOWER)))
-    assert np.array_equal(out.components, np.zeros((4, 4, 4)))
-    assert out.valence == (FRAME_LOWER, FRAME_UPPER, FRAME_LOWER)
+    out = internal_cov_deriv(StructureEval(s, ORIGIN), fields, (FRAME_UPPER, FRAME_LOWER))
+    assert isinstance(out, np.ndarray)
+    assert np.array_equal(out, np.zeros((4, 4, 4)))
 
 
 def test_internal_cov_deriv_matches_derived_route(structures, sample_sets):
@@ -297,8 +297,8 @@ def test_internal_cov_deriv_matches_derived_route(structures, sample_sets):
     fields[1, 0] = parse("v/2", coords)
     for p in sample_sets["example2"][:6]:
         ev = StructureEval(s, p)
-        via_fields = internal_cov_deriv(StructureEval(s, p), TensorGrid(fields, (FRAME_LOWER, FRAME_LOWER)))
-        assert np.abs(via_fields.components - nabla_omega(ev)).max() < 1e-12
+        via_fields = internal_cov_deriv(StructureEval(s, p), fields, (FRAME_LOWER, FRAME_LOWER))
+        assert np.abs(via_fields - nabla_omega(ev)).max() < 1e-12
 
 
 def test_internal_cov_deriv_over_a_block_is_the_stack_of_points(structures, sample_sets):
@@ -309,12 +309,12 @@ def test_internal_cov_deriv_over_a_block_is_the_stack_of_points(structures, samp
         fields[a, b] = parse(f"{a + 1}*y*v - {b}*x^2 + sin(u)*{a - b}", coords)
     points = sample_sets["example2"][:8]
     for valence in [(FRAME_LOWER, FRAME_LOWER), (FRAME_UPPER, FRAME_LOWER)]:
-        block = internal_cov_deriv(StructureEval(s, points), TensorGrid(fields, valence))
+        block = internal_cov_deriv(StructureEval(s, points), fields, valence)
         singles = [internal_cov_deriv(StructureEval(s, p), fields, valence) for p in points]
         for one in singles:
-            assert isinstance(one, TensorGrid) and one.valence == (FRAME_LOWER,) + valence
+            assert isinstance(one, np.ndarray) and one.shape == (4, 4, 4)
         assert isinstance(block, np.ndarray) and block.shape == (8, 4, 4, 4)
-        stacked = np.stack([one.components for one in singles])
+        stacked = np.stack(singles)
         assert np.allclose(block, stacked, rtol=1e-12, atol=1e-14)
 
 

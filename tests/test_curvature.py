@@ -10,15 +10,17 @@ import pytest
 from acmcheck.connection import nabla_psi
 from acmcheck.curvature import (
     curvature_K,
-    einstein_check,
+    einstein_reports,
+    einstein_rhs,
     ricci_k,
     ricci_wagner,
     schouten,
 )
 from acmcheck.expr import parse
+from acmcheck import sampled_evaluation
 from acmcheck.structure import StructureEval
 
-from _helpers import curvature_canonical_direct
+from _helpers import curvature_canonical_direct, einstein_run, field_jet
 
 ORIGIN = np.zeros(5)
 ODD_RANK = ("flat", "example1", "example3-qs", "example3-aqs")
@@ -33,7 +35,7 @@ _U = parse("0 - ln(1 + x^2 + y^2)", ("x", "y", "z", "u", "v"))
 
 
 def gauss_curvature_conformal(p: np.ndarray) -> float:
-    jet = _U.jet(p)
+    jet = field_jet(_U, p)
     lap = jet.hess[0, 0] + jet.hess[1, 1]
     return float(-np.exp(-2.0 * jet.value) * lap)
 
@@ -221,54 +223,53 @@ def test_ricci_k_reeb_row_zero_when_psi_parallel(structures, sample_sets):
 # ---------------------------------------------------------------------------
 
 
-def test_einstein_flat_holds(structures, sample_sets):
-    report = einstein_check(structures["flat"], points=sample_sets["flat"])
+def test_einstein_flat_holds(manifests):
+    report = einstein_run(manifests["flat"])["d_eta"]
     assert report.verdict
     assert report.max_residual == 0.0
     assert report.parallel_torsion_residual == 0.0
 
 
-def test_einstein_example1_fails_with_residual_one(structures, sample_sets):
-    report = einstein_check(structures["example1"], points=sample_sets["example1"])
+def test_einstein_example1_fails_with_residual_one(manifests):
+    report = einstein_run(manifests["example1"])["d_eta"]
     assert not report.verdict
     assert report.max_residual == pytest.approx(1.0, abs=1e-12)
     assert report.residual_grid[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert report.parallel_torsion_residual < 1e-15  # torsion parallel here
 
 
-def test_einstein_example3_d_eta_profile(structures, sample_sets):
+def test_einstein_example3_d_eta_profile(manifests):
     # closed-form residual (1,1)-component: |-4 (1+s)^-2 + (1+s)^2|, s = x^2+y^2
-    report = einstein_check(structures["example3-qs"], points=sample_sets["example3-qs"])
-    assert not report.verdict
-    samples = report.samples
-    for point, r, rhs in zip(samples.point, samples.r, samples.rhs):
+    ev, run = sampled_evaluation(manifests["example3-qs"])
+    assert not einstein_reports(ev, run["tolerance"])["d_eta"].verdict
+    for point, r, rhs in zip(ev.p, ricci_wagner(ev), einstein_rhs(ev, "d_eta")):
         s_val = point[0] ** 2 + point[1] ** 2
         predicted = abs(-4.0 / (1 + s_val) ** 2 + (1 + s_val) ** 2)
         assert abs(abs(r[0, 0] - rhs[0, 0]) - predicted) < 1e-6
 
 
-def test_einstein_example3_fundamental_form_block_structure(structures, sample_sets):
+def test_einstein_example3_fundamental_form_block_structure(manifests):
     # with omega and psi built from the fundamental form, the right-hand side
     # is -4 g identically, so the conformal block matches r exactly while the
     # flat block (where r = 0) is off by 4
-    s = structures["example3-qs"]
-    report = einstein_check(s, omega_source="fundamental_form", points=sample_sets["example3-qs"])
+    ev, run = sampled_evaluation(manifests["example3-qs"])
+    report = einstein_reports(ev, run["tolerance"])["fundamental_form"]
     assert report.residual_grid[:2, :2].max() < 1e-7
     assert report.residual_grid[2, 2] == pytest.approx(4.0, abs=1e-9)
     assert report.residual_grid[3, 3] == pytest.approx(4.0, abs=1e-9)
     assert not report.verdict
-    for point, rhs in zip(report.samples.point, report.samples.rhs):
-        ev = StructureEval(s, point)
-        assert np.abs(rhs + 4.0 * ev.g0).max() < 1e-12
+    for point, rhs in zip(ev.p, einstein_rhs(ev, "fundamental_form")):
+        single = StructureEval(ev.structure, point)
+        assert np.abs(rhs + 4.0 * single.g0).max() < 1e-12
 
 
-def test_einstein_example3_parallel_torsion_hypothesis_fails(structures, sample_sets):
+def test_einstein_example3_parallel_torsion_hypothesis_fails(manifests):
     # the conformal example does not even satisfy the parallel-torsion
     # hypothesis; reported, not gated
-    report = einstein_check(structures["example3-qs"], points=sample_sets["example3-qs"])
+    report = einstein_run(manifests["example3-qs"])["d_eta"]
     assert report.parallel_torsion_residual > 1e-3
 
 
 def test_einstein_rejects_unknown_source(structures):
     with pytest.raises(ValueError):
-        einstein_check(structures["flat"], omega_source="volume")
+        einstein_rhs(StructureEval(structures["flat"], ORIGIN), "volume")
