@@ -13,12 +13,10 @@ from .chart import (  # noqa: F401
 from .structure import (  # noqa: F401
     AdaptedStructure,
     StructureEval,
-    exterior_derivative,
     validate_axioms,
 )
 from .connection import (  # noqa: F401
     ConnectionCoeffs,
-    Endomorphism,
     canonical_connection,
     cov_phi,
     internal_cov_deriv,

@@ -35,7 +35,7 @@ class SingularJacobianError(ChartError):
 
 
 # index valence tags of admissible tensors (frame indices only) and of
-# coordinate indices, which change_chart rejects
+# coordinate indices, which check_valence rejects
 FRAME_LOWER = "frame_lower"
 FRAME_UPPER = "frame_upper"
 COORD = "coord"
@@ -43,6 +43,9 @@ COORD = "coord"
 # relative singular-value cutoff of the rank of omega, and of the vertical
 # part's vanishing
 RANK_TOL = 1e-9
+
+# change_chart refuses a transition Jacobian whose condition number reaches this
+JACOBIAN_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -308,16 +311,6 @@ def rank_at(chart: AdaptedChart, p: np.ndarray) -> np.ndarray:
     return rank_of(*nonholonomy(*gamma_jets(chart, p, order=1)))
 
 
-def frame_bracket(chart: AdaptedChart, a: int, b: int, p: np.ndarray) -> np.ndarray:
-    """Coordinate components of [e_a, e_b], computed from jets of gamma.
-
-    [V, W]^i = V^j d_j W^i - W^j d_j V^i with V = e_a, W = e_b.  Serves as
-    the independent oracle for :func:`nonholonomy`.
-    """
-    E0, E1 = adapted_frame(*gamma_jets(chart, p, order=1))
-    return (E1[..., b, :, :] @ E0[..., a, :, None] - E1[..., a, :, :] @ E0[..., b, :, None])[..., 0]
-
-
 # ---------------------------------------------------------------------------
 # Adapted coordinate changes
 # ---------------------------------------------------------------------------
@@ -348,12 +341,20 @@ class AdaptedTransition:
         return field_jets(np.array(self.frame_maps, dtype=object), p_primed, order=1)[1][:, :m]
 
 
+def check_valence(valence: tuple[str, ...], rank: int) -> None:
+    """An admissible tensor's valence: one FRAME_LOWER or FRAME_UPPER tag per
+    component axis, else ``ValueError``."""
+    if any(v not in (FRAME_LOWER, FRAME_UPPER) for v in valence):
+        raise ValueError("only admissible (frame-index) tensors are handled")
+    if len(valence) != rank:
+        raise ValueError(f"valence length {len(valence)} does not match component rank {rank}")
+
+
 def change_chart(
     transition: AdaptedTransition,
     components: np.ndarray,
     valence: tuple[str, ...],
     p_primed: np.ndarray,
-    cond_limit: float = 1e8,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Push an admissible tensor, its components at one point with one
     valence tag per axis, through an adapted transition.
@@ -362,13 +363,10 @@ def change_chart(
     A[a, a'], frame-lower ones with the inverse Jacobian A[a', a].  Returns
     the components in the target chart together with the image point.
     """
-    if any(v not in (FRAME_LOWER, FRAME_UPPER) for v in valence):
-        raise ValueError("change_chart handles admissible (frame-index) tensors only")
     out = np.asarray(components)
-    if out.ndim != len(valence):
-        raise ValueError("valence length does not match component rank")
+    check_valence(valence, out.ndim)
     A = transition.jacobian(p_primed)
-    if not np.all(np.isfinite(A)) or np.linalg.cond(A) >= cond_limit:
+    if not np.all(np.isfinite(A)) or np.linalg.cond(A) >= JACOBIAN_COND_LIMIT:
         raise SingularJacobianError(f"transition Jacobian ill-conditioned at {p_primed}")
     A_inv = np.linalg.inv(A)
     for axis, v in enumerate(valence):

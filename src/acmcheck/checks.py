@@ -30,7 +30,6 @@ from .classify import (
 )
 from .connection import (
     LC_ORACLE_TOL,
-    Endomorphism,
     coordinate_to_adapted,
     lc_adapted,
     lc_coordinate,
@@ -181,9 +180,8 @@ def _array_template(shape: tuple[int, ...], level: int) -> str:
 def identity_residuals(ev: StructureEval) -> dict[str, np.ndarray]:
     """Residual of every reported identity at each evaluated point, plus the
     metricity defect of the canonical connection."""
-    canonical = Endomorphism.canonical()
-    tors = torsion(ev, canonical)
-    defect = metricity_defect(ev, canonical)
+    tors = torsion(ev, ev.canonical_N)
+    defect = metricity_defect(ev, ev.canonical_N)
     converted = coordinate_to_adapted(ev, lc_coordinate(ev))
     return {
         "lc_oracle": ev.max_abs(lc_adapted(ev).full - converted),
@@ -191,7 +189,7 @@ def identity_residuals(ev: StructureEval) -> dict[str, np.ndarray]:
         "reeb_split_identity": reeb_split_identity_residual(ev),
         "torsion_direct": tors.direct_residual,
         "torsion_skew": tors.skew_residual,
-        "n_connection_formula": n_connection_formula_residual(ev, canonical),
+        "n_connection_formula": n_connection_formula_residual(ev, ev.canonical_N),
         "aqs_characterization": aqs_characterization_residual(ev),
         "qs_characterization": qs_characterization_residual(ev),
         "canonical_nabla_phi": canonical_nabla_phi_residual(ev),
@@ -207,14 +205,17 @@ def sampled_evaluation(
 ) -> tuple[StructureEval, dict]:
     """One evaluation over the manifest's sampled points, with the run
     parameters ``samples``, ``seed`` and ``tolerance`` (the manifest's
-    defaults where not given), checked by :func:`run_parameters`."""
+    defaults where not given), checked by :func:`run_parameters`, and
+    its frame metric checked by :func:`metric_definiteness`."""
     run = run_parameters(
         manifest.samples if samples is None else samples,
         manifest.seed if seed is None else seed,
         manifest.tolerance if tol is None else tol,
     )
     s = manifest.structure()
-    return StructureEval(s, s.chart.sample_points(run["samples"], run["seed"])), run
+    ev = StructureEval(s, s.chart.sample_points(run["samples"], run["seed"]))
+    metric_definiteness(ev)
+    return ev, run
 
 
 def run_full_check(
@@ -222,13 +223,11 @@ def run_full_check(
     samples: int | None = None,
     seed: int | None = None,
     tol: float | None = None,
-    omega_source: str | None = None,
 ) -> RunReport:
     """Every identity, criterion and Einstein residual, from one evaluation
     over all sampled points."""
     ev, run = sampled_evaluation(manifest, samples, seed, tol)
     samples, tol = run["samples"], run["tolerance"]
-    metric_definiteness(ev)
     # the curvature goes first: its second-order temporaries then coexist
     # with the fewest cached tensors, which keeps the peak memory down
     einstein = einstein_reports(ev, tol)
@@ -254,7 +253,7 @@ def run_full_check(
         "manifest": manifest.source,
         "dimension": manifest.dimension,
         **run,
-        "omega_source": manifest.omega_source if omega_source is None else omega_source,
+        "omega_source": manifest.omega_source,
         "axiom_residuals": {name: w.residual for name, w in axioms.items()},
         "identities": identities,
         "classification": classification_summary(classification),

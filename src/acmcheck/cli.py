@@ -23,7 +23,7 @@ from .checks import (
     sampled_evaluation,
 )
 from .classify import InternalConsistencyError, classification_report
-from .connection import Endomorphism, canonical_connection, lc_adapted, torsion
+from .connection import canonical_connection, lc_adapted, torsion
 from .curvature import curvature_K, einstein_reports, ricci_k, ricci_wagner, schouten
 from .expr import ExprError, describe_first
 from .manifest import Manifest, ManifestError, load_manifest
@@ -73,7 +73,7 @@ def _tensor_payload(name: str, manifest: Manifest, p: np.ndarray) -> dict:
         coeffs = canonical_connection(ev)
         return {"frame": coeffs.frame, "mixed_na": coeffs.mixed_an, "n_na": coeffs.n_na}
     if name == "torsion":
-        result = torsion(ev, Endomorphism.canonical())
+        result = torsion(ev, ev.canonical_N)
         return {"components": result.components, "is_skew": bool(result.is_skew),
                 "skew_residual": float(result.skew_residual),
                 "direct_residual": float(result.direct_residual)}
@@ -135,7 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the full identity and classification suite")
     add_common(p_check)
-    p_check.add_argument("--omega-source", choices=("d_eta", "fundamental_form"), default=None)
 
     p_classify = sub.add_parser("classify", help="classification verdicts only")
     add_common(p_classify)
@@ -174,10 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         manifest = load_manifest(args.manifest)
         if args.command == "check":
-            report = run_full_check(
-                manifest, samples=args.samples, seed=args.seed, tol=args.tol,
-                omega_source=args.omega_source,
-            )
+            report = run_full_check(manifest, samples=args.samples, seed=args.seed, tol=args.tol)
             if args.as_json:
                 sys.stdout.write(report.to_json())
             else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import FRAME_LOWER, FRAME_UPPER
+from .chart import FRAME_LOWER, FRAME_UPPER, check_valence
 from .expr import describe_first, field_jets
 from .residuals import nanmax
 from .structure import SingularMetricError, StructureEval, contract, mat_t, memoised
@@ -29,44 +29,6 @@ ORACLE_COND_LIMIT = LC_ORACLE_TOL / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
-class Endomorphism:
-    """A horizontal endomorphism N (N xi = 0, N(D) in D by representation).
-
-    The value at a point is psi_multiple * psi + constant + fields, where
-    ``fields`` is an object array of ScalarFields with fields[b, a] = N^b_a.
-    The canonical choice N = 2 psi is expressed through ``psi_multiple`` so
-    there is a single code path for all N-connections.
-    """
-
-    fields: np.ndarray | None = None
-    psi_multiple: float = 0.0
-    offset: np.ndarray | None = None
-
-    @staticmethod
-    def canonical() -> "Endomorphism":
-        """The unique skew-torsion choice N = 2 psi."""
-        return Endomorphism(psi_multiple=2.0)
-
-    @staticmethod
-    def zero() -> "Endomorphism":
-        return Endomorphism()
-
-    @staticmethod
-    def constant(matrix: np.ndarray, psi_multiple: float = 0.0) -> "Endomorphism":
-        return Endomorphism(psi_multiple=psi_multiple, offset=np.asarray(matrix, dtype=float))
-
-    def value_at(self, ev: StructureEval) -> np.ndarray:
-        out = ev.zeros(ev.m, ev.m)
-        if self.psi_multiple:
-            out += self.psi_multiple * ev.psi0
-        if self.offset is not None:
-            out += self.offset
-        if self.fields is not None:
-            out += field_jets(self.fields, ev.p, order=0)[0]
-        return out
-
-
-@dataclass(frozen=True)
 class ConnectionCoeffs:
     """Connection coefficients at the evaluated points: the assembled array
     ``full[..., i, j, k]`` on the frame (e_a, xi) and its adapted blocks,
@@ -77,10 +39,9 @@ class ConnectionCoeffs:
     carries the horizontal-vertical block with the upper index first: for
     the Levi-Civita form it is C^b_a + psi^b_a (the same in both mixed
     slots), for an N-connection it is N^b_a (direction xi).  ``n_ab`` and
-    ``a_nn`` exist for the Levi-Civita form only.
+    ``a_nn`` are zero for an N-connection.
     """
 
-    which: str
     full: np.ndarray
 
     def __post_init__(self):
@@ -101,27 +62,29 @@ class ConnectionCoeffs:
         return self.full[..., -1, :-1, -1]
 
     @property
-    def n_ab(self) -> np.ndarray | None:
-        return self.full[..., :-1, :-1, -1] if self.which == "levi_civita" else None
+    def n_ab(self) -> np.ndarray:
+        return self.full[..., :-1, :-1, -1]
 
     @property
-    def a_nn(self) -> np.ndarray | None:
-        return self.full[..., -1, -1, :-1] if self.which == "levi_civita" else None
+    def a_nn(self) -> np.ndarray:
+        return self.full[..., -1, -1, :-1]
 
 
 def lc_adapted(ev: StructureEval) -> ConnectionCoeffs:
     """Levi-Civita coefficients in adapted form: the horizontal block shared
     with the internal connection plus the four mixed blocks."""
-    return ConnectionCoeffs("levi_civita", ev.lc_full)
+    return ConnectionCoeffs(ev.lc_full)
 
 
-def n_connection(ev: StructureEval, N: Endomorphism) -> ConnectionCoeffs:
-    return ConnectionCoeffs("n_connection", ev.n_full(N.value_at(ev)))
+def n_connection(ev: StructureEval, N0: np.ndarray) -> ConnectionCoeffs:
+    """The N-connection of the horizontal endomorphism N0[..., b, a] = N^b_a
+    (batch shape + (m, m), N xi = 0)."""
+    return ConnectionCoeffs(ev.n_full(N0))
 
 
 def canonical_connection(ev: StructureEval) -> ConnectionCoeffs:
     """The N-connection with N = 2 psi, the unique skew-torsion choice."""
-    return n_connection(ev, Endomorphism.canonical())
+    return ConnectionCoeffs(ev.canonical_full)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +204,8 @@ class TorsionResult:
     direct_residual: np.ndarray  # table vs nabla^N_X Y - nabla^N_Y X - [X, Y], lowered
 
 
-def torsion(ev: StructureEval, N: Endomorphism) -> TorsionResult:
+def torsion(ev: StructureEval, N0: np.ndarray) -> TorsionResult:
     m, last = ev.m, ev.n - 1
-    N0 = N.value_at(ev)
     GN = mat_t(N0) @ ev.g0  # GN[a, b] = g(N e_a, e_b)
 
     table = ev.zeros(ev.n, ev.n, ev.n)
@@ -271,11 +233,11 @@ def torsion(ev: StructureEval, N: Endomorphism) -> TorsionResult:
     )
 
 
-def metricity_defect(ev: StructureEval, N: Endomorphism) -> np.ndarray:
+def metricity_defect(ev: StructureEval, N0: np.ndarray) -> np.ndarray:
     """Full covariant derivative of the metric under the N-connection:
     out[..., i, j, k] = (nabla^N_{E_i} g)(E_j, E_k)."""
     n, m = ev.n, ev.m
-    coeff = ev.n_full(N.value_at(ev))
+    coeff = ev.n_full(N0)
     dG = ev.zeros(n, n, n)  # dG[j, k, i] = E_i g~_jk
     dG[..., :m, :m, :] = ev.frame_d(ev.g1)
     out = np.einsum("...jki->...ijk", dG)
@@ -284,12 +246,11 @@ def metricity_defect(ev: StructureEval, N: Endomorphism) -> np.ndarray:
     return out
 
 
-def n_connection_formula_residual(ev: StructureEval, N: Endomorphism) -> np.ndarray:
+def n_connection_formula_residual(ev: StructureEval, N0: np.ndarray) -> np.ndarray:
     """Consistency of the N-connection coefficient table with its defining
     expression in terms of the Levi-Civita connection, evaluated on basis
     pairs: nabla^N_X Y = nabla~_X Y + (nabla~_X eta)(Y) xi - eta(Y) nabla~_X xi
     - eta(X) (nabla~_xi eta)(Y) xi - eta(X) (C + psi - N) Y."""
-    N0 = N.value_at(ev)
     m, last = ev.m, ev.n - 1
     lc = ev.lc_full
 
@@ -337,6 +298,7 @@ def internal_cov_deriv(ev: StructureEval, fields: np.ndarray, valence: tuple[str
     ``fields`` is an object array in frame indices of the given valences,
     and out[..., c, ...] = (nabla_{e_c} t)_{...} gains a frame-lower
     direction index after the batch axes."""
+    check_valence(valence, np.ndim(fields))
     T0, T1 = field_jets(fields, ev.p, order=1)
     return _cov_deriv_from_data(ev, T0, T1, tuple(valence))
 

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
-from itertools import combinations, permutations
-from math import factorial, prod
+from itertools import combinations
+from math import prod
 
 import numpy as np
 
 from .chart import AdaptedChart, adapted_frame, gamma_jets, nonholonomy
-from .expr import Const, ScalarField, describe_first, field_jets
+from .expr import describe_first, field_jets
 
 # the frame metric's smallest eigenvalue (absolute value if pseudo) must
 # stay above this at every evaluated point
@@ -59,14 +59,6 @@ class AdaptedStructure:
             raise StructureError(f"metric must be {m}x{m}, got {self.g.shape}")
         if self.phi.shape != (m, m):
             raise StructureError(f"phi must be {m}x{m}, got {self.phi.shape}")
-
-    def eta_coordinate_form(self) -> np.ndarray:
-        """eta as a coordinate 1-form of ScalarFields: (gamma_a, 1)."""
-        eta = np.empty(self.chart.n, dtype=object)
-        for a, f in enumerate(self.chart.gamma):
-            eta[a] = f
-        eta[self.chart.n - 1] = ScalarField(Const(1.0), self.chart.coords)
-        return eta
 
 
 class StructureEval:
@@ -316,8 +308,14 @@ class StructureEval:
         return coeff
 
     @cached_property
+    def canonical_N(self) -> np.ndarray:
+        """N = 2 psi, the endomorphism of the canonical connection (the unique
+        N-connection with skew-symmetric torsion)."""
+        return 2.0 * self.psi0
+
+    @cached_property
     def canonical_full(self) -> np.ndarray:
-        return self.n_full(2.0 * self.psi0)
+        return self.n_full(self.canonical_N)
 
     @cached_property
     def phi_full(self) -> np.ndarray:
@@ -519,42 +517,6 @@ def ext_d_from_grad(grads: np.ndarray, rank: int) -> np.ndarray:
         out += sign * np.moveaxis(grads, -1, nb + k)
         sign = -sign
     return out / (rank + 1)
-
-
-def exterior_derivative(ev: StructureEval, form: np.ndarray) -> np.ndarray:
-    """d of a coordinate p-form given as an object array of ScalarFields.
-
-    Components must be skew in their coordinate indices; the result is the
-    (p+1)-form's coordinate components at the evaluated points.
-    """
-    n = ev.n
-    rank = form.ndim
-    if form.shape != (n,) * rank:
-        raise ValueError(f"form components must have shape {(n,) * rank}, got {form.shape}")
-    f0, f1 = field_jets(form, ev.p, order=1)
-    if rank >= 2:
-        skew = _antisymmetrize(f0, rank)
-        if np.abs(f0 - skew).max() > 1e-9 * (1.0 + np.abs(f0).max()):
-            raise ValueError("form components are not skew in their coordinate indices")
-    return ext_d_from_grad(f1, rank)
-
-
-def _antisymmetrize(T: np.ndarray, rank: int) -> np.ndarray:
-    """Antisymmetrization over the last ``rank`` axes."""
-    nb = T.ndim - rank
-    out = np.zeros_like(T)
-    for perm in permutations(range(rank)):
-        out += _perm_sign(perm) * np.transpose(T, tuple(range(nb)) + tuple(nb + i for i in perm))
-    return out / factorial(rank)
-
-
-def _perm_sign(perm: tuple[int, ...]) -> float:
-    sign = 1.0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def d_fundamental_form(ev: StructureEval) -> np.ndarray:

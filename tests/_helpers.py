@@ -8,7 +8,7 @@ import json
 import numpy as np
 
 from acmcheck import classification_report, einstein_reports, sampled_evaluation
-from acmcheck.chart import AVOID_EPS, MAX_REDRAWS, AdaptedChart, ChartError
+from acmcheck.chart import AVOID_EPS, MAX_REDRAWS, AdaptedChart, ChartError, adapted_frame, gamma_jets
 from acmcheck.connection import basis_brackets_frame, to_frame_components
 from acmcheck.expr import (
     Add,
@@ -52,6 +52,16 @@ def einstein_run(manifest, **overrides):
     points, through the run driver the CLI uses."""
     ev, run = sampled_evaluation(manifest, **overrides)
     return einstein_reports(ev, run["tolerance"])
+
+
+def frame_bracket(chart: AdaptedChart, a: int, b: int, p: np.ndarray) -> np.ndarray:
+    """Coordinate components of [e_a, e_b], computed from jets of gamma.
+
+    [V, W]^i = V^j d_j W^i - W^j d_j V^i with V = e_a, W = e_b.  Serves as
+    the independent oracle for :func:`nonholonomy`.
+    """
+    E0, E1 = adapted_frame(*gamma_jets(chart, p, order=1))
+    return (E1[..., b, :, :] @ E0[..., a, :, None] - E1[..., a, :, :] @ E0[..., b, :, None])[..., 0]
 
 
 def field_jet(field: ScalarField, p: np.ndarray) -> Jet:

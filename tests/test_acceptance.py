@@ -28,7 +28,6 @@ from _helpers import (
 from acmcheck.chart import rank_at
 from acmcheck.classify import reeb_split_identity_residual, projection_identity_residual, canonical_nabla_phi_residual, aqs_characterization_residual
 from acmcheck.connection import (
-    Endomorphism,
     coordinate_to_adapted,
     lc_adapted,
     lc_coordinate,
@@ -76,15 +75,15 @@ def test_criterion_1_lc_oracle(structures, sample_sets, acceptance_log):
 
 def test_criterion_2_skew_torsion(structures, sample_sets, acceptance_log):
     eps = 0.05
-    perturbed = Endomorphism.constant(eps * np.eye(4), psi_multiple=2.0)
     worst_canonical = 0.0
     ok_perturbed = True
     for name in ALL:
         s = structures[name]
         for p in sample_sets[name]:
-            canonical = torsion(StructureEval(s, p), Endomorphism.canonical())
+            ev = StructureEval(s, p)
+            canonical = torsion(ev, ev.canonical_N)
             worst_canonical = max(worst_canonical, canonical.skew_residual)
-            off = torsion(StructureEval(s, p), perturbed)
+            off = torsion(ev, 2.0 * ev.psi0 + eps * np.eye(4))
             if off.is_skew or off.skew_residual < eps:
                 ok_perturbed = False
     ok = worst_canonical < 1e-9 and ok_perturbed
@@ -156,7 +155,7 @@ def test_criterion_5_example2(manifests, structures, sample_sets, acceptance_log
         value = 0.5 * ev.d_eta_xi[0]
         if abs(value - y / 2) > 1e-9 * abs(y / 2):
             deta_ok = False
-        defect = metricity_defect(StructureEval(s, p), Endomorphism.canonical())
+        defect = metricity_defect(ev, ev.canonical_N)
         if abs(defect[4, 4, 0] - y) > 1e-9:
             defect_ok = False
         if rank_at(s.chart, p) % 2 != 0:

@@ -11,7 +11,6 @@ import pytest
 from acmcheck.checks import identity_residuals
 from acmcheck.classify import criterion_residuals, nijenhuis_tensors
 from acmcheck.connection import (
-    Endomorphism,
     basis_brackets_frame,
     canonical_connection,
     lc_adapted,
@@ -43,7 +42,7 @@ def test_bracket_einsums_equal_per_pair_loops(name, structures, sample_sets):
 
 def _quantities(ev: StructureEval) -> dict[str, np.ndarray]:
     """Every CLI tensor and every per-point residual, keyed by name."""
-    tors = torsion(ev, Endomorphism.canonical())
+    tors = torsion(ev, ev.canonical_N)
     K = curvature_K(ev)
     out = {
         "omega": ev.omega0, "psi": ev.psi0, "C": ev.C0,

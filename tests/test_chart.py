@@ -19,13 +19,12 @@ from acmcheck.chart import (
     _pcg64_jumps,
     _pcg64_streams,
     change_chart,
-    frame_bracket,
     rank_at,
 )
 from acmcheck.expr import ExprDomainError, parse
 from acmcheck.structure import AdaptedStructure, StructureEval
 
-from _helpers import field_jet, loop_sample_points
+from _helpers import field_jet, frame_bracket, loop_sample_points
 
 COORDS = ("x", "y", "z", "u", "v")
 BOX = tuple((-2.0, 2.0) for _ in range(5))

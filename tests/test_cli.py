@@ -306,6 +306,19 @@ def test_cli_classify_and_einstein_fail_on_non_finite_residual(command, tmp_path
     assert "nan" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["check", "classify", "einstein"])
+def test_cli_non_positive_definite_frame_metric_is_input_error(command, tmp_path, capsys):
+    # the run driver checks the frame metric for every sampling command
+    data = json.loads(fixture_path("example1").read_text())
+    data["metric_frame"][0][0] = "-1"
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path), "--samples", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: frame metric non-positive-definite at sample 0, point ")
+    assert captured.err.endswith("(eigenvalue -1.000e+00)\n") and captured.out == ""
+
+
 def _example1_variant(tmp_path, gamma0: str, **overrides) -> str:
     data = json.loads(fixture_path("example1").read_text())
     data["gamma"][0] = gamma0
@@ -608,10 +621,10 @@ def test_cli_builds_no_parser_per_call(monkeypatch, capsys):
 
 
 def test_cli_options_do_not_carry_over_between_calls(capsys):
-    assert main(["check", "flat", "--samples", "2", "--json", "--omega-source", "fundamental_form"]) == 0
-    assert json.loads(capsys.readouterr().out)["omega_source"] == "fundamental_form"
+    assert main(["check", "flat", "--samples", "2", "--json", "--tol", "1e-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerance"] == 1e-3
     assert main(["check", "flat", "--samples", "2", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["omega_source"] == load_fixture("flat").omega_source
+    assert json.loads(capsys.readouterr().out)["tolerance"] == load_fixture("flat").tolerance
 
     at = ["--name", "omega", "--at", "0.5,1,0,0,0"]
     assert main(["tensor", "example1", *at, "--json"]) == 0

@@ -6,9 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from acmcheck.chart import FRAME_LOWER, FRAME_UPPER
+from acmcheck.chart import COORD, FRAME_LOWER, FRAME_UPPER
 from acmcheck.connection import (
-    Endomorphism,
     canonical_connection,
     coordinate_to_adapted,
     cov_phi,
@@ -22,7 +21,7 @@ from acmcheck.connection import (
     nabla_psi,
     torsion,
 )
-from acmcheck.expr import parse
+from acmcheck.expr import field_jets, parse
 from acmcheck.structure import StructureEval
 
 from _helpers import einsum_coordinate_to_adapted, einsum_lc_coordinate
@@ -30,6 +29,19 @@ from _helpers import einsum_coordinate_to_adapted, einsum_lc_coordinate
 ALL = ("flat", "example1", "example2", "example3-qs", "example3-aqs")
 ORIGIN = np.zeros(5)
 Y3 = np.array([1.0, 3.0, 0.5, -0.5, 2.0])
+
+
+# endomorphisms N0[..., b, a] = N^b_a of the N-connections under test
+def canonical_N(ev):
+    return ev.canonical_N
+
+
+def zero_N(ev):
+    return ev.zeros(4, 4)
+
+
+def perturbed_N(ev):
+    return 2.0 * ev.psi0 + 0.05 * np.eye(4)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +143,8 @@ def test_lc_frame_block_symmetric(structures, sample_sets):
 
 
 def test_n_connection_flat_constant_N(structures):
-    N = Endomorphism.constant(np.diag([1.0, 2.0, 3.0, 4.0]))
-    coeffs = n_connection(StructureEval(structures["flat"], ORIGIN), N)
+    ev = StructureEval(structures["flat"], ORIGIN)
+    coeffs = n_connection(ev, np.diag([1.0, 2.0, 3.0, 4.0]))
     assert np.array_equal(coeffs.frame, np.zeros((4, 4, 4)))
     assert np.array_equal(coeffs.mixed_an, np.diag([1.0, 2.0, 3.0, 4.0]))
     assert coeffs.full[4, 0, 0] == 1.0  # G^b_{na} = N^b_a
@@ -144,7 +156,8 @@ def test_n_connection_example1_canonical(structures):
 
 
 def test_n_connection_example2_reeb_row(structures):
-    coeffs = n_connection(StructureEval(structures["example2"], Y3), Endomorphism.zero())
+    ev = StructureEval(structures["example2"], Y3)
+    coeffs = n_connection(ev, ev.zeros(4, 4))
     assert coeffs.full[4, 0, 4] == pytest.approx(-3.0, abs=1e-15)  # G^n_{n1} = -y
 
 
@@ -156,19 +169,21 @@ def test_endomorphism_scalar_fields(structures):
         fields[idx] = zero
     fields[0, 1] = parse("x*y", s.chart.coords)
     p = np.array([2.0, 3.0, 0.0, 0.0, 0.0])
-    coeffs = n_connection(StructureEval(s, p), Endomorphism(fields=fields))
+    ev = StructureEval(s, p)
+    coeffs = n_connection(ev, field_jets(fields, ev.p, order=0)[0])
     assert coeffs.mixed_an[0, 1] == 6.0
     assert coeffs.full[4, 1, 0] == 6.0  # G^1_{n2} = N^1_2
 
 
 @pytest.mark.parametrize("name", ALL)
-@pytest.mark.parametrize("endo", [Endomorphism.canonical(), Endomorphism.zero()], ids=["2psi", "zero"])
+@pytest.mark.parametrize("endo", [canonical_N, zero_N], ids=["2psi", "zero"])
 def test_n_connection_matches_defining_formula(name, endo, structures, sample_sets):
     # the coefficient table reproduces the Levi-Civita-based expression on
     # basis pairs, for odd and even rank alike
     s = structures[name]
     for p in sample_sets[name][:8]:
-        assert n_connection_formula_residual(StructureEval(s, p), endo) < 1e-9, name
+        ev = StructureEval(s, p)
+        assert n_connection_formula_residual(ev, endo(ev)) < 1e-9, name
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +193,8 @@ def test_n_connection_matches_defining_formula(name, endo, structures, sample_se
 
 def test_torsion_example1_canonical_components(structures):
     p = np.array([0.4, 1.1, -0.2, 0.0, 0.9])
-    result = torsion(StructureEval(structures["example1"], p), Endomorphism.canonical())
+    ev = StructureEval(structures["example1"], p)
+    result = torsion(ev, ev.canonical_N)
     assert result.components[0, 1, 4] == pytest.approx(-1.0, abs=1e-15)  # 2 omega_12
     assert result.components[0, 4, 1] == pytest.approx(1.0, abs=1e-15)  # -g(2 psi e_1, e_2)
     assert result.components[4, 0, 1] == pytest.approx(-1.0, abs=1e-15)
@@ -188,13 +204,15 @@ def test_torsion_example1_canonical_components(structures):
 
 def test_torsion_example1_N_zero_not_skew(structures):
     p = np.array([0.4, 1.1, -0.2, 0.0, 0.9])
-    result = torsion(StructureEval(structures["example1"], p), Endomorphism.zero())
+    ev = StructureEval(structures["example1"], p)
+    result = torsion(ev, ev.zeros(4, 4))
     assert not result.is_skew
     assert result.skew_residual == pytest.approx(1.0, abs=1e-12)  # mixed parts vanish, 2 omega stays
 
 
 def test_torsion_flat_canonical_zero(structures):
-    result = torsion(StructureEval(structures["flat"], ORIGIN), Endomorphism.canonical())
+    ev = StructureEval(structures["flat"], ORIGIN)
+    result = torsion(ev, ev.canonical_N)
     assert np.array_equal(result.components, np.zeros((5, 5, 5)))
     assert result.is_skew
 
@@ -202,11 +220,10 @@ def test_torsion_flat_canonical_zero(structures):
 @pytest.mark.parametrize("name", ALL)
 def test_torsion_direct_cross_check(name, structures, sample_sets):
     s = structures[name]
-    endos = [Endomorphism.canonical(), Endomorphism.zero(),
-             Endomorphism.constant(0.05 * np.eye(4), psi_multiple=2.0)]
     for p in sample_sets[name][:8]:
-        for endo in endos:
-            assert torsion(StructureEval(s, p), endo).direct_residual < 1e-9, name
+        ev = StructureEval(s, p)
+        for endo in (canonical_N, zero_N, perturbed_N):
+            assert torsion(ev, endo(ev)).direct_residual < 1e-9, name
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -215,11 +232,10 @@ def test_skew_iff_N_is_2psi(name, structures, sample_sets):
     s = structures[name]
     for p in sample_sets[name][:8]:
         ev = StructureEval(s, p)
-        for endo in [Endomorphism.canonical(), Endomorphism.zero(),
-                     Endomorphism.constant(0.05 * np.eye(4), psi_multiple=2.0)]:
-            N0 = endo.value_at(ev)
+        for endo in (canonical_N, zero_N, perturbed_N):
+            N0 = endo(ev)
             criterion = np.abs(2 * ev.omega0 - N0.T @ ev.g0).max()
-            result = torsion(StructureEval(s, p), endo)
+            result = torsion(StructureEval(s, p), N0)
             assert result.is_skew == bool(criterion < 1e-9 * (1 + np.abs(result.components).max())), name
 
 
@@ -230,24 +246,28 @@ def test_skew_iff_N_is_2psi(name, structures, sample_sets):
 
 def test_metricity_defect_example1_zero(structures, sample_sets):
     for p in sample_sets["example1"][:8]:
-        defect = metricity_defect(StructureEval(structures["example1"], p), Endomorphism.canonical())
+        ev = StructureEval(structures["example1"], p)
+        defect = metricity_defect(ev, ev.canonical_N)
         assert np.abs(defect).max() < 1e-15
 
 
 def test_metricity_defect_example2_reeb_component(structures):
-    defect = metricity_defect(StructureEval(structures["example2"], Y3), Endomorphism.canonical())
+    ev = StructureEval(structures["example2"], Y3)
+    defect = metricity_defect(ev, ev.canonical_N)
     assert defect[4, 4, 0] == pytest.approx(3.0, abs=1e-15)  # (n, n, 1) component = y
 
 
 def test_metricity_defect_flat_skew_N(structures):
     skew = np.zeros((4, 4))
     skew[0, 1], skew[1, 0] = 1.0, -1.0
-    defect = metricity_defect(StructureEval(structures["flat"], ORIGIN), Endomorphism.constant(skew))
+    ev = StructureEval(structures["flat"], ORIGIN)
+    defect = metricity_defect(ev, skew)
     assert np.abs(defect).max() == 0.0
 
 
 def test_metricity_defect_flat_symmetric_N(structures):
-    defect = metricity_defect(StructureEval(structures["flat"], ORIGIN), Endomorphism.constant(np.eye(4)))
+    ev = StructureEval(structures["flat"], ORIGIN)
+    defect = metricity_defect(ev, np.eye(4))
     # (nabla_n g)_{ab} = -g(N e_a, e_b) - g(e_a, N e_b) = -2 delta_ab here
     assert np.allclose(defect[4, :4, :4], -2 * np.eye(4))
 
@@ -318,6 +338,22 @@ def test_internal_cov_deriv_over_a_block_is_the_stack_of_points(structures, samp
         assert np.allclose(block, stacked, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "valence, match",
+    [
+        ((FRAME_LOWER,), "valence length"),
+        ((COORD, COORD), "admissible"),
+        ((FRAME_LOWER,) * 3, "valence length"),
+    ],
+    ids=["one-tag", "coordinate", "three-tags"],
+)
+def test_internal_cov_deriv_rejects_wrong_valence(valence, match, structures):
+    # the metric is a (4, 4) admissible tensor: one frame tag per axis, no other
+    s = structures["example3-qs"]
+    with pytest.raises(ValueError, match=match):
+        internal_cov_deriv(StructureEval(s, np.array([0.7, -1.1, 0.3, 0.2, 1.4])), s.g, valence)
+
+
 # ---------------------------------------------------------------------------
 # Covariant derivative of phi
 # ---------------------------------------------------------------------------
@@ -386,13 +422,15 @@ def test_twisted_oracle_equivalence(twisted):
 
 def test_twisted_n_connection_formula(twisted):
     for p in twisted.chart.sample_points(8, seed=4):
-        for endo in (Endomorphism.canonical(), Endomorphism.zero()):
-            assert n_connection_formula_residual(StructureEval(twisted, p), endo) < 1e-9
+        ev = StructureEval(twisted, p)
+        for endo in (canonical_N, zero_N):
+            assert n_connection_formula_residual(ev, endo(ev)) < 1e-9
 
 
 def test_twisted_torsion_cross_check(twisted):
     for p in twisted.chart.sample_points(8, seed=5):
-        assert torsion(StructureEval(twisted, p), Endomorphism.canonical()).direct_residual < 1e-9
+        ev = StructureEval(twisted, p)
+        assert torsion(ev, ev.canonical_N).direct_residual < 1e-9
 
 
 def test_twisted_metricity_reeb_direction_is_2C(twisted):
@@ -400,6 +438,6 @@ def test_twisted_metricity_reeb_direction_is_2C(twisted):
     # (nabla^N_n g)_ab = 2 C_ab
     for p in twisted.chart.sample_points(8, seed=6):
         ev = StructureEval(twisted, p)
-        defect = metricity_defect(StructureEval(twisted, p), Endomorphism.canonical())
+        defect = metricity_defect(ev, ev.canonical_N)
         assert np.abs(defect[4, :4, :4] - 2.0 * ev.C0).max() < 1e-12
         assert np.abs(defect[:4]).max() < 1e-12  # horizontal directions stay metric

@@ -130,12 +130,10 @@ def overflow_manifest(tmp_path):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_check_json_is_reference_text(name, capsys):
     for seed in (42, 7):
-        for source in ("d_eta", "fundamental_form"):
-            report = run_full_check(load_fixture(name), seed=seed, omega_source=source)
-            assert report.to_json() == reference_report_json(report.data)
-            code, out = _run(capsys, ["check", name, "--json", "--seed", str(seed),
-                                      "--omega-source", source])
-            assert code == 0 and out == report.to_json()
+        report = run_full_check(load_fixture(name), seed=seed)
+        assert report.to_json() == reference_report_json(report.data)
+        code, out = _run(capsys, ["check", name, "--json", "--seed", str(seed)])
+        assert code == 0 and out == report.to_json()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -12,7 +12,7 @@ from acmcheck.structure import (
     StructureError,
     StructureEval,
     d_fundamental_form,
-    exterior_derivative,
+    ext_d_from_grad,
     metric_definiteness,
     validate_axioms,
 )
@@ -170,29 +170,52 @@ def test_C_zero_on_shipped_fixtures(structures, sample_sets):
 
 
 def test_d_eta_matches_bracket_oracle(structures, sample_sets):
-    # cross-oracle: d(eta) via coordinate partials vs omega/d_eta_xi via brackets
+    # cross-oracle: d(eta) via coordinate partials vs omega/d_eta_xi via brackets;
+    # eta = (gamma_a, 1), so its gradient is the gamma gradient over a zero row
     for name in ALL:
-        s = structures[name]
-        for p in sample_sets[name]:
-            ev = StructureEval(s, p)
-            deta = exterior_derivative(ev, s.eta_coordinate_form())
-            E, _ = ev.frame
-            on_frame = np.einsum("ij,ai,bj->ab", deta, E, E)
-            assert np.abs(on_frame[:4, :4] - ev.omega0).max() < 1e-10, name
-            assert np.abs(2 * on_frame[4, :4] - ev.d_eta_xi).max() < 1e-10, name
+        ev = StructureEval(structures[name], sample_sets[name])
+        grads = ev.zeros(5, 5)
+        grads[:, :4] = ev.gam1
+        deta = ext_d_from_grad(grads, 1)
+        E, _ = ev.frame
+        on_frame = np.einsum("sij,sai,sbj->sab", deta, E, E)
+        assert np.abs(on_frame[:, :4, :4] - ev.omega0).max() < 1e-10, name
+        assert np.abs(2 * on_frame[:, 4, :4] - ev.d_eta_xi).max() < 1e-10, name
 
 
-def test_d_of_constant_two_form(structures):
-    s = structures["flat"]
-    coords = s.chart.coords
-    comps = np.empty((5, 5), dtype=object)
-    vals = np.zeros((5, 5))
-    vals[0, 1], vals[1, 0] = 2.0, -2.0
-    vals[2, 4], vals[4, 2] = -0.5, 0.5
-    for idx in np.ndindex(5, 5):
-        comps[idx] = ScalarField(Const(float(vals[idx])), coords)
-    d = exterior_derivative(StructureEval(s, ORIGIN), comps)
-    assert np.array_equal(d, np.zeros((5, 5, 5)))
+def _ext_d_case(rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Component gradients grads[..., j] = d_j alpha_{...} of a hand-made
+    rank-form on R^5 at one point, and d alpha under the 1/2-alternation
+    normalisation (d alpha)_{i0..ip} = (rank+1)^{-1} sum_k (-1)^k
+    d_{i_k} alpha_{..no i_k..}."""
+    if rank == 0:
+        # f = x*y at (2, 3): d f is the gradient
+        grads = np.array([3.0, 2.0, 0.0, 0.0, 0.0])
+        return grads, grads.copy()
+    if rank == 1:
+        # alpha = x dy: (d alpha)_{xy} = (d_x alpha_y - d_y alpha_x) / 2
+        grads = np.zeros((5, 5))
+        grads[1, 0] = 1.0
+        expected = np.zeros((5, 5))
+        expected[0, 1], expected[1, 0] = 0.5, -0.5
+        return grads, expected
+    # beta = x dy^dz with beta_yz = -beta_zy = x: (d beta)_{xyz} = 1/3, skew
+    grads = np.zeros((5, 5, 5))
+    grads[1, 2, 0], grads[2, 1, 0] = 1.0, -1.0
+    expected = np.zeros((5, 5, 5))
+    for (i, j, k), sign in [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                            ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)]:
+        expected[i, j, k] = sign / 3.0
+    return grads, expected
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2], ids=["rank0", "rank1", "rank2"])
+def test_ext_d_from_grad(rank):
+    grads, expected = _ext_d_case(rank)
+    assert np.allclose(ext_d_from_grad(grads, rank), expected, rtol=0.0, atol=1e-15)
+    # batch axes in front are carried through
+    batched = ext_d_from_grad(np.stack([grads, -2.0 * grads]), rank)
+    assert np.allclose(batched, np.stack([expected, -2.0 * expected]), rtol=0.0, atol=1e-15)
 
 
 def test_d_Omega_zero_on_example1(structures, sample_sets):
@@ -215,20 +238,3 @@ def test_d_Omega_nonzero_on_example3_aqs(structures, sample_sets):
         ev = StructureEval(structures["example3-aqs"], p)
         worst = max(worst, float(np.abs(d_fundamental_form(ev)).max()))
     assert worst > 1e-3
-
-
-def test_exterior_derivative_rejects_non_skew(structures):
-    s = structures["flat"]
-    comps = np.empty((5, 5), dtype=object)
-    for idx in np.ndindex(5, 5):
-        comps[idx] = ScalarField(Const(1.0), s.chart.coords)
-    with pytest.raises(ValueError):
-        exterior_derivative(StructureEval(s, ORIGIN), comps)
-
-
-def test_exterior_derivative_of_function(structures):
-    s = structures["flat"]
-    f = np.array(parse("x*y", s.chart.coords), dtype=object).reshape(())
-    # 0-form: d f = gradient as a 1-form
-    out = exterior_derivative(StructureEval(s, np.array([2.0, 3.0, 0, 0, 0])), f.reshape(()))
-    assert np.allclose(out, [3.0, 2.0, 0, 0, 0])
