@@ -27,7 +27,6 @@ from .connection import (  # noqa: F401
     torsion,
 )
 from .classify import (  # noqa: F401
-    ClassificationReport,
     reeb_split_identity_residual,
     projection_identity_residual,
     aqs_characterization_residual,
@@ -42,4 +41,4 @@ from .curvature import (  # noqa: F401
     schouten,
 )
 from .manifest import Manifest, load_fixture, load_manifest  # noqa: F401
-from .checks import RunReport, run_full_check, sampled_evaluation  # noqa: F401
+from .checks import passed, report_json, run_full_check, sampled_evaluation  # noqa: F401

@@ -1,17 +1,24 @@
-"""Full-suite check orchestration and deterministic run reports.
+"""Full-suite check orchestration and the report payload.
 
-The hard gate (exit status) covers the identities that hold for every
+A report is plain data: dicts with string keys, lists, strings, ints, bools
+and floats.  Each section has one builder, shared by the CLI and the
+library: :func:`~acmcheck.classify.classification_report` builds the
+``classification`` and ``quasi_sasakian_conditions`` sections,
+:func:`~acmcheck.curvature.einstein_reports` the ``einstein`` section, and
+:func:`run_full_check` assembles the ``check`` report around them.  Every
+``--json`` payload of the CLI prints through :func:`report_json`.
+
+The hard gate, :func:`passed`, covers the identities that hold for every
 structure: the adapted-vs-coordinate Levi-Civita comparison, the projection
 and Reeb-split Nijenhuis identities, and the torsion table vs its direct
 definition.  It also fails when any reported value is NaN or infinite, so a
 numerical failure never passes.  Classification negatives never affect the
-gate.  Every ``--json`` payload of the CLI prints through :func:`report_json`.
+gate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
@@ -20,7 +27,6 @@ import numpy as np
 from . import __version__
 from .chart import rank_of
 from .classify import (
-    ClassificationReport,
     aqs_characterization_residual,
     canonical_nabla_phi_residual,
     classification_report,
@@ -39,7 +45,7 @@ from .connection import (
     nabla_psi,
     torsion,
 )
-from .curvature import EinsteinReport, einstein_reports
+from .curvature import einstein_reports
 from .manifest import Manifest, run_parameters
 from .residuals import WorstResidual
 from .structure import StructureEval, metric_definiteness, validate_axioms
@@ -55,18 +61,11 @@ HARD_TOLERANCES = {
 }
 
 
-@dataclass(frozen=True)
-class RunReport:
-    data: dict
-
-    @property
-    def passed(self) -> bool:
-        """Every hard identity holds and no reported value is NaN or infinite."""
-        hard = all(self.data["identities"][name]["holds"] for name in HARD_IDENTITIES)
-        return hard and all_finite(self.data)
-
-    def to_json(self) -> str:
-        return report_json(self.data)
+def passed(report: dict) -> bool:
+    """Every hard identity of a :func:`run_full_check` report holds and no
+    reported value is NaN or infinite: the exit status of ``check``."""
+    hard = all(report["identities"][name]["holds"] for name in HARD_IDENTITIES)
+    return hard and all_finite(report)
 
 
 def all_finite(obj) -> bool:
@@ -223,9 +222,9 @@ def run_full_check(
     samples: int | None = None,
     seed: int | None = None,
     tol: float | None = None,
-) -> RunReport:
-    """Every identity, criterion and Einstein residual, from one evaluation
-    over all sampled points."""
+) -> dict:
+    """The ``check`` report: every identity, criterion and Einstein
+    residual, from one evaluation over all sampled points."""
     ev, run = sampled_evaluation(manifest, samples, seed, tol)
     samples, tol = run["samples"], run["tolerance"]
     # the curvature goes first: its second-order temporaries then coexist
@@ -233,7 +232,7 @@ def run_full_check(
     einstein = einstein_reports(ev, tol)
     axioms = {name: WorstResidual(value) for name, value in validate_axioms(ev).items()}
     worst = {name: WorstResidual(value) for name, value in identity_residuals(ev).items()}
-    classification = classification_report(ev, tol)
+    classification = classification_report(ev, tol)  # two sections of the report
     ranks = sorted(set(rank_of(ev.omega0, ev.d_eta_xi).ravel().tolist()))
 
     identities = {}
@@ -248,7 +247,7 @@ def run_full_check(
                  "canonical_nabla_phi", "nabla_omega", "nabla_psi"):
         identities[name] = {"max_residual": worst[name].residual, "samples": samples}
 
-    data = {
+    return {
         "tool_version": __version__,
         "manifest": manifest.source,
         "dimension": manifest.dimension,
@@ -256,32 +255,11 @@ def run_full_check(
         "omega_source": manifest.omega_source,
         "axiom_residuals": {name: w.residual for name, w in axioms.items()},
         "identities": identities,
-        "classification": classification_summary(classification),
-        "quasi_sasakian_conditions": {
-            name: {"holds": v.holds, "max_residual": v.max_residual}
-            for name, v in classification.qs_conditions.items()
-        },
+        **classification,
         "rank": ranks,
         "metricity": {
             "max_abs": worst["metricity_defect"].residual,
             "reeb_row_max": worst["metricity_defect_reeb_row"].residual,
         },
-        "einstein": {source: einstein_summary(report) for source, report in einstein.items()},
-    }
-    return RunReport(data=data)
-
-
-def classification_summary(report: ClassificationReport) -> dict:
-    return {
-        name: {"holds": v.holds, "max_residual": v.max_residual, "samples": v.samples}
-        for name, v in report.verdicts.items()
-    }
-
-
-def einstein_summary(report: EinsteinReport) -> dict:
-    return {
-        "verdict": report.verdict,
-        "max_residual": report.max_residual,
-        "parallel_torsion_residual": report.parallel_torsion_residual,
-        "residual_grid": report.residual_grid.tolist(),
+        "einstein": einstein,
     }

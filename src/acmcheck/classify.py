@@ -198,22 +198,6 @@ def canonical_nabla_phi_residual(ev: StructureEval) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
-    holds: bool
-    max_residual: float
-    samples: int
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    verdicts: dict[str, CriterionVerdict]
-    qs_conditions: dict[str, CriterionVerdict]
-
-    def holds(self, name: str) -> bool:
-        return self.verdicts[name].holds
-
-
 def criterion_residuals(ev: StructureEval) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(residual, scale) at each evaluated point of every criterion that is
     not a conjunction of others, and of the three quasi-Sasakian conditions."""
@@ -233,46 +217,48 @@ def criterion_residuals(ev: StructureEval) -> dict[str, tuple[np.ndarray, np.nda
     }
 
 
-def classification_report(ev: StructureEval, tol: float) -> ClassificationReport:
-    """Verdicts from the worst :func:`criterion_residuals` over the
-    evaluated points.
+def classification_report(ev: StructureEval, tol: float) -> dict:
+    """The ``classification`` and ``quasi_sasakian_conditions`` sections of
+    a report: each criterion's ``holds``, ``max_residual`` and ``samples``,
+    and each quasi-Sasakian condition's ``holds`` and ``max_residual``, from
+    the worst :func:`criterion_residuals` over the evaluated points.
 
     Raises :class:`InternalConsistencyError` if the structure classifies as
     almost quasi-Sasakian while the three equivalent quasi-Sasakian
     conditions disagree (they are provably equivalent in that regime).
     """
-    n_points = int(np.prod(ev.batch))
     worst = {
         name: WorstResidual(residual, scale)
         for name, (residual, scale) in criterion_residuals(ev).items()
     }
 
-    def verdict(*names: str) -> CriterionVerdict:
+    def verdict(*names: str) -> dict:
         parts = [worst[name] for name in names]
-        return CriterionVerdict(
-            holds=all(w.holds(tol) for w in parts),
-            max_residual=nanmax(*(w.residual for w in parts)),
-            samples=n_points,
-        )
+        return {
+            "holds": all(w.holds(tol) for w in parts),
+            "max_residual": nanmax(*(w.residual for w in parts)),
+        }
 
     verdicts = {name: verdict(name) for name in BASE_CRITERIA}
     qs_verdicts = {name: verdict(name) for name in QS_CONDITIONS}
     verdicts["almost_contact_kahler"] = verdict("almost_normal", "d_Omega_zero")
     verdicts["aqs"] = verdict("almost_normal", "d_Omega_zero", "d_eta_xi_zero")
 
-    qs_flags = [v.holds for v in qs_verdicts.values()]
-    if verdicts["aqs"].holds and len(set(qs_flags)) != 1:
-        detail = {name: (v.holds, v.max_residual) for name, v in qs_verdicts.items()}
+    qs_flags = [v["holds"] for v in qs_verdicts.values()]
+    if verdicts["aqs"]["holds"] and len(set(qs_flags)) != 1:
+        detail = {name: (v["holds"], v["max_residual"]) for name, v in qs_verdicts.items()}
         raise InternalConsistencyError(
             f"equivalent quasi-Sasakian conditions disagree on an AQS structure: {detail}"
         )
-    verdicts["quasi_sasakian"] = CriterionVerdict(
-        holds=bool(verdicts["aqs"].holds and all(qs_flags)),
-        max_residual=nanmax(
-            verdicts["aqs"].max_residual, *(v.max_residual for v in qs_verdicts.values())
+    verdicts["quasi_sasakian"] = {
+        "holds": bool(verdicts["aqs"]["holds"] and all(qs_flags)),
+        "max_residual": nanmax(
+            verdicts["aqs"]["max_residual"], *(v["max_residual"] for v in qs_verdicts.values())
         ),
-        samples=n_points,
-    )
+    }
 
-    ordered = {name: verdicts[name] for name in CRITERIA}
-    return ClassificationReport(verdicts=ordered, qs_conditions=qs_verdicts)
+    n_points = int(np.prod(ev.batch))
+    return {
+        "classification": {name: {**verdicts[name], "samples": n_points} for name in CRITERIA},
+        "quasi_sasakian_conditions": qs_verdicts,
+    }

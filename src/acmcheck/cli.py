@@ -14,14 +14,7 @@ import sys
 import numpy as np
 
 from .chart import ChartError, rank_at
-from .checks import (
-    all_finite,
-    classification_summary,
-    einstein_summary,
-    report_json,
-    run_full_check,
-    sampled_evaluation,
-)
+from .checks import all_finite, passed, report_json, run_full_check, sampled_evaluation
 from .classify import InternalConsistencyError, classification_report
 from .connection import canonical_connection, lc_adapted, torsion
 from .curvature import curvature_K, einstein_reports, ricci_k, ricci_wagner, schouten
@@ -89,24 +82,27 @@ def _tensor_payload(name: str, manifest: Manifest, p: np.ndarray) -> dict:
     raise InputError(f"unknown tensor '{name}'; known: {', '.join(TENSOR_NAMES)}")
 
 
-def _print_check_human(report) -> None:
-    data = report.data
-    print(f"manifest: {data['manifest']}  (samples {data['samples']}, seed {data['seed']})")
+def _print_check_human(report: dict) -> None:
+    print(f"manifest: {report['manifest']}  (samples {report['samples']}, seed {report['seed']})")
     print("identities:")
-    for name, entry in data["identities"].items():
+    for name, entry in report["identities"].items():
         if "holds" in entry:
             flag = "PASS" if entry["holds"] else "FAIL"
             print(f"  {name:<24} max {entry['max_residual']:.3e}  tol {entry['tolerance']:.0e}  {flag}")
         else:
             print(f"  {name:<24} max {entry['max_residual']:.3e}")
     print("classification:")
-    for name, entry in data["classification"].items():
-        mark = "yes" if entry["holds"] else "no"
-        print(f"  {name:<24} {mark:<4} max residual {entry['max_residual']:.3e}")
-    print(f"rank values: {data['rank']}")
-    met = data["metricity"]
+    _print_classification_human(report["classification"], indent="  ")
+    print(f"rank values: {report['rank']}")
+    met = report["metricity"]
     print(f"metricity defect: max {met['max_abs']:.3e} (reeb row {met['reeb_row_max']:.3e})")
-    _print_einstein_human(data["einstein"])
+    _print_einstein_human(report["einstein"])
+
+
+def _print_classification_human(classification: dict, indent: str = "") -> None:
+    for name, entry in classification.items():
+        mark = "yes" if entry["holds"] else "no"
+        print(f"{indent}{name:<24} {mark:<4} max residual {entry['max_residual']:.3e}")
 
 
 def _print_einstein_human(einstein: dict) -> None:
@@ -175,22 +171,20 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             report = run_full_check(manifest, samples=args.samples, seed=args.seed, tol=args.tol)
             if args.as_json:
-                sys.stdout.write(report.to_json())
+                sys.stdout.write(report_json(report))
             else:
                 _print_check_human(report)
-            return 0 if report.passed else 1
+            return 0 if passed(report) else 1
 
         if args.command in ("classify", "einstein"):
             ev, run = sampled_evaluation(manifest, args.samples, args.seed, args.tol)
 
         if args.command == "classify":
-            report = classification_report(ev, run["tolerance"])
-            payload = classification_summary(report)
+            payload = classification_report(ev, run["tolerance"])["classification"]
             if args.as_json:
                 sys.stdout.write(report_json(payload))
             else:
-                for name, v in report.verdicts.items():
-                    print(f"{name:<24} {'yes' if v.holds else 'no':<4} max residual {v.max_residual:.3e}")
+                _print_classification_human(payload)
             return 0 if all_finite(payload) else 1
 
         if args.command == "tensor":
@@ -208,8 +202,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "einstein":
-            reports = einstein_reports(ev, run["tolerance"])
-            payload = {source: einstein_summary(report) for source, report in reports.items()}
+            payload = einstein_reports(ev, run["tolerance"])
             if args.as_json:
                 sys.stdout.write(report_json(payload))
             else:

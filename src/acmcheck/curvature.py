@@ -69,20 +69,6 @@ def ricci_k(ev: StructureEval) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EinsteinReport:
-    """Residuals of r_ab = 4 omega_{da} psi^d_b over the samples.
-
-    ``residual_grid`` is the per-component max over samples, so block-level
-    behaviour stays visible; ``parallel_torsion_residual`` reports the
-    hypothesis max |nabla omega| without gating the computation."""
-
-    verdict: bool
-    max_residual: float
-    residual_grid: np.ndarray
-    parallel_torsion_residual: float
-
-
 def einstein_rhs(ev: StructureEval, omega_source: str) -> np.ndarray:
     """4 omega_{da} psi^d_b at the evaluated points, with omega taken from
     d(eta) or from the fundamental form."""
@@ -96,9 +82,13 @@ def einstein_rhs(ev: StructureEval, omega_source: str) -> np.ndarray:
     return 4.0 * contract("...da,...db->...ab", om, psi)
 
 
-def einstein_reports(ev: StructureEval, tol: float) -> dict[str, EinsteinReport]:
-    """Verdict and per-component residual grid for each omega source, from
-    one evaluation over the sampled points."""
+def einstein_reports(ev: StructureEval, tol: float) -> dict[str, dict]:
+    """The ``einstein`` section of a report, from one evaluation over the
+    sampled points: for each omega source the ``verdict`` on r_ab =
+    4 omega_{da} psi^d_b and its ``max_residual``, the per-component max over
+    samples as the nested list ``residual_grid``, so block-level behaviour
+    stays visible, and the hypothesis max |nabla omega| as
+    ``parallel_torsion_residual``, which does not gate the verdict."""
     parallel_torsion = WorstResidual(ev.max_abs(nabla_omega(ev))).residual
     m = ev.m
     r = ricci_wagner(ev).reshape(-1, m, m)
@@ -107,10 +97,10 @@ def einstein_reports(ev: StructureEval, tol: float) -> dict[str, EinsteinReport]
         rhs = einstein_rhs(ev, source).reshape(-1, m, m)
         diff = np.abs(r - rhs)
         worst = WorstResidual(diff, nanmax(np.abs(r).max(), np.abs(rhs).max()))
-        reports[source] = EinsteinReport(
-            verdict=worst.holds(tol),
-            max_residual=worst.residual,
-            residual_grid=diff.max(axis=0),
-            parallel_torsion_residual=parallel_torsion,
-        )
+        reports[source] = {
+            "verdict": worst.holds(tol),
+            "max_residual": worst.residual,
+            "parallel_torsion_residual": parallel_torsion,
+            "residual_grid": diff.max(axis=0).tolist(),
+        }
     return reports

@@ -35,7 +35,7 @@ from acmcheck.connection import (
     nabla_omega,
     torsion,
 )
-from acmcheck.checks import run_full_check, sampled_evaluation
+from acmcheck.checks import report_json, run_full_check, sampled_evaluation
 from acmcheck.curvature import einstein_reports, einstein_rhs, ricci_wagner, schouten
 from acmcheck.expr import parse
 from acmcheck.classify import nijenhuis_tensors
@@ -126,8 +126,9 @@ def test_criterion_4_example1(manifests, structures, sample_sets, acceptance_log
     n1_ok = abs(bundle.n1[0, 1, 4] + 1.0) < 1e-9 and np.abs(bundle.n1[0, 1, :4]).max() < 1e-9
     ntilde_ok = np.abs(bundle.n_tilde[0, 1]).max() < 1e-9
     report = classify_run(manifests["example1"])
-    verdicts_ok = (report.holds("almost_normal") and not report.holds("normal")
-                   and report.holds("aqs"))
+    verdicts = report["classification"]
+    verdicts_ok = (verdicts["almost_normal"]["holds"] and not verdicts["normal"]["holds"]
+                   and verdicts["aqs"]["holds"])
     nabla_ok = all(np.abs(nabla_omega(StructureEval(s, p))).max() < 1e-12 for p in points)
     traces = [trace_psi_sq(StructureEval(s, p)) for p in points]
     trace_ok = max(traces) - min(traces) < 1e-12
@@ -161,7 +162,7 @@ def test_criterion_5_example2(manifests, structures, sample_sets, acceptance_log
         if rank_at(s.chart, p) % 2 != 0:
             rank_ok = False
     report = classify_run(manifests["example2"])
-    ok = deta_ok and defect_ok and rank_ok and not report.holds("aqs")
+    ok = deta_ok and defect_ok and rank_ok and not report["classification"]["aqs"]["holds"]
     _record(acceptance_log, "criterion 5", ok,
             "d(eta)(xi, e1) = y/2, not AQS, metricity defect (n,n,1) = y, rank even")
 
@@ -207,7 +208,7 @@ def test_criterion_7_fundamental_form_block_and_profile(manifests, acceptance_lo
     ev, run = sampled_evaluation(manifests["example3-qs"])
     reports = einstein_reports(ev, run["tolerance"])
     fund, deta = reports["fundamental_form"], reports["d_eta"]
-    block_ok = float(fund.residual_grid[:2, :2].max()) < 1e-7
+    block_ok = float(np.array(fund["residual_grid"])[:2, :2].max()) < 1e-7
     # the substitution makes the right-hand side equal -4g identically
     identity_ok = all(
         np.abs(rhs + 4.0 * StructureEval(ev.structure, point).g0).max() < 1e-12
@@ -219,7 +220,7 @@ def test_criterion_7_fundamental_form_block_and_profile(manifests, acceptance_lo
         predicted = abs(-4.0 / (1 + s_val) ** 2 + (1 + s_val) ** 2)
         if abs(abs(r[0, 0] - rhs[0, 0]) - predicted) > 1e-6:
             profile_ok = False
-    ok = block_ok and identity_ok and profile_ok and not deta.verdict
+    ok = block_ok and identity_ok and profile_ok and not deta["verdict"]
     _record(acceptance_log, "criterion 7", ok,
             "fundamental-form Einstein residual < 1e-7 on the conformal block; "
             "default-source residual matches |-4(1+s)^-2 + (1+s)^2| to 1e-6")
@@ -233,13 +234,13 @@ def test_criterion_7_fundamental_form_block_and_profile(manifests, acceptance_lo
 )
 def test_criterion_7_fundamental_form_full_verdict(manifests, acceptance_log):
     report = einstein_run(manifests["example3-qs"])["fundamental_form"]
-    if not report.verdict:
+    if not report["verdict"]:
         acceptance_log.append(
             "[criterion 7, full-grid reading] FAIL (expected): fundamental-form "
             f"Einstein verdict over all of D is negative (flat-block residual "
-            f"{report.residual_grid[2, 2]:.3e})"
+            f"{report['residual_grid'][2][2]:.3e})"
         )
-    assert report.verdict
+    assert report["verdict"]
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +255,8 @@ def test_criterion_8_canonical_nabla_phi(manifests, structures, sample_sets, acc
     aqs = structures["example3-aqs"]
     worst_aqs = max(canonical_nabla_phi_residual(StructureEval(aqs, p)) for p in sample_sets["example3-aqs"])
     report_aqs = classify_run(manifests["example3-aqs"])
-    ok = (worst_qs < 1e-8 and report_qs.holds("quasi_sasakian")
-          and worst_aqs > 1e-3 and not report_aqs.holds("quasi_sasakian"))
+    ok = (worst_qs < 1e-8 and report_qs["classification"]["quasi_sasakian"]["holds"]
+          and worst_aqs > 1e-3 and not report_aqs["classification"]["quasi_sasakian"]["holds"])
     _record(acceptance_log, "criterion 8", ok,
             f"canonical nabla phi: {worst_qs:.3e} on the quasi-Sasakian variant "
             f"(classified QS), {worst_aqs:.3e} on the redefined variant (not QS)")
@@ -269,13 +270,13 @@ def test_criterion_8_canonical_nabla_phi(manifests, structures, sample_sets, acc
 )
 def test_criterion_8_redefined_variant_classified_aqs(manifests, acceptance_log):
     report = classify_run(manifests["example3-aqs"])
-    if not report.holds("aqs"):
-        residual = report.verdicts["d_Omega_zero"].max_residual
+    if not report["classification"]["aqs"]["holds"]:
+        residual = report["classification"]["d_Omega_zero"]["max_residual"]
         acceptance_log.append(
             "[criterion 8, AQS verdict for the redefined variant] FAIL (expected): "
             f"d(fundamental form) residual {residual:.3e}, so not AQS"
         )
-    assert report.holds("aqs")
+    assert report["classification"]["aqs"]["holds"]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +289,7 @@ def test_criterion_9_characterization_biconditional(manifests, structures, sampl
     below_tol = set()
     for name in ALL:
         report = classify_run(manifests[name])
-        if report.holds("aqs"):
+        if report["classification"]["aqs"]["holds"]:
             classified_aqs.add(name)
         worst = max(aqs_characterization_residual(StructureEval(structures[name], p)) for p in sample_sets[name])
         if worst < 1e-7:
@@ -331,8 +332,8 @@ def test_criterion_10_jets_vs_finite_differences(acceptance_log):
 def test_criterion_11_byte_identical_reports(manifests, acceptance_log):
     ok = True
     for name in ALL:
-        first = run_full_check(manifests[name]).to_json().encode()
-        second = run_full_check(manifests[name]).to_json().encode()
+        first = report_json(run_full_check(manifests[name])).encode()
+        second = report_json(run_full_check(manifests[name])).encode()
         if first != second:
             ok = False
     _record(acceptance_log, "criterion 11", ok,

@@ -104,7 +104,7 @@ def test_aqs_characterization_biconditional(structures, manifests, sample_sets):
         points = sample_sets[name]
         report = classify_run(mf)
         worst = max(aqs_characterization_residual(StructureEval(structures[name], p)) for p in points)
-        assert report.holds("aqs") == (worst < mf.tolerance), (name, worst)
+        assert report["classification"]["aqs"]["holds"] == (worst < mf.tolerance), (name, worst)
 
 
 # ---------------------------------------------------------------------------
@@ -145,28 +145,28 @@ def test_canonical_nabla_phi_matches_quasi_sasakian(structures, sample_sets):
 
 def test_classify_example1(manifests):
     report = classify_run(manifests["example1"])
-    assert report.holds("almost_normal")
-    assert not report.holds("normal")
-    assert report.holds("aqs")
-    assert report.holds("almost_contact_kahler")
-    assert not report.holds("quasi_sasakian")
-    assert not report.holds("contact_metric")
+    assert report["classification"]["almost_normal"]["holds"]
+    assert not report["classification"]["normal"]["holds"]
+    assert report["classification"]["aqs"]["holds"]
+    assert report["classification"]["almost_contact_kahler"]["holds"]
+    assert not report["classification"]["quasi_sasakian"]["holds"]
+    assert not report["classification"]["contact_metric"]["holds"]
 
 
 def test_classify_example2(manifests):
     report = classify_run(manifests["example2"])
-    assert not report.holds("aqs")
-    assert not report.holds("d_eta_xi_zero")
-    assert report.holds("almost_normal")
-    assert report.holds("almost_contact_kahler")
+    assert not report["classification"]["aqs"]["holds"]
+    assert not report["classification"]["d_eta_xi_zero"]["holds"]
+    assert report["classification"]["almost_normal"]["holds"]
+    assert report["classification"]["almost_contact_kahler"]["holds"]
 
 
 def test_classify_example3_qs(manifests):
     report = classify_run(manifests["example3-qs"])
-    assert report.holds("quasi_sasakian")
-    assert report.holds("aqs")
+    assert report["classification"]["quasi_sasakian"]["holds"]
+    assert report["classification"]["aqs"]["holds"]
     # quasi-Sasakian forces normality: N1 = N~ + 2(d eta - phi* d eta) xi = 0
-    assert report.holds("normal")
+    assert report["classification"]["normal"]["holds"]
 
 
 def test_classify_ladder_implications(manifests):
@@ -174,53 +174,53 @@ def test_classify_ladder_implications(manifests):
     # quasi_sasakian => aqs
     for name in ALL:
         report = classify_run(manifests[name])
-        if report.holds("normal"):
-            assert report.holds("almost_normal"), name
-        if report.holds("aqs"):
-            assert report.holds("almost_normal"), name
-            assert report.holds("d_Omega_zero"), name
-            assert report.holds("d_eta_xi_zero"), name
-        if report.holds("quasi_sasakian"):
-            assert report.holds("aqs"), name
+        if report["classification"]["normal"]["holds"]:
+            assert report["classification"]["almost_normal"]["holds"], name
+        if report["classification"]["aqs"]["holds"]:
+            assert report["classification"]["almost_normal"]["holds"], name
+            assert report["classification"]["d_Omega_zero"]["holds"], name
+            assert report["classification"]["d_eta_xi_zero"]["holds"], name
+        if report["classification"]["quasi_sasakian"]["holds"]:
+            assert report["classification"]["aqs"]["holds"], name
 
 
 def test_classify_example3_aqs_not_quasi_sasakian(manifests):
     report = classify_run(manifests["example3-aqs"])
-    assert not report.holds("quasi_sasakian")
-    assert report.holds("almost_normal")
-    assert report.holds("d_eta_xi_zero")
+    assert not report["classification"]["quasi_sasakian"]["holds"]
+    assert report["classification"]["almost_normal"]["holds"]
+    assert report["classification"]["d_eta_xi_zero"]["holds"]
     # the redefined endomorphism does not close the fundamental form under
     # the conformal metric, so the AQS verdict is negative
-    assert not report.holds("d_Omega_zero")
-    assert not report.holds("aqs")
+    assert not report["classification"]["d_Omega_zero"]["holds"]
+    assert not report["classification"]["aqs"]["holds"]
 
 
 def test_classify_flat_quasi_sasakian(manifests):
     report = classify_run(manifests["flat"])
-    assert report.holds("quasi_sasakian")
-    assert report.holds("normal")
-    assert report.holds("contact_metric") is False  # Omega != 0 = d(eta)
+    assert report["classification"]["quasi_sasakian"]["holds"]
+    assert report["classification"]["normal"]["holds"]
+    assert report["classification"]["contact_metric"]["holds"] is False  # Omega != 0 = d(eta)
 
 
 def test_classify_verdicts_stable_32_to_128(manifests):
     for name in ALL:
         small = classify_run(manifests[name], samples=32, seed=42)
         large = classify_run(manifests[name], samples=128, seed=42)
-        for criterion in small.verdicts:
-            assert small.holds(criterion) == large.holds(criterion), (name, criterion)
+        for criterion, verdict in small["classification"].items():
+            assert verdict["holds"] == large["classification"][criterion]["holds"], (name, criterion)
 
 
 def test_classify_monotone_under_tolerance(manifests):
     tight = classify_run(manifests["example1"], tol=1e-9)
     loose = classify_run(manifests["example1"], tol=1e-5)
-    for criterion in tight.verdicts:
-        if tight.holds(criterion):
-            assert loose.holds(criterion)
+    for criterion in tight["classification"]:
+        if tight["classification"][criterion]["holds"]:
+            assert loose["classification"][criterion]["holds"]
 
 
 def test_classify_samples_recorded(manifests):
     report = classify_run(manifests["flat"])
-    assert all(v.samples == 32 for v in report.verdicts.values())
+    assert all(v["samples"] == 32 for v in report["classification"].values())
 
 
 def test_disagreeing_qs_conditions_raise(manifests, monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 
 import acmcheck
 from acmcheck import structure
-from acmcheck.checks import RunReport, run_full_check
+from acmcheck.checks import report_json, run_full_check
 from acmcheck.cli import main
 from acmcheck.manifest import (
     ManifestError,
@@ -157,14 +157,14 @@ def test_load_manifest_invalid_json(tmp_path):
 
 def test_reports_byte_identical(manifests):
     mf = manifests["example1"]
-    first = run_full_check(mf).to_json().encode()
-    second = run_full_check(mf).to_json().encode()
+    first = report_json(run_full_check(mf)).encode()
+    second = report_json(run_full_check(mf)).encode()
     assert first == second
 
 
 def test_report_json_round_trips(manifests):
     report = run_full_check(manifests["flat"])
-    parsed = json.loads(report.to_json())
+    parsed = json.loads(report_json(report))
     assert parsed["classification"]["quasi_sasakian"]["holds"] is True
     assert parsed["tool_version"] == "0.1.0"
     assert parsed["seed"] == 42
@@ -555,7 +555,7 @@ def test_cli_identity_failure_exit_one(monkeypatch, capsys):
         "samples": 1,
         "seed": 0,
     }
-    monkeypatch.setattr("acmcheck.cli.run_full_check", lambda *a, **k: RunReport(doctored))
+    monkeypatch.setattr("acmcheck.cli.run_full_check", lambda *a, **k: doctored)
     assert main(["check", "flat"]) == 1
     capsys.readouterr()
 

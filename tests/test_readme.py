@@ -7,7 +7,7 @@ import io
 import re
 from pathlib import Path
 
-from acmcheck import load_fixture, run_full_check
+from acmcheck import load_fixture, report_json, run_full_check
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,11 +26,11 @@ def test_readme_library_example_prints_its_comments():
         for line in block.splitlines()
         if line.startswith("print(") and "#" in line
     ]
-    assert expected[:4] == ["-4.0", "-0.5", "(128, 4, 4)", "True"]
+    assert expected == ["-4.0", "-0.5", "(128, 4, 4)", "True", "False", "True"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     lines = out.getvalue().splitlines(keepends=True)
     assert [line.rstrip("\n") for line in lines[: len(expected)]] == expected
     rest = "".join(lines[len(expected):])
-    assert rest == run_full_check(load_fixture("example3-qs")).to_json() + "\n"
+    assert rest == report_json(run_full_check(load_fixture("example3-qs"))) + "\n"

@@ -14,13 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from acmcheck.checks import (
-    classification_summary,
-    einstein_summary,
-    report_json,
-    run_full_check,
-    sampled_evaluation,
-)
+from acmcheck.checks import report_json, run_full_check, sampled_evaluation
 from acmcheck.classify import classification_report
 from acmcheck.cli import TENSOR_NAMES, _tensor_payload, main
 from acmcheck.curvature import einstein_reports
@@ -131,16 +125,16 @@ def overflow_manifest(tmp_path):
 def test_check_json_is_reference_text(name, capsys):
     for seed in (42, 7):
         report = run_full_check(load_fixture(name), seed=seed)
-        assert report.to_json() == reference_report_json(report.data)
+        assert report_json(report) == reference_report_json(report)
         code, out = _run(capsys, ["check", name, "--json", "--seed", str(seed)])
-        assert code == 0 and out == report.to_json()
+        assert code == 0 and out == report_json(report)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_check_json_is_reference_text(nan_manifest, capsys):
     report = run_full_check(load_manifest(nan_manifest))
-    text = report.to_json()
-    assert text == reference_report_json(report.data)
+    text = report_json(report)
+    assert text == reference_report_json(report)
     assert "NaN" in text
     code, out = _run(capsys, ["check", nan_manifest, "--json"])
     assert code == 1 and out == text
@@ -151,9 +145,8 @@ def test_non_finite_check_json_is_reference_text(nan_manifest, capsys):
 def test_classify_and_einstein_json_are_reference_text(name, nan_manifest, capsys):
     path = nan_manifest if name == "nan" else name
     ev, run = sampled_evaluation(load_manifest(path) if name == "nan" else load_fixture(name))
-    classification = classification_summary(classification_report(ev, run["tolerance"]))
-    einstein = {source: einstein_summary(report)
-                for source, report in einstein_reports(ev, run["tolerance"]).items()}
+    classification = classification_report(ev, run["tolerance"])["classification"]
+    einstein = einstein_reports(ev, run["tolerance"])
     expected = 1 if name == "nan" else 0
     assert _run(capsys, ["classify", path, "--json"]) == (expected, reference_report_json(classification))
     assert _run(capsys, ["einstein", path, "--json"]) == (expected, reference_report_json(einstein))
