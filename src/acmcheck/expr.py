@@ -31,6 +31,13 @@ import numpy as np
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
 
+# Expressions are parsed, evaluated and printed by recursion, so their depth
+# stays well inside Python's default limit of 1000 frames: the parser takes
+# up to six frames per nested parenthesis, call, sign or power, evaluation
+# and printing two per level of the expression tree.
+MAX_NESTING = 100
+MAX_DEPTH = 300
+
 
 class ExprError(Exception):
     """Base class for expression errors."""
@@ -343,6 +350,33 @@ def _wrap(node: Node, minimum: int) -> str:
     return f"({text})" if _prec(node) < minimum else text
 
 
+def _children(node: Node) -> tuple[Node, ...]:
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return node.left, node.right
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    if isinstance(node, Pow):
+        return (node.base,)
+    return ()
+
+
+def _depth(root: Node) -> int:
+    """Levels of the tree below ``root``, a leaf being one, found without
+    recursion: each node's depth is set once those of its children are."""
+    depth: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        children = _children(node)
+        pending = [child for child in children if id(child) not in depth]
+        if pending:
+            stack.extend(pending)
+        else:
+            stack.pop()
+            depth[id(node)] = 1 + max((depth[id(child)] for child in children), default=0)
+    return depth[id(root)]
+
+
 def _eval_node(node: Node, points: np.ndarray, n: int, order: int, memo: dict) -> Jet:
     """Jet of ``node`` to ``order`` over a block of points.  ``memo`` maps the
     id of each node evaluated so far in the block to its jet, so a node
@@ -430,6 +464,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token], table: "InternTable"):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
         self.node = table.node
         self.index = table.index
 
@@ -445,6 +480,17 @@ class _Parser:
         tok = self.next()
         if tok.kind != "op" or tok.text != op:
             raise ExprSyntaxError(f"expected '{op}', found '{tok.text or 'end of input'}'", tok.offset)
+
+    def nested(self, parse, tok: _Token) -> Node:
+        """``parse()`` one level deeper, ``tok`` opening the level."""
+        if self.nesting == MAX_NESTING:
+            raise ExprSyntaxError(
+                f"more than {MAX_NESTING} nested parentheses, calls, signs or powers", tok.offset
+            )
+        self.nesting += 1
+        node = parse()
+        self.nesting -= 1
+        return node
 
     def parse(self) -> Node:
         node = self.expr()
@@ -473,7 +519,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.next()
-            return self.node(Neg, self.unary())
+            return self.node(Neg, self.nested(self.unary, tok))
         return self.power()
 
     def power(self) -> Node:
@@ -482,7 +528,7 @@ class _Parser:
         if tok.kind == "op" and tok.text == "^":
             self.next()
             exp_tok = self.peek()
-            exponent = self.unary()  # right-associative, then folded to an int
+            exponent = self.nested(self.unary, tok)  # right-associative, then folded to an int
             return self.node(Pow, base, self._const_int(exponent, exp_tok.offset))
         return base
 
@@ -508,14 +554,14 @@ class _Parser:
         if tok.kind == "ident":
             if tok.text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.nested(self.expr, tok)
                 self.expect_op(")")
                 return self.node(Call, tok.text, arg)
             if tok.text in self.index:
                 return self.node(Var, self.index[tok.text], tok.text)
             raise UnknownIdentifierError(tok.text, tok.offset)
         if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
+            node = self.nested(self.expr, tok)
             self.expect_op(")")
             return node
         raise ExprSyntaxError(f"expected a value, found '{tok.text or 'end of input'}'", tok.offset)
@@ -569,7 +615,11 @@ class InternTable:
         """The field of ``text``; see :func:`parse` for the errors."""
         field = self.fields.get(text)
         if field is None:
-            ast = _Parser(_tokenize(text), self).parse()
+            tokens = _tokenize(text)
+            ast = _Parser(tokens, self).parse()
+            # each node of a tree takes a token, so only a long text can be deep
+            if len(tokens) > MAX_DEPTH and _depth(ast) > MAX_DEPTH:
+                raise ExprError(f"expression tree deeper than {MAX_DEPTH} levels")
             field = self.fields[text] = ScalarField(ast, self.coords)
         return field
 

@@ -210,10 +210,14 @@ def load_manifest(path: str | Path) -> Manifest:
         text = resolved.read_text(encoding="utf-8")
     except OSError as err:
         raise ManifestError("<file>", f"cannot read {resolved}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ManifestError("<file>", f"{resolved} is not UTF-8 text: {err}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ManifestError("<file>", f"invalid JSON in {resolved}: {err}") from err
+    except RecursionError:
+        raise ManifestError("<file>", f"invalid JSON in {resolved}: nested too deeply") from None
     return manifest_from_dict(data, source=str(resolved))
 
 

@@ -531,6 +531,44 @@ def test_cli_bad_manifest_value_exit_two(patch, field, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
+def test_cli_manifest_not_utf8_exit_two(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(BASE).encode("utf-16-le"))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: <file>: {path} is not UTF-8 text: ")
+
+
+def test_cli_deeply_nested_json_exit_two(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: <file>: invalid JSON in {path}: nested too deeply\n"
+
+
+POINT_COMMANDS = (["tensor", "--name", "omega", "--at", "0.1,0.5,0,0,0"], ["rank", "--at", "0.1,0.5,0,0,0"])
+
+
+@pytest.mark.parametrize("text,message", [
+    ("y" + " + y" * 2999, "expression tree deeper than 300 levels"),
+    ("(" * 5000 + "y" + ")" * 5000, "more than 100 nested parentheses, calls, signs or powers (offset 100)"),
+], ids=["long_sum", "parentheses"])
+@pytest.mark.parametrize("command", [["check"], *POINT_COMMANDS], ids=["check", "tensor", "rank"])
+def test_cli_deep_expression_exit_two(text, message, command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(dict(BASE, gamma=[text, "0", "0", "0"])))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    assert capsys.readouterr().err == f"error: gamma[0]: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["check"], *POINT_COMMANDS], ids=["check", "tensor", "rank"])
+def test_cli_300_term_sum_runs(command, tmp_path, capsys):
+    # y - y + y - ... over 300 terms is 0 exactly, a tree 300 levels deep
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps(dict(BASE, gamma=["y" + " - y + y" * 149 + " - y", "0", "0", "0"])))
+    assert main([command[0], str(path), *command[1:]]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_schema_error_exit_two(tmp_path, capsys):
     bad = dict(BASE, gamma=["0", "0", "0"])
     path = tmp_path / "bad.json"

@@ -97,6 +97,30 @@ def test_malformed_inputs_rejected(text):
         parse(text, COORDS)
 
 
+@pytest.mark.parametrize("opening,leaf,closing,at", [
+    ("(", "x", ")", 0), ("sin(", "x", ")", 0), ("-", "x", "", 0), ("1^", "1", "", 1),
+])
+def test_nesting_limit(opening, leaf, closing, at):
+    # ``at``: where in ``opening`` the token that opens a level is
+    deepest = opening * expr.MAX_NESTING + leaf + closing * expr.MAX_NESTING
+    assert parse(deepest, COORDS)
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(opening + deepest + closing, COORDS)
+    assert str(err.value).startswith(f"more than {expr.MAX_NESTING} nested parentheses")
+    assert err.value.offset == len(opening) * expr.MAX_NESTING + at
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_tree_depth_limit(op):
+    # a chain of n terms is a tree n levels deep, built without recursion
+    deepest = "x" + f" {op} y" * (expr.MAX_DEPTH - 1)
+    field = parse(deepest, COORDS)
+    assert str(field).count("y") == expr.MAX_DEPTH - 1
+    assert np.isfinite(field.value(np.array([0.5, 1.5, 0.0, 0.0, 0.0])))
+    with pytest.raises(expr.ExprError, match=f"expression tree deeper than {expr.MAX_DEPTH} levels"):
+        parse(deepest + f" {op} y", COORDS)
+
+
 def test_function_name_not_a_variable():
     with pytest.raises(ValueError):
         parse("x", ("sin", "y"))
