@@ -638,9 +638,10 @@ class InternTable:
 def parse(text: str, coords: tuple[str, ...] | list[str]) -> ScalarField:
     """Parse ``text`` over the given coordinate names.
 
-    Raises :class:`ExprSyntaxError` (with byte offset) on malformed input and
-    :class:`UnknownIdentifierError` for identifiers that are neither
-    coordinates nor built-in functions.
+    Raises :class:`ExprSyntaxError` (with byte offset) on malformed input or
+    more than ``MAX_NESTING`` nested levels, :class:`UnknownIdentifierError`
+    for identifiers that are neither coordinates nor built-in functions, and
+    :class:`ExprError` for a tree deeper than ``MAX_DEPTH`` levels.
     """
     return InternTable(coords).parse(text)
 
