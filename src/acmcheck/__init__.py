@@ -4,12 +4,7 @@ structures given in adapted coordinates."""
 __version__ = "0.1.0"
 
 from .expr import Jet, ScalarField, parse  # noqa: F401
-from .chart import (  # noqa: F401
-    AdaptedChart,
-    AdaptedTransition,
-    change_chart,
-    rank_at,
-)
+from .chart import AdaptedChart, rank_at  # noqa: F401
 from .structure import (  # noqa: F401
     AdaptedStructure,
     StructureEval,

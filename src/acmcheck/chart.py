@@ -1,5 +1,4 @@
-"""Adapted charts: frame derivatives, the nonholonomy form, rank, and
-adapted coordinate changes.
+"""Adapted charts: frame derivatives, the nonholonomy form and rank.
 
 Conventions (fixed project-wide):
   * coordinates are 0-based; the last coordinate is the Reeb direction,
@@ -30,22 +29,9 @@ class ChartError(Exception):
     pass
 
 
-class SingularJacobianError(ChartError):
-    pass
-
-
-# index valence tags of admissible tensors (frame indices only) and of
-# coordinate indices, which check_valence rejects
-FRAME_LOWER = "frame_lower"
-FRAME_UPPER = "frame_upper"
-COORD = "coord"
-
 # relative singular-value cutoff of the rank of omega, and of the vertical
 # part's vanishing
 RANK_TOL = 1e-9
-
-# change_chart refuses a transition Jacobian whose condition number reaches this
-JACOBIAN_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -310,71 +296,3 @@ def rank_at(chart: AdaptedChart, p: np.ndarray) -> np.ndarray:
     """Pointwise rank of the structure at p (see :func:`rank_of`)."""
     return rank_of(*nonholonomy(*gamma_jets(chart, p, order=1)))
 
-
-# ---------------------------------------------------------------------------
-# Adapted coordinate changes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdaptedTransition:
-    """An adapted change of chart x^a = x^a(x^a'), x^n = x^n' + s(x^a').
-
-    ``frame_maps`` and ``shift`` are expressions over the primed coordinates;
-    they must not involve the primed Reeb coordinate.
-    """
-
-    frame_maps: tuple[ScalarField, ...]
-    shift: ScalarField
-
-    def image_point(self, p_primed: np.ndarray) -> np.ndarray:
-        p = np.asarray(p_primed, dtype=float)
-        out = np.empty_like(p)
-        for a, f in enumerate(self.frame_maps):
-            out[a] = f.value(p)
-        out[-1] = p[-1] + self.shift.value(p)
-        return out
-
-    def jacobian(self, p_primed: np.ndarray) -> np.ndarray:
-        """A[a, a'] = d x^a / d x^a' at the primed point."""
-        m = len(self.frame_maps)
-        return field_jets(np.array(self.frame_maps, dtype=object), p_primed, order=1)[1][:, :m]
-
-
-def check_valence(valence: tuple[str, ...], rank: int) -> None:
-    """An admissible tensor's valence: one FRAME_LOWER or FRAME_UPPER tag per
-    component axis, else ``ValueError``."""
-    if any(v not in (FRAME_LOWER, FRAME_UPPER) for v in valence):
-        raise ValueError("only admissible (frame-index) tensors are handled")
-    if len(valence) != rank:
-        raise ValueError(f"valence length {len(valence)} does not match component rank {rank}")
-
-
-def change_chart(
-    transition: AdaptedTransition,
-    components: np.ndarray,
-    valence: tuple[str, ...],
-    p_primed: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Push an admissible tensor, its components at one point with one
-    valence tag per axis, through an adapted transition.
-
-    Components transform index-by-index: frame-upper indices contract with
-    A[a, a'], frame-lower ones with the inverse Jacobian A[a', a].  Returns
-    the components in the target chart together with the image point.
-    """
-    out = np.asarray(components)
-    check_valence(valence, out.ndim)
-    A = transition.jacobian(p_primed)
-    if not np.all(np.isfinite(A)) or np.linalg.cond(A) >= JACOBIAN_COND_LIMIT:
-        raise SingularJacobianError(f"transition Jacobian ill-conditioned at {p_primed}")
-    A_inv = np.linalg.inv(A)
-    for axis, v in enumerate(valence):
-        if v == FRAME_UPPER:
-            # t^a = A^a_{a'} t^{a'}
-            out = np.tensordot(A, out, axes=([1], [axis]))
-        else:
-            # t_b = A^{b'}_b t_{b'}
-            out = np.tensordot(A_inv, out, axes=([0], [axis]))
-        out = np.moveaxis(out, 0, axis)
-    return out, transition.image_point(p_primed)

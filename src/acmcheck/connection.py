@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import FRAME_LOWER, FRAME_UPPER, check_valence
 from .expr import describe_first, field_jets
 from .residuals import nanmax
 from .structure import SingularMetricError, StructureEval, contract, mat_t, memoised
@@ -270,6 +269,19 @@ def n_connection_formula_residual(ev: StructureEval, N0: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 # Covariant derivatives
 # ---------------------------------------------------------------------------
+
+# index valence tags of admissible tensors, which carry frame indices only
+FRAME_LOWER = "frame_lower"
+FRAME_UPPER = "frame_upper"
+
+
+def check_valence(valence: tuple[str, ...], rank: int) -> None:
+    """An admissible tensor's valence: one FRAME_LOWER or FRAME_UPPER tag per
+    component axis, else ``ValueError``."""
+    if any(v not in (FRAME_LOWER, FRAME_UPPER) for v in valence):
+        raise ValueError("only admissible (frame-index) tensors are handled")
+    if len(valence) != rank:
+        raise ValueError(f"valence length {len(valence)} does not match component rank {rank}")
 
 
 def _cov_deriv_from_data(

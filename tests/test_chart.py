@@ -1,4 +1,4 @@
-"""Chart-level tests: frame calculus, nonholonomy, rank, chart changes."""
+"""Chart-level tests: frame calculus, nonholonomy, rank, point sampling."""
 
 from __future__ import annotations
 
@@ -9,16 +9,11 @@ import pytest
 
 from acmcheck.chart import (
     AdaptedChart,
-    AdaptedTransition,
     ChartError,
-    FRAME_LOWER,
-    FRAME_UPPER,
-    SingularJacobianError,
     _pcg64_advance,
     _pcg64_double,
     _pcg64_jumps,
     _pcg64_streams,
-    change_chart,
     rank_at,
 )
 from acmcheck.expr import ExprDomainError, parse
@@ -284,99 +279,3 @@ def test_avoid_domain_error_names_the_sample_it_prints():
     assert str(err.value) == f"ln of non-positive value in 'ln(x + 1.9)' at sample 8, point {point}"
     assert "\n" not in str(err.value)
 
-
-# ---------------------------------------------------------------------------
-# Chart changes
-# ---------------------------------------------------------------------------
-
-
-def _identity_transition() -> AdaptedTransition:
-    return AdaptedTransition(
-        frame_maps=tuple(parse(name, COORDS) for name in COORDS[:4]),
-        shift=parse("0", COORDS),
-    )
-
-
-def _rotation_transition(theta: float, inverse: bool = False) -> AdaptedTransition:
-    c, s = float(np.cos(theta)), float(np.sin(theta))
-    if inverse:
-        s = -s
-    return AdaptedTransition(
-        frame_maps=(
-            parse(f"{c!r}*x - {s!r}*y", COORDS),
-            parse(f"{s!r}*x + {c!r}*y", COORDS),
-            parse("z", COORDS),
-            parse("u", COORDS),
-        ),
-        shift=parse("0", COORDS),
-    )
-
-
-def test_change_chart_identity():
-    t = np.arange(16.0).reshape(4, 4)
-    p = np.array([0.2, 0.4, 0.1, -0.9, 1.3])
-    out, q = change_chart(_identity_transition(), t, (FRAME_UPPER, FRAME_LOWER), p)
-    assert np.allclose(out, t, atol=1e-14)
-    assert np.allclose(q, [0.2, 0.4, 0.1, -0.9, 1.3])
-
-
-def test_change_chart_pure_shift():
-    shift = AdaptedTransition(
-        frame_maps=tuple(parse(name, COORDS) for name in COORDS[:4]),
-        shift=parse("3", COORDS),
-    )
-    t = np.arange(4.0)
-    out, q = change_chart(shift, t, (FRAME_LOWER,), np.zeros(5))
-    assert np.array_equal(out, t)
-    assert np.array_equal(q, np.array([0, 0, 0, 0, 3.0]))
-
-
-def test_change_chart_rotation_rank1():
-    # hand application of the law to a rank-1 (1,1) tensor: t -> A t A^{-1}
-    theta = 0.6
-    tr = _rotation_transition(theta)
-    p = np.array([0.3, -0.2, 0.5, 0.8, 0.1])
-    w = np.array([1.0, 2.0, -1.0, 0.5])
-    c = np.array([0.5, -3.0, 2.0, 1.0])
-    t = np.outer(w, c)
-    out, _ = change_chart(tr, t, (FRAME_UPPER, FRAME_LOWER), p)
-    A = tr.jacobian(p)
-    expected = A @ t @ np.linalg.inv(A)
-    assert np.allclose(out, expected, atol=1e-12)
-    # rank-1 structure is preserved: columns stay proportional to A @ w
-    assert np.allclose(out, np.outer(A @ w, np.linalg.inv(A).T @ c), atol=1e-12)
-
-
-def test_change_chart_round_trip():
-    theta = 0.37
-    forward = _rotation_transition(theta)
-    backward = _rotation_transition(theta, inverse=True)
-    p = np.array([0.25, 0.75, -0.4, 1.1, 0.6])
-    rng = np.random.default_rng(0)
-    t = rng.normal(size=(4, 4, 4))
-    valence = (FRAME_UPPER, FRAME_LOWER, FRAME_LOWER)
-    pushed, q = change_chart(forward, t, valence, p)
-    back, p2 = change_chart(backward, pushed, valence, q)
-    assert np.abs(back - t).max() < 1e-8
-    assert np.allclose(p2, p, atol=1e-12)
-
-
-def test_change_chart_singular_jacobian():
-    degenerate = AdaptedTransition(
-        frame_maps=(parse("x", COORDS), parse("x", COORDS), parse("z", COORDS), parse("u", COORDS)),
-        shift=parse("0", COORDS),
-    )
-    with pytest.raises(SingularJacobianError):
-        change_chart(degenerate, np.eye(4), (FRAME_UPPER, FRAME_LOWER), np.zeros(5))
-
-
-def test_change_chart_rejects_coordinate_valence():
-    from acmcheck.chart import COORD
-
-    with pytest.raises(ValueError):
-        change_chart(_identity_transition(), np.zeros(5), (COORD,), np.zeros(5))
-
-
-def test_change_chart_valence_shape_check():
-    with pytest.raises(ValueError, match="valence length"):
-        change_chart(_identity_transition(), np.zeros((4, 4)), (FRAME_LOWER,), np.zeros(5))

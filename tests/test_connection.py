@@ -6,8 +6,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from acmcheck.chart import COORD, FRAME_LOWER, FRAME_UPPER
 from acmcheck.connection import (
+    FRAME_LOWER,
+    FRAME_UPPER,
     canonical_connection,
     coordinate_to_adapted,
     cov_phi,
@@ -342,7 +343,7 @@ def test_internal_cov_deriv_over_a_block_is_the_stack_of_points(structures, samp
     "valence, match",
     [
         ((FRAME_LOWER,), "valence length"),
-        ((COORD, COORD), "admissible"),
+        (("coord", "coord"), "admissible"),
         ((FRAME_LOWER,) * 3, "valence length"),
     ],
     ids=["one-tag", "coordinate", "three-tags"],
