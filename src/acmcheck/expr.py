@@ -21,6 +21,7 @@ differentiated once per block.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 import sys
@@ -188,13 +189,20 @@ class Jet:
         return self * other.reciprocal()
 
     def ipow(self, k: int) -> "Jet":
-        """Integer power by repeated multiplication (exact for polynomials)."""
+        """Integer power by binary exponentiation: the exponent's bits from
+        the top, squaring once per bit and multiplying by ``self`` at each
+        set bit, so |k| costs O(log |k|) products.  Powers up to the cube
+        are the plain products (x * x) * x; k = 0 is the constant 1."""
         if k < 0:
             return self.ipow(-k).reciprocal()
-        order = 0 if self.grad is None else 1 if self.hess is None else 2
-        out = Jet.constant(1.0, 0 if self.grad is None else self.grad.shape[-1], order)
-        for _ in range(k):
-            out = out * self
+        if k == 0:
+            order = 0 if self.grad is None else 1 if self.hess is None else 2
+            return Jet.constant(1.0, 0 if self.grad is None else self.grad.shape[-1], order)
+        out = self
+        for bit in bin(k)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def sin(self) -> "Jet":
@@ -534,17 +542,26 @@ class _Parser:
 
     def _const_int(self, node: Node, offset: int) -> int:
         value = self._const_value(node, offset)
+        if not math.isfinite(value):
+            raise ExprSyntaxError("exponent overflows", offset)
         if value != int(value):
             raise ExprSyntaxError("exponent must be an integer", offset)
         return int(value)
 
     def _const_value(self, node: Node, offset: int) -> float:
+        """The exponent ``node`` folded to a float; a power in it that
+        overflows or divides by zero is an error at ``offset``."""
         if isinstance(node, Const):
             return node.value
         if isinstance(node, Neg):
             return -self._const_value(node.arg, offset)
         if isinstance(node, Pow):
-            return self._const_value(node.base, offset) ** node.exponent
+            try:
+                return self._const_value(node.base, offset) ** node.exponent
+            except OverflowError:
+                raise ExprSyntaxError("exponent overflows", offset) from None
+            except ZeroDivisionError:
+                raise ExprSyntaxError("exponent divides by zero", offset) from None
         raise ExprSyntaxError("exponent must be a constant integer", offset)
 
     def atom(self) -> Node:

@@ -30,9 +30,31 @@ from acmcheck.expr import (
     field_jets,
     parse,
 )
+from acmcheck.manifest import fixture_path
 from acmcheck.structure import AdaptedStructure, contract
 
 COORDS = ("x", "y", "z", "u", "v")
+
+# a manifest whose fields leave no term of the symbolic and chart oracles at
+# zero: gamma depends on the Reeb coordinate, the metric on it and off the
+# diagonal
+TWISTED_MANIFEST = {
+    "dimension": 5,
+    "coordinates": list(COORDS),
+    "gamma": ["y + x*z", "u^2 - v", "sin(v)*x", "exp(z)/2"],
+    "metric_frame": [["1 + x^2", "0.25*y", "0", "0"], ["0.25*y", "2", "0", "0"],
+                     ["0", "0", "1 + v^2", "0"], ["0", "0", "0", "3"]],
+    "phi_frame": [["0", "0", "-1", "0"], ["0", "0", "0", "-1"],
+                  ["1", "0", "0", "0"], ["0", "1", "0", "0"]],
+    "domain": [[-2.0, 2.0]] * 5,
+    "avoid": [],
+}
+
+
+def manifest_data(name: str) -> dict:
+    """The JSON data of a bundled fixture, or of ``TWISTED_MANIFEST`` for
+    'twisted'."""
+    return TWISTED_MANIFEST if name == "twisted" else json.loads(fixture_path(name).read_text())
 
 
 def trace_psi_sq(ev) -> np.ndarray:
@@ -294,9 +316,25 @@ def loop_sample_points(chart: AdaptedChart, count: int, seed: int) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Recursive, unshared jet evaluator: the reference for expr.field_jets, which
-# evaluates each distinct node object of a block once
+# Recursive, unshared jet evaluator with powers by repeated multiplication:
+# the reference for expr.field_jets, which evaluates each distinct node
+# object of a block once, and for Jet.ipow
 # ---------------------------------------------------------------------------
+
+
+def repeated_ipow(jet: Jet, k: int) -> Jet:
+    """Integer power by |k| - 1 repeated multiplications, ((x * x) * x) ...,
+    the constant 1 for k = 0: the reference for :meth:`Jet.ipow`, which
+    squares once per exponent bit and so agrees bit for bit up to the cube."""
+    if k < 0:
+        return repeated_ipow(jet, -k).reciprocal()
+    if k == 0:
+        order = 0 if jet.grad is None else 1 if jet.hess is None else 2
+        return Jet.constant(1.0, 0 if jet.grad is None else jet.grad.shape[-1], order)
+    out = jet
+    for _ in range(k - 1):
+        out = out * jet
+    return out
 
 
 def unshared_eval_node(node: Node, points: np.ndarray, n: int) -> Jet:
@@ -317,7 +355,7 @@ def unshared_eval_node(node: Node, points: np.ndarray, n: int) -> Jet:
     if isinstance(node, Div):
         return unshared_eval_node(node.left, points, n) / unshared_eval_node(node.right, points, n)
     if isinstance(node, Pow):
-        return unshared_eval_node(node.base, points, n).ipow(node.exponent)
+        return repeated_ipow(unshared_eval_node(node.base, points, n), node.exponent)
     if isinstance(node, Call):
         return getattr(unshared_eval_node(node.arg, points, n), node.func)()
     raise TypeError(f"unexpected node {node!r}")
@@ -427,3 +465,103 @@ def reference_tensor_text(payload: dict) -> str:
         lines.append(np.array2string(np.asarray(value.tolist()), precision=10, suppress_small=True)
                      if isinstance(value, np.ndarray) else f"  {value}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Manifest-grammar text to sympy and back, and the pull-back of a manifest
+# through an adapted change of chart: the builders of the symbolic and the
+# chart-invariance oracles
+# ---------------------------------------------------------------------------
+
+
+def sympy_reader(coordinates: list[str] | tuple[str, ...]):
+    """The coordinate symbols, and a reader of manifest-grammar text into a
+    sympy expression over them."""
+    import sympy as sp
+
+    coords = sp.symbols(coordinates)
+    names = {str(c): c for c in coords}
+    names.update(sin=sp.sin, cos=sp.cos, exp=sp.exp, ln=sp.log, sqrt=sp.sqrt)
+
+    def expr(text: str):
+        return sp.parse_expr(text.replace("^", "**"), local_dict=names)
+
+    return coords, expr
+
+
+def pulled_back_manifest(data: dict, frame_maps: tuple[str, ...], shift: str) -> tuple[dict, object]:
+    """The manifest ``data`` in the chart x' of the adapted transition
+    x^a = F^a(x'), x^n = x'^n + s(x'), with the maps F^a (``frame_maps``)
+    and s (``shift``) written in the manifest grammar over the primed
+    coordinates, which keep the manifest's names; none may involve the Reeb
+    coordinate.
+
+    With A = dF/dx' the horizontal frames satisfy e'_a' = A^a_a' e_a and the
+    Reeb field stays, so the pulled-back fields are gamma' = ds + (gamma o
+    Phi) A, g' = A^T (g o Phi) A, phi' = A^-1 (phi o Phi) A and avoid' =
+    avoid o Phi, printed in the manifest grammar (``^``, ``ln``).  The domain
+    box is kept.  Also returns ``transition(p')``, the image point Phi(p')
+    and A at one primed point, as floats."""
+    import sympy as sp
+
+    coords, expr = sympy_reader(data["coordinates"])
+    m, reeb = len(coords) - 1, coords[-1]
+    F, s = [expr(t) for t in frame_maps], expr(shift)
+    if len(F) != m or any(reeb in f.free_symbols for f in (*F, s)):
+        raise ValueError(f"expected {m} frame maps and a shift free of {reeb}")
+    image = {**dict(zip(coords, F)), reeb: reeb + s}
+
+    def pulled(text: str):
+        return expr(text).xreplace(image)
+
+    A = sp.Matrix(m, m, lambda a, b: sp.diff(F[a], coords[b]))
+    gamma = sp.Matrix([[sp.diff(s, c) for c in coords[:m]]]) + sp.Matrix([[pulled(t) for t in data["gamma"]]]) * A
+    g = A.T * sp.Matrix(m, m, lambda a, b: pulled(data["metric_frame"][a][b])) * A
+    phi = A.inv() * sp.Matrix(m, m, lambda a, b: pulled(data["phi_frame"][a][b])) * A
+
+    printer = grammar_printer()
+
+    def rows(matrix) -> list[list[str]]:
+        return [[printer.doprint(matrix[a, b]) for b in range(m)] for a in range(m)]
+
+    out = dict(
+        data,
+        gamma=[printer.doprint(f) for f in gamma],
+        metric_frame=rows(g),
+        phi_frame=rows(phi),
+        avoid=[printer.doprint(pulled(t)) for t in data.get("avoid", [])],
+    )
+    numeric = sp.lambdify([coords], ([*F, reeb + s], A.tolist()), "math")
+
+    def transition(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        point, jacobian = numeric(list(map(float, p)))
+        return np.array(point, dtype=float), np.array(jacobian, dtype=float)
+
+    return out, transition
+
+
+def grammar_printer():
+    """sympy's expression text in the manifest grammar: ``^`` with an integer
+    exponent, ``ln``, ``sqrt`` for half-integer powers, and every float
+    printed as its shortest round-trip decimal."""
+    from sympy.printing.precedence import PRECEDENCE
+    from sympy.printing.str import StrPrinter
+
+    class GrammarPrinter(StrPrinter):
+        def _print_Float(self, expr):
+            return repr(float(expr))
+
+        def _print_log(self, expr):
+            return f"ln({self._print(expr.args[0])})"
+
+        def _print_Pow(self, expr, rational=False):
+            base, k = expr.as_base_exp()
+            if k.is_Rational and k.q == 2:
+                text, k = f"sqrt({self._print(base)})", int(k.p)
+            elif k.is_Integer:
+                text, k = self.parenthesize(base, PRECEDENCE["Pow"], strict=True), int(k)
+            else:
+                raise ValueError(f"no manifest grammar for the power {expr}")
+            return text if k == 1 else f"{text}^{k}" if k > 0 else f"{text}^({k})"
+
+    return GrammarPrinter()

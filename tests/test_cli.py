@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -340,11 +341,13 @@ def test_cli_check_exp_overflow_is_input_error(tmp_path, capsys):
 
 def test_cli_check_singular_oracle_metric_is_input_error(tmp_path, capsys):
     # with |gamma| ~ e^120 the coordinate metric g + eta (x) eta is singular
-    # in floating point: an input error naming the first singular sample
+    # in floating point: an input error naming the first singular sample.
+    # Which samples are exactly singular follows the rounding of exp(x)^60,
+    # six jet products by squaring (samples 0 and 6 of the first 8)
     code = main(["check", _example1_variant(tmp_path, "y*exp(x)^60"), "--json"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "coordinate metric g + eta (x) eta singular at sample 3, point" in err
+    assert "coordinate metric g + eta (x) eta singular at sample 0, point" in err
 
 
 def test_cli_check_ill_conditioned_oracle_metric_is_input_error(tmp_path, capsys):
@@ -558,6 +561,28 @@ def test_cli_deep_expression_exit_two(text, message, command, tmp_path, capsys):
     path.write_text(json.dumps(dict(BASE, gamma=[text, "0", "0", "0"])))
     assert main([command[0], str(path), *command[1:]]) == 2
     assert capsys.readouterr().err == f"error: gamma[0]: {message}\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("y^2^2^2^2^2", "exponent overflows (offset 2)"),
+    ("y^0^-1", "exponent divides by zero (offset 2)"),
+], ids=["power_tower", "zero_to_negative"])
+@pytest.mark.parametrize("command", [["check"], *POINT_COMMANDS], ids=["check", "tensor", "rank"])
+def test_cli_unfoldable_exponent_exit_two(text, message, command, tmp_path, capsys):
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(dict(BASE, gamma=[text, "0", "0", "0"])))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    assert capsys.readouterr().err == f"error: gamma[0]: {message}\n"
+
+
+def test_cli_millionth_power_is_fast(tmp_path, capsys):
+    # a million as the exponent costs 25 jet products, not a million
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(dict(BASE, gamma=["y^1000000", "0", "0", "0"])))
+    start = time.perf_counter()
+    assert main(["tensor", str(path), "--name", "omega", "--at", "0.1,0.5,0,0,0", "--json"]) == 0
+    assert time.perf_counter() - start < 0.1
+    assert json.loads(capsys.readouterr().out) == {"omega": [[0.0] * 4] * 4}
 
 
 @pytest.mark.parametrize("command", [["check"], *POINT_COMMANDS], ids=["check", "tensor", "rank"])

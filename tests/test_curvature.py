@@ -218,6 +218,22 @@ def test_ricci_k_reeb_row_zero_when_psi_parallel(structures, sample_sets):
             assert np.abs(ricci_k(StructureEval(structures[name], p))[4, :4]).max() < 1e-15
 
 
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ricci_k's Reeb row -nabla_d psi^d_a is half the trace of its own "
+    "curvature_K(ev).mixed = 2 nabla psi: at (0.3, 0.7, 0.1, -0.2, 0.4) "
+    "k_n2 reads 0.14 against 0.28 on example2, and k_n1 2.212 against 4.424 on "
+    "example3-qs; mending it moves the ricci-k digests of the benchmark reference",
+)
+def test_ricci_k_reeb_row_is_trace_of_curvature_K(structures):
+    p = np.array([0.3, 0.7, 0.1, -0.2, 0.4])
+    for name in ("example2", "example3-qs"):
+        ev = StructureEval(structures[name], p)
+        trace = -np.einsum("...dda->...a", curvature_K(ev).mixed)
+        assert np.abs(trace).max() > 0.1  # psi is not parallel here
+        assert np.allclose(ricci_k(ev)[..., -1, : ev.m], trace, rtol=1e-12, atol=1e-12), name
+
 # ---------------------------------------------------------------------------
 # Einstein criterion
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from _helpers import (
     field_jet,
     random_poly_text,
     reference_tokenize,
+    repeated_ipow,
     unshared_field_jets,
 )
 from conftest import FIXTURES
@@ -245,6 +246,60 @@ def test_evaluate_deterministic_bitwise():
     assert a.value == b.value
     assert np.array_equal(a.grad, b.grad)
     assert np.array_equal(a.hess, b.hess)
+
+
+# bases of the power tests: a coordinate, a negated product (its derivatives
+# carry signed zeros) and two transcendental fields, away from zero
+_POW_BASES = ("x", "-(x*y)", "exp(x - v)", "sqrt(2 + sin(z))*(1.5 + u)")
+
+
+def _pow_base_jets(order: int) -> list[expr.Jet]:
+    points = np.random.default_rng(17).uniform(0.1, 1.0, (16, 5))
+    return [expr.Jet(*field_jets(np.array(parse(text, COORDS), dtype=object), points, order),
+                     *(None,) * (2 - order)) for text in _POW_BASES]
+
+
+def _jet_parts(jet: expr.Jet) -> list[np.ndarray]:
+    return [np.broadcast_to(part, np.shape(jet.value) + (5,) * k)
+            for k, part in enumerate((jet.value, jet.grad, jet.hess)) if part is not None]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_ipow_equals_repeated_multiplication_bitwise_up_to_the_cube(order):
+    for base in _pow_base_jets(order):
+        for k in range(-3, 4):
+            got, want = _jet_parts(base.ipow(k)), _jet_parts(repeated_ipow(base, k))
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want], k
+
+
+def test_ipow_matches_repeated_multiplication_to_rounding():
+    # squaring and the product chain round differently from k = 4 on; the
+    # Hessian's two terms may cancel, so the comparison is normwise per part
+    for base in _pow_base_jets(2):
+        for k in (*range(4, 65), -4, -63, -64):
+            for a, b in zip(_jet_parts(base.ipow(k)), _jet_parts(repeated_ipow(base, k)), strict=True):
+                axes = tuple(range(1, b.ndim))
+                assert np.all(np.abs(a - b).max(axis=axes, initial=0.0)
+                              <= 1e-12 * np.abs(b).max(axis=axes, initial=0.0)), k
+
+
+def test_ipow_takes_logarithmically_many_products(monkeypatch):
+    products = []
+    mul = expr.Jet.__mul__
+    monkeypatch.setattr(expr.Jet, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    field_jet(parse("y^1000000", COORDS), np.full(5, 0.5))
+    assert len(products) == 19 + 6  # a squaring per bit after the top one, 6 of them set
+
+
+@pytest.mark.parametrize("text", ["y^2^2^2^2^2", "y^(2^1024)", "y^1e400", "y^-(2^1024)"])
+def test_overflowing_exponent_is_syntax_error(text):
+    with pytest.raises(ExprSyntaxError, match=r"exponent overflows \(offset 2\)"):
+        parse(text, COORDS)
+
+
+def test_exponent_dividing_by_zero_is_syntax_error():
+    with pytest.raises(ExprSyntaxError, match=r"exponent divides by zero \(offset 2\)"):
+        parse("y^0^-1", COORDS)
 
 
 def test_polynomial_jets_match_fd():

@@ -11,16 +11,15 @@ internal connection on the frame e_a = d_a - gamma_a d_n.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
 from acmcheck.connection import lc_coordinate
 from acmcheck.curvature import ricci_wagner
-from acmcheck.manifest import fixture_path, manifest_from_dict
+from acmcheck.manifest import manifest_from_dict
 from acmcheck.structure import StructureEval
 
+from _helpers import manifest_data, sympy_reader
 from conftest import FIXTURES
 
 sp = pytest.importorskip("sympy")
@@ -35,34 +34,12 @@ POINTS = (
     ("-1/2", "3/4", "1/8", "-5/8", "7/16"),
 )
 
-# a manifest whose fields leave none of the oracle's terms at zero
-TWISTED = {
-    "dimension": 5,
-    "coordinates": ["x", "y", "z", "u", "v"],
-    "gamma": ["y + x*z", "u^2 - v", "sin(v)*x", "exp(z)/2"],
-    "metric_frame": [["1 + x^2", "0.25*y", "0", "0"], ["0.25*y", "2", "0", "0"],
-                     ["0", "0", "1 + v^2", "0"], ["0", "0", "0", "3"]],
-    "phi_frame": [["0", "0", "-1", "0"], ["0", "0", "0", "-1"],
-                  ["1", "0", "0", "0"], ["0", "1", "0", "0"]],
-    "domain": [[-2.0, 2.0]] * 5,
-    "avoid": [],
-}
-
-
-def _manifest_data(name: str) -> dict:
-    return TWISTED if name == "twisted" else json.loads(fixture_path(name).read_text())
 
 
 def _symbolic(data: dict, point: tuple[str, ...]) -> dict[str, np.ndarray]:
     """omega, d_eta_xi, the coordinate Christoffels coeff[i, j, k] =
     Gamma^k_ij and the Ricci-Wagner tensor at ``point``, exactly."""
-    coords = sp.symbols(data["coordinates"])
-    names = {str(c): c for c in coords}
-    names.update(sin=sp.sin, cos=sp.cos, exp=sp.exp, ln=sp.log, sqrt=sp.sqrt)
-
-    def expr(text: str):
-        return sp.parse_expr(text.replace("^", "**"), local_dict=names)
-
+    coords, expr = sympy_reader(data["coordinates"])
     n = len(coords)
     m = n - 1
     at = {c: sp.Rational(q) for c, q in zip(coords, point)}
@@ -121,7 +98,7 @@ def _symbolic(data: dict, point: tuple[str, ...]) -> dict[str, np.ndarray]:
 @pytest.mark.parametrize("point", POINTS, ids=["p0", "p1"])
 @pytest.mark.parametrize("name", FIXTURES + ("twisted",))
 def test_evaluation_matches_symbolic_derivation(name, point):
-    data = _manifest_data(name)
+    data = manifest_data(name)
     exact = _symbolic(data, point)
     p = np.array([float(sp.Rational(q)) for q in point])
     ev = StructureEval(manifest_from_dict(data).structure(), p)
