@@ -4,12 +4,8 @@ structures given in adapted coordinates."""
 __version__ = "0.1.0"
 
 from .expr import Jet, ScalarField, parse  # noqa: F401
-from .chart import AdaptedChart, rank_at  # noqa: F401
-from .structure import (  # noqa: F401
-    AdaptedStructure,
-    StructureEval,
-    validate_axioms,
-)
+from .chart import rank_at, sample_points  # noqa: F401
+from .structure import StructureEval, validate_axioms  # noqa: F401
 from .connection import (  # noqa: F401
     ConnectionCoeffs,
     canonical_connection,

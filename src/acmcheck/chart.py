@@ -1,4 +1,6 @@
-"""Adapted charts: frame derivatives, the nonholonomy form and rank.
+"""The adapted chart of a validated :class:`~acmcheck.manifest.Manifest`
+(its coordinates, gamma fields, domain box and 'avoid' fields): point
+sampling, frame derivatives, the nonholonomy form and rank.
 
 Conventions (fixed project-wide):
   * coordinates are 0-based; the last coordinate is the Reeb direction,
@@ -15,11 +17,11 @@ omega_{ab} = d(eta)(e_a, e_b) = (e_a gamma_b - e_b gamma_a) / 2.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import ExprDomainError, ScalarField, describe_first, field_jets
+from .expr import ExprDomainError, describe_first, field_jets
+from .manifest import Manifest
 
 AVOID_EPS = 1e-6  # sample points must keep every 'avoid' field at least this far from zero
 MAX_REDRAWS = 1000
@@ -34,87 +36,54 @@ class ChartError(Exception):
 RANK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class AdaptedChart:
-    """An adapted chart: n odd coordinates, the last one dual to eta.
+def sample_points(manifest: Manifest, count: int, seed: int) -> np.ndarray:
+    """``count`` points of the manifest's domain box that keep every 'avoid'
+    field at least :data:`AVOID_EPS` from zero (e.g. "y" where the fields
+    are singular on y = 0).  Point i depends only on (seed, i), never on how
+    many other points are drawn or in which order.
 
-    ``gamma`` holds the n-1 connection coefficients gamma_a of the
-    horizontal frame; ``domain`` is the sampling box; ``avoid`` lists fields
-    that must stay nonzero at sample points (e.g. "y" for charts defined on
-    y != 0).
-    """
-
-    coords: tuple[str, ...]
-    gamma: tuple[ScalarField, ...]
-    domain: tuple[tuple[float, float], ...]
-    avoid: tuple[ScalarField, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        n = len(self.coords)
-        if n < 3 or n % 2 == 0:
-            raise ChartError(f"dimension must be odd and >= 3, got {n}")
-        if len(self.gamma) != n - 1:
-            raise ChartError(f"expected {n - 1} gamma entries, got {len(self.gamma)}")
-        if len(self.domain) != n:
-            raise ChartError(f"expected {n} domain intervals, got {len(self.domain)}")
-        for lo, hi in self.domain:
-            if not lo < hi:
-                raise ChartError(f"empty domain interval [{lo}, {hi}]")
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    @property
-    def m(self) -> int:
-        """Dimension of the horizontal distribution."""
-        return self.n - 1
-
-    def sample_points(self, count: int, seed: int) -> np.ndarray:
-        """Deterministic samples: point i depends only on (seed, i), never on
-        how many other points are drawn or in which order.
-
-        Index i draws its coordinates from NumPy's
-        ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``, whose
-        ``random()`` stream is reproduced here bit for bit (see
-        :func:`_pcg64_streams`), so plain NumPy regenerates every point.  An
-        index keeps drawing from its stream until its candidate keeps every
-        'avoid' field clear of zero; the fields are evaluated once per round
-        over the block of pending candidates, each one only where the fields
-        before it were clear.  A domain error in an avoid field names the
-        sample index of the candidate it prints."""
-        count = operator.index(count)
-        if not 0 <= count < 2**32:
-            raise ValueError(f"sample count must lie in [0, 2**32), got {count}")
-        lo = np.array([iv[0] for iv in self.domain])
-        hi = np.array([iv[1] for iv in self.domain])
-        state, inc = _pcg64_streams(seed, np.arange(count))
-        jumps = _pcg64_jumps(self.n)
-        points = np.empty((count, self.n))
-        pending = np.arange(count)
-        for _ in range(MAX_REDRAWS):
-            if not pending.size:
+    Index i draws its coordinates from NumPy's
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``, whose
+    ``random()`` stream is reproduced here bit for bit (see
+    :func:`_pcg64_streams`), so plain NumPy regenerates every point.  An
+    index keeps drawing from its stream until its candidate keeps every
+    'avoid' field clear of zero; the fields are evaluated once per round
+    over the block of pending candidates, each one only where the fields
+    before it were clear.  A domain error in an avoid field names the
+    sample index of the candidate it prints."""
+    count = operator.index(count)
+    if not 0 <= count < 2**32:
+        raise ValueError(f"sample count must lie in [0, 2**32), got {count}")
+    n = manifest.dimension
+    lo = np.array([iv[0] for iv in manifest.domain])
+    hi = np.array([iv[1] for iv in manifest.domain])
+    state, inc = _pcg64_streams(seed, np.arange(count))
+    jumps = _pcg64_jumps(n)
+    points = np.empty((count, n))
+    pending = np.arange(count)
+    for _ in range(MAX_REDRAWS):
+        if not pending.size:
+            break
+        steps = _pcg64_advance(state[:, pending, None], inc[:, pending, None], jumps)
+        state[:, pending] = steps[..., -1]
+        points[pending] = lo + (hi - lo) * _pcg64_double(steps)
+        clear = np.ones(pending.size, dtype=bool)
+        for f in manifest.avoid:
+            rows = pending[clear]
+            if not rows.size:
                 break
-            steps = _pcg64_advance(state[:, pending, None], inc[:, pending, None], jumps)
-            state[:, pending] = steps[..., -1]
-            points[pending] = lo + (hi - lo) * _pcg64_double(steps)
-            clear = np.ones(pending.size, dtype=bool)
-            for f in self.avoid:
-                rows = pending[clear]
-                if not rows.size:
-                    break
-                try:
-                    clear[clear] = np.abs(f.value(points[rows])) >= AVOID_EPS
-                except ExprDomainError as err:
-                    where = np.zeros(count, dtype=bool)
-                    where[rows] = err.where
-                    raise ExprDomainError(
-                        f"{err.reason} at {describe_first(points, where)}", where, err.reason
-                    ) from None
-            pending = pending[~clear]
-        if pending.size:
-            raise ChartError(f"could not sample point {pending[0]} clear of 'avoid' loci")
-        return points
+            try:
+                clear[clear] = np.abs(f.value(points[rows])) >= AVOID_EPS
+            except ExprDomainError as err:
+                where = np.zeros(count, dtype=bool)
+                where[rows] = err.where
+                raise ExprDomainError(
+                    f"{err.reason} at {describe_first(points, where)}", where, err.reason
+                ) from None
+        pending = pending[~clear]
+    if pending.size:
+        raise ChartError(f"could not sample point {pending[0]} clear of 'avoid' loci")
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +219,10 @@ def _pcg64_double(state: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def gamma_jets(chart: AdaptedChart, p: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
+def gamma_jets(manifest: Manifest, p: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
     """Value, gradient and (for ``order`` 2) Hessian arrays of the gamma
     fields at a point or over a block of points."""
-    return field_jets(np.array(chart.gamma, dtype=object), p, order)
+    return field_jets(np.array(manifest.gamma, dtype=object), p, order)
 
 
 def adapted_frame(gam0: np.ndarray, gam1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +261,7 @@ def rank_of(omega: np.ndarray, vertical: np.ndarray) -> np.ndarray:
     return np.where(finite, rank, -1)
 
 
-def rank_at(chart: AdaptedChart, p: np.ndarray) -> np.ndarray:
+def rank_at(manifest: Manifest, p: np.ndarray) -> np.ndarray:
     """Pointwise rank of the structure at p (see :func:`rank_of`)."""
-    return rank_of(*nonholonomy(*gamma_jets(chart, p, order=1)))
+    return rank_of(*nonholonomy(*gamma_jets(manifest, p, order=1)))
 

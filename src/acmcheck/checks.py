@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .chart import rank_of
+from .chart import rank_of, sample_points
 from .classify import (
     aqs_characterization_residual,
     canonical_nabla_phi_residual,
@@ -211,8 +211,7 @@ def sampled_evaluation(
         manifest.seed if seed is None else seed,
         manifest.tolerance if tol is None else tol,
     )
-    s = manifest.structure()
-    ev = StructureEval(s, s.chart.sample_points(run["samples"], run["seed"]))
+    ev = StructureEval(manifest, sample_points(manifest, run["samples"], run["seed"]))
     metric_definiteness(ev)
     return ev, run
 

@@ -20,7 +20,7 @@ from .connection import canonical_connection, lc_adapted, torsion
 from .curvature import curvature_K, einstein_reports, ricci_k, ricci_wagner, schouten
 from .expr import ExprError, describe_first
 from .manifest import Manifest, ManifestError, load_manifest
-from .structure import StructureError, StructureEval
+from .structure import SingularMetricError, StructureEval
 
 TENSOR_NAMES = (
     "omega", "psi", "C", "lc-adapted", "n-connection", "torsion",
@@ -43,14 +43,14 @@ def _parse_point(text: str, manifest: Manifest) -> np.ndarray:
     p = np.array(values)
     # the 'avoid' loci only constrain sampling; explicit points need only
     # lie in the domain box (evaluation raises its own domain errors)
-    for x, (lo, hi) in zip(p, manifest.chart().domain):
+    for x, (lo, hi) in zip(p, manifest.domain):
         if not lo <= x <= hi:
             raise InputError(f"point outside domain: {x} not in [{lo}, {hi}]")
     return p
 
 
 def _tensor_payload(name: str, manifest: Manifest, p: np.ndarray) -> dict:
-    ev = StructureEval(manifest.structure(), p)
+    ev = StructureEval(manifest, p)
     if name in ("omega", "psi", "C"):
         return {name: getattr(ev, f"{name}0")}
     if name == "lc-adapted":
@@ -211,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "rank":
             p = _parse_point(args.at, manifest)
-            rank = rank_at(manifest.chart(), p)
+            rank = rank_at(manifest, p)
             if rank < 0:
                 raise InputError(f"rank undefined at {describe_first(p, True)}: "
                                  "omega or d(eta)(xi, .) is not finite")
@@ -220,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
 
         raise AssertionError("unreachable")
 
-    except (ManifestError, ChartError, ExprError, StructureError, InputError) as err:
+    except (ManifestError, ChartError, ExprError, SingularMetricError, InputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except InternalConsistencyError as err:

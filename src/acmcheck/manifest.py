@@ -1,4 +1,5 @@
-"""Manifest ingestion: JSON schema validation and structure assembly.
+"""Manifest ingestion: JSON schema validation into a :class:`Manifest`, the
+one input type of the evaluation, the sampler and the rank.
 
 Schema (all expression values are strings in the scalar DSL):
   dimension     odd int >= 3
@@ -20,13 +21,13 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from .chart import AdaptedChart
 from .expr import ExprError, InternTable, ScalarField
-from .structure import AdaptedStructure
 
 OMEGA_SOURCES = ("d_eta", "fundamental_form")
 
@@ -49,7 +50,10 @@ class ManifestError(Exception):
 @dataclass(frozen=True)
 class Manifest:
     """A validated manifest, built by :func:`manifest_from_dict`, which
-    names every run-parameter default."""
+    checks every field of the schema above and names every run-parameter
+    default.  ``metric_frame`` and ``phi_frame`` are (n-1, n-1) object
+    arrays of fields, ``phi_frame[b, a] = phi^b_a``; ``avoid`` lists fields
+    that sampled points keep nonzero (see :func:`acmcheck.chart.sample_points`)."""
 
     dimension: int
     coordinates: tuple[str, ...]
@@ -65,15 +69,13 @@ class Manifest:
     omega_source: str
     source: str = field(compare=False)
 
-    def chart(self) -> AdaptedChart:
-        return AdaptedChart(
-            coords=self.coordinates, gamma=self.gamma, domain=self.domain, avoid=self.avoid
-        )
+    def chart(self) -> SimpleNamespace:
+        """Kept for ``perfbench/make_reference.py``, which draws its point
+        pools through ``chart().sample_points(count, seed)``; other callers
+        use :func:`acmcheck.chart.sample_points`."""
+        from .chart import sample_points
 
-    def structure(self) -> AdaptedStructure:
-        return AdaptedStructure(
-            chart=self.chart(), g=self.metric_frame, phi=self.phi_frame, pseudo=self.pseudo
-        )
+        return SimpleNamespace(sample_points=partial(sample_points, self))
 
 
 def _finite(x: object) -> float | None:

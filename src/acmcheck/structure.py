@@ -1,9 +1,10 @@
-"""Assembled structures and their derived tensors.
+"""Evaluation of a manifest's structure and its derived tensors.
 
-An :class:`AdaptedStructure` carries the frame metric g_ab and the
-endomorphism phi^b_a on the horizontal distribution; the Reeb field is unit,
-orthogonal to the distribution, and phi(xi) = 0 by representation.  All
-inputs are given in adapted-frame components.
+A :class:`StructureEval` reads the gamma fields, the frame metric g_ab and
+the endomorphism phi^b_a of the horizontal distribution from a validated
+:class:`~acmcheck.manifest.Manifest`; the Reeb field is unit, orthogonal to
+the distribution, and phi(xi) = 0 by representation.  All inputs are given
+in adapted-frame components.
 
 Array layouts (fixed project-wide):
   * g0[a, b]      = g(e_a, e_b)
@@ -21,49 +22,28 @@ Array layouts (fixed project-wide):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from itertools import combinations
 from math import prod
 
 import numpy as np
 
-from .chart import AdaptedChart, adapted_frame, gamma_jets, nonholonomy
+from .chart import adapted_frame, gamma_jets, nonholonomy
 from .expr import describe_first, field_jets
+from .manifest import Manifest
 
 # the frame metric's smallest eigenvalue (absolute value if pseudo) must
 # stay above this at every evaluated point
 METRIC_FLOOR = 1e-9
 
 
-class StructureError(Exception):
+class SingularMetricError(Exception):
     pass
-
-
-class SingularMetricError(StructureError):
-    pass
-
-
-@dataclass(frozen=True)
-class AdaptedStructure:
-    """Almost contact metric data in adapted-frame components."""
-
-    chart: AdaptedChart
-    g: np.ndarray  # (m, m) object array of ScalarField
-    phi: np.ndarray  # (m, m) object array of ScalarField, phi[b, a] = phi^b_a
-    pseudo: bool = False
-
-    def __post_init__(self):
-        m = self.chart.m
-        if self.g.shape != (m, m):
-            raise StructureError(f"metric must be {m}x{m}, got {self.g.shape}")
-        if self.phi.shape != (m, m):
-            raise StructureError(f"phi must be {m}x{m}, got {self.phi.shape}")
 
 
 class StructureEval:
-    """Cached evaluation of a structure and its derived tensors at a point
-    or over a block of points.
+    """Cached evaluation of a manifest's structure and its derived tensors at
+    a point or over a block of points.
 
     ``points`` has shape (..., n): a single point (n,) or S sampled points
     (S, n).  Every cached array is the batch shape ``points.shape[:-1]``
@@ -78,12 +58,11 @@ class StructureEval:
     each input jet and derived tensor is then computed once.
     """
 
-    def __init__(self, structure: AdaptedStructure, points: np.ndarray):
-        self.structure = structure
-        self.chart = structure.chart
+    def __init__(self, manifest: Manifest, points: np.ndarray):
+        self.manifest = manifest
         self.p = np.asarray(points, dtype=float)
-        self.n = self.chart.n
-        self.m = self.chart.m
+        self.n = manifest.dimension
+        self.m = self.n - 1
         if self.p.ndim == 0 or self.p.shape[-1] != self.n:
             raise ValueError(f"point has shape {self.p.shape}, expected (..., {self.n})")
         self.batch = self.p.shape[:-1]
@@ -122,7 +101,7 @@ class StructureEval:
 
     @cached_property
     def _gamma(self):
-        return gamma_jets(self.chart, self.p)
+        return gamma_jets(self.manifest, self.p)
 
     @property
     def gam0(self) -> np.ndarray:
@@ -138,7 +117,7 @@ class StructureEval:
 
     @cached_property
     def _g(self):
-        return field_jets(self.structure.g, self.p)
+        return field_jets(self.manifest.metric_frame, self.p)
 
     @property
     def g0(self) -> np.ndarray:
@@ -154,7 +133,7 @@ class StructureEval:
 
     @cached_property
     def _phi(self):
-        return field_jets(self.structure.phi, self.p, order=1)
+        return field_jets(self.manifest.phi_frame, self.p, order=1)
 
     @property
     def phi0(self) -> np.ndarray:
@@ -492,7 +471,7 @@ def metric_definiteness(ev: StructureEval) -> np.ndarray:
     Raises :class:`SingularMetricError`, naming the first offending point,
     when it is at most :data:`METRIC_FLOOR` anywhere.
     """
-    pseudo = ev.structure.pseudo
+    pseudo = ev.manifest.pseudo
     eigs = np.linalg.eigvalsh(0.5 * (ev.g0 + mat_t(ev.g0)))
     smallest = (np.abs(eigs) if pseudo else eigs).min(axis=-1)
     low = smallest <= METRIC_FLOOR

@@ -3,12 +3,13 @@ differentiation paths wherever they serve as oracles)."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 
 from acmcheck import classification_report, einstein_reports, sampled_evaluation
-from acmcheck.chart import AVOID_EPS, MAX_REDRAWS, AdaptedChart, ChartError, adapted_frame, gamma_jets
+from acmcheck.chart import AVOID_EPS, MAX_REDRAWS, ChartError, adapted_frame, gamma_jets
 from acmcheck.connection import basis_brackets_frame, to_frame_components
 from acmcheck.expr import (
     Add,
@@ -30,8 +31,8 @@ from acmcheck.expr import (
     field_jets,
     parse,
 )
-from acmcheck.manifest import fixture_path
-from acmcheck.structure import AdaptedStructure, contract
+from acmcheck.manifest import Manifest, fixture_path
+from acmcheck.structure import contract
 
 COORDS = ("x", "y", "z", "u", "v")
 
@@ -76,13 +77,13 @@ def einstein_run(manifest, **overrides):
     return einstein_reports(ev, run["tolerance"])
 
 
-def frame_bracket(chart: AdaptedChart, a: int, b: int, p: np.ndarray) -> np.ndarray:
+def frame_bracket(manifest: Manifest, a: int, b: int, p: np.ndarray) -> np.ndarray:
     """Coordinate components of [e_a, e_b], computed from jets of gamma.
 
     [V, W]^i = V^j d_j W^i - W^j d_j V^i with V = e_a, W = e_b.  Serves as
     the independent oracle for :func:`nonholonomy`.
     """
-    E0, E1 = adapted_frame(*gamma_jets(chart, p, order=1))
+    E0, E1 = adapted_frame(*gamma_jets(manifest, p, order=1))
     return (E1[..., b, :, :] @ E0[..., a, :, None] - E1[..., a, :, :] @ E0[..., b, :, None])[..., 0]
 
 
@@ -140,11 +141,11 @@ def random_poly_text(rng: np.random.Generator, max_degree: int = 4) -> str:
     return " + ".join(terms)
 
 
-def perturbed_flat(base: AdaptedStructure, rng: np.random.Generator) -> AdaptedStructure:
+def perturbed_flat(base: Manifest, rng: np.random.Generator) -> Manifest:
     """Random low-degree polynomial perturbations of phi and g; the
     projection/split identities are representation-level, so they must
     survive these."""
-    coords = base.chart.coords
+    coords = base.coordinates
     monomials = ["x", "y", "z", "u", "v", "x*y", "y*z", "x^2", "v*u", "z^2"]
 
     def bump(f: ScalarField) -> ScalarField:
@@ -152,14 +153,15 @@ def perturbed_flat(base: AdaptedStructure, rng: np.random.Generator) -> AdaptedS
         eps = float(rng.uniform(-0.02, 0.02))
         return ScalarField(Add(f.ast, Mul(Const(eps), term.ast)), coords)
 
-    phi = np.empty_like(base.phi)
+    phi = np.empty_like(base.phi_frame)
     for idx in np.ndindex(phi.shape):
-        phi[idx] = bump(base.phi[idx])
-    g = base.g.copy()
-    for a in range(base.chart.m):
-        for b in range(a, base.chart.m):
-            g[a, b] = g[b, a] = bump(base.g[a, b])
-    return AdaptedStructure(chart=base.chart, g=g, phi=phi)
+        phi[idx] = bump(base.phi_frame[idx])
+    g = base.metric_frame.copy()
+    m = base.dimension - 1
+    for a in range(m):
+        for b in range(a, m):
+            g[a, b] = g[b, a] = bump(base.metric_frame[a, b])
+    return dataclasses.replace(base, metric_frame=g, phi_frame=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +296,21 @@ def curvature_canonical_direct(ev) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Per-index loop form of the point sampler: the reference for
-# AdaptedChart.sample_points, which evaluates the avoid fields per block
+# chart.sample_points, which evaluates the avoid fields per block
 # ---------------------------------------------------------------------------
 
 
-def loop_sample_points(chart: AdaptedChart, count: int, seed: int) -> np.ndarray:
+def loop_sample_points(manifest: Manifest, count: int, seed: int) -> np.ndarray:
     """One generator per index, one candidate and one avoid test at a time."""
-    lo = np.array([iv[0] for iv in chart.domain])
-    hi = np.array([iv[1] for iv in chart.domain])
-    points = np.empty((count, chart.n))
+    n = manifest.dimension
+    lo = np.array([iv[0] for iv in manifest.domain])
+    hi = np.array([iv[1] for iv in manifest.domain])
+    points = np.empty((count, n))
     for i in range(count):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         for _ in range(MAX_REDRAWS):
-            p = lo + (hi - lo) * rng.random(chart.n)
-            if all(abs(f.value(p)) >= AVOID_EPS for f in chart.avoid):
+            p = lo + (hi - lo) * rng.random(n)
+            if all(abs(f.value(p)) >= AVOID_EPS for f in manifest.avoid):
                 points[i] = p
                 break
         else:

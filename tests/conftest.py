@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from acmcheck.chart import sample_points
 from acmcheck.manifest import load_fixture
 
 FIXTURES = ("flat", "example1", "example2", "example3-qs", "example3-aqs")
@@ -29,29 +32,20 @@ def manifests():
 
 
 @pytest.fixture(scope="session")
-def structures(manifests):
-    return {name: mf.structure() for name, mf in manifests.items()}
+def sample_sets(manifests):
+    return {name: sample_points(m, m.samples, m.seed) for name, m in manifests.items()}
 
 
 @pytest.fixture(scope="session")
-def sample_sets(manifests, structures):
-    return {
-        name: structures[name].chart.sample_points(manifests[name].samples, manifests[name].seed)
-        for name in FIXTURES
-    }
-
-
-@pytest.fixture(scope="session")
-def twisted(structures):
-    """A structure whose metric depends on the Reeb coordinate and carries an
+def twisted(manifests):
+    """A manifest whose metric depends on the Reeb coordinate and carries an
     off-diagonal entry: activates the C blocks and Reeb-derivative paths that
     the bundled fixtures leave at zero."""
     from acmcheck.expr import parse
-    from acmcheck.structure import AdaptedStructure
 
-    base = structures["example1"]
-    coords = base.chart.coords
-    g = base.g.copy()
+    base = manifests["example1"]
+    coords = base.coordinates
+    g = base.metric_frame.copy()
     g[0, 0] = parse("1 + 0.3*sin(v)", coords)
     g[0, 1] = g[1, 0] = parse("0.2*x", coords)
-    return AdaptedStructure(chart=base.chart, g=g, phi=base.phi)
+    return dataclasses.replace(base, metric_frame=g)

@@ -25,7 +25,7 @@ from _helpers import (
     trace_psi_sq,
 )
 
-from acmcheck.chart import rank_at
+from acmcheck.chart import rank_at, sample_points
 from acmcheck.classify import reeb_split_identity_residual, projection_identity_residual, canonical_nabla_phi_residual, aqs_characterization_residual
 from acmcheck.connection import (
     coordinate_to_adapted,
@@ -55,10 +55,10 @@ def _record(log, label: str, ok: bool, detail: str):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_1_lc_oracle(structures, sample_sets, acceptance_log):
+def test_criterion_1_lc_oracle(manifests, sample_sets, acceptance_log):
     worst = 0.0
     for name in ALL:
-        s = structures[name]
+        s = manifests[name]
         for p in sample_sets[name]:
             ev = StructureEval(s, p)
             adapted = lc_adapted(ev).full
@@ -73,12 +73,12 @@ def test_criterion_1_lc_oracle(structures, sample_sets, acceptance_log):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_2_skew_torsion(structures, sample_sets, acceptance_log):
+def test_criterion_2_skew_torsion(manifests, sample_sets, acceptance_log):
     eps = 0.05
     worst_canonical = 0.0
     ok_perturbed = True
     for name in ALL:
-        s = structures[name]
+        s = manifests[name]
         for p in sample_sets[name]:
             ev = StructureEval(s, p)
             canonical = torsion(ev, ev.canonical_N)
@@ -97,16 +97,16 @@ def test_criterion_2_skew_torsion(structures, sample_sets, acceptance_log):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_3_universal_identities(structures, sample_sets, acceptance_log):
+def test_criterion_3_universal_identities(manifests, sample_sets, acceptance_log):
     worst = 0.0
     for name in ALL:
         for p in sample_sets[name]:
-            ev = StructureEval(structures[name], p)
+            ev = StructureEval(manifests[name], p)
             worst = max(worst, projection_identity_residual(ev), reeb_split_identity_residual(ev))
     rng = np.random.default_rng(321)
     for _ in range(10):
-        s = perturbed_flat(structures["flat"], rng)
-        for p in s.chart.sample_points(4, seed=int(rng.integers(0, 10_000))):
+        s = perturbed_flat(manifests["flat"], rng)
+        for p in sample_points(s, 4, seed=int(rng.integers(0, 10_000))):
             ev = StructureEval(s, p)
             worst = max(worst, projection_identity_residual(ev), reeb_split_identity_residual(ev))
     _record(acceptance_log, "criterion 3", worst < 1e-9,
@@ -119,8 +119,8 @@ def test_criterion_3_universal_identities(structures, sample_sets, acceptance_lo
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_4_example1(manifests, structures, sample_sets, acceptance_log):
-    s = structures["example1"]
+def test_criterion_4_example1(manifests, sample_sets, acceptance_log):
+    s = manifests["example1"]
     points = sample_sets["example1"]
     bundle = nijenhuis_tensors(StructureEval(s, points[0]))
     n1_ok = abs(bundle.n1[0, 1, 4] + 1.0) < 1e-9 and np.abs(bundle.n1[0, 1, :4]).max() < 1e-9
@@ -143,8 +143,8 @@ def test_criterion_4_example1(manifests, structures, sample_sets, acceptance_log
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_5_example2(manifests, structures, sample_sets, acceptance_log):
-    s = structures["example2"]
+def test_criterion_5_example2(manifests, sample_sets, acceptance_log):
+    s = manifests["example2"]
     points = sample_sets["example2"]
     deta_ok = True
     defect_ok = True
@@ -159,7 +159,7 @@ def test_criterion_5_example2(manifests, structures, sample_sets, acceptance_log
         defect = metricity_defect(ev, ev.canonical_N)
         if abs(defect[4, 4, 0] - y) > 1e-9:
             defect_ok = False
-        if rank_at(s.chart, p) % 2 != 0:
+        if rank_at(s, p) % 2 != 0:
             rank_ok = False
     report = classify_run(manifests["example2"])
     ok = deta_ok and defect_ok and rank_ok and not report["classification"]["aqs"]["holds"]
@@ -179,8 +179,8 @@ def _gauss_oracle(p: np.ndarray) -> float:
     return float(-np.exp(-2.0 * jet.value) * (jet.hess[0, 0] + jet.hess[1, 1]))
 
 
-def test_criterion_6_example3_ricci_wagner(structures, sample_sets, acceptance_log):
-    s = structures["example3-qs"]
+def test_criterion_6_example3_ricci_wagner(manifests, sample_sets, acceptance_log):
+    s = manifests["example3-qs"]
     worst_r = 0.0
     worst_K = 0.0
     for p in sample_sets["example3-qs"]:
@@ -211,7 +211,7 @@ def test_criterion_7_fundamental_form_block_and_profile(manifests, acceptance_lo
     block_ok = float(np.array(fund["residual_grid"])[:2, :2].max()) < 1e-7
     # the substitution makes the right-hand side equal -4g identically
     identity_ok = all(
-        np.abs(rhs + 4.0 * StructureEval(ev.structure, point).g0).max() < 1e-12
+        np.abs(rhs + 4.0 * StructureEval(ev.manifest, point).g0).max() < 1e-12
         for point, rhs in zip(ev.p, einstein_rhs(ev, "fundamental_form"))
     )
     profile_ok = True
@@ -248,11 +248,11 @@ def test_criterion_7_fundamental_form_full_verdict(manifests, acceptance_log):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_8_canonical_nabla_phi(manifests, structures, sample_sets, acceptance_log):
-    qs = structures["example3-qs"]
+def test_criterion_8_canonical_nabla_phi(manifests, sample_sets, acceptance_log):
+    qs = manifests["example3-qs"]
     worst_qs = max(canonical_nabla_phi_residual(StructureEval(qs, p)) for p in sample_sets["example3-qs"])
     report_qs = classify_run(manifests["example3-qs"])
-    aqs = structures["example3-aqs"]
+    aqs = manifests["example3-aqs"]
     worst_aqs = max(canonical_nabla_phi_residual(StructureEval(aqs, p)) for p in sample_sets["example3-aqs"])
     report_aqs = classify_run(manifests["example3-aqs"])
     ok = (worst_qs < 1e-8 and report_qs["classification"]["quasi_sasakian"]["holds"]
@@ -284,17 +284,17 @@ def test_criterion_8_redefined_variant_classified_aqs(manifests, acceptance_log)
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_9_characterization_biconditional(manifests, structures, sample_sets, acceptance_log):
+def test_criterion_9_characterization_biconditional(manifests, sample_sets, acceptance_log):
     classified_aqs = set()
     below_tol = set()
     for name in ALL:
         report = classify_run(manifests[name])
         if report["classification"]["aqs"]["holds"]:
             classified_aqs.add(name)
-        worst = max(aqs_characterization_residual(StructureEval(structures[name], p)) for p in sample_sets[name])
+        worst = max(aqs_characterization_residual(StructureEval(manifests[name], p)) for p in sample_sets[name])
         if worst < 1e-7:
             below_tol.add(name)
-    ex2 = [aqs_characterization_residual(StructureEval(structures["example2"], p)) for p in sample_sets["example2"]]
+    ex2 = [aqs_characterization_residual(StructureEval(manifests["example2"], p)) for p in sample_sets["example2"]]
     generic = sum(1 for r in ex2 if r > 1e-3)
     ok = classified_aqs == below_tol and max(ex2) > 1e-3 and generic >= 30
     _record(acceptance_log, "criterion 9", ok,

@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from acmcheck.chart import sample_points
 from acmcheck.checks import identity_residuals
 from acmcheck.classify import criterion_residuals, nijenhuis_tensors
 from acmcheck.connection import (
@@ -28,8 +29,8 @@ ATOL = 1e-14
 
 
 @pytest.mark.parametrize("name", FIXTURES)
-def test_bracket_einsums_equal_per_pair_loops(name, structures, sample_sets):
-    s = structures[name]
+def test_bracket_einsums_equal_per_pair_loops(name, manifests, sample_sets):
+    s = manifests[name]
     points = sample_sets[name][:8]
     ev = StructureEval(s, points)
     brackets = basis_brackets_frame(ev)
@@ -66,9 +67,9 @@ def _quantities(ev: StructureEval) -> dict[str, np.ndarray]:
 
 
 @pytest.mark.parametrize("name", FIXTURES + ("twisted",))
-def test_batch_equals_stack_of_batches_of_one(name, structures, twisted):
-    s = twisted if name == "twisted" else structures[name]
-    points = s.chart.sample_points(8, seed=11)
+def test_batch_equals_stack_of_batches_of_one(name, manifests, twisted):
+    s = twisted if name == "twisted" else manifests[name]
+    points = sample_points(s, 8, seed=11)
     whole = _quantities(StructureEval(s, points))
     ones = [_quantities(StructureEval(s, points[i : i + 1])) for i in range(len(points))]
     for key, value in whole.items():
@@ -77,8 +78,8 @@ def test_batch_equals_stack_of_batches_of_one(name, structures, twisted):
         np.testing.assert_allclose(value, stacked, rtol=RTOL, atol=ATOL, err_msg=f"{name}: {key}")
 
 
-def test_single_point_is_batch_shape_empty(structures, sample_sets):
-    s = structures["example3-qs"]
+def test_single_point_is_batch_shape_empty(manifests, sample_sets):
+    s = manifests["example3-qs"]
     points = sample_sets["example3-qs"][:3]
     ev = StructureEval(s, points)
     assert ev.batch == (3,) and ricci_wagner(ev).shape == (3, 4, 4)

@@ -2,36 +2,46 @@
 
 from __future__ import annotations
 
+import json
+import runpy
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from acmcheck.chart import (
-    AdaptedChart,
     ChartError,
     _pcg64_advance,
     _pcg64_double,
     _pcg64_jumps,
     _pcg64_streams,
     rank_at,
+    sample_points,
 )
 from acmcheck.expr import ExprDomainError, parse
-from acmcheck.structure import AdaptedStructure, StructureEval
+from acmcheck.manifest import Manifest, manifest_from_dict
+from acmcheck.structure import StructureEval
 
 from _helpers import field_jet, frame_bracket, loop_sample_points
 
 COORDS = ("x", "y", "z", "u", "v")
 BOX = tuple((-2.0, 2.0) for _ in range(5))
+# the frame quantities tested here read only the gamma jets, so the metric
+# and phi are placeholders
+UNIT = [["1" if a == b else "0" for b in range(4)] for a in range(4)]
 
 
-def make_chart(gammas: list[str], domain=BOX, avoid: list[str] | None = None) -> AdaptedChart:
-    return AdaptedChart(
-        coords=COORDS,
-        gamma=tuple(parse(g, COORDS) for g in gammas),
-        domain=domain,
-        avoid=tuple(parse(a, COORDS) for a in (avoid or [])),
-    )
+def make_chart(gammas: list[str], domain=BOX, avoid: list[str] | None = None) -> Manifest:
+    return manifest_from_dict({
+        "dimension": 5,
+        "coordinates": list(COORDS),
+        "gamma": gammas,
+        "metric_frame": UNIT,
+        "phi_frame": UNIT,
+        "domain": [list(iv) for iv in domain],
+        "avoid": avoid or [],
+    })
 
 
 FLAT = make_chart(["0", "0", "0", "0"])
@@ -39,26 +49,9 @@ EX1 = make_chart(["y", "0", "0", "0"], avoid=["y"])
 EX2 = make_chart(["y*v", "0", "0", "0"], domain=tuple((-4.0, 4.0) for _ in range(5)), avoid=["y"])
 
 
-def evaluate(chart: AdaptedChart, p: np.ndarray) -> StructureEval:
-    """An evaluation on ``chart``; the frame quantities tested here read only
-    the gamma jets, so the metric and phi are placeholders."""
-    one, zero = parse("1", COORDS), parse("0", COORDS)
-    unit = np.array([[one if a == b else zero for b in range(4)] for a in range(4)], dtype=object)
-    return StructureEval(AdaptedStructure(chart=chart, g=unit, phi=unit), p)
-
-
-def frame_apply(chart: AdaptedChart, a: int, f, p: np.ndarray):
+def frame_apply(chart: Manifest, a: int, f, p: np.ndarray):
     """e_a f at p for a horizontal frame index a, from StructureEval.frame_d."""
-    return evaluate(chart, p).frame_d(field_jet(f, p).grad)[: chart.m][a]
-
-
-def test_chart_validation():
-    with pytest.raises(ChartError):
-        AdaptedChart(coords=("x", "y"), gamma=(parse("0", ("x", "y")),), domain=((-1, 1), (-1, 1)))
-    with pytest.raises(ChartError):
-        make_chart(["0", "0", "0"])  # wrong gamma count
-    with pytest.raises(ChartError):
-        AdaptedChart(coords=COORDS, gamma=FLAT.gamma, domain=BOX[:4])
+    return StructureEval(chart, p).frame_d(field_jet(f, p).grad)[: chart.dimension - 1][a]
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +87,13 @@ def test_frame_apply_index_range():
 
 
 def test_omega_flat_vanishes():
-    assert np.array_equal(evaluate(FLAT, np.zeros(5)).omega0, np.zeros((4, 4)))
+    assert np.array_equal(StructureEval(FLAT, np.zeros(5)).omega0, np.zeros((4, 4)))
 
 
 def test_omega_example1_values():
     # from the bracket: [e_1, e_2] = d_5, so 2 omega_{21} = 1
     p = np.array([0.5, 1.2, -0.3, 0.0, 0.7])
-    omega = evaluate(EX1, p).omega0
+    omega = StructureEval(EX1, p).omega0
     expected = np.zeros((4, 4))
     expected[1, 0] = 0.5
     expected[0, 1] = -0.5
@@ -114,7 +107,7 @@ def test_omega_example2_against_bracket_oracle():
     rng = np.random.default_rng(7)
     for _ in range(8):
         p = rng.uniform(-4, 4, size=5)
-        omega = evaluate(EX2, p).omega0
+        omega = StructureEval(EX2, p).omega0
         assert omega[1, 0] == pytest.approx(p[4] / 2, rel=1e-12, abs=1e-12)
         bracket = frame_bracket(EX2, 0, 1, p)
         assert bracket[4] == pytest.approx(2 * omega[1, 0], rel=1e-12, abs=1e-12)
@@ -123,10 +116,10 @@ def test_omega_example2_against_bracket_oracle():
 @pytest.mark.parametrize("chart", [FLAT, EX1, EX2], ids=["flat", "ex1", "ex2"])
 def test_bracket_consistency_at_samples(chart):
     # [e_a, e_b] has no horizontal part and vertical part 2 omega_{ba}
-    points = chart.sample_points(32, seed=42)
-    m, last = chart.m, chart.n - 1
+    points = sample_points(chart, 32, seed=42)
+    m = last = chart.dimension - 1
     for p in points:
-        omega = evaluate(chart, p).omega0
+        omega = StructureEval(chart, p).omega0
         assert np.abs(omega + omega.T).max() == 0.0  # skew exactly
         for a in range(m):
             for b in range(m):
@@ -141,23 +134,23 @@ def test_bracket_consistency_at_samples(chart):
 
 
 def test_d_eta_xi_example1_zero_everywhere():
-    for p in EX1.sample_points(8, seed=3):
-        assert np.array_equal(evaluate(EX1, p).d_eta_xi, np.zeros(4))
+    for p in sample_points(EX1, 8, seed=3):
+        assert np.array_equal(StructureEval(EX1, p).d_eta_xi, np.zeros(4))
 
 
 def test_d_eta_xi_example2_first_entry_y():
     p = np.array([1.0, 3.0, 0.0, 0.0, 2.0])
-    vec = evaluate(EX2, p).d_eta_xi
+    vec = StructureEval(EX2, p).d_eta_xi
     assert vec[0] == pytest.approx(3.0, abs=1e-15)
     assert np.array_equal(vec[1:], np.zeros(3))
 
 
 def test_d_eta_xi_flat_zero():
-    assert np.array_equal(evaluate(FLAT, np.zeros(5)).d_eta_xi, np.zeros(4))
+    assert np.array_equal(StructureEval(FLAT, np.zeros(5)).d_eta_xi, np.zeros(4))
 
 
 def test_rank_example1_is_3():
-    for p in EX1.sample_points(8, seed=5):
+    for p in sample_points(EX1, 8, seed=5):
         assert rank_at(EX1, p) == 3
 
 
@@ -175,8 +168,8 @@ EX3 = make_chart(["y", "0", "0", "0"], avoid=["y"])  # chart shared by the confo
 
 @pytest.mark.parametrize("chart", [FLAT, EX1, EX2, EX3], ids=["flat", "ex1", "ex2", "ex3"])
 def test_rank_parity_matches_d_eta_xi(chart):
-    points = chart.sample_points(16, seed=11)
-    vertical_zero = all(np.abs(evaluate(chart, p).d_eta_xi).max() < 1e-12 for p in points)
+    points = sample_points(chart, 16, seed=11)
+    vertical_zero = all(np.abs(StructureEval(chart, p).d_eta_xi).max() < 1e-12 for p in points)
     ranks = [rank_at(chart, p) for p in points]
     if vertical_zero:
         assert all(r % 2 == 1 for r in ranks)
@@ -190,15 +183,15 @@ def test_rank_parity_matches_d_eta_xi(chart):
 
 
 def test_sampling_deterministic_and_order_independent():
-    a = EX1.sample_points(16, seed=42)
-    b = EX1.sample_points(16, seed=42)
+    a = sample_points(EX1, 16, seed=42)
+    b = sample_points(EX1, 16, seed=42)
     assert np.array_equal(a, b)
     # prefix property: the first 4 points do not depend on the total count
-    assert np.array_equal(EX1.sample_points(4, seed=42), a[:4])
+    assert np.array_equal(sample_points(EX1, 4, seed=42), a[:4])
 
 
 def test_sampling_respects_avoid():
-    for p in EX1.sample_points(64, seed=1):
+    for p in sample_points(EX1, 64, seed=1):
         assert abs(p[1]) >= 1e-6
 
 
@@ -208,15 +201,15 @@ NARROW = make_chart(["y", "0", "0", "0"], avoid=["y", "exp(-1000*x^2)", "exp(-50
 
 
 @pytest.mark.parametrize("count, seed", [(32, 42), (128, 7)])
-def test_sampling_matches_per_index_loop_on_fixtures(structures, count, seed):
-    for s in structures.values():
-        expected = loop_sample_points(s.chart, count, seed)
-        assert np.array_equal(s.chart.sample_points(count, seed), expected)
+def test_sampling_matches_per_index_loop_on_fixtures(manifests, count, seed):
+    for s in manifests.values():
+        expected = loop_sample_points(s, count, seed)
+        assert np.array_equal(sample_points(s, count, seed), expected)
 
 
 def test_sampling_matches_per_index_loop_with_redraws():
     count, seed = 24, 3
-    points = NARROW.sample_points(count, seed)
+    points = sample_points(NARROW, count, seed)
     assert np.array_equal(points, loop_sample_points(NARROW, count, seed))
     # most indices reject their first candidate
     first = np.array([
@@ -226,15 +219,26 @@ def test_sampling_matches_per_index_loop_with_redraws():
     redrawn = np.any(points != -2.0 + 4.0 * first, axis=1)
     assert redrawn.sum() >= count // 2
     # the prefix property holds with redraws too
-    assert np.array_equal(NARROW.sample_points(5, seed), points[:5])
+    assert np.array_equal(sample_points(NARROW, 5, seed), points[:5])
 
 
 def test_sampling_reports_the_first_unsatisfiable_index():
     never = make_chart(["0", "0", "0", "0"], avoid=["0*x"])
     with pytest.raises(ChartError, match="could not sample point 0 "):
-        never.sample_points(3, seed=1)
+        sample_points(never, 3, seed=1)
     with pytest.raises(ChartError, match="could not sample point 0 "):
         loop_sample_points(never, 3, seed=1)
+
+
+def test_reference_point_pool_is_reproduced(monkeypatch):
+    # perfbench/make_reference.py draws its point pools through the
+    # manifest's chart() accessor; a pool's prefix must reproduce the
+    # checked-in reference, points, ranks and tensor digests alike
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    make_reference = runpy.run_path(str(bench / "make_reference.py"))
+    reference = json.loads((bench / "reference.json").read_text(encoding="utf-8"))
+    assert make_reference["point_pool"]("example2", 2) == reference["points"]["example2"][:2]
 
 
 def numpy_stream(seed: int, i: int) -> np.random.Generator:
@@ -258,11 +262,11 @@ def test_streams_match_numpy_bit_for_bit(seed):
 
 def test_sampling_seed_and_count_checked():
     with pytest.raises(ValueError, match="non-negative"):
-        EX1.sample_points(4, seed=-1)
+        sample_points(EX1, 4, seed=-1)
     with pytest.raises(ValueError):
         np.random.SeedSequence(entropy=-1)
     with pytest.raises(ValueError, match="sample count"):
-        FLAT.sample_points(2**32, seed=1)
+        sample_points(FLAT, 2**32, seed=1)
 
 
 def test_avoid_domain_error_names_the_sample_it_prints():
@@ -274,7 +278,7 @@ def test_avoid_domain_error_names_the_sample_it_prints():
     lo, hi = np.array(domain).T
     candidate = lo + (hi - lo) * numpy_stream(1, 8).random(5)
     with pytest.raises(ExprDomainError) as err:
-        chart.sample_points(64, seed=1)
+        sample_points(chart, 64, seed=1)
     point = np.array2string(candidate, max_line_width=sys.maxsize)  # one line, unlike str()
     assert str(err.value) == f"ln of non-positive value in 'ln(x + 1.9)' at sample 8, point {point}"
     assert "\n" not in str(err.value)

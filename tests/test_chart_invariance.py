@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from acmcheck.chart import rank_of
+from acmcheck.chart import rank_of, sample_points
 from acmcheck.checks import HARD_TOLERANCES, identity_residuals
 from acmcheck.classify import classification_report
 from acmcheck.connection import canonical_connection, lc_adapted, torsion
@@ -105,11 +105,11 @@ def chart_pairs():
         for kind, (frame_maps, shift) in TRANSITIONS.items():
             pulled, transition = pulled_back_manifest(data, frame_maps, shift)
             primed = manifest_from_dict(pulled)
-            p_primed = primed.chart().sample_points(SAMPLES, seed=3)
+            p_primed = sample_points(primed, SAMPLES, seed=3)
             images, jacobians = zip(*map(transition, p_primed))
             pairs[name, kind] = (
-                StructureEval(original.structure(), np.array(images)),
-                StructureEval(primed.structure(), p_primed),
+                StructureEval(original, np.array(images)),
+                StructureEval(primed, p_primed),
                 np.array(jacobians),
                 original.tolerance,
             )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from acmcheck.chart import sample_points
 from acmcheck.classify import (
     InternalConsistencyError,
     reeb_split_identity_residual,
@@ -28,8 +29,8 @@ P1 = np.array([0.4, 1.3, -0.6, 0.2, 0.8])
 # ---------------------------------------------------------------------------
 
 
-def test_nijenhuis_example1_values(structures):
-    bundle = nijenhuis_tensors(StructureEval(structures["example1"], P1))
+def test_nijenhuis_example1_values(manifests):
+    bundle = nijenhuis_tensors(StructureEval(manifests["example1"], P1))
     # N1(e_1, e_2) = -xi: Reeb component -1, horizontal components 0
     assert bundle.n1[0, 1, 4] == pytest.approx(-1.0, abs=1e-12)
     assert np.abs(bundle.n1[0, 1, :4]).max() < 1e-12
@@ -37,16 +38,16 @@ def test_nijenhuis_example1_values(structures):
     assert np.abs(bundle.n_tilde[0, 1]).max() < 1e-12
 
 
-def test_nijenhuis_flat_all_vanish(structures):
-    bundle = nijenhuis_tensors(StructureEval(structures["flat"], ORIGIN))
+def test_nijenhuis_flat_all_vanish(manifests):
+    bundle = nijenhuis_tensors(StructureEval(manifests["flat"], ORIGIN))
     for grid in (bundle.n_phi, bundle.n1, bundle.n_tilde):
         assert np.abs(grid).max() == 0.0
 
 
-def test_nijenhuis_antisymmetric_in_arguments(structures, sample_sets):
+def test_nijenhuis_antisymmetric_in_arguments(manifests, sample_sets):
     for name in ALL:
         for p in sample_sets[name][:4]:
-            bundle = nijenhuis_tensors(StructureEval(structures[name], p))
+            bundle = nijenhuis_tensors(StructureEval(manifests[name], p))
             assert np.abs(bundle.n_phi + np.swapaxes(bundle.n_phi, 0, 1)).max() < 1e-12
 
 
@@ -56,24 +57,24 @@ def test_nijenhuis_antisymmetric_in_arguments(structures, sample_sets):
 
 
 @pytest.mark.parametrize("name", ALL)
-def test_projection_identity_on_fixtures(name, structures, sample_sets):
+def test_projection_identity_on_fixtures(name, manifests, sample_sets):
     for p in sample_sets[name][:8]:
-        assert projection_identity_residual(StructureEval(structures[name], p)) < 1e-9, name
+        assert projection_identity_residual(StructureEval(manifests[name], p)) < 1e-9, name
 
 
 @pytest.mark.parametrize("name", ALL)
-def test_reeb_split_identity_on_fixtures(name, structures, sample_sets):
+def test_reeb_split_identity_on_fixtures(name, manifests, sample_sets):
     for p in sample_sets[name][:8]:
-        assert reeb_split_identity_residual(StructureEval(structures[name], p)) < 1e-9, name
+        assert reeb_split_identity_residual(StructureEval(manifests[name], p)) < 1e-9, name
 
 
-def test_identities_survive_random_perturbations(structures):
+def test_identities_survive_random_perturbations(manifests):
     # the projection/split identities do not depend on the axioms, so they
     # must survive arbitrary horizontal perturbations of phi and g
     rng = np.random.default_rng(99)
     for _ in range(10):
-        s = perturbed_flat(structures["flat"], rng)
-        for p in s.chart.sample_points(4, seed=int(rng.integers(0, 10_000))):
+        s = perturbed_flat(manifests["flat"], rng)
+        for p in sample_points(s, 4, seed=int(rng.integers(0, 10_000))):
             assert projection_identity_residual(StructureEval(s, p)) < 1e-9
             assert reeb_split_identity_residual(StructureEval(s, p)) < 1e-9
 
@@ -83,27 +84,27 @@ def test_identities_survive_random_perturbations(structures):
 # ---------------------------------------------------------------------------
 
 
-def test_aqs_characterization_example1(structures, sample_sets):
+def test_aqs_characterization_example1(manifests, sample_sets):
     for p in sample_sets["example1"]:
-        assert aqs_characterization_residual(StructureEval(structures["example1"], p)) < 1e-8
+        assert aqs_characterization_residual(StructureEval(manifests["example1"], p)) < 1e-8
 
 
-def test_aqs_characterization_example2_violated(structures):
+def test_aqs_characterization_example2_violated(manifests):
     p = np.array([1.0, 3.0, 0.0, 0.0, 2.0])
-    assert aqs_characterization_residual(StructureEval(structures["example2"], p)) > 0.1
+    assert aqs_characterization_residual(StructureEval(manifests["example2"], p)) > 0.1
 
 
-def test_aqs_characterization_flat_trivial(structures):
-    assert aqs_characterization_residual(StructureEval(structures["flat"], ORIGIN)) == 0.0
+def test_aqs_characterization_flat_trivial(manifests):
+    assert aqs_characterization_residual(StructureEval(manifests["flat"], ORIGIN)) == 0.0
 
 
-def test_aqs_characterization_biconditional(structures, manifests, sample_sets):
+def test_aqs_characterization_biconditional(manifests, sample_sets):
     # residual below tolerance exactly on the fixtures classified AQS
     for name in ALL:
         mf = manifests[name]
         points = sample_sets[name]
         report = classify_run(mf)
-        worst = max(aqs_characterization_residual(StructureEval(structures[name], p)) for p in points)
+        worst = max(aqs_characterization_residual(StructureEval(manifests[name], p)) for p in points)
         assert report["classification"]["aqs"]["holds"] == (worst < mf.tolerance), (name, worst)
 
 
@@ -112,28 +113,28 @@ def test_aqs_characterization_biconditional(structures, manifests, sample_sets):
 # ---------------------------------------------------------------------------
 
 
-def test_qs_characterization_example3_qs_holds(structures, sample_sets):
+def test_qs_characterization_example3_qs_holds(manifests, sample_sets):
     for p in sample_sets["example3-qs"][:8]:
-        assert qs_characterization_residual(StructureEval(structures["example3-qs"], p)) < 1e-8
+        assert qs_characterization_residual(StructureEval(manifests["example3-qs"], p)) < 1e-8
 
 
-def test_qs_characterization_example1_fails(structures):
-    assert qs_characterization_residual(StructureEval(structures["example1"], P1)) > 0.1
+def test_qs_characterization_example1_fails(manifests):
+    assert qs_characterization_residual(StructureEval(manifests["example1"], P1)) > 0.1
 
 
-def test_qs_conditions_agree_on_aqs_fixtures(structures, sample_sets):
+def test_qs_conditions_agree_on_aqs_fixtures(manifests, sample_sets):
     for name in ("flat", "example1", "example3-qs"):
         for p in sample_sets[name][:8]:
-            residuals = qs_condition_residuals(StructureEval(structures[name], p))
+            residuals = qs_condition_residuals(StructureEval(manifests[name], p))
             flags = {cond: r < 1e-7 * (1 + s) for cond, (r, s) in residuals.items()}
             assert len(set(flags.values())) == 1, (name, residuals)
 
 
-def test_canonical_nabla_phi_matches_quasi_sasakian(structures, sample_sets):
-    worst_qs = max(canonical_nabla_phi_residual(StructureEval(structures["example3-qs"], p))
+def test_canonical_nabla_phi_matches_quasi_sasakian(manifests, sample_sets):
+    worst_qs = max(canonical_nabla_phi_residual(StructureEval(manifests["example3-qs"], p))
                 for p in sample_sets["example3-qs"])
     assert worst_qs < 1e-8
-    worst_aqs = max(canonical_nabla_phi_residual(StructureEval(structures["example3-aqs"], p))
+    worst_aqs = max(canonical_nabla_phi_residual(StructureEval(manifests["example3-aqs"], p))
                  for p in sample_sets["example3-aqs"])
     assert worst_aqs > 1e-3
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from acmcheck.chart import sample_points
 from acmcheck.connection import (
     FRAME_LOWER,
     FRAME_UPPER,
@@ -50,28 +51,28 @@ def perturbed_N(ev):
 # ---------------------------------------------------------------------------
 
 
-def test_lc_adapted_flat_all_zero(structures):
-    coeffs = lc_adapted(StructureEval(structures["flat"], ORIGIN))
+def test_lc_adapted_flat_all_zero(manifests):
+    coeffs = lc_adapted(StructureEval(manifests["flat"], ORIGIN))
     assert np.array_equal(coeffs.full, np.zeros((5, 5, 5)))
 
 
-def test_lc_adapted_example1_blocks(structures, sample_sets):
+def test_lc_adapted_example1_blocks(manifests, sample_sets):
     for p in sample_sets["example1"][:8]:
-        coeffs = lc_adapted(StructureEval(structures["example1"], p))
+        coeffs = lc_adapted(StructureEval(manifests["example1"], p))
         assert coeffs.n_ab[0, 1] == pytest.approx(0.5, abs=1e-15)  # omega_{21} - C_12
         assert coeffs.mixed_an[1, 0] == pytest.approx(-0.5, abs=1e-15)  # psi^2_1, C = 0
         assert np.array_equal(coeffs.n_na, np.zeros(4))
         assert np.array_equal(coeffs.frame, np.zeros((4, 4, 4)))
 
 
-def test_lc_adapted_example2_reeb_block(structures):
-    coeffs = lc_adapted(StructureEval(structures["example2"], Y3))
+def test_lc_adapted_example2_reeb_block(manifests):
+    coeffs = lc_adapted(StructureEval(manifests["example2"], Y3))
     assert coeffs.n_na[0] == pytest.approx(-3.0, abs=1e-15)  # -d_n gamma_1 = -y
     assert coeffs.a_nn[0] == pytest.approx(3.0, abs=1e-15)  # g^{ab} d_n gamma_b
 
 
-def test_lc_adapted_blocks_are_read_only_views_of_the_cached_array(structures, sample_sets):
-    ev = StructureEval(structures["example2"], sample_sets["example2"][:4])
+def test_lc_adapted_blocks_are_read_only_views_of_the_cached_array(manifests, sample_sets):
+    ev = StructureEval(manifests["example2"], sample_sets["example2"][:4])
     coeffs = lc_adapted(ev)
     assert np.array_equal(coeffs.frame, ev.Gamma0)
     assert np.array_equal(coeffs.mixed_an, ev.Cmix0 + ev.psi0)
@@ -81,14 +82,14 @@ def test_lc_adapted_blocks_are_read_only_views_of_the_cached_array(structures, s
             block[...] = 0.0
 
 
-def test_lc_coordinate_flat_zero(structures):
-    assert np.array_equal(lc_coordinate(StructureEval(structures["flat"], ORIGIN)), np.zeros((5, 5, 5)))
+def test_lc_coordinate_flat_zero(manifests):
+    assert np.array_equal(lc_coordinate(StructureEval(manifests["flat"], ORIGIN)), np.zeros((5, 5, 5)))
 
 
-def test_lc_coordinate_example3_frame_block_conformal(structures):
+def test_lc_coordinate_example3_frame_block_conformal(manifests):
     # the horizontal block must reproduce the 2D conformal symbols of
     # f^2 (dx^2 + dy^2) with f = 1/(1+x^2+y^2): Gamma^1_11 = l_x etc., l = ln f
-    s = structures["example3-qs"]
+    s = manifests["example3-qs"]
     p = np.array([0.7, -1.1, 0.3, 0.2, 1.4])
     x, y = p[0], p[1]
     denom = 1 + x * x + y * y
@@ -105,9 +106,9 @@ def test_lc_coordinate_example3_frame_block_conformal(structures):
 
 
 @pytest.mark.parametrize("name", ALL)
-def test_oracle_equivalence(name, structures, sample_sets):
+def test_oracle_equivalence(name, manifests, sample_sets):
     # adapted-form blocks vs frame-converted coordinate Christoffel symbols
-    s = structures[name]
+    s = manifests[name]
     for p in sample_sets[name]:
         ev = StructureEval(s, p)
         adapted = lc_adapted(ev).full
@@ -117,12 +118,12 @@ def test_oracle_equivalence(name, structures, sample_sets):
 
 @pytest.mark.parametrize("name", ALL)
 @pytest.mark.parametrize("batch", ["samples", "point"])
-def test_oracle_products_match_the_einsum_reference(name, batch, manifests, structures):
+def test_oracle_products_match_the_einsum_reference(name, batch, manifests):
     # the batched products only reorder the sums of the einsum form: both
     # outputs agree with it to rounding, on the scale of the coordinate
     # coefficients the oracle computes
-    points = structures[name].chart.sample_points(128, manifests[name].seed)
-    ev = StructureEval(structures[name], points if batch == "samples" else points[0])
+    points = sample_points(manifests[name], 128, manifests[name].seed)
+    ev = StructureEval(manifests[name], points if batch == "samples" else points[0])
     coeffs, expected = lc_coordinate(ev), einsum_lc_coordinate(ev)
     assert coeffs.shape == ev.batch + (5, 5, 5)
     bound = 1e-13 * (1.0 + np.abs(expected).max())
@@ -131,10 +132,10 @@ def test_oracle_products_match_the_einsum_reference(name, batch, manifests, stru
     assert np.abs(adapted - einsum_coordinate_to_adapted(ev, expected)).max() <= bound
 
 
-def test_lc_frame_block_symmetric(structures, sample_sets):
+def test_lc_frame_block_symmetric(manifests, sample_sets):
     for name in ALL:
         for p in sample_sets[name][:8]:
-            frame = lc_adapted(StructureEval(structures[name], p)).frame
+            frame = lc_adapted(StructureEval(manifests[name], p)).frame
             assert np.abs(frame - np.swapaxes(frame, 1, 2)).max() < 1e-12, name
 
 
@@ -143,32 +144,32 @@ def test_lc_frame_block_symmetric(structures, sample_sets):
 # ---------------------------------------------------------------------------
 
 
-def test_n_connection_flat_constant_N(structures):
-    ev = StructureEval(structures["flat"], ORIGIN)
+def test_n_connection_flat_constant_N(manifests):
+    ev = StructureEval(manifests["flat"], ORIGIN)
     coeffs = n_connection(ev, np.diag([1.0, 2.0, 3.0, 4.0]))
     assert np.array_equal(coeffs.frame, np.zeros((4, 4, 4)))
     assert np.array_equal(coeffs.mixed_an, np.diag([1.0, 2.0, 3.0, 4.0]))
     assert coeffs.full[4, 0, 0] == 1.0  # G^b_{na} = N^b_a
 
 
-def test_n_connection_example1_canonical(structures):
-    coeffs = canonical_connection(StructureEval(structures["example1"], np.array([0.2, 1.5, 0.0, 0.0, 0.3])))
+def test_n_connection_example1_canonical(manifests):
+    coeffs = canonical_connection(StructureEval(manifests["example1"], np.array([0.2, 1.5, 0.0, 0.0, 0.3])))
     assert coeffs.full[4, 0, 1] == pytest.approx(-1.0, abs=1e-15)  # G^2_{n1} = 2 psi^2_1
 
 
-def test_n_connection_example2_reeb_row(structures):
-    ev = StructureEval(structures["example2"], Y3)
+def test_n_connection_example2_reeb_row(manifests):
+    ev = StructureEval(manifests["example2"], Y3)
     coeffs = n_connection(ev, ev.zeros(4, 4))
     assert coeffs.full[4, 0, 4] == pytest.approx(-3.0, abs=1e-15)  # G^n_{n1} = -y
 
 
-def test_endomorphism_scalar_fields(structures):
-    s = structures["flat"]
+def test_endomorphism_scalar_fields(manifests):
+    s = manifests["flat"]
     fields = np.empty((4, 4), dtype=object)
-    zero = parse("0", s.chart.coords)
+    zero = parse("0", s.coordinates)
     for idx in np.ndindex(4, 4):
         fields[idx] = zero
-    fields[0, 1] = parse("x*y", s.chart.coords)
+    fields[0, 1] = parse("x*y", s.coordinates)
     p = np.array([2.0, 3.0, 0.0, 0.0, 0.0])
     ev = StructureEval(s, p)
     coeffs = n_connection(ev, field_jets(fields, ev.p, order=0)[0])
@@ -178,10 +179,10 @@ def test_endomorphism_scalar_fields(structures):
 
 @pytest.mark.parametrize("name", ALL)
 @pytest.mark.parametrize("endo", [canonical_N, zero_N], ids=["2psi", "zero"])
-def test_n_connection_matches_defining_formula(name, endo, structures, sample_sets):
+def test_n_connection_matches_defining_formula(name, endo, manifests, sample_sets):
     # the coefficient table reproduces the Levi-Civita-based expression on
     # basis pairs, for odd and even rank alike
-    s = structures[name]
+    s = manifests[name]
     for p in sample_sets[name][:8]:
         ev = StructureEval(s, p)
         assert n_connection_formula_residual(ev, endo(ev)) < 1e-9, name
@@ -192,9 +193,9 @@ def test_n_connection_matches_defining_formula(name, endo, structures, sample_se
 # ---------------------------------------------------------------------------
 
 
-def test_torsion_example1_canonical_components(structures):
+def test_torsion_example1_canonical_components(manifests):
     p = np.array([0.4, 1.1, -0.2, 0.0, 0.9])
-    ev = StructureEval(structures["example1"], p)
+    ev = StructureEval(manifests["example1"], p)
     result = torsion(ev, ev.canonical_N)
     assert result.components[0, 1, 4] == pytest.approx(-1.0, abs=1e-15)  # 2 omega_12
     assert result.components[0, 4, 1] == pytest.approx(1.0, abs=1e-15)  # -g(2 psi e_1, e_2)
@@ -203,24 +204,24 @@ def test_torsion_example1_canonical_components(structures):
     assert result.direct_residual < 1e-12
 
 
-def test_torsion_example1_N_zero_not_skew(structures):
+def test_torsion_example1_N_zero_not_skew(manifests):
     p = np.array([0.4, 1.1, -0.2, 0.0, 0.9])
-    ev = StructureEval(structures["example1"], p)
+    ev = StructureEval(manifests["example1"], p)
     result = torsion(ev, ev.zeros(4, 4))
     assert not result.is_skew
     assert result.skew_residual == pytest.approx(1.0, abs=1e-12)  # mixed parts vanish, 2 omega stays
 
 
-def test_torsion_flat_canonical_zero(structures):
-    ev = StructureEval(structures["flat"], ORIGIN)
+def test_torsion_flat_canonical_zero(manifests):
+    ev = StructureEval(manifests["flat"], ORIGIN)
     result = torsion(ev, ev.canonical_N)
     assert np.array_equal(result.components, np.zeros((5, 5, 5)))
     assert result.is_skew
 
 
 @pytest.mark.parametrize("name", ALL)
-def test_torsion_direct_cross_check(name, structures, sample_sets):
-    s = structures[name]
+def test_torsion_direct_cross_check(name, manifests, sample_sets):
+    s = manifests[name]
     for p in sample_sets[name][:8]:
         ev = StructureEval(s, p)
         for endo in (canonical_N, zero_N, perturbed_N):
@@ -228,9 +229,9 @@ def test_torsion_direct_cross_check(name, structures, sample_sets):
 
 
 @pytest.mark.parametrize("name", ALL)
-def test_skew_iff_N_is_2psi(name, structures, sample_sets):
+def test_skew_iff_N_is_2psi(name, manifests, sample_sets):
     # biconditional: total antisymmetry holds exactly when g(N e_a, e_b) = 2 omega_ab
-    s = structures[name]
+    s = manifests[name]
     for p in sample_sets[name][:8]:
         ev = StructureEval(s, p)
         for endo in (canonical_N, zero_N, perturbed_N):
@@ -245,29 +246,29 @@ def test_skew_iff_N_is_2psi(name, structures, sample_sets):
 # ---------------------------------------------------------------------------
 
 
-def test_metricity_defect_example1_zero(structures, sample_sets):
+def test_metricity_defect_example1_zero(manifests, sample_sets):
     for p in sample_sets["example1"][:8]:
-        ev = StructureEval(structures["example1"], p)
+        ev = StructureEval(manifests["example1"], p)
         defect = metricity_defect(ev, ev.canonical_N)
         assert np.abs(defect).max() < 1e-15
 
 
-def test_metricity_defect_example2_reeb_component(structures):
-    ev = StructureEval(structures["example2"], Y3)
+def test_metricity_defect_example2_reeb_component(manifests):
+    ev = StructureEval(manifests["example2"], Y3)
     defect = metricity_defect(ev, ev.canonical_N)
     assert defect[4, 4, 0] == pytest.approx(3.0, abs=1e-15)  # (n, n, 1) component = y
 
 
-def test_metricity_defect_flat_skew_N(structures):
+def test_metricity_defect_flat_skew_N(manifests):
     skew = np.zeros((4, 4))
     skew[0, 1], skew[1, 0] = 1.0, -1.0
-    ev = StructureEval(structures["flat"], ORIGIN)
+    ev = StructureEval(manifests["flat"], ORIGIN)
     defect = metricity_defect(ev, skew)
     assert np.abs(defect).max() == 0.0
 
 
-def test_metricity_defect_flat_symmetric_N(structures):
-    ev = StructureEval(structures["flat"], ORIGIN)
+def test_metricity_defect_flat_symmetric_N(manifests):
+    ev = StructureEval(manifests["flat"], ORIGIN)
     defect = metricity_defect(ev, np.eye(4))
     # (nabla_n g)_{ab} = -g(N e_a, e_b) - g(e_a, N e_b) = -2 delta_ab here
     assert np.allclose(defect[4, :4, :4], -2 * np.eye(4))
@@ -278,37 +279,37 @@ def test_metricity_defect_flat_symmetric_N(structures):
 # ---------------------------------------------------------------------------
 
 
-def test_nabla_omega_and_psi_vanish_example1(structures, sample_sets):
+def test_nabla_omega_and_psi_vanish_example1(manifests, sample_sets):
     for p in sample_sets["example1"]:
-        ev = StructureEval(structures["example1"], p)
+        ev = StructureEval(manifests["example1"], p)
         assert np.abs(nabla_omega(ev)).max() < 1e-15
         assert np.abs(nabla_psi(ev)).max() < 1e-15
 
 
-def test_nabla_omega_iff_nabla_psi(structures, sample_sets):
+def test_nabla_omega_iff_nabla_psi(manifests, sample_sets):
     for name in ALL:
         for p in sample_sets[name][:8]:
-            ev = StructureEval(structures[name], p)
+            ev = StructureEval(manifests[name], p)
             w = np.abs(nabla_omega(ev)).max()
             s_ = np.abs(nabla_psi(ev)).max()
             assert (w < 1e-9) == (s_ < 1e-9), name
 
 
-def test_internal_cov_deriv_constant_tensor_flat(structures):
-    s = structures["flat"]
+def test_internal_cov_deriv_constant_tensor_flat(manifests):
+    s = manifests["flat"]
     fields = np.empty((4, 4), dtype=object)
     for idx in np.ndindex(4, 4):
-        fields[idx] = parse(repr(float(idx[0] - idx[1])), s.chart.coords)
+        fields[idx] = parse(repr(float(idx[0] - idx[1])), s.coordinates)
     out = internal_cov_deriv(StructureEval(s, ORIGIN), fields, (FRAME_UPPER, FRAME_LOWER))
     assert isinstance(out, np.ndarray)
     assert np.array_equal(out, np.zeros((4, 4, 4)))
 
 
-def test_internal_cov_deriv_matches_derived_route(structures, sample_sets):
+def test_internal_cov_deriv_matches_derived_route(manifests, sample_sets):
     # field route (ScalarFields through jets) vs derived route (omega0/omega1)
-    s = structures["example2"]
-    gam = s.chart.gamma[0]
-    coords = s.chart.coords
+    s = manifests["example2"]
+    gam = s.gamma[0]
+    coords = s.coordinates
     # omega_{01} = e_0 gamma_1 - ... = v/2 for gamma = (y v, 0, 0, 0): build it explicitly
     fields = np.empty((4, 4), dtype=object)
     zero = parse("0", coords)
@@ -322,9 +323,9 @@ def test_internal_cov_deriv_matches_derived_route(structures, sample_sets):
         assert np.abs(via_fields - nabla_omega(ev)).max() < 1e-12
 
 
-def test_internal_cov_deriv_over_a_block_is_the_stack_of_points(structures, sample_sets):
-    s = structures["example2"]
-    coords = s.chart.coords
+def test_internal_cov_deriv_over_a_block_is_the_stack_of_points(manifests, sample_sets):
+    s = manifests["example2"]
+    coords = s.coordinates
     fields = np.empty((4, 4), dtype=object)
     for a, b in np.ndindex(4, 4):
         fields[a, b] = parse(f"{a + 1}*y*v - {b}*x^2 + sin(u)*{a - b}", coords)
@@ -348,11 +349,11 @@ def test_internal_cov_deriv_over_a_block_is_the_stack_of_points(structures, samp
     ],
     ids=["one-tag", "coordinate", "three-tags"],
 )
-def test_internal_cov_deriv_rejects_wrong_valence(valence, match, structures):
+def test_internal_cov_deriv_rejects_wrong_valence(valence, match, manifests):
     # the metric is a (4, 4) admissible tensor: one frame tag per axis, no other
-    s = structures["example3-qs"]
+    s = manifests["example3-qs"]
     with pytest.raises(ValueError, match=match):
-        internal_cov_deriv(StructureEval(s, np.array([0.7, -1.1, 0.3, 0.2, 1.4])), s.g, valence)
+        internal_cov_deriv(StructureEval(s, np.array([0.7, -1.1, 0.3, 0.2, 1.4])), s.metric_frame, valence)
 
 
 # ---------------------------------------------------------------------------
@@ -360,44 +361,44 @@ def test_internal_cov_deriv_rejects_wrong_valence(valence, match, structures):
 # ---------------------------------------------------------------------------
 
 
-def test_cov_phi_flat_zero(structures):
+def test_cov_phi_flat_zero(manifests):
     for which in ("levi_civita", "canonical"):
-        assert np.array_equal(cov_phi(StructureEval(structures["flat"], ORIGIN), which), np.zeros((5, 5, 5)))
+        assert np.array_equal(cov_phi(StructureEval(manifests["flat"], ORIGIN), which), np.zeros((5, 5, 5)))
 
 
-def test_cov_phi_canonical_example3_qs_vanishes(structures, sample_sets):
+def test_cov_phi_canonical_example3_qs_vanishes(manifests, sample_sets):
     for p in sample_sets["example3-qs"]:
-        assert np.abs(cov_phi(StructureEval(structures["example3-qs"], p), "canonical")).max() < 1e-8
+        assert np.abs(cov_phi(StructureEval(manifests["example3-qs"], p), "canonical")).max() < 1e-8
 
 
-def test_cov_phi_canonical_example3_aqs_nonzero(structures, sample_sets):
+def test_cov_phi_canonical_example3_aqs_nonzero(manifests, sample_sets):
     worst = 0.0
     for p in sample_sets["example3-aqs"]:
-        worst = max(worst, float(np.abs(cov_phi(StructureEval(structures["example3-aqs"], p), "canonical")).max()))
+        worst = max(worst, float(np.abs(cov_phi(StructureEval(manifests["example3-aqs"], p), "canonical")).max()))
     assert worst > 1e-3
 
 
-def test_cov_phi_rejects_unknown_connection(structures):
+def test_cov_phi_rejects_unknown_connection(manifests):
     with pytest.raises(ValueError):
-        cov_phi(StructureEval(structures["flat"], ORIGIN), "weyl")
+        cov_phi(StructureEval(manifests["flat"], ORIGIN), "weyl")
 
 
-def test_cov_phi_built_once_per_connection(structures, sample_sets):
-    ev = StructureEval(structures["example2"], sample_sets["example2"])
+def test_cov_phi_built_once_per_connection(manifests, sample_sets):
+    ev = StructureEval(manifests["example2"], sample_sets["example2"])
     lc, canonical = cov_phi(ev, "levi_civita"), cov_phi(ev, "canonical")
     assert cov_phi(ev, "levi_civita") is lc and cov_phi(ev, "canonical") is canonical
     assert np.array_equal(cov_phi(ev, which="canonical"), canonical)
     assert not np.array_equal(lc, canonical)
-    fresh = StructureEval(structures["example2"], sample_sets["example2"])
+    fresh = StructureEval(manifests["example2"], sample_sets["example2"])
     assert cov_phi(fresh, "canonical").tobytes() == canonical.tobytes()
 
 
-def test_reeb_eta_parallel_iff_odd_rank(structures, sample_sets):
+def test_reeb_eta_parallel_iff_odd_rank(manifests, sample_sets):
     # Gamma~^n_{na} = 0 exactly on the odd-rank fixtures
     for name in ALL:
         odd = name != "example2"
         for p in sample_sets[name][:8]:
-            n_na = lc_adapted(StructureEval(structures[name], p)).n_na
+            n_na = lc_adapted(StructureEval(manifests[name], p)).n_na
             assert (np.abs(n_na).max() < 1e-15) == odd, name
 
 
@@ -414,7 +415,7 @@ def test_twisted_C_nonzero(twisted):
 
 
 def test_twisted_oracle_equivalence(twisted):
-    for p in twisted.chart.sample_points(16, seed=3):
+    for p in sample_points(twisted, 16, seed=3):
         ev = StructureEval(twisted, p)
         adapted = lc_adapted(ev).full
         converted = coordinate_to_adapted(ev, lc_coordinate(ev))
@@ -422,14 +423,14 @@ def test_twisted_oracle_equivalence(twisted):
 
 
 def test_twisted_n_connection_formula(twisted):
-    for p in twisted.chart.sample_points(8, seed=4):
+    for p in sample_points(twisted, 8, seed=4):
         ev = StructureEval(twisted, p)
         for endo in (canonical_N, zero_N):
             assert n_connection_formula_residual(ev, endo(ev)) < 1e-9
 
 
 def test_twisted_torsion_cross_check(twisted):
-    for p in twisted.chart.sample_points(8, seed=5):
+    for p in sample_points(twisted, 8, seed=5):
         ev = StructureEval(twisted, p)
         assert torsion(ev, ev.canonical_N).direct_residual < 1e-9
 
@@ -437,7 +438,7 @@ def test_twisted_torsion_cross_check(twisted):
 def test_twisted_metricity_reeb_direction_is_2C(twisted):
     # with N = 2 psi the only defect contribution on horizontal slots is
     # (nabla^N_n g)_ab = 2 C_ab
-    for p in twisted.chart.sample_points(8, seed=6):
+    for p in sample_points(twisted, 8, seed=6):
         ev = StructureEval(twisted, p)
         defect = metricity_defect(ev, ev.canonical_N)
         assert np.abs(defect[4, :4, :4] - 2.0 * ev.C0).max() < 1e-12

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from acmcheck.chart import sample_points
 from acmcheck.connection import nabla_psi
 from acmcheck.curvature import (
     curvature_K,
@@ -52,18 +53,18 @@ def test_gauss_oracle_is_constant_4():
 # ---------------------------------------------------------------------------
 
 
-def test_schouten_flat_zero(structures):
-    assert np.array_equal(schouten(StructureEval(structures["flat"], ORIGIN)), np.zeros((4, 4, 4, 4)))
+def test_schouten_flat_zero(manifests):
+    assert np.array_equal(schouten(StructureEval(manifests["flat"], ORIGIN)), np.zeros((4, 4, 4, 4)))
 
 
-def test_schouten_example1_zero(structures, sample_sets):
+def test_schouten_example1_zero(manifests, sample_sets):
     for p in sample_sets["example1"][:8]:
-        assert np.abs(schouten(StructureEval(structures["example1"], p))).max() < 1e-15
+        assert np.abs(schouten(StructureEval(manifests["example1"], p))).max() < 1e-15
 
 
-def test_schouten_example3_block_constant_curvature(structures, sample_sets):
+def test_schouten_example3_block_constant_curvature(manifests, sample_sets):
     # sectional curvature of the conformal block equals the oracle value 4
-    s = structures["example3-qs"]
+    s = manifests["example3-qs"]
     for p in sample_sets["example3-qs"]:
         ev = StructureEval(s, p)
         R = schouten(StructureEval(s, p))
@@ -74,10 +75,10 @@ def test_schouten_example3_block_constant_curvature(structures, sample_sets):
         assert sectional == pytest.approx(gauss_curvature_conformal(p), abs=1e-7)
 
 
-def test_schouten_antisymmetry(structures, sample_sets):
+def test_schouten_antisymmetry(manifests, sample_sets):
     for name in ALL:
         for p in sample_sets[name][:6]:
-            R = schouten(StructureEval(structures[name], p))
+            R = schouten(StructureEval(manifests[name], p))
             assert np.abs(R + np.swapaxes(R, 1, 2)).max() < 1e-12, name
 
 
@@ -86,25 +87,25 @@ def test_schouten_antisymmetry(structures, sample_sets):
 # ---------------------------------------------------------------------------
 
 
-def test_K_example1_frame_block(structures):
+def test_K_example1_frame_block(manifests):
     p = np.array([0.2, 1.4, -0.1, 0.6, 0.0])
-    K = curvature_K(StructureEval(structures["example1"], p))
+    K = curvature_K(StructureEval(manifests["example1"], p))
     # Schouten vanishes, so K^d_{abc} = 4 omega_ab psi^d_c
     assert K.frame[1, 0, 1, 0] == pytest.approx(1.0, abs=1e-14)
     assert np.abs(K.mixed).max() < 1e-15  # psi parallel
 
 
-def test_K_flat_zero(structures):
-    K = curvature_K(StructureEval(structures["flat"], ORIGIN))
+def test_K_flat_zero(manifests):
+    K = curvature_K(StructureEval(manifests["flat"], ORIGIN))
     assert np.array_equal(K.frame, np.zeros((4, 4, 4, 4)))
     assert np.array_equal(K.mixed, np.zeros((4, 4, 4)))
 
 
 @pytest.mark.parametrize("name", ALL)
-def test_K_minus_R_is_4_omega_psi(name, structures, sample_sets):
+def test_K_minus_R_is_4_omega_psi(name, manifests, sample_sets):
     # checked through the direct curvature of the canonical connection, so
     # the identity is not circular
-    s = structures[name]
+    s = manifests[name]
     for p in sample_sets[name][:8]:
         ev = StructureEval(s, p)
         direct = curvature_canonical_direct(StructureEval(s, p))
@@ -115,8 +116,8 @@ def test_K_minus_R_is_4_omega_psi(name, structures, sample_sets):
 
 
 @pytest.mark.parametrize("name", ALL)
-def test_K_frame_block_matches_direct(name, structures, sample_sets):
-    s = structures[name]
+def test_K_frame_block_matches_direct(name, manifests, sample_sets):
+    s = manifests[name]
     for p in sample_sets[name][:8]:
         K = curvature_K(StructureEval(s, p))
         direct = curvature_canonical_direct(StructureEval(s, p))
@@ -124,8 +125,8 @@ def test_K_frame_block_matches_direct(name, structures, sample_sets):
 
 
 @pytest.mark.parametrize("name", ODD_RANK)
-def test_K_mixed_block_matches_direct_odd_rank(name, structures, sample_sets):
-    s = structures[name]
+def test_K_mixed_block_matches_direct_odd_rank(name, manifests, sample_sets):
+    s = manifests[name]
     for p in sample_sets[name][:8]:
         K = curvature_K(StructureEval(s, p))
         direct = curvature_canonical_direct(StructureEval(s, p))
@@ -133,10 +134,10 @@ def test_K_mixed_block_matches_direct_odd_rank(name, structures, sample_sets):
         assert np.abs(mixed_direct - K.mixed).max() < 1e-9, name
 
 
-def test_K_mixed_block_even_rank_extra_term(structures, sample_sets):
+def test_K_mixed_block_even_rank_extra_term(manifests, sample_sets):
     # for even rank the direct mixed block picks up -2 (d_n gamma_a) psi^d_c
     # on top of 2 nabla_a psi^d_c (the horizontal symbols are constant here)
-    s = structures["example2"]
+    s = manifests["example2"]
     for p in sample_sets["example2"][:8]:
         ev = StructureEval(s, p)
         K = curvature_K(StructureEval(s, p))
@@ -148,7 +149,7 @@ def test_K_mixed_block_even_rank_extra_term(structures, sample_sets):
 def test_K_mixed_block_reeb_dependent_metric_extra_term(twisted):
     # a Reeb-dependent metric makes the horizontal symbols Reeb-dependent,
     # and the direct mixed block then differs from 2 nabla psi by -d_n Gamma
-    for p in twisted.chart.sample_points(6, seed=8):
+    for p in sample_points(twisted, 6, seed=8):
         ev = StructureEval(twisted, p)
         K = curvature_K(StructureEval(twisted, p))
         direct = np.einsum("acd->dac", curvature_canonical_direct(StructureEval(twisted, p))[:4, 4, :4, :4])
@@ -158,7 +159,7 @@ def test_K_mixed_block_reeb_dependent_metric_extra_term(twisted):
 
 
 def test_twisted_K_frame_block_still_matches_direct(twisted):
-    for p in twisted.chart.sample_points(6, seed=9):
+    for p in sample_points(twisted, 6, seed=9):
         K = curvature_K(StructureEval(twisted, p))
         direct = curvature_canonical_direct(StructureEval(twisted, p))
         assert np.abs(np.einsum("abcd->dabc", direct[:4, :4, :4, :4]) - K.frame).max() < 1e-9
@@ -169,10 +170,10 @@ def test_twisted_K_frame_block_still_matches_direct(twisted):
 # ---------------------------------------------------------------------------
 
 
-def test_ricci_wagner_example3_is_minus_4g_on_conformal_block(structures, sample_sets):
+def test_ricci_wagner_example3_is_minus_4g_on_conformal_block(manifests, sample_sets):
     # r = -4 g holds on the conformal (1,2)-block; the flat (3,4)-block is
     # Ricci-flat, so r = -4 g cannot extend to all of the distribution
-    s = structures["example3-qs"]
+    s = manifests["example3-qs"]
     for p in sample_sets["example3-qs"]:
         ev = StructureEval(s, p)
         r = ricci_wagner(StructureEval(s, p))
@@ -181,41 +182,41 @@ def test_ricci_wagner_example3_is_minus_4g_on_conformal_block(structures, sample
         assert np.abs(r[:, 2:]).max() < 1e-12
 
 
-def test_ricci_wagner_trace_convention_lock(structures):
+def test_ricci_wagner_trace_convention_lock(manifests):
     # r_11 at the origin is -4, not +4; this pins the trace slot convention
-    r = ricci_wagner(StructureEval(structures["example3-qs"], ORIGIN))
+    r = ricci_wagner(StructureEval(manifests["example3-qs"], ORIGIN))
     assert r[0, 0] == pytest.approx(-4.0, abs=1e-9)
 
 
-def test_ricci_wagner_example1_zero(structures, sample_sets):
+def test_ricci_wagner_example1_zero(manifests, sample_sets):
     for p in sample_sets["example1"][:8]:
-        assert np.abs(ricci_wagner(StructureEval(structures["example1"], p))).max() < 1e-15
+        assert np.abs(ricci_wagner(StructureEval(manifests["example1"], p))).max() < 1e-15
 
 
-def test_ricci_k_example1(structures):
+def test_ricci_k_example1(manifests):
     p = np.array([0.2, 1.4, -0.1, 0.6, 0.0])
-    k = ricci_k(StructureEval(structures["example1"], p))
+    k = ricci_k(StructureEval(manifests["example1"], p))
     assert k[0, 0] == pytest.approx(1.0, abs=1e-14)  # 4 omega_{12} psi^2_1
     assert np.abs(k[4, :4]).max() < 1e-15  # psi parallel
     assert np.abs(k[:4, 4]).max() == 0.0  # zero by construction
     assert k[4, 4] == 0.0
 
 
-def test_ricci_k_flat_zero(structures):
-    assert np.array_equal(ricci_k(StructureEval(structures["flat"], ORIGIN)), np.zeros((5, 5)))
+def test_ricci_k_flat_zero(manifests):
+    assert np.array_equal(ricci_k(StructureEval(manifests["flat"], ORIGIN)), np.zeros((5, 5)))
 
 
-def test_ricci_k_example3_origin(structures):
-    k = ricci_k(StructureEval(structures["example3-qs"], ORIGIN))
+def test_ricci_k_example3_origin(manifests):
+    k = ricci_k(StructureEval(manifests["example3-qs"], ORIGIN))
     assert k[0, 0] == pytest.approx(-3.0, abs=1e-9)  # r_11 + 4 omega_{12} psi^2_1 = -4 + 1
 
 
-def test_ricci_k_reeb_row_zero_when_psi_parallel(structures, sample_sets):
+def test_ricci_k_reeb_row_zero_when_psi_parallel(manifests, sample_sets):
     for name in ("flat", "example1"):
         for p in sample_sets[name][:8]:
-            ev = StructureEval(structures[name], p)
+            ev = StructureEval(manifests[name], p)
             assert np.abs(nabla_psi(ev)).max() < 1e-15
-            assert np.abs(ricci_k(StructureEval(structures[name], p))[4, :4]).max() < 1e-15
+            assert np.abs(ricci_k(StructureEval(manifests[name], p))[4, :4]).max() < 1e-15
 
 
 
@@ -226,10 +227,10 @@ def test_ricci_k_reeb_row_zero_when_psi_parallel(structures, sample_sets):
     "k_n2 reads 0.14 against 0.28 on example2, and k_n1 2.212 against 4.424 on "
     "example3-qs; mending it moves the ricci-k digests of the benchmark reference",
 )
-def test_ricci_k_reeb_row_is_trace_of_curvature_K(structures):
+def test_ricci_k_reeb_row_is_trace_of_curvature_K(manifests):
     p = np.array([0.3, 0.7, 0.1, -0.2, 0.4])
     for name in ("example2", "example3-qs"):
-        ev = StructureEval(structures[name], p)
+        ev = StructureEval(manifests[name], p)
         trace = -np.einsum("...dda->...a", curvature_K(ev).mixed)
         assert np.abs(trace).max() > 0.1  # psi is not parallel here
         assert np.allclose(ricci_k(ev)[..., -1, : ev.m], trace, rtol=1e-12, atol=1e-12), name
@@ -275,7 +276,7 @@ def test_einstein_example3_fundamental_form_block_structure(manifests):
     assert report["residual_grid"][3][3] == pytest.approx(4.0, abs=1e-9)
     assert not report["verdict"]
     for point, rhs in zip(ev.p, einstein_rhs(ev, "fundamental_form")):
-        single = StructureEval(ev.structure, point)
+        single = StructureEval(ev.manifest, point)
         assert np.abs(rhs + 4.0 * single.g0).max() < 1e-12
 
 
@@ -286,6 +287,6 @@ def test_einstein_example3_parallel_torsion_hypothesis_fails(manifests):
     assert report["parallel_torsion_residual"] > 1e-3
 
 
-def test_einstein_rejects_unknown_source(structures):
+def test_einstein_rejects_unknown_source(manifests):
     with pytest.raises(ValueError):
-        einstein_rhs(StructureEval(structures["flat"], ORIGIN), "volume")
+        einstein_rhs(StructureEval(manifests["flat"], ORIGIN), "volume")

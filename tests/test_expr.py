@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acmcheck import expr
+from acmcheck.chart import sample_points
 from acmcheck.expr import (
     Add,
     Call,
@@ -392,14 +393,14 @@ def _tree_size(node) -> int:
     return 1 + sum(_tree_size(c) for c in _children(node))
 
 
-def _blocks(name, structures, twisted):
+def _blocks(name, manifests, twisted):
     if name == "deep":
         return [_deep_fields()], np.random.default_rng(5).uniform(-1, 1, (16, 5))
-    s = twisted if name == "twisted" else structures[name]
-    blocks = [np.array(s.chart.gamma, dtype=object), s.g, s.phi]
-    if s.chart.avoid:
-        blocks.append(np.array(s.chart.avoid, dtype=object))
-    return blocks, s.chart.sample_points(16, 42)
+    s = twisted if name == "twisted" else manifests[name]
+    blocks = [np.array(s.gamma, dtype=object), s.metric_frame, s.phi_frame]
+    if s.avoid:
+        blocks.append(np.array(s.avoid, dtype=object))
+    return blocks, sample_points(s, 16, 42)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -407,8 +408,8 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 @pytest.mark.parametrize("name", FIXTURES + ("twisted", "deep"))
-def test_field_jets_equal_unshared_reference_bitwise(name, structures, twisted):
-    blocks, points = _blocks(name, structures, twisted)
+def test_field_jets_equal_unshared_reference_bitwise(name, manifests, twisted):
+    blocks, points = _blocks(name, manifests, twisted)
     for fields in blocks:
         for p in (points, points[3]):
             for order in (0, 1, 2):
@@ -418,8 +419,8 @@ def test_field_jets_equal_unshared_reference_bitwise(name, structures, twisted):
 
 
 @pytest.mark.parametrize("name", FIXTURES + ("deep",))
-def test_scalar_field_jet_and_value_equal_unshared_reference_bitwise(name, structures):
-    blocks, points = _blocks(name, structures, None)
+def test_scalar_field_jet_and_value_equal_unshared_reference_bitwise(name, manifests):
+    blocks, points = _blocks(name, manifests, None)
     for fields in blocks:
         for f in fields.flat:
             cell = np.array(f, dtype=object)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from acmcheck.chart import sample_points
 from acmcheck.checks import report_json, run_full_check, sampled_evaluation
 from acmcheck.classify import classification_report
 from acmcheck.cli import TENSOR_NAMES, _tensor_payload, main
@@ -153,7 +154,7 @@ def test_classify_and_einstein_json_are_reference_text(name, nan_manifest, capsy
 
 
 def _points(manifest, count=2):
-    points = manifest.chart().sample_points(count, 3)
+    points = sample_points(manifest, count, 3)
     return [",".join(repr(float(x)) for x in p) for p in points]
 
 

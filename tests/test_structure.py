@@ -1,15 +1,15 @@
-"""Structure assembly: axioms, derived tensors, exterior derivatives."""
+"""Structure evaluation: axioms, derived tensors, exterior derivatives."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from acmcheck.expr import Const, Mul, ScalarField, parse
 from acmcheck.structure import (
-    AdaptedStructure,
     SingularMetricError,
-    StructureError,
     StructureEval,
     d_fundamental_form,
     ext_d_from_grad,
@@ -25,56 +25,50 @@ COMPATIBLE = ("flat", "example1", "example2", "example3-qs")
 ORIGIN = np.zeros(5)
 
 
-def test_structure_shape_validation(structures):
-    s = structures["flat"]
-    with pytest.raises(StructureError):
-        AdaptedStructure(chart=s.chart, g=s.g[:3, :3], phi=s.phi)
-
-
 # ---------------------------------------------------------------------------
 # Axioms
 # ---------------------------------------------------------------------------
 
 
-def test_axioms_flat_all_zero(structures):
-    report = validate_axioms(StructureEval(structures["flat"], ORIGIN))
+def test_axioms_flat_all_zero(manifests):
+    report = validate_axioms(StructureEval(manifests["flat"], ORIGIN))
     assert all(v == 0.0 for v in report.values())
 
 
-def test_axioms_example1_below_1e12(structures, sample_sets):
+def test_axioms_example1_below_1e12(manifests, sample_sets):
     for p in sample_sets["example1"]:
-        report = validate_axioms(StructureEval(structures["example1"], p))
+        report = validate_axioms(StructureEval(manifests["example1"], p))
         assert max(report.values()) < 1e-12
 
 
-def test_axioms_hold_on_compatible_fixtures(structures, sample_sets):
+def test_axioms_hold_on_compatible_fixtures(manifests, sample_sets):
     for name in COMPATIBLE:
         for p in sample_sets[name]:
-            report = validate_axioms(StructureEval(structures[name], p))
+            report = validate_axioms(StructureEval(manifests[name], p))
             assert max(report.values()) < 1e-12, name
 
 
-def test_axioms_representation_identities_exact(structures):
-    report = validate_axioms(StructureEval(structures["example2"], np.array([1.0, 3.0, 0.0, 0.0, 2.0])))
+def test_axioms_representation_identities_exact(manifests):
+    report = validate_axioms(StructureEval(manifests["example2"], np.array([1.0, 3.0, 0.0, 0.0, 2.0])))
     for key in ("eta_xi", "phi_xi", "eta_circ_phi", "eta_metric_dual"):
         assert report[key] == 0.0
 
 
-def test_axiom1_residual_for_doubled_phi(structures):
-    s = structures["example1"]
-    doubled = np.empty_like(s.phi)
-    for idx in np.ndindex(s.phi.shape):
-        doubled[idx] = ScalarField(Mul(Const(2.0), s.phi[idx].ast), s.phi[idx].coords)
-    scaled = AdaptedStructure(chart=s.chart, g=s.g, phi=doubled)
+def test_axiom1_residual_for_doubled_phi(manifests):
+    s = manifests["example1"]
+    doubled = np.empty_like(s.phi_frame)
+    for idx in np.ndindex(s.phi_frame.shape):
+        doubled[idx] = ScalarField(Mul(Const(2.0), s.phi_frame[idx].ast), s.phi_frame[idx].coords)
+    scaled = dataclasses.replace(s, phi_frame=doubled)
     report = validate_axioms(StructureEval(scaled, np.array([0.5, 1.0, 0.0, 0.0, 0.0])))
     # (2 phi)^2 = -4 id, so the defect against -id has magnitude 3
     assert report["phi_square"] == pytest.approx(3.0, abs=1e-14)
 
 
-def test_example3_aqs_phi_not_metric_compatible(structures, sample_sets):
+def test_example3_aqs_phi_not_metric_compatible(manifests, sample_sets):
     # the redefined endomorphism pairs the conformal block with the flat one,
     # so g(phi X, phi Y) = g(X, Y) fails wherever the conformal factor is not 1
-    s = structures["example3-aqs"]
+    s = manifests["example3-aqs"]
     residuals = [validate_axioms(StructureEval(s, p))["compatibility"] for p in sample_sets["example3-aqs"]]
     assert max(residuals) > 0.5
     # while phi^2 = -id still holds exactly
@@ -86,30 +80,30 @@ def test_example3_aqs_phi_not_metric_compatible(structures, sample_sets):
 # ---------------------------------------------------------------------------
 
 
-def test_metric_positive_definite_everywhere(structures, sample_sets):
+def test_metric_positive_definite_everywhere(manifests, sample_sets):
     for name in ALL:
         for p in sample_sets[name]:
-            assert metric_definiteness(StructureEval(structures[name], p)) > 1e-9
+            assert metric_definiteness(StructureEval(manifests[name], p)) > 1e-9
 
 
-def test_singular_metric_raises(structures):
-    s = structures["flat"]
-    degenerate = s.g.copy()
-    degenerate[0, 0] = parse("0", s.chart.coords)
-    bad = AdaptedStructure(chart=s.chart, g=degenerate, phi=s.phi)
+def test_singular_metric_raises(manifests):
+    s = manifests["flat"]
+    degenerate = s.metric_frame.copy()
+    degenerate[0, 0] = parse("0", s.coordinates)
+    bad = dataclasses.replace(s, metric_frame=degenerate)
     with pytest.raises(SingularMetricError):
         metric_definiteness(StructureEval(bad, ORIGIN))
 
 
-def test_pseudo_flag_relaxes_definiteness(structures):
+def test_pseudo_flag_relaxes_definiteness(manifests):
     # an indefinite but nondegenerate metric passes only with pseudo: true
-    s = structures["flat"]
-    indefinite = s.g.copy()
-    indefinite[0, 0] = parse("-1", s.chart.coords)
-    strict = AdaptedStructure(chart=s.chart, g=indefinite, phi=s.phi)
+    s = manifests["flat"]
+    indefinite = s.metric_frame.copy()
+    indefinite[0, 0] = parse("-1", s.coordinates)
+    strict = dataclasses.replace(s, metric_frame=indefinite)
     with pytest.raises(SingularMetricError):
         metric_definiteness(StructureEval(strict, ORIGIN))
-    relaxed = AdaptedStructure(chart=s.chart, g=indefinite, phi=s.phi, pseudo=True)
+    relaxed = dataclasses.replace(s, metric_frame=indefinite, pseudo=True)
     assert metric_definiteness(StructureEval(relaxed, ORIGIN)) == pytest.approx(1.0)
 
 
@@ -118,8 +112,8 @@ def test_pseudo_flag_relaxes_definiteness(structures):
 # ---------------------------------------------------------------------------
 
 
-def test_derived_flat(structures):
-    ev = StructureEval(structures["flat"], ORIGIN)
+def test_derived_flat(manifests):
+    ev = StructureEval(manifests["flat"], ORIGIN)
     expected_Omega = np.zeros((4, 4))
     expected_Omega[0, 2], expected_Omega[2, 0] = -1.0, 1.0
     expected_Omega[1, 3], expected_Omega[3, 1] = -1.0, 1.0
@@ -130,10 +124,10 @@ def test_derived_flat(structures):
     assert trace_psi_sq(ev) == 0.0
 
 
-def test_derived_example1(structures, sample_sets):
+def test_derived_example1(manifests, sample_sets):
     traces = []
     for p in sample_sets["example1"]:
-        ev = StructureEval(structures["example1"], p)
+        ev = StructureEval(manifests["example1"], p)
         assert ev.psi0[1, 0] == pytest.approx(-0.5, abs=1e-15)
         assert ev.psi0[0, 1] == pytest.approx(0.5, abs=1e-15)
         assert np.array_equal(ev.C0, np.zeros((4, 4)))
@@ -142,26 +136,26 @@ def test_derived_example1(structures, sample_sets):
     assert max(traces) - min(traces) < 1e-12  # tr(psi^2) constant
 
 
-def test_derived_example3_at_origin(structures):
-    ev = StructureEval(structures["example3-qs"], ORIGIN)
+def test_derived_example3_at_origin(manifests):
+    ev = StructureEval(manifests["example3-qs"], ORIGIN)
     assert ev.g0[0, 0] == pytest.approx(1.0, abs=1e-15)
     assert ev.psi0[1, 0] == pytest.approx(-0.5, abs=1e-15)
 
 
-def test_psi_lowering_consistency(structures, sample_sets):
+def test_psi_lowering_consistency(manifests, sample_sets):
     # g_bd psi^d_a = omega_ab at every sample
     for name in ALL:
         for p in sample_sets[name]:
-            ev = StructureEval(structures[name], p)
+            ev = StructureEval(manifests[name], p)
             lowered = np.einsum("bd,da->ab", ev.g0, ev.psi0)
             assert np.abs(lowered - ev.omega0).max() < 1e-12, name
 
 
-def test_C_zero_on_shipped_fixtures(structures, sample_sets):
+def test_C_zero_on_shipped_fixtures(manifests, sample_sets):
     # no shipped metric depends on the Reeb coordinate
     for name in ALL:
         for p in sample_sets[name][:8]:
-            assert np.array_equal(StructureEval(structures[name], p).C0, np.zeros((4, 4))), name
+            assert np.array_equal(StructureEval(manifests[name], p).C0, np.zeros((4, 4))), name
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +163,11 @@ def test_C_zero_on_shipped_fixtures(structures, sample_sets):
 # ---------------------------------------------------------------------------
 
 
-def test_d_eta_matches_bracket_oracle(structures, sample_sets):
+def test_d_eta_matches_bracket_oracle(manifests, sample_sets):
     # cross-oracle: d(eta) via coordinate partials vs omega/d_eta_xi via brackets;
     # eta = (gamma_a, 1), so its gradient is the gamma gradient over a zero row
     for name in ALL:
-        ev = StructureEval(structures[name], sample_sets[name])
+        ev = StructureEval(manifests[name], sample_sets[name])
         grads = ev.zeros(5, 5)
         grads[:, :4] = ev.gam1
         deta = ext_d_from_grad(grads, 1)
@@ -218,23 +212,23 @@ def test_ext_d_from_grad(rank):
     assert np.allclose(batched, np.stack([expected, -2.0 * expected]), rtol=0.0, atol=1e-15)
 
 
-def test_d_Omega_zero_on_example1(structures, sample_sets):
+def test_d_Omega_zero_on_example1(manifests, sample_sets):
     for p in sample_sets["example1"]:
-        ev = StructureEval(structures["example1"], p)
+        ev = StructureEval(manifests["example1"], p)
         assert np.abs(d_fundamental_form(ev)).max() == 0.0
 
 
-def test_d_Omega_zero_on_example3_qs(structures, sample_sets):
+def test_d_Omega_zero_on_example3_qs(manifests, sample_sets):
     for p in sample_sets["example3-qs"]:
-        ev = StructureEval(structures["example3-qs"], p)
+        ev = StructureEval(manifests["example3-qs"], p)
         assert np.abs(d_fundamental_form(ev)).max() < 1e-12
 
 
-def test_d_Omega_nonzero_on_example3_aqs(structures, sample_sets):
+def test_d_Omega_nonzero_on_example3_aqs(manifests, sample_sets):
     # the redefined endomorphism couples the conformal factor to the flat
     # block, so the fundamental form is no longer closed (nor even skew)
     worst = 0.0
     for p in sample_sets["example3-aqs"]:
-        ev = StructureEval(structures["example3-aqs"], p)
+        ev = StructureEval(manifests["example3-aqs"], p)
         worst = max(worst, float(np.abs(d_fundamental_form(ev)).max()))
     assert worst > 1e-3

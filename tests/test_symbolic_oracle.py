@@ -101,7 +101,7 @@ def test_evaluation_matches_symbolic_derivation(name, point):
     data = manifest_data(name)
     exact = _symbolic(data, point)
     p = np.array([float(sp.Rational(q)) for q in point])
-    ev = StructureEval(manifest_from_dict(data).structure(), p)
+    ev = StructureEval(manifest_from_dict(data), p)
     numeric = {
         "omega": ev.omega0,
         "d_eta_xi": ev.d_eta_xi,
