@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import describe_first, field_jets
-from .residuals import nanmax
+from .residuals import holds_within, nanmax
 from .structure import SingularMetricError, StructureEval, contract, mat_t, memoised
 
 # relative tolerance of the torsion table's skew-symmetry flag
@@ -223,10 +223,9 @@ def torsion(ev: StructureEval, N0: np.ndarray) -> TorsionResult:
         ev.max_abs(table + np.swapaxes(table, -2, -1)),
         ev.max_abs(table + np.swapaxes(table, -3, -1)),
     )
-    scale = 1.0 + ev.max_abs(table)
     return TorsionResult(
         components=table,
-        is_skew=skew_residual < TORSION_SKEW_TOL * scale,
+        is_skew=holds_within(skew_residual, ev.max_abs(table), TORSION_SKEW_TOL),
         skew_residual=skew_residual,
         direct_residual=direct_residual,
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -47,13 +47,14 @@ class ManifestError(Exception):
         self.field = field_name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Manifest:
     """A validated manifest, built by :func:`manifest_from_dict`, which
     checks every field of the schema above and names every run-parameter
     default.  ``metric_frame`` and ``phi_frame`` are (n-1, n-1) object
     arrays of fields, ``phi_frame[b, a] = phi^b_a``; ``avoid`` lists fields
-    that sampled points keep nonzero (see :func:`acmcheck.chart.sample_points`)."""
+    that sampled points keep nonzero (see :func:`acmcheck.chart.sample_points`).
+    Manifests compare and hash by identity."""
 
     dimension: int
     coordinates: tuple[str, ...]
@@ -67,7 +68,7 @@ class Manifest:
     tolerance: float
     pseudo: bool
     omega_source: str
-    source: str = field(compare=False)
+    source: str
 
     def chart(self) -> SimpleNamespace:
         """Kept for ``perfbench/make_reference.py``, which draws its point

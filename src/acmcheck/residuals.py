@@ -10,7 +10,6 @@ fails its verdict instead of vanishing, as it would under Python's ``max``
 
 from __future__ import annotations
 
-import math
 from functools import reduce
 
 import numpy as np
@@ -22,6 +21,12 @@ def nanmax(*values):
     return reduce(np.maximum, values)
 
 
+def holds_within(residual, scale, tol: float):
+    """The verdict rule, elementwise over scalars or per-point arrays: the
+    residual and its scale are finite and residual < tol * (1 + scale)."""
+    return np.isfinite(residual) & np.isfinite(scale) & (residual < tol * (1.0 + scale))
+
+
 class WorstResidual:
     """Maxima of a residual and its scale over sample points, from scalars
     or arrays of per-point values."""
@@ -31,8 +36,4 @@ class WorstResidual:
         self.scale = float(nanmax(0.0, np.max(scale)))
 
     def holds(self, tol: float) -> bool:
-        return (
-            math.isfinite(self.residual)
-            and math.isfinite(self.scale)
-            and self.residual < tol * (1.0 + self.scale)
-        )
+        return bool(holds_within(self.residual, self.scale, tol))

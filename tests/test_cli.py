@@ -78,6 +78,14 @@ def test_fixture_lookup(tmp_path, monkeypatch):
     assert [str(g) for g in load_manifest("example1").gamma] == ["0.0"] * 4
 
 
+def test_manifests_compare_and_hash_by_identity():
+    a, b = load_fixture("flat"), load_fixture("flat")
+    assert a == a
+    assert a != b
+    assert {a, b, a} == {a, b}
+    assert len({a, b}) == 2
+
+
 def test_gamma_length_error():
     bad = dict(BASE, gamma=["0", "0", "0"])
     with pytest.raises(ManifestError) as err:
@@ -117,6 +125,9 @@ def test_unknown_identifier_in_metric():
         ({"coordinates": ["x", ["y"], "z", "u", "v"]}, "coordinates"),
         ({"coordinates": [1, "1", "z", "u", "v"]}, "coordinates"),
         ({"seed": True}, "seed"),
+        ({"metric_frame": [["1", "0", "0", "0"]] * 3}, "metric_frame"),
+        ({"phi_frame": [["0", "0", "-1", "0"], ["0", "0", "0"],
+                        ["1", "0", "0", "0"], ["0", "1", "0", "0"]]}, "phi_frame[1]"),
     ],
 )
 def test_schema_violations(patch, field):
