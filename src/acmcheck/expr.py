@@ -677,8 +677,9 @@ def field_jets(fields: np.ndarray, points: np.ndarray, order: int = 2) -> tuple[
     node object once for the whole block, so fields from one
     :class:`InternTable` share the jets of their common subexpressions.  An
     :class:`ExprDomainError` names the first failing field and its first
-    offending point.  Overflow and invalid operations raise no warning: they
-    show as infinities and NaNs, which the callers' finiteness rules report."""
+    offending point.  Overflow, division by a product that underflowed to
+    zero and invalid operations raise no warning: they show as infinities
+    and NaNs, which the callers' finiteness rules report."""
     p = np.asarray(points, dtype=float)
     n = p.shape[-1] if p.ndim else -1
     for f in fields.flat:
@@ -693,7 +694,7 @@ def field_jets(fields: np.ndarray, points: np.ndarray, order: int = 2) -> tuple[
         for k, a in enumerate(out)
     ]
     memo: dict = {}
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for i, f in enumerate(fields.flat):
             try:
                 jet = _eval_node(f.ast, p, n, order, memo)

@@ -13,6 +13,9 @@ Schema (all expression values are strings in the scalar DSL):
 
 Each distinct expression string is parsed once per manifest, through one
 intern table, so equal subexpressions of all fields are one node object.
+:func:`load_manifest` parses and validates a file once per (path, content)
+in a process: it reads the file on every call and reuses the manifest it
+built for the same path and bytes, from a small bounded cache.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -54,7 +57,12 @@ class Manifest:
     default.  ``metric_frame`` and ``phi_frame`` are (n-1, n-1) object
     arrays of fields, ``phi_frame[b, a] = phi^b_a``; ``avoid`` lists fields
     that sampled points keep nonzero (see :func:`acmcheck.chart.sample_points`).
-    Manifests compare and hash by identity."""
+    Manifests compare and hash by identity.
+
+    A manifest is immutable: the dataclass is frozen, its fields and their
+    nodes are frozen, and both arrays are read-only (a variant copies them
+    first).  So one manifest may serve many calls; :func:`load_manifest`
+    returns the same object for an unchanged file."""
 
     dimension: int
     coordinates: tuple[str, ...]
@@ -161,6 +169,7 @@ def manifest_from_dict(data: dict, source: str = "<memory>") -> Manifest:
 
     metric = _expr_matrix(data.get("metric_frame"), m, table, "metric_frame")
     phi = _expr_matrix(data.get("phi_frame"), m, table, "phi_frame")
+    metric.flags.writeable = phi.flags.writeable = False
 
     domain_raw = data.get("domain")
     if not isinstance(domain_raw, list) or len(domain_raw) != n:
@@ -207,7 +216,12 @@ def manifest_from_dict(data: dict, source: str = "<memory>") -> Manifest:
 
 
 def load_manifest(path: str | Path) -> Manifest:
-    """Load and validate a manifest from a file path or bundled fixture name."""
+    """Load and validate a manifest from a file path or bundled fixture name.
+
+    The file is read on every call.  The same path with the same text gives
+    the manifest built the first time, while it is among the last 16 loaded;
+    an edited file is parsed and validated anew, and a bad one raises its
+    :class:`ManifestError` on every call."""
     resolved = _resolve(path)
     try:
         text = resolved.read_text(encoding="utf-8")
@@ -215,13 +229,19 @@ def load_manifest(path: str | Path) -> Manifest:
         raise ManifestError("<file>", f"cannot read {resolved}: {err}") from err
     except UnicodeDecodeError as err:
         raise ManifestError("<file>", f"{resolved} is not UTF-8 text: {err}") from None
+    return _manifest_from_text(str(resolved), text)
+
+
+# keyed by the whole text, so an edit always misses; exceptions are not cached
+@lru_cache(maxsize=16)
+def _manifest_from_text(source: str, text: str) -> Manifest:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
-        raise ManifestError("<file>", f"invalid JSON in {resolved}: {err}") from err
+        raise ManifestError("<file>", f"invalid JSON in {source}: {err}") from err
     except RecursionError:
-        raise ManifestError("<file>", f"invalid JSON in {resolved}: nested too deeply") from None
-    return manifest_from_dict(data, source=str(resolved))
+        raise ManifestError("<file>", f"invalid JSON in {source}: nested too deeply") from None
+    return manifest_from_dict(data, source=source)
 
 
 def fixture_path(name: str) -> Path:

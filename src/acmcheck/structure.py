@@ -469,10 +469,16 @@ def metric_definiteness(ev: StructureEval) -> np.ndarray:
     each evaluated point.
 
     Raises :class:`SingularMetricError`, naming the first offending point,
-    when it is at most :data:`METRIC_FLOOR` anywhere.
+    when the metric is not finite or its smallest eigenvalue is at most
+    :data:`METRIC_FLOOR` anywhere.
     """
     pseudo = ev.manifest.pseudo
-    eigs = np.linalg.eigvalsh(0.5 * (ev.g0 + mat_t(ev.g0)))
+    # halved before the sum, so that a finite metric does not overflow
+    sym = 0.5 * ev.g0 + 0.5 * mat_t(ev.g0)
+    nonfinite = ~np.isfinite(sym).all(axis=(-2, -1))
+    if np.any(nonfinite):
+        raise SingularMetricError(f"frame metric not finite at {describe_first(ev.p, nonfinite)}")
+    eigs = np.linalg.eigvalsh(sym)
     smallest = (np.abs(eigs) if pseudo else eigs).min(axis=-1)
     low = smallest <= METRIC_FLOOR
     if np.any(low):

@@ -79,7 +79,8 @@ def test_fixture_lookup(tmp_path, monkeypatch):
 
 
 def test_manifests_compare_and_hash_by_identity():
-    a, b = load_fixture("flat"), load_fixture("flat")
+    # two builds from equal data: load_manifest would return one cached object
+    a, b = manifest_from_dict(BASE), manifest_from_dict(BASE)
     assert a == a
     assert a != b
     assert {a, b, a} == {a, b}
@@ -594,6 +595,27 @@ def test_cli_millionth_power_is_fast(tmp_path, capsys):
     assert main(["tensor", str(path), "--name", "omega", "--at", "0.1,0.5,0,0,0", "--json"]) == 0
     assert time.perf_counter() - start < 0.1
     assert json.loads(capsys.readouterr().out) == {"omega": [[0.0] * 4] * 4}
+
+
+def test_cli_frame_metric_at_the_largest_float(tmp_path, capsys):
+    # halves are summed before the eigenvalues, so the largest finite metric
+    # runs (its residuals overflow: exit 1); an infinite one is an input error
+    path = tmp_path / "huge.json"
+    for factor, code in (("1.7976931348623157e308", 1), ("1e308*10", 2)):
+        path.write_text(json.dumps(dict(BASE, metric_frame=[[factor if i == j else "0" for j in range(4)]
+                                                             for i in range(4)])))
+        assert main(["check", str(path), "--samples", "4"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: frame metric not finite at sample 0, point [") if code == 2 else err == ""
+
+
+@pytest.mark.parametrize("text", ["sqrt(x)", "ln(x)"])
+def test_cli_hessian_of_an_underflowed_square_is_silent(text, tmp_path, capsys):
+    # at x = 1e-300, x*x (in the Hessian of sqrt and ln) underflows to 0
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(dict(BASE, gamma=["0", "0", "0", text])))
+    assert main(["rank", str(path), "--at", "1e-300,0,0,0,0"]) == 0
+    assert capsys.readouterr() == ("3\n", "")
 
 
 @pytest.mark.parametrize("command", [["check"], *POINT_COMMANDS], ids=["check", "tensor", "rank"])

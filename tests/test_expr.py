@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import runpy
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -34,7 +36,7 @@ from acmcheck.expr import (
     parse,
     to_text,
 )
-from acmcheck.manifest import fixture_path, load_fixture, manifest_from_dict
+from acmcheck.manifest import fixture_path, load_manifest, manifest_from_dict
 
 from _helpers import (
     fd_gradient,
@@ -488,7 +490,7 @@ def test_each_distinct_node_evaluated_once_per_block(monkeypatch):
         assert set(counts.values()) == {1}
 
 
-def test_manifest_parses_each_distinct_string_once(monkeypatch):
+def test_manifest_parses_each_distinct_string_once(monkeypatch, tmp_path):
     factor = "exp(0.2*sin(x*y))"
     data = {
         "dimension": 5,
@@ -508,8 +510,19 @@ def test_manifest_parses_each_distinct_string_once(monkeypatch):
     g = mf.metric_frame
     assert g[0, 0] is g[3, 3] and g[0, 1] is mf.phi_frame[0, 0] is mf.gamma[1]
     assert mf.avoid[0].ast is mf.gamma[0].ast
-    # one table per load: no node outlives the manifest it was parsed for
-    assert load_fixture("example1").gamma[0].ast is not load_fixture("example1").gamma[0].ast
+    # one table per load: two texts share no node, and no node outlives the
+    # manifest it was parsed for once the bounded load cache lets it go
+    first, spaced = tmp_path / "first.json", tmp_path / "spaced.json"
+    first.write_text(json.dumps(data))
+    spaced.write_text(json.dumps(data, indent=1))
+    assert load_manifest(first).gamma[0].ast is not load_manifest(spaced).gamma[0].ast
+    node = weakref.ref(load_manifest(first).gamma[0].ast)
+    for seed in range(17):
+        other = tmp_path / f"other{seed}.json"
+        other.write_text(json.dumps(dict(data, seed=seed)))
+        load_manifest(other)
+    gc.collect()
+    assert node() is None
 
 
 def test_signed_zero_constants_not_merged():
