@@ -222,7 +222,7 @@ def _pcg64_double(state: np.ndarray) -> np.ndarray:
 def gamma_jets(manifest: Manifest, p: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
     """Value, gradient and (for ``order`` 2) Hessian arrays of the gamma
     fields at a point or over a block of points."""
-    return field_jets(np.array(manifest.gamma, dtype=object), p, order)
+    return field_jets(manifest.plans["gamma"], p, order)
 
 
 def adapted_frame(gam0: np.ndarray, gam1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

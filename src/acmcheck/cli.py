@@ -27,6 +27,10 @@ TENSOR_NAMES = (
     "schouten", "K", "ricci-wagner", "ricci-k",
 )
 
+# the tensors that differentiate the connection along the frame, and so
+# read the Hessians of the metric and gamma; the others need first order
+HESSIAN_TENSORS = ("schouten", "K", "ricci-wagner", "ricci-k")
+
 
 class InputError(Exception):
     pass
@@ -50,7 +54,7 @@ def _parse_point(text: str, manifest: Manifest) -> np.ndarray:
 
 
 def _tensor_payload(name: str, manifest: Manifest, p: np.ndarray) -> dict:
-    ev = StructureEval(manifest, p)
+    ev = StructureEval(manifest, p, order=2 if name in HESSIAN_TENSORS else 1)
     if name in ("omega", "psi", "C"):
         return {name: getattr(ev, f"{name}0")}
     if name == "lc-adapted":

@@ -5,20 +5,23 @@ up to second order: a :class:`Jet` carries value, gradient and (symmetric)
 Hessian, which is everything the downstream tensor computations need.  A
 block of fields is evaluated once over a whole block of points, leading axes
 of every array being sample axes, and only up to the order the block is read
-at: the metric and gamma blocks of an evaluation to order 2; phi, the gamma
-jets of the rank and the fields of covariant and exterior derivatives to
-order 1; the 'avoid' tests and :meth:`ScalarField.value` to order 0.
-:func:`field_jets` is the one evaluator; it writes each field's jet straight
-into arrays allocated once per block.
+at: the metric and gamma blocks of an evaluation to order 2 (to order 1 for
+a single-point tensor that reads no Hessian); phi, the gamma jets of the
+rank and the fields of covariant and exterior derivatives to order 1; the
+'avoid' tests and :meth:`ScalarField.value` to order 0.  :func:`field_jets`
+is the one evaluator; it writes each field's jet straight into arrays
+allocated once per block.
 
 Expressions form a DAG, not a tree.  The fields parsed through one
 :class:`InternTable` (one per manifest) share a node object for every
 distinct subexpression, and each distinct string is parsed once.
 :func:`field_jets` differentiates each distinct node once per block of
 fields, so a subexpression repeated across a manifest's fields is parsed and
-differentiated once per block.
+differentiated once per block.  A :class:`BlockPlan` splits a block into
+coordinate-free fields and coordinate-dependent ones: the jets of the first
+are computed once per plan and order, and a manifest holds one plan per
+block, so they are computed once per manifest.
 """
-
 from __future__ import annotations
 
 import math
@@ -663,30 +666,118 @@ def parse(text: str, coords: tuple[str, ...] | list[str]) -> ScalarField:
     return InternTable(coords).parse(text)
 
 
-def field_jets(fields: np.ndarray, points: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
-    """Jets to ``order`` of an object array of ScalarFields over a point or a
-    block of points of shape (..., n): the values (batch shape + the fields'
-    shape), then for ``order`` >= 1 the gradients (one more trailing axis)
-    and for ``order`` 2 the Hessians (two).
+def _coordinate_free(node: Node, memo: dict) -> bool:
+    """Whether no Var is reachable from ``node``; ``memo`` maps the id of each
+    node decided so far to its answer."""
+    free = memo.get(id(node))
+    if free is None:
+        free = memo[id(node)] = not isinstance(node, Var) and all(
+            _coordinate_free(child, memo) for child in _children(node)
+        )
+    return free
 
-    The result arrays are allocated once and each field's jet is written
-    into its slot, a part that does not vary over the block broadcast by
-    the assignment.  Only the parts up to ``order`` are computed: a block
-    read to order 0 or 1 runs no Hessian term (and at order 0 no gradient
-    term).  Fields are evaluated in ``fields.flat`` order and each distinct
-    node object once for the whole block, so fields from one
-    :class:`InternTable` share the jets of their common subexpressions.  An
-    :class:`ExprDomainError` names the first failing field and its first
-    offending point.  Overflow, division by a product that underflowed to
-    zero and invalid operations raise no warning: they show as infinities
-    and NaNs, which the callers' finiteness rules report."""
+
+class BlockPlan:
+    """A block of fields (an object array of ScalarFields) split into
+    coordinate-free fields, whose jets are the same at every point, and
+    coordinate-dependent ones.
+
+    The jets of the coordinate-free fields are computed once per order, at
+    batch shape (), by the same :class:`Jet` code as every other jet, and
+    kept as one template array per part (the block's shape plus the
+    coordinate axes); :func:`field_jets` fills each part of its output from
+    the template in one assignment and evaluates only the varying fields.
+    A coordinate-free field whose evaluation raises (``1/0``, ``ln(0)``) is
+    not folded: it counts as varying, so its error is raised in field order
+    with the same text.  The split is made at the first evaluation; two
+    threads that build the same template build equal ones, and either is
+    kept.
+
+    A plan holds its fields and their templates and nothing else, and its
+    fields must not change while it lives: a
+    :class:`~acmcheck.manifest.Manifest`, whose arrays are read-only, holds
+    one plan per field block and lives exactly as long, and a bare object
+    array passed to :func:`field_jets` gets a plan for that one call.
+    """
+
+    __slots__ = ("fields", "lengths", "_free", "_templates")
+
+    def __init__(self, fields: np.ndarray):
+        self.fields = fields
+        # coordinate counts of the fields, against which points are checked
+        self.lengths = {len(f.coords) for f in fields.flat}
+        self._free: list[bool] | None = None
+        self._templates: dict[tuple[int, int], tuple] = {}
+
+    def template(self, order: int, n: int) -> tuple[tuple[np.ndarray, ...], list[tuple[int, ScalarField]]]:
+        """The parts to ``order`` of the coordinate-free fields' jets over
+        ``n`` coordinates, zero in the slots of the other fields, and those
+        other fields with their flat indices, in ``fields.flat`` order."""
+        key = (order, n)
+        if key not in self._templates:
+            fields = self.fields
+            if self._free is None:
+                memo: dict = {}
+                self._free = [_coordinate_free(f.ast, memo) for f in fields.flat]
+            parts = tuple(np.zeros(fields.shape + (n,) * k) for k in range(order + 1))
+            slots = [part.reshape((fields.size,) + (n,) * k) for k, part in enumerate(parts)]
+            varying = []
+            memo = {}
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                for i, (f, free) in enumerate(zip(fields.flat, self._free)):
+                    jet = None
+                    if free:
+                        try:
+                            # no Var is reached, so no point is read
+                            jet = _eval_node(f.ast, None, n, order, memo)
+                        except ExprDomainError:
+                            pass  # evaluated per call, to raise in field order
+                    if jet is None:
+                        varying.append((i, f))
+                        continue
+                    for slot, part in zip(slots, (jet.value, jet.grad, jet.hess)):
+                        slot[i] = part
+            for part in parts:
+                part.flags.writeable = False
+            self._templates[key] = parts, varying
+        return self._templates[key]
+
+
+def field_jets(block: np.ndarray | BlockPlan, points: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
+    """Jets to ``order`` of a block of fields over a point or a block of
+    points of shape (..., n): the values (batch shape + the fields' shape),
+    then for ``order`` >= 1 the gradients (one more trailing axis) and for
+    ``order`` 2 the Hessians (two).  ``block`` is a :class:`BlockPlan` or an
+    object array of ScalarFields, which gets a plan for this call.
+
+    The result arrays are allocated once and filled from the plan's
+    template of coordinate-free jets, each broadcast over the batch; then
+    each varying field's jet is written into its slot, a part that does not
+    vary over the block broadcast by the assignment.  Only the parts up to
+    ``order`` are computed: a block read to order 0 or 1 runs no Hessian
+    term (and at order 0 no gradient term).  Varying fields are evaluated in
+    ``fields.flat`` order and each distinct node object once for the whole
+    block, so fields from one :class:`InternTable` share the jets of their
+    common subexpressions.  An :class:`ExprDomainError` names the first
+    failing field and its first offending point.  Overflow, division by a
+    product that underflowed to zero and invalid operations raise no
+    warning: they show as infinities and NaNs, which the callers' finiteness
+    rules report."""
+    plan = block if isinstance(block, BlockPlan) else BlockPlan(block)
+    fields = plan.fields
     p = np.asarray(points, dtype=float)
     n = p.shape[-1] if p.ndim else -1
-    for f in fields.flat:
-        if len(f.coords) != n:
-            raise ValueError(f"point has shape {p.shape}, expected (..., {len(f.coords)})")
+    if not plan.lengths <= {n}:
+        for f in fields.flat:
+            if len(f.coords) != n:
+                raise ValueError(f"point has shape {p.shape}, expected (..., {len(f.coords)})")
     batch = p.shape[:-1]
-    out = tuple(np.empty(batch + fields.shape + (n,) * k) for k in range(order + 1))
+    template, varying = plan.template(order, n)
+    out = tuple(np.empty(batch + part.shape) for part in template)
+    for a, part in zip(out, template):
+        a[...] = part
+    if not varying:
+        return out
     # one view per part with the field axis in front: slots[k][i] is field i's slot
     b = len(batch)
     slots = [
@@ -695,7 +786,7 @@ def field_jets(fields: np.ndarray, points: np.ndarray, order: int = 2) -> tuple[
     ]
     memo: dict = {}
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for i, f in enumerate(fields.flat):
+        for i, f in varying:
             try:
                 jet = _eval_node(f.ast, p, n, order, memo)
             except ExprDomainError as err:

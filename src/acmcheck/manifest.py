@@ -13,6 +13,8 @@ Schema (all expression values are strings in the scalar DSL):
 
 Each distinct expression string is parsed once per manifest, through one
 intern table, so equal subexpressions of all fields are one node object.
+A manifest holds one :class:`~acmcheck.expr.BlockPlan` per field block, so
+the jets of its coordinate-free fields are computed once per manifest.
 :func:`load_manifest` parses and validates a file once per (path, content)
 in a process: it reads the file on every call and reuses the manifest it
 built for the same path and bytes, from a small bounded cache.
@@ -23,14 +25,15 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from .expr import ExprError, InternTable, ScalarField
+from .expr import BlockPlan, ExprError, InternTable, ScalarField
 
 OMEGA_SOURCES = ("d_eta", "fundamental_form")
 
@@ -62,7 +65,7 @@ class Manifest:
     A manifest is immutable: the dataclass is frozen, its fields and their
     nodes are frozen, and both arrays are read-only (a variant copies them
     first).  So one manifest may serve many calls; :func:`load_manifest`
-    returns the same object for an unchanged file."""
+    returns the same object for an unchanged file, with its :attr:`plans`."""
 
     dimension: int
     coordinates: tuple[str, ...]
@@ -77,6 +80,19 @@ class Manifest:
     pseudo: bool
     omega_source: str
     source: str
+
+    @cached_property
+    def plans(self) -> dict[str, BlockPlan]:
+        """The evaluation plan of each field block, keyed 'gamma',
+        'metric_frame' and 'phi_frame': built at first use and held as long
+        as the manifest, so the jets of its coordinate-free fields are
+        computed once.  A variant made by ``dataclasses.replace`` is a new
+        manifest with its own plans."""
+        return {
+            "gamma": BlockPlan(np.array(self.gamma, dtype=object)),
+            "metric_frame": BlockPlan(self.metric_frame),
+            "phi_frame": BlockPlan(self.phi_frame),
+        }
 
     def chart(self) -> SimpleNamespace:
         """Kept for ``perfbench/make_reference.py``, which draws its point
@@ -218,17 +234,24 @@ def manifest_from_dict(data: dict, source: str = "<memory>") -> Manifest:
 def load_manifest(path: str | Path) -> Manifest:
     """Load and validate a manifest from a file path or bundled fixture name.
 
-    The file is read on every call.  The same path with the same text gives
-    the manifest built the first time, while it is among the last 16 loaded;
-    an edited file is parsed and validated anew, and a bad one raises its
-    :class:`ManifestError` on every call."""
+    The file is read on every call, as bytes, and decoded as UTF-8 with the
+    newlines of a text-mode read (CR LF and a lone CR become LF), so the
+    text is what ``Path.read_text`` gives.  The same path with the same text
+    gives the manifest built the first time, while it is among the last 16
+    loaded; an edited file is parsed and validated anew, and a bad one
+    raises its :class:`ManifestError` on every call."""
     resolved = _resolve(path)
     try:
-        text = resolved.read_text(encoding="utf-8")
+        with open(resolved, "rb") as file:
+            data = file.read()
     except OSError as err:
         raise ManifestError("<file>", f"cannot read {resolved}: {err}") from err
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         raise ManifestError("<file>", f"{resolved} is not UTF-8 text: {err}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return _manifest_from_text(str(resolved), text)
 
 
@@ -258,7 +281,7 @@ def load_fixture(name: str) -> Manifest:
 
 def _resolve(path: str | Path) -> Path:
     p = Path(path)
-    if p.exists():
+    if os.path.exists(p):
         return p
     stem = p.name[:-5] if p.name.endswith(".json") else p.name
     if str(p) == p.name and stem in _FIXTURE_PATHS:

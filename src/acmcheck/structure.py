@@ -41,6 +41,10 @@ class SingularMetricError(Exception):
     pass
 
 
+class TruncatedJetError(Exception):
+    """A Hessian was read from an evaluation built to order 1."""
+
+
 class StructureEval:
     """Cached evaluation of a manifest's structure and its derived tensors at
     a point or over a block of points.
@@ -56,10 +60,21 @@ class StructureEval:
     available for every derived tensor that has to be differentiated once
     more along the frame.  Build one per run and pass it to every function;
     each input jet and derived tensor is then computed once.
+
+    ``order`` is the highest order of the metric and gamma jets that the
+    reader needs.  The default 2 serves everything.  An evaluation to order
+    1 computes no Hessian, so it serves every tensor that is not
+    differentiated along the frame (omega, psi, C, the connections and the
+    torsion) but not the curvatures; reading ``g2`` or ``gam2`` from it
+    (directly or through ``omega1``, ``psi1`` or ``Gamma1``) raises
+    :class:`TruncatedJetError`.
     """
 
-    def __init__(self, manifest: Manifest, points: np.ndarray):
+    def __init__(self, manifest: Manifest, points: np.ndarray, order: int = 2):
+        if order not in (1, 2):
+            raise ValueError(f"order must be 1 or 2, got {order!r}")
         self.manifest = manifest
+        self.order = order
         self.p = np.asarray(points, dtype=float)
         self.n = manifest.dimension
         self.m = self.n - 1
@@ -99,9 +114,16 @@ class StructureEval:
 
     # -- input jets ---------------------------------------------------------
 
+    def _hessian(self, jets: tuple[np.ndarray, ...], name: str) -> np.ndarray:
+        if self.order < 2:
+            raise TruncatedJetError(
+                f"{name} is a Hessian, and this evaluation stops at order {self.order}; build it with order=2"
+            )
+        return jets[2]
+
     @cached_property
     def _gamma(self):
-        return gamma_jets(self.manifest, self.p)
+        return gamma_jets(self.manifest, self.p, self.order)
 
     @property
     def gam0(self) -> np.ndarray:
@@ -113,11 +135,11 @@ class StructureEval:
 
     @property
     def gam2(self) -> np.ndarray:
-        return self._gamma[2]
+        return self._hessian(self._gamma, "gam2")
 
     @cached_property
     def _g(self):
-        return field_jets(self.manifest.metric_frame, self.p)
+        return field_jets(self.manifest.plans["metric_frame"], self.p, self.order)
 
     @property
     def g0(self) -> np.ndarray:
@@ -129,11 +151,11 @@ class StructureEval:
 
     @property
     def g2(self) -> np.ndarray:
-        return self._g[2]
+        return self._hessian(self._g, "g2")
 
     @cached_property
     def _phi(self):
-        return field_jets(self.manifest.phi_frame, self.p, order=1)
+        return field_jets(self.manifest.plans["phi_frame"], self.p, order=1)
 
     @property
     def phi0(self) -> np.ndarray:

@@ -6,17 +6,20 @@ import argparse
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import acmcheck
-from acmcheck import structure
+from acmcheck import cli, structure
+from acmcheck.chart import sample_points
 from acmcheck.checks import report_json, run_full_check
-from acmcheck.cli import main
+from acmcheck.cli import HESSIAN_TENSORS, TENSOR_NAMES, main
 from acmcheck.manifest import (
     ManifestError,
     fixture_path,
@@ -24,6 +27,10 @@ from acmcheck.manifest import (
     load_manifest,
     manifest_from_dict,
 )
+from acmcheck.structure import StructureEval, TruncatedJetError
+
+from _helpers import manifest_data
+from conftest import FIXTURES
 
 BASE = {
     "dimension": 5,
@@ -754,3 +761,84 @@ def test_cli_check_does_not_import_numpy_random():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------------------
+# Order on demand: a single-point tensor stops its jets at the order it reads
+# ---------------------------------------------------------------------------
+
+
+def _deep_tree(rng: random.Random, depth: int) -> str:
+    """A seeded sin/cos/exp/polynomial tree over the five coordinates."""
+    if depth == 0:
+        return rng.choice(["x", "y", "z", "u", "v", f"{rng.uniform(0.2, 0.9):.3f}"])
+    a, b = _deep_tree(rng, depth - 1), _deep_tree(rng, depth - 1)
+    return rng.choice([f"sin({a})", f"cos({a})", f"exp(0.3*sin({a}))", f"({a})*({b})", f"{a} + 0.5*{b}"])
+
+
+def _deep_manifest() -> dict:
+    rng = random.Random(19)
+    factor = f"exp(0.2*sin({_deep_tree(rng, 4)}))"
+    angle = _deep_tree(rng, 3)
+    c, s = f"cos({angle})", f"sin({angle})"
+    return dict(
+        BASE,
+        gamma=[_deep_tree(rng, 4) for _ in range(4)],
+        metric_frame=[[factor if i == j else "0" for j in range(4)] for i in range(4)],
+        # a rotation of example1's phi by a varying angle in the (e1, e3) plane
+        phi_frame=[[f"-{s}", "0", f"-{c}", "0"], ["0", "0", "0", "-1"],
+                   [c, "0", f"-{s}", "0"], ["0", "1", "0", "0"]],
+    )
+
+
+def _manifest_path(name: str, tmp_path) -> str:
+    if name in FIXTURES:
+        return name
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_deep_manifest() if name == "deep" else manifest_data(name)))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", FIXTURES + ("twisted", "deep"))
+def test_cli_tensor_at_its_order_prints_what_order_two_prints(name, tmp_path, capsys, monkeypatch):
+    path = _manifest_path(name, tmp_path)
+    manifest = load_manifest(path)
+    orders = []
+
+    class Recorded(StructureEval):
+        def __init__(self, manifest, points, order=2):
+            orders.append(order)
+            super().__init__(manifest, points, order)
+
+    def full(manifest, points, order=2):
+        return StructureEval(manifest, points)
+
+    for point in sample_points(manifest, 2, 5):
+        at = ",".join(repr(float(x)) for x in point)
+        for tensor in TENSOR_NAMES:
+            for flags in ([], ["--json"]):
+                argv = ["tensor", path, "--name", tensor, "--at", at, *flags]
+                monkeypatch.setattr(cli, "StructureEval", Recorded)
+                picked = main(argv), *capsys.readouterr()
+                monkeypatch.setattr(cli, "StructureEval", full)
+                want = main(argv), *capsys.readouterr()
+                assert picked == want, (tensor, flags)
+                assert picked[0] == 0 and picked[1] and not picked[2]
+    assert orders == [2 if tensor in HESSIAN_TENSORS else 1 for _ in range(2)
+                      for tensor in TENSOR_NAMES for _ in range(2)]
+
+
+@pytest.mark.parametrize("prop", ["g2", "gam2", "omega1", "psi1", "Gamma1"])
+def test_hessian_read_from_an_order_one_evaluation_is_named(prop, manifests):
+    p = sample_points(manifests["example2"], 1, 3)[0]
+    ev = StructureEval(manifests["example2"], p, order=1)
+    assert ev.g1.shape == (4, 4, 5) and ev.gam1.shape == (4, 5)
+    with pytest.raises(TruncatedJetError, match="is a Hessian, and this evaluation stops at order 1"):
+        getattr(ev, prop)
+    assert getattr(StructureEval(manifests["example2"], p), prop) is not None
+
+
+@pytest.mark.parametrize("order", [0, 3, None])
+def test_structure_eval_order_is_one_or_two(order, manifests):
+    with pytest.raises(ValueError, match="order must be 1 or 2"):
+        StructureEval(manifests["flat"], np.zeros(5), order=order)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import random
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 
 from acmcheck import expr
 from acmcheck.chart import sample_points
+from acmcheck.cli import main
 from acmcheck.expr import (
     Add,
+    BlockPlan,
     Call,
     Const,
     Div,
@@ -37,6 +40,7 @@ from acmcheck.expr import (
     to_text,
 )
 from acmcheck.manifest import fixture_path, load_manifest, manifest_from_dict
+from acmcheck.structure import StructureEval
 
 from _helpers import (
     fd_gradient,
@@ -469,10 +473,16 @@ def test_intern_table_shares_equal_subtrees():
 
 
 def test_each_distinct_node_evaluated_once_per_block(monkeypatch):
-    fields = _deep_fields()
-    distinct = {}
+    # the deep fields and coordinate-free ones, one sharing a constant
+    # subtree (0.2*sin(1.5)) with a varying field
+    table = InternTable(COORDS)
+    texts = _DEEP + ("exp(0.2*sin(1.5))", "0.2*sin(1.5) + 3", "1", "0.2*sin(1.5)*x")
+    fields = np.array([table.parse(t) for t in texts], dtype=object).reshape(3, 4)
+    varying, free = {}, {}
     for f in fields.flat:
-        _nodes_by_id(f.ast, distinct)
+        nodes = _nodes_by_id(f.ast, {})
+        (varying if any(isinstance(node, Var) for node in nodes.values()) else free).update(nodes)
+    assert free.keys() - varying.keys() and free.keys() & varying.keys()
     counts = Counter()
     one_step = expr._node_jet
 
@@ -482,12 +492,25 @@ def test_each_distinct_node_evaluated_once_per_block(monkeypatch):
 
     monkeypatch.setattr(expr, "_node_jet", counting)
     points = np.random.default_rng(6).uniform(-1, 1, (8, 5))
-    # the memo lives for one block: a second call evaluates anew, at any order
-    for order in (0, 1, 2, 2):
+    # the first call at an order also builds the plan's template at that
+    # order, which evaluates each node of the coordinate-free fields once
+    first = Counter(varying.keys()) + Counter(free.keys())
+    plan = BlockPlan(fields)
+    for order in (0, 1, 2):
         counts.clear()
-        field_jets(fields, points, order)
-        assert counts.keys() == distinct.keys()
-        assert set(counts.values()) == {1}
+        field_jets(plan, points, order)
+        assert counts == first
+        # the memo lives for one block: a later call evaluates the nodes of
+        # the varying fields anew, once each, and no other node
+        for _ in range(2):
+            counts.clear()
+            field_jets(plan, points, order)
+            assert counts.keys() == varying.keys()
+            assert set(counts.values()) == {1}
+    # a bare array gets a plan for its one call
+    counts.clear()
+    field_jets(fields, points)
+    assert counts == first
 
 
 def test_manifest_parses_each_distinct_string_once(monkeypatch, tmp_path):
@@ -552,3 +575,105 @@ def test_domain_error_in_shared_subtree_names_first_field():
         unshared_field_jets(fields, points)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("ln of non-positive value in 'y*ln(x)' at sample 3, point")
+
+
+# ---------------------------------------------------------------------------
+# Block plans: coordinate-free fields folded once per plan
+# ---------------------------------------------------------------------------
+
+# constant, varying and shared-subtree fields, and signed-zero constants
+_MIXED = ("x*y + 1", "2.5", "-0", "sin(0.3)*exp(x)", "sin(0.3)", "0*(-1)", "-(0*x)", "1/(2 - cos(0.3))",
+          "sin(0.3) + y^2", "-0.0 - 0", "exp(0.2*sin(0.3))", "z")
+
+
+def _mixed_block() -> np.ndarray:
+    table = InternTable(COORDS)
+    return np.array([table.parse(t) for t in _MIXED], dtype=object).reshape(3, 4)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (12,), (2, 6)])
+def test_block_plan_equals_unshared_reference_bitwise(shape):
+    fields = _mixed_block().reshape(shape)
+    plan = BlockPlan(fields)
+    points = np.random.default_rng(11).uniform(-1, 1, (16, 5))
+    # each order twice, so that the second call reads the stored template
+    for _ in range(2):
+        for p in (points, points[5]):
+            for order in (0, 1, 2):
+                got, want = field_jets(plan, p, order), unshared_field_jets(fields, p, order)
+                assert len(got) == order + 1
+                assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True)), order
+
+
+def test_block_plan_keeps_signed_zeros():
+    fields = _mixed_block()
+    plan = BlockPlan(fields)
+    p = np.array([0.5, -0.25, 0.1, 0.2, 0.3])
+    value, grad = field_jets(plan, p, 1)
+    for text in ("-0", "0*(-1)", "-(0*x)", "-0.0 - 0"):
+        assert value.flat[_MIXED.index(text)] == 0.0 and np.signbit(value.flat[_MIXED.index(text)]), text
+    # the gradient of a negated constant is a negative zero
+    assert np.signbit(grad.reshape(12, 5)[_MIXED.index("-0")]).all()
+    # the output is the caller's: writing it leaves the template intact
+    value[...] = 7.0
+    assert _same_bits(field_jets(plan, p, 1)[0], unshared_field_jets(fields, p, 1)[0])
+
+
+@pytest.mark.parametrize("texts,failing", [
+    (("x + 1", "1/0", "ln(x)"), "division by zero in '1.0/0.0'"),
+    (("x + 1", "ln(x)", "1/0"), "ln of non-positive value in 'ln(x)'"),
+    (("2", "ln(0)", "ln(x)"), "ln of non-positive value in 'ln(0.0)'"),
+])
+def test_constant_field_that_raises_keeps_its_error_and_place(texts, failing):
+    table = InternTable(COORDS)
+    fields = np.array([table.parse(t) for t in texts], dtype=object)
+    points = np.random.default_rng(4).uniform(0.5, 1.0, (6, 5))
+    points[2, 0] = -0.5
+    plan = BlockPlan(fields)
+    for p in (points, points[2]):
+        with pytest.raises(ExprDomainError) as want:
+            unshared_field_jets(fields, p)
+        for block in (plan, plan, fields):
+            for order in (0, 1, 2):
+                with pytest.raises(ExprDomainError) as got:
+                    field_jets(block, p, order)
+                assert str(got.value) == str(want.value)
+        assert str(want.value).startswith(failing)
+    # where no field fails, the constant one still fails at the first point
+    if "1/0" in texts:
+        with pytest.raises(ExprDomainError, match=r"division by zero in '1\.0/0\.0' at sample 0, point"):
+            field_jets(plan, np.ones((3, 5)))
+
+
+def test_replaced_metric_frame_gets_its_own_plans(manifests):
+    base = manifests["example1"]
+    p = np.array([0.3, 0.7, 0.1, -0.2, 0.4])
+    before = StructureEval(base, p).g0
+    g = base.metric_frame.copy()
+    g[0, 0] = parse("3", base.coordinates)
+    variant = dataclasses.replace(base, metric_frame=g)
+    assert variant.plans is not base.plans
+    assert variant.plans["metric_frame"].fields is g
+    after = StructureEval(variant, p).g0
+    assert after[0, 0] == 3.0 and before[0, 0] != 3.0
+    assert _same_bits(after, unshared_field_jets(g, p, 0)[0])
+    assert _same_bits(StructureEval(base, p).g0, before)
+
+
+def test_plan_does_not_outlive_its_manifest(tmp_path, capsys):
+    data = json.loads(fixture_path("example2").read_text())
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps(data))
+    loaded = load_manifest(first)
+    node = weakref.ref(loaded.metric_frame[0, 0].ast)
+    assert main(["tensor", str(first), "--name", "K", "--at", "0.3,0.7,0.1,-0.2,0.4", "--json"]) == 0
+    assert main(["rank", str(first), "--at", "0.3,0.7,0.1,-0.2,0.4"]) == 0
+    capsys.readouterr()
+    assert loaded.plans["metric_frame"].fields is loaded.metric_frame
+    del loaded
+    for seed in range(17):
+        other = tmp_path / f"other{seed}.json"
+        other.write_text(json.dumps(dict(data, seed=seed)))
+        load_manifest(other)
+    gc.collect()
+    assert node() is None

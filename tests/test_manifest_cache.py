@@ -94,3 +94,75 @@ def test_cold_and_warm_calls_print_the_same_bytes(fixture, capsys):
         assert cache.cache_info()[:2] == (1, 1)  # (hits, misses): the warm call reused the manifest
         assert cold[0] in (0, 1) and cold[1]
         assert warm == cold
+
+
+# ---------------------------------------------------------------------------
+# The read: bytes decoded as UTF-8 with text-mode newlines, the same text
+# and the same errors as Path.read_text
+# ---------------------------------------------------------------------------
+
+
+def _read_text_error(path) -> str:
+    """The stderr line of a manifest that ``Path.read_text`` and
+    ``json.loads`` reject, worded as ``load_manifest`` words it."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as err:
+        return f"error: <file>: cannot read {path}: {err}\n"
+    except UnicodeDecodeError as err:
+        return f"error: <file>: {path} is not UTF-8 text: {err}\n"
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as err:
+        return f"error: <file>: invalid JSON in {path}: {err}\n"
+    raise AssertionError(f"{path} reads as valid JSON")
+
+
+def _crlf(text: str) -> bytes:
+    return text.replace("\n", "\r\n").encode()
+
+
+@pytest.mark.parametrize("case,message", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("crlf-json-error", "Expecting ',' delimiter: line 4 column 3 (char 34)"),
+    ("bom", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ("late-bad-byte", "can't decode byte 0xff in position 9000: invalid start byte"),
+])
+@pytest.mark.parametrize("command", [["check"], ["rank", "--at", POINT]], ids=["check", "rank"])
+def test_read_errors_name_the_file(case, message, command, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "crlf-json-error":
+        path.write_bytes(_crlf('{\n  "dimension": 5,\n  "seed": 1\n  "samples": 2\n}\n'))
+    elif case == "bom":
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(manifest_data("flat")).encode())
+    elif case == "late-bad-byte":
+        text = json.dumps(dict(manifest_data("flat"), avoid=[]), indent=1)
+        path.write_bytes(text.encode()[:-1] + b" " * (9000 - len(text) + 1) + b"\xff}")
+    code, out, err = _run(capsys, [command[0], str(path), *command[1:]])
+    assert (code, out) == (2, "")
+    assert err == _read_text_error(path)
+    assert message in err and err.count("\n") == 1
+
+
+def test_crlf_and_cr_manifests_read_as_their_lf_text(tmp_path, capsys):
+    text = json.dumps(manifest_data("example2"), indent=2)
+    paths = {}
+    for name, data in (("lf", text.encode()), ("crlf", _crlf(text)), ("cr", text.replace("\n", "\r").encode())):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_bytes(data)
+    argv = ["tensor", "--name", "omega", "--at", POINT, "--json"]
+    printed = {name: _run(capsys, [argv[0], str(path), *argv[1:]]) for name, path in paths.items()}
+    assert printed["crlf"] == printed["cr"] == printed["lf"]
+    assert printed["lf"][0] == 0 and printed["lf"][1]
+
+    # an unchanged CRLF file still hits the load cache
+    cache = manifest_module._manifest_from_text
+    cache.cache_clear()
+    first = load_manifest(paths["crlf"])
+    assert load_manifest(paths["crlf"]) is first
+    assert cache.cache_info()[:2] == (1, 1)
+    assert _run(capsys, [argv[0], str(paths["crlf"]), *argv[1:]]) == printed["lf"]
+    assert cache.cache_info()[:2] == (2, 1)
