@@ -181,21 +181,24 @@ def identity_residuals(ev: StructureEval) -> dict[str, np.ndarray]:
     metricity defect of the canonical connection."""
     tors = torsion(ev, ev.canonical_N)
     defect = metricity_defect(ev, ev.canonical_N)
-    converted = coordinate_to_adapted(ev, lc_coordinate(ev))
-    return {
-        "lc_oracle": ev.max_abs(lc_adapted(ev).full - converted),
-        "projection_identity": projection_identity_residual(ev),
-        "reeb_split_identity": reeb_split_identity_residual(ev),
+    tables = {
+        "lc_oracle": ev.max_abs(lc_adapted(ev).full, coordinate_to_adapted(ev, lc_coordinate(ev))),
         "torsion_direct": tors.direct_residual,
         "torsion_skew": tors.skew_residual,
+        "metricity_defect": ev.max_abs(defect),
+        "metricity_defect_reeb_row": ev.max_abs(defect[..., -1, -1, :]),
+    }
+    del tors, defect  # not held while the tensors below are built
+    return {
+        **tables,
+        "projection_identity": projection_identity_residual(ev),
+        "reeb_split_identity": reeb_split_identity_residual(ev),
         "n_connection_formula": n_connection_formula_residual(ev, ev.canonical_N),
         "aqs_characterization": aqs_characterization_residual(ev),
         "qs_characterization": qs_characterization_residual(ev),
         "canonical_nabla_phi": canonical_nabla_phi_residual(ev),
         "nabla_omega": ev.max_abs(nabla_omega(ev)),
         "nabla_psi": ev.max_abs(nabla_psi(ev)),
-        "metricity_defect": ev.max_abs(defect),
-        "metricity_defect_reeb_row": ev.max_abs(defect[..., -1, -1, :]),
     }
 
 

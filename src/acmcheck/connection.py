@@ -14,7 +14,7 @@ import numpy as np
 
 from .expr import describe_first, field_jets
 from .residuals import holds_within, nanmax
-from .structure import SingularMetricError, StructureEval, contract, mat_t, memoised
+from .structure import SingularMetricError, StructureEval, contract, frozen, mat_t, memoised
 
 # relative tolerance of the torsion table's skew-symmetry flag
 TORSION_SKEW_TOL = 1e-9
@@ -181,10 +181,18 @@ def to_frame_components(ev: StructureEval, V: np.ndarray) -> np.ndarray:
     return out
 
 
+@memoised
+def basis_brackets(ev: StructureEval) -> np.ndarray:
+    """Coordinate components of [E_i, E_j] for all basis pairs,
+    out[..., i, j, q]: one bracket per evaluation (read-only), shared by the
+    torsion and the Nijenhuis tensor."""
+    B0, B1 = ev.frame
+    return frozen(bracket(B0, B1, B0, B1))
+
+
 def basis_brackets_frame(ev: StructureEval) -> np.ndarray:
     """Frame components of [E_i, E_j] for all basis pairs: out[..., i, j, k]."""
-    B0, B1 = ev.frame
-    return to_frame_components(ev, bracket(B0, B1, B0, B1))
+    return to_frame_components(ev, basis_brackets(ev))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +224,7 @@ def torsion(ev: StructureEval, N0: np.ndarray) -> TorsionResult:
     coeff = ev.n_full(N0)
     S_upper = coeff - np.swapaxes(coeff, -3, -2) - basis_brackets_frame(ev)
     direct = contract("...ijl,...lk->...ijk", S_upper, ev.g_full)
-    direct_residual = ev.max_abs(direct - table)
+    direct_residual = ev.max_abs(direct, table)
 
     skew_residual = nanmax(
         ev.max_abs(table + np.swapaxes(table, -3, -2)),
@@ -237,7 +245,7 @@ def metricity_defect(ev: StructureEval, N0: np.ndarray) -> np.ndarray:
     n, m = ev.n, ev.m
     coeff = ev.n_full(N0)
     dG = ev.zeros(n, n, n)  # dG[j, k, i] = E_i g~_jk
-    dG[..., :m, :m, :] = ev.frame_d(ev.g1)
+    dG[..., :m, :m, :] = ev.g_frame_d
     out = np.einsum("...jki->...ijk", dG)
     out -= contract("...ijl,...lk->...ijk", coeff, ev.g_full)
     out -= contract("...ikl,...jl->...ijk", coeff, ev.g_full)
@@ -262,7 +270,7 @@ def n_connection_formula_residual(ev: StructureEval, N0: np.ndarray) -> np.ndarr
     # - eta(E_i) (C + psi - N) E_j
     formula[..., last, :m, :m] -= mat_t(ev.Cmix0 + ev.psi0 - N0)
 
-    return ev.max_abs(formula - ev.n_full(N0))
+    return ev.max_abs(formula, ev.n_full(N0))
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +339,23 @@ def cov_phi(ev: StructureEval, which: str) -> np.ndarray:
     connection: out[..., i, b, a] = (nabla_{E_i} phi)^b_a over the full frame.
 
     ``which`` is 'levi_civita' or 'canonical'; each is built once per
-    evaluation."""
+    evaluation and kept."""
     if which == "levi_civita":
         coeff = ev.lc_full
     elif which == "canonical":
         coeff = ev.canonical_full
     else:
         raise ValueError(f"unknown connection '{which}'")
-    ephi = ev.phi_frame_d()  # [b, a, i]
-    phi = ev.phi_full
-    out = np.einsum("...bai->...iba", ephi)
-    out += contract("...icb,...ca->...iba", coeff, phi)
+    return _cov_phi(ev, coeff)
+
+
+def _cov_phi(ev: StructureEval, coeff: np.ndarray) -> np.ndarray:
+    """nabla phi under the connection of the coefficient table ``coeff``,
+    not kept.  Every connection reads the evaluation's one ``phi_frame_d``,
+    which is read-only: the sum starts from a new array, not from a view
+    of it."""
+    m, phi = ev.m, ev.phi_full
+    out = contract("...icb,...ca->...iba", coeff, phi)
+    out[..., :m, :m] += np.einsum("...bai->...iba", ev.phi_frame_d)  # E_i phi^b_a
     out -= contract("...iac,...bc->...iba", coeff, phi)
     return out

@@ -22,6 +22,8 @@ from .structure import StructureEval, contract, mat_t, memoised
 
 
 def schouten(ev: StructureEval) -> np.ndarray:
+    """The full curvature tensor R[..., d, a, b, c] = R^d_{abc} of the
+    internal connection."""
     eG = ev.frame_d(ev.Gamma1)[..., : ev.m]  # eG[d, b, c, a] = e_a Gamma^d_{bc}
     R = contract("...dae,...ebc->...dabc", ev.Gamma0, ev.Gamma0)
     R += np.einsum("...dbca->...dabc", eG)  # + first
@@ -50,7 +52,27 @@ def curvature_K(ev: StructureEval) -> CurvatureK:
 
 @memoised
 def ricci_wagner(ev: StructureEval) -> np.ndarray:
-    return np.einsum("...babc->...ac", schouten(ev))
+    """The Ricci-Wagner trace r_ac = R^b_{abc}, taken without forming the
+    curvature tensor.  Each term of
+
+        R^b_{abc} = (Gamma^b_{ae} Gamma^e_{bc} + e_a Gamma^b_{bc})
+                    - (Gamma^b_{be} Gamma^e_{ac} + e_b Gamma^b_{ac})
+
+    is an array over (b, a, c) only: the products contract one index, and
+    the derivative terms read two slices of the gradient of Gamma, with
+    e_a = d_a - gamma_a d_n.  The terms are grouped and summed over b as
+    the trace of :func:`schouten` is, so that the two round alike;
+    :func:`schouten` stays the builder of the full tensor.
+    """
+    m = ev.m
+    Gamma, Gamma1 = ev.Gamma0, ev.Gamma1  # Gamma1[b, a, c, j] = d_j Gamma^b_{ac}
+    e_a = mat_t(ev.frame_d(np.einsum("...bbcj->...bcj", Gamma1))[..., :m])
+    along_n = Gamma1[..., -1] * ev.gam0[..., :, None, None]  # gamma_b d_n Gamma^b_{ac}
+    e_b = np.einsum("...bacb->...bac", Gamma1[..., :m]) - along_n
+    del Gamma1
+    first = contract("...bae,...ebc->...bac", Gamma, Gamma)
+    second = contract("...be,...eac->...bac", np.einsum("...bbe->...be", Gamma), Gamma)
+    return np.einsum("...bac->...ac", (first + e_a) - (second + e_b))
 
 
 def ricci_k(ev: StructureEval) -> np.ndarray:

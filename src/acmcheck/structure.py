@@ -45,6 +45,13 @@ class TruncatedJetError(Exception):
     """A Hessian was read from an evaluation built to order 1."""
 
 
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only: an array that an evaluation keeps for more
+    than one reader, so that no reader can write into the others' data."""
+    arr.flags.writeable = False
+    return arr
+
+
 class StructureEval:
     """Cached evaluation of a manifest's structure and its derived tensors at
     a point or over a block of points.
@@ -92,10 +99,16 @@ class StructureEval:
         nb = len(self.batch)
         return arr.reshape(self.batch + (1,) * (ndim - arr.ndim) + arr.shape[nb:])
 
-    def max_abs(self, arr: np.ndarray) -> np.ndarray:
-        """Largest |component| at each point: the maximum over every axis
-        after the batch axes (NaN wins)."""
-        return np.abs(arr).max(axis=tuple(range(len(self.batch), np.ndim(arr))))
+    def max_abs(self, arr: np.ndarray, minus: np.ndarray | None = None) -> np.ndarray:
+        """Largest |component| of ``arr``, or of ``arr - minus``, at each
+        point: the maximum over every axis after the batch axes (NaN wins).
+        A difference is taken in one temporary and made absolute in place."""
+        if minus is None:
+            out = np.abs(arr)
+        else:
+            out = np.subtract(arr, minus)
+            np.abs(out, out=out)
+        return out.reshape(self.batch + (-1,)).max(axis=-1)
 
     def inverse(self, matrices: np.ndarray, what: str) -> np.ndarray:
         """Batched inverse; a singular matrix is a :class:`SingularMetricError`
@@ -247,10 +260,16 @@ class StructureEval:
         )
 
     @cached_property
+    def g_frame_d(self) -> np.ndarray:
+        """E_i g_cd over the full frame, D[c, d, i]: read by the Koszul sums
+        and by the metricity defect, built once (read-only)."""
+        return frozen(self.frame_d(self.g1))
+
+    @cached_property
     def koszul0(self) -> np.ndarray:
         """Koszul sums T[b, c, d] = e_b g_cd + e_c g_bd - e_d g_bc, so that
         Gamma^a_{bc} = g^{ad} T_bcd / 2."""
-        E = self.frame_d(self.g1)[..., : self.m]  # E[c, d, i] = e_i g_cd
+        E = self.g_frame_d[..., : self.m]  # E[c, d, i] = e_i g_cd
         return (
             np.einsum("...cdb->...bcd", E)
             + np.einsum("...bdc->...bcd", E)
@@ -265,13 +284,18 @@ class StructureEval:
     @property
     def Gamma1(self) -> np.ndarray:
         """Coordinate gradient of Gamma0, Gamma1[..., a, b, c, j]; only the
-        curvature reads it, once per evaluation, so it is not kept."""
+        curvature reads it, so it is not kept."""
+        m = self.m
         E1 = self.frame_d_grad(self.g1, self.g2)  # E1[c, d, i, j] = d_j e_i g_cd
-        T1 = np.einsum("...cdbj->...bcdj", E1) + np.einsum("...bdcj->...bcdj", E1)
+        # the gradient of the Koszul sums, T1[b, c, d, j], laid out in memory
+        # as [d, b, c, j] so that its contraction over d reads it in place
+        T1 = np.moveaxis(np.empty(self.batch + (m, m, m, self.n)), -4, -2)
+        np.add(np.einsum("...cdbj->...bcdj", E1), np.einsum("...bdcj->...bcdj", E1), out=T1)
         T1 -= E1
         del E1
-        out = contract("...adj,...bcd->...abcj", self.ginv1, self.koszul0)
-        out += contract("...ad,...bcdj->...abcj", self.ginv0, T1)
+        out = contract("...ad,...bcdj->...abcj", self.ginv0, T1)
+        del T1
+        out += contract("...adj,...bcd->...abcj", self.ginv1, self.koszul0)
         out *= 0.5
         return out
 
@@ -300,7 +324,15 @@ class StructureEval:
         return coeff
 
     def n_full(self, N0: np.ndarray) -> np.ndarray:
-        """N-connection coefficients on the adapted frame, coeff[i, j, k]."""
+        """N-connection coefficients on the adapted frame, coeff[i, j, k].
+
+        For ``canonical_N`` itself this is the kept, read-only
+        ``canonical_full``; any other N0 gets a new table."""
+        if N0 is self.__dict__.get("canonical_N"):  # once it is built
+            return self.canonical_full
+        return self._n_table(N0)
+
+    def _n_table(self, N0: np.ndarray) -> np.ndarray:
         m, last = self.m, self.n - 1
         coeff = self.zeros(self.n, self.n, self.n)
         coeff[..., :m, :m, :m] = np.moveaxis(self.Gamma0, -3, -1)
@@ -316,7 +348,10 @@ class StructureEval:
 
     @cached_property
     def canonical_full(self) -> np.ndarray:
-        return self.n_full(self.canonical_N)
+        """The canonical connection's coefficient table (read-only): built
+        once, read by the torsion, the metricity defect, the formula check
+        and nabla phi."""
+        return frozen(self._n_table(self.canonical_N))
 
     @cached_property
     def phi_full(self) -> np.ndarray:
@@ -325,11 +360,28 @@ class StructureEval:
         out[..., : self.m, : self.m] = self.phi0
         return out
 
+    @cached_property
     def phi_frame_d(self) -> np.ndarray:
-        """E_i phi^b_a over the full frame: D[b, a, i] (zero on xi slots)."""
-        D = self.zeros(self.n, self.n, self.n)
-        D[..., : self.m, : self.m, :] = self.frame_d(self.phi1)
-        return D
+        """E_i phi^b_a along the full frame, D[b, a, i] for horizontal a, b
+        (phi xi = 0), read-only: shared by nabla phi under every connection."""
+        return frozen(self.frame_d(self.phi1))
+
+    # -- products of phi, psi and omega, each read by more than one criterion --
+
+    @cached_property
+    def phi_psi0(self) -> np.ndarray:
+        """A = phi o psi, A[b, a] = phi^b_c psi^c_a (read-only)."""
+        return frozen(self.phi0 @ self.psi0)
+
+    @cached_property
+    def psi_phi0(self) -> np.ndarray:
+        """psi o phi, [b, a] = psi^b_c phi^c_a (read-only)."""
+        return frozen(self.psi0 @ self.phi0)
+
+    @cached_property
+    def omega_phi0(self) -> np.ndarray:
+        """d(eta)(phi e_a, phi e_b) = phi^c_a phi^d_b omega_cd (read-only)."""
+        return frozen(contract("...ca,...db,...cd->...ab", self.phi0, self.phi0, self.omega0))
 
 
 def mat_t(a: np.ndarray) -> np.ndarray:
@@ -479,7 +531,7 @@ def validate_axioms(ev: StructureEval) -> dict[str, np.ndarray]:
     return {
         "phi_square": ev.max_abs(ev.phi0 @ ev.phi0 + np.eye(ev.m)),
         "eta_xi": zero,
-        "compatibility": ev.max_abs(mat_t(ev.phi0) @ ev.g0 @ ev.phi0 - ev.g0),
+        "compatibility": ev.max_abs(mat_t(ev.phi0) @ ev.g0 @ ev.phi0, ev.g0),
         "phi_xi": zero,
         "eta_circ_phi": zero,
         "eta_metric_dual": zero,

@@ -5,12 +5,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
+import runpy
+from pathlib import Path
 
 import numpy as np
 
 from acmcheck import classification_report, einstein_reports, sampled_evaluation
 from acmcheck.chart import AVOID_EPS, MAX_REDRAWS, ChartError, adapted_frame, gamma_jets
-from acmcheck.connection import basis_brackets_frame, to_frame_components
+from acmcheck.classify import _phi_basis_fields
+from acmcheck.connection import basis_brackets_frame, bracket, to_frame_components
 from acmcheck.expr import (
     Add,
     Call,
@@ -32,7 +36,7 @@ from acmcheck.expr import (
     parse,
 )
 from acmcheck.manifest import Manifest, fixture_path
-from acmcheck.structure import contract
+from acmcheck.structure import contract, mat_t
 
 COORDS = ("x", "y", "z", "u", "v")
 
@@ -56,6 +60,14 @@ def manifest_data(name: str) -> dict:
     """The JSON data of a bundled fixture, or of ``TWISTED_MANIFEST`` for
     'twisted'."""
     return TWISTED_MANIFEST if name == "twisted" else json.loads(fixture_path(name).read_text())
+
+
+def deep_tree_manifest_data(k: int = 0) -> dict:
+    """Manifest k of the benchmark's seeded heavy-expr pool: every gamma
+    entry, the metric's conformal factor and the angle of a rotating phi
+    are depth-4 sin/cos/exp/polynomial trees."""
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+    return workloads["heavy_manifest"](random.Random(f"heavy-expr:pool:{k}"))
 
 
 def trace_psi_sq(ev) -> np.ndarray:
@@ -220,6 +232,42 @@ def loop_nijenhuis_phi(ev) -> np.ndarray:
             term -= _phi_apply(ev, _bracket(B0[i], B1[i], P0[j], P1[j]))
             out[i, j] = _to_frame(ev, term)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Four-bracket form of the batched Nijenhuis tensor, each bracket and each
+# phi image computed on its own: the reference for
+# classify.nijenhuis_tensors, which shares [E_i, E_j] with the torsion and
+# reads [E_i, phi E_j] off [phi E_i, E_j]
+# ---------------------------------------------------------------------------
+
+
+def _lifted_phi_apply(ev, V: np.ndarray) -> np.ndarray:
+    """phi of coordinate vectors (last axis): frame-split, apply, push back."""
+    u = V[..., : ev.m] @ ev.lift(mat_t(ev.phi0), V.ndim)  # u^b = phi^b_a V^a
+    out = np.zeros(V.shape)
+    out[..., : ev.m] = u
+    out[..., -1] = -contract("...b,...b->...", u, ev.lift(ev.gam0, V.ndim))
+    return out
+
+
+def four_bracket_nijenhuis(ev) -> tuple[np.ndarray, np.ndarray]:
+    """(N_phi, d(eta)(phi ., phi .)) on all basis pairs: N_phi from four
+    pairwise brackets, each phi image applied on its own, and the pull-back
+    of d(eta) contracted on its own."""
+    m = ev.m
+    B0, B1 = ev.frame
+    P0, P1 = _phi_basis_fields(ev)
+
+    term = bracket(P0, P1, P0, P1)
+    term += _lifted_phi_apply(ev, _lifted_phi_apply(ev, bracket(B0, B1, B0, B1)))
+    term -= _lifted_phi_apply(ev, bracket(P0, P1, B0, B1))
+    term -= _lifted_phi_apply(ev, bracket(B0, B1, P0, P1))
+    n_phi = to_frame_components(ev, term)
+
+    d_eta_phi = ev.zeros(ev.n, ev.n)
+    d_eta_phi[..., :m, :m] = contract("...ci,...dj,...cd->...ij", ev.phi0, ev.phi0, ev.omega0)
+    return n_phi, d_eta_phi
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,15 @@ from acmcheck.classify import (
     nijenhuis_tensors,
     qs_condition_residuals,
 )
+from acmcheck.manifest import manifest_from_dict
 from acmcheck.structure import StructureEval
-from _helpers import classify_run, perturbed_flat
+from _helpers import (
+    classify_run,
+    deep_tree_manifest_data,
+    four_bracket_nijenhuis,
+    manifest_data,
+    perturbed_flat,
+)
 
 ALL = ("flat", "example1", "example2", "example3-qs", "example3-aqs")
 ORIGIN = np.zeros(5)
@@ -49,6 +56,24 @@ def test_nijenhuis_antisymmetric_in_arguments(manifests, sample_sets):
         for p in sample_sets[name][:4]:
             bundle = nijenhuis_tensors(StructureEval(manifests[name], p))
             assert np.abs(bundle.n_phi + np.swapaxes(bundle.n_phi, 0, 1)).max() < 1e-12
+
+
+@pytest.mark.parametrize("batch", [(), (16,)], ids=["point", "block"])
+@pytest.mark.parametrize("name", ALL + ("twisted", "deep"))
+def test_nijenhuis_three_brackets_equal_four(name, batch):
+    # [E_i, E_j] is shared with the torsion and [E_i, phi E_j] read off
+    # [phi E_i, E_j]; the reference brackets all four pairs on their own.
+    # d(eta)(phi ., phi .) is the evaluation's one pull-back, which the
+    # quasi-Sasakian conditions read too
+    data = deep_tree_manifest_data() if name == "deep" else manifest_data(name)
+    manifest = manifest_from_dict(data)
+    points = sample_points(manifest, 16, seed=9)
+    points = points[0] if batch == () else points
+    bundle = nijenhuis_tensors(StructureEval(manifest, points))
+    n_phi, d_eta_phi = four_bracket_nijenhuis(StructureEval(manifest, points))
+    assert bundle.n_phi.shape == n_phi.shape == batch + (5, 5, 5)
+    assert np.abs(bundle.n_phi - n_phi).max() <= 1e-13 * (1.0 + np.abs(bundle.n_phi).max())
+    assert np.abs(bundle.d_eta_phi - d_eta_phi).max() <= 1e-13 * (1.0 + np.abs(d_eta_phi).max())
 
 
 # ---------------------------------------------------------------------------

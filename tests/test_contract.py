@@ -168,3 +168,37 @@ def test_the_oracle_does_not_contract_through_the_planner():
     planner = [f"{callee} in {where}" for where, callee in calls
                if callee in ("contract", "contraction_plan")]
     assert not planner, "the coordinate oracle calls the planner: " + ", ".join(planner)
+
+
+def _lifted(node: ast.AST) -> bool:
+    """An ``ev.lift(...)`` call, possibly indexed or negated."""
+    while isinstance(node, (ast.Subscript, ast.UnaryOp)):
+        node = node.value if isinstance(node, ast.Subscript) else node.operand
+    return isinstance(node, ast.Call) and _callee(node) == "lift"
+
+
+def _lifted_matmuls(tree: ast.AST) -> list[int]:
+    """Line numbers of the ``@`` and ``np.matmul`` products in ``tree`` with
+    a lifted operand."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.Call) and _callee(node) == "matmul":
+            operands = node.args
+        else:
+            continue
+        if any(_lifted(op) for op in operands):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_matmul_with_a_lifted_operand():
+    # a lifted operand (unit axes after the batch axes) makes NumPy run one
+    # batched product as batch-size times axis-size tiny ones; contract folds
+    # the unit axes into one batched product instead
+    caught = "u = V[..., :m] @ ev.lift(mat_t(ev.phi0), V.ndim)\nw = np.matmul(-ev.lift(a, 3), b)"
+    assert _lifted_matmuls(ast.parse(caught)) == [1, 2]
+    offenders = [f"{path.name}:{line}" for path in LIBRARY
+                 for line in _lifted_matmuls(ast.parse(path.read_text()))]
+    assert not offenders, "matmul with a lifted operand: " + ", ".join(offenders)

@@ -18,10 +18,17 @@ from acmcheck.curvature import (
     schouten,
 )
 from acmcheck.expr import parse
+from acmcheck.manifest import manifest_from_dict
 from acmcheck import sampled_evaluation
 from acmcheck.structure import StructureEval
 
-from _helpers import curvature_canonical_direct, einstein_run, field_jet
+from _helpers import (
+    curvature_canonical_direct,
+    deep_tree_manifest_data,
+    einstein_run,
+    field_jet,
+    manifest_data,
+)
 
 ORIGIN = np.zeros(5)
 ODD_RANK = ("flat", "example1", "example3-qs", "example3-aqs")
@@ -191,6 +198,22 @@ def test_ricci_wagner_trace_convention_lock(manifests):
 def test_ricci_wagner_example1_zero(manifests, sample_sets):
     for p in sample_sets["example1"][:8]:
         assert np.abs(ricci_wagner(StructureEval(manifests["example1"], p))).max() < 1e-15
+
+
+@pytest.mark.parametrize("batch", [(), (16,)], ids=["point", "block"])
+@pytest.mark.parametrize("name", ALL + ("twisted", "deep"))
+def test_ricci_wagner_is_the_trace_of_schouten(name, batch):
+    # the trace is contracted before any curvature component is formed; the
+    # twisted metric depends on the Reeb coordinate (the d_n terms), the
+    # deep-tree manifest leaves no term of either form at zero
+    data = deep_tree_manifest_data() if name == "deep" else manifest_data(name)
+    manifest = manifest_from_dict(data)
+    points = sample_points(manifest, 16, seed=7)
+    points = points[0] if batch == () else points
+    r = ricci_wagner(StructureEval(manifest, points))
+    traced = np.einsum("...babc->...ac", schouten(StructureEval(manifest, points)))
+    assert r.shape == traced.shape == batch + (4, 4)
+    assert np.abs(r - traced).max() <= 1e-12 * (1.0 + np.abs(r).max())
 
 
 def test_ricci_k_example1(manifests):
