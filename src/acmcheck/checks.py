@@ -12,8 +12,9 @@ The hard gate, :func:`passed`, covers the identities that hold for every
 structure: the adapted-vs-coordinate Levi-Civita comparison, the projection
 and Reeb-split Nijenhuis identities, and the torsion table vs its direct
 definition.  It also fails when any reported value is NaN or infinite, so a
-numerical failure never passes.  Classification negatives never affect the
-gate.
+numerical failure never passes; every reported float is a maximum that NaN
+and infinity win, so :func:`passed` and :func:`finite` read only the
+reported maxima.  Classification negatives never affect the gate.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .connection import (
 )
 from .curvature import einstein_reports
 from .manifest import Manifest, run_parameters
-from .residuals import WorstResidual
+from .residuals import holds_within, worst
 from .structure import StructureEval, metric_definiteness, validate_axioms
 
 HARD_IDENTITIES = ("lc_oracle", "projection_identity", "reeb_split_identity", "torsion_direct")
@@ -63,26 +64,19 @@ HARD_TOLERANCES = {
 
 def passed(report: dict) -> bool:
     """Every hard identity of a :func:`run_full_check` report holds and no
-    reported value is NaN or infinite: the exit status of ``check``."""
-    hard = all(report["identities"][name]["holds"] for name in HARD_IDENTITIES)
-    return hard and all_finite(report)
+    reported maximum is NaN or infinite: the exit status of ``check``."""
+    if not all(report["identities"][name]["holds"] for name in HARD_IDENTITIES):
+        return False
+    maxima = (*report["axiom_residuals"].values(), *report["metricity"].values())
+    sections = ("identities", "classification", "quasi_sasakian_conditions", "einstein")
+    return all(map(math.isfinite, maxima)) and all(finite(report[name]) for name in sections)
 
 
-def all_finite(obj) -> bool:
-    """No float in a report payload is NaN or infinite: the finiteness half
-    of every exit status (``check``, ``classify``, ``einstein``)."""
-    return all(math.isfinite(x) for x in _floats(obj))
-
-
-def _floats(obj):
-    """Every float in a report, depth first."""
-    if isinstance(obj, dict):
-        obj = list(obj.values())
-    if isinstance(obj, (list, tuple)):
-        for value in obj:
-            yield from _floats(value)
-    elif isinstance(obj, float):
-        yield obj
+def finite(section: dict) -> bool:
+    """No float of an entry of a report section is NaN or infinite: the
+    finiteness half of every exit status.  An entry's lists (the Einstein
+    ``residual_grid``) are not read: its ``max_residual`` is their maximum."""
+    return all(math.isfinite(x) for entry in section.values() for x in entry.values() if type(x) is float)
 
 
 # ---------------------------------------------------------------------------
@@ -111,46 +105,48 @@ def _float_text(x: float) -> str:
 
 
 def _emit(obj, level: int, parts: list[str]) -> None:
-    if isinstance(obj, str):
-        parts.append(encode_basestring_ascii(obj))
-    elif obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
-        parts.append(int.__repr__(obj))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_float_text(float(obj)))
-    elif isinstance(obj, np.ndarray):
-        parts.append(_array_text(obj, level))
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        inner = "\n" + "  " * (level + 1)
-        opening = "{" + inner
-        for key, value in sorted(obj.items()):
-            parts.append(opening)
-            parts.append(encode_basestring_ascii(key))
-            parts.append(": ")
-            _emit(value, level + 1, parts)
-            opening = "," + inner
-        parts.append("\n" + "  " * level + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        inner = "\n" + "  " * (level + 1)
-        opening = "[" + inner
-        for value in obj:
-            parts.append(opening)
-            _emit(value, level + 1, parts)
-            opening = "," + inner
-        parts.append("\n" + "  " * level + "]")
-    else:
-        raise TypeError(f"unexpected report value {obj!r}")
+    (_EMITTERS.get(type(obj)) or _subclass_emitter(obj))(obj, level, parts)
+
+
+def _emit_items(obj, level: int, parts: list[str]) -> None:
+    """A dict, its items sorted by key, or a list or tuple: one item a line."""
+    keyed = isinstance(obj, dict)
+    if not obj:
+        parts.append("{}" if keyed else "[]")
+        return
+    inner = "\n" + "  " * (level + 1)
+    opening = ("{" if keyed else "[") + inner
+    for value in sorted(obj.items()) if keyed else obj:
+        parts.append(opening)
+        if keyed:
+            key, value = value
+            parts += (encode_basestring_ascii(key), ": ")
+        _emit(value, level + 1, parts)
+        opening = "," + inner
+    parts.append("\n" + "  " * level + ("}" if keyed else "]"))
+
+
+# the emitter of each value type, in the order in which a subclass of one
+# of them finds its emitter (``np.float64`` that of float); bool before int
+_EMITTERS = {
+    str: lambda obj, level, parts: parts.append(encode_basestring_ascii(obj)),
+    type(None): lambda obj, level, parts: parts.append("null"),
+    bool: lambda obj, level, parts: parts.append("true" if obj else "false"),
+    int: lambda obj, level, parts: parts.append(int.__repr__(obj)),
+    float: lambda obj, level, parts: parts.append(_float_text(obj)),
+    np.floating: lambda obj, level, parts: parts.append(_float_text(float(obj))),
+    np.ndarray: lambda obj, level, parts: parts.append(_array_text(obj, level)),
+    dict: _emit_items,
+    list: _emit_items,
+    tuple: _emit_items,
+}
+
+
+def _subclass_emitter(obj):
+    for base, emit in _EMITTERS.items():
+        if isinstance(obj, base):
+            return emit
+    raise TypeError(f"unexpected report value {obj!r}")
 
 
 def _array_text(arr: np.ndarray, level: int) -> str:
@@ -232,22 +228,20 @@ def run_full_check(
     # the curvature goes first: its second-order temporaries then coexist
     # with the fewest cached tensors, which keeps the peak memory down
     einstein = einstein_reports(ev, tol)
-    axioms = {name: WorstResidual(value) for name, value in validate_axioms(ev).items()}
-    worst = {name: WorstResidual(value) for name, value in identity_residuals(ev).items()}
+    axioms = validate_axioms(ev)
+    tables = {**axioms, **identity_residuals(ev)}
+    worst_of = dict(zip(tables, worst(list(tables.values()))))
     classification = classification_report(ev, tol)  # two sections of the report
     ranks = sorted(set(rank_of(ev.omega0, ev.d_eta_xi).ravel().tolist()))
 
-    identities = {}
-    for name, tolerance in HARD_TOLERANCES.items():
-        identities[name] = {
-            "max_residual": worst[name].residual,
-            "samples": samples,
-            "tolerance": tolerance,
-            "holds": worst[name].holds(tolerance),
-        }
+    identities = {
+        name: {"max_residual": worst_of[name], "samples": samples, "tolerance": tolerance,
+               "holds": holds_within(worst_of[name], 0.0, tolerance)}
+        for name, tolerance in HARD_TOLERANCES.items()
+    }
     for name in ("torsion_skew", "aqs_characterization", "qs_characterization",
                  "canonical_nabla_phi", "nabla_omega", "nabla_psi"):
-        identities[name] = {"max_residual": worst[name].residual, "samples": samples}
+        identities[name] = {"max_residual": worst_of[name], "samples": samples}
 
     return {
         "tool_version": __version__,
@@ -255,13 +249,13 @@ def run_full_check(
         "dimension": manifest.dimension,
         **run,
         "omega_source": manifest.omega_source,
-        "axiom_residuals": {name: w.residual for name, w in axioms.items()},
+        "axiom_residuals": {name: worst_of[name] for name in axioms},
         "identities": identities,
         **classification,
         "rank": ranks,
         "metricity": {
-            "max_abs": worst["metricity_defect"].residual,
-            "reeb_row_max": worst["metricity_defect_reeb_row"].residual,
+            "max_abs": worst_of["metricity_defect"],
+            "reeb_row_max": worst_of["metricity_defect_reeb_row"],
         },
         "einstein": einstein,
     }

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .connection import _cov_phi, basis_brackets, bracket, cov_phi, to_frame_components
-from .residuals import WorstResidual, nanmax
+from .residuals import holds_within, nanmax, top, worst
 from .structure import (
     StructureEval,
     contract,
@@ -254,16 +254,15 @@ def classification_report(ev: StructureEval, tol: float) -> dict:
     almost quasi-Sasakian while the three equivalent quasi-Sasakian
     conditions disagree (they are provably equivalent in that regime).
     """
-    worst = {
-        name: WorstResidual(residual, scale)
-        for name, (residual, scale) in criterion_residuals(ev).items()
-    }
+    rows = criterion_residuals(ev)
+    maxima = worst([part for pair in rows.values() for part in pair])
+    reduced = dict(zip(rows, zip(maxima[::2], maxima[1::2])))
 
     def verdict(*names: str) -> dict:
-        parts = [worst[name] for name in names]
+        parts = [reduced[name] for name in names]
         return {
-            "holds": all(w.holds(tol) for w in parts),
-            "max_residual": nanmax(*(w.residual for w in parts)),
+            "holds": all(holds_within(residual, scale, tol) for residual, scale in parts),
+            "max_residual": top(residual for residual, _ in parts),
         }
 
     verdicts = {name: verdict(name) for name in BASE_CRITERIA}
@@ -278,10 +277,8 @@ def classification_report(ev: StructureEval, tol: float) -> dict:
             f"equivalent quasi-Sasakian conditions disagree on an AQS structure: {detail}"
         )
     verdicts["quasi_sasakian"] = {
-        "holds": bool(verdicts["aqs"]["holds"] and all(qs_flags)),
-        "max_residual": nanmax(
-            verdicts["aqs"]["max_residual"], *(v["max_residual"] for v in qs_verdicts.values())
-        ),
+        "holds": verdicts["aqs"]["holds"] and all(qs_flags),
+        "max_residual": top(v["max_residual"] for v in (verdicts["aqs"], *qs_verdicts.values())),
     }
 
     n_points = int(np.prod(ev.batch))

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .chart import ChartError, rank_at
-from .checks import all_finite, passed, report_json, run_full_check, sampled_evaluation
+from .checks import finite, passed, report_json, run_full_check, sampled_evaluation
 from .classify import InternalConsistencyError, classification_report
 from .connection import canonical_connection, lc_adapted, torsion
 from .curvature import curvature_K, einstein_reports, ricci_k, ricci_wagner, schouten
@@ -189,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stdout.write(report_json(payload))
             else:
                 _print_classification_human(payload)
-            return 0 if all_finite(payload) else 1
+            return 0 if finite(payload) else 1
 
         if args.command == "tensor":
             p = _parse_point(args.at, manifest)
@@ -211,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stdout.write(report_json(payload))
             else:
                 _print_einstein_human(payload)
-            return 0 if all_finite(payload) else 1
+            return 0 if finite(payload) else 1
 
         if args.command == "rank":
             p = _parse_point(args.at, manifest)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .connection import nabla_omega, nabla_psi
 from .manifest import OMEGA_SOURCES
-from .residuals import WorstResidual, nanmax
+from .residuals import holds_within, worst
 from .structure import StructureEval, contract, mat_t, memoised
 
 
@@ -111,18 +111,22 @@ def einstein_reports(ev: StructureEval, tol: float) -> dict[str, dict]:
     samples as the nested list ``residual_grid``, so block-level behaviour
     stays visible, and the hypothesis max |nabla omega| as
     ``parallel_torsion_residual``, which does not gate the verdict."""
-    parallel_torsion = WorstResidual(ev.max_abs(nabla_omega(ev))).residual
     m = ev.m
     r = ricci_wagner(ev).reshape(-1, m, m)
-    reports = {}
+    r_scale = np.abs(r).max(axis=(1, 2))
+    rows, grids = [ev.max_abs(nabla_omega(ev)).reshape(-1)], []
     for source in OMEGA_SOURCES:
         rhs = einstein_rhs(ev, source).reshape(-1, m, m)
         diff = np.abs(r - rhs)
-        worst = WorstResidual(diff, nanmax(np.abs(r).max(), np.abs(rhs).max()))
-        reports[source] = {
-            "verdict": worst.holds(tol),
-            "max_residual": worst.residual,
+        grids.append(diff.max(axis=0).tolist())
+        rows += [diff.max(axis=(1, 2)), np.maximum(r_scale, np.abs(rhs).max(axis=(1, 2)))]
+    parallel_torsion, *maxima = worst(rows)
+    return {
+        source: {
+            "verdict": holds_within(residual, scale, tol),
+            "max_residual": residual,
             "parallel_torsion_residual": parallel_torsion,
-            "residual_grid": diff.max(axis=0).tolist(),
+            "residual_grid": grid,
         }
-    return reports
+        for source, grid, residual, scale in zip(OMEGA_SOURCES, grids, maxima[::2], maxima[1::2])
+    }

@@ -246,12 +246,9 @@ class Jet:
         grad = f1[..., None] * self.grad
         if self.hess is None:
             return Jet(f0, grad, None)
-        return Jet(
-            f0,
-            grad,
-            f1[..., None, None] * self.hess
-            + (f2 * 0.5)[..., None, None] * _sym(_outer(self.grad, self.grad)),
-        )
+        hess = f1[..., None, None] * self.hess
+        # the outer product is exactly symmetric: no symmetrisation
+        return Jet(f0, grad, hess + f2[..., None, None] * _outer(self.grad, self.grad))
 
     def __repr__(self) -> str:
         return f"Jet({self.value!r}, grad={self.grad!r})"

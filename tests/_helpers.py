@@ -62,6 +62,15 @@ def manifest_data(name: str) -> dict:
     return TWISTED_MANIFEST if name == "twisted" else json.loads(fixture_path(name).read_text())
 
 
+def nan_manifest_data() -> dict:
+    """example1 with phi^1_3 = -1 + 0*exp(x)^400: exp(x)^400 overflows to
+    inf for x > 1.78, so 0*exp(x)^400 is NaN there, and phi and every
+    residual that reads it are NaN at those samples."""
+    data = manifest_data("example1")
+    data["phi_frame"][0][2] = "-1 + 0*exp(x)^400"
+    return data
+
+
 def deep_tree_manifest_data(k: int = 0) -> dict:
     """Manifest k of the benchmark's seeded heavy-expr pool: every gamma
     entry, the metric's conformal factor and the angle of a rotating phi
@@ -386,6 +395,25 @@ def repeated_ipow(jet: Jet, k: int) -> Jet:
     for _ in range(k - 1):
         out = out * jet
     return out
+
+
+def symmetrised_unary(self: Jet, f0, f1, f2) -> Jet:
+    """``Jet._unary`` with the Hessian's second-derivative term written as
+    (f2/2) times the symmetrised outer product of the gradient,
+    (f2/2) (du du^T + (du du^T)^T): the reference for the term
+    f2 du du^T, which rounds alike wherever 2 du du^T does not overflow and
+    f2/2 is exact."""
+    if self.grad is None:
+        return Jet(f0, None, None)
+    grad = f1[..., None] * self.grad
+    if self.hess is None:
+        return Jet(f0, grad, None)
+    outer = self.grad[..., :, None] * self.grad[..., None, :]
+    return Jet(
+        f0,
+        grad,
+        f1[..., None, None] * self.hess + (f2 * 0.5)[..., None, None] * (outer + np.swapaxes(outer, -1, -2)),
+    )
 
 
 def unshared_eval_node(node: Node, points: np.ndarray, n: int) -> Jet:

@@ -24,7 +24,7 @@ from acmcheck.connection import canonical_connection, lc_adapted, torsion
 from acmcheck.curvature import curvature_K, einstein_reports, ricci_k, ricci_wagner, schouten
 from acmcheck.expr import parse
 from acmcheck.manifest import manifest_from_dict
-from acmcheck.residuals import WorstResidual
+from acmcheck.residuals import holds_within, worst
 from acmcheck.structure import StructureEval
 
 from _helpers import grammar_printer, manifest_data, pulled_back_manifest, sympy_reader
@@ -83,8 +83,9 @@ def push(T: np.ndarray, valence: str, A: np.ndarray) -> np.ndarray:
 
 def verdicts(ev: StructureEval, tol: float) -> dict[str, bool]:
     """Every verdict a ``check`` report carries, and torsion skew-symmetry."""
-    out = {f"identity {name}": WorstResidual(res).holds(HARD_TOLERANCES[name])
-           for name, res in identity_residuals(ev).items() if name in HARD_TOLERANCES}
+    hard = {name: res for name, res in identity_residuals(ev).items() if name in HARD_TOLERANCES}
+    out = {f"identity {name}": holds_within(residual, 0.0, HARD_TOLERANCES[name])
+           for name, residual in zip(hard, worst(list(hard.values())))}
     for section, entries in classification_report(ev, tol).items():
         out.update({f"{section} {name}": entry["holds"] for name, entry in entries.items()})
     out.update({f"einstein {source}": entry["verdict"]

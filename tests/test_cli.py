@@ -29,7 +29,7 @@ from acmcheck.manifest import (
 )
 from acmcheck.structure import StructureEval, TruncatedJetError
 
-from _helpers import manifest_data
+from _helpers import manifest_data, nan_manifest_data
 from conftest import FIXTURES
 
 BASE = {
@@ -286,12 +286,8 @@ def test_cli_rank_point_with_leading_minus(capsys):
 
 
 def _nan_manifest(tmp_path) -> str:
-    # exp(x)^400 overflows to inf for x > 1.78, so 0*exp(x)^400 is NaN there:
-    # phi, and every residual that reads it, is NaN at those samples
-    data = json.loads(fixture_path("example1").read_text())
-    data["phi_frame"][0][2] = "-1 + 0*exp(x)^400"
     path = tmp_path / "nan.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(nan_manifest_data()))
     return str(path)
 
 

@@ -28,6 +28,7 @@ from acmcheck.expr import (
     ExprDomainError,
     ExprSyntaxError,
     InternTable,
+    Jet,
     Mul,
     Neg,
     Pow,
@@ -43,12 +44,14 @@ from acmcheck.manifest import fixture_path, load_manifest, manifest_from_dict
 from acmcheck.structure import StructureEval
 
 from _helpers import (
+    deep_tree_manifest_data,
     fd_gradient,
     fd_hessian,
     field_jet,
     random_poly_text,
     reference_tokenize,
     repeated_ipow,
+    symmetrised_unary,
     unshared_field_jets,
 )
 from conftest import FIXTURES
@@ -434,6 +437,67 @@ def test_scalar_field_jet_and_value_equal_unshared_reference_bitwise(name, manif
                 jet, want = field_jet(f, p), unshared_field_jets(cell, p)
                 assert all(_same_bits(a, b) for a, b in zip((jet.value, jet.grad, jet.hess), want, strict=True))
                 assert _same_bits(f.value(p), want[0])
+
+
+def _heavy_blocks(k: int):
+    s = manifest_from_dict(deep_tree_manifest_data(k))
+    return [np.array(s.gamma, dtype=object), s.metric_frame, s.phi_frame], sample_points(s, 32, k)
+
+
+@pytest.mark.parametrize("name", FIXTURES + ("twisted", "deep") + tuple(f"heavy{k}" for k in range(16)))
+def test_unary_hessian_equals_symmetrised_form_bitwise(name, manifests, twisted, monkeypatch):
+    # f2 du du^T against (f2/2)(du du^T + its transpose) on every field of
+    # the fixtures and of the benchmark's heavy-expr pool
+    if name.startswith("heavy"):
+        blocks, points = _heavy_blocks(int(name[5:]))
+    else:
+        blocks, points = _blocks(name, manifests, twisted)
+    got = [field_jets(fields, points) for fields in blocks]
+    monkeypatch.setattr(expr.Jet, "_unary", symmetrised_unary)
+    want = [field_jets(fields, points) for fields in blocks]
+    for a, b in zip(got, want, strict=True):
+        assert all(_same_bits(x, y) for x, y in zip(a, b, strict=True)), name
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _unary_images(value, grad) -> list[Jet]:
+    """sin, cos and exp of a jet at ``value``, ln and sqrt at |value| + 1e-300."""
+    n = grad.shape[-1]
+    hess = np.broadcast_to(np.linspace(-2.0, 3.0, n * n).reshape(n, n), grad.shape + (n,))
+    jet, positive = Jet(value, grad, hess), Jet(np.abs(value) + 1e-300, grad, hess)
+    return [jet.sin(), jet.cos(), jet.exp(), positive.ln(), positive.sqrt()]
+
+
+def test_unary_hessian_equals_symmetrised_form_bitwise_at_edge_values(monkeypatch):
+    # magnitudes from the smallest normal to where 2 du du^T nears overflow,
+    # zeros of either sign, and arguments where exp overflows to inf; f2
+    # stays 0 or at least twice the smallest normal, so f2/2 is exact
+    value = np.array([0.0, -0.0, 2.2250738585072014e-308, 1e-300, 1e-8, 0.5, 1.0, 3.0, 700.0, 709.5, -700.0])
+    for scale in (0.0, -0.0, 1e-160, 1e-5, 1.0, 1e150, 4e153):
+        grad = np.outer(np.ones(len(value)), [scale, -2.0 * scale, 1.0])
+        got = _unary_images(value, grad)
+        with monkeypatch.context() as patch:
+            patch.setattr(expr.Jet, "_unary", symmetrised_unary)
+            want = _unary_images(value, grad)
+        for a, b in zip(got, want, strict=True):
+            assert _same_bits(a.hess, b.hess) and _same_bits(a.grad, b.grad), scale
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unary_hessian_edge_cases_where_the_forms_differ(monkeypatch):
+    # the two forms differ only where the symmetrised one is the less
+    # exact: 2 du du^T overflows while du du^T does not (inf, or NaN where
+    # f2 = 0, against a finite term), and f2/2 is subnormal and inexact
+    # (the smallest subnormal halves to 0)
+    value = np.array([0.3, 0.0, 5e-324])
+    grad = np.array([[1e154, 0.0], [1e154, 0.0], [1.0, 0.0]])
+    jet = Jet(value, grad, np.zeros((3, 2, 2)))
+    got = jet.sin()
+    monkeypatch.setattr(expr.Jet, "_unary", symmetrised_unary)
+    want = jet.sin()
+    assert np.isfinite(got.hess[0, 0, 0]) and want.hess[0, 0, 0] == -np.inf
+    assert got.hess[1, 0, 0] == 0.0 and np.isnan(want.hess[1, 0, 0])
+    assert got.hess[2, 0, 0] == -5e-324 and want.hess[2, 0, 0] == 0.0
 
 
 def test_truncated_blocks_run_no_hessian_term(monkeypatch):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 from _helpers import reference_report_json, reference_tensor_text
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -29,11 +29,21 @@ FIXTURES = ("flat", "example1", "example2", "example3-qs", "example3-aqs")
 
 EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1e16)
 
+
+class TaggedFloat(float):
+    """A float subclass with its own repr, which the report text ignores
+    as ``json.dumps`` does."""
+
+    def __repr__(self) -> str:
+        return f"TaggedFloat({float(self)!r})"
+
+
 floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
 text = st.text(max_size=6) | st.sampled_from(("", "é", "Ω_ab", " ", '"\\'))
 scalars = (
     floats
     | floats.map(np.float64)
+    | floats.map(TaggedFloat)
     | st.integers(min_value=-(2**70), max_value=2**70)
     | st.booleans()
     | st.none()
@@ -66,6 +76,8 @@ def _tolists(obj):
 
 @settings(max_examples=400, deadline=None)
 @given(payloads)
+@example({"holds": True, "verdict": False, "n": 1, "x": TaggedFloat(0.5)})
+@example([TaggedFloat(math.nan), TaggedFloat(-math.inf), np.float64(-0.0), True, 1, 1.0, False, 0])
 def test_report_json_matches_json_dumps(obj):
     assert report_json(obj) == json.dumps(_tolists(obj), sort_keys=True, indent=2) + "\n"
 
