@@ -16,11 +16,12 @@ omega_{ab} = d(eta)(e_a, e_b) = (e_a gamma_b - e_b gamma_a) / 2.
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
 
-from .expr import ExprDomainError, describe_first, field_jets
+from .expr import ExprDomainError, describe_first, field_jets, frozen
 from .manifest import Manifest
 
 AVOID_EPS = 1e-6  # sample points must keep every 'avoid' field at least this far from zero
@@ -57,14 +58,16 @@ def sample_points(manifest: Manifest, count: int, seed: int) -> np.ndarray:
     n = manifest.dimension
     lo = np.array([iv[0] for iv in manifest.domain])
     hi = np.array([iv[1] for iv in manifest.domain])
-    state, inc = _pcg64_streams(seed, np.arange(count))
-    jumps = _pcg64_jumps(n)
-    points = np.empty((count, n))
     pending = np.arange(count)
+    state, inc = _pcg64_streams(seed, pending)
+    points = np.empty((count, n))
+    # the first draw also takes the last step of the generator's seeding
+    jumps = _pcg64_jumps(n, 2)
     for _ in range(MAX_REDRAWS):
         if not pending.size:
             break
         steps = _pcg64_advance(state[:, pending, None], inc[:, pending, None], jumps)
+        jumps = _pcg64_jumps(n)
         state[:, pending] = steps[..., -1]
         points[pending] = lo + (hi - lo) * _pcg64_double(steps)
         clear = np.ones(pending.size, dtype=bool)
@@ -114,13 +117,15 @@ def _hashmix(value, hash_const, mult: int = _MULT_A):
     return value ^ value >> 16, hash_const
 
 
+@functools.cache
 def _successive(hash_const: int, mult: int, count: int) -> np.ndarray:
-    """A column of ``count`` successive hash constants from ``hash_const``."""
+    """A read-only column of ``count`` successive hash constants from
+    ``hash_const``, built once per argument tuple."""
     consts = []
     for _ in range(count):
         consts.append(hash_const)
         hash_const = hash_const * mult & _M32
-    return np.array(consts, dtype=np.uint32)[:, None]
+    return frozen(np.array(consts, dtype=np.uint32)[:, None])
 
 
 def _mix(x, y):
@@ -129,9 +134,12 @@ def _mix(x, y):
 
 
 def _pcg64_streams(seed: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """PCG64 state and increment, (2, len(index)) arrays of (high, low)
-    uint64 words, of ``default_rng(SeedSequence(entropy=seed,
-    spawn_key=(i,)))`` for each i in ``index`` (each below 2**32).
+    """PCG64 increment and state one LCG step short of it, (2, len(index))
+    arrays of (high, low) uint64 words, of ``default_rng(SeedSequence(
+    entropy=seed, spawn_key=(i,)))`` for each i in ``index`` (each below
+    2**32).  The seeding's last step is left to the caller's first draw:
+    the generator's draws 1..k are the states 2..k+1 steps on, one
+    ``_pcg64_advance`` by ``_pcg64_jumps(k, 2)``.
 
     The seed's 32-bit words, zero-padded to the pool size because a spawn key
     is present, fill and mix the pool; words beyond the pool and then the
@@ -160,22 +168,26 @@ def _pcg64_streams(seed: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray
     state32, _ = _hashmix(np.tile(pool, (2, 1)), _successive(_INIT_B, _MULT_B, 8), _MULT_B)
     state64 = state32.astype(np.uint64)
     seed_hi, seed_lo, seq_hi, seq_lo = state64[0::2] | state64[1::2] << 32
-    # pcg_setseq_128_srandom_r: state 0, step, add the initial state, step
+    # pcg_setseq_128_srandom_r: state 0, step, add the initial state, step;
+    # the first step from state 0 gives inc, and the last is left out
     inc = np.array([seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1])
-    return _pcg64_advance(np.array(_add128(inc, (seed_hi, seed_lo))), inc, _pcg64_jumps(1)), inc
+    return np.array(_add128(inc, (seed_hi, seed_lo))), inc
 
 
-def _pcg64_jumps(steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(M^k, M^(k-1) + ... + M + 1) modulo 2**128 for k = 1..steps, each a
-    (2, steps) array of (high, low) words: k LCG steps take a state s to
+@functools.cache
+def _pcg64_jumps(steps: int, first: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(M^k, M^(k-1) + ... + M + 1) modulo 2**128 for k = first ..
+    first + steps - 1, each a read-only (2, steps) array of (high, low)
+    words, built once per argument pair: k LCG steps take a state s to
     M^k s + (M^(k-1) + ... + 1) inc."""
     mults, adds = [], []
     mult, add = 1, 0
-    for _ in range(steps):
+    for k in range(1, first + steps):
         mult, add = mult * _PCG64_MULT % 2**128, (add * _PCG64_MULT + 1) % 2**128
-        mults.append(mult)
-        adds.append(add)
-    return tuple(np.array([[v >> 64 for v in vs], [v & 2**64 - 1 for v in vs]], dtype=np.uint64)
+        if k >= first:
+            mults.append(mult)
+            adds.append(add)
+    return tuple(frozen(np.array([[v >> 64 for v in vs], [v & 2**64 - 1 for v in vs]], dtype=np.uint64))
                  for vs in (mults, adds))
 
 

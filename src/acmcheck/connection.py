@@ -24,7 +24,8 @@ TORSION_SKEW_TOL = 1e-9
 # LC_ORACLE_TOL / eps cannot be inverted to that accuracy, so the oracle
 # refuses it
 LC_ORACLE_TOL = 1e-8
-ORACLE_COND_LIMIT = LC_ORACLE_TOL / np.finfo(float).eps
+_EPS = np.finfo(float).eps
+ORACLE_COND_LIMIT = LC_ORACLE_TOL / _EPS
 
 
 @dataclass(frozen=True)
@@ -103,10 +104,18 @@ def lc_coordinate(ev: StructureEval) -> np.ndarray:
 
     The products are plain NumPy broadcasting and one batched ``matmul``
     written out here, never :func:`contract`, so the oracle does not share
-    the planner it checks.  The condition number is ``np.linalg.cond``, an
-    SVD of each point's G: ``metric_frame`` is not checked to be symmetric,
-    so a symmetric eigenvalue shortcut would change what the guard measures
-    and the condition number its error names.
+    the planner it checks.
+
+    The guard measures the 2-norm condition number of G scaled to unit
+    diagonal, as ``np.linalg.cond`` (an SVD) computes it.  A point is
+    cleared without the SVD where a norm bound, read from the inverse the
+    oracle computes anyway, proves that condition number below the limit
+    (see :func:`_cleared`); only the other points go through
+    ``np.linalg.cond``.  On well-conditioned metrics that is none of them.
+    The decision, the first point named and the condition number printed
+    are those of ``np.linalg.cond`` on every point.  ``metric_frame`` is not
+    checked to be symmetric, so a symmetric eigenvalue shortcut would
+    change what the guard measures.
     """
     n, m = ev.n, ev.m
     eta0 = ev.zeros(n)
@@ -129,20 +138,54 @@ def lc_coordinate(ev: StructureEval) -> np.ndarray:
     # the metric diagonal is harmless), so G is scaled to unit diagonal first
     diag = np.abs(np.diagonal(G0, axis1=-2, axis2=-1))
     with np.errstate(all="ignore"):
-        unit = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+        root = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+        unit = 1.0 / root
         scaled = G0 * unit[..., :, None] * unit[..., None, :]
-    finite = np.isfinite(scaled).all(axis=(-2, -1))
-    cond = np.linalg.cond(np.where(finite[..., None, None], scaled, np.eye(n)))
-    ill = cond >= ORACLE_COND_LIMIT
-    if np.any(ill):
-        raise SingularMetricError(
-            f"{what} ill-conditioned at {describe_first(ev.p, ill)} (cond {cond[ill][0]:.3e})"
-        )
+        # a non-finite point is left to the residuals
+        unsure = np.isfinite(scaled).all(axis=(-2, -1))
+        unsure &= ~_cleared(scaled, Ginv * root[..., :, None] * root[..., None, :])
+    if np.any(unsure):
+        cond = np.linalg.cond(scaled[unsure])
+        ill = np.zeros(ev.batch, dtype=bool)
+        ill[unsure] = cond >= ORACLE_COND_LIMIT
+        if np.any(ill):
+            raise SingularMetricError(
+                f"{what} ill-conditioned at {describe_first(ev.p, ill)}"
+                f" (cond {cond[cond >= ORACLE_COND_LIMIT][0]:.3e})"
+            )
     # first kind[i, j, m] = d_i G_jm + d_j G_im - d_m G_ij; coeff[i, j, k] is
     # half its product with G^km, one (n*n, n) @ (n, n) matmul per point
     first = np.einsum("...jmi->...ijm", G1) + np.einsum("...imj->...ijm", G1) - G1
     lowered = first.reshape(first.shape[:-3] + (n * n, n)) @ np.swapaxes(Ginv, -1, -2)
     return 0.5 * lowered.reshape(first.shape)
+
+
+def _cleared(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Where the batch of n x n matrices ``A`` is proved to have
+    ``np.linalg.cond(A) < ORACLE_COND_LIMIT``, from ``X``, any
+    approximation of its inverse (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., chs. 6 and 14).
+
+    With R = I - A X and ||R||_1 < 1, A^-1 = X (I - R)^-1, so
+    ||A^-1||_1 <= ||X||_1 / (1 - ||R||_1), and kappa_2 <= n kappa_1.
+    R is computed as fl(A X) - I: each entry is off by at most
+    gamma_n (|A||X|) + u |fl(A X) - I|, and each computed 1-norm (a sum of
+    n non-negative terms) by a factor 1 + gamma_n, with u = eps / 2 and
+    gamma_n = n u / (1 - n u).  So for n >= 2, rho = r + n eps (r + a x),
+    where a, x and r are the computed norms of A, X and R, bounds the exact
+    ||R||_1.  A point is cleared where rho <= 1/2 and
+    n a x / (1 - rho) <= ORACLE_COND_LIMIT / 2.  The factor 2 covers the
+    norms' own rounding, the rounding of this test, and the error of the
+    SVD's condition number: its singular values are those of A + E with
+    ||E||_2 <= p(n) u ||A||_2, so below the limit it exceeds the exact
+    kappa_2 by a relative p(n) u kappa_2 < 1e-5 even for p(n) = 1000.
+    A NaN or infinity anywhere clears nothing."""
+    n = A.shape[-1]
+    # the largest column sums of |A|, |X| and |R|, stacked
+    a, x, r = (np.ones(n) @ np.abs(np.stack([A, X, A @ X - np.eye(n)]))).max(axis=-1)
+    ax = a * x
+    rho = r + n * _EPS * (r + ax)
+    return (rho <= 0.5) & (n * ax <= (1.0 - rho) * (ORACLE_COND_LIMIT / 2))
 
 
 def coordinate_to_adapted(ev: StructureEval, coord_coeffs: np.ndarray) -> np.ndarray:

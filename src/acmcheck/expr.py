@@ -85,6 +85,14 @@ def describe_first(points: np.ndarray, mask) -> str:
     return f"sample {', '.join(str(i) for i in at)}, point {point}"
 
 
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only: an array kept for more than one reader (an
+    evaluation's shared tensors, the sampler's tables), so that no reader
+    can write into the others' data."""
+    arr.flags.writeable = False
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # Jets
 # ---------------------------------------------------------------------------
@@ -111,14 +119,25 @@ class Jet:
     the full batch shape.  Arithmetic implements the usual forward-mode
     recurrences, elementwise per point.  Products are written so the Hessian
     stays exactly symmetric in floating point.
+
+    Two tags let a product skip terms whose every entry it knows, with the
+    same result bit for bit.  ``zero`` is set on a constant (batch shape (),
+    built from ``Const`` leaves by negation, sums and differences): every
+    entry of its gradient and Hessian is that one zero, +0.0 or -0.0.
+    ``finite_var`` is False except on a coordinate variable: there it is
+    None until a product by a constant first asks whether all its values
+    are finite, and then the answer.
     """
 
-    __slots__ = ("value", "grad", "hess")
+    __slots__ = ("value", "grad", "hess", "zero", "finite_var")
 
-    def __init__(self, value, grad: np.ndarray | None, hess: np.ndarray | None):
+    def __init__(self, value, grad: np.ndarray | None, hess: np.ndarray | None,
+                 zero: float | None = None, finite_var: bool | None = False):
         self.value = value
         self.grad = grad
         self.hess = hess
+        self.zero = zero
+        self.finite_var = finite_var
 
     @staticmethod
     def constant(value: float, n: int, order: int = 2) -> "Jet":
@@ -126,21 +145,24 @@ class Jet:
             np.float64(value),
             np.zeros(n) if order >= 1 else None,
             np.zeros((n, n)) if order == 2 else None,
+            0.0,
         )
 
     @staticmethod
     def variable(value, index: int, n: int, order: int = 2) -> "Jet":
-        g = None
-        if order >= 1:
-            g = np.zeros(n)
-            g[index] = 1.0
-        return Jet(np.asarray(value, dtype=float), g, np.zeros((n, n)) if order == 2 else None)
+        value = np.asarray(value, dtype=float)
+        if order == 0:
+            return Jet(value, None, None)
+        g = np.zeros(n)
+        g[index] = 1.0
+        return Jet(value, g, np.zeros((n, n)) if order == 2 else None, finite_var=None)
 
     def __add__(self, other: "Jet") -> "Jet":
         return Jet(
             self.value + other.value,
             None if self.grad is None else self.grad + other.grad,
             None if self.hess is None else self.hess + other.hess,
+            None if self.zero is None or other.zero is None else self.zero + other.zero,
         )
 
     def __sub__(self, other: "Jet") -> "Jet":
@@ -148,6 +170,7 @@ class Jet:
             self.value - other.value,
             None if self.grad is None else self.grad - other.grad,
             None if self.hess is None else self.hess - other.hess,
+            None if self.zero is None or other.zero is None else self.zero - other.zero,
         )
 
     def __neg__(self) -> "Jet":
@@ -155,12 +178,17 @@ class Jet:
             -self.value,
             None if self.grad is None else -self.grad,
             None if self.hess is None else -self.hess,
+            None if self.zero is None else -self.zero,
         )
 
     def __mul__(self, other: "Jet") -> "Jet":
         value = self.value * other.value
         if self.grad is None:
             return Jet(value, None, None)
+        if self.zero is not None:
+            return other._scaled(self, value, True)
+        if other.zero is not None:
+            return self._scaled(other, value, False)
         grad = self.grad * other.value[..., None] + self.value[..., None] * other.grad
         if self.hess is None:
             return Jet(value, grad, None)
@@ -174,10 +202,45 @@ class Jet:
             + np.swapaxes(cross, -1, -2),
         )
 
+    def _scaled(self, c: "Jet", value, c_first: bool) -> "Jet":
+        """The product of ``self`` with the constant ``c`` (on the left if
+        ``c_first``), of value ``value``, by the product rule's terms and
+        sums in the rule's own order; a product by one of c's derivative
+        entries, all equal to the zero ``c.zero``, is taken once per point
+        instead of once per entry.  When ``self`` is a variable with finite
+        values and c is finite with its sign bit clear (+0.0, not -0.0),
+        every entry but c times the variable's own 1 sums to +0.0, so the
+        derivative parts keep batch shape ()."""
+        cv, s = c.value, c.zero
+        if self.finite_var is not False and cv < math.inf and math.copysign(1.0, cv) > 0.0:
+            if self.finite_var is None:
+                self.finite_var = bool(np.isfinite(self.value).all())
+            if self.finite_var:
+                return Jet(value, cv * self.grad, self.hess)  # that Hessian is +0.0
+        v = self.value[..., None]
+        if c_first:
+            z = s * v
+            grad = z + cv * self.grad
+        else:
+            z = v * s
+            grad = self.grad * cv + z
+        if self.hess is None:
+            return Jet(value, grad, None)
+        # the cross term's entry (j, k) is s * grad[k] on the left, grad[j] * s on the right
+        if c_first:
+            w = s * self.grad
+            hess = z[..., None] + cv * self.hess + w[..., None, :] + w[..., :, None]
+        else:
+            w = self.grad * s
+            hess = self.hess * cv + z[..., None] + w[..., :, None] + w[..., None, :]
+        return Jet(value, grad, hess)
+
+    # Each domain check below is one reduction over the block; the mask of
+    # offending points is built only once it has failed.
+
     def reciprocal(self) -> "Jet":
-        zero = self.value == 0.0
-        if np.any(zero):
-            raise ExprDomainError("division by zero", zero)
+        if not self.value.all():
+            raise ExprDomainError("division by zero", self.value == 0.0)
         inv = 1.0 / self.value
         if self.grad is None:
             return Jet(inv, None, None)
@@ -219,24 +282,27 @@ class Jet:
     def exp(self) -> "Jet":
         with np.errstate(over="ignore"):
             e = np.exp(self.value)
-        overflow = np.isfinite(self.value) & ~np.isfinite(e)
-        if np.any(overflow):
-            raise ExprDomainError("exp overflows", overflow)
+        if not e.max(initial=-math.inf) < math.inf:  # an infinity or a NaN, not always an overflow
+            overflow = np.isfinite(self.value) & ~np.isfinite(e)
+            if np.any(overflow):
+                raise ExprDomainError("exp overflows", overflow)
         return self._unary(e, e, e)
 
     def ln(self) -> "Jet":
-        bad = self.value <= 0.0
-        if np.any(bad):
-            raise ExprDomainError("ln of non-positive value", bad)
+        if not self.value.min(initial=math.inf) > 0.0:
+            bad = self.value <= 0.0
+            if np.any(bad):
+                raise ExprDomainError("ln of non-positive value", bad)
         return self._unary(np.log(self.value), 1.0 / self.value, -1.0 / (self.value * self.value))
 
     def sqrt(self) -> "Jet":
-        negative = self.value < 0.0
-        if np.any(negative):
-            raise ExprDomainError("sqrt of negative value", negative)
-        zero = self.value == 0.0
-        if np.any(zero):
-            raise ExprDomainError("sqrt not differentiable at zero", zero)
+        if not self.value.min(initial=math.inf) > 0.0:
+            negative = self.value < 0.0
+            if np.any(negative):
+                raise ExprDomainError("sqrt of negative value", negative)
+            zero = self.value == 0.0
+            if np.any(zero):
+                raise ExprDomainError("sqrt not differentiable at zero", zero)
         r = np.sqrt(self.value)
         return self._unary(r, 0.5 / r, -0.25 / (r * self.value))
 

@@ -29,7 +29,7 @@ from math import prod
 import numpy as np
 
 from .chart import adapted_frame, gamma_jets, nonholonomy
-from .expr import describe_first, field_jets
+from .expr import describe_first, field_jets, frozen
 from .manifest import Manifest
 
 # the frame metric's smallest eigenvalue (absolute value if pseudo) must
@@ -43,13 +43,6 @@ class SingularMetricError(Exception):
 
 class TruncatedJetError(Exception):
     """A Hessian was read from an evaluation built to order 1."""
-
-
-def frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr`` made read-only: an array that an evaluation keeps for more
-    than one reader, so that no reader can write into the others' data."""
-    arr.flags.writeable = False
-    return arr
 
 
 class StructureEval:

@@ -14,7 +14,7 @@ import numpy as np
 from acmcheck import classification_report, einstein_reports, sampled_evaluation
 from acmcheck.chart import AVOID_EPS, MAX_REDRAWS, ChartError, adapted_frame, gamma_jets
 from acmcheck.classify import _phi_basis_fields
-from acmcheck.connection import basis_brackets_frame, bracket, to_frame_components
+from acmcheck.connection import ORACLE_COND_LIMIT, basis_brackets_frame, bracket, to_frame_components
 from acmcheck.expr import (
     Add,
     Call,
@@ -288,6 +288,17 @@ def four_bracket_nijenhuis(ev) -> tuple[np.ndarray, np.ndarray]:
 
 def einsum_lc_coordinate(ev) -> np.ndarray:
     """Coordinate Christoffel symbols coeff[i, j, k] of g + eta (x) eta."""
+    G0, G1 = coordinate_metric(ev)
+    return 0.5 * np.einsum(
+        "...km,...ijm->...ijk",
+        np.linalg.inv(G0),
+        np.einsum("...jmi->...ijm", G1) + np.einsum("...imj->...ijm", G1) - G1,
+    )
+
+
+def coordinate_metric(ev) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinate metric G = g + eta (x) eta and its derivatives
+    G1[i, j, k] = d_k G[i, j]."""
     n, m = ev.n, ev.m
     eta0 = ev.zeros(n)
     eta0[..., :m] = ev.gam0
@@ -300,11 +311,27 @@ def einsum_lc_coordinate(ev) -> np.ndarray:
     G1 = ev.zeros(n, n, n)
     G1[..., :m, :m, :] = ev.g1
     G1 += np.einsum("...ik,...j->...ijk", eta1, eta0) + np.einsum("...i,...jk->...ijk", eta0, eta1)
-    return 0.5 * np.einsum(
-        "...km,...ijm->...ijk",
-        np.linalg.inv(G0),
-        np.einsum("...jmi->...ijm", G1) + np.einsum("...imj->...ijm", G1) - G1,
-    )
+    return G0, G1
+
+
+def full_cond_guard_error(ev) -> str | None:
+    """The message of the coordinate oracle's conditioning guard with
+    ``np.linalg.cond`` run on every point, None where it passes: the
+    reference for ``connection.lc_coordinate``, which screens points by a
+    norm bound first.  G is scaled to unit diagonal by the same operations,
+    and a non-finite point counts as the identity."""
+    G0, _ = coordinate_metric(ev)
+    diag = np.abs(np.diagonal(G0, axis1=-2, axis2=-1))
+    with np.errstate(all="ignore"):
+        unit = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+        scaled = G0 * unit[..., :, None] * unit[..., None, :]
+    finite = np.isfinite(scaled).all(axis=(-2, -1))
+    cond = np.linalg.cond(np.where(finite[..., None, None], scaled, np.eye(ev.n)))
+    ill = cond >= ORACLE_COND_LIMIT
+    if not np.any(ill):
+        return None
+    return (f"coordinate metric g + eta (x) eta ill-conditioned at {describe_first(ev.p, ill)}"
+            f" (cond {cond[ill][0]:.3e})")
 
 
 def einsum_coordinate_to_adapted(ev, coord_coeffs: np.ndarray) -> np.ndarray:
@@ -413,6 +440,27 @@ def symmetrised_unary(self: Jet, f0, f1, f2) -> Jet:
         f0,
         grad,
         f1[..., None, None] * self.hess + (f2 * 0.5)[..., None, None] * (outer + np.swapaxes(outer, -1, -2)),
+    )
+
+
+def general_product(self: Jet, other: Jet) -> Jet:
+    """``Jet.__mul__`` by the full product rule whatever the operands: the
+    reference for the products by a constant, which skip the terms whose
+    entries they know."""
+    value = self.value * other.value
+    if self.grad is None:
+        return Jet(value, None, None)
+    grad = self.grad * other.value[..., None] + self.value[..., None] * other.grad
+    if self.hess is None:
+        return Jet(value, grad, None)
+    cross = self.grad[..., :, None] * other.grad[..., None, :]
+    return Jet(
+        value,
+        grad,
+        self.hess * other.value[..., None, None]
+        + self.value[..., None, None] * other.hess
+        + cross
+        + np.swapaxes(cross, -1, -2),
     )
 
 

@@ -200,7 +200,7 @@ def test_sampling_respects_avoid():
 NARROW = make_chart(["y", "0", "0", "0"], avoid=["y", "exp(-1000*x^2)", "exp(-50*y^2)"])
 
 
-@pytest.mark.parametrize("count, seed", [(32, 42), (128, 7)])
+@pytest.mark.parametrize("count, seed", [(32, 42), (128, 7), (1, 0), (7, 2**32 + 5), (128, 12345)])
 def test_sampling_matches_per_index_loop_on_fixtures(manifests, count, seed):
     for s in manifests.values():
         expected = loop_sample_points(s, count, seed)
@@ -247,17 +247,30 @@ def numpy_stream(seed: int, i: int) -> np.random.Generator:
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 2, 2**32 - 1, 2**32, 2**64 + 3, 2**128, 7**60])
 def test_streams_match_numpy_bit_for_bit(seed):
-    # indices past 2**31 go through an index array, so no 2**32 rows exist
-    index = np.array([*range(300), 2**31, 2**32 - 1])
-    state, inc = _pcg64_streams(seed, index)
-    rounds = []
-    for _ in range(3):
-        steps = _pcg64_advance(state[:, :, None], inc[:, :, None], _pcg64_jumps(5))
-        state = steps[..., -1]
-        rounds.append(_pcg64_double(steps))
-    # three rounds of 5 draws continue one generator's stream
-    want = np.array([numpy_stream(seed, int(i)).random(15) for i in index])
-    assert np.concatenate(rounds, axis=1).tobytes() == want.tobytes()
+    # indices past 2**31 go through an index array, so no 2**32 rows exist;
+    # the index sets of 0 and 1 streams keep the shapes right at the edges
+    every = np.array([*range(300), 2**31, 2**32 - 1])
+    for index in (every, every[:0], every[-1:]):
+        # the streams stop one LCG step short of the seeded generator: the
+        # first round of draws takes that step with it
+        state, inc = _pcg64_streams(seed, index)
+        rounds = []
+        for jumps in (_pcg64_jumps(5, 2), _pcg64_jumps(5), _pcg64_jumps(5)):
+            steps = _pcg64_advance(state[:, :, None], inc[:, :, None], jumps)
+            state = steps[..., -1]
+            rounds.append(_pcg64_double(steps))
+        # three rounds of 5 draws continue one generator's stream
+        want = np.array([numpy_stream(seed, int(i)).random(15) for i in index]).reshape(len(index), 15)
+        assert np.concatenate(rounds, axis=1).tobytes() == want.tobytes()
+
+
+def test_jump_tables_are_built_once_and_read_only():
+    for args in ((5,), (5, 2), (1,)):
+        jumps = _pcg64_jumps(*args)
+        assert _pcg64_jumps(*args) is jumps
+        assert not any(part.flags.writeable for part in jumps)
+    # jumps 2..6 are jumps 1..6 without the first
+    assert all(np.array_equal(a, b[:, 1:]) for a, b in zip(_pcg64_jumps(5, 2), _pcg64_jumps(6)))
 
 
 def test_sampling_seed_and_count_checked():

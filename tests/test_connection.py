@@ -3,13 +3,18 @@ metricity, covariant derivatives."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from acmcheck.chart import sample_points
+from acmcheck.checks import run_full_check
 from acmcheck.connection import (
     FRAME_LOWER,
     FRAME_UPPER,
+    ORACLE_COND_LIMIT,
+    _cleared,
     canonical_connection,
     coordinate_to_adapted,
     cov_phi,
@@ -24,9 +29,16 @@ from acmcheck.connection import (
     torsion,
 )
 from acmcheck.expr import field_jets, parse
-from acmcheck.structure import StructureEval
+from acmcheck.manifest import manifest_from_dict
+from acmcheck.structure import SingularMetricError, StructureEval
 
-from _helpers import einsum_coordinate_to_adapted, einsum_lc_coordinate
+from _helpers import (
+    deep_tree_manifest_data,
+    einsum_coordinate_to_adapted,
+    einsum_lc_coordinate,
+    full_cond_guard_error,
+    manifest_data,
+)
 
 ALL = ("flat", "example1", "example2", "example3-qs", "example3-aqs")
 ORIGIN = np.zeros(5)
@@ -443,3 +455,105 @@ def test_twisted_metricity_reeb_direction_is_2C(twisted):
         defect = metricity_defect(ev, ev.canonical_N)
         assert np.abs(defect[4, :4, :4] - 2.0 * ev.C0).max() < 1e-12
         assert np.abs(defect[:4]).max() < 1e-12  # horizontal directions stay metric
+
+
+# ---------------------------------------------------------------------------
+# The oracle's conditioning guard: a norm screen, then np.linalg.cond
+# ---------------------------------------------------------------------------
+
+
+def _exp_family(k: float):
+    """example1 with gamma_4 = exp(-k*y): g + eta (x) eta grows ill-conditioned
+    towards y = -2, crossing the oracle's limit for k near 4 (k = 9 is the
+    ill-conditioned CLI case of test_cli.py)."""
+    data = manifest_data("example1")
+    data["gamma"] = ["1 - 2*y", "1 - 2*y", "u", f"exp(-{k}*y)"]
+    data["metric_frame"] = [["1 + (v*u)^2" if i == j else "0" for j in range(4)] for i in range(4)]
+    data["domain"] = [[-2.0, 2.0]] * 5
+    return manifest_from_dict(data)
+
+
+def _guard_error(ev) -> str | None:
+    try:
+        lc_coordinate(ev)
+    except SingularMetricError as err:
+        return str(err)
+    return None
+
+
+def _cond_spy(monkeypatch) -> list[int]:
+    """Patches np.linalg.cond to record how many matrices each call sees."""
+    seen: list[int] = []
+    cond = np.linalg.cond
+
+    def spy(x, *args, **kwargs):
+        seen.append(math.prod(np.shape(x)[:-2]))
+        return cond(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", spy)
+    return seen
+
+
+def test_screened_guard_equals_full_cond_guard_across_the_limit(monkeypatch):
+    # the decision, the first sample named and the printed cond, at every
+    # k, batch size and seed; the family has passing and failing members
+    outcomes = set()
+    for k in (3, 3.5, 4, 4.25, 4.5, 5, 6, 7, 9):
+        manifest = _exp_family(k)
+        for count, seed in ((4, 42), (64, 1), (128, 7)):
+            ev = StructureEval(manifest, sample_points(manifest, count, seed))
+            want = full_cond_guard_error(ev)
+            assert _guard_error(ev) == want, (k, count, seed)
+            for p in ev.p[:4]:  # batch shape ()
+                one = StructureEval(manifest, p)
+                assert _guard_error(one) == full_cond_guard_error(one), (k, p)
+            outcomes.add(want is None)
+    assert outcomes == {True, False}
+    # the screen hands the ill-conditioned samples to the SVD
+    seen = _cond_spy(monkeypatch)
+    ev = StructureEval(_exp_family(9), sample_points(_exp_family(9), 4, 42))
+    assert "ill-conditioned at sample 1, point" in _guard_error(ev)
+    assert 0 < sum(seen) < 4
+
+
+def _spd(rng, log_cond: float, n: int = 5) -> tuple[np.ndarray, np.ndarray]:
+    """A symmetric positive definite matrix with eigenvalues spread
+    logarithmically from 1 to 10**-log_cond, and its eigenvector basis."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = (q * np.logspace(0.0, -log_cond, n)) @ q.T
+    return 0.5 * (a + a.T), q
+
+
+def test_norm_screen_clears_only_what_the_svd_passes():
+    rng = np.random.default_rng(2024)
+    A = np.array([_spd(rng, log_cond)[0] for log_cond in np.repeat(np.linspace(2.0, 16.0, 57), 4)])
+    cond = np.linalg.cond(A)
+    assert cond.min() < 1e3 and cond.max() > 1e15
+    cleared = _cleared(A, np.linalg.inv(A))
+    assert not np.any(cleared & (cond >= ORACLE_COND_LIMIT))
+    # well inside the limit the screen does clear
+    assert cleared[cond < ORACLE_COND_LIMIT / 1e3].all()
+
+
+def test_norm_screen_reads_the_residual_not_the_inverse_norm_alone():
+    # near-singular matrices with an approximate inverse of small norm (the
+    # inverse of a well-conditioned neighbour): n ||A|| ||X|| clears them
+    # by far, but I - A X is of order one, so the screen does not
+    rng = np.random.default_rng(7)
+    for log_cond in (8.0, 10.0, 12.0, 16.0):
+        a, q = _spd(rng, log_cond)
+        neighbour = (q * np.logspace(0.0, -3.0, 5)) @ q.T
+        x = np.linalg.inv(0.5 * (neighbour + neighbour.T))
+        assert np.linalg.cond(a) >= ORACLE_COND_LIMIT
+        norms = np.abs(a).sum(axis=0).max() * np.abs(x).sum(axis=0).max()
+        assert 5 * norms < ORACLE_COND_LIMIT / 1e3
+        assert not _cleared(a, x)
+
+
+@pytest.mark.parametrize("name", ALL + tuple(f"heavy{k}" for k in range(4)))
+def test_oracle_runs_no_svd_on_well_conditioned_metrics(name, manifests, monkeypatch):
+    manifest = manifest_from_dict(deep_tree_manifest_data(int(name[5:]))) if name.startswith("heavy") \
+        else manifests[name]
+    seen = _cond_spy(monkeypatch)
+    run_full_check(manifest, samples=128)
+    assert sum(seen) == 0

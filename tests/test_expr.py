@@ -7,6 +7,7 @@ import gc
 import json
 import random
 import runpy
+import sys
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -48,6 +49,7 @@ from _helpers import (
     fd_gradient,
     fd_hessian,
     field_jet,
+    general_product,
     random_poly_text,
     reference_tokenize,
     repeated_ipow,
@@ -741,3 +743,150 @@ def test_plan_does_not_outlive_its_manifest(tmp_path, capsys):
         load_manifest(other)
     gc.collect()
     assert node() is None
+
+
+# ---------------------------------------------------------------------------
+# Products by a constant, against the full product rule
+# ---------------------------------------------------------------------------
+
+# point values: zeros of either sign, subnormals, infinities, NaN, overflow
+_EDGE = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf, np.nan,
+                  0.75, -1.5, 1e300, -3e-200, 2.0, 1e-310, 7.0, -1e308])
+
+
+def _same_bits_or_nan(a, b) -> bool:
+    """Equal bits wherever b is not NaN, and NaN exactly where b is, after
+    broadcasting a to b's shape (a product may keep a smaller batch)."""
+    a = np.broadcast_to(a, np.shape(b))
+    nan = np.isnan(b)
+    return np.array_equal(np.isnan(a), nan) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def _constants(n: int, order: int) -> list[Jet]:
+    """Constants of both signs, of either zero in their derivatives, zero,
+    subnormal, huge, infinite and NaN."""
+    def c(v):
+        return Jet.constant(v, n, order)
+    return [c(0.75), c(2.0), c(0.0), c(5e-324), c(1e300), c(np.inf), c(np.nan), c(-2.0), c(-0.0),
+            -c(0.75), -c(0.0), -c(np.inf), -c(-2.0), c(0.5) + c(-0.5), -c(0.5) - c(0.25)]
+
+
+@np.errstate(all="ignore")
+def _operands(points: np.ndarray, order: int) -> list[Jet]:
+    """Coordinates, a constant multiple of one, and general expressions."""
+    n = points.shape[-1]
+    x, y, z = (Jet.variable(points[..., i], i, n, order) for i in range(3))
+    return [x, z, Jet.constant(1.5, n, order) * y, x * y + z.sin(), (x - y) * (x + z), -(y * y)]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("batch", [(), (16,)])
+def test_products_by_constants_equal_the_product_rule_bitwise(order, batch):
+    rng = np.random.default_rng(11)
+    blocks = [rng.permuted(np.tile(_EDGE, (5, 1)), axis=1).T for _ in range(3)]
+    if batch == ():
+        blocks = [row for block in blocks for row in block]
+    checked = 0
+    with np.errstate(all="ignore"):
+        for points in blocks:
+            consts = _constants(5, order)
+            for u in _operands(points, order) + consts:
+                for c in consts:
+                    for got, want in ((c * u, general_product(c, u)), (u * c, general_product(u, c))):
+                        for a, b in zip((got.value, got.grad, got.hess), (want.value, want.grad, want.hess)):
+                            assert (a is None) == (b is None)
+                            if b is not None:
+                                assert _same_bits_or_nan(a, b), (order, c.value, c.zero)
+                                checked += 1
+    assert checked > 1000
+
+
+def test_constant_zero_tags_hold_what_they_claim():
+    for order in (1, 2):
+        for c in _constants(5, order):
+            if c.zero is None:
+                continue
+            for part in (c.grad, c.hess)[:order]:
+                assert not part.any() and (np.signbit(part) == np.signbit(c.zero)).all()
+
+
+def test_nonnegative_constant_times_finite_coordinate_keeps_batch_shape_one():
+    points = np.random.default_rng(4).uniform(-2.0, 2.0, (16, 5))
+    points[3, 0] = -0.0
+    x = Jet.variable(points[:, 0], 0, 5)
+    for v in (0.0, 0.75, 1e300):
+        jet = Jet.constant(v, 5) * x
+        assert jet.grad.shape == (5,) and jet.hess.shape == (5, 5)
+    # a negative or -0.0 factor, or a non-finite point, takes the full rule
+    assert (-Jet.constant(0.75, 5) * x).grad.shape == (16, 5)
+    assert (Jet.constant(-0.0, 5) * x).grad.shape == (16, 5)
+    points[5, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert (Jet.constant(0.75, 5) * Jet.variable(points[:, 0], 0, 5)).grad.shape == (16, 5)
+
+
+@pytest.mark.parametrize("name", FIXTURES + ("twisted", "deep") + tuple(f"heavy{k}" for k in range(16)))
+def test_field_jets_equal_the_full_product_rule_bitwise(name, manifests, twisted, monkeypatch):
+    if name.startswith("heavy"):
+        blocks, points = _heavy_blocks(int(name[5:]))
+    else:
+        blocks, points = _blocks(name, manifests, twisted)
+    got = [field_jets(fields, p, order) for fields in blocks for p in (points, points[2]) for order in (1, 2)]
+    monkeypatch.setattr(expr.Jet, "__mul__", general_product)
+    want = [field_jets(fields, p, order) for fields in blocks for p in (points, points[2]) for order in (1, 2)]
+    for a, b in zip(got, want, strict=True):
+        assert all(_same_bits(x, y) for x, y in zip(a, b, strict=True)), name
+
+
+# ---------------------------------------------------------------------------
+# Domain checks: one reduction, then the exact mask
+# ---------------------------------------------------------------------------
+
+
+def _domain_error(text: str, points: np.ndarray) -> ExprDomainError | None:
+    try:
+        field_jets(np.array([parse(text, COORDS)], dtype=object), points)
+    except ExprDomainError as err:
+        return err
+    return None
+
+
+def test_one_overflowing_sample_of_32_is_named():
+    # an infinite argument gives inf and a NaN gives NaN, neither an overflow
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, (32, 5))
+    points[4, 0], points[9, 0], points[17, 0] = np.inf, np.nan, 800.0
+    err = _domain_error("exp(x)", points)
+    assert err.where.tolist() == [i == 17 for i in range(32)]
+    point = np.array2string(points[17], max_line_width=sys.maxsize)
+    assert str(err) == f"exp overflows in 'exp(x)' at sample 17, point {point}"
+    assert err.reason == "exp overflows in 'exp(x)'"
+    points[17, 0] = 700.0
+    assert _domain_error("exp(x)", points) is None
+
+
+@pytest.mark.parametrize("text, bad, message", [
+    ("ln(x)", 0.0, "ln of non-positive value"),
+    ("ln(x)", -2.0, "ln of non-positive value"),
+    ("sqrt(x)", -1.0, "sqrt of negative value"),
+    ("sqrt(x)", -0.0, "sqrt not differentiable at zero"),
+    ("1.0/x", -0.0, "division by zero"),
+])
+def test_domain_checks_name_the_offending_samples(text, bad, message):
+    points = np.random.default_rng(5).uniform(0.5, 1.5, (32, 5))
+    points[9, 0] = np.nan  # NaN stays inside every domain
+    assert _domain_error(text, points) is None
+    points[[21, 26], 0] = bad
+    err = _domain_error(text, points)
+    assert err.where.tolist() == [i in (21, 26) for i in range(32)]
+    assert str(err).startswith(f"{message} in '{text}' at sample 21, point [")
+    # at a single point the same check and text, without a sample index
+    err = _domain_error(text, points[21])
+    assert err.where.shape == () and str(err).startswith(f"{message} in '{text}' at point [")
+
+
+def test_sqrt_names_a_negative_sample_before_a_zero_one():
+    points = np.random.default_rng(6).uniform(0.5, 1.5, (32, 5))
+    points[3, 0], points[30, 0] = 0.0, -4.0
+    err = _domain_error("sqrt(x)", points)
+    assert err.where.tolist() == [i == 30 for i in range(32)]
+    assert str(err).startswith("sqrt of negative value in 'sqrt(x)' at sample 30, point [")
