@@ -9,6 +9,7 @@ Classification negatives (e.g. "not normal") never affect the exit code.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 
 import numpy as np
@@ -157,6 +158,37 @@ def _build_parser() -> argparse.ArgumentParser:
 # Built once per process and never changed after import; every parse_args
 # call returns a fresh Namespace, so repeated main() calls share no state.
 _PARSER = _build_parser()
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap(cdll=ctypes.CDLL) -> None:
+    """Let the process keep the heap a ``check`` call frees.
+
+    A 128-sample evaluation allocates and frees a few MB of arrays.  With
+    glibc's defaults the freed heap top is given back to the OS, and the
+    next call takes hundreds of zero-fill page faults to grow it again.
+    The mmap threshold is set to 32 MiB, the ceiling of glibc's own dynamic
+    threshold on 64-bit, and the trim threshold to twice that, the ratio of
+    glibc's dynamic rule.  Both are set: a fixed trim threshold alone turns
+    the dynamic mmap threshold off, so every array over 128 KiB would be
+    mapped and faulted afresh.  The retained heap is bounded by the trim
+    threshold.  Where there is no glibc ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = cdll(None).mallopt
+    # TypeError: Windows' CDLL takes no None
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+# set at `import acmcheck.cli`, never at `import acmcheck`: a library
+# import leaves the host process's allocator as it is
+_keep_freed_heap()
 
 
 # an overflow shows as a non-finite residual or payload, which each command

@@ -133,7 +133,6 @@ def lc_coordinate(ev: StructureEval) -> np.ndarray:
     G1 += eta0[..., :, None, None] * eta1[..., None, :, :]
 
     what = "coordinate metric g + eta (x) eta"
-    Ginv = ev.inverse(G0, what)
     # a diagonal scaling does not cost the inverse accuracy (exp(352*x) on
     # the metric diagonal is harmless), so G is scaled to unit diagonal first
     diag = np.abs(np.diagonal(G0, axis1=-2, axis2=-1))
@@ -141,6 +140,11 @@ def lc_coordinate(ev: StructureEval) -> np.ndarray:
         root = np.sqrt(np.where(diag > 0.0, diag, 1.0))
         unit = 1.0 / root
         scaled = G0 * unit[..., :, None] * unit[..., None, :]
+    try:
+        Ginv = np.linalg.inv(G0)
+    except np.linalg.LinAlgError:
+        raise _first_refused(ev, G0, scaled, what) from None
+    with np.errstate(all="ignore"):
         # a non-finite point is left to the residuals
         unsure = np.isfinite(scaled).all(axis=(-2, -1))
         unsure &= ~_cleared(scaled, Ginv * root[..., :, None] * root[..., None, :])
@@ -158,6 +162,29 @@ def lc_coordinate(ev: StructureEval) -> np.ndarray:
     first = np.einsum("...jmi->...ijm", G1) + np.einsum("...imj->...ijm", G1) - G1
     lowered = first.reshape(first.shape[:-3] + (n * n, n)) @ np.swapaxes(Ginv, -1, -2)
     return 0.5 * lowered.reshape(first.shape)
+
+
+def _first_refused(ev: StructureEval, G0: np.ndarray, scaled: np.ndarray, what: str) -> SingularMetricError:
+    """The guard's error for a batch with a singular point: the first point
+    that is singular, or finite and ill-conditioned, with its own message,
+    so the point named does not depend on the batch size.  Points are
+    checked one at a time in sample order, as :meth:`StructureEval.inverse`
+    does, and ``np.linalg.cond`` sees only invertible finite ones."""
+    first = np.zeros(ev.batch, dtype=bool)
+    for at in np.ndindex(ev.batch):
+        first[at] = True
+        try:
+            np.linalg.inv(G0[at])
+        except np.linalg.LinAlgError:
+            break
+        if np.isfinite(scaled[at]).all():
+            cond = np.linalg.cond(scaled[at])
+            if cond >= ORACLE_COND_LIMIT:
+                return SingularMetricError(
+                    f"{what} ill-conditioned at {describe_first(ev.p, first)} (cond {cond:.3e})"
+                )
+        first[at] = False
+    return SingularMetricError(f"{what} singular at {describe_first(ev.p, first)}")
 
 
 def _cleared(A: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -382,6 +383,24 @@ def test_cli_check_ill_conditioned_oracle_metric_is_input_error(tmp_path, capsys
     assert "Traceback" not in err
 
 
+def test_cli_check_names_the_first_refused_sample_at_any_sample_count(tmp_path, capsys):
+    # gamma_4 = exp(-10*y), seed 1: sample 0 is ill-conditioned and sample
+    # 53 exactly singular; every sample count names sample 0, with its cond
+    data = json.loads(fixture_path("example1").read_text())
+    data["gamma"] = ["1 - 2*y", "1 - 2*y", "u", "exp(-10*y)"]
+    data["metric_frame"] = [["1 + (v*u)^2" if i == j else "0" for j in range(4)] for i in range(4)]
+    data["domain"] = [[-2.0, 2.0]] * 5
+    path = tmp_path / "ill.json"
+    path.write_text(json.dumps(data))
+    errors = []
+    for samples in ("4", "64"):
+        assert main(["check", str(path), "--json", "--samples", samples, "--seed", "1"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: coordinate metric g + eta (x) eta ill-conditioned at sample 0, point")
+    assert errors[0].endswith("(cond 7.023e+11)\n")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_check_overflowing_nonholonomy_form_has_no_rank(tmp_path, capsys):
     # gamma * d_v gamma overflows near v = 2, so omega is not finite there:
@@ -742,6 +761,13 @@ def test_cli_usage_error_leaves_next_call_intact(capsys):
     assert captured.out == "2\n" and captured.err == ""
 
 
+def _run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Runs ``script`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(acmcheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_cli_check_does_not_import_numpy_random():
     # pytest and Hypothesis import numpy.random themselves, so a fresh
     # interpreter runs the check
@@ -751,12 +777,74 @@ def test_cli_check_does_not_import_numpy_random():
         "assert main(['check', 'example1', '--json', '--samples', '8']) == 0\n"
         "assert 'numpy.random' not in sys.modules\n"
     )
-    src = str(Path(acmcheck.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = _run_fresh(script)
     assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------------------
+# The CLI process keeps the heap a check call frees
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_cli_check_takes_no_zero_fill_faults_at_128_samples():
+    # With glibc's defaults the freed heap top goes back to the OS after
+    # each call, and the next call faults it in again. `import acmcheck`
+    # keeps those defaults, `import acmcheck.cli` keeps the freed heap, and
+    # with the defaults restored in the same process the count is back to
+    # hundreds, so the bound can fail.
+    script = (
+        "import contextlib, ctypes, io, resource, statistics\n"
+        "import acmcheck\n"
+        "def median_faults(call):\n"
+        "    faults = []\n"
+        "    for i in range(13):\n"
+        "        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "        call()\n"
+        "        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "    return statistics.median(faults[3:])\n"
+        "manifest = acmcheck.load_fixture('example3-qs')\n"
+        "library = median_faults(lambda: acmcheck.run_full_check(manifest, samples=128))\n"
+        "from acmcheck.cli import main\n"
+        "def check():\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(['check', 'example3-qs', '--json', '--samples', '128']) == 0\n"
+        "kept = median_faults(check)\n"
+        "mallopt = ctypes.CDLL(None).mallopt\n"
+        "mallopt(-3, 128 << 10)  # M_MMAP_THRESHOLD\n"
+        "mallopt(-1, 128 << 10)  # M_TRIM_THRESHOLD\n"
+        "print(library, kept, median_faults(check))\n"
+    )
+    done = _run_fresh(script)
+    assert done.returncode == 0, done.stderr
+    library, kept, trimmed = map(float, done.stdout.split())
+    assert library > 100, done.stdout
+    assert kept <= 16, done.stdout
+    assert trimmed > 100, done.stdout
+
+
+def test_keep_freed_heap_sets_both_thresholds():
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    cli._keep_freed_heap(lambda name: Libc())
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+@pytest.mark.parametrize("failure", [OSError, AttributeError, TypeError])
+def test_keep_freed_heap_without_glibc_mallopt_leaves_the_cli_working(failure, capsys):
+    def cdll(name):
+        if failure is AttributeError:
+            return object()  # a libc without mallopt
+        raise failure("no such library")
+
+    assert cli._keep_freed_heap(cdll) is None
+    assert main(["check", "example3-qs", "--json", "--samples", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["classification"]["aqs"]["holds"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from acmcheck.manifest import manifest_from_dict
 from acmcheck.structure import SingularMetricError, StructureEval
 
 from _helpers import (
+    coordinate_metric,
     deep_tree_manifest_data,
     einsum_coordinate_to_adapted,
     einsum_lc_coordinate,
@@ -514,6 +515,28 @@ def test_screened_guard_equals_full_cond_guard_across_the_limit(monkeypatch):
     ev = StructureEval(_exp_family(9), sample_points(_exp_family(9), 4, 42))
     assert "ill-conditioned at sample 1, point" in _guard_error(ev)
     assert 0 < sum(seen) < 4
+
+
+def test_guard_names_the_first_refused_sample_whatever_the_batch_size():
+    # exp(-10*y), seed 1: sample 0 is ill-conditioned, sample 1 passes and
+    # sample 53 is exactly singular, so batches of 54 and more fail the
+    # batched inverse; the sample named is the first refused one all the
+    # same
+    manifest = _exp_family(10)
+    points = sample_points(manifest, 64, 1)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(coordinate_metric(StructureEval(manifest, points))[0])
+    first = _guard_error(StructureEval(manifest, points[:1]))
+    assert "ill-conditioned at sample 0, point" in first and first.endswith("(cond 7.023e+11)")
+    for count in (4, 53, 54, 64):
+        assert _guard_error(StructureEval(manifest, points[:count])) == first, count
+    # the message is the first refused sample's own, whichever it is
+    singular = _guard_error(StructureEval(manifest, points[53]))
+    assert singular.startswith("coordinate metric g + eta (x) eta singular at point")
+    assert _guard_error(StructureEval(manifest, points[[1, 53, 0]])) == singular.replace(
+        "at point", "at sample 1, point")
+    assert _guard_error(StructureEval(manifest, points[[1, 0, 53]])) == first.replace(
+        "sample 0", "sample 1")
 
 
 def _spd(rng, log_cond: float, n: int = 5) -> tuple[np.ndarray, np.ndarray]:
