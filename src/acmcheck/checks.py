@@ -38,7 +38,6 @@ from .classify import (
 from .connection import (
     LC_ORACLE_TOL,
     coordinate_to_adapted,
-    lc_adapted,
     lc_coordinate,
     metricity_defect,
     n_connection_formula_residual,
@@ -178,7 +177,7 @@ def identity_residuals(ev: StructureEval) -> dict[str, np.ndarray]:
     tors = torsion(ev, ev.canonical_N)
     defect = metricity_defect(ev, ev.canonical_N)
     tables = {
-        "lc_oracle": ev.max_abs(lc_adapted(ev).full, coordinate_to_adapted(ev, lc_coordinate(ev))),
+        "lc_oracle": ev.max_abs(ev.lc_full, coordinate_to_adapted(ev, lc_coordinate(ev))),
         "torsion_direct": tors.direct_residual,
         "torsion_skew": tors.skew_residual,
         "metricity_defect": ev.max_abs(defect),

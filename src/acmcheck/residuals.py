@@ -24,12 +24,9 @@ def nanmax(*values):
 
 
 def worst(rows) -> list[float]:
-    """The largest value of each row (a scalar or an array of one batch
-    shape) over its samples, at least 0, NaN winning, as plain floats."""
-    try:
-        stacked = np.array(rows, dtype=float)
-    except ValueError:  # scalar rows among per-point ones
-        stacked = np.array(np.broadcast_arrays(*rows), dtype=float)
+    """The largest value of each row (all rows of one batch shape) over its
+    samples, at least 0, NaN winning, as plain floats."""
+    stacked = np.array(rows, dtype=float)
     return np.maximum(0.0, stacked.reshape(len(rows), -1).max(axis=1)).tolist()
 
 

@@ -387,15 +387,12 @@ def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     which every label occurs at most once per operand and every summed label
     in at least two operands.
 
-    Operands with batch axes (axes under the ellipsis) are contracted by a
-    plan of pairwise batched matrix products (:func:`contraction_plan`),
-    computed once per subscripts and shapes; without batch axes (a single
-    point) the call is ``np.einsum`` itself.  Planned results agree with
-    ``np.einsum`` up to the summation order.
+    The operands are contracted by a plan of pairwise batched matrix
+    products (:func:`contraction_plan`), computed once per subscripts and
+    shapes.  A single point (no batch axes) is planned like a batch, so it
+    is summed in the same order as its row of any batch.
     """
     plan = contraction_plan(subscripts, tuple(op.shape for op in operands))
-    if plan is None:
-        return np.einsum(subscripts, *operands)
     arrays = list(operands)
     for i, j, a_perm, a_shape, b_perm, b_shape, out_shape, out_perm in plan:
         b = arrays.pop(j)
@@ -406,9 +403,9 @@ def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def contraction_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tuple | None:
-    """The steps of :func:`contract` for operands of these shapes, or None
-    when no operand has batch axes.
+def contraction_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
+    """The steps of :func:`contract` for operands of these shapes; operands
+    without batch axes (a single point) are planned with zero of them.
 
     Each step takes operands i < j off the list and appends
     ``matmul(a.transpose(a_perm).reshape(a_shape), b.transpose(b_perm)
@@ -432,9 +429,7 @@ def contraction_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tu
             raise ValueError(f"'{subscripts}' does not fit operand shapes {shapes}")
         ops.append((tuple(range(-k, 0)) + tuple(letters), shape))
         nbatch = max(nbatch, k)
-    if not nbatch:
-        return None
-    if "..." not in output:
+    if nbatch and "..." not in output:
         raise ValueError(f"'{subscripts}' drops the batch axes of its operands")
     out_labels = tuple(range(-nbatch, 0)) + tuple(output.replace("...", ""))
 

@@ -1,7 +1,8 @@
 """A block of points is evaluated as the stack of its points: the pairwise
 bracket einsums against their per-pair loop forms, and every CLI tensor and
 every identity, criterion, axiom and Einstein residual of one evaluation over
-all points against the stacked evaluations of batches of one."""
+all points against the stacked evaluations of batches of one and of bare
+points, bit for bit."""
 
 from __future__ import annotations
 
@@ -18,14 +19,11 @@ from acmcheck.connection import (
     torsion,
 )
 from acmcheck.curvature import curvature_K, einstein_rhs, ricci_k, ricci_wagner, schouten
-from acmcheck.manifest import OMEGA_SOURCES
+from acmcheck.manifest import OMEGA_SOURCES, manifest_from_dict
 from acmcheck.structure import StructureEval, validate_axioms
 
-from _helpers import loop_basis_brackets_frame, loop_nijenhuis_phi
+from _helpers import deep_tree_manifest_data, loop_basis_brackets_frame, loop_nijenhuis_phi
 from conftest import FIXTURES
-
-RTOL = 1e-12
-ATOL = 1e-14
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -66,16 +64,22 @@ def _quantities(ev: StructureEval) -> dict[str, np.ndarray]:
     return out
 
 
-@pytest.mark.parametrize("name", FIXTURES + ("twisted",))
+@pytest.mark.parametrize("name", FIXTURES + ("twisted", "heavy-0"))
 def test_batch_equals_stack_of_batches_of_one(name, manifests, twisted):
-    s = twisted if name == "twisted" else manifests[name]
+    if name == "heavy-0":
+        s = manifest_from_dict(deep_tree_manifest_data(0))
+    else:
+        s = twisted if name == "twisted" else manifests[name]
     points = sample_points(s, 8, seed=11)
     whole = _quantities(StructureEval(s, points))
+    # points[i : i + 1] has batch shape (1,), the bare point points[i] ()
     ones = [_quantities(StructureEval(s, points[i : i + 1])) for i in range(len(points))]
+    bare = [_quantities(StructureEval(s, points[i])) for i in range(len(points))]
     for key, value in whole.items():
-        stacked = np.concatenate([one[key] for one in ones])
-        assert np.shape(value) == np.shape(stacked) and len(value) == len(points), key
-        np.testing.assert_allclose(value, stacked, rtol=RTOL, atol=ATOL, err_msg=f"{name}: {key}")
+        for singles, stack in ((ones, np.concatenate), (bare, np.stack)):
+            stacked = stack([single[key] for single in singles])
+            assert np.shape(value) == np.shape(stacked) and len(value) == len(points), key
+            assert np.array_equal(value, stacked), f"{name}: {key} ({stack.__name__})"
 
 
 def test_single_point_is_batch_shape_empty(manifests, sample_sets):
@@ -85,4 +89,4 @@ def test_single_point_is_batch_shape_empty(manifests, sample_sets):
     assert ev.batch == (3,) and ricci_wagner(ev).shape == (3, 4, 4)
     single = StructureEval(s, points[1])
     assert single.batch == () and ricci_wagner(single).shape == (4, 4)
-    np.testing.assert_allclose(ricci_wagner(ev)[1], ricci_wagner(single), rtol=RTOL, atol=ATOL)
+    assert np.array_equal(ricci_wagner(ev)[1], ricci_wagner(single))

@@ -255,10 +255,13 @@ def test_disagreeing_qs_conditions_raise(manifests, monkeypatch):
     import sys
 
     def doctored(ev):
+        def rows(residual, scale):
+            return np.full(ev.batch, residual), np.full(ev.batch, scale)
+
         return {
-            "d_eta_phi_invariant": (0.0, 1.0),
-            "phi_psi_commute": (1.0, 1.0),
-            "A_g_symmetric": (0.0, 1.0),
+            "d_eta_phi_invariant": rows(0.0, 1.0),
+            "phi_psi_commute": rows(1.0, 1.0),
+            "A_g_symmetric": rows(0.0, 1.0),
         }
 
     monkeypatch.setattr(sys.modules["acmcheck.classify"], "qs_condition_residuals", doctored)

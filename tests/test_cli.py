@@ -19,8 +19,9 @@ import pytest
 import acmcheck
 from acmcheck import cli, structure
 from acmcheck.chart import sample_points
-from acmcheck.checks import report_json, run_full_check
+from acmcheck.checks import report_json, run_full_check, sampled_evaluation
 from acmcheck.cli import HESSIAN_TENSORS, TENSOR_NAMES, main
+from acmcheck.curvature import ricci_wagner, schouten
 from acmcheck.manifest import (
     ManifestError,
     fixture_path,
@@ -232,6 +233,20 @@ def test_cli_tensor_ricci_wagner_at_origin(capsys):
     assert code == 0
     grid = json.loads(out)["ricci_wagner"]
     assert grid[0][0] == pytest.approx(-4.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("fixture", ["example3-qs", "example3-aqs"])
+@pytest.mark.parametrize("name", ["schouten", "ricci-wagner"])
+def test_cli_tensor_at_a_sample_prints_its_row_of_the_evaluation(fixture, name, capsys):
+    # a point is contracted as a batch of one, so `tensor --at p` prints the
+    # bits that p's row of a sampled evaluation holds; repr round-trips p
+    ev, _ = sampled_evaluation(load_fixture(fixture), 16, 3)
+    rows = {"schouten": schouten, "ricci-wagner": ricci_wagner}[name](ev)
+    key = name.replace("-", "_")
+    for i, p in enumerate(ev.p):
+        at = ",".join(map(repr, p.tolist()))
+        assert main(["tensor", fixture, "--name", name, "--at", at, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)[key] == rows[i].tolist(), (i, at)
 
 
 @pytest.mark.parametrize(

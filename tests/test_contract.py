@@ -12,16 +12,23 @@ import numpy as np
 import pytest
 
 import acmcheck
+from acmcheck.chart import sample_points
+from acmcheck.checks import run_full_check
+from acmcheck.cli import TENSOR_NAMES, main
+from acmcheck.manifest import load_fixture
 from acmcheck.structure import contract, contraction_plan
+
+from conftest import FIXTURES
 
 LIBRARY = sorted(Path(acmcheck.__file__).parent.glob("*.py"))
 HELPERS = Path(__file__).parent / "_helpers.py"
 
 # the coordinate oracle is plain NumPy (broadcasting, matmul, np.einsum) and
 # never goes through the planner, so that it stays an independent check of
-# the planned contractions
+# the planned contractions; contract itself has one engine, its plan, for a
+# batch and for a single point alike
 ORACLE = ("lc_coordinate", "coordinate_to_adapted")
-EINSUM_ALLOWED_IN = {"contract", *ORACLE}
+EINSUM_ALLOWED_IN = set(ORACLE)
 
 
 def _calls(tree: ast.AST):
@@ -121,14 +128,6 @@ def test_contract_lift_shapes():
     _check("...a,...a->...", [V[0], gam[0]])
 
 
-def test_contract_without_batch_axes_is_einsum():
-    rng = np.random.default_rng(7)
-    for subscripts in SUBSCRIPTS:
-        operands = _operands(subscripts, [()] * (subscripts.count(",") + 1), rng)
-        assert contraction_plan(subscripts, tuple(op.shape for op in operands)) is None
-        assert np.array_equal(contract(subscripts, *operands), np.einsum(subscripts, *operands))
-
-
 def test_contract_reuses_its_plan():
     rng = np.random.default_rng(8)
     operands = _operands("...ci,...dj,...cd->...ij", [(8,)] * 3, rng)
@@ -138,6 +137,27 @@ def test_contract_reuses_its_plan():
     after = contraction_plan.cache_info()
     assert after.hits == before.hits + 1
     assert after.misses == before.misses
+
+
+def test_a_probe_round_and_two_checks_evict_no_plan(capsys):
+    # single points are planned too, so their keys share the cache with
+    # the batched ones: ten tensors at a point of each fixture, then a
+    # check of each at 32 and at 128 samples, must all fit
+    def one_pass():
+        for name in FIXTURES:
+            at = ",".join(map(repr, sample_points(load_fixture(name), 1, seed=1)[0].tolist()))
+            for tensor in TENSOR_NAMES:
+                assert main(["tensor", name, "--name", tensor, "--at", at, "--json"]) == 0
+            for samples in (32, 128):
+                run_full_check(load_fixture(name), samples=samples)
+        capsys.readouterr()
+
+    contraction_plan.cache_clear()
+    one_pass()
+    first = contraction_plan.cache_info()
+    assert first.currsize == first.misses
+    one_pass()
+    assert contraction_plan.cache_info().misses == first.misses
 
 
 def test_contract_refuses_what_it_does_not_plan():
@@ -158,7 +178,7 @@ def test_multi_operand_einsum_only_in_contract_and_the_oracle():
         operands = call.args[1:]
         if len(operands) >= 2 or any(isinstance(arg, ast.Starred) for arg in operands):
             offenders.append(f"{name}:{call.lineno} in {where}")
-    assert not offenders, "multi-operand np.einsum outside contract: " + ", ".join(offenders)
+    assert not offenders, "multi-operand np.einsum outside the oracle: " + ", ".join(offenders)
 
 
 def test_the_oracle_does_not_contract_through_the_planner():
