@@ -119,7 +119,8 @@ def _print_einstein_human(einstein: dict) -> None:
         )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the parser of each command by its name."""
     parser = argparse.ArgumentParser(
         prog="acmcheck",
         description="Verify almost contact metric / sub-Riemannian structures "
@@ -152,12 +153,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="pointwise rank of the structure")
     p_rank.add_argument("manifest")
     p_rank.add_argument("--at", required=True, metavar="x1,...,xn")
-    return parser
+    commands = {
+        "check": p_check, "classify": p_classify, "tensor": p_tensor,
+        "einstein": p_einstein, "rank": p_rank,
+    }
+    return parser, commands
 
 
-# Built once per process and never changed after import; every parse_args
-# call returns a fresh Namespace, so repeated main() calls share no state.
-_PARSER = _build_parser()
+# Built once per process and never changed after import; every parse call
+# returns a fresh Namespace, so repeated main() calls share no state.
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, with one pass fewer where it can be.
+
+    When ``argv`` starts with a command, the top-level parser only hands
+    the rest to that command's parser, so the rest goes there directly.
+    Anything that parser leaves over, and every argv that does not start
+    with a command (none, ``-h``, an unknown command, an option first),
+    goes through ``_PARSER``, which prints the same usage, help and error
+    texts and exits with the same code.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return _PARSER.parse_args(argv)
+
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -200,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         # glue the point to the option, or argparse reads '-0.5,1,...' as an option
         i = argv.index("--at")
         argv[i : i + 2] = [f"--at={argv[i + 1]}"]
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(argv)
 
     try:
         manifest = load_manifest(args.manifest)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .expr import describe_first, field_jets
 from .residuals import holds_within, nanmax
-from .structure import SingularMetricError, StructureEval, contract, frozen, mat_t, memoised
+from .structure import SingularMetricError, StructureEval, contract, frozen, mat_t, memoised, moveaxis
 
 # relative tolerance of the torsion table's skew-symmetry flag
 TORSION_SKEW_TOL = 1e-9
@@ -26,6 +26,11 @@ TORSION_SKEW_TOL = 1e-9
 LC_ORACLE_TOL = 1e-8
 _EPS = np.finfo(float).eps
 ORACLE_COND_LIMIT = LC_ORACLE_TOL / _EPS
+# c of the oracle's rounding estimate c * cond * eps * (1 + max|Gamma|) at a
+# point: over ten flat variants with gamma = k*y, k*y^2, k*exp(y) and
+# k*sin(3y)*x at 64 samples, the lc_oracle residual is a median 0.09-0.13
+# and at most 0.96 of the estimate with c = 1
+ORACLE_ROUNDING_C = 1.0
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,7 @@ class ConnectionCoeffs:
 
     @property
     def frame(self) -> np.ndarray:
-        return np.moveaxis(self.full[..., :-1, :-1, :-1], -1, -3)
+        return moveaxis(self.full[..., :-1, :-1, :-1], -1, -3)
 
     @property
     def mixed_an(self) -> np.ndarray:
@@ -98,25 +103,44 @@ def lc_coordinate(ev: StructureEval) -> np.ndarray:
     Standard formula on the full coordinate metric, read from the input jets
     alone; independent of the adapted-form decomposition, hence the oracle
     for :func:`lc_adapted`.  Returns coeff[i, j, k] with coordinate-frame
-    indices.  A singular coordinate metric, or one too ill-conditioned for
-    the oracle's tolerance, is a :class:`SingularMetricError` naming the
-    first point where it is so (a non-finite one is left to the residuals).
+    indices, under the guard of :func:`lc_oracle`.
+    """
+    return _guarded_oracle(ev)[0]
+
+
+def lc_oracle(ev: StructureEval) -> np.ndarray:
+    """The coordinate oracle on the adapted frame: :func:`lc_coordinate`
+    re-expressed by :func:`coordinate_to_adapted`, coeff[i, j, k].
+
+    A singular coordinate metric, or one too ill-conditioned for the
+    oracle's tolerance, is a :class:`SingularMetricError` naming the first
+    point, in sample order, where it is so (a non-finite one is left to the
+    residuals).  The guard estimates the oracle's forward rounding error at
+    each point as ``ORACLE_ROUNDING_C * cond * eps * (1 + max|Gamma|)``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    ch. 7), Gamma being these coefficients, and refuses a point where that
+    reaches ``LC_ORACLE_TOL``, or where cond alone reaches
+    ``ORACLE_COND_LIMIT``.  cond is the 2-norm condition number of G scaled
+    to unit diagonal, as ``np.linalg.cond`` (an SVD) computes it.  A point
+    is cleared without the SVD where a norm bound, read from the inverse
+    the oracle computes anyway, proves cond below the point's limit (see
+    :func:`_cleared`); only the other points go through ``np.linalg.cond``.
+    On well-conditioned metrics that is none of them.  The decision, the
+    first point named and the numbers printed are those of
+    ``np.linalg.cond`` on every point.  ``metric_frame`` is not checked to
+    be symmetric, so a symmetric eigenvalue shortcut would change what the
+    guard measures.
+    """
+    return _guarded_oracle(ev)[1]
+
+
+def _guarded_oracle(ev: StructureEval) -> tuple[np.ndarray, np.ndarray]:
+    """(coordinate, adapted-frame) coefficients of the coordinate oracle,
+    after its guard.
 
     The products are plain NumPy broadcasting and one batched ``matmul``
     written out here, never :func:`contract`, so the oracle does not share
-    the planner it checks.
-
-    The guard measures the 2-norm condition number of G scaled to unit
-    diagonal, as ``np.linalg.cond`` (an SVD) computes it.  A point is
-    cleared without the SVD where a norm bound, read from the inverse the
-    oracle computes anyway, proves that condition number below the limit
-    (see :func:`_cleared`); only the other points go through
-    ``np.linalg.cond``.  On well-conditioned metrics that is none of them.
-    The decision, the first point named and the condition number printed
-    are those of ``np.linalg.cond`` on every point.  ``metric_frame`` is not
-    checked to be symmetric, so a symmetric eigenvalue shortcut would
-    change what the guard measures.
-    """
+    the planner it checks."""
     n, m = ev.n, ev.m
     eta0 = ev.zeros(n)
     eta0[..., :m] = ev.gam0
@@ -132,7 +156,6 @@ def lc_coordinate(ev: StructureEval) -> np.ndarray:
     G1 += eta1[..., :, None, :] * eta0[..., None, :, None]
     G1 += eta0[..., :, None, None] * eta1[..., None, :, :]
 
-    what = "coordinate metric g + eta (x) eta"
     # a diagonal scaling does not cost the inverse accuracy (exp(352*x) on
     # the metric diagonal is harmless), so G is scaled to unit diagonal first
     diag = np.abs(np.diagonal(G0, axis1=-2, axis2=-1))
@@ -142,54 +165,69 @@ def lc_coordinate(ev: StructureEval) -> np.ndarray:
         scaled = G0 * unit[..., :, None] * unit[..., None, :]
     try:
         Ginv = np.linalg.inv(G0)
+        singular = np.zeros(ev.batch, dtype=bool)
     except np.linalg.LinAlgError:
-        raise _first_refused(ev, G0, scaled, what) from None
-    with np.errstate(all="ignore"):
-        # a non-finite point is left to the residuals
-        unsure = np.isfinite(scaled).all(axis=(-2, -1))
-        unsure &= ~_cleared(scaled, Ginv * root[..., :, None] * root[..., None, :])
-    if np.any(unsure):
-        cond = np.linalg.cond(scaled[unsure])
-        ill = np.zeros(ev.batch, dtype=bool)
-        ill[unsure] = cond >= ORACLE_COND_LIMIT
-        if np.any(ill):
-            raise SingularMetricError(
-                f"{what} ill-conditioned at {describe_first(ev.p, ill)}"
-                f" (cond {cond[cond >= ORACLE_COND_LIMIT][0]:.3e})"
-            )
+        Ginv, singular = _inverse_by_point(G0)
     # first kind[i, j, m] = d_i G_jm + d_j G_im - d_m G_ij; coeff[i, j, k] is
     # half its product with G^km, one (n*n, n) @ (n, n) matmul per point
     first = np.einsum("...jmi->...ijm", G1) + np.einsum("...imj->...ijm", G1) - G1
     lowered = first.reshape(first.shape[:-3] + (n * n, n)) @ np.swapaxes(Ginv, -1, -2)
-    return 0.5 * lowered.reshape(first.shape)
+    coord = 0.5 * lowered.reshape(first.shape)
+    adapted = coordinate_to_adapted(ev, coord)
+
+    with np.errstate(all="ignore"):
+        # a point whose coefficients are not finite is held to cond alone
+        gamma_max = np.abs(adapted).max(axis=(-3, -2, -1))
+        limit = ORACLE_COND_LIMIT / np.fmax(ORACLE_ROUNDING_C * (1.0 + gamma_max), 1.0)
+        # a non-finite point is left to the residuals
+        unsure = np.isfinite(scaled).all(axis=(-2, -1)) & ~singular
+        unsure &= ~_cleared(scaled, Ginv * root[..., :, None] * root[..., None, :], limit)
+    refused = singular.copy()
+    cond = ev.zeros()
+    if np.any(unsure):
+        cond[unsure] = np.linalg.cond(scaled[unsure])
+        refused |= unsure & (cond >= limit)
+    if np.any(refused):
+        raise _refusal(ev, refused, singular, cond, gamma_max)
+    return coord, adapted
 
 
-def _first_refused(ev: StructureEval, G0: np.ndarray, scaled: np.ndarray, what: str) -> SingularMetricError:
-    """The guard's error for a batch with a singular point: the first point
-    that is singular, or finite and ill-conditioned, with its own message,
-    so the point named does not depend on the batch size.  Points are
-    checked one at a time in sample order, as :meth:`StructureEval.inverse`
-    does, and ``np.linalg.cond`` sees only invertible finite ones."""
-    first = np.zeros(ev.batch, dtype=bool)
-    for at in np.ndindex(ev.batch):
-        first[at] = True
+def _inverse_by_point(G0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of each point's matrix, NaN at the singular points, and
+    where those are: the batched inverse fails as a whole on one of them."""
+    Ginv = np.full(G0.shape, np.nan)
+    singular = np.zeros(G0.shape[:-2], dtype=bool)
+    for at in np.ndindex(singular.shape):
         try:
-            np.linalg.inv(G0[at])
+            Ginv[at] = np.linalg.inv(G0[at])
         except np.linalg.LinAlgError:
-            break
-        if np.isfinite(scaled[at]).all():
-            cond = np.linalg.cond(scaled[at])
-            if cond >= ORACLE_COND_LIMIT:
-                return SingularMetricError(
-                    f"{what} ill-conditioned at {describe_first(ev.p, first)} (cond {cond:.3e})"
-                )
-        first[at] = False
-    return SingularMetricError(f"{what} singular at {describe_first(ev.p, first)}")
+            singular[at] = True
+    return Ginv, singular
 
 
-def _cleared(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _refusal(
+    ev: StructureEval, refused: np.ndarray, singular: np.ndarray, cond: np.ndarray, gamma_max: np.ndarray
+) -> SingularMetricError:
+    """The guard's error for the first refused point in sample order, so
+    the point named does not depend on the batch size."""
+    at = np.unravel_index(np.argmax(refused), ev.batch)
+    where = describe_first(ev.p, refused)
+    what = "coordinate metric g + eta (x) eta"
+    if singular[at]:
+        return SingularMetricError(f"{what} singular at {where}")
+    if cond[at] >= ORACLE_COND_LIMIT:
+        return SingularMetricError(f"{what} ill-conditioned at {where} (cond {cond[at]:.3e})")
+    estimate = ORACLE_ROUNDING_C * cond[at] * _EPS * (1.0 + gamma_max[at])
+    return SingularMetricError(
+        f"{what} ill-conditioned for the oracle's tolerance at {where} (cond {cond[at]:.3e},"
+        f" max |Gamma| {gamma_max[at]:.3e}: rounding estimate {estimate:.3e} >= {LC_ORACLE_TOL:.0e})"
+    )
+
+
+def _cleared(A: np.ndarray, X: np.ndarray, limit=ORACLE_COND_LIMIT) -> np.ndarray:
     """Where the batch of n x n matrices ``A`` is proved to have
-    ``np.linalg.cond(A) < ORACLE_COND_LIMIT``, from ``X``, any
+    ``np.linalg.cond(A) < limit`` (a limit per matrix, at most
+    ``ORACLE_COND_LIMIT``), from ``X``, any
     approximation of its inverse (Higham, *Accuracy and Stability of
     Numerical Algorithms*, 2nd ed., chs. 6 and 14).
 
@@ -201,7 +239,7 @@ def _cleared(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     gamma_n = n u / (1 - n u).  So for n >= 2, rho = r + n eps (r + a x),
     where a, x and r are the computed norms of A, X and R, bounds the exact
     ||R||_1.  A point is cleared where rho <= 1/2 and
-    n a x / (1 - rho) <= ORACLE_COND_LIMIT / 2.  The factor 2 covers the
+    n a x / (1 - rho) <= limit / 2.  The factor 2 covers the
     norms' own rounding, the rounding of this test, and the error of the
     SVD's condition number: its singular values are those of A + E with
     ||E||_2 <= p(n) u ||A||_2, so below the limit it exceeds the exact
@@ -212,7 +250,7 @@ def _cleared(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     a, x, r = (np.ones(n) @ np.abs(np.stack([A, X, A @ X - np.eye(n)]))).max(axis=-1)
     ax = a * x
     rho = r + n * _EPS * (r + ax)
-    return (rho <= 0.5) & (n * ax <= (1.0 - rho) * (ORACLE_COND_LIMIT / 2))
+    return (rho <= 0.5) & (n * ax <= (1.0 - rho) * (limit / 2))
 
 
 def coordinate_to_adapted(ev: StructureEval, coord_coeffs: np.ndarray) -> np.ndarray:
@@ -368,9 +406,9 @@ def _cov_deriv_from_data(
     and coordinate gradients: out[..., c, ...] = (nabla_{e_c} t)_{...}."""
     nb = len(ev.batch)
     eT = ev.frame_d(T1)[..., : ev.m]  # [..., c]
-    out = np.moveaxis(eT, -1, nb).copy()
+    out = moveaxis(eT, -1, nb).copy()
     for slot, v in enumerate(valence):
-        moved = np.moveaxis(T0, nb + slot, -1)  # [rest..., d], rest in original order
+        moved = moveaxis(T0, nb + slot, -1)  # [rest..., d], rest in original order
         rest = moved.shape[nb:-1]
         flat = moved.reshape(ev.batch + (-1, ev.m))
         if v == FRAME_UPPER:
@@ -378,7 +416,7 @@ def _cov_deriv_from_data(
         else:
             corr = -contract("...dca,...rd->...car", ev.Gamma0, flat)  # -Gamma^d_{ca} t_{..d..}
         corr = corr.reshape(ev.batch + (ev.m, ev.m) + rest)
-        out += np.moveaxis(corr, nb + 1, nb + slot + 1)
+        out += moveaxis(corr, nb + 1, nb + slot + 1)
     return out
 
 

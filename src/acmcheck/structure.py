@@ -282,7 +282,7 @@ class StructureEval:
         E1 = self.frame_d_grad(self.g1, self.g2)  # E1[c, d, i, j] = d_j e_i g_cd
         # the gradient of the Koszul sums, T1[b, c, d, j], laid out in memory
         # as [d, b, c, j] so that its contraction over d reads it in place
-        T1 = np.moveaxis(np.empty(self.batch + (m, m, m, self.n)), -4, -2)
+        T1 = moveaxis(np.empty(self.batch + (m, m, m, self.n)), -4, -2)
         np.add(np.einsum("...cdbj->...bcdj", E1), np.einsum("...bdcj->...bcdj", E1), out=T1)
         T1 -= E1
         del E1
@@ -307,7 +307,7 @@ class StructureEval:
         """Levi-Civita coefficients on the adapted frame, coeff[i, j, k]."""
         m, last = self.m, self.n - 1
         coeff = self.zeros(self.n, self.n, self.n)
-        coeff[..., :m, :m, :m] = np.moveaxis(self.Gamma0, -3, -1)
+        coeff[..., :m, :m, :m] = moveaxis(self.Gamma0, -3, -1)
         coeff[..., :m, :m, last] = mat_t(self.omega0) - self.C0
         mixed = mat_t(self.Cmix0 + self.psi0)  # mixed[a, b] = C^b_a + psi^b_a
         coeff[..., :m, last, :m] = mixed
@@ -328,7 +328,7 @@ class StructureEval:
     def _n_table(self, N0: np.ndarray) -> np.ndarray:
         m, last = self.m, self.n - 1
         coeff = self.zeros(self.n, self.n, self.n)
-        coeff[..., :m, :m, :m] = np.moveaxis(self.Gamma0, -3, -1)
+        coeff[..., :m, :m, :m] = moveaxis(self.Gamma0, -3, -1)
         coeff[..., last, :m, :m] = mat_t(N0)
         coeff[..., last, :m, last] = -self.d_eta_xi
         return coeff
@@ -382,6 +382,19 @@ def mat_t(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
+def moveaxis(a: np.ndarray, source: int, destination: int) -> np.ndarray:
+    """``np.moveaxis`` of one axis: the same view, by ``transpose`` on axes
+    cached per (ndim, source, destination)."""
+    return a.transpose(_moved_axes(a.ndim, source, destination))
+
+
+@lru_cache(maxsize=64)
+def _moved_axes(ndim: int, source: int, destination: int) -> tuple[int, ...]:
+    order = list(range(ndim))
+    order.insert(destination % ndim, order.pop(source % ndim))
+    return tuple(order)
+
+
 def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     """``np.einsum(subscripts, *operands)`` for an explicit ``->`` form in
     which every label occurs at most once per operand and every summed label
@@ -397,8 +410,22 @@ def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     for i, j, a_perm, a_shape, b_perm, b_shape, out_shape, out_perm in plan:
         b = arrays.pop(j)
         a = arrays.pop(i)
-        c = np.matmul(a.transpose(a_perm).reshape(a_shape), b.transpose(b_perm).reshape(b_shape))
-        arrays.append(c.reshape(out_shape).transpose(out_perm))
+        # a step the plan stores as None would return a view of the same
+        # shape and strides
+        if a_perm is not None:
+            a = a.transpose(a_perm)
+        if a_shape is not None:
+            a = a.reshape(a_shape)
+        if b_perm is not None:
+            b = b.transpose(b_perm)
+        if b_shape is not None:
+            b = b.reshape(b_shape)
+        c = np.matmul(a, b)
+        if out_shape is not None:
+            c = c.reshape(out_shape)
+        if out_perm is not None:
+            c = c.transpose(out_perm)
+        arrays.append(c)
     return arrays[0]
 
 
@@ -414,6 +441,8 @@ def contraction_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tu
     axes (which broadcast), then the labels of a alone, then those of b
     alone; the labels both carry and nothing else needs are summed.  Of
     three or more operands, the pair with the smallest result goes first.
+    A permutation that is the identity, and a reshape to the shape the
+    operand already has, are stored as None: :func:`contract` skips them.
     """
     inputs, output = subscripts.replace(" ", "").split("->")
     terms = inputs.split(",")
@@ -472,19 +501,32 @@ def contraction_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tu
         order = out_labels if len(ops) == 1 else labels
         a_left = [label for label in left if label not in b_unit]
         b_right = [label for label in right if label not in a_unit]
+        a_perm = tuple(a.index(label) for label in shared + a_left + b_unit + summed + a_unit)
+        b_perm = tuple(b.index(label) for label in shared + b_unit + summed + b_right + a_unit)
+        a_mat = tuple(a_shape[k] for k in a_perm[: len(shared)]) + (n_left, n_summed)
+        b_mat = tuple(b_shape[k] for k in b_perm[: len(shared)]) + (n_summed, n_right)
+        c_shape = tuple(size[label] for label in shared) + (n_left, n_right)
         steps.append(
             (
                 i,
                 j,
-                tuple(a.index(label) for label in shared + a_left + b_unit + summed + a_unit),
-                tuple(a_shape[a.index(label)] for label in shared) + (n_left, n_summed),
-                tuple(b.index(label) for label in shared + b_unit + summed + b_right + a_unit),
-                tuple(b_shape[b.index(label)] for label in shared) + (n_summed, n_right),
-                shape,
-                tuple(labels.index(label) for label in order),
+                _unless_identity(a_perm),
+                _unless_same(a_mat, tuple(a_shape[k] for k in a_perm)),
+                _unless_identity(b_perm),
+                _unless_same(b_mat, tuple(b_shape[k] for k in b_perm)),
+                _unless_same(shape, c_shape),
+                _unless_identity(tuple(labels.index(label) for label in order)),
             )
         )
     return tuple(steps)
+
+
+def _unless_identity(perm: tuple[int, ...]) -> tuple[int, ...] | None:
+    return None if perm == tuple(range(len(perm))) else perm
+
+
+def _unless_same(shape: tuple[int, ...], current: tuple[int, ...]) -> tuple[int, ...] | None:
+    return None if shape == current else shape
 
 
 def memoised(builder):
@@ -561,7 +603,7 @@ def ext_d_from_grad(grads: np.ndarray, rank: int) -> np.ndarray:
     out = np.zeros(grads.shape)
     sign = 1.0
     for k in range(rank + 1):
-        out += sign * np.moveaxis(grads, -1, nb + k)
+        out += sign * moveaxis(grads, -1, nb + k)
         sign = -sign
     return out / (rank + 1)
 

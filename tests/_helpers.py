@@ -14,7 +14,14 @@ import numpy as np
 from acmcheck import classification_report, einstein_reports, sampled_evaluation
 from acmcheck.chart import AVOID_EPS, MAX_REDRAWS, ChartError, adapted_frame, gamma_jets
 from acmcheck.classify import _phi_basis_fields
-from acmcheck.connection import ORACLE_COND_LIMIT, basis_brackets_frame, bracket, to_frame_components
+from acmcheck.connection import (
+    LC_ORACLE_TOL,
+    ORACLE_COND_LIMIT,
+    ORACLE_ROUNDING_C,
+    basis_brackets_frame,
+    bracket,
+    to_frame_components,
+)
 from acmcheck.expr import (
     Add,
     Call,
@@ -317,9 +324,13 @@ def coordinate_metric(ev) -> tuple[np.ndarray, np.ndarray]:
 def full_cond_guard_error(ev) -> str | None:
     """The message of the coordinate oracle's conditioning guard with
     ``np.linalg.cond`` run on every point, None where it passes: the
-    reference for ``connection.lc_coordinate``, which screens points by a
-    norm bound first.  G is scaled to unit diagonal by the same operations,
-    and a non-finite point counts as the identity."""
+    reference for ``connection.lc_oracle``, which screens points by a norm
+    bound first.  G is scaled to unit diagonal by the same operations, and
+    a non-finite point counts as the identity.  A point is refused where
+    cond reaches ``ORACLE_COND_LIMIT``, or where the rounding estimate
+    c * cond * eps * (1 + max|Gamma|) reaches ``LC_ORACLE_TOL``, Gamma being
+    the oracle's coefficients on the adapted frame (by ``np.einsum`` here).
+    Every point must be invertible."""
     G0, _ = coordinate_metric(ev)
     diag = np.abs(np.diagonal(G0, axis1=-2, axis2=-1))
     with np.errstate(all="ignore"):
@@ -327,11 +338,17 @@ def full_cond_guard_error(ev) -> str | None:
         scaled = G0 * unit[..., :, None] * unit[..., None, :]
     finite = np.isfinite(scaled).all(axis=(-2, -1))
     cond = np.linalg.cond(np.where(finite[..., None, None], scaled, np.eye(ev.n)))
-    ill = cond >= ORACLE_COND_LIMIT
+    gamma = np.abs(einsum_coordinate_to_adapted(ev, einsum_lc_coordinate(ev))).max(axis=(-3, -2, -1))
+    estimate = ORACLE_ROUNDING_C * cond * np.finfo(float).eps * (1.0 + gamma)
+    ill = (cond >= ORACLE_COND_LIMIT) | (estimate >= LC_ORACLE_TOL)
     if not np.any(ill):
         return None
-    return (f"coordinate metric g + eta (x) eta ill-conditioned at {describe_first(ev.p, ill)}"
-            f" (cond {cond[ill][0]:.3e})")
+    what, where = "coordinate metric g + eta (x) eta", describe_first(ev.p, ill)
+    at = np.unravel_index(np.argmax(ill), ev.batch)
+    if cond[at] >= ORACLE_COND_LIMIT:
+        return f"{what} ill-conditioned at {where} (cond {cond[at]:.3e})"
+    return (f"{what} ill-conditioned for the oracle's tolerance at {where} (cond {cond[at]:.3e},"
+            f" max |Gamma| {gamma[at]:.3e}: rounding estimate {estimate[at]:.3e} >= 1e-08)")
 
 
 def einsum_coordinate_to_adapted(ev, coord_coeffs: np.ndarray) -> np.ndarray:

@@ -416,6 +416,52 @@ def test_cli_check_names_the_first_refused_sample_at_any_sample_count(tmp_path, 
     assert errors[0].endswith("(cond 7.023e+11)\n")
 
 
+def _flat_variant(tmp_path, gamma0: str) -> str:
+    data = json.loads(fixture_path("flat").read_text())
+    data["gamma"][0] = gamma0
+    path = tmp_path / "flat-variant.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("samples", ["4", "32"])
+def test_cli_check_rounding_limited_oracle_is_input_error(samples, tmp_path, capsys):
+    # gamma_0 = 400*y: cond (1.7e6 at sample 0) is far below
+    # ORACLE_COND_LIMIT, but with max |Gamma| = 200 the oracle's rounding
+    # estimate cond * eps * (1 + max |Gamma|) reaches its 1e-8 tolerance;
+    # lc_oracle would read 2.9e-8, a failed identity on a valid structure
+    argv = ["check", _flat_variant(tmp_path, "400*y"), "--samples", samples, "--seed", "42", "--json"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: coordinate metric g + eta (x) eta ill-conditioned for the oracle's"
+                          " tolerance at sample 0, point")
+    assert err.endswith("(cond 1.730e+06, max |Gamma| 2.000e+02: rounding estimate 7.720e-08 >= 1e-08)\n")
+
+
+def test_cli_check_oracle_within_its_rounding_estimate_passes(tmp_path, capsys):
+    # gamma_0 = 100*y: the estimate is 1.6e-9 and lc_oracle reads 3.8e-10
+    code = main(["check", _flat_variant(tmp_path, "100*y"), "--samples", "4", "--seed", "42", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert 1e-10 < report["identities"]["lc_oracle"]["max_residual"] < 1e-9
+
+
+def test_cli_check_koszul_mutant_still_fails_the_oracle(monkeypatch, capsys):
+    # a slip in the adapted Koszul sums moves lc_full, not the oracle or
+    # its guard, which read the coordinate metric: the identity fails
+    def mutant(ev):
+        E = ev.g_frame_d[..., : ev.m]
+        return (np.einsum("...cdb->...bcd", E) + 0.9 * np.einsum("...bdc->...bcd", E)
+                - np.einsum("...bcd->...bcd", E))
+
+    monkeypatch.setattr(StructureEval, "koszul0", property(mutant))
+    for name in ("example3-qs", "example3-aqs"):
+        assert main(["check", name, "--samples", "4", "--seed", "42", "--json"]) == 1
+        identities = json.loads(capsys.readouterr().out)["identities"]
+        assert identities["lc_oracle"]["max_residual"] > 1e-2
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_check_overflowing_nonholonomy_form_has_no_rank(tmp_path, capsys):
     # gamma * d_v gamma overflows near v = 2, so omega is not finite there:
@@ -774,6 +820,100 @@ def test_cli_usage_error_leaves_next_call_intact(capsys):
     assert main(["rank", "example2", "--at", "1,3,0,0,2"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "2\n" and captured.err == ""
+
+
+def _argv_table() -> list[list[str]]:
+    """Each command's usual forms and malformed argvs, with no '--at'
+    before the last slot, which main glues to its value."""
+    table = []
+    for command in ("check", "classify", "einstein"):
+        table += [
+            [command, "flat"],
+            [command, "flat", "--samples", "4", "--seed", "3", "--tol", "1e-9", "--json"],
+            [command, "flat", "--samples=4", "--seed=3", "--tol=1e-9"],
+            [command, "--sam", "4", "flat"],
+            [command, "flat", "--samples", "4", "--samples", "5"],
+            [command, "--json", "--seed", "2", "flat"],
+            [command, "--", "flat"],
+            [command, "flat", "--", "--json"],
+            [command],
+            [command, "flat", "--samples", "four"],
+            [command, "flat", "--tol", "small"],
+            [command, "flat", "--seed", "1.5"],
+            [command, "flat", "--bogus"],
+            [command, "flat", "--json=yes"],
+            [command, "flat", "extra"],
+            [command, "-h"],
+            [command, "flat", "--help"],
+            [command, "flat", "--he"],
+        ]
+    table += [
+        ["tensor", "flat", "--name", "omega", "--at=0,0,0,0,0"],
+        ["tensor", "flat", "--name=K", "--at=0,0,0,0,0", "--json"],
+        ["tensor", "--name", "psi", "--at=1,2,3,4,5", "flat"],
+        ["tensor", "flat", "--na", "C", "--at=0,0,0,0,0", "--js"],
+        ["tensor", "flat", "--name", "C", "--name", "psi", "--at=0,0,0,0,0", "--at=1,1,1,1,1"],
+        ["tensor", "flat"],
+        ["tensor", "flat", "--at=0,0,0,0,0"],
+        ["tensor", "flat", "--name", "C"],
+        ["tensor", "flat", "--name"],
+        ["tensor", "flat", "--name", "C", "--at=0,0,0,0,0", "--samples", "4"],
+        ["tensor", "flat", "--name", "C", "--at=0,0,0,0,0", "extra"],
+        ["tensor", "-h"],
+        ["rank", "flat", "--at=0,0,0,0,0"],
+        ["rank", "--at=0,0,0,0,0", "flat"],
+        ["rank", "flat", "--at=0,0,0,0,0", "--at=1,1,1,1,1"],
+        ["rank", "flat"],
+        ["rank", "flat", "--at"],
+        ["rank", "flat", "--at=0,0,0,0,0", "--json"],
+        ["rank", "flat", "--at=0,0,0,0,0", "extra"],
+        ["rank", "-h"],
+        [],
+        ["-h"],
+        ["--help"],
+        ["bogus"],
+        ["bogus", "flat"],
+        ["Check", "flat"],
+        ["che", "flat"],
+        ["--samples", "4", "check", "flat"],
+        ["--", "check", "flat"],
+        ["-h", "check", "flat"],
+    ]
+    return table
+
+
+class _Parsed(Exception):
+    """Stops main once its argv is parsed."""
+
+
+@pytest.mark.parametrize("argv", _argv_table(), ids=" ".join)
+def test_cli_parses_argv_as_the_full_parser_does(argv, monkeypatch, capsys):
+    # main hands an argv that starts with a command to that command's
+    # parser; the namespace, or the usage, help or error text and the exit
+    # code, must be those of the top-level parser
+    try:
+        expected = vars(cli._PARSER.parse_args(list(argv)))
+    except SystemExit as stop:
+        expected = stop.code
+    expected_output = capsys.readouterr()
+
+    parsed = []
+    parse = cli._parse_args
+    monkeypatch.setattr(cli, "_parse_args", lambda args: parsed.append(parse(args)) or parsed[-1])
+
+    def stop(path):
+        raise _Parsed
+
+    monkeypatch.setattr(cli, "load_manifest", stop)
+    try:
+        main(list(argv))
+    except _Parsed:
+        assert len(parsed) == 1
+        actual = vars(parsed[0])
+    except SystemExit as stop_code:
+        actual = stop_code.code
+    assert actual == expected
+    assert capsys.readouterr() == expected_output
 
 
 def _run_fresh(script: str) -> subprocess.CompletedProcess:

@@ -16,6 +16,7 @@ from acmcheck.chart import sample_points
 from acmcheck.checks import run_full_check
 from acmcheck.cli import TENSOR_NAMES, main
 from acmcheck.manifest import load_fixture
+from acmcheck import structure
 from acmcheck.structure import contract, contraction_plan
 
 from conftest import FIXTURES
@@ -27,7 +28,7 @@ HELPERS = Path(__file__).parent / "_helpers.py"
 # never goes through the planner, so that it stays an independent check of
 # the planned contractions; contract itself has one engine, its plan, for a
 # batch and for a single point alike
-ORACLE = ("lc_coordinate", "coordinate_to_adapted")
+ORACLE = ("lc_coordinate", "lc_oracle", "_guarded_oracle", "coordinate_to_adapted")
 EINSUM_ALLOWED_IN = set(ORACLE)
 
 
@@ -160,6 +161,57 @@ def test_a_probe_round_and_two_checks_evict_no_plan(capsys):
     assert contraction_plan.cache_info().misses == first.misses
 
 
+def _full_sequence(plan: tuple, operands: list[np.ndarray]) -> np.ndarray:
+    """The steps of ``plan`` with every transpose and reshape applied, a
+    step stored as None as the identity permutation or the shape at hand;
+    asserts that the plan stores no step that would change nothing."""
+    arrays = list(operands)
+    for i, j, a_perm, a_shape, b_perm, b_shape, out_shape, out_perm in plan:
+        b = arrays.pop(j)
+        a = arrays.pop(i)
+        operands_in = []
+        for x, perm, shape in ((a, a_perm, a_shape), (b, b_perm, b_shape)):
+            assert perm != tuple(range(x.ndim)), "identity permutation stored"
+            x = x.transpose(tuple(range(x.ndim)) if perm is None else perm)
+            assert shape != x.shape, "reshape to the same shape stored"
+            operands_in.append(x.reshape(x.shape if shape is None else shape))
+        c = np.matmul(*operands_in)
+        assert out_shape != c.shape, "reshape to the same shape stored"
+        c = c.reshape(c.shape if out_shape is None else out_shape)
+        assert out_perm != tuple(range(c.ndim)), "identity permutation stored"
+        arrays.append(c.transpose(tuple(range(c.ndim)) if out_perm is None else out_perm))
+    return arrays[0]
+
+
+def test_plans_store_no_no_op_step(monkeypatch, capsys):
+    # every plan a probe round (ten tensors at a point of each fixture) and
+    # a 32-sample check of each fixture use: no stored step is a no-op, and
+    # skipping the None steps gives the bits of the full sequence
+    keys = set()
+
+    def recording(subscripts, shapes):
+        keys.add((subscripts, shapes))
+        return contraction_plan(subscripts, shapes)
+
+    monkeypatch.setattr(structure, "contraction_plan", recording)
+    for name in FIXTURES:
+        at = ",".join(map(repr, sample_points(load_fixture(name), 1, seed=2)[0].tolist()))
+        for tensor in TENSOR_NAMES:
+            assert main(["tensor", name, "--name", tensor, "--at", at, "--json"]) == 0
+        run_full_check(load_fixture(name), samples=32)
+    capsys.readouterr()
+    assert len(keys) >= 40
+    rng = np.random.default_rng(11)
+    skipped = 0
+    for subscripts, shapes in sorted(keys):
+        plan = contraction_plan(subscripts, shapes)
+        skipped += sum(entry is None for step in plan for entry in step)
+        operands = [rng.standard_normal(shape) for shape in shapes]
+        got, want = contract(subscripts, *operands), _full_sequence(plan, operands)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), subscripts
+    assert skipped > 0
+
+
 def test_contract_refuses_what_it_does_not_plan():
     rng = np.random.default_rng(9)
     with pytest.raises(ValueError):
@@ -183,7 +235,7 @@ def test_multi_operand_einsum_only_in_contract_and_the_oracle():
 
 def test_the_oracle_does_not_contract_through_the_planner():
     calls = [(where, _callee(call)) for _, where, call in _library_calls() if where in ORACLE]
-    # guards the collector: both oracle functions are found
+    # guards the collector: every oracle function is found
     assert {where for where, _ in calls} == set(ORACLE)
     planner = [f"{callee} in {where}" for where, callee in calls
                if callee in ("contract", "contraction_plan")]
