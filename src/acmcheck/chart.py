@@ -23,6 +23,7 @@ import numpy as np
 
 from .expr import ExprDomainError, describe_first, field_jets, frozen
 from .manifest import Manifest
+from .residuals import per_point
 
 AVOID_EPS = 1e-6  # sample points must keep every 'avoid' field at least this far from zero
 MAX_REDRAWS = 1000
@@ -49,9 +50,10 @@ def sample_points(manifest: Manifest, count: int, seed: int) -> np.ndarray:
     :func:`_pcg64_streams`), so plain NumPy regenerates every point.  An
     index keeps drawing from its stream until its candidate keeps every
     'avoid' field clear of zero; the fields are evaluated once per round
-    over the block of pending candidates, each one only where the fields
-    before it were clear.  A domain error in an avoid field names the
-    sample index of the candidate it prints."""
+    over the block of pending candidates, each one through the manifest's
+    plan for it (:attr:`~acmcheck.manifest.Manifest.avoid_plans`) and only
+    where the fields before it were clear.  A domain error in an avoid
+    field names the sample index of the candidate it prints."""
     count = operator.index(count)
     if not 0 <= count < 2**32:
         raise ValueError(f"sample count must lie in [0, 2**32), got {count}")
@@ -71,12 +73,12 @@ def sample_points(manifest: Manifest, count: int, seed: int) -> np.ndarray:
         state[:, pending] = steps[..., -1]
         points[pending] = lo + (hi - lo) * _pcg64_double(steps)
         clear = np.ones(pending.size, dtype=bool)
-        for f in manifest.avoid:
+        for plan in manifest.avoid_plans:
             rows = pending[clear]
             if not rows.size:
                 break
             try:
-                clear[clear] = np.abs(f.value(points[rows])) >= AVOID_EPS
+                clear[clear] = np.abs(field_jets(plan, points[rows], order=0)[0]) >= AVOID_EPS
             except ExprDomainError as err:
                 where = np.zeros(count, dtype=bool)
                 where[rows] = err.where
@@ -264,12 +266,15 @@ def rank_of(omega: np.ndarray, vertical: np.ndarray) -> np.ndarray:
     """Rank from omega and d(eta)(xi, .) at each point: 2p from the rank of
     omega, 2p+1 when additionally the vertical part vanishes, and -1 (no
     rank) where either is not finite."""
-    finite = np.isfinite(omega).all(axis=(-2, -1)) & np.isfinite(vertical).all(axis=-1)
+    batch = vertical.shape[:-1]
+    # each maximum is finite exactly where its components are (NaN wins)
+    omega_max = per_point(np.maximum, np.abs(omega), batch)
+    vertical_max = per_point(np.maximum, np.abs(vertical), batch)
+    finite = np.isfinite(omega_max) & np.isfinite(vertical_max)
     sv = np.linalg.svd(np.where(finite[..., None, None], omega, 0.0), compute_uv=False)
     top = sv[..., :1]
     two_p = np.where(top[..., 0] > 0.0, np.count_nonzero(sv > RANK_TOL * top, axis=-1), 0)
-    scale = 1.0 + np.abs(omega).max(axis=(-2, -1))
-    rank = two_p + (np.abs(vertical).max(axis=-1) <= RANK_TOL * scale)
+    rank = two_p + (vertical_max <= RANK_TOL * (1.0 + omega_max))
     return np.where(finite, rank, -1)
 
 

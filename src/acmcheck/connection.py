@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import describe_first, field_jets
-from .residuals import holds_within, nanmax
+from .residuals import holds_within, nanmax, per_point
 from .structure import SingularMetricError, StructureEval, contract, frozen, mat_t, memoised, moveaxis
 
 # relative tolerance of the torsion table's skew-symmetry flag
@@ -177,10 +177,10 @@ def _guarded_oracle(ev: StructureEval) -> tuple[np.ndarray, np.ndarray]:
 
     with np.errstate(all="ignore"):
         # a point whose coefficients are not finite is held to cond alone
-        gamma_max = np.abs(adapted).max(axis=(-3, -2, -1))
+        gamma_max = per_point(np.maximum, np.abs(adapted), ev.batch)
         limit = ORACLE_COND_LIMIT / np.fmax(ORACLE_ROUNDING_C * (1.0 + gamma_max), 1.0)
         # a non-finite point is left to the residuals
-        unsure = np.isfinite(scaled).all(axis=(-2, -1)) & ~singular
+        unsure = per_point(np.logical_and, np.isfinite(scaled), ev.batch) & ~singular
         unsure &= ~_cleared(scaled, Ginv * root[..., :, None] * root[..., None, :], limit)
     refused = singular.copy()
     cond = ev.zeros()
@@ -247,7 +247,8 @@ def _cleared(A: np.ndarray, X: np.ndarray, limit=ORACLE_COND_LIMIT) -> np.ndarra
     A NaN or infinity anywhere clears nothing."""
     n = A.shape[-1]
     # the largest column sums of |A|, |X| and |R|, stacked
-    a, x, r = (np.ones(n) @ np.abs(np.stack([A, X, A @ X - np.eye(n)]))).max(axis=-1)
+    sums = np.ones(n) @ np.abs(np.stack([A, X, A @ X - np.eye(n)]))
+    a, x, r = per_point(np.maximum, sums, sums.shape[:-1])
     ax = a * x
     rho = r + n * _EPS * (r + ax)
     return (rho <= 0.5) & (n * ax <= (1.0 - rho) * (limit / 2))
@@ -258,15 +259,21 @@ def coordinate_to_adapted(ev: StructureEval, coord_coeffs: np.ndarray) -> np.nda
     nabla_{E_i} E_j = E_i^p (d_p E_j^q + coeff[p, r, q] E_j^r) d_q, split
     into frame components.
 
-    Two batched ``matmul`` products written out here, never
-    :func:`contract`, so the oracle does not share the planner it checks.
+    Three batched ``matmul`` products written out here, never
+    :func:`contract` nor :func:`to_frame_components`, so the oracle does not
+    share the planner it checks.
     """
-    n = ev.n
+    n, m = ev.n, ev.m
     E, dE = ev.frame  # E[i, p] = E_i^p, dE[j, q, p] = d_p E[j, q]
     # D[p, j, q]: the coordinate covariant derivative along d_p of E_j
     D = np.moveaxis(dE, -1, -3) + E[..., None, :, :] @ coord_coeffs
     W = E @ D.reshape(D.shape[:-3] + (n, n * n))  # W[i, (j, q)] = E_i^p D[p, j, q]
-    return to_frame_components(ev, W.reshape(D.shape))
+    out = W.reshape(D.shape)
+    # the frame components are the horizontal ones and eta(V) = gamma_a V^a
+    # + V^n, one (n*n, m) @ (m, 1) matmul per point
+    eta_h = out[..., :m].reshape(D.shape[:-3] + (n * n, m)) @ ev.gam0[..., :, None]
+    out[..., -1] += eta_h.reshape(D.shape[:-1])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +284,14 @@ def coordinate_to_adapted(ev: StructureEval, coord_coeffs: np.ndarray) -> np.nda
 def bracket(V0, V1, W0, W1) -> np.ndarray:
     """Pairwise brackets of two families of vector fields,
     out[..., i, j, q] = [V_i, W_j]^q = V_i^p d_p W_j^q - W_j^p d_p V_i^q,
-    from components V0[..., i, q] and gradients V1[..., i, q, p]."""
-    return contract("...ip,...jqp->...ijq", V0, W1) - contract("...jp,...iqp->...ijq", W0, V1)
+    from components V0[..., i, q] and gradients V1[..., i, q, p].
+
+    A family with itself (the same arrays) takes one contraction: its
+    second term is the first read with i and j swapped, the same matmul."""
+    first = contract("...ip,...jqp->...ijq", V0, W1)
+    if V0 is W0 and V1 is W1:
+        return first - np.swapaxes(first, -3, -2)
+    return first - contract("...jp,...iqp->...ijq", W0, V1)
 
 
 def to_frame_components(ev: StructureEval, V: np.ndarray) -> np.ndarray:

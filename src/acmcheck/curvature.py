@@ -17,7 +17,7 @@ import numpy as np
 
 from .connection import nabla_omega, nabla_psi
 from .manifest import OMEGA_SOURCES
-from .residuals import holds_within, worst
+from .residuals import holds_within, per_point, worst
 from .structure import StructureEval, contract, mat_t, memoised
 
 
@@ -113,13 +113,15 @@ def einstein_reports(ev: StructureEval, tol: float) -> dict[str, dict]:
     ``parallel_torsion_residual``, which does not gate the verdict."""
     m = ev.m
     r = ricci_wagner(ev).reshape(-1, m, m)
-    r_scale = np.abs(r).max(axis=(1, 2))
+    samples = r.shape[:1]
+    r_scale = per_point(np.maximum, np.abs(r), samples)
     rows, grids = [ev.max_abs(nabla_omega(ev)).reshape(-1)], []
     for source in OMEGA_SOURCES:
         rhs = einstein_rhs(ev, source).reshape(-1, m, m)
         diff = np.abs(r - rhs)
         grids.append(diff.max(axis=0).tolist())
-        rows += [diff.max(axis=(1, 2)), np.maximum(r_scale, np.abs(rhs).max(axis=(1, 2)))]
+        rows += [per_point(np.maximum, diff, samples),
+                 np.maximum(r_scale, per_point(np.maximum, np.abs(rhs), samples))]
     parallel_torsion, *maxima = worst(rows)
     return {
         source: {

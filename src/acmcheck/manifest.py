@@ -94,6 +94,13 @@ class Manifest:
             "phi_frame": BlockPlan(self.phi_frame),
         }
 
+    @cached_property
+    def avoid_plans(self) -> tuple[BlockPlan, ...]:
+        """The evaluation plan of each 'avoid' field, in order, held like
+        :attr:`plans`: the sampler evaluates the fields every round, and a
+        bare field would build its plan anew each time."""
+        return tuple(BlockPlan(np.array(f, dtype=object)) for f in self.avoid)
+
     def chart(self) -> SimpleNamespace:
         """Kept for ``perfbench/make_reference.py``, which draws its point
         pools through ``chart().sample_points(count, seed)``; other callers

@@ -12,7 +12,7 @@ one :func:`worst`, so a report is finite exactly when its maxima are.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -21,6 +21,28 @@ def nanmax(*values):
     """Elementwise largest of ``values`` (scalars or arrays of one batch
     shape); NaN wherever any of them is NaN."""
     return reduce(np.maximum, values)
+
+
+def per_point(ufunc: np.ufunc, arr: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
+    """``ufunc`` reduced over every axis of ``arr`` after the ``batch``
+    axes, at each point: ``ufunc.reduce(arr.reshape(batch + (-1,)),
+    axis=-1)``, computed as one segmented ``ufunc.reduceat`` over the flat
+    array, which costs no per-row setup (a row-wise reduce pays ~60 ns a
+    row at 4-125 components).  For a reduction whose order does not matter
+    (``np.maximum``, ``np.minimum``, ``np.logical_and``) the bits are the
+    same.  ``np.maximum`` keeps NaN, as ``max`` does; ``np.logical_and``
+    on booleans is ``all``."""
+    flat = arr.reshape(-1)
+    return ufunc.reduceat(flat, _segments(math.prod(batch), flat.size)).reshape(batch)
+
+
+@lru_cache(maxsize=64)
+def _segments(count: int, size: int) -> np.ndarray:
+    """The read-only start offsets of ``count`` equal segments of ``size``
+    elements, built once per pair."""
+    offsets = np.arange(count) * (size // count if count else 0)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def worst(rows) -> list[float]:

@@ -31,6 +31,7 @@ import numpy as np
 from .chart import adapted_frame, gamma_jets, nonholonomy
 from .expr import describe_first, field_jets, frozen
 from .manifest import Manifest
+from .residuals import per_point
 
 # the frame metric's smallest eigenvalue (absolute value if pseudo) must
 # stay above this at every evaluated point
@@ -95,13 +96,15 @@ class StructureEval:
     def max_abs(self, arr: np.ndarray, minus: np.ndarray | None = None) -> np.ndarray:
         """Largest |component| of ``arr``, or of ``arr - minus``, at each
         point: the maximum over every axis after the batch axes (NaN wins).
-        A difference is taken in one temporary and made absolute in place."""
+        A difference is taken in one temporary and made absolute in place;
+        the maxima of all points are one segmented reduce over it
+        (:func:`~acmcheck.residuals.per_point`)."""
         if minus is None:
             out = np.abs(arr)
         else:
             out = np.subtract(arr, minus)
             np.abs(out, out=out)
-        return out.reshape(self.batch + (-1,)).max(axis=-1)
+        return per_point(np.maximum, out, self.batch)
 
     def inverse(self, matrices: np.ndarray, what: str) -> np.ndarray:
         """Batched inverse; a singular matrix is a :class:`SingularMetricError`
@@ -280,9 +283,8 @@ class StructureEval:
         curvature reads it, so it is not kept."""
         m = self.m
         E1 = self.frame_d_grad(self.g1, self.g2)  # E1[c, d, i, j] = d_j e_i g_cd
-        # the gradient of the Koszul sums, T1[b, c, d, j], laid out in memory
-        # as [d, b, c, j] so that its contraction over d reads it in place
-        T1 = moveaxis(np.empty(self.batch + (m, m, m, self.n)), -4, -2)
+        # the gradient of the Koszul sums, T1[b, c, d, j]
+        T1 = np.empty(self.batch + (m, m, m, self.n))
         np.add(np.einsum("...cdbj->...bcdj", E1), np.einsum("...bdcj->...bcdj", E1), out=T1)
         T1 -= E1
         del E1
@@ -404,6 +406,14 @@ def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     products (:func:`contraction_plan`), computed once per subscripts and
     shapes.  A single point (no batch axes) is planned like a batch, so it
     is summed in the same order as its row of any batch.
+
+    Layout rule: a right-hand matmul operand whose last axis is not
+    unit-stride (a transposed view) is copied to C order before its
+    product, which has the same bits.  NumPy with OpenBLAS multiplies a
+    batch of such views far slower than it copies them and multiplies the
+    copy: (128, 25, 5) @ (128, 5, 5) takes 61 us against 15 us on a 2-core
+    x86-64 VM.  A left-hand operand is left as it is: its transposed view
+    is as fast, and a copy would change the bits of a matrix-vector step.
     """
     plan = contraction_plan(subscripts, tuple(op.shape for op in operands))
     arrays = list(operands)
@@ -420,6 +430,8 @@ def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
             b = b.transpose(b_perm)
         if b_shape is not None:
             b = b.reshape(b_shape)
+        if b.strides[-1] != b.itemsize:
+            b = np.ascontiguousarray(b)
         c = np.matmul(a, b)
         if out_shape is not None:
             c = c.reshape(out_shape)
@@ -579,11 +591,11 @@ def metric_definiteness(ev: StructureEval) -> np.ndarray:
     pseudo = ev.manifest.pseudo
     # halved before the sum, so that a finite metric does not overflow
     sym = 0.5 * ev.g0 + 0.5 * mat_t(ev.g0)
-    nonfinite = ~np.isfinite(sym).all(axis=(-2, -1))
+    nonfinite = ~per_point(np.logical_and, np.isfinite(sym), ev.batch)
     if np.any(nonfinite):
         raise SingularMetricError(f"frame metric not finite at {describe_first(ev.p, nonfinite)}")
     eigs = np.linalg.eigvalsh(sym)
-    smallest = (np.abs(eigs) if pseudo else eigs).min(axis=-1)
+    smallest = per_point(np.minimum, np.abs(eigs) if pseudo else eigs, ev.batch)
     low = smallest <= METRIC_FLOOR
     if np.any(low):
         kind = "degenerate" if pseudo else "non-positive-definite"

@@ -19,7 +19,7 @@ from acmcheck.chart import (
     rank_at,
     sample_points,
 )
-from acmcheck.expr import ExprDomainError, parse
+from acmcheck.expr import BlockPlan, ExprDomainError, parse
 from acmcheck.manifest import Manifest, manifest_from_dict
 from acmcheck.structure import StructureEval
 
@@ -205,6 +205,26 @@ def test_sampling_matches_per_index_loop_on_fixtures(manifests, count, seed):
     for s in manifests.values():
         expected = loop_sample_points(s, count, seed)
         assert np.array_equal(sample_points(s, count, seed), expected)
+
+
+def test_avoid_fields_are_evaluated_through_the_manifests_plans(monkeypatch):
+    # every redraw round evaluates each avoid field through the manifest's
+    # one plan for it, so sampling builds no plan once those exist
+    count, seed = 24, 5
+    expected = loop_sample_points(NARROW, count, seed)
+    sample_points(NARROW, 1, seed)
+    plans = NARROW.avoid_plans
+    assert [plan.fields.item() for plan in plans] == list(NARROW.avoid)
+    built = []
+    init = BlockPlan.__init__
+
+    def counted(self, fields):
+        built.append(fields)
+        init(self, fields)
+
+    monkeypatch.setattr(BlockPlan, "__init__", counted)
+    assert np.array_equal(sample_points(NARROW, count, seed), expected)
+    assert not built and NARROW.avoid_plans is plans
 
 
 def test_sampling_matches_per_index_loop_with_redraws():

@@ -10,11 +10,13 @@ import pytest
 
 from acmcheck.chart import sample_points
 from acmcheck.checks import run_full_check
+from acmcheck.classify import _phi_basis_fields
 from acmcheck.connection import (
     FRAME_LOWER,
     FRAME_UPPER,
     ORACLE_COND_LIMIT,
     _cleared,
+    bracket,
     canonical_connection,
     coordinate_to_adapted,
     cov_phi,
@@ -30,7 +32,7 @@ from acmcheck.connection import (
 )
 from acmcheck.expr import field_jets, parse
 from acmcheck.manifest import manifest_from_dict
-from acmcheck.structure import SingularMetricError, StructureEval
+from acmcheck.structure import SingularMetricError, StructureEval, contract
 
 from _helpers import (
     coordinate_metric,
@@ -580,3 +582,20 @@ def test_oracle_runs_no_svd_on_well_conditioned_metrics(name, manifests, monkeyp
     seen = _cond_spy(monkeypatch)
     run_full_check(manifest, samples=128)
     assert sum(seen) == 0
+
+
+@pytest.mark.parametrize("name", ["example1", "example3-aqs", "twisted", "heavy3"])
+def test_a_self_bracket_is_the_two_contraction_form(name, manifests, twisted):
+    # a family bracketed with itself takes one contraction and subtracts
+    # its transpose: the bits of the two planned contractions, for the
+    # frame fields and for the fields phi(E_i), at a batch and at a point
+    manifest = {**manifests, "twisted": twisted}.get(name) or manifest_from_dict(deep_tree_manifest_data(3))
+    points = sample_points(manifest, 32, seed=6)
+    for at in (points, points[9]):
+        ev = StructureEval(manifest, at)
+        for V0, V1 in (ev.frame, _phi_basis_fields(ev)):
+            two = contract("...ip,...jqp->...ijq", V0, V1) - contract("...jp,...iqp->...ijq", V0, V1)
+            assert np.abs(two).max() > 0.0
+            assert bracket(V0, V1, V0, V1).tobytes() == two.tobytes()
+            # two families that are equal but not the same arrays
+            assert bracket(V0, V1, V0.copy(), V1.copy()).tobytes() == two.tobytes()

@@ -6,6 +6,7 @@ coordinate oracle does not."""
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,12 @@ import acmcheck
 from acmcheck.chart import sample_points
 from acmcheck.checks import run_full_check
 from acmcheck.cli import TENSOR_NAMES, main
-from acmcheck.manifest import load_fixture
+from acmcheck.connection import coordinate_to_adapted, lc_coordinate, lc_oracle, to_frame_components
+from acmcheck.manifest import load_fixture, manifest_from_dict
 from acmcheck import structure
-from acmcheck.structure import contract, contraction_plan
+from acmcheck.structure import StructureEval, contract, contraction_plan
 
+from _helpers import deep_tree_manifest_data
 from conftest import FIXTURES
 
 LIBRARY = sorted(Path(acmcheck.__file__).parent.glob("*.py"))
@@ -161,10 +164,12 @@ def test_a_probe_round_and_two_checks_evict_no_plan(capsys):
     assert contraction_plan.cache_info().misses == first.misses
 
 
-def _full_sequence(plan: tuple, operands: list[np.ndarray]) -> np.ndarray:
+def _full_sequence(plan: tuple, operands: list[np.ndarray], laid_out: list | None = None) -> np.ndarray:
     """The steps of ``plan`` with every transpose and reshape applied, a
-    step stored as None as the identity permutation or the shape at hand;
-    asserts that the plan stores no step that would change nothing."""
+    step stored as None as the identity permutation or the shape at hand,
+    and no operand copied; asserts that the plan stores no step that would
+    change nothing.  ``laid_out`` collects, per step, whether the
+    right-hand matmul operand's last axis is not unit-stride."""
     arrays = list(operands)
     for i, j, a_perm, a_shape, b_perm, b_shape, out_shape, out_perm in plan:
         b = arrays.pop(j)
@@ -175,6 +180,8 @@ def _full_sequence(plan: tuple, operands: list[np.ndarray]) -> np.ndarray:
             x = x.transpose(tuple(range(x.ndim)) if perm is None else perm)
             assert shape != x.shape, "reshape to the same shape stored"
             operands_in.append(x.reshape(x.shape if shape is None else shape))
+        if laid_out is not None:
+            laid_out.append(operands_in[1].strides[-1] != operands_in[1].itemsize)
         c = np.matmul(*operands_in)
         assert out_shape != c.shape, "reshape to the same shape stored"
         c = c.reshape(c.shape if out_shape is None else out_shape)
@@ -212,6 +219,35 @@ def test_plans_store_no_no_op_step(monkeypatch, capsys):
     assert skipped > 0
 
 
+def test_laid_out_operands_keep_the_plain_plans_bits(monkeypatch):
+    # contract copies a right-hand operand whose last axis is not
+    # unit-stride to C order before its matmul; on every (subscripts,
+    # shapes) that a 128-sample check of each fixture plans, at batch
+    # (128,) and at a single point, the result has the bits of the plain
+    # sequence of the plan
+    keys = set()
+
+    def recording(subscripts, shapes):
+        keys.add((subscripts, shapes))
+        return contraction_plan(subscripts, shapes)
+
+    monkeypatch.setattr(structure, "contraction_plan", recording)
+    for name in FIXTURES:
+        run_full_check(load_fixture(name), samples=128)
+    monkeypatch.undo()
+    assert len(keys) >= 25 and all(shape[0] == 128 for _, shapes in keys for shape in shapes)
+    rng = np.random.default_rng(12)
+    laid_out = []
+    for subscripts, shapes in sorted(keys):
+        for at in (shapes, tuple(shape[1:] for shape in shapes)):
+            operands = [rng.standard_normal(shape) for shape in at]
+            want = _full_sequence(contraction_plan(subscripts, at), operands, laid_out)
+            got = contract(subscripts, *operands)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (subscripts, at)
+    # guards the replay: the layout rule is met, at both batch shapes
+    assert sum(laid_out) >= 20
+
+
 def test_contract_refuses_what_it_does_not_plan():
     rng = np.random.default_rng(9)
     with pytest.raises(ValueError):
@@ -233,13 +269,51 @@ def test_multi_operand_einsum_only_in_contract_and_the_oracle():
     assert not offenders, "multi-operand np.einsum outside the oracle: " + ", ".join(offenders)
 
 
-def test_the_oracle_does_not_contract_through_the_planner():
+def test_the_oracle_does_not_contract_through_the_planner(monkeypatch, manifests, twisted):
     calls = [(where, _callee(call)) for _, where, call in _library_calls() if where in ORACLE]
     # guards the collector: every oracle function is found
     assert {where for where, _ in calls} == set(ORACLE)
     planner = [f"{callee} in {where}" for where, callee in calls
                if callee in ("contract", "contraction_plan")]
     assert not planner, "the coordinate oracle calls the planner: " + ", ".join(planner)
+    # transitively: the oracle runs with the planner replaced by raising
+    # stubs in every library module that imports it, so a call through any
+    # helper (to_frame_components, a cached tensor) fails
+    def refuse(*args, **kwargs):
+        raise AssertionError("the coordinate oracle reached the planner")
+
+    stubbed = set()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "acmcheck":
+            continue
+        for attr in ("contract", "contraction_plan"):
+            if getattr(module, attr, None) in (contract, contraction_plan):
+                monkeypatch.setattr(module, attr, refuse)
+                stubbed.add(f"{name}.{attr}")
+    assert {"acmcheck.structure.contract", "acmcheck.structure.contraction_plan",
+            "acmcheck.connection.contract"} <= stubbed
+    for manifest in [*manifests.values(), twisted]:
+        points = sample_points(manifest, 8, seed=3)
+        for at in (points, points[0]):
+            ev = StructureEval(manifest, at)
+            assert lc_oracle(ev).shape == ev.batch + (ev.n,) * 3
+            with pytest.raises(AssertionError, match="planner"):
+                ev.lc_full  # the adapted side does reach the stubs
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3-qs", "heavy0", "heavy7"])
+def test_the_oracles_eta_is_the_planned_one_bit_for_bit(name, manifests):
+    # coordinate_to_adapted writes eta(V) out as a matmul; it must give the
+    # bits of to_frame_components, which contracts through the planner
+    manifest = manifests.get(name) or manifest_from_dict(deep_tree_manifest_data(int(name[5:])))
+    points = sample_points(manifest, 128, seed=4)
+    for at in (points, points[5]):
+        ev = StructureEval(manifest, at)
+        coord = lc_coordinate(ev)
+        E, dE = ev.frame
+        D = np.moveaxis(dE, -1, -3) + E[..., None, :, :] @ coord
+        W = (E @ D.reshape(D.shape[:-3] + (ev.n, ev.n * ev.n))).reshape(D.shape)
+        assert coordinate_to_adapted(ev, coord).tobytes() == to_frame_components(ev, W).tobytes()
 
 
 def _lifted(node: ast.AST) -> bool:

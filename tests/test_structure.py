@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import acmcheck
 from acmcheck.expr import Const, Mul, ScalarField, parse
+from acmcheck.residuals import per_point
 from acmcheck.structure import (
     SingularMetricError,
     StructureEval,
@@ -232,3 +237,69 @@ def test_d_Omega_nonzero_on_example3_aqs(manifests, sample_sets):
         ev = StructureEval(manifests["example3-aqs"], p)
         worst = max(worst, float(np.abs(d_fundamental_form(ev)).max()))
     assert worst > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Per-point reductions
+# ---------------------------------------------------------------------------
+
+
+def _with_nan(batch: tuple[int, ...], layout: tuple[int, ...], component: int) -> np.ndarray:
+    """Random components with a NaN in the given component of the first
+    point (``component`` 0) or of the last point (any other)."""
+    arr = np.random.default_rng(len(batch) + sum(layout)).standard_normal(batch + layout)
+    flat = arr.reshape(-1, math.prod(layout))
+    flat[0 if component == 0 else -1, component] = np.nan
+    return arr
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (128,), (2, 3)])
+@pytest.mark.parametrize("layout", [(4,), (4, 4), (5, 5, 5)])
+@pytest.mark.parametrize("component", [0, -2])
+def test_per_point_is_the_row_wise_reduce_bit_for_bit(batch, layout, component):
+    arr = _with_nan(batch, layout, component)
+    for a in (arr, np.abs(arr), np.swapaxes(arr, -1, -len(layout))):
+        for ufunc in (np.maximum, np.minimum):
+            want = ufunc.reduce(a.reshape(batch + (-1,)), axis=-1)
+            got = per_point(ufunc, a, batch)
+            assert got.shape == batch and got.tobytes() == want.tobytes(), (ufunc, a.strides)
+        finite = np.isfinite(a)
+        want = finite.reshape(batch + (-1,)).all(axis=-1)
+        got = per_point(np.logical_and, finite, batch)
+        assert got.dtype == bool and got.shape == batch and np.array_equal(got, want)
+        assert not want.all()
+
+
+def test_max_abs_is_the_row_wise_maximum(manifests, sample_sets):
+    ev = StructureEval(manifests["example2"], sample_sets["example2"])
+    for component in (0, -2):
+        table = _with_nan(ev.batch, (5, 5, 5), component)
+        want = np.abs(table - ev.lc_full).reshape(ev.batch + (-1,)).max(axis=-1)
+        assert ev.max_abs(table, ev.lc_full).tobytes() == want.tobytes()
+        assert np.isnan(want).sum() == 1
+
+
+def _trailing_reductions(tree: ast.AST) -> list[int]:
+    """Line numbers of ``.max``, ``.min``, ``.all`` and ``.any`` calls in
+    ``tree`` that reduce over trailing axes (a negative axis)."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("max", "min", "all", "any")):
+            continue
+        given = [k.value for k in node.keywords if k.arg == "axis"] + node.args[:1]
+        for axis in given:
+            axes = axis.elts if isinstance(axis, ast.Tuple) else [axis]
+            if any(isinstance(a, ast.UnaryOp) for a in axes):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_per_point_reductions_have_one_path():
+    # every per-point reduction over trailing axes is a per_point call
+    caught = "a.max(axis=-1)\nb.all(axis=(-2, -1))\nc.min(-1)\nd.max(axis=0)\ne.max()"
+    assert _trailing_reductions(ast.parse(caught)) == [1, 2, 3]
+    library = sorted(Path(acmcheck.__file__).parent.glob("*.py"))
+    offenders = [f"{path.name}:{line}" for path in library
+                 for line in _trailing_reductions(ast.parse(path.read_text()))]
+    assert not offenders, "a second per-point reduction path: " + ", ".join(offenders)
