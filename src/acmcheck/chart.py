@@ -51,9 +51,10 @@ def sample_points(manifest: Manifest, count: int, seed: int) -> np.ndarray:
     index keeps drawing from its stream until its candidate keeps every
     'avoid' field clear of zero; the fields are evaluated once per round
     over the block of pending candidates, each one through the manifest's
-    plan for it (:attr:`~acmcheck.manifest.Manifest.avoid_plans`) and only
-    where the fields before it were clear.  A domain error in an avoid
-    field names the sample index of the candidate it prints."""
+    plan for it (``plans["avoid"]`` of
+    :attr:`~acmcheck.manifest.Manifest.plans`) and only where the fields
+    before it were clear.  A domain error in an avoid field names the sample
+    index of the candidate it prints."""
     count = operator.index(count)
     if not 0 <= count < 2**32:
         raise ValueError(f"sample count must lie in [0, 2**32), got {count}")
@@ -73,12 +74,12 @@ def sample_points(manifest: Manifest, count: int, seed: int) -> np.ndarray:
         state[:, pending] = steps[..., -1]
         points[pending] = lo + (hi - lo) * _pcg64_double(steps)
         clear = np.ones(pending.size, dtype=bool)
-        for plan in manifest.avoid_plans:
+        for plan in manifest.plans["avoid"]:
             rows = pending[clear]
             if not rows.size:
                 break
             try:
-                clear[clear] = np.abs(field_jets(plan, points[rows], order=0)[0]) >= AVOID_EPS
+                clear[clear] = np.abs(field_jets(plan, points[rows], order=1)[0]) >= AVOID_EPS
             except ExprDomainError as err:
                 where = np.zeros(count, dtype=bool)
                 where[rows] = err.where

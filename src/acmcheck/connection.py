@@ -14,7 +14,9 @@ import numpy as np
 
 from .expr import describe_first, field_jets
 from .residuals import holds_within, nanmax, per_point
-from .structure import SingularMetricError, StructureEval, contract, frozen, mat_t, memoised, moveaxis
+from .structure import (
+    SingularMetricError, StructureEval, contract, frozen, inverse_by_point, mat_t, memoised, moveaxis,
+)
 
 # relative tolerance of the torsion table's skew-symmetry flag
 TORSION_SKEW_TOL = 1e-9
@@ -167,7 +169,7 @@ def _guarded_oracle(ev: StructureEval) -> tuple[np.ndarray, np.ndarray]:
         Ginv = np.linalg.inv(G0)
         singular = np.zeros(ev.batch, dtype=bool)
     except np.linalg.LinAlgError:
-        Ginv, singular = _inverse_by_point(G0)
+        Ginv, singular = inverse_by_point(G0)
     # first kind[i, j, m] = d_i G_jm + d_j G_im - d_m G_ij; coeff[i, j, k] is
     # half its product with G^km, one (n*n, n) @ (n, n) matmul per point
     first = np.einsum("...jmi->...ijm", G1) + np.einsum("...imj->...ijm", G1) - G1
@@ -190,19 +192,6 @@ def _guarded_oracle(ev: StructureEval) -> tuple[np.ndarray, np.ndarray]:
     if np.any(refused):
         raise _refusal(ev, refused, singular, cond, gamma_max)
     return coord, adapted
-
-
-def _inverse_by_point(G0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The inverse of each point's matrix, NaN at the singular points, and
-    where those are: the batched inverse fails as a whole on one of them."""
-    Ginv = np.full(G0.shape, np.nan)
-    singular = np.zeros(G0.shape[:-2], dtype=bool)
-    for at in np.ndindex(singular.shape):
-        try:
-            Ginv[at] = np.linalg.inv(G0[at])
-        except np.linalg.LinAlgError:
-            singular[at] = True
-    return Ginv, singular
 
 
 def _refusal(
@@ -297,8 +286,7 @@ def bracket(V0, V1, W0, W1) -> np.ndarray:
 def to_frame_components(ev: StructureEval, V: np.ndarray) -> np.ndarray:
     """Split coordinate vectors (last axis) into (horizontal components, eta(V))."""
     out = V.copy()
-    eta_h = contract("...a,...a->...", V[..., : ev.m], ev.lift(ev.gam0, V.ndim))
-    out[..., -1] = eta_h + V[..., -1]
+    out[..., -1] = contract("...ija,...a->...ij", V[..., : ev.m], ev.gam0) + V[..., -1]
     return out
 
 

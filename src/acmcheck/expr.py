@@ -6,11 +6,9 @@ Hessian, which is everything the downstream tensor computations need.  A
 block of fields is evaluated once over a whole block of points, leading axes
 of every array being sample axes, and only up to the order the block is read
 at: the metric and gamma blocks of an evaluation to order 2 (to order 1 for
-a single-point tensor that reads no Hessian); phi, the gamma jets of the
-rank and the fields of covariant and exterior derivatives to order 1; the
-'avoid' tests and :meth:`ScalarField.value` to order 0.  :func:`field_jets`
-is the one evaluator; it writes each field's jet straight into arrays
-allocated once per block.
+a single-point tensor that reads no Hessian), every other block to order 1.
+:func:`field_jets` is the one evaluator; it writes each field's jet straight
+into arrays allocated once per block.
 
 Expressions form a DAG, not a tree.  The fields parsed through one
 :class:`InternTable` (one per manifest) share a node object for every
@@ -111,14 +109,14 @@ class Jet:
 
     ``value`` has the block's batch shape; ``grad`` and ``hess`` add one and
     two trailing coordinate axes.  A jet truncated at order 1 has ``hess``
-    None, and at order 0 ``grad`` too; its arithmetic skips the missing
-    terms, so it costs only what its order reads (both operands of a binary
-    operation have the same order).  Inside an evaluation a part that does
-    not vary over the block keeps a smaller batch shape and broadcasts (a
-    constant has batch shape ()); :func:`field_jets` writes every part at
-    the full batch shape.  Arithmetic implements the usual forward-mode
-    recurrences, elementwise per point.  Products are written so the Hessian
-    stays exactly symmetric in floating point.
+    None; its arithmetic skips the Hessian terms, so it costs only what its
+    order reads (both operands of a binary operation have the same order).
+    Inside an evaluation a part that does not vary over the block keeps a
+    smaller batch shape and broadcasts (a constant has batch shape ());
+    :func:`field_jets` writes every part at the full batch shape.
+    Arithmetic implements the usual forward-mode recurrences, elementwise
+    per point.  Products are written so the Hessian stays exactly symmetric
+    in floating point.
 
     Two tags let a product skip terms whose every entry it knows, with the
     same result bit for bit.  ``zero`` is set on a constant (batch shape (),
@@ -131,7 +129,7 @@ class Jet:
 
     __slots__ = ("value", "grad", "hess", "zero", "finite_var")
 
-    def __init__(self, value, grad: np.ndarray | None, hess: np.ndarray | None,
+    def __init__(self, value, grad: np.ndarray, hess: np.ndarray | None,
                  zero: float | None = None, finite_var: bool | None = False):
         self.value = value
         self.grad = grad
@@ -141,26 +139,18 @@ class Jet:
 
     @staticmethod
     def constant(value: float, n: int, order: int = 2) -> "Jet":
-        return Jet(
-            np.float64(value),
-            np.zeros(n) if order >= 1 else None,
-            np.zeros((n, n)) if order == 2 else None,
-            0.0,
-        )
+        return Jet(np.float64(value), np.zeros(n), np.zeros((n, n)) if order == 2 else None, 0.0)
 
     @staticmethod
     def variable(value, index: int, n: int, order: int = 2) -> "Jet":
-        value = np.asarray(value, dtype=float)
-        if order == 0:
-            return Jet(value, None, None)
         g = np.zeros(n)
         g[index] = 1.0
-        return Jet(value, g, np.zeros((n, n)) if order == 2 else None, finite_var=None)
+        return Jet(np.asarray(value, dtype=float), g, np.zeros((n, n)) if order == 2 else None, finite_var=None)
 
     def __add__(self, other: "Jet") -> "Jet":
         return Jet(
             self.value + other.value,
-            None if self.grad is None else self.grad + other.grad,
+            self.grad + other.grad,
             None if self.hess is None else self.hess + other.hess,
             None if self.zero is None or other.zero is None else self.zero + other.zero,
         )
@@ -168,7 +158,7 @@ class Jet:
     def __sub__(self, other: "Jet") -> "Jet":
         return Jet(
             self.value - other.value,
-            None if self.grad is None else self.grad - other.grad,
+            self.grad - other.grad,
             None if self.hess is None else self.hess - other.hess,
             None if self.zero is None or other.zero is None else self.zero - other.zero,
         )
@@ -176,15 +166,13 @@ class Jet:
     def __neg__(self) -> "Jet":
         return Jet(
             -self.value,
-            None if self.grad is None else -self.grad,
+            -self.grad,
             None if self.hess is None else -self.hess,
             None if self.zero is None else -self.zero,
         )
 
     def __mul__(self, other: "Jet") -> "Jet":
         value = self.value * other.value
-        if self.grad is None:
-            return Jet(value, None, None)
         if self.zero is not None:
             return other._scaled(self, value, True)
         if other.zero is not None:
@@ -242,8 +230,6 @@ class Jet:
         if not self.value.all():
             raise ExprDomainError("division by zero", self.value == 0.0)
         inv = 1.0 / self.value
-        if self.grad is None:
-            return Jet(inv, None, None)
         i1 = inv[..., None]
         grad = -self.grad * i1 * i1
         if self.hess is None:
@@ -262,8 +248,7 @@ class Jet:
         if k < 0:
             return self.ipow(-k).reciprocal()
         if k == 0:
-            order = 0 if self.grad is None else 1 if self.hess is None else 2
-            return Jet.constant(1.0, 0 if self.grad is None else self.grad.shape[-1], order)
+            return Jet.constant(1.0, self.grad.shape[-1], 1 if self.hess is None else 2)
         out = self
         for bit in bin(k)[3:]:
             out = out * out
@@ -307,8 +292,6 @@ class Jet:
         return self._unary(r, 0.5 / r, -0.25 / (r * self.value))
 
     def _unary(self, f0, f1, f2) -> "Jet":
-        if self.grad is None:
-            return Jet(f0, None, None)
         grad = f1[..., None] * self.grad
         if self.hess is None:
             return Jet(f0, grad, None)
@@ -666,8 +649,8 @@ class ScalarField:
     coords: tuple[str, ...]
 
     def value(self, point: np.ndarray) -> np.ndarray:
-        """Value at a point or over a block: :func:`field_jets` at order 0."""
-        return field_jets(np.array(self, dtype=object), point, order=0)[0]
+        """Value at a point or over a block: the values of :func:`field_jets`."""
+        return field_jets(np.array(self, dtype=object), point, order=1)[0]
 
     def __str__(self) -> str:
         return to_text(self.ast)
@@ -809,19 +792,18 @@ class BlockPlan:
 def field_jets(block: np.ndarray | BlockPlan, points: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
     """Jets to ``order`` of a block of fields over a point or a block of
     points of shape (..., n): the values (batch shape + the fields' shape),
-    then for ``order`` >= 1 the gradients (one more trailing axis) and for
-    ``order`` 2 the Hessians (two).  ``block`` is a :class:`BlockPlan` or an
-    object array of ScalarFields, which gets a plan for this call.
+    the gradients (one more trailing axis) and for ``order`` 2 the Hessians
+    (two).  ``block`` is a :class:`BlockPlan` or an object array of
+    ScalarFields, which gets a plan for this call.
 
     The result arrays are allocated once and filled from the plan's
     template of coordinate-free jets, each broadcast over the batch; then
     each varying field's jet is written into its slot, a part that does not
     vary over the block broadcast by the assignment.  Only the parts up to
-    ``order`` are computed: a block read to order 0 or 1 runs no Hessian
-    term (and at order 0 no gradient term).  Varying fields are evaluated in
-    ``fields.flat`` order and each distinct node object once for the whole
-    block, so fields from one :class:`InternTable` share the jets of their
-    common subexpressions.  An :class:`ExprDomainError` names the first
+    ``order`` are computed: a block read to order 1 runs no Hessian term.
+    Varying fields are evaluated in ``fields.flat`` order and each distinct
+    node object once for the whole block, so fields from one
+    :class:`InternTable` share the jets of their common subexpressions.  An :class:`ExprDomainError` names the first
     failing field and its first offending point.  Overflow, division by a
     product that underflowed to zero and invalid operations raise no
     warning: they show as infinities and NaNs, which the callers' finiteness

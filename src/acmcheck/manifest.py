@@ -82,24 +82,20 @@ class Manifest:
     source: str
 
     @cached_property
-    def plans(self) -> dict[str, BlockPlan]:
+    def plans(self) -> dict[str, BlockPlan | tuple[BlockPlan, ...]]:
         """The evaluation plan of each field block, keyed 'gamma',
-        'metric_frame' and 'phi_frame': built at first use and held as long
-        as the manifest, so the jets of its coordinate-free fields are
+        'metric_frame' and 'phi_frame', and under 'avoid' a tuple of one plan
+        per 'avoid' field, in order (the sampler evaluates each field only
+        where the ones before it are clear): built at first use and held as
+        long as the manifest, so the jets of its coordinate-free fields are
         computed once.  A variant made by ``dataclasses.replace`` is a new
         manifest with its own plans."""
         return {
             "gamma": BlockPlan(np.array(self.gamma, dtype=object)),
             "metric_frame": BlockPlan(self.metric_frame),
             "phi_frame": BlockPlan(self.phi_frame),
+            "avoid": tuple(BlockPlan(np.array(f, dtype=object)) for f in self.avoid),
         }
-
-    @cached_property
-    def avoid_plans(self) -> tuple[BlockPlan, ...]:
-        """The evaluation plan of each 'avoid' field, in order, held like
-        :attr:`plans`: the sampler evaluates the fields every round, and a
-        bare field would build its plan anew each time."""
-        return tuple(BlockPlan(np.array(f, dtype=object)) for f in self.avoid)
 
     def chart(self) -> SimpleNamespace:
         """Kept for ``perfbench/make_reference.py``, which draws its point

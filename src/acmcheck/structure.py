@@ -112,14 +112,8 @@ class StructureEval:
         try:
             return np.linalg.inv(matrices)
         except np.linalg.LinAlgError:
-            singular = np.zeros(self.batch, dtype=bool)
-            for at in np.ndindex(self.batch):
-                try:
-                    np.linalg.inv(matrices[at])
-                except np.linalg.LinAlgError:
-                    singular[at] = True
-            at = describe_first(self.p, singular)
-            raise SingularMetricError(f"{what} singular at {at}") from None
+            singular = inverse_by_point(matrices)[1]
+            raise SingularMetricError(f"{what} singular at {describe_first(self.p, singular)}") from None
 
     # -- input jets ---------------------------------------------------------
 
@@ -379,6 +373,19 @@ class StructureEval:
         return frozen(contract("...ca,...db,...cd->...ab", self.phi0, self.phi0, self.omega0))
 
 
+def inverse_by_point(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of each point's matrix, NaN at the singular points, and
+    where those are: the batched inverse fails as a whole on one of them."""
+    inv = np.full(matrices.shape, np.nan)
+    singular = np.zeros(matrices.shape[:-2], dtype=bool)
+    for at in np.ndindex(singular.shape):
+        try:
+            inv[at] = np.linalg.inv(matrices[at])
+        except np.linalg.LinAlgError:
+            singular[at] = True
+    return inv, singular
+
+
 def mat_t(a: np.ndarray) -> np.ndarray:
     """Transpose of the last two axes (the matrix layout after the batch axes)."""
     return np.swapaxes(a, -1, -2)
@@ -405,7 +412,11 @@ def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     The operands are contracted by a plan of pairwise batched matrix
     products (:func:`contraction_plan`), computed once per subscripts and
     shapes.  A single point (no batch axes) is planned like a batch, so it
-    is summed in the same order as its row of any batch.
+    is summed in the same order as its row of any batch.  Batch axes
+    broadcast as in ``np.einsum``; an operand with unit axes (a
+    :meth:`StructureEval.lift`) is correct but slow, since ``np.matmul``
+    then runs one small product per entry of those axes, so the library
+    passes none.
 
     Layout rule: a right-hand matmul operand whose last axis is not
     unit-stride (a transposed view) is copied to C order before its
@@ -450,9 +461,11 @@ def contraction_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tu
     ``matmul(a.transpose(a_perm).reshape(a_shape), b.transpose(b_perm)
     .reshape(b_shape)).reshape(out_shape).transpose(out_perm)``: the labels
     that both operands carry and that are still needed lead as matmul batch
-    axes (which broadcast), then the labels of a alone, then those of b
-    alone; the labels both carry and nothing else needs are summed.  Of
-    three or more operands, the pair with the smallest result goes first.
+    axes, then the labels of a alone, then those of b alone; the labels both
+    carry and nothing else needs are summed.  A batch axis of size 1 in one
+    operand keeps that size in its matrix shape, and ``np.matmul``
+    broadcasts it.  Of three or more operands, the pair with the smallest
+    result goes first.
     A permutation that is the identity, and a reshape to the shape the
     operand already has, are stored as None: :func:`contract` skips them.
     """
@@ -475,34 +488,28 @@ def contraction_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tu
     out_labels = tuple(range(-nbatch, 0)) + tuple(output.replace("...", ""))
 
     def split(i: int, j: int):
-        """Output sizes, the labels of a pair (shared, summed, a's alone,
-        b's alone), and the unit axes of a and of b that the other fills."""
+        """Output sizes and the labels of a pair: shared, summed, a's alone
+        and b's alone."""
         (a, a_shape), (b, b_shape) = ops[i], ops[j]
         needed = set(out_labels).union(*(ops[k][0] for k in range(len(ops)) if k not in (i, j)))
-        a_size, b_size = dict(zip(a, a_shape)), dict(zip(b, b_shape))
-        size = {**b_size, **{label: max(n, b_size.get(label, 1)) for label, n in a_size.items()}}
-        both = [label for label in a if label in b]
-        summed = [label for label in both if label not in needed]
-        # a kept label along which one operand only broadcasts (size 1)
-        # belongs to the other alone, so it joins a matrix dimension
-        kept = [label for label in both if label in needed]
-        a_unit = [label for label in kept if a_size[label] == 1 < b_size[label]]
-        b_unit = [label for label in kept if b_size[label] == 1 < a_size[label]]
-        shared = [label for label in kept if label not in a_unit + b_unit]
-        left = [label for label in a if label not in b] + b_unit
-        right = [label for label in b if label not in a] + a_unit
+        b_size = dict(zip(b, b_shape))
+        size = {**b_size, **{label: max(n, b_size.get(label, 1)) for label, n in zip(a, a_shape)}}
+        shared = [label for label in a if label in b and label in needed]
+        summed = [label for label in a if label in b and label not in needed]
+        left = [label for label in a if label not in b]
+        right = [label for label in b if label not in a]
         if not needed.issuperset(left + right):
             raise ValueError(f"'{subscripts}' sums a label that only one operand carries")
-        return size, shared, summed, left, right, a_unit, b_unit
+        return size, shared, summed, left, right
 
     def result_size(ij: tuple[int, int]) -> int:
-        size, shared, _, left, right, _, _ = split(*ij)
+        size, shared, _, left, right = split(*ij)
         return prod(size[label] for label in shared + left + right)
 
     steps = []
     while len(ops) > 1:
         i, j = min(combinations(range(len(ops)), 2), key=result_size)
-        size, shared, summed, left, right, a_unit, b_unit = split(i, j)
+        size, shared, summed, left, right = split(i, j)
         (a, a_shape), (b, b_shape) = ops[i], ops[j]
         n_left, n_summed, n_right = (
             prod(size[label] for label in part) for part in (left, summed, right)
@@ -511,10 +518,8 @@ def contraction_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tu
         shape = tuple(size[label] for label in labels)
         ops = [op for k, op in enumerate(ops) if k not in (i, j)] + [(labels, shape)]
         order = out_labels if len(ops) == 1 else labels
-        a_left = [label for label in left if label not in b_unit]
-        b_right = [label for label in right if label not in a_unit]
-        a_perm = tuple(a.index(label) for label in shared + a_left + b_unit + summed + a_unit)
-        b_perm = tuple(b.index(label) for label in shared + b_unit + summed + b_right + a_unit)
+        a_perm = tuple(a.index(label) for label in shared + left + summed)
+        b_perm = tuple(b.index(label) for label in shared + summed + right)
         a_mat = tuple(a_shape[k] for k in a_perm[: len(shared)]) + (n_left, n_summed)
         b_mat = tuple(b_shape[k] for k in b_perm[: len(shared)]) + (n_summed, n_right)
         c_shape = tuple(size[label] for label in shared) + (n_left, n_right)

@@ -433,8 +433,7 @@ def repeated_ipow(jet: Jet, k: int) -> Jet:
     if k < 0:
         return repeated_ipow(jet, -k).reciprocal()
     if k == 0:
-        order = 0 if jet.grad is None else 1 if jet.hess is None else 2
-        return Jet.constant(1.0, 0 if jet.grad is None else jet.grad.shape[-1], order)
+        return Jet.constant(1.0, jet.grad.shape[-1], 1 if jet.hess is None else 2)
     out = jet
     for _ in range(k - 1):
         out = out * jet
@@ -447,8 +446,6 @@ def symmetrised_unary(self: Jet, f0, f1, f2) -> Jet:
     (f2/2) (du du^T + (du du^T)^T): the reference for the term
     f2 du du^T, which rounds alike wherever 2 du du^T does not overflow and
     f2/2 is exact."""
-    if self.grad is None:
-        return Jet(f0, None, None)
     grad = f1[..., None] * self.grad
     if self.hess is None:
         return Jet(f0, grad, None)
@@ -465,8 +462,6 @@ def general_product(self: Jet, other: Jet) -> Jet:
     reference for the products by a constant, which skip the terms whose
     entries they know."""
     value = self.value * other.value
-    if self.grad is None:
-        return Jet(value, None, None)
     grad = self.grad * other.value[..., None] + self.value[..., None] * other.grad
     if self.hess is None:
         return Jet(value, grad, None)

@@ -213,7 +213,7 @@ def test_avoid_fields_are_evaluated_through_the_manifests_plans(monkeypatch):
     count, seed = 24, 5
     expected = loop_sample_points(NARROW, count, seed)
     sample_points(NARROW, 1, seed)
-    plans = NARROW.avoid_plans
+    plans = NARROW.plans["avoid"]
     assert [plan.fields.item() for plan in plans] == list(NARROW.avoid)
     built = []
     init = BlockPlan.__init__
@@ -224,7 +224,7 @@ def test_avoid_fields_are_evaluated_through_the_manifests_plans(monkeypatch):
 
     monkeypatch.setattr(BlockPlan, "__init__", counted)
     assert np.array_equal(sample_points(NARROW, count, seed), expected)
-    assert not built and NARROW.avoid_plans is plans
+    assert not built and NARROW.plans["avoid"] is plans
 
 
 def test_sampling_matches_per_index_loop_with_redraws():

@@ -52,10 +52,15 @@ def test_nijenhuis_flat_all_vanish(manifests):
 
 
 def test_nijenhuis_antisymmetric_in_arguments(manifests, sample_sets):
+    # every grid of the bundle, and both d(eta) inputs of N1 and N~: a sign
+    # slip in one mirrored entry keeps the max-abs residuals the identities
+    # read, but not the skewness
     for name in ALL:
         for p in sample_sets[name][:4]:
             bundle = nijenhuis_tensors(StructureEval(manifests[name], p))
-            assert np.abs(bundle.n_phi + np.swapaxes(bundle.n_phi, 0, 1)).max() < 1e-12
+            for grid in ("n_phi", "n1", "n_tilde", "d_eta", "d_eta_phi"):
+                value = getattr(bundle, grid)
+                assert np.abs(value + np.swapaxes(value, 0, 1)).max() < 1e-12, (name, grid)
 
 
 @pytest.mark.parametrize("batch", [(), (16,)], ids=["point", "block"])
@@ -145,6 +150,31 @@ def test_qs_characterization_example3_qs_holds(manifests, sample_sets):
 
 def test_qs_characterization_example1_fails(manifests):
     assert qs_characterization_residual(StructureEval(manifests["example1"], P1)) > 0.1
+
+
+@pytest.mark.parametrize("batch", [(), (32,)], ids=["point", "block"])
+def test_qs_characterization_per_point_on_a_deep_tree_manifest(batch):
+    # A = phi psi is g-symmetric on every fixture, where a transposed A
+    # changes no residual; on a deep-tree manifest it is not.  The reference
+    # builds (nabla~_X phi) Y = g(A Y, X) xi - eta(Y) A X with np.einsum,
+    # from the Levi-Civita table and the frame derivatives of phi
+    manifest = manifest_from_dict(deep_tree_manifest_data(0))
+    points = sample_points(manifest, 32, seed=1)
+    ev = StructureEval(manifest, points if batch else points[3])
+    n, m = ev.n, ev.m
+    lc, phi = ev.lc_full, ev.phi_full
+    nabla_phi = np.einsum("...icb,...ca->...iba", lc, phi) - np.einsum("...iac,...bc->...iba", lc, phi)
+    nabla_phi[..., :m, :m] += np.einsum("...bai->...iba", ev.phi_frame_d)  # E_i phi^b_a
+    A = np.einsum("...bc,...ca->...ba", ev.phi0, ev.psi0)
+    rhs = np.zeros(ev.batch + (n, n, n))  # rhs[i, j, b]: component b at (X, Y) = (E_i, E_j)
+    rhs[..., :m, :m, -1] = np.einsum("...cj,...ci->...ij", A, ev.g0)
+    rhs[..., :m, -1, :m] = -np.einsum("...bi->...ib", A)
+    diff = np.abs(np.einsum("...ibj->...ijb", nabla_phi) - rhs)
+    want = diff.reshape(ev.batch + (-1,)).max(axis=-1)
+    got = qs_characterization_residual(ev)
+    assert got.shape == batch
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + want))
+    assert want.max() > 0.1  # not quasi-Sasakian
 
 
 def test_qs_conditions_agree_on_aqs_fixtures(manifests, sample_sets):

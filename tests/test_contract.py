@@ -323,15 +323,17 @@ def _lifted(node: ast.AST) -> bool:
     return isinstance(node, ast.Call) and _callee(node) == "lift"
 
 
-def _lifted_matmuls(tree: ast.AST) -> list[int]:
-    """Line numbers of the ``@`` and ``np.matmul`` products in ``tree`` with
-    a lifted operand."""
+def _lifted_products(tree: ast.AST) -> list[int]:
+    """Line numbers of the ``@``, ``np.matmul`` and ``contract`` products in
+    ``tree`` with a lifted operand."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
             operands = [node.left, node.right]
         elif isinstance(node, ast.Call) and _callee(node) == "matmul":
             operands = node.args
+        elif isinstance(node, ast.Call) and _callee(node) == "contract":
+            operands = node.args[1:]
         else:
             continue
         if any(_lifted(op) for op in operands):
@@ -341,10 +343,16 @@ def _lifted_matmuls(tree: ast.AST) -> list[int]:
 
 def test_no_matmul_with_a_lifted_operand():
     # a lifted operand (unit axes after the batch axes) makes NumPy run one
-    # batched product as batch-size times axis-size tiny ones; contract folds
-    # the unit axes into one batched product instead
-    caught = "u = V[..., :m] @ ev.lift(mat_t(ev.phi0), V.ndim)\nw = np.matmul(-ev.lift(a, 3), b)"
-    assert _lifted_matmuls(ast.parse(caught)) == [1, 2]
+    # batched product as batch-size times axis-size tiny ones, and contract
+    # plans its unit axes as matmul batch axes, which do the same; the
+    # library passes the operand without its unit axes instead
+    caught = (
+        "u = V[..., :m] @ ev.lift(mat_t(ev.phi0), V.ndim)\n"
+        "w = np.matmul(-ev.lift(a, 3), b)\n"
+        'eta_h = contract("...a,...a->...", V[..., : ev.m], ev.lift(ev.gam0, V.ndim))\n'
+        'ok = contract("...ija,...a->...ij", V[..., : ev.m], ev.gam0)'
+    )
+    assert _lifted_products(ast.parse(caught)) == [1, 2, 3]
     offenders = [f"{path.name}:{line}" for path in LIBRARY
-                 for line in _lifted_matmuls(ast.parse(path.read_text()))]
-    assert not offenders, "matmul with a lifted operand: " + ", ".join(offenders)
+                 for line in _lifted_products(ast.parse(path.read_text()))]
+    assert not offenders, "matmul or contract with a lifted operand: " + ", ".join(offenders)
