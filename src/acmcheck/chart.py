@@ -234,12 +234,6 @@ def _pcg64_double(state: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def gamma_jets(manifest: Manifest, p: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
-    """Value, gradient and (for ``order`` 2) Hessian arrays of the gamma
-    fields at a point or over a block of points."""
-    return field_jets(manifest.plans["gamma"], p, order)
-
-
 def adapted_frame(gam0: np.ndarray, gam1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate components E0[..., i, q] of the adapted frame (e_a, xi) and
     their gradients E1[..., i, q, j] = d_j E0[..., i, q], from the gamma jets."""
@@ -281,5 +275,5 @@ def rank_of(omega: np.ndarray, vertical: np.ndarray) -> np.ndarray:
 
 def rank_at(manifest: Manifest, p: np.ndarray) -> np.ndarray:
     """Pointwise rank of the structure at p (see :func:`rank_of`)."""
-    return rank_of(*nonholonomy(*gamma_jets(manifest, p, order=1)))
+    return rank_of(*nonholonomy(*field_jets(manifest.plans["gamma"], p, order=1)))
 

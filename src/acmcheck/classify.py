@@ -1,29 +1,22 @@
 """Nijenhuis-type tensors and the classification ladder.
 
-All brackets are computed honestly in coordinates from jets; the tensors are
-then reported in frame components (horizontal slots, then the Reeb slot).
-Verdicts follow the residual rule: a criterion holds when its max residual
-over the samples stays below tol * (1 + max magnitude of the tensors the
-criterion compares).
+All brackets are computed honestly in coordinates from jets, the fields
+phi(E_i) pushed to coordinates through the frame matrix ``ev.frame``; the
+tensors are then reported in frame components (horizontal slots, then the
+Reeb slot).  Verdicts follow the residual rule: a criterion holds when its
+max residual over the samples stays below tol * (1 + max magnitude of the
+tensors the criterion compares).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .connection import _cov_phi, basis_brackets, bracket, cov_phi, to_frame_components
 from .residuals import holds_within, nanmax, top, worst
-from .structure import (
-    StructureEval,
-    contract,
-    d_fundamental_form,
-    frozen,
-    mat_t,
-    memoised,
-)
+from .structure import StructureEval, contract, d_fundamental_form, frozen, mat_t, memoised
 
 CRITERIA = (
     "contact_metric",
@@ -48,64 +41,45 @@ class InternalConsistencyError(Exception):
 
 @dataclass(frozen=True)
 class NijenhuisBundle:
-    """The three Nijenhuis-type tensors on basis pairs: grid[..., i, j, k] is
-    the k-th frame component of T(E_i, E_j); index n-1 is the Reeb slot.
-    N1 and N~ differ from N_phi only in the Reeb slot, so the identities and
-    criteria read their Reeb components ``n1_reeb`` and ``n_tilde_reeb``;
-    the full grids ``n1`` and ``n_tilde`` are assembled on first access.
-    The arrays of the bundle that :func:`nijenhuis_tensors` keeps are
-    read-only, since it serves every reader of an evaluation."""
+    """The three Nijenhuis-type tensors on basis pairs, and the two d(eta)
+    grids that set them apart: grid[..., i, j, k] is the k-th frame
+    component of T(E_i, E_j), index n-1 being the Reeb slot, and
+    d_eta[..., i, j] is a scalar on the pair.  N1 = N_phi + 2 d(eta) xi and
+    N~ = N_phi + 2 d(eta)(phi ., phi .) xi differ from N_phi only in the
+    Reeb slot.  :func:`nijenhuis_tensors` builds every grid once per
+    evaluation, read-only, since it serves every reader."""
 
     n_phi: np.ndarray
+    n1: np.ndarray
+    n_tilde: np.ndarray
     d_eta: np.ndarray  # d(eta)(E_i, E_j)
     d_eta_phi: np.ndarray  # d(eta)(phi E_i, phi E_j)
 
-    @cached_property
-    def n1_reeb(self) -> np.ndarray:
-        """Reeb component of N1 = N_phi + 2 d(eta) xi."""
-        return frozen(self.n_phi[..., -1] + 2.0 * self.d_eta)
-
-    @cached_property
-    def n_tilde_reeb(self) -> np.ndarray:
-        """Reeb component of N~ = N_phi + 2 d(eta)(phi ., phi .) xi."""
-        return frozen(self.n_phi[..., -1] + 2.0 * self.d_eta_phi)
-
-    @cached_property
-    def n1(self) -> np.ndarray:
-        """N1 = N_phi + 2 d(eta) xi."""
-        return self._with_reeb(self.n1_reeb)
-
-    @cached_property
-    def n_tilde(self) -> np.ndarray:
-        """N~ = N_phi + 2 d(eta)(phi ., phi .) xi."""
-        return self._with_reeb(self.n_tilde_reeb)
-
-    def _with_reeb(self, reeb: np.ndarray) -> np.ndarray:
-        out = self.n_phi.copy()
-        out[..., -1] = reeb
-        return frozen(out)
-
 
 def _phi_apply(ev: StructureEval, V: np.ndarray) -> np.ndarray:
-    """phi of the coordinate vectors V[..., i, j, q] of a pair grid:
-    frame-split, apply, push back."""
-    u = contract("...ija,...ba->...ijb", V[..., : ev.m], ev.phi0)  # u^b = phi^b_a V^a
+    """phi of the coordinate vectors V[..., i, j, q] of a pair grid: the
+    horizontal frame components u^b = phi^b_a V^a, pushed to coordinates
+    as u^b E_b.  The horizontal coordinates of E_b are the unit vectors, so
+    only the Reeb coordinate u^b E_b^n is a sum."""
+    u = contract("...ija,...ba->...ijb", V[..., : ev.m], ev.phi0)
     out = np.empty(V.shape)
     out[..., : ev.m] = u
-    out[..., -1] = -contract("...ijb,...b->...ij", u, ev.gam0)
+    out[..., -1] = contract("...ijb,...b->...ij", u, ev.frame[0][..., : ev.m, -1])
     return out
 
 
 def _phi_basis_fields(ev: StructureEval) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate components and gradients of the fields phi(E_i)."""
-    n, m = ev.n, ev.m
-    P0 = ev.zeros(n, n)
-    P1 = ev.zeros(n, n, n)
-    P0[..., :m, :m] = mat_t(ev.phi0)  # (phi e_i)^b = phi0[b, i]
-    P0[..., :m, -1] = -contract("...bi,...b->...i", ev.phi0, ev.gam0)
-    P1[..., :m, :m, :] = np.einsum("...bij->...ibj", ev.phi1)
-    P1[..., :m, -1, :] = -contract("...bij,...b->...ij", ev.phi1, ev.gam0) - contract(
-        "...bi,...bj->...ij", ev.phi0, ev.gam1
+    """Coordinate components P0[..., i, q] and gradients P1[..., i, q, j] of
+    the fields phi(E_i) = phi^b_i E_b: P0 = phi^T E0 and P1 = phi1^T E0 +
+    phi^T E1, zero for phi(xi)."""
+    m = ev.m
+    E0, E1 = ev.frame
+    E0, E1 = E0[..., :m, :], E1[..., :m, :, :]  # the fields e_b
+    P0 = ev.zeros(ev.n, ev.n)
+    P1 = ev.zeros(ev.n, ev.n, ev.n)
+    P0[..., :m, :] = contract("...bi,...bq->...iq", ev.phi0, E0)
+    P1[..., :m, :, :] = contract("...bij,...bq->...iqj", ev.phi1, E0) + contract(
+        "...bi,...bqj->...iqj", ev.phi0, E1
     )
     return P0, P1
 
@@ -141,11 +115,13 @@ def nijenhuis_tensors(ev: StructureEval) -> NijenhuisBundle:
     term += np.swapaxes(mixed, -3, -2)  # - phi [E_i, phi E_j]
     n_phi = to_frame_components(ev, term)
 
+    d_eta = _d_eta_pairs(ev)
     d_eta_phi = ev.zeros(ev.n, ev.n)
     d_eta_phi[..., :m, :m] = ev.omega_phi0
-    return NijenhuisBundle(
-        n_phi=frozen(n_phi), d_eta=frozen(_d_eta_pairs(ev)), d_eta_phi=frozen(d_eta_phi)
-    )
+    n1, n_tilde = n_phi.copy(), n_phi.copy()
+    n1[..., -1] += 2.0 * d_eta
+    n_tilde[..., -1] += 2.0 * d_eta_phi
+    return NijenhuisBundle(*map(frozen, (n_phi, n1, n_tilde, d_eta, d_eta_phi)))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +133,7 @@ def projection_identity_residual(ev: StructureEval) -> np.ndarray:
     """Residual of P(N1(X, Y)) = N~(X, Y) over all basis pairs.  N1 and N~
     share N_phi's horizontal components and P drops the Reeb one, so the
     difference is the Reeb component of N~."""
-    return ev.max_abs(nijenhuis_tensors(ev).n_tilde_reeb)
+    return ev.max_abs(nijenhuis_tensors(ev).n_tilde[..., -1])
 
 
 def reeb_split_identity_residual(ev: StructureEval) -> np.ndarray:
@@ -165,35 +141,40 @@ def reeb_split_identity_residual(ev: StructureEval) -> np.ndarray:
     all basis pairs, in the Reeb slot, the only one where the two sides
     differ."""
     bundle = nijenhuis_tensors(ev)
-    rhs = bundle.n_tilde_reeb + 2.0 * (bundle.d_eta - bundle.d_eta_phi)
-    return ev.max_abs(bundle.n1_reeb, rhs)
+    rhs = bundle.n_tilde[..., -1] + 2.0 * (bundle.d_eta - bundle.d_eta_phi)
+    return ev.max_abs(bundle.n1[..., -1], rhs)
+
+
+def _phi_characterization_residual(
+    ev: StructureEval, B: np.ndarray, A: np.ndarray, C: np.ndarray | None = None
+) -> np.ndarray:
+    """Residual of (nabla~_X phi) Y = g(B Y, X) xi - eta(Y) A X - eta(X) C Y
+    over all basis pairs (X, Y) = (E_i, E_j), for horizontal endomorphisms
+    B, A and C (C = 0 when None), under the Levi-Civita connection.  The
+    right-hand side is laid out as :func:`cov_phi` is: rhs[i, k, j] is
+    component k of the value on (E_i, E_j)."""
+    n, m = ev.n, ev.m
+    rhs = ev.zeros(n, n, n)
+    rhs[..., :m, -1, :m] = contract("...cj,...ci->...ij", B, ev.g0)  # g(B E_j, E_i) xi
+    rhs[..., :m, :m, -1] = -mat_t(A)  # -A E_i, at Y = xi
+    if C is not None:
+        rhs[..., -1, :m, :m] = -C  # -C E_j, at X = xi
+    return ev.max_abs(cov_phi(ev, "levi_civita"), rhs)
 
 
 def aqs_characterization_residual(ev: StructureEval) -> np.ndarray:
     """Residual of the almost-quasi-Sasakian characterization
     (nabla~_X phi) Y = g((psi o phi) Y, X) xi - eta(Y) (phi o psi) X
     - eta(X) (phi o psi - psi o phi) Y over all basis pairs."""
-    lhs = cov_phi(ev, "levi_civita")  # lhs[i, b, a]: (nabla_{E_i} phi)^b_a
-    n, m = ev.n, ev.m
     psiphi, phipsi = ev.psi_phi0, ev.phi_psi0
-    rhs = ev.zeros(n, n, n)  # rhs[i, j, k]: component k of the value on (E_i, E_j)
-    rhs[..., :m, :m, -1] = contract("...cj,...ci->...ij", psiphi, ev.g0)
-    rhs[..., :m, -1, :m] = -mat_t(phipsi)  # -(phi o psi) E_i, components indexed [i, k]
-    rhs[..., -1, :m, :m] = -mat_t(phipsi - psiphi)  # [j, k] layout after transpose
-    lhs_pairs = np.einsum("...ibj->...ijb", lhs)
-    return ev.max_abs(lhs_pairs, rhs)
+    return _phi_characterization_residual(ev, psiphi, phipsi, phipsi - psiphi)
 
 
 def qs_characterization_residual(ev: StructureEval) -> np.ndarray:
     """Residual of the quasi-Sasakian characterization
-    (nabla~_X phi) Y = g(A Y, X) xi - eta(Y) A X with A = phi o psi."""
-    lhs = np.einsum("...ibj->...ijb", cov_phi(ev, "levi_civita"))
-    n, m = ev.n, ev.m
-    A = ev.phi_psi0
-    rhs = ev.zeros(n, n, n)
-    rhs[..., :m, :m, -1] = contract("...cj,...ci->...ij", A, ev.g0)
-    rhs[..., :m, -1, :m] = -mat_t(A)
-    return ev.max_abs(lhs, rhs)
+    (nabla~_X phi) Y = g(A Y, X) xi - eta(Y) A X with A = phi o psi: the
+    almost-quasi-Sasakian one where psi o phi = phi o psi."""
+    return _phi_characterization_residual(ev, ev.phi_psi0, ev.phi_psi0)
 
 
 def qs_condition_residuals(ev: StructureEval) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -227,9 +208,7 @@ def criterion_residuals(ev: StructureEval) -> dict[str, tuple[np.ndarray, np.nda
     not a conjunction of others, and of the three quasi-Sasakian conditions."""
     bundle = nijenhuis_tensors(ev)
     mag = ev.max_abs
-    shared = mag(bundle.n_phi[..., :-1])  # the components N_phi, N1 and N~ share
-    n_phi = nanmax(shared, mag(bundle.n_phi[..., -1]))
-    n1, n_tilde = nanmax(shared, mag(bundle.n1_reeb)), nanmax(shared, mag(bundle.n_tilde_reeb))
+    n_phi, n1, n_tilde = mag(bundle.n_phi), mag(bundle.n1), mag(bundle.n_tilde)
     nij_scale = nanmax(n_phi, 2.0 * mag(bundle.d_eta), 2.0 * mag(bundle.d_eta_phi))
     return {
         "contact_metric": (

@@ -39,8 +39,9 @@ ORACLE_ROUNDING_C = 1.0
 class ConnectionCoeffs:
     """Connection coefficients at the evaluated points: the assembled array
     ``full[..., i, j, k]`` on the frame (e_a, xi) and its adapted blocks,
-    which are read-only views of it (each with the evaluation's batch axes
-    in front).
+    which are views of it (each with the evaluation's batch axes in front).
+    The Levi-Civita and canonical tables are the evaluation's read-only
+    ones; the table of any other N is new, and the caller's own.
 
     ``frame[a, b, c]`` is Gamma^a_{bc} (direction b).  ``mixed_an[b, a]``
     carries the horizontal-vertical block with the upper index first: for
@@ -50,11 +51,6 @@ class ConnectionCoeffs:
     """
 
     full: np.ndarray
-
-    def __post_init__(self):
-        full = self.full.view()
-        full.flags.writeable = False
-        object.__setattr__(self, "full", full)
 
     @property
     def frame(self) -> np.ndarray:

@@ -807,7 +807,9 @@ def field_jets(block: np.ndarray | BlockPlan, points: np.ndarray, order: int = 2
     failing field and its first offending point.  Overflow, division by a
     product that underflowed to zero and invalid operations raise no
     warning: they show as infinities and NaNs, which the callers' finiteness
-    rules report."""
+    rules report.  ``order`` is 1 or 2, else ``ValueError``."""
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
     plan = block if isinstance(block, BlockPlan) else BlockPlan(block)
     fields = plan.fields
     p = np.asarray(points, dtype=float)

@@ -28,7 +28,7 @@ from math import prod
 
 import numpy as np
 
-from .chart import adapted_frame, gamma_jets, nonholonomy
+from .chart import adapted_frame, nonholonomy
 from .expr import describe_first, field_jets, frozen
 from .manifest import Manifest
 from .residuals import per_point
@@ -126,7 +126,7 @@ class StructureEval:
 
     @cached_property
     def _gamma(self):
-        return gamma_jets(self.manifest, self.p, self.order)
+        return field_jets(self.manifest.plans["gamma"], self.p, self.order)
 
     @property
     def gam0(self) -> np.ndarray:
@@ -300,7 +300,9 @@ class StructureEval:
 
     @cached_property
     def lc_full(self) -> np.ndarray:
-        """Levi-Civita coefficients on the adapted frame, coeff[i, j, k]."""
+        """Levi-Civita coefficients on the adapted frame, coeff[i, j, k]
+        (read-only): built once, read by the oracle comparison, the
+        N-connection formula check and nabla~ phi."""
         m, last = self.m, self.n - 1
         coeff = self.zeros(self.n, self.n, self.n)
         coeff[..., :m, :m, :m] = moveaxis(self.Gamma0, -3, -1)
@@ -310,7 +312,7 @@ class StructureEval:
         coeff[..., last, :m, :m] = mixed
         coeff[..., last, :m, last] = -self.d_eta_xi
         coeff[..., last, last, :m] = (self.ginv0 @ self.d_eta_xi[..., None])[..., 0]
-        return coeff
+        return frozen(coeff)
 
     def n_full(self, N0: np.ndarray) -> np.ndarray:
         """N-connection coefficients on the adapted frame, coeff[i, j, k].

@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from acmcheck import classification_report, einstein_reports, sampled_evaluation
-from acmcheck.chart import AVOID_EPS, MAX_REDRAWS, ChartError, adapted_frame, gamma_jets
-from acmcheck.classify import _phi_basis_fields
+from acmcheck.chart import AVOID_EPS, MAX_REDRAWS, ChartError, adapted_frame
 from acmcheck.connection import (
     LC_ORACLE_TOL,
     ORACLE_COND_LIMIT,
@@ -111,7 +110,7 @@ def frame_bracket(manifest: Manifest, a: int, b: int, p: np.ndarray) -> np.ndarr
     [V, W]^i = V^j d_j W^i - W^j d_j V^i with V = e_a, W = e_b.  Serves as
     the independent oracle for :func:`nonholonomy`.
     """
-    E0, E1 = adapted_frame(*gamma_jets(manifest, p, order=1))
+    E0, E1 = adapted_frame(*field_jets(manifest.plans["gamma"], p, order=1))
     return (E1[..., b, :, :] @ E0[..., a, :, None] - E1[..., a, :, :] @ E0[..., b, :, None])[..., 0]
 
 
@@ -227,18 +226,27 @@ def loop_basis_brackets_frame(ev) -> np.ndarray:
     return out
 
 
+def _phi_fields(ev) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate components P0[..., i, q] and gradients P1[..., i, q, j] of
+    the fields phi(E_i), with the Reeb column -phi^b_i gamma_b written out
+    from the gamma jets, not pushed through the frame matrix."""
+    n, m = ev.n, ev.m
+    P0 = ev.zeros(n, n)
+    P1 = ev.zeros(n, n, n)
+    P0[..., :m, :m] = mat_t(ev.phi0)
+    P0[..., :m, -1] = -np.einsum("...bi,...b->...i", ev.phi0, ev.gam0)
+    P1[..., :m, :m, :] = np.einsum("...bij->...ibj", ev.phi1)
+    P1[..., :m, -1, :] = -np.einsum("...bij,...b->...ij", ev.phi1, ev.gam0) - np.einsum(
+        "...bi,...bj->...ij", ev.phi0, ev.gam1
+    )
+    return P0, P1
+
+
 def loop_nijenhuis_phi(ev) -> np.ndarray:
     """N_phi(E_i, E_j) in frame components, four brackets per basis pair."""
-    n, m = ev.n, ev.m
+    n = ev.n
     B0, B1 = ev.frame
-    P0 = np.zeros((n, n))
-    P1 = np.zeros((n, n, n))
-    P0[:m, :m] = ev.phi0.T
-    P0[:m, -1] = -ev.phi0.T @ ev.gam0
-    P1[:m, :m, :] = np.einsum("bij->ibj", ev.phi1)
-    P1[:m, -1, :] = -np.einsum("bij,b->ij", ev.phi1, ev.gam0) - np.einsum(
-        "bi,bj->ij", ev.phi0, ev.gam1
-    )
+    P0, P1 = _phi_fields(ev)
     out = np.empty((n, n, n))
     for i in range(n):
         for j in range(n):
@@ -269,11 +277,11 @@ def _lifted_phi_apply(ev, V: np.ndarray) -> np.ndarray:
 
 def four_bracket_nijenhuis(ev) -> tuple[np.ndarray, np.ndarray]:
     """(N_phi, d(eta)(phi ., phi .)) on all basis pairs: N_phi from four
-    pairwise brackets, each phi image applied on its own, and the pull-back
-    of d(eta) contracted on its own."""
+    pairwise brackets of its own fields phi(E_i), each phi image applied on
+    its own, and the pull-back of d(eta) contracted on its own."""
     m = ev.m
     B0, B1 = ev.frame
-    P0, P1 = _phi_basis_fields(ev)
+    P0, P1 = _phi_fields(ev)
 
     term = bracket(P0, P1, P0, P1)
     term += _lifted_phi_apply(ev, _lifted_phi_apply(ev, bracket(B0, B1, B0, B1)))

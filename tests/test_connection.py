@@ -187,7 +187,7 @@ def test_endomorphism_scalar_fields(manifests):
     fields[0, 1] = parse("x*y", s.coordinates)
     p = np.array([2.0, 3.0, 0.0, 0.0, 0.0])
     ev = StructureEval(s, p)
-    coeffs = n_connection(ev, field_jets(fields, ev.p, order=0)[0])
+    coeffs = n_connection(ev, field_jets(fields, ev.p, order=1)[0])
     assert coeffs.mixed_an[0, 1] == 6.0
     assert coeffs.full[4, 1, 0] == 6.0  # G^1_{n2} = N^1_2
 

@@ -423,7 +423,7 @@ def test_field_jets_equal_unshared_reference_bitwise(name, manifests, twisted):
     blocks, points = _blocks(name, manifests, twisted)
     for fields in blocks:
         for p in (points, points[3]):
-            for order in (0, 1, 2):
+            for order in (1, 2):
                 got, want = field_jets(fields, p, order), unshared_field_jets(fields, p, order)
                 assert len(got) == order + 1
                 assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True)), (name, order)
@@ -506,17 +506,16 @@ def test_truncated_blocks_run_no_hessian_term(monkeypatch):
     fields = _deep_fields()
     points = np.random.default_rng(8).uniform(-1, 1, (8, 5))
     blocks = (points, points[2])
-    want = {(i, order): unshared_field_jets(fields, p, order) for i, p in enumerate(blocks) for order in (0, 1)}
+    want = [unshared_field_jets(fields, p, 1) for p in blocks]
 
     def refuse(u, v):
         raise AssertionError("Hessian term computed")
 
     monkeypatch.setattr(expr, "_outer", refuse)
     for i, p in enumerate(blocks):
-        for order in (0, 1):
-            got = field_jets(fields, p, order)
-            assert all(_same_bits(a, b) for a, b in zip(got, want[i, order], strict=True))
-        values = want[i, 0][0].reshape(p.shape[:-1] + (fields.size,))
+        got = field_jets(fields, p, 1)
+        assert all(_same_bits(a, b) for a, b in zip(got, want[i], strict=True))
+        values = want[i][0].reshape(p.shape[:-1] + (fields.size,))
         for k, f in enumerate(fields.flat):
             assert _same_bits(f.value(p), values[..., k])
         with pytest.raises(AssertionError, match="Hessian term computed"):
@@ -562,7 +561,7 @@ def test_each_distinct_node_evaluated_once_per_block(monkeypatch):
     # order, which evaluates each node of the coordinate-free fields once
     first = Counter(varying.keys()) + Counter(free.keys())
     plan = BlockPlan(fields)
-    for order in (0, 1, 2):
+    for order in (1, 2):
         counts.clear()
         field_jets(plan, points, order)
         assert counts == first
@@ -614,6 +613,17 @@ def test_manifest_parses_each_distinct_string_once(monkeypatch, tmp_path):
     assert node() is None
 
 
+@pytest.mark.parametrize("order", [0, 3])
+def test_field_jets_takes_order_1_or_2(order):
+    # order 0 would compute the gradients and drop them, and order 3 would
+    # return a fourth part of zeros; StructureEval refuses both orders too
+    fields = np.array([parse("x*y", COORDS), parse("2", COORDS)], dtype=object)
+    for block in (fields, BlockPlan(fields)):
+        for points in (np.ones(5), np.ones((3, 5))):
+            with pytest.raises(ValueError, match=f"order must be 1 or 2, got {order}"):
+                field_jets(block, points, order)
+
+
 def test_signed_zero_constants_not_merged():
     table = InternTable(COORDS)
     zero, negzero = table.node(Const, 0.0), table.node(Const, -0.0)
@@ -625,7 +635,7 @@ def test_signed_zero_constants_not_merged():
         table.node(Mul, negzero, x), table.node(Mul, zero, x),
         Add(Const(-0.0), Const(-0.0)), Add(Const(0.0), Const(-0.0)),
     )]
-    values = field_jets(np.array(fields, dtype=object), np.array([2.0, 0, 0, 0, 0]), order=0)[0]
+    values = field_jets(np.array(fields, dtype=object), np.array([2.0, 0, 0, 0, 0]), order=1)[0]
     assert np.signbit(values).tolist() == [False, True, True, False, True, False, True, False]
 
 
@@ -665,7 +675,7 @@ def test_block_plan_equals_unshared_reference_bitwise(shape):
     # each order twice, so that the second call reads the stored template
     for _ in range(2):
         for p in (points, points[5]):
-            for order in (0, 1, 2):
+            for order in (1, 2):
                 got, want = field_jets(plan, p, order), unshared_field_jets(fields, p, order)
                 assert len(got) == order + 1
                 assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True)), order
@@ -700,7 +710,7 @@ def test_constant_field_that_raises_keeps_its_error_and_place(texts, failing):
         with pytest.raises(ExprDomainError) as want:
             unshared_field_jets(fields, p)
         for block in (plan, plan, fields):
-            for order in (0, 1, 2):
+            for order in (1, 2):
                 with pytest.raises(ExprDomainError) as got:
                     field_jets(block, p, order)
                 assert str(got.value) == str(want.value)

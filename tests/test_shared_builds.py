@@ -67,6 +67,7 @@ def test_shared_arrays_reject_writes(manifests):
         "n_tilde": bundle.n_tilde,
         "d_eta": bundle.d_eta,
         "d_eta_phi": bundle.d_eta_phi,
+        "lc_full": ev.lc_full,
         "canonical_full": ev.canonical_full,
         "n_full(canonical_N)": ev.n_full(ev.canonical_N),
         "g_frame_d": ev.g_frame_d,
