@@ -4,6 +4,12 @@ Exit codes: 0 all hard identities pass, 1 an identity failed (or the
 equivalent quasi-Sasakian conditions disagreed, or a reported residual is
 NaN or infinite), 2 input error.
 Classification negatives (e.g. "not normal") never affect the exit code.
+
+Parsing: an argv in the exact subset that needs none of argparse's rules
+(a command, options spelled in full, each value option once, values that
+do not start with '-') is parsed by a fast path built from the parser's own
+actions; every other argv goes to the full argparse parser, which prints
+the usual usage, help and error texts.
 """
 
 from __future__ import annotations
@@ -119,66 +125,141 @@ def _print_einstein_human(einstein: dict) -> None:
         )
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and the parser of each command by its name."""
+def _recording(parser: argparse.ArgumentParser, record: list[argparse.Action]):
+    """``parser.add_argument``, which also appends each action it returns to
+    ``record`` for ``_fast_parse``.
+
+    It raises for a kind of argument the fast path does not implement: only
+    plain stores and ``store_true`` flags, with no ``choices`` and no
+    ``nargs``, so a later option cannot slip past the fast path.
+    """
+
+    def add(*names, action="store", **kwargs) -> None:
+        added = parser.add_argument(*names, action=action, **kwargs)
+        if action not in ("store", "store_true") or added.choices is not None or added.nargs not in (None, 0):
+            raise TypeError(f"_fast_parse cannot parse argument {added.dest!r}")
+        record.append(added)
+
+    return add
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Action]]]:
+    """The top-level parser, and each command's arguments as ``add_argument``
+    returned them."""
     parser = argparse.ArgumentParser(
         prog="acmcheck",
         description="Verify almost contact metric / sub-Riemannian structures "
         "given in adapted coordinates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    arguments: dict[str, list[argparse.Action]] = {}
 
-    def add_common(p):
-        p.add_argument("manifest", help="manifest path or bundled fixture name")
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--json", action="store_true", dest="as_json")
+    def command(name: str, help: str):
+        return _recording(sub.add_parser(name, help=help), arguments.setdefault(name, []))
 
-    p_check = sub.add_parser("check", help="run the full identity and classification suite")
-    add_common(p_check)
+    def add_common(add):
+        add("manifest", help="manifest path or bundled fixture name")
+        add("--samples", type=int, default=None)
+        add("--seed", type=int, default=None)
+        add("--tol", type=float, default=None)
+        add("--json", action="store_true", dest="as_json")
 
-    p_classify = sub.add_parser("classify", help="classification verdicts only")
-    add_common(p_classify)
+    add_common(command("check", help="run the full identity and classification suite"))
+    add_common(command("classify", help="classification verdicts only"))
 
-    p_tensor = sub.add_parser("tensor", help="print a named tensor at a point")
-    p_tensor.add_argument("manifest")
-    p_tensor.add_argument("--name", required=True)
-    p_tensor.add_argument("--at", required=True, metavar="x1,...,xn")
-    p_tensor.add_argument("--json", action="store_true", dest="as_json")
+    add = command("tensor", help="print a named tensor at a point")
+    add("manifest")
+    add("--name", required=True)
+    add("--at", required=True, metavar="x1,...,xn")
+    add("--json", action="store_true", dest="as_json")
 
-    p_einstein = sub.add_parser("einstein", help="Einstein criterion residuals (both omega sources)")
-    add_common(p_einstein)
+    add_common(command("einstein", help="Einstein criterion residuals (both omega sources)"))
 
-    p_rank = sub.add_parser("rank", help="pointwise rank of the structure")
-    p_rank.add_argument("manifest")
-    p_rank.add_argument("--at", required=True, metavar="x1,...,xn")
-    commands = {
-        "check": p_check, "classify": p_classify, "tensor": p_tensor,
-        "einstein": p_einstein, "rank": p_rank,
-    }
-    return parser, commands
+    add = command("rank", help="pointwise rank of the structure")
+    add("manifest")
+    add("--at", required=True, metavar="x1,...,xn")
+    return parser, arguments
 
 
 # Built once per process and never changed after import; every parse call
 # returns a fresh Namespace, so repeated main() calls share no state.
-_PARSER, _COMMANDS = _build_parser()
+_PARSER, _ARGUMENTS = _build_parser()
+# each command's options by their long spellings, and its positionals in order
+_OPTIONS = {
+    command: {spelling: action for action in actions
+              for spelling in action.option_strings if spelling.startswith("--")}
+    for command, actions in _ARGUMENTS.items()
+}
+_POSITIONALS = {
+    command: [action for action in actions if not action.option_strings]
+    for command, actions in _ARGUMENTS.items()
+}
+
+
+def _fast_parse(command: str, words: list[str]) -> argparse.Namespace | None:
+    """The namespace of ``[command, *words]``, or None where it is not an
+    argv of the exact subset that ``_parse_args`` takes past the parser."""
+    options = _OPTIONS[command]
+    given: dict[argparse.Action, str] = {}
+    bare = []  # the words that are no option or option value
+    rest = iter(words)
+    for word in rest:
+        if not word.startswith("-"):
+            bare.append(word)
+            continue
+        spelling, eq, value = word.partition("=")
+        action = options.get(spelling)
+        if action is None:
+            return None
+        if action.nargs == 0:  # a flag: no value, and a repeat changes nothing
+            if eq:
+                return None
+        elif action in given:
+            return None
+        elif not eq:
+            value = next(rest, "-")
+            if value.startswith("-"):
+                return None
+        elif value == "--":  # argparse drops a '--' even from '--opt=--'
+            return None
+        given[action] = value
+    positionals = _POSITIONALS[command]
+    if len(bare) != len(positionals) or any(a.required and a not in given for a in options.values()):
+        return None
+    given.update(zip(positionals, bare))
+
+    args = argparse.Namespace(command=command)
+    for action in _ARGUMENTS[command]:
+        if action not in given:
+            value = action.default
+        elif action.nargs == 0:
+            value = action.const
+        elif action.type is None:
+            value = given[action]
+        else:
+            try:
+                value = action.type(given[action])
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        setattr(args, action.dest, value)
+    return args
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``_PARSER.parse_args(argv)``, with one pass fewer where it can be.
+    """``_PARSER.parse_args(argv)``, without argparse where the argv is plain.
 
-    When ``argv`` starts with a command, the top-level parser only hands
-    the rest to that command's parser, so the rest goes there directly.
-    Anything that parser leaves over, and every argv that does not start
-    with a command (none, ``-h``, an unknown command, an option first),
-    goes through ``_PARSER``, which prints the same usage, help and error
-    texts and exits with the same code.
+    An argv takes the fast path when its first word is a command, every
+    option is spelled in full, as ``--opt=v`` (``v`` not ``--``) or as
+    ``--opt v`` with a ``v`` that does not start with ``-``, each value
+    option comes at most once, no flag carries ``=``, the command's
+    positionals and required options are all there and each value converts
+    to its type.  Every other argv (``-h``, an abbreviation, ``--``, an
+    error, an unknown command) goes to ``_PARSER``, which prints its usage,
+    help and error texts and exits with its codes.
     """
-    command = _COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
+    if argv and argv[0] in _OPTIONS:
+        args = _fast_parse(argv[0], argv[1:])
+        if args is not None:
             return args
     return _PARSER.parse_args(argv)
 
@@ -220,10 +301,12 @@ _keep_freed_heap()
 @np.errstate(over="ignore", invalid="ignore")
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--at" in argv[:-1]:
-        # glue the point to the option, or argparse reads '-0.5,1,...' as an option
-        i = argv.index("--at")
+    i = 0
+    while "--at" in argv[i:-1]:
+        # glue each point to its option, or argparse reads '-0.5,1,...' as an option
+        i = argv.index("--at", i)
         argv[i : i + 2] = [f"--at={argv[i + 1]}"]
+        i += 1
     args = _parse_args(argv)
 
     try:

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import platform
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -15,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import acmcheck
 from acmcheck import cli, structure
@@ -846,6 +852,15 @@ def _argv_table() -> list[list[str]]:
             [command, "-h"],
             [command, "flat", "--help"],
             [command, "flat", "--he"],
+            [command, "flat", "--json", "--json"],
+            [command, "flat", "--json="],
+            [command, "flat", "--seed", "-3"],
+            [command, "flat", "--seed=-3"],
+            [command, "-"],
+            [command, "-", "--json"],
+            [command, "my flat", "--samples", "4"],
+            [command, "flat", "--samples", "four", "--samples", "5"],
+            [command, "flat", "--tol=1e-3", "--tol", "1e-4"],
         ]
     table += [
         ["tensor", "flat", "--name", "omega", "--at=0,0,0,0,0"],
@@ -860,6 +875,14 @@ def _argv_table() -> list[list[str]]:
         ["tensor", "flat", "--name", "C", "--at=0,0,0,0,0", "--samples", "4"],
         ["tensor", "flat", "--name", "C", "--at=0,0,0,0,0", "extra"],
         ["tensor", "-h"],
+        ["tensor", "flat", "--name", "omega", "--at=-0.5,1,0,0,0"],
+        ["tensor", "flat", "--name=", "--at=0,0,0,0,0"],
+        ["tensor", "flat", "--name=a=b", "--at=0,0,0,0,0"],
+        ["tensor", "flat", "--name", "ricci wagner", "--at=0,0,0,0,0"],
+        ["tensor", "flat", "--name", "omega", "--at=0, 0,0,0,0"],
+        ["tensor", "flat", "--name", "omega", "--name=psi", "--at=0,0,0,0,0"],
+        ["tensor", "-", "--name", "omega", "--at=0,0,0,0,0"],
+        ["tensor", "flat", "--name", "-", "--at=0,0,0,0,0"],
         ["rank", "flat", "--at=0,0,0,0,0"],
         ["rank", "--at=0,0,0,0,0", "flat"],
         ["rank", "flat", "--at=0,0,0,0,0", "--at=1,1,1,1,1"],
@@ -868,6 +891,10 @@ def _argv_table() -> list[list[str]]:
         ["rank", "flat", "--at=0,0,0,0,0", "--json"],
         ["rank", "flat", "--at=0,0,0,0,0", "extra"],
         ["rank", "-h"],
+        ["rank", "flat", "--at=-0.5,1,0,0,0"],
+        ["rank", "flat", "--at="],
+        ["rank", "flat", "--at=--"],
+        ["rank", "flat", "--at=0,0,0,0,0", "--at=-1,0,0,0,0"],
         [],
         ["-h"],
         ["--help"],
@@ -883,37 +910,160 @@ def _argv_table() -> list[list[str]]:
 
 
 class _Parsed(Exception):
-    """Stops main once its argv is parsed."""
+    """Stops main once its argv is parsed; carries the namespace."""
+
+
+@pytest.fixture
+def main_parse(monkeypatch):
+    """``main``'s parse of an argv: its namespace, or the parse's exit.
+
+    ``main_parse.argv`` is the argv main handed to ``_parse_args``.
+    """
+    parse = cli._parse_args
+
+    def spy(argv):
+        run.argv = list(argv)
+        raise _Parsed(parse(argv))
+
+    def run(argv):
+        with pytest.raises(_Parsed) as parsed:
+            main(list(argv))
+        return parsed.value.args[0]
+
+    monkeypatch.setattr(cli, "_parse_args", spy)
+    return run
+
+
+def _outcome(parse, argv: list[str]) -> tuple[object, str, str]:
+    """The vars of ``parse(argv)``, or its exit code, with its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as stop:
+            result = stop.code
+    return result, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("argv", _argv_table(), ids=" ".join)
-def test_cli_parses_argv_as_the_full_parser_does(argv, monkeypatch, capsys):
-    # main hands an argv that starts with a command to that command's
-    # parser; the namespace, or the usage, help or error text and the exit
-    # code, must be those of the top-level parser
-    try:
-        expected = vars(cli._PARSER.parse_args(list(argv)))
-    except SystemExit as stop:
-        expected = stop.code
-    expected_output = capsys.readouterr()
+def test_cli_parses_argv_as_the_full_parser_does(argv, main_parse):
+    # main parses plain argvs itself; the namespace, or the usage, help or
+    # error text and the exit code, must be those of the full parser
+    assert _outcome(main_parse, argv) == _outcome(cli._PARSER.parse_args, argv)
 
-    parsed = []
-    parse = cli._parse_args
-    monkeypatch.setattr(cli, "_parse_args", lambda args: parsed.append(parse(args)) or parsed[-1])
 
-    def stop(path):
-        raise _Parsed
+_ODD_WORDS = ("--sam", "--js", "--a", "--bogus", "-h", "--", "-")
+_VALUE_WORDS = ("flat", "4", "1e-9", "x", "", "a b", "a=b", "0,0,0,0,0", "-0.5,1,0,0,0", "-3", "--", "-h")
+_PLAIN_VALUES = {int: "4", float: "1e-9", None: "0,0,0,0,0"}
 
-    monkeypatch.setattr(cli, "load_manifest", stop)
-    try:
-        main(list(argv))
-    except _Parsed:
-        assert len(parsed) == 1
-        actual = vars(parsed[0])
-    except SystemExit as stop_code:
-        actual = stop_code.code
-    assert actual == expected
-    assert capsys.readouterr() == expected_output
+
+def _spelled(option: str, value: str, form: int) -> list[str]:
+    """An option alone, with its value as the next word, or glued by '='."""
+    return [[option], [option, value], [f"{option}={value}"]][form]
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """A plain argv of a command (or of a word that is none), with up to
+    three edits: a word or an option inserted, one of the command's options
+    given again, or a word dropped."""
+    first = draw(st.sampled_from((*cli._OPTIONS, "bogus", "-h")))
+    values = st.sampled_from(_VALUE_WORDS)
+    forms = st.integers(0, 2)
+    items = [["flat"]]
+    for action in cli._ARGUMENTS.get(first, ()):
+        if action.option_strings and (action.required or draw(st.booleans())):
+            form = 0 if action.nargs == 0 else draw(st.integers(1, 2))
+            items.append(_spelled(action.option_strings[0], _PLAIN_VALUES[action.type], form))
+    exact = tuple(cli._OPTIONS.get(first, ()))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("insert", "again", "drop")))
+        if edit == "drop":
+            if items:
+                del items[draw(st.integers(0, len(items) - 1))]
+            continue
+        given = [item[0].partition("=")[0] for item in items if item[0].startswith("--")]
+        if edit == "again" and given:
+            item = st.builds(_spelled, st.sampled_from(given), values, forms)
+        else:
+            item = st.one_of(values.map(lambda value: [value]),
+                             st.builds(_spelled, st.sampled_from(exact + _ODD_WORDS), values, forms))
+        items.insert(draw(st.integers(0, len(items))), draw(item))
+    return [first, *(word for item in items for word in item)]
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+def test_cli_parses_drawn_argvs_as_the_full_parser_does(argv, main_parse):
+    actual = _outcome(main_parse, argv)  # sets main_parse.argv, the argv after main's glueing
+    assert actual == _outcome(cli._PARSER.parse_args, main_parse.argv)
+
+
+def _readme_argvs() -> list[list[str]]:
+    """The argvs of the README's command-line examples."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"\n## Command line\n\n```sh\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+_PLAIN_ARGVS = [
+    ["check", "flat", "--json", "--samples", "32", "--seed", "4101"],
+    ["tensor", "example1", "--name", "K", "--at=-0.5,1,0.1,0,0", "--json"],
+    ["tensor", "example1", "--name", "K", "--at", "-0.5,1,0.1,0,0", "--json"],
+    ["tensor", "example1", "--name=K", "--at", "0.5,1,0.1,0,0"],
+    ["rank", "example2", "--at=-1,3,0,0,2"],
+    ["rank", "example2", "--at", "-1,3,0,0,2"],
+    *([command, "flat", "--samples", "4", "--seed", "3", "--tol", "1e-9", "--json"]
+      for command in ("classify", "einstein")),
+    *([command, "flat", "--samples=4", "--seed=3", "--tol=1e-9"] for command in ("classify", "einstein")),
+    *_readme_argvs(),
+]
+
+
+@pytest.mark.parametrize("argv", _PLAIN_ARGVS, ids=" ".join)
+def test_cli_plain_argvs_bypass_argparse(argv, main_parse, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain argv went through argparse")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    assert main_parse(argv).command == argv[0]
+
+
+def test_cli_readme_examples_are_read():
+    commands = [argv[0] for argv in _readme_argvs()]
+    assert commands == ["check", "check", "classify", "tensor", "tensor", "einstein", "rank"]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"choices": ("a", "b")}, {"nargs": "?"}, {"nargs": 1}, {"action": "append"}, {"action": "count"},
+], ids=str)
+def test_cli_fast_path_refuses_arguments_it_cannot_parse(kwargs):
+    with pytest.raises(TypeError, match="cannot parse argument 'x'"):
+        cli._recording(argparse.ArgumentParser(), [])("--x", **kwargs)
+
+
+@pytest.mark.parametrize("command", [["rank"], ["tensor", "--name", "omega", "--json"]], ids=["rank", "tensor"])
+def test_cli_every_spaced_point_is_glued(command, main_parse):
+    # the last point wins, however each one is written
+    head = [command[0], "flat", *command[1:]]
+    last = main_parse([*head, "--at=-1,0,0,0,0"])
+    assert last.at == "-1,0,0,0,0"
+    for points in (["--at", "1,1,1,1,1", "--at", "-1,0,0,0,0"],
+                   ["--at", "-1,1,1,1,1", "--at", "-1,0,0,0,0"],
+                   ["--at", "1,1,1,1,1", "--at=-1,0,0,0,0"],
+                   ["--at=1,1,1,1,1", "--at", "-1,0,0,0,0"]):
+        assert main_parse([*head, *points]) == last
+
+
+def test_cli_point_commands_take_the_last_of_two_spaced_points(capsys):
+    def psi(*at):
+        assert main(["tensor", "example3-aqs", "--name", "psi", *at, "--json"]) == 0
+        return capsys.readouterr().out
+
+    last = psi("--at=-0.5,1,0.1,0,0")
+    assert psi("--at", "0.5,0.5,0.1,0,0", "--at", "-0.5,1,0.1,0,0") == last != psi("--at=0.5,0.5,0.1,0,0")
+    assert main(["rank", "example2", "--at", "1,3,0,0,2", "--at", "-1,3,0,0,2"]) == 0
+    assert capsys.readouterr().out == "2\n"
 
 
 def _run_fresh(script: str) -> subprocess.CompletedProcess:

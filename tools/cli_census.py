@@ -13,7 +13,9 @@ The calls, on each bundled fixture and each manifest path given:
   and without ``--json``;
 * ``tensor`` of every name in ``acmcheck.cli.TENSOR_NAMES``, with and
   without ``--json``, and ``rank``, at three points of the manifest's domain
-  box drawn by ``random.Random`` from the manifest's name.
+  box drawn by ``random.Random`` from the manifest's name, each point given
+  both as ``--at X`` and as ``--at=X``.  The first point's first coordinate
+  is made negative, so that ``--at X`` starts with a '-'.
 
 Usage::
 
@@ -76,14 +78,18 @@ def census_argvs(manifest: str, cli) -> list[list[str]]:
     except Exception:  # the sampled calls report the error
         return argvs
     rng = random.Random(Path(manifest).name)
-    for _ in range(POINTS):
-        at = ",".join(repr(rng.uniform(lo, hi)) for lo, hi in domain)
-        argvs += [
-            ["tensor", manifest, "--name", name, "--at", at, *json_flag]
-            for name in cli.TENSOR_NAMES
-            for json_flag in ([], ["--json"])
-        ]
-        argvs.append(["rank", manifest, "--at", at])
+    for k in range(POINTS):
+        point = [rng.uniform(lo, hi) for lo, hi in domain]
+        if k == 0:
+            point[0] = -abs(point[0])
+        at = ",".join(map(repr, point))
+        for at_words in (["--at", at], [f"--at={at}"]):
+            argvs += [
+                ["tensor", manifest, "--name", name, *at_words, *json_flag]
+                for name in cli.TENSOR_NAMES
+                for json_flag in ([], ["--json"])
+            ]
+            argvs.append(["rank", manifest, *at_words])
     return argvs
 
 
