@@ -143,9 +143,10 @@ def _recording(parser: argparse.ArgumentParser, record: list[argparse.Action]):
     return add
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Action]]]:
-    """The top-level parser, and each command's arguments as ``add_argument``
-    returned them."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser],
+                            dict[str, list[argparse.Action]]]:
+    """The top-level parser, each command's parser, and each command's
+    arguments as ``add_argument`` returned them."""
     parser = argparse.ArgumentParser(
         prog="acmcheck",
         description="Verify almost contact metric / sub-Riemannian structures "
@@ -178,12 +179,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Ac
     add = command("rank", help="pointwise rank of the structure")
     add("manifest")
     add("--at", required=True, metavar="x1,...,xn")
-    return parser, arguments
+    return parser, sub.choices, arguments
 
 
 # Built once per process and never changed after import; every parse call
 # returns a fresh Namespace, so repeated main() calls share no state.
-_PARSER, _ARGUMENTS = _build_parser()
+_PARSER, _COMMANDS, _ARGUMENTS = _build_parser()
 # each command's options by their long spellings, and its positionals in order
 _OPTIONS = {
     command: {spelling: action for action in actions
@@ -255,13 +256,19 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     positionals and required options are all there and each value converts
     to its type.  Every other argv (``-h``, an abbreviation, ``--``, an
     error, an unknown command) goes to ``_PARSER``, which prints its usage,
-    help and error texts and exits with its codes.
+    help and error texts and exits with its codes.  An option that argparse
+    stores as ``[]`` (it drops the ``--`` of ``--opt=--``) is refused as
+    argparse refuses an option without its value.
     """
     if argv and argv[0] in _OPTIONS:
         args = _fast_parse(argv[0], argv[1:])
         if args is not None:
             return args
-    return _PARSER.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    for action in _ARGUMENTS[args.command]:
+        if getattr(args, action.dest) == []:
+            _COMMANDS[args.command].error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+    return args
 
 
 # glibc mallopt parameters (malloc.h)

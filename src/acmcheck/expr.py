@@ -10,6 +10,13 @@ a single-point tensor that reads no Hessian), every other block to order 1.
 :func:`field_jets` is the one evaluator; it writes each field's jet straight
 into arrays allocated once per block.
 
+An expression is built from five node kinds: the leaves ``Const`` and
+``Var``, ``Unary`` (negation or one of :data:`FUNCTIONS`), ``Binary`` (one
+of + - * /) and ``Pow`` (a constant integer exponent).  The binary
+operators are data: one table gives each its precedence, its printed
+separator and its :class:`Jet` method, which the printer and the evaluator
+read.
+
 Expressions form a DAG, not a tree.  The fields parsed through one
 :class:`InternTable` (one per manifest) share a node object for every
 distinct subexpression, and each distinct string is parsed once.
@@ -27,7 +34,7 @@ import re
 import struct
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -320,30 +327,14 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Neg:
+class Unary:
+    op: str  # '-' or a name of FUNCTIONS
     arg: "Node"
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Div:
+class Binary:
+    op: str  # a key of _BINARY
     left: "Node"
     right: "Node"
 
@@ -354,24 +345,30 @@ class Pow:
     exponent: int
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Node"
-
-
-Node = Const | Var | Neg | Add | Sub | Mul | Div | Pow | Call
+Node = Const | Var | Unary | Binary | Pow
 
 # precedence levels used both for parsing decisions and pretty-printing
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
+class _BinaryOp(NamedTuple):
+    prec: int
+    separator: str  # as printed between the operands
+    jet: Callable[[Jet, Jet], Jet]  # the Jet method that applies it
+
+
+_BINARY = {
+    "+": _BinaryOp(_PREC_ADD, " + ", Jet.__add__),
+    "-": _BinaryOp(_PREC_ADD, " - ", Jet.__sub__),
+    "*": _BinaryOp(_PREC_MUL, "*", Jet.__mul__),
+    "/": _BinaryOp(_PREC_MUL, "/", Jet.__truediv__),
+}
+
+
 def _prec(node: Node) -> int:
-    if isinstance(node, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(node, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(node, Neg):
+    if isinstance(node, Binary):
+        return _BINARY[node.op].prec
+    if isinstance(node, Unary) and node.op == "-":
         return _PREC_NEG
     if isinstance(node, Pow):
         return _PREC_POW
@@ -384,21 +381,16 @@ def to_text(node: Node) -> str:
         return repr(node.value)
     if isinstance(node, Var):
         return node.name
-    if isinstance(node, Neg):
-        return "-" + _wrap(node.arg, _PREC_NEG)
-    if isinstance(node, Add):
-        return f"{_wrap(node.left, _PREC_ADD)} + {_wrap(node.right, _PREC_ADD + 1)}"
-    if isinstance(node, Sub):
-        return f"{_wrap(node.left, _PREC_ADD)} - {_wrap(node.right, _PREC_ADD + 1)}"
-    if isinstance(node, Mul):
-        return f"{_wrap(node.left, _PREC_MUL)}*{_wrap(node.right, _PREC_MUL + 1)}"
-    if isinstance(node, Div):
-        return f"{_wrap(node.left, _PREC_MUL)}/{_wrap(node.right, _PREC_MUL + 1)}"
+    if isinstance(node, Binary):
+        prec, separator, _ = _BINARY[node.op]
+        return f"{_wrap(node.left, prec)}{separator}{_wrap(node.right, prec + 1)}"
+    if isinstance(node, Unary):
+        if node.op == "-":
+            return "-" + _wrap(node.arg, _PREC_NEG)
+        return f"{node.op}({to_text(node.arg)})"
     if isinstance(node, Pow):
         # '^' binds tighter than unary minus, so a Pow base is wrapped unless atomic
         return f"{_wrap(node.base, _PREC_POW + 1)}^{node.exponent}"
-    if isinstance(node, Call):
-        return f"{node.func}({to_text(node.arg)})"
     raise TypeError(f"unexpected node {node!r}")
 
 
@@ -408,9 +400,9 @@ def _wrap(node: Node, minimum: int) -> str:
 
 
 def _children(node: Node) -> tuple[Node, ...]:
-    if isinstance(node, (Add, Sub, Mul, Div)):
+    if isinstance(node, Binary):
         return node.left, node.right
-    if isinstance(node, (Neg, Call)):
+    if isinstance(node, Unary):
         return (node.arg,)
     if isinstance(node, Pow):
         return (node.base,)
@@ -447,25 +439,20 @@ def _eval_node(node: Node, points: np.ndarray, n: int, order: int, memo: dict) -
 
 def _node_jet(node: Node, points: np.ndarray, n: int, order: int, memo: dict) -> Jet:
     """One forward-mode step: the jet of ``node`` from its children's; a
-    subtree without a Var keeps batch shape ()."""
+    subtree without a Var keeps batch shape (); ``left`` is evaluated
+    before ``right``."""
+    if isinstance(node, Binary):
+        return _BINARY[node.op].jet(_eval_node(node.left, points, n, order, memo),
+                                    _eval_node(node.right, points, n, order, memo))
+    if isinstance(node, Unary):
+        arg = _eval_node(node.arg, points, n, order, memo)
+        return -arg if node.op == "-" else getattr(arg, node.op)()
+    if isinstance(node, Pow):
+        return _eval_node(node.base, points, n, order, memo).ipow(node.exponent)
     if isinstance(node, Const):
         return Jet.constant(node.value, n, order)
     if isinstance(node, Var):
         return Jet.variable(points[..., node.index], node.index, n, order)
-    if isinstance(node, Neg):
-        return -_eval_node(node.arg, points, n, order, memo)
-    if isinstance(node, Add):
-        return _eval_node(node.left, points, n, order, memo) + _eval_node(node.right, points, n, order, memo)
-    if isinstance(node, Sub):
-        return _eval_node(node.left, points, n, order, memo) - _eval_node(node.right, points, n, order, memo)
-    if isinstance(node, Mul):
-        return _eval_node(node.left, points, n, order, memo) * _eval_node(node.right, points, n, order, memo)
-    if isinstance(node, Div):
-        return _eval_node(node.left, points, n, order, memo) / _eval_node(node.right, points, n, order, memo)
-    if isinstance(node, Pow):
-        return _eval_node(node.base, points, n, order, memo).ipow(node.exponent)
-    if isinstance(node, Call):
-        return getattr(_eval_node(node.arg, points, n, order, memo), node.func)()
     raise TypeError(f"unexpected node {node!r}")
 
 
@@ -560,23 +547,21 @@ class _Parser:
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.next().text
-            rhs = self.term()
-            node = self.node(Add if op == "+" else Sub, node, rhs)
+            node = self.node(Binary, op, node, self.term())
         return node
 
     def term(self) -> Node:
         node = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.next().text
-            rhs = self.unary()
-            node = self.node(Mul if op == "*" else Div, node, rhs)
+            node = self.node(Binary, op, node, self.unary())
         return node
 
     def unary(self) -> Node:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.next()
-            return self.node(Neg, self.nested(self.unary, tok))
+            return self.node(Unary, "-", self.nested(self.unary, tok))
         return self.power()
 
     def power(self) -> Node:
@@ -602,7 +587,7 @@ class _Parser:
         overflows or divides by zero is an error at ``offset``."""
         if isinstance(node, Const):
             return node.value
-        if isinstance(node, Neg):
+        if isinstance(node, Unary) and node.op == "-":
             return -self._const_value(node.arg, offset)
         if isinstance(node, Pow):
             try:
@@ -622,7 +607,7 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.nested(self.expr, tok)
                 self.expect_op(")")
-                return self.node(Call, tok.text, arg)
+                return self.node(Unary, tok.text, arg)
             if tok.text in self.index:
                 return self.node(Var, self.index[tok.text], tok.text)
             raise UnknownIdentifierError(tok.text, tok.offset)
@@ -640,7 +625,8 @@ class _Parser:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A parsed expression over a fixed coordinate tuple.
+    """A parsed expression over a fixed coordinate tuple: ``ast`` is a
+    ``Const``, ``Var``, ``Unary``, ``Binary`` or ``Pow`` node.
 
     Evaluation is pure: a ScalarField may be shared freely across threads.
     """
@@ -661,8 +647,9 @@ class InternTable:
     once, and equal subtrees of all of them into one node object, so the
     fields parsed through one table share their common subexpressions.
 
-    A node is keyed by its type, its scalar attributes and the identities of
-    its children, which are table nodes already; a ``Const`` is keyed by the
+    A node is keyed by its type, its scalar attributes (a ``Unary`` or
+    ``Binary`` operator, a ``Var``'s index and name, a ``Pow``'s exponent)
+    and the identities of its children, which are table nodes already; a ``Const`` is keyed by the
     bits of its value, since ``Const(-0.0) == Const(0.0)``.  The table keeps
     every node it made, so no keyed identity is reused while it lives.
     """

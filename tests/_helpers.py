@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import random
 import runpy
 from pathlib import Path
@@ -22,19 +23,15 @@ from acmcheck.connection import (
     to_frame_components,
 )
 from acmcheck.expr import (
-    Add,
-    Call,
+    Binary,
     Const,
-    Div,
     ExprDomainError,
     ExprSyntaxError,
     Jet,
-    Mul,
-    Neg,
     Node,
     Pow,
     ScalarField,
-    Sub,
+    Unary,
     Var,
     _Token,
     describe_first,
@@ -178,7 +175,7 @@ def perturbed_flat(base: Manifest, rng: np.random.Generator) -> Manifest:
     def bump(f: ScalarField) -> ScalarField:
         term = parse(monomials[rng.integers(0, len(monomials))], coords)
         eps = float(rng.uniform(-0.02, 0.02))
-        return ScalarField(Add(f.ast, Mul(Const(eps), term.ast)), coords)
+        return ScalarField(Binary("+", f.ast, Binary("*", Const(eps), term.ast)), coords)
 
     phi = np.empty_like(base.phi_frame)
     for idx in np.ndindex(phi.shape):
@@ -484,6 +481,10 @@ def general_product(self: Jet, other: Jet) -> Jet:
     )
 
 
+# the binary operators by their own dispatch, not the library's table
+_BINARY_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def unshared_eval_node(node: Node, points: np.ndarray, n: int) -> Jet:
     """Jet of ``node`` over a block of points, every subtree evaluated anew
     wherever it occurs; a subtree without a Var keeps batch shape ()."""
@@ -491,20 +492,14 @@ def unshared_eval_node(node: Node, points: np.ndarray, n: int) -> Jet:
         return Jet.constant(node.value, n)
     if isinstance(node, Var):
         return Jet.variable(points[..., node.index], node.index, n)
-    if isinstance(node, Neg):
-        return -unshared_eval_node(node.arg, points, n)
-    if isinstance(node, Add):
-        return unshared_eval_node(node.left, points, n) + unshared_eval_node(node.right, points, n)
-    if isinstance(node, Sub):
-        return unshared_eval_node(node.left, points, n) - unshared_eval_node(node.right, points, n)
-    if isinstance(node, Mul):
-        return unshared_eval_node(node.left, points, n) * unshared_eval_node(node.right, points, n)
-    if isinstance(node, Div):
-        return unshared_eval_node(node.left, points, n) / unshared_eval_node(node.right, points, n)
+    if isinstance(node, Unary):
+        arg = unshared_eval_node(node.arg, points, n)
+        return operator.neg(arg) if node.op == "-" else getattr(arg, node.op)()
+    if isinstance(node, Binary):
+        left = unshared_eval_node(node.left, points, n)
+        return _BINARY_OPERATORS[node.op](left, unshared_eval_node(node.right, points, n))
     if isinstance(node, Pow):
         return repeated_ipow(unshared_eval_node(node.base, points, n), node.exponent)
-    if isinstance(node, Call):
-        return getattr(unshared_eval_node(node.arg, points, n), node.func)()
     raise TypeError(f"unexpected node {node!r}")
 
 

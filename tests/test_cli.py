@@ -11,6 +11,7 @@ import os
 import platform
 import random
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -818,6 +819,36 @@ def test_cli_options_do_not_carry_over_between_calls(capsys):
     assert capsys.readouterr().out.startswith("omega:\n[[")
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["rank", "flat", "--at=--"], "--at"),
+    (["rank", "flat", "--at", "--"], "--at"),
+    (["check", "flat", "--samples=--"], "--samples"),
+    (["tensor", "flat", "--name=--", "--at=0,0,0,0,0"], "--name"),
+], ids=" ".join)
+def test_cli_option_valued_double_dash_is_a_usage_error(argv, option, capsys):
+    # argparse drops the '--' of '--opt=--' and stores [] as the value
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: acmcheck {argv[0]} ")
+    assert captured.err.endswith(f"\nacmcheck {argv[0]}: error: argument {option}: expected one argument\n")
+
+
+def test_census_calls_end_in_no_traceback(tmp_path):
+    # tools/cli_census.py's calls on one fixture at 1 sample, and its error
+    # calls: each ends in an exit code or a usage error, never a traceback
+    census = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "cli_census.py"))
+    argvs = census["census_argvs"]("example2", cli, samples=(1,)) + census["error_argvs"](tmp_path)
+    tracebacks = {}
+    for argv in argvs:
+        _, stderr, code = census["run_call"](cli, argv)
+        if code == "traceback":
+            tracebacks[" ".join(argv)] = stderr
+    assert tracebacks == {}
+
+
 def test_cli_usage_error_leaves_next_call_intact(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["tensor", "example2", "--at", "1,3,0,0,2"])  # no --name
@@ -934,6 +965,18 @@ def main_parse(monkeypatch):
     return run
 
 
+def _full_parse(argv: list[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, except where argparse drops the ``--`` of
+    an explicit ``--opt=--`` and stores ``[]``: then the usage error argparse
+    gives for ``--opt`` without a value."""
+    args = cli._PARSER.parse_args(argv)
+    for dest, value in vars(args).items():
+        if value == []:
+            cli._PARSER.parse_args([args.command, f"--{dest}"])
+            raise AssertionError(f"--{dest} without a value parsed")
+    return args
+
+
 def _outcome(parse, argv: list[str]) -> tuple[object, str, str]:
     """The vars of ``parse(argv)``, or its exit code, with its stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
@@ -949,7 +992,7 @@ def _outcome(parse, argv: list[str]) -> tuple[object, str, str]:
 def test_cli_parses_argv_as_the_full_parser_does(argv, main_parse):
     # main parses plain argvs itself; the namespace, or the usage, help or
     # error text and the exit code, must be those of the full parser
-    assert _outcome(main_parse, argv) == _outcome(cli._PARSER.parse_args, argv)
+    assert _outcome(main_parse, argv) == _outcome(_full_parse, argv)
 
 
 _ODD_WORDS = ("--sam", "--js", "--a", "--bogus", "-h", "--", "-")
@@ -996,7 +1039,7 @@ def _argvs(draw) -> list[str]:
 @given(argv=_argvs())
 def test_cli_parses_drawn_argvs_as_the_full_parser_does(argv, main_parse):
     actual = _outcome(main_parse, argv)  # sets main_parse.argv, the argv after main's glueing
-    assert actual == _outcome(cli._PARSER.parse_args, main_parse.argv)
+    assert actual == _outcome(_full_parse, main_parse.argv)
 
 
 def _readme_argvs() -> list[list[str]]:

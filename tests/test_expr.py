@@ -21,20 +21,17 @@ from acmcheck import expr
 from acmcheck.chart import sample_points
 from acmcheck.cli import main
 from acmcheck.expr import (
-    Add,
+    FUNCTIONS,
+    Binary,
     BlockPlan,
-    Call,
     Const,
-    Div,
     ExprDomainError,
     ExprSyntaxError,
     InternTable,
     Jet,
-    Mul,
-    Neg,
     Pow,
     ScalarField,
-    Sub,
+    Unary,
     UnknownIdentifierError,
     Var,
     field_jets,
@@ -351,13 +348,9 @@ def _nodes():
 
     def extend(children):
         return st.one_of(
-            st.builds(Neg, children),
-            st.builds(Add, children, children),
-            st.builds(Sub, children, children),
-            st.builds(Mul, children, children),
-            st.builds(Div, children, children),
+            st.builds(Unary, st.sampled_from(("-", *FUNCTIONS)), children),
+            st.builds(Binary, st.sampled_from("+-*/"), children, children),
             st.builds(Pow, children, st.integers(min_value=-3, max_value=5)),
-            st.builds(Call, st.sampled_from(["sin", "cos", "exp", "ln", "sqrt"]), children),
         )
 
     return st.recursive(leaves, extend, max_leaves=12)
@@ -389,7 +382,7 @@ def _deep_fields() -> np.ndarray:
 
 def _children(node) -> list:
     return [c for c in vars(node).values()
-            if isinstance(c, (Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call))]
+            if isinstance(c, (Const, Var, Unary, Binary, Pow))]
 
 
 def _nodes_by_id(node, out: dict) -> dict:
@@ -632,8 +625,8 @@ def test_signed_zero_constants_not_merged():
     x = table.node(Var, 0, "x")
     fields = [ScalarField(ast, COORDS) for ast in (
         zero, negzero, Const(-0.0), Const(0.0),
-        table.node(Mul, negzero, x), table.node(Mul, zero, x),
-        Add(Const(-0.0), Const(-0.0)), Add(Const(0.0), Const(-0.0)),
+        table.node(Binary, "*", negzero, x), table.node(Binary, "*", zero, x),
+        Binary("+", Const(-0.0), Const(-0.0)), Binary("+", Const(0.0), Const(-0.0)),
     )]
     values = field_jets(np.array(fields, dtype=object), np.array([2.0, 0, 0, 0, 0]), order=1)[0]
     assert np.signbit(values).tolist() == [False, True, True, False, True, False, True, False]

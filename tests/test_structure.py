@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import acmcheck
-from acmcheck.expr import Const, Mul, ScalarField, parse
+from acmcheck.expr import Binary, Const, ScalarField, parse
 from acmcheck.residuals import per_point
 from acmcheck.structure import (
     SingularMetricError,
@@ -63,7 +63,7 @@ def test_axiom1_residual_for_doubled_phi(manifests):
     s = manifests["example1"]
     doubled = np.empty_like(s.phi_frame)
     for idx in np.ndindex(s.phi_frame.shape):
-        doubled[idx] = ScalarField(Mul(Const(2.0), s.phi_frame[idx].ast), s.phi_frame[idx].coords)
+        doubled[idx] = ScalarField(Binary("*", Const(2.0), s.phi_frame[idx].ast), s.phi_frame[idx].coords)
     scaled = dataclasses.replace(s, phi_frame=doubled)
     report = validate_axioms(StructureEval(scaled, np.array([0.5, 1.0, 0.0, 0.0, 0.0])))
     # (2 phi)^2 = -4 id, so the defect against -id has magnitude 3

@@ -17,6 +17,14 @@ The calls, on each bundled fixture and each manifest path given:
   both as ``--at X`` and as ``--at=X``.  The first point's first coordinate
   is made negative, so that ``--at X`` starts with a '-'.
 
+After those, once per census, the error calls: usage errors (an option
+valued ``--``, as ``--opt=--`` and as ``--at --``), an unknown tensor name,
+a point with too few components and ``--samples 0`` on ``flat``, and
+``check``, ``classify``, ``einstein``, ``tensor`` and ``rank`` on four broken
+manifests written to a temporary directory: a gamma field through ``ln(x)``
+on a domain that crosses 0 and an 'avoid' field ``1/(x - x)``, whose domain
+errors print the field, a syntax error and a singular frame metric.
+
 Usage::
 
     python tools/cli_census.py --src TREE [--heavy-pool K] [MANIFEST ...]
@@ -51,6 +59,22 @@ POINTS = 3
 POOL_MASK = "<pool>"
 TREE_MASK = "<tree>"
 
+_FLAT = {
+    "dimension": 5,
+    "coordinates": ["x", "y", "z", "u", "v"],
+    "gamma": ["0", "0", "0", "0"],
+    "metric_frame": [["1" if a == b else "0" for b in range(4)] for a in range(4)],
+    "phi_frame": [["0", "0", "-1", "0"], ["0", "0", "0", "-1"], ["1", "0", "0", "0"], ["0", "1", "0", "0"]],
+    "domain": [[-2.0, 2.0]] * 5,
+}
+ERROR_MANIFESTS = {
+    "ln-crosses-zero": dict(_FLAT, gamma=["-ln(x)*(y - 1)/2 + z^2", "0", "0", "0"]),
+    "avoid-divides-by-zero": dict(_FLAT, avoid=["1/(x - x)"]),
+    "syntax-error": dict(_FLAT, gamma=["x + * y", "0", "0", "0"]),
+    "singular-metric": dict(_FLAT, metric_frame=[["0"] * 4] + _FLAT["metric_frame"][1:]),
+}
+ERROR_POINT = "-0.5,0.25,0.5,0.75,1"
+
 
 def write_heavy_pool(tree: Path, count: int, out: Path) -> list[str]:
     """Manifests 0..count-1 of the tree's heavy-expr pool, as JSON files in ``out``."""
@@ -65,12 +89,13 @@ def write_heavy_pool(tree: Path, count: int, out: Path) -> list[str]:
     return paths
 
 
-def census_argvs(manifest: str, cli) -> list[list[str]]:
-    """The calls of the census on one manifest (a fixture name or a path)."""
+def census_argvs(manifest: str, cli, samples: tuple[int, ...] = SAMPLES) -> list[list[str]]:
+    """The calls of the census on one manifest (a fixture name or a path),
+    the sampled ones at each of ``samples``."""
     argvs = [
-        [command, manifest, "--samples", str(samples), *json_flag]
+        [command, manifest, "--samples", str(count), *json_flag]
         for command in SAMPLED
-        for samples in SAMPLES
+        for count in samples
         for json_flag in ([], ["--json"])
     ]
     try:
@@ -93,6 +118,26 @@ def census_argvs(manifest: str, cli) -> list[list[str]]:
     return argvs
 
 
+def error_argvs(out: Path) -> list[list[str]]:
+    """The error calls, the broken manifests written to ``out``."""
+    argvs = [
+        ["rank", "flat", "--at=--"],
+        ["rank", "flat", "--at", "--"],
+        ["check", "flat", "--samples=--"],
+        ["tensor", "flat", "--name=--", "--at=0,0,0,0,0"],
+        ["tensor", "flat", "--name", "bogus", "--at=0,0,0,0,0"],
+        ["tensor", "flat", "--name", "omega", "--at=0,0,0"],
+        ["check", "flat", "--samples", "0"],
+    ]
+    for name, data in ERROR_MANIFESTS.items():
+        path = out / f"{name}.json"
+        path.write_text(json.dumps(data))
+        argvs += [[command, str(path), "--samples", "4"] for command in SAMPLED]
+        argvs += [["tensor", str(path), "--name", tensor, "--at", ERROR_POINT] for tensor in ("omega", "K")]
+        argvs.append(["rank", str(path), "--at", ERROR_POINT])
+    return argvs
+
+
 def run_call(cli, argv: list[str]) -> tuple[str, str, str]:
     """(stdout, stderr, exit code) of ``cli.main(argv)`` in this process."""
     out, err = io.StringIO(), io.StringIO()
@@ -107,8 +152,9 @@ def run_call(cli, argv: list[str]) -> tuple[str, str, str]:
     return out.getvalue(), err.getvalue(), code
 
 
-def census(tree: Path, manifests: list[str], masks: dict[str, str]) -> list[str]:
-    """One line per call: digest, exit code and argv, every mask applied."""
+def census(tree: Path, manifests: list[str], out: Path, masks: dict[str, str]) -> list[str]:
+    """One line per call, the error calls' manifests written to ``out``:
+    digest, exit code and argv, every mask applied."""
     sys.path.insert(0, str(tree / "src"))
     from acmcheck import cli
 
@@ -121,11 +167,10 @@ def census(tree: Path, manifests: list[str], masks: dict[str, str]) -> list[str]
         return text
 
     lines = []
-    for manifest in manifests:
-        for argv in census_argvs(manifest, cli):
-            stdout, stderr, code = run_call(cli, argv)
-            digest = hashlib.sha256(masked("\0".join((stdout, stderr, code))).encode()).hexdigest()[:16]
-            lines.append(f"{digest} {code} {masked(' '.join(argv))}")
+    for argv in [argv for manifest in manifests for argv in census_argvs(manifest, cli)] + error_argvs(out):
+        stdout, stderr, code = run_call(cli, argv)
+        digest = hashlib.sha256(masked("\0".join((stdout, stderr, code))).encode()).hexdigest()[:16]
+        lines.append(f"{digest} {code} {masked(' '.join(argv))}")
     return lines
 
 
@@ -153,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
         tree = args.src.resolve()
         with tempfile.TemporaryDirectory() as pool:
             manifests = list(FIXTURES) + args.manifests + write_heavy_pool(tree, args.heavy_pool, Path(pool))
-            for line in census(tree, manifests, {str(tree): TREE_MASK, pool: POOL_MASK}):
+            for line in census(tree, manifests, Path(pool), {str(tree): TREE_MASK, pool: POOL_MASK}):
                 print(line, flush=True)
         return 0
 
