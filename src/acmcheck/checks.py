@@ -1,20 +1,23 @@
 """Full-suite check orchestration and the report payload.
 
 A report is plain data: dicts with string keys, lists, strings, ints, bools
-and floats.  Each section has one builder, shared by the CLI and the
-library: :func:`~acmcheck.classify.classification_report` builds the
-``classification`` and ``quasi_sasakian_conditions`` sections,
-:func:`~acmcheck.curvature.einstein_reports` the ``einstein`` section, and
-:func:`run_full_check` assembles the ``check`` report around them.  Every
-``--json`` payload of the CLI prints through :func:`report_json`.
+and floats.  The row builders (:func:`validate_axioms`,
+:func:`identity_residuals`, ``classify.criterion_residuals`` and
+``curvature.einstein_rows``) give per-sample rows.  :func:`run_full_check`
+reduces all rows of a check in one :func:`~acmcheck.residuals.worst` and
+builds each section from those maxima, as ``classification_report`` and
+``einstein_reports`` do for their own.  Every ``--json`` payload of the CLI
+prints through :func:`report_json`.
 
 The hard gate, :func:`passed`, covers the identities that hold for every
 structure: the adapted-vs-coordinate Levi-Civita comparison, the projection
 and Reeb-split Nijenhuis identities, and the torsion table vs its direct
-definition.  It also fails when any reported value is NaN or infinite, so a
-numerical failure never passes; every reported float is a maximum that NaN
-and infinity win, so :func:`passed` and :func:`finite` read only the
-reported maxima.  Classification negatives never affect the gate.
+definition; ``n_connection_formula`` reports a ``holds`` but is not among
+them, so a finite failure of it exits 0.  The gate also fails when any
+reported value is NaN or infinite, so a numerical failure never passes;
+every reported float is a maximum that NaN and infinity win, so
+:func:`passed` and :func:`finite` read only the reported maxima.
+Classification negatives never affect the gate.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from .chart import rank_of, sample_points
 from .classify import (
     aqs_characterization_residual,
     canonical_nabla_phi_residual,
-    classification_report,
+    classification_sections,
+    criterion_residuals,
     projection_identity_residual,
     qs_characterization_residual,
     reeb_split_identity_residual,
@@ -44,7 +48,7 @@ from .connection import (
     nabla_psi,
     torsion,
 )
-from .curvature import einstein_reports
+from .curvature import einstein_rows, einstein_section
 from .manifest import Manifest, run_parameters
 from .residuals import holds_within, worst
 from .structure import StructureEval, metric_definiteness, validate_axioms
@@ -225,11 +229,9 @@ def run_full_check(
     samples, tol = run["samples"], run["tolerance"]
     # the curvature goes first: its second-order temporaries then coexist
     # with the fewest cached tensors, which keeps the peak memory down
-    einstein = einstein_reports(ev, tol)
+    einstein, grids = einstein_rows(ev)
     axioms = validate_axioms(ev)
-    tables = {**axioms, **identity_residuals(ev)}
-    worst_of = dict(zip(tables, worst(list(tables.values()))))
-    classification = classification_report(ev, tol)  # two sections of the report
+    worst_of = worst({**einstein, **axioms, **identity_residuals(ev), **criterion_residuals(ev)})
     ranks = sorted(set(rank_of(ev.omega0, ev.d_eta_xi).ravel().tolist()))
 
     identities = {
@@ -249,11 +251,11 @@ def run_full_check(
         "omega_source": manifest.omega_source,
         "axiom_residuals": {name: worst_of[name] for name in axioms},
         "identities": identities,
-        **classification,
+        **classification_sections(worst_of, tol, samples),
         "rank": ranks,
         "metricity": {
             "max_abs": worst_of["metricity_defect"],
             "reeb_row_max": worst_of["metricity_defect_reeb_row"],
         },
-        "einstein": einstein,
+        "einstein": einstein_section(worst_of, grids, tol),
     }

@@ -224,21 +224,22 @@ def criterion_residuals(ev: StructureEval) -> dict[str, tuple[np.ndarray, np.nda
 
 
 def classification_report(ev: StructureEval, tol: float) -> dict:
-    """The ``classification`` and ``quasi_sasakian_conditions`` sections of
-    a report: each criterion's ``holds``, ``max_residual`` and ``samples``,
-    and each quasi-Sasakian condition's ``holds`` and ``max_residual``, from
-    the worst :func:`criterion_residuals` over the evaluated points.
+    """The ``classification`` and ``quasi_sasakian_conditions`` sections."""
+    return classification_sections(worst(criterion_residuals(ev)), tol, int(np.prod(ev.batch)))
+
+
+def classification_sections(maxima: dict, tol: float, samples: int) -> dict:
+    """The two sections from the :func:`worst` (residual, scale) of each of
+    :func:`criterion_residuals`: each criterion's ``holds``, ``max_residual``
+    and ``samples``, and each quasi-Sasakian condition's ``holds`` and
+    ``max_residual``.
 
     Raises :class:`InternalConsistencyError` if the structure classifies as
     almost quasi-Sasakian while the three equivalent quasi-Sasakian
     conditions disagree (they are provably equivalent in that regime).
     """
-    rows = criterion_residuals(ev)
-    maxima = worst([part for pair in rows.values() for part in pair])
-    reduced = dict(zip(rows, zip(maxima[::2], maxima[1::2])))
-
     def verdict(*names: str) -> dict:
-        parts = [reduced[name] for name in names]
+        parts = [maxima[name] for name in names]
         return {
             "holds": all(holds_within(residual, scale, tol) for residual, scale in parts),
             "max_residual": top(residual for residual, _ in parts),
@@ -260,8 +261,7 @@ def classification_report(ev: StructureEval, tol: float) -> dict:
         "max_residual": top(v["max_residual"] for v in (verdicts["aqs"], *qs_verdicts.values())),
     }
 
-    n_points = int(np.prod(ev.batch))
     return {
-        "classification": {name: {**verdicts[name], "samples": n_points} for name in CRITERIA},
+        "classification": {name: {**verdicts[name], "samples": samples} for name in CRITERIA},
         "quasi_sasakian_conditions": qs_verdicts,
     }

@@ -105,30 +105,37 @@ def einstein_rhs(ev: StructureEval, omega_source: str) -> np.ndarray:
 
 
 def einstein_reports(ev: StructureEval, tol: float) -> dict[str, dict]:
-    """The ``einstein`` section of a report, from one evaluation over the
-    sampled points: for each omega source the ``verdict`` on r_ab =
-    4 omega_{da} psi^d_b and its ``max_residual``, the per-component max over
-    samples as the nested list ``residual_grid``, so block-level behaviour
-    stays visible, and the hypothesis max |nabla omega| as
-    ``parallel_torsion_residual``, which does not gate the verdict."""
+    """The ``einstein`` section of a report."""
+    rows, grids = einstein_rows(ev)
+    return einstein_section(worst(rows), grids, tol)
+
+
+def einstein_rows(ev: StructureEval) -> tuple[dict, dict[str, list]]:
+    """The rows of the ``einstein`` section, the hypothesis max |nabla omega|
+    as ``parallel_torsion`` and each omega source's (residual, scale) of
+    r_ab = 4 omega_{da} psi^d_b, and each source's ``residual_grid``: its
+    per-component max over samples, so block-level behaviour stays visible."""
     m = ev.m
     r = ricci_wagner(ev).reshape(-1, m, m)
     samples = r.shape[:1]
     r_scale = per_point(np.maximum, np.abs(r), samples)
-    rows, grids = [ev.max_abs(nabla_omega(ev)).reshape(-1)], []
+    rows, grids = {"parallel_torsion": ev.max_abs(nabla_omega(ev)).reshape(-1)}, {}
     for source in OMEGA_SOURCES:
         rhs = einstein_rhs(ev, source).reshape(-1, m, m)
         diff = np.abs(r - rhs)
-        grids.append(diff.max(axis=0).tolist())
-        rows += [per_point(np.maximum, diff, samples),
-                 np.maximum(r_scale, per_point(np.maximum, np.abs(rhs), samples))]
-    parallel_torsion, *maxima = worst(rows)
+        grids[source] = diff.max(axis=0).tolist()
+        rows[source] = (per_point(np.maximum, diff, samples),
+                        np.maximum(r_scale, per_point(np.maximum, np.abs(rhs), samples)))
+    return rows, grids
+
+
+def einstein_section(maxima: dict, grids: dict[str, list], tol: float) -> dict[str, dict]:
+    """The section from the :func:`worst` of :func:`einstein_rows` and its
+    grids: each omega source's ``verdict``, ``max_residual``, grid and the
+    ``parallel_torsion_residual``, which does not gate the verdict."""
     return {
-        source: {
-            "verdict": holds_within(residual, scale, tol),
-            "max_residual": residual,
-            "parallel_torsion_residual": parallel_torsion,
-            "residual_grid": grid,
-        }
-        for source, grid, residual, scale in zip(OMEGA_SOURCES, grids, maxima[::2], maxima[1::2])
+        source: {"verdict": holds_within(*maxima[source], tol), "max_residual": maxima[source][0],
+                 "parallel_torsion_residual": maxima["parallel_torsion"],
+                 "residual_grid": grids[source]}
+        for source in OMEGA_SOURCES
     }

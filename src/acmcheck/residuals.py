@@ -5,8 +5,8 @@ tol * (1 + scale), the scale being the largest magnitude of the tensors it
 compares (0 for the hard identities, whose tolerances are absolute).  The
 maxima here keep non-finite values: a NaN or infinite residual or scale
 fails its verdict instead of vanishing, as it would under Python's ``max``
-(``max(0.0, nan) == 0.0``).  Each report section reduces all its rows in
-one :func:`worst`, so a report is finite exactly when its maxima are.
+(``max(0.0, nan) == 0.0``).  Each command reduces all its rows in one
+:func:`worst`, so a report is finite exactly when its maxima are.
 """
 
 from __future__ import annotations
@@ -45,11 +45,15 @@ def _segments(count: int, size: int) -> np.ndarray:
     return offsets
 
 
-def worst(rows) -> list[float]:
-    """The largest value of each row (all rows of one batch shape) over its
-    samples, at least 0, NaN winning, as plain floats."""
-    stacked = np.array(rows, dtype=float)
-    return np.maximum(0.0, stacked.reshape(len(rows), -1).max(axis=1)).tolist()
+def worst(rows: dict) -> dict:
+    """The largest value of each named row (an array of the batch shape, or a
+    (residual, scale) pair of them) over its samples, at least 0, NaN winning,
+    as plain floats under the same names, from one maximum over all rows."""
+    parts = [part for row in rows.values() for part in (row if type(row) is tuple else (row,))]
+    stacked = np.array(parts, dtype=float).reshape(len(parts), -1)
+    maxima = iter(np.maximum(0.0, stacked.max(axis=1)).tolist())
+    return {name: tuple(next(maxima) for _ in row) if type(row) is tuple else next(maxima)
+            for name, row in rows.items()}
 
 
 def top(maxima) -> float:

@@ -366,6 +366,74 @@ def einsum_coordinate_to_adapted(ev, coord_coeffs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Riemannian Ricci tensor of the coordinate metric: an oracle for the
+# paper's Einstein claim that shares no adapted formula with the library
+# ---------------------------------------------------------------------------
+
+
+def ricci_coordinate(ev) -> np.ndarray:
+    """Ricci tensor Ric[i, j] of G = g + eta (x) eta in coordinates, from
+    the first and second derivatives of G, which come from the jets of g and
+    gamma alone (no adapted formula, no ``contract``):
+
+        Ric_ij = d_k Gamma^k_ij - d_j Gamma^k_ik
+                 + Gamma^k_kl Gamma^l_ij - Gamma^k_jl Gamma^l_ik,
+
+    the sign under which the unit sphere S^n has Ric = (n - 1) G."""
+    n, m = ev.n, ev.m
+    G0, G1 = coordinate_metric(ev)
+    eta0 = ev.zeros(n)
+    eta0[..., :m] = ev.gam0
+    eta0[..., -1] = 1.0
+    eta1 = ev.zeros(n, n)
+    eta1[..., :m, :] = ev.gam1
+    eta2 = ev.zeros(n, n, n)
+    eta2[..., :m, :, :] = ev.gam2
+    G2 = ev.zeros(n, n, n, n)  # G2[i, j, k, l] = d_k d_l G_ij
+    G2[..., :m, :m, :, :] = ev.g2
+    G2 += np.einsum("...ikl,...j->...ijkl", eta2, eta0) + np.einsum("...i,...jkl->...ijkl", eta0, eta2)
+    G2 += np.einsum("...ik,...jl->...ijkl", eta1, eta1) + np.einsum("...il,...jk->...ijkl", eta1, eta1)
+    Ginv = np.linalg.inv(G0)
+    # Christoffel symbols of the first kind [ij, l] and their derivatives
+    first = 0.5 * (np.einsum("...jli->...ijl", G1) + np.einsum("...ilj->...ijl", G1) - G1)
+    d_first = 0.5 * (np.einsum("...jliq->...ijlq", G2) + np.einsum("...iljq->...ijlq", G2) - G2)
+    Gamma = np.einsum("...kl,...ijl->...kij", Ginv, first)  # Gamma[k, i, j] = Gamma^k_ij
+    d_Ginv = -np.einsum("...ka,...abq,...bl->...klq", Ginv, G1, Ginv)
+    d_Gamma = np.einsum("...klq,...ijl->...kijq", d_Ginv, first) + np.einsum(
+        "...kl,...ijlq->...kijq", Ginv, d_first
+    )
+    return (np.einsum("...kijk->...ij", d_Gamma) - np.einsum("...kikj->...ij", d_Gamma)
+            + np.einsum("...kkl,...lij->...ij", Gamma, Gamma)
+            - np.einsum("...kjl,...lik->...ij", Gamma, Gamma))
+
+
+def sphere_manifest_data(p: int, scale: str = "1") -> dict:
+    """The unit sphere S^(2p+1) in an affine chart of its Hopf fibration,
+    with the frame metric multiplied by ``scale``: coordinates x_j, y_j and
+    v, w = 1 + |z|^2, gamma = (-y_j, x_j) / w on (x_j, y_j), the
+    Fubini-Study frame metric (w delta_ab - u_a u_b - s_a s_b) / w^2 with
+    u = (x_j, y_j) and s = (-y_j, x_j), and phi e_x_j = -e_y_j.  At scale 1,
+    G = g + eta (x) eta is the round metric, so Ric = 2p G."""
+    xy = [f"{c}{j}" for j in range(1, p + 1) for c in "xy"]
+    turned = [f"-y{j}" if c == "x" else f"x{j}" for j in range(1, p + 1) for c in "xy"]
+    w = "(1 + " + " + ".join(f"{c}^2" for c in xy) + ")"
+    m = 2 * p
+    phi = [["0"] * m for _ in range(m)]
+    for a in range(0, m, 2):
+        phi[a][a + 1], phi[a + 1][a] = "1", "-1"
+    return {
+        "dimension": m + 1,
+        "coordinates": xy + ["v"],
+        "gamma": [f"({s})/{w}" for s in turned],
+        "metric_frame": [[f"{scale}*({w}*{int(a == b)} - {xy[a]}*{xy[b]} - ({turned[a]})*({turned[b]}))/{w}^2"
+                          for b in range(m)] for a in range(m)],
+        "phi_frame": phi,
+        "domain": [[-1.0, 1.0]] * (m + 1),
+        "avoid": [],
+    }
+
+
+# ---------------------------------------------------------------------------
 # Curvature of the canonical connection from its coefficient table: the
 # reference for curvature.curvature_K
 # ---------------------------------------------------------------------------

@@ -19,9 +19,16 @@ import pytest
 
 from acmcheck.chart import rank_of, sample_points
 from acmcheck.checks import HARD_TOLERANCES, identity_residuals
-from acmcheck.classify import classification_report
+from acmcheck.classify import classification_sections, criterion_residuals
 from acmcheck.connection import canonical_connection, lc_adapted, torsion
-from acmcheck.curvature import curvature_K, einstein_reports, ricci_k, ricci_wagner, schouten
+from acmcheck.curvature import (
+    curvature_K,
+    einstein_rows,
+    einstein_section,
+    ricci_k,
+    ricci_wagner,
+    schouten,
+)
 from acmcheck.expr import parse
 from acmcheck.manifest import manifest_from_dict
 from acmcheck.residuals import holds_within, worst
@@ -82,14 +89,18 @@ def push(T: np.ndarray, valence: str, A: np.ndarray) -> np.ndarray:
 
 
 def verdicts(ev: StructureEval, tol: float) -> dict[str, bool]:
-    """Every verdict a ``check`` report carries, and torsion skew-symmetry."""
-    hard = {name: res for name, res in identity_residuals(ev).items() if name in HARD_TOLERANCES}
-    out = {f"identity {name}": holds_within(residual, 0.0, HARD_TOLERANCES[name])
-           for name, residual in zip(hard, worst(list(hard.values())))}
-    for section, entries in classification_report(ev, tol).items():
+    """Every verdict a ``check`` report carries, from one reduction of its
+    rows as ``check`` makes it, and torsion skew-symmetry."""
+    rows, grids = einstein_rows(ev)
+    rows.update((name, row) for name, row in identity_residuals(ev).items() if name in HARD_TOLERANCES)
+    rows.update(criterion_residuals(ev))
+    maxima = worst(rows)
+    out = {f"identity {name}": holds_within(maxima[name], 0.0, tolerance)
+           for name, tolerance in HARD_TOLERANCES.items()}
+    for section, entries in classification_sections(maxima, tol, SAMPLES).items():
         out.update({f"{section} {name}": entry["holds"] for name, entry in entries.items()})
     out.update({f"einstein {source}": entry["verdict"]
-                for source, entry in einstein_reports(ev, tol).items()})
+                for source, entry in einstein_section(maxima, grids, tol).items()})
     out["torsion skew"] = bool(np.all(torsion(ev, ev.canonical_N).is_skew))
     return out
 

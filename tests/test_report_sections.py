@@ -10,12 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from acmcheck import checks, classify, curvature
+from acmcheck import checks, classify, curvature, residuals
 from acmcheck.checks import run_full_check, sampled_evaluation
 from acmcheck.classify import classification_report
 from acmcheck.cli import main
 from acmcheck.curvature import einstein_reports
-from acmcheck.manifest import manifest_from_dict
+from acmcheck.manifest import OMEGA_SOURCES, manifest_from_dict
 
 from _helpers import nan_manifest_data
 from conftest import FIXTURES
@@ -76,15 +76,22 @@ def _in_criterion(name: str, part: int):
     return edit
 
 
-def _patch(monkeypatch, module, builder: str, edit, bad: float) -> None:
-    build = getattr(module, builder)
-    monkeypatch.setattr(module, builder, lambda *args: edit(build(*args), bad))
+def _patch(monkeypatch, modules, builder: str, edit, bad: float) -> None:
+    """``builder`` edited under its name in ``modules`` (a module or a tuple
+    of modules that import it by name)."""
+    modules = modules if type(modules) is tuple else (modules,)
+    build = getattr(modules[0], builder)
+    for module in modules:
+        monkeypatch.setattr(module, builder, lambda *args: edit(build(*args), bad))
 
 
 def _einstein_rhs_edit(rhs: np.ndarray, bad: float) -> np.ndarray:
     # sample 1, component (0, 1) of a (samples, m, m) array
     return _poisoned(rhs, bad, rhs.shape[-1] * rhs.shape[-2] + 1)
 
+
+# check imports the criteria's row builder by name, classify looks it up
+CRITERIA_HOLDERS = (checks, classify)
 
 SOFT_IDENTITIES = ("torsion_skew", "aqs_characterization", "qs_characterization",
                    "canonical_nabla_phi", "nabla_omega", "nabla_psi")
@@ -101,13 +108,13 @@ INJECTIONS = {
     ("metricity", "reeb_row_max"): (
         (checks, "identity_residuals", _in_table("metricity_defect_reeb_row")), None),
     ("classification", "contact_metric", "max_residual"): (
-        (classify, "criterion_residuals", _in_criterion("contact_metric", 0)),
+        (CRITERIA_HOLDERS, "criterion_residuals", _in_criterion("contact_metric", 0)),
         ("classify", ("contact_metric", "max_residual"))),
     ("classification", "aqs", "max_residual"): (
-        (classify, "criterion_residuals", _in_criterion("d_Omega_zero", 0)),
+        (CRITERIA_HOLDERS, "criterion_residuals", _in_criterion("d_Omega_zero", 0)),
         ("classify", ("aqs", "max_residual"))),
     ("quasi_sasakian_conditions", "phi_psi_commute", "max_residual"): (
-        (classify, "criterion_residuals", _in_criterion("phi_psi_commute", 0)),
+        (CRITERIA_HOLDERS, "criterion_residuals", _in_criterion("phi_psi_commute", 0)),
         ("classify", ("quasi_sasakian", "max_residual"))),
     ("einstein", "d_eta", "max_residual"): (
         (curvature, "einstein_rhs", _einstein_rhs_edit),
@@ -167,7 +174,7 @@ def test_a_non_finite_scale_alone_fails_only_its_verdict(bad, monkeypatch, capsy
     # conjunction reads that criterion
     argv = ["flat", "--samples", "8", "--json"]
     before = json.loads(_run(capsys, ["check", *argv])[1])
-    _patch(monkeypatch, classify, "criterion_residuals", _in_criterion("normal", 1), bad)
+    _patch(monkeypatch, CRITERIA_HOLDERS, "criterion_residuals", _in_criterion("normal", 1), bad)
     code, out = _run(capsys, ["check", *argv])
     after = json.loads(out)
     assert code == 0 and before["classification"]["normal"]["holds"]
@@ -178,20 +185,129 @@ def test_a_non_finite_scale_alone_fails_only_its_verdict(bad, monkeypatch, capsy
     assert code == 0 and json.loads(out) == before["classification"]
 
 
+# the rows of each command: check's are the Einstein rows (parallel
+# torsion, then a residual and a scale per omega source), the axiom and
+# identity tables (6 + 13 rows) and the criteria (8 residuals and scales)
+PARTS = {"check": 5 + 6 + 13 + 16, "classify": 16, "einstein": 5}
+
+
+@pytest.mark.parametrize("command", PARTS)
 @pytest.mark.parametrize("name", FIXTURES)
-def test_one_check_makes_one_reduction_per_section(name, manifests, monkeypatch):
-    # the Einstein section (parallel torsion, then a residual and a scale
-    # per omega source), the axiom and identity tables (6 + 13 rows) and
-    # the criteria (8 residuals and scales): every per-sample row of a check
-    # goes through these three reductions and no other
+def test_one_command_makes_one_reduction(name, command, monkeypatch, capsys):
+    # every per-sample row of a command goes through one worst and no other
     reduced = []
 
     def counted(rows):
-        reduced.append(len(rows))
+        reduced.append(sum(len(row) if type(row) is tuple else 1 for row in rows.values()))
         return reduce(rows)
 
-    reduce = checks.worst
+    reduce = residuals.worst
     for module in (checks, classify, curvature):
         monkeypatch.setattr(module, "worst", counted)
-    run_full_check(manifests[name], samples=16)
-    assert reduced == [5, 19, 16]
+    main([command, name, "--samples", "16", "--json"])
+    capsys.readouterr()
+    assert reduced == [PARTS[command]]
+
+
+# ---------------------------------------------------------------------------
+# The one reduction and the section builders, on hand-written rows and maxima
+# ---------------------------------------------------------------------------
+
+
+def test_worst_keeps_names_and_order_of_rows_and_pairs():
+    rows = {
+        "b": np.array([1.0, -3.0, 2.0]),
+        "a": (np.array([0.5, 4.0, -1.0]), np.array([7.0, 6.0, 5.0])),
+        "c": np.array([-1.0, -2.0, -0.5]),
+    }
+    maxima = residuals.worst(rows)
+    assert list(maxima) == ["b", "a", "c"]
+    assert maxima == {"b": 2.0, "a": (4.0, 7.0), "c": 0.0}  # the floor is 0
+    assert type(maxima["b"]) is float and type(maxima["a"]) is tuple
+    assert all(type(x) is float for x in maxima["a"])
+
+
+def test_worst_lets_nan_beat_infinity_and_infinity_beat_finite():
+    inf, nan = math.inf, math.nan
+    maxima = residuals.worst({
+        "nan_over_inf": np.array([inf, nan, 1.0]),
+        "nan_over_minus_inf": np.array([-inf, 2.0, nan]),
+        "inf_over_finite": np.array([3.0, inf, 1e308]),
+        "minus_inf": np.array([-inf, -inf, -inf]),
+        "pair": (np.array([1.0, nan, 2.0]), np.array([inf, 0.0, 1.0])),
+    })
+    assert math.isnan(maxima["nan_over_inf"]) and math.isnan(maxima["nan_over_minus_inf"])
+    assert maxima["inf_over_finite"] == inf
+    assert maxima["minus_inf"] == 0.0
+    assert math.isnan(maxima["pair"][0]) and maxima["pair"][1] == inf
+
+
+def test_worst_reduces_a_one_sample_batch():
+    assert residuals.worst({"row": np.array([2.5]), "pair": (np.array([-1.0]), np.array([3.0]))}) == {
+        "row": 2.5, "pair": (0.0, 3.0)}
+    # a single point's rows have batch shape ()
+    assert residuals.worst({"row": np.array(1.5), "pair": (np.array(0.5), np.array(-2.0))}) == {
+        "row": 1.5, "pair": (0.5, 0.0)}
+
+
+def _criterion_maxima(**edits) -> dict:
+    """Worst (residual, scale) of every criterion of an almost
+    quasi-Sasakian structure whose three quasi-Sasakian conditions fail,
+    as example1 reports it, with ``edits`` replacing some."""
+    maxima = {name: (0.0, 1.0) for name in classify.BASE_CRITERIA}
+    maxima.update({name: (0.5, 1.0) for name in classify.QS_CONDITIONS})
+    maxima["contact_metric"] = (2.0, 1.0)
+    maxima.update(edits)
+    return maxima
+
+
+def test_classification_sections_of_hand_written_maxima():
+    sections = classify.classification_sections(_criterion_maxima(), 1e-9, 7)
+    verdicts = sections["classification"]
+    assert [name for name in classify.CRITERIA if verdicts[name]["holds"]] == [
+        "normal", "almost_normal", "almost_contact_kahler", "aqs", "d_eta_xi_zero", "d_Omega_zero"]
+    assert all(entry["samples"] == 7 for entry in verdicts.values())
+    assert verdicts["quasi_sasakian"]["max_residual"] == 0.5
+    assert sections["quasi_sasakian_conditions"]["phi_psi_commute"] == {"holds": False, "max_residual": 0.5}
+
+
+def test_a_nan_conjunct_makes_aqs_nan_and_false():
+    sections = classify.classification_sections(_criterion_maxima(d_Omega_zero=(math.nan, 1.0)), 1e-9, 7)
+    aqs = sections["classification"]["aqs"]
+    assert math.isnan(aqs["max_residual"]) and aqs["holds"] is False
+    assert math.isnan(sections["classification"]["quasi_sasakian"]["max_residual"])
+    assert not checks.finite(sections["classification"])
+
+
+def test_aqs_with_disagreeing_qs_conditions_is_inconsistent():
+    maxima = _criterion_maxima(phi_psi_commute=(0.0, 1.0))
+    with pytest.raises(classify.InternalConsistencyError, match="disagree on an AQS structure"):
+        classify.classification_sections(maxima, 1e-9, 7)
+    # off AQS the disagreement is no contradiction
+    maxima["d_eta_xi_zero"] = (1.0, 1.0)
+    sections = classify.classification_sections(maxima, 1e-9, 7)
+    assert not sections["classification"]["aqs"]["holds"]
+    assert sections["quasi_sasakian_conditions"]["phi_psi_commute"]["holds"]
+
+
+def test_an_infinite_einstein_scale_fails_only_its_source():
+    grids = {source: [[0.0]] for source in OMEGA_SOURCES}
+    maxima = {"parallel_torsion": 0.25, "d_eta": (1e-12, math.inf), "fundamental_form": (1e-12, 2.0)}
+    section = curvature.einstein_section(maxima, grids, 1e-9)
+    assert section["d_eta"]["verdict"] is False and section["fundamental_form"]["verdict"] is True
+    assert {entry["max_residual"] for entry in section.values()} == {1e-12}
+    assert {entry["parallel_torsion_residual"] for entry in section.values()} == {0.25}
+    assert section["d_eta"]["residual_grid"] is grids["d_eta"]
+    assert checks.finite(section)  # the scale is not reported
+
+
+def test_a_finite_n_connection_formula_failure_does_not_gate(monkeypatch, capsys):
+    # reported with a tolerance, a holds and a PASS/FAIL line, but not one
+    # of the hard identities, so the exit status stays 0
+    _patch(monkeypatch, checks, "identity_residuals", _in_table("n_connection_formula"), 1.0)
+    code, out = _run(capsys, ["check", "example1", "--samples", "8", "--json"])
+    entry = json.loads(out)["identities"]["n_connection_formula"]
+    assert code == 0 and entry["max_residual"] == 1.0 and entry["holds"] is False
+    code, out = _run(capsys, ["check", "example1", "--samples", "8"])
+    assert code == 0
+    assert [line.split()[-1] for line in out.splitlines() if "n_connection_formula" in line] == ["FAIL"]

@@ -96,7 +96,7 @@ READERS = {
     "aqs": aqs_characterization_residual,
     "qs": qs_characterization_residual,
     "canonical_nabla_phi": canonical_nabla_phi_residual,
-    "criteria": lambda ev: np.array([part for pair in criterion_residuals(ev).values() for part in pair]),
+    "criteria": lambda ev: np.array(list(criterion_residuals(ev).values())),
 }
 
 
