@@ -44,7 +44,6 @@ from .connection import (
     lc_oracle,
     metricity_defect,
     n_connection_formula_residual,
-    nabla_omega,
     nabla_psi,
     torsion,
 )
@@ -176,7 +175,8 @@ def _array_template(shape: tuple[int, ...], level: int) -> str:
 
 def identity_residuals(ev: StructureEval) -> dict[str, np.ndarray]:
     """Residual of every reported identity at each evaluated point, plus the
-    metricity defect of the canonical connection."""
+    metricity defect of the canonical connection; ``nabla_omega`` is the
+    row of ``curvature.einstein_rows``."""
     tors = torsion(ev, ev.canonical_N)
     defect = metricity_defect(ev, ev.canonical_N)
     tables = {
@@ -195,7 +195,6 @@ def identity_residuals(ev: StructureEval) -> dict[str, np.ndarray]:
         "aqs_characterization": aqs_characterization_residual(ev),
         "qs_characterization": qs_characterization_residual(ev),
         "canonical_nabla_phi": canonical_nabla_phi_residual(ev),
-        "nabla_omega": ev.max_abs(nabla_omega(ev)),
         "nabla_psi": ev.max_abs(nabla_psi(ev)),
     }
 

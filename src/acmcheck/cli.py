@@ -29,14 +29,38 @@ from .expr import ExprError, describe_first
 from .manifest import Manifest, ManifestError, load_manifest
 from .structure import SingularMetricError, StructureEval
 
-TENSOR_NAMES = (
-    "omega", "psi", "C", "lc-adapted", "n-connection", "torsion",
-    "schouten", "K", "ricci-wagner", "ricci-k",
-)
 
-# the tensors that differentiate the connection along the frame, and so
-# read the Hessians of the metric and gamma; the others need first order
-HESSIAN_TENSORS = ("schouten", "K", "ricci-wagner", "ricci-k")
+def _attributes(value, **keys: str) -> dict:
+    """A payload of ``value``'s attributes, each under its key."""
+    return {key: getattr(value, attribute) for key, attribute in keys.items()}
+
+
+def _torsion_payload(ev: StructureEval) -> dict:
+    result = torsion(ev, ev.canonical_N)
+    return {"components": result.components, "is_skew": bool(result.is_skew),
+            "skew_residual": float(result.skew_residual),
+            "direct_residual": float(result.direct_residual)}
+
+
+# each tensor's jet order and payload; the tensors of order 2 differentiate
+# the connection along the frame, and so read the Hessians of the metric
+# and gamma
+TENSORS = {
+    "omega": (1, lambda ev: {"omega": ev.omega0}),
+    "psi": (1, lambda ev: {"psi": ev.psi0}),
+    "C": (1, lambda ev: {"C": ev.C0}),
+    "lc-adapted": (1, lambda ev: _attributes(lc_adapted(ev), frame="frame", n_ab="n_ab",
+                                              mixed_an="mixed_an", n_na="n_na", a_nn="a_nn")),
+    "n-connection": (1, lambda ev: _attributes(canonical_connection(ev), frame="frame",
+                                                mixed_na="mixed_an", n_na="n_na")),
+    "torsion": (1, _torsion_payload),
+    "schouten": (2, lambda ev: {"schouten": schouten(ev)}),
+    "K": (2, lambda ev: _attributes(curvature_K(ev), frame="frame", mixed="mixed")),
+    "ricci-wagner": (2, lambda ev: {"ricci_wagner": ricci_wagner(ev)}),
+    "ricci-k": (2, lambda ev: {"ricci_k": ricci_k(ev)}),
+}
+TENSOR_NAMES = tuple(TENSORS)
+HESSIAN_TENSORS = tuple(name for name, (order, _) in TENSORS.items() if order == 2)
 
 
 class InputError(Exception):
@@ -61,36 +85,10 @@ def _parse_point(text: str, manifest: Manifest) -> np.ndarray:
 
 
 def _tensor_payload(name: str, manifest: Manifest, p: np.ndarray) -> dict:
-    ev = StructureEval(manifest, p, order=2 if name in HESSIAN_TENSORS else 1)
-    if name in ("omega", "psi", "C"):
-        return {name: getattr(ev, f"{name}0")}
-    if name == "lc-adapted":
-        coeffs = lc_adapted(ev)
-        return {
-            "frame": coeffs.frame,
-            "n_ab": coeffs.n_ab,
-            "mixed_an": coeffs.mixed_an,
-            "n_na": coeffs.n_na,
-            "a_nn": coeffs.a_nn,
-        }
-    if name == "n-connection":
-        coeffs = canonical_connection(ev)
-        return {"frame": coeffs.frame, "mixed_na": coeffs.mixed_an, "n_na": coeffs.n_na}
-    if name == "torsion":
-        result = torsion(ev, ev.canonical_N)
-        return {"components": result.components, "is_skew": bool(result.is_skew),
-                "skew_residual": float(result.skew_residual),
-                "direct_residual": float(result.direct_residual)}
-    if name == "schouten":
-        return {"schouten": schouten(ev)}
-    if name == "K":
-        K = curvature_K(ev)
-        return {"frame": K.frame, "mixed": K.mixed}
-    if name == "ricci-wagner":
-        return {"ricci_wagner": ricci_wagner(ev)}
-    if name == "ricci-k":
-        return {"ricci_k": ricci_k(ev)}
-    raise InputError(f"unknown tensor '{name}'; known: {', '.join(TENSOR_NAMES)}")
+    if name not in TENSORS:
+        raise InputError(f"unknown tensor '{name}'; known: {', '.join(TENSOR_NAMES)}")
+    order, build = TENSORS[name]
+    return build(StructureEval(manifest, p, order=order))
 
 
 def _print_check_human(report: dict) -> None:

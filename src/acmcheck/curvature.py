@@ -112,14 +112,15 @@ def einstein_reports(ev: StructureEval, tol: float) -> dict[str, dict]:
 
 def einstein_rows(ev: StructureEval) -> tuple[dict, dict[str, list]]:
     """The rows of the ``einstein`` section, the hypothesis max |nabla omega|
-    as ``parallel_torsion`` and each omega source's (residual, scale) of
+    as ``nabla_omega`` (the one row of it: ``check`` reports it under
+    ``identities`` too) and each omega source's (residual, scale) of
     r_ab = 4 omega_{da} psi^d_b, and each source's ``residual_grid``: its
     per-component max over samples, so block-level behaviour stays visible."""
     m = ev.m
     r = ricci_wagner(ev).reshape(-1, m, m)
     samples = r.shape[:1]
     r_scale = per_point(np.maximum, np.abs(r), samples)
-    rows, grids = {"parallel_torsion": ev.max_abs(nabla_omega(ev)).reshape(-1)}, {}
+    rows, grids = {"nabla_omega": ev.max_abs(nabla_omega(ev)).reshape(-1)}, {}
     for source in OMEGA_SOURCES:
         rhs = einstein_rhs(ev, source).reshape(-1, m, m)
         diff = np.abs(r - rhs)
@@ -135,7 +136,7 @@ def einstein_section(maxima: dict, grids: dict[str, list], tol: float) -> dict[s
     ``parallel_torsion_residual``, which does not gate the verdict."""
     return {
         source: {"verdict": holds_within(*maxima[source], tol), "max_residual": maxima[source][0],
-                 "parallel_torsion_residual": maxima["parallel_torsion"],
+                 "parallel_torsion_residual": maxima["nabla_omega"],
                  "residual_grid": grids[source]}
         for source in OMEGA_SOURCES
     }

@@ -23,7 +23,6 @@ Array layouts (fixed project-wide):
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, wraps
-from itertools import combinations
 from math import prod
 
 import numpy as np
@@ -200,7 +199,8 @@ class StructureEval:
 
     @cached_property
     def ginv1(self) -> np.ndarray:
-        return -contract("...ac,...cdj,...db->...abj", self.ginv0, self.g1, self.ginv0)
+        ginv_g1 = contract("...ac,...cdj->...adj", self.ginv0, self.g1)
+        return -contract("...db,...adj->...abj", self.ginv0, ginv_g1)
 
     @cached_property
     def _nonholonomy(self):
@@ -372,7 +372,8 @@ class StructureEval:
     @cached_property
     def omega_phi0(self) -> np.ndarray:
         """d(eta)(phi e_a, phi e_b) = phi^c_a phi^d_b omega_cd (read-only)."""
-        return frozen(contract("...ca,...db,...cd->...ab", self.phi0, self.phi0, self.omega0))
+        phi_omega = contract("...ca,...cd->...ad", self.phi0, self.omega0)
+        return frozen(contract("...db,...ad->...ab", self.phi0, phi_omega))
 
 
 def inverse_by_point(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -406,19 +407,19 @@ def _moved_axes(ndim: int, source: int, destination: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """``np.einsum(subscripts, *operands)`` for an explicit ``->`` form in
-    which every label occurs at most once per operand and every summed label
-    in at least two operands.
+def contract(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, a, b)`` for an explicit ``->`` form of two
+    operands in which every label occurs at most once per operand and every
+    summed label in both.
 
-    The operands are contracted by a plan of pairwise batched matrix
-    products (:func:`contraction_plan`), computed once per subscripts and
-    shapes.  A single point (no batch axes) is planned like a batch, so it
-    is summed in the same order as its row of any batch.  Batch axes
-    broadcast as in ``np.einsum``; an operand with unit axes (a
-    :meth:`StructureEval.lift`) is correct but slow, since ``np.matmul``
-    then runs one small product per entry of those axes, so the library
-    passes none.
+    The pair is one batched matrix product (:func:`contraction_plan`),
+    planned once per subscripts and shapes.  A product of three tensors is
+    two calls, the smaller intermediate first.  A single point (no batch
+    axes) is planned like a batch, so it is summed in the same order as its
+    row of any batch.  Batch axes broadcast as in ``np.einsum``; an operand
+    with unit axes (a :meth:`StructureEval.lift`) is correct but slow, since
+    ``np.matmul`` then runs one small product per entry of those axes, so
+    the library passes none.
 
     Layout rule: a right-hand matmul operand whose last axis is not
     unit-stride (a transposed view) is copied to C order before its
@@ -428,116 +429,89 @@ def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     x86-64 VM.  A left-hand operand is left as it is: its transposed view
     is as fast, and a copy would change the bits of a matrix-vector step.
     """
-    plan = contraction_plan(subscripts, tuple(op.shape for op in operands))
-    arrays = list(operands)
-    for i, j, a_perm, a_shape, b_perm, b_shape, out_shape, out_perm in plan:
-        b = arrays.pop(j)
-        a = arrays.pop(i)
-        # a step the plan stores as None would return a view of the same
-        # shape and strides
-        if a_perm is not None:
-            a = a.transpose(a_perm)
-        if a_shape is not None:
-            a = a.reshape(a_shape)
-        if b_perm is not None:
-            b = b.transpose(b_perm)
-        if b_shape is not None:
-            b = b.reshape(b_shape)
-        if b.strides[-1] != b.itemsize:
-            b = np.ascontiguousarray(b)
-        c = np.matmul(a, b)
-        if out_shape is not None:
-            c = c.reshape(out_shape)
-        if out_perm is not None:
-            c = c.transpose(out_perm)
-        arrays.append(c)
-    return arrays[0]
+    a_perm, a_shape, b_perm, b_shape, out_shape, out_perm = contraction_plan(
+        subscripts, (a.shape, b.shape)
+    )
+    # an entry the plan stores as None would return a view of the same shape
+    # and strides
+    if a_perm is not None:
+        a = a.transpose(a_perm)
+    if a_shape is not None:
+        a = a.reshape(a_shape)
+    if b_perm is not None:
+        b = b.transpose(b_perm)
+    if b_shape is not None:
+        b = b.reshape(b_shape)
+    if b.strides[-1] != b.itemsize:
+        b = np.ascontiguousarray(b)
+    c = np.matmul(a, b)
+    if out_shape is not None:
+        c = c.reshape(out_shape)
+    if out_perm is not None:
+        c = c.transpose(out_perm)
+    return c
 
 
 @lru_cache(maxsize=256)
 def contraction_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
-    """The steps of :func:`contract` for operands of these shapes; operands
-    without batch axes (a single point) are planned with zero of them.
+    """The one step of :func:`contract` for two operands a, b of these
+    shapes; operands without batch axes (a single point) are planned with
+    zero of them.
 
-    Each step takes operands i < j off the list and appends
-    ``matmul(a.transpose(a_perm).reshape(a_shape), b.transpose(b_perm)
-    .reshape(b_shape)).reshape(out_shape).transpose(out_perm)``: the labels
-    that both operands carry and that are still needed lead as matmul batch
-    axes, then the labels of a alone, then those of b alone; the labels both
-    carry and nothing else needs are summed.  A batch axis of size 1 in one
-    operand keeps that size in its matrix shape, and ``np.matmul``
-    broadcasts it.  Of three or more operands, the pair with the smallest
-    result goes first.
+    The step is ``matmul(a.transpose(a_perm).reshape(a_shape),
+    b.transpose(b_perm).reshape(b_shape)).reshape(out_shape)
+    .transpose(out_perm)``: the labels that both operands carry and the
+    output keeps lead as matmul batch axes, then the labels of a alone, then
+    those of b alone; the labels both carry and the output drops are summed.
+    A batch axis of size 1 in one operand keeps that size in its matrix
+    shape, and ``np.matmul`` broadcasts it.  A product of three tensors is
+    two plans, the smaller intermediate first.
     A permutation that is the identity, and a reshape to the shape the
     operand already has, are stored as None: :func:`contract` skips them.
     """
     inputs, output = subscripts.replace(" ", "").split("->")
     terms = inputs.split(",")
-    if len(terms) != len(shapes) or len(terms) < 2:
-        raise ValueError(f"'{subscripts}' does not name {len(shapes)} operands (two or more)")
+    if len(terms) != 2 or len(shapes) != 2:
+        raise ValueError(f"'{subscripts}' does not name two operands")
     # batch axes get the labels -k..-1, aligned from the right as they broadcast
-    ops = []
+    labels = []
     nbatch = 0
     for term, shape in zip(terms, shapes):
         letters = term.replace("...", "")
         k = len(shape) - len(letters)
         if k < 0 or (k and "..." not in term) or len(set(letters)) != len(letters):
             raise ValueError(f"'{subscripts}' does not fit operand shapes {shapes}")
-        ops.append((tuple(range(-k, 0)) + tuple(letters), shape))
+        labels.append(tuple(range(-k, 0)) + tuple(letters))
         nbatch = max(nbatch, k)
     if nbatch and "..." not in output:
         raise ValueError(f"'{subscripts}' drops the batch axes of its operands")
     out_labels = tuple(range(-nbatch, 0)) + tuple(output.replace("...", ""))
-
-    def split(i: int, j: int):
-        """Output sizes and the labels of a pair: shared, summed, a's alone
-        and b's alone."""
-        (a, a_shape), (b, b_shape) = ops[i], ops[j]
-        needed = set(out_labels).union(*(ops[k][0] for k in range(len(ops)) if k not in (i, j)))
-        b_size = dict(zip(b, b_shape))
-        size = {**b_size, **{label: max(n, b_size.get(label, 1)) for label, n in zip(a, a_shape)}}
-        shared = [label for label in a if label in b and label in needed]
-        summed = [label for label in a if label in b and label not in needed]
-        left = [label for label in a if label not in b]
-        right = [label for label in b if label not in a]
-        if not needed.issuperset(left + right):
-            raise ValueError(f"'{subscripts}' sums a label that only one operand carries")
-        return size, shared, summed, left, right
-
-    def result_size(ij: tuple[int, int]) -> int:
-        size, shared, _, left, right = split(*ij)
-        return prod(size[label] for label in shared + left + right)
-
-    steps = []
-    while len(ops) > 1:
-        i, j = min(combinations(range(len(ops)), 2), key=result_size)
-        size, shared, summed, left, right = split(i, j)
-        (a, a_shape), (b, b_shape) = ops[i], ops[j]
-        n_left, n_summed, n_right = (
-            prod(size[label] for label in part) for part in (left, summed, right)
-        )
-        labels = tuple(shared + left + right)
-        shape = tuple(size[label] for label in labels)
-        ops = [op for k, op in enumerate(ops) if k not in (i, j)] + [(labels, shape)]
-        order = out_labels if len(ops) == 1 else labels
-        a_perm = tuple(a.index(label) for label in shared + left + summed)
-        b_perm = tuple(b.index(label) for label in shared + summed + right)
-        a_mat = tuple(a_shape[k] for k in a_perm[: len(shared)]) + (n_left, n_summed)
-        b_mat = tuple(b_shape[k] for k in b_perm[: len(shared)]) + (n_summed, n_right)
-        c_shape = tuple(size[label] for label in shared) + (n_left, n_right)
-        steps.append(
-            (
-                i,
-                j,
-                _unless_identity(a_perm),
-                _unless_same(a_mat, tuple(a_shape[k] for k in a_perm)),
-                _unless_identity(b_perm),
-                _unless_same(b_mat, tuple(b_shape[k] for k in b_perm)),
-                _unless_same(shape, c_shape),
-                _unless_identity(tuple(labels.index(label) for label in order)),
-            )
-        )
-    return tuple(steps)
+    (a, b), (a_shape, b_shape) = labels, shapes
+    b_size = dict(zip(b, b_shape))
+    size = {**b_size, **{label: max(n, b_size.get(label, 1)) for label, n in zip(a, a_shape)}}
+    shared = [label for label in a if label in b and label in out_labels]
+    summed = [label for label in a if label in b and label not in out_labels]
+    left = [label for label in a if label not in b]
+    right = [label for label in b if label not in a]
+    if not set(out_labels).issuperset(left + right):
+        raise ValueError(f"'{subscripts}' sums a label that only one operand carries")
+    n_left, n_summed, n_right = (
+        prod(size[label] for label in part) for part in (left, summed, right)
+    )
+    c_labels = tuple(shared + left + right)
+    a_perm = tuple(a.index(label) for label in shared + left + summed)
+    b_perm = tuple(b.index(label) for label in shared + summed + right)
+    a_mat = tuple(a_shape[k] for k in a_perm[: len(shared)]) + (n_left, n_summed)
+    b_mat = tuple(b_shape[k] for k in b_perm[: len(shared)]) + (n_summed, n_right)
+    c_shape = tuple(size[label] for label in shared) + (n_left, n_right)
+    return (
+        _unless_identity(a_perm),
+        _unless_same(a_mat, tuple(a_shape[k] for k in a_perm)),
+        _unless_identity(b_perm),
+        _unless_same(b_mat, tuple(b_shape[k] for k in b_perm)),
+        _unless_same(tuple(size[label] for label in c_labels), c_shape),
+        _unless_identity(tuple(c_labels.index(label) for label in out_labels)),
+    )
 
 
 def _unless_identity(perm: tuple[int, ...]) -> tuple[int, ...] | None:

@@ -275,7 +275,8 @@ def _lifted_phi_apply(ev, V: np.ndarray) -> np.ndarray:
 def four_bracket_nijenhuis(ev) -> tuple[np.ndarray, np.ndarray]:
     """(N_phi, d(eta)(phi ., phi .)) on all basis pairs: N_phi from four
     pairwise brackets of its own fields phi(E_i), each phi image applied on
-    its own, and the pull-back of d(eta) contracted on its own."""
+    its own, and the pull-back of d(eta) in ``np.einsum``, outside the
+    planner."""
     m = ev.m
     B0, B1 = ev.frame
     P0, P1 = _phi_fields(ev)
@@ -287,7 +288,7 @@ def four_bracket_nijenhuis(ev) -> tuple[np.ndarray, np.ndarray]:
     n_phi = to_frame_components(ev, term)
 
     d_eta_phi = ev.zeros(ev.n, ev.n)
-    d_eta_phi[..., :m, :m] = contract("...ci,...dj,...cd->...ij", ev.phi0, ev.phi0, ev.omega0)
+    d_eta_phi[..., :m, :m] = np.einsum("...ci,...dj,...cd->...ij", ev.phi0, ev.phi0, ev.omega0)
     return n_phi, d_eta_phi
 
 

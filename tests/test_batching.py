@@ -16,6 +16,7 @@ from acmcheck.connection import (
     basis_brackets_frame,
     canonical_connection,
     lc_adapted,
+    nabla_omega,
     torsion,
 )
 from acmcheck.curvature import curvature_K, einstein_rhs, ricci_k, ricci_wagner, schouten
@@ -61,6 +62,7 @@ def _quantities(ev: StructureEval) -> dict[str, np.ndarray]:
         out[f"criterion.{k}.scale"] = scale
     for source in OMEGA_SOURCES:  # the Einstein left-hand side r is "ricci-wagner"
         out[f"einstein.{source}.rhs"] = einstein_rhs(ev, source)
+    out["einstein.nabla_omega"] = nabla_omega(ev)  # the parallel-torsion row's tensor
     return out
 
 

@@ -1,7 +1,9 @@
 """The contraction layer: `structure.contract` against `np.einsum` on every
-subscript string it is called with, the rule that every other
-multi-operand einsum of the library goes through it, and the rule that the
-coordinate oracle does not."""
+subscript string it is called with, its one planned step replayed bit for
+bit, the rule that it takes exactly two operands (a product of three
+tensors is two calls), the rule that every other multi-operand einsum of
+the library goes through it, and the rule that the coordinate oracle does
+not."""
 
 from __future__ import annotations
 
@@ -101,15 +103,25 @@ def test_the_library_contracts_through_contract():
     # guards the collector: with no subscripts found, the parametrized
     # tests below would pass vacuously
     assert len(SUBSCRIPTS) >= 25
-    assert any(s.count(",") == 2 for s in SUBSCRIPTS)
+    assert all(s.count(",") == 1 for s in SUBSCRIPTS)
+
+
+def test_every_library_contract_call_passes_two_operands():
+    calls = [(f"{name}:{call.lineno}", call) for name, _, call in _library_calls()
+             if _callee(call) == "contract"]
+    # guards the collector: the two halves of ginv1 and omega_phi0 included
+    assert len(calls) >= 30
+    offenders = [where for where, call in calls
+                 if len(call.args) != 3 or call.keywords
+                 or any(isinstance(arg, ast.Starred) for arg in call.args)]
+    assert not offenders, "contract without exactly two operands: " + ", ".join(offenders)
 
 
 @pytest.mark.parametrize("subscripts", SUBSCRIPTS)
 @pytest.mark.parametrize("batch", [(), (1,), (8,)], ids=["point", "one", "eight"])
 def test_contract_matches_einsum(subscripts, batch):
     rng = np.random.default_rng([*batch, *map(ord, subscripts)])
-    n = subscripts.count(",") + 1
-    _check(subscripts, _operands(subscripts, [batch] * n, rng))
+    _check(subscripts, _operands(subscripts, [batch] * 2, rng))
 
 
 @pytest.mark.parametrize("subscripts", SUBSCRIPTS)
@@ -117,10 +129,9 @@ def test_contract_broadcasts_batch_axes(subscripts):
     # as StructureEval.lift makes them: unit axes in one operand, fewer
     # batch axes in another
     rng = np.random.default_rng(5)
-    n = subscripts.count(",") + 1
-    _check(subscripts, _operands(subscripts, [(8, 5, 3)] + [(8, 1, 1)] * (n - 1), rng))
-    _check(subscripts, _operands(subscripts, [(8, 5, 3)] + [(3,)] * (n - 1), rng))
-    _check(subscripts, _operands(subscripts, [(1, 3)] * (n - 1) + [(8, 1)], rng))
+    _check(subscripts, _operands(subscripts, [(8, 5, 3), (8, 1, 1)], rng))
+    _check(subscripts, _operands(subscripts, [(8, 5, 3), (3,)], rng))
+    _check(subscripts, _operands(subscripts, [(1, 3), (8, 1)], rng))
 
 
 def test_contract_lift_shapes():
@@ -134,10 +145,10 @@ def test_contract_lift_shapes():
 
 def test_contract_reuses_its_plan():
     rng = np.random.default_rng(8)
-    operands = _operands("...ci,...dj,...cd->...ij", [(8,)] * 3, rng)
-    contract("...ci,...dj,...cd->...ij", *operands)
+    operands = _operands("...ci,...cd->...id", [(8,)] * 2, rng)
+    contract("...ci,...cd->...id", *operands)
     before = contraction_plan.cache_info()
-    contract("...ci,...dj,...cd->...ij", *operands)
+    contract("...ci,...cd->...id", *operands)
     after = contraction_plan.cache_info()
     assert after.hits == before.hits + 1
     assert after.misses == before.misses
@@ -165,29 +176,25 @@ def test_a_probe_round_and_two_checks_evict_no_plan(capsys):
 
 
 def _full_sequence(plan: tuple, operands: list[np.ndarray], laid_out: list | None = None) -> np.ndarray:
-    """The steps of ``plan`` with every transpose and reshape applied, a
-    step stored as None as the identity permutation or the shape at hand,
-    and no operand copied; asserts that the plan stores no step that would
-    change nothing.  ``laid_out`` collects, per step, whether the
-    right-hand matmul operand's last axis is not unit-stride."""
-    arrays = list(operands)
-    for i, j, a_perm, a_shape, b_perm, b_shape, out_shape, out_perm in plan:
-        b = arrays.pop(j)
-        a = arrays.pop(i)
-        operands_in = []
-        for x, perm, shape in ((a, a_perm, a_shape), (b, b_perm, b_shape)):
-            assert perm != tuple(range(x.ndim)), "identity permutation stored"
-            x = x.transpose(tuple(range(x.ndim)) if perm is None else perm)
-            assert shape != x.shape, "reshape to the same shape stored"
-            operands_in.append(x.reshape(x.shape if shape is None else shape))
-        if laid_out is not None:
-            laid_out.append(operands_in[1].strides[-1] != operands_in[1].itemsize)
-        c = np.matmul(*operands_in)
-        assert out_shape != c.shape, "reshape to the same shape stored"
-        c = c.reshape(c.shape if out_shape is None else out_shape)
-        assert out_perm != tuple(range(c.ndim)), "identity permutation stored"
-        arrays.append(c.transpose(tuple(range(c.ndim)) if out_perm is None else out_perm))
-    return arrays[0]
+    """The one step of ``plan`` with every transpose and reshape applied, an
+    entry stored as None as the identity permutation or the shape at hand,
+    and no operand copied; asserts that the plan stores no entry that would
+    change nothing.  ``laid_out`` collects whether the right-hand matmul
+    operand's last axis is not unit-stride."""
+    a_perm, a_shape, b_perm, b_shape, out_shape, out_perm = plan
+    operands_in = []
+    for x, perm, shape in zip(operands, (a_perm, b_perm), (a_shape, b_shape)):
+        assert perm != tuple(range(x.ndim)), "identity permutation stored"
+        x = x.transpose(tuple(range(x.ndim)) if perm is None else perm)
+        assert shape != x.shape, "reshape to the same shape stored"
+        operands_in.append(x.reshape(x.shape if shape is None else shape))
+    if laid_out is not None:
+        laid_out.append(operands_in[1].strides[-1] != operands_in[1].itemsize)
+    c = np.matmul(*operands_in)
+    assert out_shape != c.shape, "reshape to the same shape stored"
+    c = c.reshape(c.shape if out_shape is None else out_shape)
+    assert out_perm != tuple(range(c.ndim)), "identity permutation stored"
+    return c.transpose(tuple(range(c.ndim)) if out_perm is None else out_perm)
 
 
 def test_plans_store_no_no_op_step(monkeypatch, capsys):
@@ -212,7 +219,7 @@ def test_plans_store_no_no_op_step(monkeypatch, capsys):
     skipped = 0
     for subscripts, shapes in sorted(keys):
         plan = contraction_plan(subscripts, shapes)
-        skipped += sum(entry is None for step in plan for entry in step)
+        skipped += sum(entry is None for entry in plan)
         operands = [rng.standard_normal(shape) for shape in shapes]
         got, want = contract(subscripts, *operands), _full_sequence(plan, operands)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), subscripts
@@ -256,6 +263,15 @@ def test_contract_refuses_what_it_does_not_plan():
         contract("...ab,...a->...", *_operands("...ab,...a->...", [(8,), (8,)], rng))
     with pytest.raises(ValueError):  # batch axes without an output ellipsis
         contract("...ab,...bc->ac", *_operands("...ab,...bc->ac", [(8,), (8,)], rng))
+    # a product of three tensors is two calls: a third term is refused, as
+    # is a plan for any number of operands but two
+    a, b, c = _operands("...ca,...db,...cd->...ab", [(8,)] * 3, rng)
+    with pytest.raises(ValueError, match="two operands"):
+        contract("...ca,...db,...cd->...ab", a, b)
+    with pytest.raises(TypeError):
+        contract("...ca,...db,...cd->...ab", a, b, c)
+    with pytest.raises(ValueError, match="two operands"):
+        contraction_plan("...ca,...db,...cd->...ab", (a.shape, b.shape, c.shape))
 
 
 def test_multi_operand_einsum_only_in_contract_and_the_oracle():

@@ -94,7 +94,7 @@ def _einstein_rhs_edit(rhs: np.ndarray, bad: float) -> np.ndarray:
 CRITERIA_HOLDERS = (checks, classify)
 
 SOFT_IDENTITIES = ("torsion_skew", "aqs_characterization", "qs_characterization",
-                   "canonical_nabla_phi", "nabla_omega", "nabla_psi")
+                   "canonical_nabla_phi", "nabla_psi")
 
 # slot of the check report, (module, builder, edit), and the command and
 # slot of its own section where classify or einstein reports it too
@@ -122,9 +122,14 @@ INJECTIONS = {
     ("einstein", "d_eta", "residual_grid", 0, 1): (
         (curvature, "einstein_rhs", _einstein_rhs_edit),
         ("einstein", ("d_eta", "residual_grid", 0, 1))),
-    ("einstein", "fundamental_form", "parallel_torsion_residual"): (
-        (curvature, "nabla_omega", lambda value, bad: _poisoned(value, bad)),
-        ("einstein", ("fundamental_form", "parallel_torsion_residual"))),
+    # the one nabla omega row of einstein_rows: check reports its maximum
+    # under identities and as each omega source's parallel torsion
+    **{
+        slot: ((curvature, "nabla_omega", _poisoned),
+               ("einstein", ("fundamental_form", "parallel_torsion_residual")))
+        for slot in (("identities", "nabla_omega", "max_residual"),
+                     ("einstein", "fundamental_form", "parallel_torsion_residual"))
+    },
 }
 
 
@@ -185,10 +190,10 @@ def test_a_non_finite_scale_alone_fails_only_its_verdict(bad, monkeypatch, capsy
     assert code == 0 and json.loads(out) == before["classification"]
 
 
-# the rows of each command: check's are the Einstein rows (parallel
-# torsion, then a residual and a scale per omega source), the axiom and
-# identity tables (6 + 13 rows) and the criteria (8 residuals and scales)
-PARTS = {"check": 5 + 6 + 13 + 16, "classify": 16, "einstein": 5}
+# the rows of each command: check's are the Einstein rows (nabla omega,
+# then a residual and a scale per omega source), the axiom and identity
+# tables (6 + 12 rows) and the criteria (8 residuals and scales)
+PARTS = {"check": 5 + 6 + 12 + 16, "classify": 16, "einstein": 5}
 
 
 @pytest.mark.parametrize("command", PARTS)
@@ -292,13 +297,28 @@ def test_aqs_with_disagreeing_qs_conditions_is_inconsistent():
 
 def test_an_infinite_einstein_scale_fails_only_its_source():
     grids = {source: [[0.0]] for source in OMEGA_SOURCES}
-    maxima = {"parallel_torsion": 0.25, "d_eta": (1e-12, math.inf), "fundamental_form": (1e-12, 2.0)}
+    maxima = {"nabla_omega": 0.25, "d_eta": (1e-12, math.inf), "fundamental_form": (1e-12, 2.0)}
     section = curvature.einstein_section(maxima, grids, 1e-9)
     assert section["d_eta"]["verdict"] is False and section["fundamental_form"]["verdict"] is True
     assert {entry["max_residual"] for entry in section.values()} == {1e-12}
     assert {entry["parallel_torsion_residual"] for entry in section.values()} == {0.25}
     assert section["d_eta"]["residual_grid"] is grids["d_eta"]
     assert checks.finite(section)  # the scale is not reported
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_one_nabla_omega_row_feeds_both_sections(name, monkeypatch, capsys):
+    # identities.nabla_omega and every source's parallel_torsion_residual
+    # are the maximum of one row, unpoisoned and with a finite value at
+    # sample 1 that exceeds every fixture's own
+    def slots(report):
+        return {report["identities"]["nabla_omega"]["max_residual"],
+                *(entry["parallel_torsion_residual"] for entry in report["einstein"].values())}
+
+    argv = ["check", name, "--samples", "8", "--json"]
+    assert len(slots(json.loads(_run(capsys, argv)[1]))) == 1
+    _patch(monkeypatch, curvature, "nabla_omega", _poisoned, 1e3)
+    assert slots(json.loads(_run(capsys, argv)[1])) == {1e3}
 
 
 def test_a_finite_n_connection_formula_failure_does_not_gate(monkeypatch, capsys):
