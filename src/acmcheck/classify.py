@@ -177,6 +177,12 @@ def qs_characterization_residual(ev: StructureEval) -> np.ndarray:
     return _phi_characterization_residual(ev, ev.phi_psi0, ev.phi_psi0)
 
 
+@memoised
+def omega_max(ev: StructureEval) -> np.ndarray:
+    """max |omega_ab| at each point, read by three scales."""
+    return ev.max_abs(ev.omega0)
+
+
 def qs_condition_residuals(ev: StructureEval) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(residual, scale) of the three equivalent quasi-Sasakian conditions."""
     phi_star_omega, phipsi, psiphi = ev.omega_phi0, ev.phi_psi0, ev.psi_phi0
@@ -185,7 +191,7 @@ def qs_condition_residuals(ev: StructureEval) -> dict[str, tuple[np.ndarray, np.
     return {
         "d_eta_phi_invariant": (
             mag(ev.omega0, phi_star_omega),
-            nanmax(mag(ev.omega0), mag(phi_star_omega)),
+            nanmax(omega_max(ev), mag(phi_star_omega)),
         ),
         "phi_psi_commute": (mag(phipsi, psiphi), nanmax(mag(phipsi), mag(psiphi))),
         "A_g_symmetric": (mag(gA, mat_t(gA)), mag(gA)),
@@ -210,15 +216,13 @@ def criterion_residuals(ev: StructureEval) -> dict[str, tuple[np.ndarray, np.nda
     mag = ev.max_abs
     n_phi, n1, n_tilde = mag(bundle.n_phi), mag(bundle.n1), mag(bundle.n_tilde)
     nij_scale = nanmax(n_phi, 2.0 * mag(bundle.d_eta), 2.0 * mag(bundle.d_eta_phi))
+    omega, Omega, d_eta_xi = omega_max(ev), mag(ev.Omega0), mag(ev.d_eta_xi)
     return {
-        "contact_metric": (
-            mag(ev.Omega0, ev.omega0),
-            nanmax(mag(ev.Omega0), mag(ev.omega0)),
-        ),
+        "contact_metric": (mag(ev.Omega0, ev.omega0), nanmax(Omega, omega)),
         "normal": (n1, nij_scale),
         "almost_normal": (n_tilde, nij_scale),
-        "d_eta_xi_zero": (mag(ev.d_eta_xi), nanmax(mag(ev.omega0), 0.5 * mag(ev.d_eta_xi))),
-        "d_Omega_zero": (mag(d_fundamental_form(ev)), nanmax(mag(ev.Omega0), mag(ev.Omega1))),
+        "d_eta_xi_zero": (d_eta_xi, nanmax(omega, 0.5 * d_eta_xi)),
+        "d_Omega_zero": (mag(d_fundamental_form(ev)), nanmax(Omega, mag(ev.Omega1))),
         **qs_condition_residuals(ev),
     }
 

@@ -61,7 +61,10 @@ def ricci_wagner(ev: StructureEval) -> np.ndarray:
     is an array over (b, a, c) only: the products contract one index, and
     the derivative terms read two slices of the gradient of Gamma, with
     e_a = d_a - gamma_a d_n.  The terms are grouped and summed over b as
-    the trace of :func:`schouten` is, so that the two round alike;
+    the trace of :func:`schouten` is.  e_a Gamma^b_{bc} goes through the
+    frame product of :meth:`StructureEval.frame_d`, as :func:`schouten`'s
+    derivatives do, but e_b Gamma^b_{ac} is taken term by term, so the two
+    agree to the last ulps of that term, not bit for bit.
     :func:`schouten` stays the builder of the full tensor.
     """
     m = ev.m

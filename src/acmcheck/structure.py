@@ -174,22 +174,49 @@ class StructureEval:
         """(E0, E1): the adapted frame in coordinates and its gradients."""
         return adapted_frame(self.gam0, self.gam1)
 
+    @cached_property
+    def frame_t(self) -> np.ndarray:
+        """The frame matrix transposed, Et[..., q, i] = E_i^q, in C order
+        and read-only: the right-hand operand of every :meth:`frame_d`."""
+        return frozen(np.ascontiguousarray(mat_t(self.frame[0])))
+
     def frame_d(self, F1: np.ndarray) -> np.ndarray:
         """Frame derivatives from a coordinate gradient: D[..., i] = E_i F.
 
         The last axis of ``F1`` is the coordinate-derivative axis; the result
         keeps the same shape, re-expressed along (e_a, xi).
+
+        The derivative is one matrix product per point: ``F1`` viewed as
+        batch + (rows, n) times :attr:`frame_t`.  Its horizontal entries
+        d_a F - gamma_a d_n F then come out of a BLAS kernel that may fuse
+        the multiply and the subtraction into one rounding, so they can
+        differ from the term-by-term form in the last ulp.  A product also
+        multiplies every entry of a row by the zeros of the frame matrix, so
+        one infinite entry would turn its whole row into NaN (and numpy
+        would warn of it).  So a gradient with an entry that is not finite
+        is differentiated term by term, as d_a F - gamma_a d_n F, which
+        keeps each infinity and its sign in the entries it reaches and
+        leaves the other entries as they are.
         """
-        D = F1.copy()
-        D[..., : self.m] -= F1[..., -1:] * self.lift(self.gam0, F1.ndim)
-        return D
+        if not np.isfinite(F1).all():
+            D = F1.copy()
+            D[..., : self.m] -= F1[..., -1:] * self.lift(self.gam0, F1.ndim)
+            return D
+        rows = prod(F1.shape[len(self.batch) : -1])
+        return np.matmul(F1.reshape(self.batch + (rows, self.n)), self.frame_t).reshape(F1.shape)
 
     def frame_d_grad(self, F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
         """Coordinate gradient of the horizontal frame derivatives:
-        D1[..., a, j] = d_j (e_a F) for a < n-1."""
-        D1 = F2[..., : self.m, :] - self.lift(self.gam1, F2.ndim) * F1[..., -1, None, None]
-        D1 -= self.lift(self.gam0, F2.ndim - 1)[..., None] * F2[..., -1, None, :]
-        return D1
+        D1[..., a, j] = d_j (e_a F) for a < n-1, from the gradient ``F1``
+        and the Hessian ``F2`` of F.
+
+        d_j (e_a F) = e_a (d_j F) - d_j gamma_a d_n F: the first term is the
+        frame derivative of the Hessian's rows (one :meth:`frame_d`, with
+        its rounding and its fallback), transposed by the Hessian's
+        symmetry."""
+        G = np.swapaxes(self.frame_d(F2), -1, -2)  # G[..., i, j] = E_i d_j F
+        D1 = self.lift(self.gam1, F2.ndim) * F1[..., -1, None, None]
+        return np.subtract(G[..., : self.m, :], D1, out=D1)
 
     # -- derived tensors (value + coordinate gradient) -----------------------
 

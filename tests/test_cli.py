@@ -849,6 +849,34 @@ def test_census_calls_end_in_no_traceback(tmp_path):
     assert tracebacks == {}
 
 
+def test_census_tolerance_mode_compares_numbers_within_tolerance():
+    census = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "cli_census.py"))
+    tolerance = census["Tolerance"](1e-9, 1e-12, 1e-8)
+    same = [
+        ("[[ 0.   -0.25]\n [ 0.25  0.  ]]", "[[-0.   -0.25]\n [ 0.25 -0.  ]]"),  # numpy's -0.
+        ("max 1.000000000e+00", "max 1.000000000001e+00"),
+        ("  lc_oracle    max 2.543e-12  tol 1e-08", "  lc_oracle    max 5.102e-12  tol 1e-08"),
+        ('{"identities": {"lc_oracle": {"max_residual": 2.5e-12}}}',
+         '{"identities": {"lc_oracle": {"max_residual": 5.1e-12}}}'),
+        ('{"x": [NaN, -Infinity, 0.0]}', '{"x": [NaN, -Infinity, -0.0]}'),
+        ('{"x": [\n  0.0,\n  1.0]}', '{"x": [\n  -2.7e-20,\n  1.0000000000000002]}'),
+        ("[0. 1.]", "[-0.  1.]"),  # a sign column numpy added
+    ]
+    differ = [
+        ("[0. 1.]", "[0.; 1.]"),
+        ("max 1.000e+00", "max 1.001e+00"),
+        ("  torsion_direct max 2.543e-12", "  torsion_direct max 5.102e-12"),
+        ('{"other": {"max_residual": 2.5e-12}}', '{"other": {"max_residual": 5.1e-12}}'),
+        ('{"x": Infinity}', '{"x": -Infinity}'),
+        ('{"x": NaN}', '{"x": 0.0}'),
+        ("PASS", "FAIL"),
+        ("rank values: [2]", "rank values: [3]"),
+        ("a\nb\n", "a\n"),
+    ]
+    assert [tolerance.text(a, b) for a, b in same] == [None] * len(same)
+    assert all(tolerance.text(a, b) is not None for a, b in differ)
+
+
 def test_cli_usage_error_leaves_next_call_intact(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["tensor", "example2", "--at", "1,3,0,0,2"])  # no --name

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import acmcheck
+from acmcheck.chart import sample_points
 from acmcheck.expr import Binary, Const, ScalarField, parse
+from acmcheck.manifest import manifest_from_dict
 from acmcheck.residuals import per_point
 from acmcheck.structure import (
     SingularMetricError,
@@ -22,7 +24,7 @@ from acmcheck.structure import (
     validate_axioms,
 )
 
-from _helpers import trace_psi_sq
+from _helpers import TWISTED_MANIFEST, deep_tree_manifest_data, trace_psi_sq
 
 ALL = ("flat", "example1", "example2", "example3-qs", "example3-aqs")
 COMPATIBLE = ("flat", "example1", "example2", "example3-qs")
@@ -161,6 +163,137 @@ def test_C_zero_on_shipped_fixtures(manifests, sample_sets):
     for name in ALL:
         for p in sample_sets[name][:8]:
             assert np.array_equal(StructureEval(manifests[name], p).C0, np.zeros((4, 4))), name
+
+
+# ---------------------------------------------------------------------------
+# Frame derivatives
+# ---------------------------------------------------------------------------
+
+FRAME_MANIFESTS = ALL + ("twisted", "heavy0")
+FRAME_BATCHES = ((), (1,), (32,), (2, 3))
+# a rounding-error allowance per unit of the terms' magnitudes: each side
+# rounds a product and a difference or two at most
+FRAME_ULPS = 4 * np.finfo(float).eps
+
+
+def _frame_manifest(name, manifests=None):
+    """A fixture; the twisted manifest, whose gamma entries all vary; or
+    manifest 0 of the heavy-expr pool."""
+    if name == "heavy0":
+        return manifest_from_dict(deep_tree_manifest_data(0))
+    return manifest_from_dict(TWISTED_MANIFEST) if name == "twisted" else manifests[name]
+
+
+def _frame_points(manifest, batch):
+    points = sample_points(manifest, 32, seed=1)
+    return points[0] if batch == () else points[: math.prod(batch)].reshape(batch + (5,))
+
+
+def _frame_inputs(ev):
+    """(F1, F2) pairs the library differentiates: each input gradient with
+    its Hessian where it has one, and the gradient of Gamma."""
+    return (ev.gam1, ev.gam2), (ev.g1, ev.g2), (ev.phi1, None), (ev.Gamma1, None)
+
+
+def _rows(ev, F, tail):
+    """``F`` viewed as batch + (rows,) + its last ``tail`` axes."""
+    return F.reshape(ev.batch + (-1,) + F.shape[F.ndim - tail:])
+
+
+def _frame_d_reference(ev, F1):
+    """E_i F term by term: d_a F - gamma_a d_n F, and d_n F for xi; with the
+    magnitude of the terms of each entry."""
+    R = _rows(ev, F1, 1)
+    along_n = np.einsum("...a,...r->...ra", ev.gam0, R[..., -1])
+    ref, scale = R.copy(), np.abs(R)
+    ref[..., : ev.m] -= along_n
+    scale[..., : ev.m] += np.abs(along_n)
+    return ref.reshape(F1.shape), scale.reshape(F1.shape)
+
+
+def _frame_d_grad_reference(ev, F1, F2):
+    """d_j (e_a F) = d_j d_a F - d_j gamma_a d_n F - gamma_a d_j d_n F, term
+    by term, with the magnitude of the terms of each entry."""
+    R1, R2 = _rows(ev, F1, 1), _rows(ev, F2, 2)
+    terms = (
+        R2[..., : ev.m, :],
+        np.einsum("...aj,...r->...raj", ev.gam1, R1[..., -1]),
+        np.einsum("...a,...rj->...raj", ev.gam0, R2[..., -1, :]),
+    )
+    shape = F2.shape[:-2] + (ev.m, ev.n)
+    return (terms[0] - terms[1] - terms[2]).reshape(shape), sum(map(np.abs, terms)).reshape(shape)
+
+
+@pytest.mark.parametrize("batch", FRAME_BATCHES, ids=str)
+@pytest.mark.parametrize("name", FRAME_MANIFESTS)
+def test_frame_derivatives_are_the_term_by_term_sums(name, batch, manifests):
+    manifest = _frame_manifest(name, manifests)
+    ev = StructureEval(manifest, _frame_points(manifest, batch))
+    for F1, F2 in _frame_inputs(ev):
+        got = ev.frame_d(F1)
+        ref, scale = _frame_d_reference(ev, F1)
+        assert got.shape == F1.shape and np.all(np.abs(got - ref) <= FRAME_ULPS * scale)
+        if F2 is not None:
+            got = ev.frame_d_grad(F1, F2)
+            ref, scale = _frame_d_grad_reference(ev, F1, F2)
+            assert got.shape == ref.shape and np.all(np.abs(got - ref) <= FRAME_ULPS * scale)
+
+
+@pytest.mark.parametrize("name", FRAME_MANIFESTS)
+def test_a_frame_derivative_row_is_its_point_bit_for_bit(name, manifests):
+    manifest = _frame_manifest(name, manifests)
+    for batch in ((32,), (2, 3)):
+        points = _frame_points(manifest, batch)
+        block = StructureEval(manifest, points)
+        got = [block.frame_d(F1) for F1, _ in _frame_inputs(block)]
+        got += [block.frame_d_grad(F1, F2) for F1, F2 in _frame_inputs(block) if F2 is not None]
+        for at in np.ndindex(batch):
+            ev = StructureEval(manifest, points[at])
+            want = [ev.frame_d(F1) for F1, _ in _frame_inputs(ev)]
+            want += [ev.frame_d_grad(F1, F2) for F1, F2 in _frame_inputs(ev) if F2 is not None]
+            for g, w in zip(got, want):
+                assert g[at].tobytes() == w.tobytes(), at
+
+
+def test_frame_matrix_operand_is_kept_read_only():
+    twisted = _frame_manifest("twisted")
+    ev = StructureEval(twisted, _frame_points(twisted, (2, 3)))
+    assert ev.frame_t is ev.frame_t
+    assert ev.frame_t.flags.c_contiguous and not ev.frame_t.flags.writeable
+    assert np.array_equal(ev.frame_t, np.swapaxes(ev.frame[0], -1, -2))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_an_infinite_reeb_derivative_keeps_its_sign(sign):
+    twisted = _frame_manifest("twisted")
+    ev = StructureEval(twisted, _frame_points(twisted, (2, 3)))
+    F1 = ev.g1.copy()
+    F1[1, 2, 0, 1, -1] = sign * np.inf  # d_n g_01 at point (1, 2)
+    got = ev.frame_d(F1)
+    row, gam = got[1, 2, 0, 1], ev.gam0[1, 2]
+    assert np.all(gam != 0.0)
+    assert np.array_equal(row[: ev.m], -sign * np.sign(gam) * np.inf) and row[-1] == sign * np.inf
+    # every other row, at that point and elsewhere, is the finite derivative
+    ref, scale = _frame_d_reference(ev, F1)
+    others = np.isfinite(ref)
+    others[1, 2, 0, 1] = False
+    assert np.all(np.isfinite(got[others]))
+    assert np.all(np.abs(got[others] - ref[others]) <= FRAME_ULPS * scale[others])
+
+
+def test_a_nan_derivative_stays_nan():
+    twisted = _frame_manifest("twisted")
+    ev = StructureEval(twisted, _frame_points(twisted, (32,)))
+    F1, F2 = ev.gam1.copy(), ev.gam2.copy()
+    F1[5, 2, 0] = np.nan  # d_0 gamma_2 at point 5
+    F2[7, 1, 3, -1] = F2[7, 1, -1, 3] = np.nan  # d_3 d_n gamma_1 at point 7
+    got = ev.frame_d(F1)
+    assert np.isnan(got[5, 2, 0]) and np.isfinite(np.delete(got[5, 2], 0)).all()
+    D1 = ev.frame_d_grad(F1, F2)
+    assert np.isnan(D1[7, 1, :, 3]).all()
+    finite = np.ones(D1.shape, dtype=bool)
+    finite[7, 1, :, 3] = finite[7, 1, 3, -1] = False
+    assert np.isfinite(D1[finite]).all()
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,27 @@ errors print the field, a syntax error and a singular frame metric.
 
 Usage::
 
-    python tools/cli_census.py --src TREE [--heavy-pool K] [MANIFEST ...]
-    python tools/cli_census.py --diff TREE_A TREE_B [--heavy-pool K] [MANIFEST ...]
+    python tools/cli_census.py --src TREE [--outputs] [--heavy-pool K] [MANIFEST ...]
+    python tools/cli_census.py --diff TREE_A TREE_B [--rtol R] [--atol A] [--heavy-pool K] [MANIFEST ...]
 
 ``--heavy-pool K`` adds manifests 0..K-1 of the ``heavy-expr`` workload's
-seeded pool, built by the tree's ``perfbench/workloads.py``.  ``--diff``
-runs the census of each tree in its own process and lists the calls whose
-digests differ; it exits 1 if any does.  Standard library and the package
-only; pytest does not collect this file.
+seeded pool, built by the tree's ``perfbench/workloads.py``.  ``--outputs``
+prints each call's full output as a JSON line instead of its digest.
+``--diff`` runs the census of each tree in its own process and lists the
+calls whose digests differ; it exits 1 if any does.
+
+With ``--rtol`` or ``--atol`` (defaults: the goldens' 1e-9 and 1e-12),
+``--diff`` compares within a tolerance instead.  Exit codes and every
+character outside the numbers of stdout and stderr (and the spaces that
+pad them) must match exactly; each number must agree within rtol and
+atol, -0.0 equals 0.0 and NaN equals NaN.  A stdout that is JSON in both trees is compared as a JSON
+tree, so each number is matched with its key path; the coordinate
+oracle's residual, rounding noise bounded by ``LC_ORACLE_TOL`` (a JSON
+path under ``identities.lc_oracle``, or a human line naming
+``lc_oracle``), gets that bound as its atol, as in the goldens.  It prints
+how many calls are byte-identical, equal within tolerance and different,
+and exits 1 only on a difference.  Standard library and the package only;
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -44,7 +57,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
+import re
 import runpy
 import subprocess
 import sys
@@ -152,9 +167,9 @@ def run_call(cli, argv: list[str]) -> tuple[str, str, str]:
     return out.getvalue(), err.getvalue(), code
 
 
-def census(tree: Path, manifests: list[str], out: Path, masks: dict[str, str]) -> list[str]:
-    """One line per call, the error calls' manifests written to ``out``:
-    digest, exit code and argv, every mask applied."""
+def census(tree: Path, manifests: list[str], out: Path, masks: dict[str, str]) -> list[tuple[str, ...]]:
+    """(argv, stdout, stderr, exit code) of each call, the error calls'
+    manifests written to ``out``, every mask applied."""
     sys.path.insert(0, str(tree / "src"))
     from acmcheck import cli
 
@@ -166,12 +181,16 @@ def census(tree: Path, manifests: list[str], out: Path, masks: dict[str, str]) -
             text = text.replace(path, mask)
         return text
 
-    lines = []
+    calls = []
     for argv in [argv for manifest in manifests for argv in census_argvs(manifest, cli)] + error_argvs(out):
-        stdout, stderr, code = run_call(cli, argv)
-        digest = hashlib.sha256(masked("\0".join((stdout, stderr, code))).encode()).hexdigest()[:16]
-        lines.append(f"{digest} {code} {masked(' '.join(argv))}")
-    return lines
+        calls.append(tuple(map(masked, (" ".join(argv), *run_call(cli, argv)))))
+    return calls
+
+
+def digest_line(argv: str, stdout: str, stderr: str, code: str) -> str:
+    """'digest code argv': the census line of one call."""
+    digest = hashlib.sha256("\0".join((stdout, stderr, code)).encode()).hexdigest()[:16]
+    return f"{digest} {code} {argv}"
 
 
 def parse_census(text: str) -> dict[str, str]:
@@ -183,12 +202,117 @@ def parse_census(text: str) -> dict[str, str]:
     return out
 
 
+# a number of the output: a decimal, NaN or an infinity (JSON's or Python's
+# spelling), not part of a word or of a longer dotted token
+NUMBER = re.compile(
+    r"(?<![\w.])(?:-?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|Infinity|inf)|NaN|nan)(?![\w.])"
+)
+# a number with the spaces that pad it: numpy widens a column, or puts a
+# sign where a space stood, when a value's last digits or sign move
+# ('[-0.   -0.25]' against '[ 0.   -0.25]'), and JSON's '-0.0' is one
+# character longer than '0.0'
+PADDED_NUMBER = re.compile(f" *(?:{NUMBER.pattern})")
+
+
+def skeleton(text: str) -> str:
+    """``text`` with each number and the spaces before it replaced by '#'."""
+    return PADDED_NUMBER.sub("#", text)
+
+
+class Tolerance:
+    """Numbers equal within ``rtol`` and ``atol``; the coordinate oracle's
+    residual within ``oracle_atol``."""
+
+    def __init__(self, rtol: float, atol: float, oracle_atol: float):
+        self.rtol, self.atol, self.oracle_atol = rtol, atol, oracle_atol
+
+    def close(self, a: float, b: float, oracle: bool) -> bool:
+        if math.isnan(a) or math.isnan(b):
+            return math.isnan(a) and math.isnan(b)
+        atol = max(self.atol, self.oracle_atol) if oracle else self.atol
+        return a == b or math.isclose(a, b, rel_tol=self.rtol, abs_tol=atol)
+
+    def text(self, a: str, b: str) -> str | None:
+        """Why two outputs differ beyond the tolerance, or None."""
+        if skeleton(a) != skeleton(b):
+            lines = zip(a.splitlines() + [""], b.splitlines() + [""])
+            line = next(i for i, (x, y) in enumerate(lines) if skeleton(x) != skeleton(y))
+            return f"text differs on line {line + 1}"
+        try:
+            return self.json(json.loads(a), json.loads(b), "")
+        except ValueError:  # not JSON (both, since their text agrees)
+            pass
+        for line_a, line_b in zip(a.splitlines(), b.splitlines()):
+            for x, y in zip(NUMBER.findall(line_a), NUMBER.findall(line_b)):
+                if not self.close(float(x), float(y), "lc_oracle" in line_a):
+                    return f"{x} != {y}"
+        return None
+
+    def json(self, a, b, where: str) -> str | None:
+        """Why two JSON trees differ beyond the tolerance, or None."""
+        if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+            return next(filter(None, (self.json(a[k], b[k], f"{where}.{k}") for k in a)), None)
+        if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            return next(filter(None, (self.json(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(a, b)))), None)
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        if numbers and self.close(a, b, where.startswith(".identities.lc_oracle.")):
+            return None
+        if not numbers and type(a) is type(b) and a == b:
+            return None
+        return f"{where or 'the report'}: {a!r} != {b!r}"
+
+
+def run_census(tree: Path, args, outputs: bool) -> subprocess.CompletedProcess:
+    """The census of ``tree`` in its own process, since every tree is the
+    package acmcheck."""
+    command = [sys.executable, __file__, "--src", str(tree), "--heavy-pool", str(args.heavy_pool),
+               *(["--outputs"] if outputs else []), *args.manifests]
+    return subprocess.run(command, capture_output=True, text=True, check=True)
+
+
+def diff_within(trees: list[Path], args) -> int:
+    """The tolerance mode of ``--diff``."""
+    sys.path.insert(0, str(trees[0] / "src"))
+    from acmcheck.connection import LC_ORACLE_TOL
+
+    rtol = 1e-9 if args.rtol is None else args.rtol
+    atol = 1e-12 if args.atol is None else args.atol
+    tolerance = Tolerance(rtol, atol, LC_ORACLE_TOL)
+    a, b = ({call[0]: call[1:] for call in map(json.loads, run_census(tree, args, True).stdout.splitlines())}
+            for tree in trees)
+    identical = within = 0
+    differ = []
+    for argv in (argv for argv in a if argv in b):
+        (out_a, err_a, code_a), (out_b, err_b, code_b) = a[argv], b[argv]
+        if a[argv] == b[argv]:
+            identical += 1
+            continue
+        why = (f"exit code {code_a} != {code_b}" if code_a != code_b
+               else tolerance.text(out_a, out_b) or tolerance.text(err_a, err_b))
+        if why is None:
+            within += 1
+        else:
+            differ.append(argv)
+            print(f"differs: {argv}  ({why})")
+    for tree, only in ((trees[0], a.keys() - b.keys()), (trees[1], b.keys() - a.keys())):
+        for argv in sorted(only):
+            print(f"only in {tree}: {argv}")
+    print(f"{len(a)} calls in {trees[0]}, {len(b)} in {trees[1]}: {identical} byte-identical, "
+          f"{within} equal within rtol {rtol:g} atol {atol:g} (lc_oracle atol {LC_ORACLE_TOL:g}), "
+          f"{len(differ)} differ")
+    return 1 if differ or a.keys() != b.keys() else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     which = parser.add_mutually_exclusive_group(required=True)
     which.add_argument("--src", type=Path, metavar="TREE", help="print the census of this tree")
     which.add_argument("--diff", type=Path, nargs=2, metavar=("TREE_A", "TREE_B"),
                        help="list the calls whose outputs differ between two trees")
+    parser.add_argument("--outputs", action="store_true",
+                        help="with --src, print each call's full output as a JSON line")
+    parser.add_argument("--rtol", type=float, metavar="R", help="with --diff, compare numbers within this rtol")
+    parser.add_argument("--atol", type=float, metavar="A", help="with --diff, compare numbers within this atol")
     parser.add_argument("--heavy-pool", type=int, default=0, metavar="K",
                         help="add manifests 0..K-1 of the heavy-expr pool")
     parser.add_argument("manifests", nargs="*", help="manifest paths beyond the bundled fixtures")
@@ -198,18 +322,14 @@ def main(argv: list[str] | None = None) -> int:
         tree = args.src.resolve()
         with tempfile.TemporaryDirectory() as pool:
             manifests = list(FIXTURES) + args.manifests + write_heavy_pool(tree, args.heavy_pool, Path(pool))
-            for line in census(tree, manifests, Path(pool), {str(tree): TREE_MASK, pool: POOL_MASK}):
-                print(line, flush=True)
+            for call in census(tree, manifests, Path(pool), {str(tree): TREE_MASK, pool: POOL_MASK}):
+                print(json.dumps(call) if args.outputs else digest_line(*call), flush=True)
         return 0
 
     trees = [tree.resolve() for tree in args.diff]
-    listings = []
-    for tree in trees:
-        # each tree in its own process, since both are the package acmcheck
-        command = [sys.executable, __file__, "--src", str(tree), "--heavy-pool", str(args.heavy_pool), *args.manifests]
-        done = subprocess.run(command, capture_output=True, text=True, check=True)
-        listings.append(parse_census(done.stdout))
-    a, b = listings
+    if args.rtol is not None or args.atol is not None:
+        return diff_within(trees, args)
+    a, b = (parse_census(run_census(tree, args, False).stdout) for tree in trees)
     differ = [argv for argv in a if argv in b and a[argv] != b[argv]]
     for argv in differ:
         print(f"differs: {argv}  ({a[argv]} / {b[argv]})")
