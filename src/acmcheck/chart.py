@@ -234,17 +234,30 @@ def _pcg64_double(state: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def adapted_frame(gam0: np.ndarray, gam1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate components E0[..., i, q] of the adapted frame (e_a, xi) and
-    their gradients E1[..., i, q, j] = d_j E0[..., i, q], from the gamma jets."""
-    m, n = gam1.shape[-2:]
-    batch = gam1.shape[:-2]
-    E0 = np.zeros(batch + (n, n))
-    E0[...] = np.eye(n)
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, built once: ``np.eye`` costs more than
+    the rest of a one-point frame matrix."""
+    return frozen(np.eye(n))
+
+
+def frame_matrix(gam0: np.ndarray) -> np.ndarray:
+    """Coordinate components E0[..., i, q] of the adapted frame (e_a, xi),
+    e_a = d_a - gamma_a d_n and xi = d_n, from the gamma values alone."""
+    m = gam0.shape[-1]
+    E0 = np.zeros(gam0.shape[:-1] + (m + 1, m + 1))
+    E0[...] = _identity(m + 1)
     E0[..., :m, -1] = -gam0
-    E1 = np.zeros(batch + (n, n, n))
+    return E0
+
+
+def adapted_frame(gam0: np.ndarray, gam1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E0, E1): the :func:`frame_matrix` and its gradients
+    E1[..., i, q, j] = d_j E0[..., i, q], from the gamma jets."""
+    m, n = gam1.shape[-2:]
+    E1 = np.zeros(gam1.shape[:-2] + (n, n, n))
     E1[..., :m, -1, :] = -gam1
-    return E0, E1
+    return frame_matrix(gam0), E1
 
 
 def nonholonomy(gam0: np.ndarray, gam1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

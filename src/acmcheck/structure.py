@@ -27,7 +27,7 @@ from math import prod
 
 import numpy as np
 
-from .chart import adapted_frame, nonholonomy
+from .chart import adapted_frame, frame_matrix, nonholonomy
 from .expr import describe_first, field_jets, frozen
 from .manifest import Manifest
 from .residuals import per_point
@@ -177,8 +177,10 @@ class StructureEval:
     @cached_property
     def frame_t(self) -> np.ndarray:
         """The frame matrix transposed, Et[..., q, i] = E_i^q, in C order
-        and read-only: the right-hand operand of every :meth:`frame_d`."""
-        return frozen(np.ascontiguousarray(mat_t(self.frame[0])))
+        and read-only: the right-hand operand of every :meth:`frame_d`.  It
+        is built from the frame matrix alone, so an evaluation that reads no
+        frame gradient E1 builds none."""
+        return frozen(np.ascontiguousarray(mat_t(frame_matrix(self.gam0))))
 
     def frame_d(self, F1: np.ndarray) -> np.ndarray:
         """Frame derivatives from a coordinate gradient: D[..., i] = E_i F.
@@ -193,17 +195,24 @@ class StructureEval:
         differ from the term-by-term form in the last ulp.  A product also
         multiplies every entry of a row by the zeros of the frame matrix, so
         one infinite entry would turn its whole row into NaN (and numpy
-        would warn of it).  So a gradient with an entry that is not finite
-        is differentiated term by term, as d_a F - gamma_a d_n F, which
-        keeps each infinity and its sign in the entries it reaches and
-        leaves the other entries as they are.
+        would warn of it).  So a point whose gradient has an entry that is
+        not finite is differentiated term by term, as d_a F - gamma_a d_n F,
+        which keeps each infinity and its sign in the entries it reaches
+        and leaves the other entries as they are.  The choice is made per
+        point, so a point gets the same bits alone as in any batch.
         """
-        if not np.isfinite(F1).all():
-            D = F1.copy()
-            D[..., : self.m] -= F1[..., -1:] * self.lift(self.gam0, F1.ndim)
-            return D
         rows = prod(F1.shape[len(self.batch) : -1])
-        return np.matmul(F1.reshape(self.batch + (rows, self.n)), self.frame_t).reshape(F1.shape)
+        G = F1.reshape(self.batch + (rows, self.n))
+        # the sum of squares is finite unless an entry is not finite or it
+        # overflows, which only sends the call to the per-point choice below
+        if np.isfinite(np.vdot(G, G)):
+            return np.matmul(G, self.frame_t).reshape(F1.shape)
+        D = F1.copy()
+        D[..., : self.m] -= F1[..., -1:] * self.lift(self.gam0, F1.ndim)
+        finite = per_point(np.logical_and, np.isfinite(G), self.batch)
+        if finite.any():
+            D.reshape(G.shape)[finite] = np.matmul(G[finite], self.frame_t[finite])
+        return D
 
     def frame_d_grad(self, F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
         """Coordinate gradient of the horizontal frame derivatives:

@@ -6,6 +6,8 @@ points, bit for bit."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from acmcheck.curvature import curvature_K, einstein_rhs, ricci_k, ricci_wagner,
 from acmcheck.manifest import OMEGA_SOURCES, manifest_from_dict
 from acmcheck.structure import StructureEval, validate_axioms
 
-from _helpers import deep_tree_manifest_data, loop_basis_brackets_frame, loop_nijenhuis_phi
+from _helpers import deep_tree_manifest_data, fixture_path, loop_basis_brackets_frame, loop_nijenhuis_phi
 from conftest import FIXTURES
 
 
@@ -82,6 +84,36 @@ def test_batch_equals_stack_of_batches_of_one(name, manifests, twisted):
             stacked = stack([single[key] for single in singles])
             assert np.shape(value) == np.shape(stacked) and len(value) == len(points), key
             assert np.array_equal(value, stacked), f"{name}: {key} ({stack.__name__})"
+
+
+# example1 variants that are not finite at some samples only: phi through
+# exp(x)^400, NaN for x > 1.78, and a metric through exp(352*x) whose second
+# derivatives overflow near x = 2 (their curvature tensors hold NaN and
+# +-Infinity there)
+MIXED = {
+    "nan": lambda data: data["phi_frame"][0].__setitem__(2, "-1 + 0*exp(x)^400"),
+    "overflow": lambda data: data.update(
+        metric_frame=[["exp(352*x)" if i == j else "0" for j in range(4)] for i in range(4)],
+        domain=[[1.95, 2.0]] + [[-2.0, 2.0]] * 4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MIXED)
+def test_a_batch_of_finite_and_non_finite_points_is_the_stack_of_its_points(name):
+    data = json.loads(fixture_path("example1").read_text())
+    MIXED[name](data)
+    s = manifest_from_dict(data)
+    points = sample_points(s, 32, seed=11)
+    whole_ev = StructureEval(s, points)
+    finite = np.isfinite((whole_ev.phi1 if name == "nan" else whole_ev.g2).reshape(len(points), -1)).all(-1)
+    assert finite.any() and not finite.all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = _quantities(whole_ev)
+        bare = [_quantities(StructureEval(s, p)) for p in points]
+    for key, value in whole.items():
+        stacked = np.stack([single[key] for single in bare])
+        assert np.array_equal(value, stacked, equal_nan=True), f"{name}: {key}"
 
 
 def test_single_point_is_batch_shape_empty(manifests, sample_sets):

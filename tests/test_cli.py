@@ -867,6 +867,10 @@ def test_census_tolerance_mode_compares_numbers_within_tolerance():
         ("max 1.000e+00", "max 1.001e+00"),
         ("  torsion_direct max 2.543e-12", "  torsion_direct max 5.102e-12"),
         ('{"other": {"max_residual": 2.5e-12}}', '{"other": {"max_residual": 5.1e-12}}'),
+        # the oracle's gate itself keeps rtol and atol
+        ("  lc_oracle    max 2.543e-12  tol 1e-08", "  lc_oracle    max 2.543e-12  tol 5e-09"),
+        ('{"identities": {"lc_oracle": {"tolerance": 1e-08}}}',
+         '{"identities": {"lc_oracle": {"tolerance": 5e-09}}}'),
         ('{"x": Infinity}', '{"x": -Infinity}'),
         ('{"x": NaN}', '{"x": 0.0}'),
         ("PASS", "FAIL"),

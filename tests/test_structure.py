@@ -255,6 +255,29 @@ def test_a_frame_derivative_row_is_its_point_bit_for_bit(name, manifests):
                 assert g[at].tobytes() == w.tobytes(), at
 
 
+@pytest.mark.parametrize("name", ("twisted", "heavy0"))
+def test_a_finite_row_of_a_mixed_batch_is_its_point_bit_for_bit(name):
+    # points 3 and 17 hold an infinite and a NaN entry; every other point
+    # takes the product alone or in the batch, not the term-by-term form
+    manifest = _frame_manifest(name)
+    points = _frame_points(manifest, (32,))
+    block = StructureEval(manifest, points)
+    inputs = [(F1.copy(), None if F2 is None else F2.copy()) for F1, F2 in _frame_inputs(block)]
+    for F1, F2 in inputs:
+        F1[3].flat[-1], F1[17].flat[0] = np.inf, np.nan
+        if F2 is not None:
+            F2[3].flat[-1], F2[17].flat[0] = -np.inf, np.nan
+    with np.errstate(invalid="ignore"):  # inf * 0 where a gamma entry is 0
+        got = [block.frame_d(F1) for F1, _ in inputs]
+        got += [block.frame_d_grad(F1, F2) for F1, F2 in inputs if F2 is not None]
+        for at in range(32):
+            ev = StructureEval(manifest, points[at])
+            want = [ev.frame_d(F1[at]) for F1, _ in inputs]
+            want += [ev.frame_d_grad(F1[at], F2[at]) for F1, F2 in inputs if F2 is not None]
+            for g, w in zip(got, want):
+                assert g[at].tobytes() == w.tobytes(), at
+
+
 def test_frame_matrix_operand_is_kept_read_only():
     twisted = _frame_manifest("twisted")
     ev = StructureEval(twisted, _frame_points(twisted, (2, 3)))

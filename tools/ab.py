@@ -72,7 +72,9 @@ def source_tree(which: str, into: Path) -> Path:
                              capture_output=True, check=True).stdout
     into.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into, filter="data")
+        # the "data" filter exists from Python 3.10.12, 3.11.4 and 3.12 on
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        tar.extractall(into, **safe)
     return into / "src"
 
 

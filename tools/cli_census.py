@@ -27,26 +27,28 @@ errors print the field, a syntax error and a singular frame metric.
 
 Usage::
 
-    python tools/cli_census.py --src TREE [--outputs] [--heavy-pool K] [MANIFEST ...]
+    python tools/cli_census.py --src TREE [--heavy-pool K] [MANIFEST ...]
     python tools/cli_census.py --diff TREE_A TREE_B [--rtol R] [--atol A] [--heavy-pool K] [MANIFEST ...]
 
 ``--heavy-pool K`` adds manifests 0..K-1 of the ``heavy-expr`` workload's
-seeded pool, built by the tree's ``perfbench/workloads.py``.  ``--outputs``
-prints each call's full output as a JSON line instead of its digest.
-``--diff`` runs the census of each tree in its own process and lists the
-calls whose digests differ; it exits 1 if any does.
+seeded pool, built by the tree's ``perfbench/workloads.py``.  ``--diff``
+runs the census of each tree in its own process, compares the two trees'
+full outputs call by call and prints how many calls are byte-identical,
+equal within tolerance and different; it lists each call that differs and
+exits 1 if any does.  By default any call whose stdout, stderr or exit code
+is not byte-identical differs.
 
-With ``--rtol`` or ``--atol`` (defaults: the goldens' 1e-9 and 1e-12),
-``--diff`` compares within a tolerance instead.  Exit codes and every
-character outside the numbers of stdout and stderr (and the spaces that
-pad them) must match exactly; each number must agree within rtol and
-atol, -0.0 equals 0.0 and NaN equals NaN.  A stdout that is JSON in both trees is compared as a JSON
-tree, so each number is matched with its key path; the coordinate
-oracle's residual, rounding noise bounded by ``LC_ORACLE_TOL`` (a JSON
-path under ``identities.lc_oracle``, or a human line naming
-``lc_oracle``), gets that bound as its atol, as in the goldens.  It prints
-how many calls are byte-identical, equal within tolerance and different,
-and exits 1 only on a difference.  Standard library and the package only;
+With ``--rtol`` or ``--atol`` (defaults: the goldens' 1e-9 and 1e-12), a
+call that is not byte-identical can still be equal within tolerance.  Exit
+codes and every character outside the numbers of stdout and stderr (and
+the spaces that pad them) must match exactly; each number must agree
+within rtol and atol, -0.0 equals 0.0 and NaN equals NaN.  A stdout that is
+JSON in both trees is compared as a JSON tree, so each number is matched
+with its key path.  The coordinate oracle's residual is rounding noise
+bounded by ``LC_ORACLE_TOL``, so it gets that bound as its atol, as in the
+goldens: the JSON value ``identities.lc_oracle.max_residual``, and on a
+human line naming ``lc_oracle`` the number after ``max``.  Its printed
+tolerance keeps rtol and atol.  Standard library and the package only;
 pytest does not collect this file.
 """
 
@@ -193,15 +195,6 @@ def digest_line(argv: str, stdout: str, stderr: str, code: str) -> str:
     return f"{digest} {code} {argv}"
 
 
-def parse_census(text: str) -> dict[str, str]:
-    """argv -> 'digest code' of a census listing."""
-    out = {}
-    for line in text.splitlines():
-        digest, code, argv = line.split(" ", 2)
-        out[argv] = f"{digest} {code}"
-    return out
-
-
 # a number of the output: a decimal, NaN or an infinity (JSON's or Python's
 # spelling), not part of a word or of a longer dotted token
 NUMBER = re.compile(
@@ -221,7 +214,7 @@ def skeleton(text: str) -> str:
 
 class Tolerance:
     """Numbers equal within ``rtol`` and ``atol``; the coordinate oracle's
-    residual within ``oracle_atol``."""
+    residual (its maximum, not its tolerance) within ``oracle_atol``."""
 
     def __init__(self, rtol: float, atol: float, oracle_atol: float):
         self.rtol, self.atol, self.oracle_atol = rtol, atol, oracle_atol
@@ -243,9 +236,10 @@ class Tolerance:
         except ValueError:  # not JSON (both, since their text agrees)
             pass
         for line_a, line_b in zip(a.splitlines(), b.splitlines()):
-            for x, y in zip(NUMBER.findall(line_a), NUMBER.findall(line_b)):
-                if not self.close(float(x), float(y), "lc_oracle" in line_a):
-                    return f"{x} != {y}"
+            for x, y in zip(NUMBER.finditer(line_a), NUMBER.finditer(line_b)):
+                oracle = "lc_oracle" in line_a and line_a[: x.start()].rstrip().endswith("max")
+                if not self.close(float(x[0]), float(y[0]), oracle):
+                    return f"{x[0]} != {y[0]}"
         return None
 
     def json(self, a, b, where: str) -> str | None:
@@ -255,31 +249,34 @@ class Tolerance:
         if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
             return next(filter(None, (self.json(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(a, b)))), None)
         numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
-        if numbers and self.close(a, b, where.startswith(".identities.lc_oracle.")):
+        if numbers and self.close(a, b, where == ".identities.lc_oracle.max_residual"):
             return None
         if not numbers and type(a) is type(b) and a == b:
             return None
         return f"{where or 'the report'}: {a!r} != {b!r}"
 
 
-def run_census(tree: Path, args, outputs: bool) -> subprocess.CompletedProcess:
-    """The census of ``tree`` in its own process, since every tree is the
-    package acmcheck."""
-    command = [sys.executable, __file__, "--src", str(tree), "--heavy-pool", str(args.heavy_pool),
-               *(["--outputs"] if outputs else []), *args.manifests]
-    return subprocess.run(command, capture_output=True, text=True, check=True)
+def run_census(tree: Path, args) -> dict[str, tuple[str, str, str]]:
+    """argv -> (stdout, stderr, exit code) of the census of ``tree``, run in
+    its own process, since every tree is the package acmcheck."""
+    command = [sys.executable, __file__, "--src", str(tree), "--outputs",
+               "--heavy-pool", str(args.heavy_pool), *args.manifests]
+    lines = subprocess.run(command, capture_output=True, text=True, check=True).stdout.splitlines()
+    return {call[0]: tuple(call[1:]) for call in map(json.loads, lines)}
 
 
-def diff_within(trees: list[Path], args) -> int:
-    """The tolerance mode of ``--diff``."""
-    sys.path.insert(0, str(trees[0] / "src"))
-    from acmcheck.connection import LC_ORACLE_TOL
+def diff(trees: list[Path], args) -> int:
+    """``--diff``: each call byte-identical, equal within tolerance (with
+    ``--rtol`` or ``--atol``) or different."""
+    tolerance = None
+    if args.rtol is not None or args.atol is not None:
+        sys.path.insert(0, str(trees[0] / "src"))
+        from acmcheck.connection import LC_ORACLE_TOL
 
-    rtol = 1e-9 if args.rtol is None else args.rtol
-    atol = 1e-12 if args.atol is None else args.atol
-    tolerance = Tolerance(rtol, atol, LC_ORACLE_TOL)
-    a, b = ({call[0]: call[1:] for call in map(json.loads, run_census(tree, args, True).stdout.splitlines())}
-            for tree in trees)
+        rtol = 1e-9 if args.rtol is None else args.rtol
+        atol = 1e-12 if args.atol is None else args.atol
+        tolerance = Tolerance(rtol, atol, LC_ORACLE_TOL)
+    a, b = (run_census(tree, args) for tree in trees)
     identical = within = 0
     differ = []
     for argv in (argv for argv in a if argv in b):
@@ -287,8 +284,12 @@ def diff_within(trees: list[Path], args) -> int:
         if a[argv] == b[argv]:
             identical += 1
             continue
-        why = (f"exit code {code_a} != {code_b}" if code_a != code_b
-               else tolerance.text(out_a, out_b) or tolerance.text(err_a, err_b))
+        if tolerance is None:
+            why = "bytes differ"
+        elif code_a != code_b:
+            why = f"exit code {code_a} != {code_b}"
+        else:
+            why = tolerance.text(out_a, out_b) or tolerance.text(err_a, err_b)
         if why is None:
             within += 1
         else:
@@ -297,9 +298,11 @@ def diff_within(trees: list[Path], args) -> int:
     for tree, only in ((trees[0], a.keys() - b.keys()), (trees[1], b.keys() - a.keys())):
         for argv in sorted(only):
             print(f"only in {tree}: {argv}")
+    within_text = ("" if tolerance is None else
+                   f"{within} equal within rtol {tolerance.rtol:g} atol {tolerance.atol:g} "
+                   f"(lc_oracle max atol {tolerance.oracle_atol:g}), ")
     print(f"{len(a)} calls in {trees[0]}, {len(b)} in {trees[1]}: {identical} byte-identical, "
-          f"{within} equal within rtol {rtol:g} atol {atol:g} (lc_oracle atol {LC_ORACLE_TOL:g}), "
-          f"{len(differ)} differ")
+          f"{within_text}{len(differ)} differ")
     return 1 if differ or a.keys() != b.keys() else 0
 
 
@@ -308,9 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     which = parser.add_mutually_exclusive_group(required=True)
     which.add_argument("--src", type=Path, metavar="TREE", help="print the census of this tree")
     which.add_argument("--diff", type=Path, nargs=2, metavar=("TREE_A", "TREE_B"),
-                       help="list the calls whose outputs differ between two trees")
-    parser.add_argument("--outputs", action="store_true",
-                        help="with --src, print each call's full output as a JSON line")
+                       help="compare the outputs of two trees call by call")
+    # with --src, each call's full output as a JSON line: what --diff reads
+    parser.add_argument("--outputs", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--rtol", type=float, metavar="R", help="with --diff, compare numbers within this rtol")
     parser.add_argument("--atol", type=float, metavar="A", help="with --diff, compare numbers within this atol")
     parser.add_argument("--heavy-pool", type=int, default=0, metavar="K",
@@ -326,21 +329,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(json.dumps(call) if args.outputs else digest_line(*call), flush=True)
         return 0
 
-    trees = [tree.resolve() for tree in args.diff]
-    if args.rtol is not None or args.atol is not None:
-        return diff_within(trees, args)
-    a, b = (parse_census(run_census(tree, args, False).stdout) for tree in trees)
-    differ = [argv for argv in a if argv in b and a[argv] != b[argv]]
-    for argv in differ:
-        print(f"differs: {argv}  ({a[argv]} / {b[argv]})")
-    for argv in a.keys() - b.keys():
-        print(f"only in {trees[0]}: {argv}")
-    for argv in b.keys() - a.keys():
-        print(f"only in {trees[1]}: {argv}")
-    same = len(a) - len(differ) - len(a.keys() - b.keys())
-    print(f"{len(a)} calls in {trees[0]}, {len(b)} in {trees[1]}: {same} the same, {len(differ)} differ")
-    return 1 if differ or a.keys() != b.keys() else 0
-
+    return diff([tree.resolve() for tree in args.diff], args)
 
 if __name__ == "__main__":
     sys.exit(main())
