@@ -242,22 +242,23 @@ def _identity(n: int) -> np.ndarray:
 
 
 def frame_matrix(gam0: np.ndarray) -> np.ndarray:
-    """Coordinate components E0[..., i, q] of the adapted frame (e_a, xi),
-    e_a = d_a - gamma_a d_n and xi = d_n, from the gamma values alone."""
+    """The transposed frame matrix Et[..., q, i] = E_i^q of the adapted frame
+    (e_a, xi), e_a = d_a - gamma_a d_n and xi = d_n, in C order: the
+    identity with -gamma_a in the last row, from the gamma values alone."""
     m = gam0.shape[-1]
-    E0 = np.zeros(gam0.shape[:-1] + (m + 1, m + 1))
-    E0[...] = _identity(m + 1)
-    E0[..., :m, -1] = -gam0
-    return E0
+    Et = np.zeros(gam0.shape[:-1] + (m + 1, m + 1))
+    Et[...] = _identity(m + 1)
+    Et[..., -1, :m] = -gam0
+    return Et
 
 
-def adapted_frame(gam0: np.ndarray, gam1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E0, E1): the :func:`frame_matrix` and its gradients
-    E1[..., i, q, j] = d_j E0[..., i, q], from the gamma jets."""
+def frame_gradient(gam1: np.ndarray) -> np.ndarray:
+    """Gradients E1[..., i, q, j] = d_j E_i^q of the adapted frame, from the
+    gamma gradients: -d_j gamma_a in the Reeb coordinate of e_a."""
     m, n = gam1.shape[-2:]
     E1 = np.zeros(gam1.shape[:-2] + (n, n, n))
     E1[..., :m, -1, :] = -gam1
-    return frame_matrix(gam0), E1
+    return E1
 
 
 def nonholonomy(gam0: np.ndarray, gam1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,10 @@
 """Nijenhuis-type tensors and the classification ladder.
 
-All brackets are computed honestly in coordinates from jets, the fields
-phi(E_i) pushed to coordinates through the frame matrix ``ev.frame``; the
-tensors are then reported in frame components (horizontal slots, then the
-Reeb slot).  Verdicts follow the residual rule: a criterion holds when its
-max residual over the samples stays below tol * (1 + max magnitude of the
-tensors the criterion compares).
+All brackets are computed honestly in coordinates from jets and read in
+frame components (horizontal slots, then the Reeb slot), where phi acts as
+phi^b_a with phi(xi) = 0.  Verdicts follow the residual rule: a criterion
+holds when its max residual over the samples stays below tol * (1 + max
+magnitude of the tensors the criterion compares).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import _cov_phi, basis_brackets, bracket, cov_phi, to_frame_components
+from .connection import _cov_phi, basis_brackets_frame, bracket, cov_phi, to_frame_components
 from .residuals import holds_within, nanmax, top, worst
 from .structure import StructureEval, contract, d_fundamental_form, frozen, mat_t, memoised
 
@@ -57,14 +56,12 @@ class NijenhuisBundle:
 
 
 def _phi_apply(ev: StructureEval, V: np.ndarray) -> np.ndarray:
-    """phi of the coordinate vectors V[..., i, j, q] of a pair grid: the
-    horizontal frame components u^b = phi^b_a V^a, pushed to coordinates
-    as u^b E_b.  The horizontal coordinates of E_b are the unit vectors, so
-    only the Reeb coordinate u^b E_b^n is a sum."""
-    u = contract("...ija,...ba->...ijb", V[..., : ev.m], ev.phi0)
+    """phi of the frame-component vectors V[..., i, j, k] of a pair grid:
+    u^b = phi^b_a V^a on the horizontal slots, and an exact 0 in the Reeb
+    slot, since phi(xi) = 0 and phi maps into the horizontal distribution."""
     out = np.empty(V.shape)
-    out[..., : ev.m] = u
-    out[..., -1] = contract("...ijb,...b->...ij", u, ev.frame[0][..., : ev.m, -1])
+    out[..., : ev.m] = contract("...ija,...ba->...ijb", V[..., : ev.m], ev.phi0)
+    out[..., -1] = 0.0
     return out
 
 
@@ -100,20 +97,20 @@ def nijenhuis_tensors(ev: StructureEval) -> NijenhuisBundle:
     phi^2 [X, Y] + [phi X, phi Y] - phi [phi X, Y] - phi [X, phi Y].
 
     Three pairwise brackets of the frame fields E_i and the fields
-    phi(E_i), each computed in coordinates: [E_i, E_j] (the one the torsion
-    reads too), [phi E_i, phi E_j] and [phi E_i, E_j].  The fourth term is
-    the third with its pair transposed, since [E_i, phi E_j] =
-    -[phi E_j, E_i], and so is its image under phi."""
+    phi(E_i), each computed in coordinates and read in frame components:
+    [E_i, E_j] (the torsion's table), [phi E_i, phi E_j] and
+    [phi E_i, E_j].  The fourth term is the third with its pair transposed,
+    since [E_i, phi E_j] = -[phi E_j, E_i], and so is its image under
+    phi."""
     m = ev.m
     B0, B1 = ev.frame
     P0, P1 = _phi_basis_fields(ev)
 
-    term = bracket(P0, P1, P0, P1)
-    term += _phi_apply(ev, _phi_apply(ev, basis_brackets(ev)))
-    mixed = _phi_apply(ev, bracket(P0, P1, B0, B1))  # phi [phi E_i, E_j]
-    term -= mixed
-    term += np.swapaxes(mixed, -3, -2)  # - phi [E_i, phi E_j]
-    n_phi = to_frame_components(ev, term)
+    n_phi = to_frame_components(ev, bracket(P0, P1, P0, P1))
+    n_phi += _phi_apply(ev, _phi_apply(ev, basis_brackets_frame(ev)))
+    mixed = _phi_apply(ev, to_frame_components(ev, bracket(P0, P1, B0, B1)))  # phi [phi E_i, E_j]
+    n_phi -= mixed
+    n_phi += np.swapaxes(mixed, -3, -2)  # - phi [E_i, phi E_j]
 
     d_eta = _d_eta_pairs(ev)
     d_eta_phi = ev.zeros(ev.n, ev.n)

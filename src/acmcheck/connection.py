@@ -287,17 +287,12 @@ def to_frame_components(ev: StructureEval, V: np.ndarray) -> np.ndarray:
 
 
 @memoised
-def basis_brackets(ev: StructureEval) -> np.ndarray:
-    """Coordinate components of [E_i, E_j] for all basis pairs,
-    out[..., i, j, q]: one bracket per evaluation (read-only), shared by the
-    torsion and the Nijenhuis tensor."""
-    B0, B1 = ev.frame
-    return frozen(bracket(B0, B1, B0, B1))
-
-
 def basis_brackets_frame(ev: StructureEval) -> np.ndarray:
-    """Frame components of [E_i, E_j] for all basis pairs: out[..., i, j, k]."""
-    return to_frame_components(ev, basis_brackets(ev))
+    """Frame components of [E_i, E_j] for all basis pairs, out[..., i, j, k]:
+    one coordinate bracket per evaluation, split once (read-only), the form
+    in which the torsion and the Nijenhuis tensor read it."""
+    B0, B1 = ev.frame
+    return frozen(to_frame_components(ev, bracket(B0, B1, B0, B1)))
 
 
 # ---------------------------------------------------------------------------

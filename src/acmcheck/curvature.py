@@ -80,11 +80,11 @@ def ricci_wagner(ev: StructureEval) -> np.ndarray:
 
 def ricci_k(ev: StructureEval) -> np.ndarray:
     """Ricci tensor of the canonical connection on the full frame:
-    k_ab = r_ab + 4 omega_{ad} psi^d_b, k_na = -nabla_d psi^d_a, Reeb
-    column and corner zero."""
+    k_ab = r_ab + 4 omega_{ad} psi^d_b = r_ab - :func:`einstein_rhs` (omega
+    is skew), k_na = -nabla_d psi^d_a, Reeb column and corner zero."""
     n, m, last = ev.n, ev.m, ev.n - 1
     out = ev.zeros(n, n)
-    out[..., :m, :m] = ricci_wagner(ev) + 4.0 * contract("...ad,...db->...ab", ev.omega0, ev.psi0)
+    out[..., :m, :m] = ricci_wagner(ev) - einstein_rhs(ev, "d_eta")
     out[..., last, :m] = -np.einsum("...dda->...a", nabla_psi(ev))
     return out
 

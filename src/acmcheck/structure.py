@@ -27,7 +27,7 @@ from math import prod
 
 import numpy as np
 
-from .chart import adapted_frame, frame_matrix, nonholonomy
+from .chart import frame_gradient, frame_matrix, nonholonomy
 from .expr import describe_first, field_jets, frozen
 from .manifest import Manifest
 from .residuals import per_point
@@ -171,16 +171,16 @@ class StructureEval:
 
     @cached_property
     def frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """(E0, E1): the adapted frame in coordinates and its gradients."""
-        return adapted_frame(self.gam0, self.gam1)
+        """(E0, E1): the adapted frame E0[..., i, q] = E_i^q, a transposed
+        view of :attr:`frame_t`, and its gradients E1[..., i, q, j] = d_j E_i^q."""
+        return mat_t(self.frame_t), frame_gradient(self.gam1)
 
     @cached_property
     def frame_t(self) -> np.ndarray:
-        """The frame matrix transposed, Et[..., q, i] = E_i^q, in C order
-        and read-only: the right-hand operand of every :meth:`frame_d`.  It
-        is built from the frame matrix alone, so an evaluation that reads no
-        frame gradient E1 builds none."""
-        return frozen(np.ascontiguousarray(mat_t(frame_matrix(self.gam0))))
+        """The transposed frame matrix Et[..., q, i] = E_i^q of
+        :func:`~acmcheck.chart.frame_matrix`, C-ordered and read-only: the
+        right-hand operand of every :meth:`frame_d`, built without E1."""
+        return frozen(frame_matrix(self.gam0))
 
     def frame_d(self, F1: np.ndarray) -> np.ndarray:
         """Frame derivatives from a coordinate gradient: D[..., i] = E_i F.

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from acmcheck import classification_report, einstein_reports, sampled_evaluation
-from acmcheck.chart import AVOID_EPS, MAX_REDRAWS, ChartError, adapted_frame
+from acmcheck.chart import AVOID_EPS, MAX_REDRAWS, ChartError, frame_gradient, frame_matrix
 from acmcheck.connection import (
     LC_ORACLE_TOL,
     ORACLE_COND_LIMIT,
@@ -82,6 +82,33 @@ def deep_tree_manifest_data(k: int = 0) -> dict:
     return workloads["heavy_manifest"](random.Random(f"heavy-expr:pool:{k}"))
 
 
+def heisenberg_manifest_data(n: int, c: float = 1.0) -> dict:
+    """The Heisenberg group of odd dimension n = 2k + 1 in coordinates
+    x1..xk, y1..yk, t (t the Reeb coordinate): gamma = (c*y_i, -c*x_i), the
+    unit frame metric, and phi pairing x_i with y_i, phi e_{x_i} = e_{y_i}
+    and phi e_{y_i} = -e_{x_i}, that is phi^{y_i}_{x_i} = 1 and
+    phi^{x_i}_{y_i} = -1.
+
+    Worked by hand from the chart's conventions: gamma does not depend on
+    t, so e_a gamma_b = d_a gamma_b and d(eta)(xi, .) = 0; omega_{x_i y_i}
+    = (-c - c)/2 = -c, so omega = c Omega with Omega_ab = phi^a_b (g = 1),
+    omega has rank 2k and the structure rank n; psi = omega^T = -c phi;
+    the constant metric gives Gamma = 0 and r = 0."""
+    k = (n - 1) // 2
+    xs, ys = [f"x{i}" for i in range(1, k + 1)], [f"y{i}" for i in range(1, k + 1)]
+    phi = [["0"] * (2 * k) for _ in range(2 * k)]
+    for i in range(k):
+        phi[k + i][i], phi[i][k + i] = "1", "-1"
+    return {
+        "dimension": n,
+        "coordinates": xs + ys + ["t"],
+        "gamma": [f"{c!r}*{y}" for y in ys] + [f"-{c!r}*{x}" for x in xs],
+        "metric_frame": [["1" if a == b else "0" for b in range(2 * k)] for a in range(2 * k)],
+        "phi_frame": phi,
+        "domain": [[-2.0, 2.0]] * n,
+    }
+
+
 def trace_psi_sq(ev) -> np.ndarray:
     """tr(psi^2) at the evaluated points."""
     return np.einsum("...ab,...ba->...", ev.psi0, ev.psi0)
@@ -107,7 +134,8 @@ def frame_bracket(manifest: Manifest, a: int, b: int, p: np.ndarray) -> np.ndarr
     [V, W]^i = V^j d_j W^i - W^j d_j V^i with V = e_a, W = e_b.  Serves as
     the independent oracle for :func:`nonholonomy`.
     """
-    E0, E1 = adapted_frame(*field_jets(manifest.plans["gamma"], p, order=1))
+    gam0, gam1 = field_jets(manifest.plans["gamma"], p, order=1)
+    E0, E1 = mat_t(frame_matrix(gam0)), frame_gradient(gam1)
     return (E1[..., b, :, :] @ E0[..., a, :, None] - E1[..., a, :, :] @ E0[..., b, :, None])[..., 0]
 
 

@@ -879,6 +879,33 @@ def test_census_tolerance_mode_compares_numbers_within_tolerance():
     ]
     assert [tolerance.text(a, b) for a, b in same] == [None] * len(same)
     assert all(tolerance.text(a, b) is not None for a, b in differ)
+    # what moved within tolerance: JSON key paths with list indices
+    # collapsed, a -0.0 included, and human lines with their numbers as '#'
+    moved_numbers = census["moved_numbers"]
+    moved = [moved_numbers(a, b) for a, b in same]
+    assert moved[2] == {"lc_oracle max # tol #"}
+    assert moved[3] == {".identities.lc_oracle.max_residual"}
+    assert moved[4] == moved[5] == {".x[]"}
+    assert moved[0] == {"[[ # #]", "[ # # ]]"}
+    assert moved_numbers('{"a": [[1.0, 2.0]], "b": 3}', '{"a": [[1.0, 2.5]], "b": 3}') == {".a[][]"}
+    assert moved_numbers("max 1.0\nrank 2", "max 1.0\nrank 2") == set()
+
+
+def test_ab_sign_band_and_summary():
+    ab = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "ab.py"))
+    # Binomial(n, 1/2): P(X <= 1) = 11/1024 <= 2.5% < P(X <= 2) = 56/1024 at
+    # n = 10, and P(X <= 5) = 21700/2^20 <= 2.5% < P(X <= 6) = 60460/2^20 at
+    # n = 20; at n = 5, P(X = 0) = 1/32 is already above 2.5%
+    assert ab["sign_band"](10) == (2, 8)
+    assert ab["sign_band"](20) == (6, 14)
+    assert ab["sign_band"](5) == (0, 5)
+    # per-round ratios B/A 0.5, 0.9, 1.1, 0.8, 1.0: median 0.9, B faster in
+    # the three rounds below 1 (a tie is no win)
+    s = ab["summary"]({"A": [2.0, 1.0, 4.0, 1.0, 2.0], "B": [1.0, 0.9, 4.4, 0.8, 2.0]})
+    assert s["rounds"] == 5 and s["b_won"] == 3 and s["band"] == (0, 5)
+    assert s["ratio"] == pytest.approx(0.9, rel=1e-15)
+    assert s["iqr"] == pytest.approx((0.65, 1.05), rel=1e-15)
+    assert (s["a_ms"], s["b_ms"]) == pytest.approx((2000.0, 1000.0))
 
 
 def test_cli_usage_error_leaves_next_call_intact(capsys):

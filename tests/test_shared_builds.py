@@ -1,6 +1,6 @@
 """One build per evaluation of each array that several readers of a check
-share: the frame brackets, the canonical coefficient table and the frame
-derivative of the metric.  The shared arrays are read-only, and no residual
+share: the frame matrix, the frame brackets, the canonical coefficient
+table and the frame derivative of the metric.  The shared arrays are read-only, and no residual
 depends on which reader runs first."""
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from acmcheck import classify, connection
+from acmcheck import chart, classify, connection, structure
 from acmcheck.chart import sample_points
 from acmcheck.checks import identity_residuals, run_full_check
 from acmcheck.classify import (
@@ -21,7 +21,7 @@ from acmcheck.classify import (
     reeb_split_identity_residual,
 )
 from acmcheck.connection import (
-    basis_brackets,
+    basis_brackets_frame,
     metricity_defect,
     n_connection_formula_residual,
     torsion,
@@ -33,8 +33,13 @@ from conftest import FIXTURES
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_one_check_builds_each_shared_array_once(name, manifests, monkeypatch):
-    counts = {"brackets": 0, "N-connection tables": 0, "frame derivatives of g": 0}
-    bracket, n_table, frame_d = connection.bracket, StructureEval._n_table, StructureEval.frame_d
+    counts = {"frame matrices": 0, "brackets": 0, "N-connection tables": 0, "frame derivatives of g": 0}
+    frame_matrix, bracket = chart.frame_matrix, connection.bracket
+    n_table, frame_d = StructureEval._n_table, StructureEval.frame_d
+
+    def counted_frame_matrix(gam0):
+        counts["frame matrices"] += 1
+        return frame_matrix(gam0)
 
     def counted_bracket(*args):
         counts["brackets"] += 1
@@ -48,13 +53,18 @@ def test_one_check_builds_each_shared_array_once(name, manifests, monkeypatch):
         counts["frame derivatives of g"] += F1 is ev.g1
         return frame_d(ev, F1)
 
+    monkeypatch.setattr(chart, "frame_matrix", counted_frame_matrix)
+    monkeypatch.setattr(structure, "frame_matrix", counted_frame_matrix)
     monkeypatch.setattr(connection, "bracket", counted_bracket)
     monkeypatch.setattr(classify, "bracket", counted_bracket)
     monkeypatch.setattr(StructureEval, "_n_table", counted_n_table)
     monkeypatch.setattr(StructureEval, "frame_d", counted_frame_d)
     run_full_check(manifests[name], samples=16)
+    # one frame matrix, read by the frame derivatives and the brackets;
     # [E_i, E_j], [phi E_i, phi E_j] and [phi E_i, E_j]; the canonical table
-    assert counts == {"brackets": 3, "N-connection tables": 1, "frame derivatives of g": 1}
+    assert counts == {
+        "frame matrices": 1, "brackets": 3, "N-connection tables": 1, "frame derivatives of g": 1,
+    }
 
 
 def test_shared_arrays_reject_writes(manifests):
@@ -72,7 +82,7 @@ def test_shared_arrays_reject_writes(manifests):
         "n_full(canonical_N)": ev.n_full(ev.canonical_N),
         "g_frame_d": ev.g_frame_d,
         "phi_frame_d": ev.phi_frame_d,
-        "basis_brackets": basis_brackets(ev),
+        "basis_brackets_frame": basis_brackets_frame(ev),
         "phi_psi0": ev.phi_psi0,
         "psi_phi0": ev.psi_phi0,
         "omega_phi0": ev.omega_phi0,

@@ -48,13 +48,17 @@ with its key path.  The coordinate oracle's residual is rounding noise
 bounded by ``LC_ORACLE_TOL``, so it gets that bound as its atol, as in the
 goldens: the JSON value ``identities.lc_oracle.max_residual``, and on a
 human line naming ``lc_oracle`` the number after ``max``.  Its printed
-tolerance keeps rtol and atol.  Standard library and the package only;
-pytest does not collect this file.
+tolerance keeps rtol and atol.  For the calls equal within tolerance it
+then lists what moved: each JSON key path (list indices collapsed to
+``[]``) and each human line (its numbers shown as '#') on which a number
+prints differently, with the number of calls in which it moved.  Standard
+library and the package only; pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -256,6 +260,30 @@ class Tolerance:
         return f"{where or 'the report'}: {a!r} != {b!r}"
 
 
+def moved_numbers(a: str, b: str) -> set[str]:
+    """Where two outputs that are equal within tolerance print a number
+    differently: the JSON key paths of those numbers, list indices
+    collapsed to '[]', or the human lines holding them, numbers as '#'."""
+    try:
+        return set(_moved_paths(json.loads(a), json.loads(b), ""))
+    except ValueError:  # not JSON
+        pass
+    return {" ".join(NUMBER.sub("#", x).split()) for x, y in zip(a.splitlines(), b.splitlines()) if x != y}
+
+
+def _moved_paths(a, b, where: str):
+    """The key paths at which two JSON trees of the same shape hold numbers
+    that print differently (-0.0 moved from 0.0)."""
+    if isinstance(a, dict):
+        for key in a:
+            yield from _moved_paths(a[key], b[key], f"{where}.{key}")
+    elif isinstance(a, list):
+        for x, y in zip(a, b):
+            yield from _moved_paths(x, y, f"{where}[]")
+    elif repr(a) != repr(b):
+        yield where or "the report"
+
+
 def run_census(tree: Path, args) -> dict[str, tuple[str, str, str]]:
     """argv -> (stdout, stderr, exit code) of the census of ``tree``, run in
     its own process, since every tree is the package acmcheck."""
@@ -279,6 +307,7 @@ def diff(trees: list[Path], args) -> int:
     a, b = (run_census(tree, args) for tree in trees)
     identical = within = 0
     differ = []
+    moved = collections.Counter()
     for argv in (argv for argv in a if argv in b):
         (out_a, err_a, code_a), (out_b, err_b, code_b) = a[argv], b[argv]
         if a[argv] == b[argv]:
@@ -292,12 +321,15 @@ def diff(trees: list[Path], args) -> int:
             why = tolerance.text(out_a, out_b) or tolerance.text(err_a, err_b)
         if why is None:
             within += 1
+            moved.update(moved_numbers(out_a, out_b) | moved_numbers(err_a, err_b))
         else:
             differ.append(argv)
             print(f"differs: {argv}  ({why})")
     for tree, only in ((trees[0], a.keys() - b.keys()), (trees[1], b.keys() - a.keys())):
         for argv in sorted(only):
             print(f"only in {tree}: {argv}")
+    for where, calls in sorted(moved.items()):
+        print(f"moved within tolerance: {where}  ({calls} calls)")
     within_text = ("" if tolerance is None else
                    f"{within} equal within rtol {tolerance.rtol:g} atol {tolerance.atol:g} "
                    f"(lc_oracle max atol {tolerance.oracle_atol:g}), ")
